@@ -8,6 +8,7 @@ from .adapt import (
     MinCces,
     TargetRate,
     essr_from_alpha,
+    make_kernel,
     update_min_cces,
     update_target_rate,
 )
@@ -23,23 +24,17 @@ from .linop import (
     GaussianTarget,
     LinearOperator,
     StackedFactor,
-    circulant_operator,
-    decimation_operator,
-    dense_operator,
-    stacked_factor,
     target_from_dense,
     to_dense,
 )
 from .problems import ar1_covariance, ar1_precision, ar1_target
-from .rng import RngStream, derive_seeds
+from .rng import PairedStream, RngStream, derive_seeds
 from .sampler import (
     EXACT_EPSILON,
     ChainState,
-    GeneralMoveSpec,
     KernelOutcome,
     epo_kernel,
     epo_step,
-    general_rj_step_oracle,
     perturb,
     rjpo_kernel,
     rjpo_step,

@@ -11,6 +11,10 @@ Two controllers, both acting on log epsilon so the threshold stays positive:
 
 Step sizes K_n = k0 / n^kappa with kappa in (0, 1] vanish while their sum
 diverges, so adaptation dies out and the chain keeps its target law.
+
+make_kernel is the one registry of sampling kernels by name; it lives
+here, the lowest module that sees both the fixed-threshold kernels and
+the adaptive one.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .sampler import KernelOutcome, rjpo_step
+from .sampler import KernelOutcome, epo_kernel, rjpo_kernel, rjpo_step, tpo_kernel
 
 ALPHA_CLAMP_LOW = 1e-6
 
@@ -71,6 +75,8 @@ class AdaptController:
     history: deque = field(default_factory=deque)
 
     def __post_init__(self):
+        if not math.isfinite(self.log_epsilon):
+            raise ConfigurationError(f"log epsilon must be finite, got {self.log_epsilon}")
         if self.k0 <= 0:
             raise ConfigurationError(f"k0 must be positive, got {self.k0}")
         if not 0.0 < self.kappa <= 1.0:
@@ -195,6 +201,31 @@ class AdaptiveRjpoKernel:
                             outcome.acceptance_probability)
         return outcome
 
+    draw = __call__  # perfbench/run.py drives Gibbs kernels through .draw
+
     def trajectory(self) -> np.ndarray:
         """Columns: step index, epsilon used, acceptance probability, CG iterations."""
         return np.column_stack([self.steps, self.epsilons, self.alphas, self.cg_iterations])
+
+
+def make_kernel(name: str, epsilon: float = 1e-4, alpha_t: float = 0.99,
+                epsilon0: float = 1e-2):
+    """A kernel (target, previous, stream) -> KernelOutcome by name.
+
+    epo (alias cholesky_epo) solves exactly; tpo and rjpo truncate at
+    epsilon, which must be positive and finite; arjpo is RJPO whose
+    threshold starts at epsilon0 and is tuned toward acceptance alpha_t.
+    """
+    if name in ("epo", "cholesky_epo"):
+        return epo_kernel()
+    if name == "arjpo":
+        if not (epsilon0 > 0 and math.isfinite(epsilon0)):
+            raise ConfigurationError(f"arjpo epsilon0 must be positive finite, got {epsilon0}")
+        return AdaptiveRjpoKernel(AdaptController(math.log(epsilon0), TargetRate(alpha_t)))
+    if name not in ("tpo", "rjpo"):
+        raise ConfigurationError(
+            f"unknown sampler {name!r}; choose epo, cholesky_epo, tpo, rjpo, or arjpo"
+        )
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ConfigurationError(f"{name} epsilon must be positive finite, got {epsilon}")
+    return tpo_kernel(epsilon) if name == "tpo" else rjpo_kernel(epsilon)

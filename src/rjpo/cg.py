@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
       q: object with apply(v) computing Qv for symmetric positive definite Q.
       b: right-hand side.
       x0: starting point (defaults to zero).
-      epsilon: relative-residual threshold, >= 0.
+      epsilon: relative-residual threshold, finite and >= 0.
       max_iters: iteration cap, defaults to 10 N.
 
     Raises:
@@ -49,8 +50,8 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     x = np.asarray(x0, dtype=float).ravel().copy()
     if x.size != n:
         raise ConfigurationError(f"x0 length {x.size} != b length {n}")
-    if epsilon < 0:
-        raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
+    if not 0 <= epsilon < math.inf:
+        raise ConfigurationError(f"epsilon must be finite and >= 0, got {epsilon}")
     if max_iters is None:
         max_iters = 10 * n
     if max_iters < 1:

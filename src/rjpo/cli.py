@@ -27,12 +27,13 @@ from .adapt import (
     MinCces,
     TargetRate,
     essr_from_alpha,
+    make_kernel,
 )
 from .diag import DiagnosticsReport, ess, gelman_rubin
 from .errors import ConfigurationError, NumericalBreakdownError
 from .problems import ar1_target
 from .rng import GENERATOR_NAME, RngStream
-from .sampler import epo_kernel, rjpo_kernel, run_chain, tpo_kernel
+from .sampler import run_chain
 from . import superres as sr
 
 SUBCOMMANDS = ("toy", "curve", "adapt", "superres")
@@ -154,7 +155,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if value is None and dest in file_entries:
             value = file_entries[dest]
             if kind is not bool and value is not None:
-                value = kind(value)
+                try:
+                    value = kind(value)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigurationError(
+                        f"{args.config}: {dest} = {value!r} is not a valid {kind.__name__}"
+                    ) from exc
         if value is None:
             value = default
         cfg[dest] = value
@@ -200,35 +206,31 @@ def _write_metadata(outdir, cfg) -> None:
 
 def _parse_grid(spec) -> list[float]:
     """Grid forms: 'logspace:lo:hi:count', comma-separated floats, or a list."""
-    if isinstance(spec, (list, tuple)):
-        grid = [float(v) for v in spec]
-    elif isinstance(spec, str) and spec.startswith("logspace:"):
+    if isinstance(spec, str) and spec.startswith("logspace:"):
         parts = spec.split(":")
         if len(parts) != 4:
             raise ConfigurationError(f"bad grid spec {spec!r}; want logspace:lo:hi:count")
-        lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+        try:
+            lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+        except ValueError as exc:
+            raise ConfigurationError(f"bad number in grid spec {spec!r}") from exc
         if not (0 < lo < hi) or count < 1:
             raise ConfigurationError(f"bad logspace range in {spec!r}")
         grid = list(np.logspace(math.log10(lo), math.log10(hi), count))
-    elif isinstance(spec, str):
-        grid = [float(v) for v in spec.split(",") if v.strip()]
     else:
-        grid = [float(spec)]
+        if isinstance(spec, str):
+            values = [v for v in spec.split(",") if v.strip()]
+        else:
+            values = spec if isinstance(spec, (list, tuple)) else [spec]
+        try:
+            grid = [float(v) for v in values]
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad epsilon grid {spec!r}") from exc
     if not grid:
         raise ConfigurationError("epsilon grid is empty")
     if any(e <= 0 for e in grid):
         raise ConfigurationError("epsilon grid entries must be positive")
     return sorted(grid)
-
-
-def _make_kernel(sampler: str, epsilon: float):
-    if sampler == "epo":
-        return epo_kernel()
-    if sampler == "tpo":
-        return tpo_kernel(epsilon)
-    if sampler == "rjpo":
-        return rjpo_kernel(epsilon)
-    raise ConfigurationError(f"unknown sampler {sampler!r}; choose epo, tpo, or rjpo")
 
 
 def cmd_toy(cfg, outdir) -> None:
@@ -242,8 +244,8 @@ def cmd_toy(cfg, outdir) -> None:
     write_csv(os.path.join(outdir, "mu.csv"), ["i", "mu"], list(enumerate(mu)))
     rmse_rows = []
     for si, name in enumerate(samplers):
-        kernel = _make_kernel(name, cfg["epsilon"])
         for k in range(cfg["chains"]):
+            kernel = make_kernel(name, epsilon=cfg["epsilon"])
             chain = run_chain(
                 target, kernel, cfg["n_max"], cfg["n_min"],
                 streams[si * cfg["chains"] + k], track_covariance=True,
@@ -277,10 +279,10 @@ def cmd_curve(cfg, outdir) -> None:
     acc_rows, rmse_rows, essr_rows = [], [], []
     streams = master.spawn(2 * len(grid) + 1)
     for i, eps in enumerate(grid):
-        rj = run_chain(target, rjpo_kernel(eps), n_max, n_min, streams[2 * i],
-                       track_covariance=True)
-        tp = run_chain(target, tpo_kernel(eps), n_max, n_min, streams[2 * i + 1],
-                       track_covariance=True)
+        rj = run_chain(target, make_kernel("rjpo", epsilon=eps), n_max, n_min,
+                       streams[2 * i], track_covariance=True)
+        tp = run_chain(target, make_kernel("tpo", epsilon=eps), n_max, n_min,
+                       streams[2 * i + 1], track_covariance=True)
         alpha = float(rj.alphas[n_min:].mean())
         mean_j = float(rj.cg_iterations[n_min:].mean())
         acc_rows.append((eps, alpha, mean_j))
@@ -290,7 +292,7 @@ def cmd_curve(cfg, outdir) -> None:
         rmse_rows.append(("tpo", eps, tp_rep.rmse_mean, tp_rep.rmse_cov))
         essr = essr_from_alpha(max(alpha, 1e-12))
         essr_rows.append(("rjpo", eps, essr, mean_j / essr))
-    epo = run_chain(target, epo_kernel(), n_max, n_min, streams[-1],
+    epo = run_chain(target, make_kernel("epo"), n_max, n_min, streams[-1],
                     track_covariance=True, store_samples=True)
     epo_rep = DiagnosticsReport.from_chain(epo, mu, cov)
     rmse_rows.append(("epo", 0.0, epo_rep.rmse_mean, epo_rep.rmse_cov))
@@ -315,7 +317,7 @@ def cmd_curve(cfg, outdir) -> None:
             for k, sub in enumerate(master.spawn(cfg["chains"])):
                 # overdispersed starts: mean plus 4 sigma in correlated shape
                 initial = mu + 4.0 * (cov_chol @ sub.standard_normal_vector(cfg["n"]))
-                ch = run_chain(target, rjpo_kernel(eps), n_max, n_min, sub,
+                ch = run_chain(target, make_kernel("rjpo", epsilon=eps), n_max, n_min, sub,
                                initial=initial, track_covariance=False,
                                store_samples=True)
                 chains.append(ch.samples[n_min:, 0])
@@ -343,11 +345,16 @@ def cmd_adapt(cfg, outdir) -> None:
     epsilon0 = cfg["epsilon0"] if cfg["epsilon0"] is not None else (
         1e-3 if mode == "target_rate" else 1e-2
     )
+    if not epsilon0 > 0:
+        raise ConfigurationError(f"epsilon0 must be positive, got {epsilon0}")
     master = RngStream(cfg["seed"])
     target, mu, cov = ar1_target(n, cfg["sigma2"], cfg["rho"], stream=master)
 
     if mode == "target_rate":
-        targets = [float(v) for v in str(cfg["alpha_t"]).split(",")]
+        try:
+            targets = [float(v) for v in str(cfg["alpha_t"]).split(",")]
+        except ValueError as exc:
+            raise ConfigurationError(f"bad alpha_t list {cfg['alpha_t']!r}: {exc}") from exc
         summary = []
         for alpha_t, sub in zip(targets, master.spawn(len(targets))):
             ctrl = AdaptController(
@@ -416,8 +423,7 @@ def cmd_superres(cfg, outdir) -> None:
     observations = sr.synthesize(model, truth, synth_stream)
     sr.write_pgm(os.path.join(outdir, "ground_truth.pgm"), truth * sr.PGM_MAX)
 
-    sampler = sr.make_x_sampler(cfg["sampler"], epsilon=cfg["epsilon"],
-                                alpha_t=cfg["alpha_t"])
+    sampler = make_kernel(cfg["sampler"], epsilon=cfg["epsilon"], alpha_t=cfg["alpha_t"])
     summary = sr.run_gibbs(model, observations, cfg["iterations"], cfg["burn_in"],
                            sampler, run_stream)
     sr.write_pgm(os.path.join(outdir, "posterior_mean.pgm"),
@@ -425,7 +431,7 @@ def cmd_superres(cfg, outdir) -> None:
     write_csv(os.path.join(outdir, "chain.csv"),
               ["iter", "gamma_y", "gamma_x", "alpha", "cg_iters"], summary.records)
     payload = {
-        "sampler": sampler.name,
+        "sampler": cfg["sampler"],
         "gamma_y_mean": summary.gamma_y_mean,
         "gamma_y_std": summary.gamma_y_std,
         "gamma_x_mean": summary.gamma_x_mean,
@@ -436,9 +442,9 @@ def cmd_superres(cfg, outdir) -> None:
         "wall_time_seconds": summary.wall_time,
     }
 
-    if cfg["reference"] and cfg["sampler"] != "cholesky_epo":
+    if cfg["reference"] and cfg["sampler"] not in ("epo", "cholesky_epo"):
         ref = sr.run_gibbs(model, observations, cfg["iterations"], cfg["burn_in"],
-                           sr.make_x_sampler("cholesky_epo"), ref_stream)
+                           make_kernel("epo"), ref_stream)
         sr.write_pgm(os.path.join(outdir, "reference_mean.pgm"),
                      ref.posterior_mean_image * sr.PGM_MAX)
         write_csv(os.path.join(outdir, "reference_chain.csv"),

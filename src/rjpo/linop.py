@@ -185,22 +185,6 @@ class ComposedOperator(LinearOperator):
         return self.inner.apply_transpose(self.outer.apply_transpose(w))
 
 
-def dense_operator(matrix) -> DenseOperator:
-    return DenseOperator(matrix)
-
-
-def circulant_operator(kernel, image_dims, origin=(0, 0)) -> CirculantOperator:
-    return CirculantOperator(kernel, image_dims, origin=origin)
-
-
-def decimation_operator(image_dims, factor, offset=(0, 0)) -> DecimationOperator:
-    return DecimationOperator(image_dims, factor, offset=offset)
-
-
-def stacked_factor(weighted_ops) -> StackedFactor:
-    return StackedFactor(weighted_ops)
-
-
 def to_dense(op: LinearOperator) -> np.ndarray:
     """Materialize an operator column by column (small problems only)."""
     basis = np.eye(op.in_dim)
@@ -232,6 +216,7 @@ class GaussianTarget:
     dense_q: np.ndarray | None = None
     dense_mu: np.ndarray | None = None
     _chol: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _chol_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.potential = np.asarray(self.potential, dtype=float).ravel()
@@ -263,10 +248,16 @@ class GaussianTarget:
         return self._chol
 
     def mirror_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve Q x = b through the cached mirror Cholesky factor."""
-        low = self.mirror_cholesky()
-        y = np.linalg.solve(low, b)
-        return np.linalg.solve(low.T, y)
+        """Solve Q x = b as L^-t (L^-1 b), two matvecs with the inverse of the
+        mirror Cholesky factor L.
+
+        The inverse is built and cached by the first solve, not by
+        mirror_cholesky, so targets that are factorised but never solved
+        against do not pay for it.
+        """
+        if self._chol_inv is None:
+            self._chol_inv = np.linalg.inv(self.mirror_cholesky())
+        return self._chol_inv.T @ (self._chol_inv @ b)
 
 
 def target_from_dense(q: np.ndarray, mu: np.ndarray) -> GaussianTarget:

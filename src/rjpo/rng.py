@@ -55,6 +55,25 @@ class RngStream:
         return [RngStream(s) for s in derive_seeds(self.seed, count)]
 
 
+class PairedStream:
+    """Routes accept/reject uniforms to a side stream.
+
+    All kernels then consume the identical Gaussian sequence from the main
+    stream, so runs with different kernels but one seed are paired (common
+    random numbers); kernel comparisons measure bias, not noise.
+    """
+
+    def __init__(self, main: RngStream, side: RngStream):
+        self.main = main
+        self.side = side
+
+    def standard_normal_vector(self, n: int) -> np.ndarray:
+        return self.main.standard_normal_vector(n)
+
+    def uniform(self) -> float:
+        return self.side.uniform()
+
+
 def derive_seeds(seed: int, count: int) -> list[int]:
     """Derive `count` statistically independent 64-bit seeds from one seed."""
     if count < 1:

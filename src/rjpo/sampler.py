@@ -8,8 +8,9 @@ turn that perturbation into a sample of N(mu, Q^-1):
   rjpo_step  truncated solve from x0 = -previous plus a reversible-jump
              accept/reject that restores exactness at any truncation level
 
-general_rj_step_oracle is a dense reference for the full (A, B, b) move
-family; it exists for verification, not production use.
+A kernel is a callable (target, previous, stream) -> KernelOutcome; the
+chain driver here and the Gibbs driver in superres both take one, and
+adapt.make_kernel builds them by name.
 """
 
 from __future__ import annotations
@@ -124,74 +125,13 @@ def rjpo_step(
     )
 
 
-@dataclass
-class GeneralMoveSpec:
-    """Auxiliary move z | x ~ N(A x + b, B) with return map x' = -x + f(z).
-
-    Dense and oracle-only.  B must be symmetric positive definite.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
-        self.b = np.asarray(self.b, dtype=float).ravel()
-        n = self.b.size
-        if self.A.shape != (n, n) or self.B.shape != (n, n):
-            raise ConfigurationError(
-                f"A {self.A.shape}, B {self.B.shape}, b length {n} are inconsistent"
-            )
-        if not np.allclose(self.B, self.B.T, atol=1e-12):
-            raise ConfigurationError("B must be symmetric")
-        try:
-            self.chol_b = np.linalg.cholesky(self.B)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigurationError("B must be positive definite") from exc
-
-
-def general_rj_step_oracle(
-    target: GaussianTarget,
-    move: GeneralMoveSpec,
-    previous: np.ndarray,
-    stream: RngStream,
-) -> KernelOutcome:
-    """One reversible-jump step for an arbitrary (A, B, b) move, all dense.
-
-    f(z) solves (1/2)(Q + A^t B^-1 A) f = Q mu + A^t B^-1 (z - b) exactly, so
-    the acceptance probability is 1 up to rounding; approximate solvers are
-    exercised through rjpo_step instead.
-    """
-    if not target.has_mirror:
-        raise ConfigurationError("general move oracle needs a dense mirror")
-    previous = np.asarray(previous, dtype=float)
-    if previous.ndim != 1:
-        previous = previous.ravel()
-    q, mu = target.dense_q, target.dense_mu
-    n = mu.size
-
-    z = move.A @ previous + move.b + move.chol_b @ stream.standard_normal_vector(n)
-    half_m = 0.5 * (q + move.A.T @ np.linalg.solve(move.B, move.A))
-    rhs = q @ mu + move.A.T @ np.linalg.solve(move.B, z - move.b)
-    f = np.linalg.solve(half_m, rhs)
-    residual = rhs - half_m @ f
-    proposal = -previous + f
-
-    log_alpha = min(0.0, _acceptance_exponent(residual, previous, proposal))
-    u = stream.uniform()
-    accepted = u <= 0.0 or math.log(u) < log_alpha
-    next_sample = proposal if accepted else previous
-    rhs_norm = float(np.linalg.norm(rhs))
-    rel = float(np.linalg.norm(residual)) / rhs_norm if rhs_norm > 0 else 0.0
-    return KernelOutcome(next_sample, proposal, math.exp(log_alpha), accepted, 0, rel)
-
-
+# Each kernel keeps `draw` as an alias of the call: perfbench/run.py drives
+# Gibbs kernels through `.draw`.
 def epo_kernel():
     def step(target, previous, stream):
         return epo_step(target, stream)
 
+    step.draw = step
     return step
 
 
@@ -200,6 +140,7 @@ def tpo_kernel(epsilon: float, max_iters: int | None = None):
         return tpo_step(target, previous, stream, epsilon, max_iters)
 
     step.epsilon = epsilon
+    step.draw = step
     return step
 
 
@@ -208,6 +149,7 @@ def rjpo_kernel(epsilon: float, max_iters: int | None = None):
         return rjpo_step(target, previous, stream, epsilon, max_iters)
 
     step.epsilon = epsilon
+    step.draw = step
     return step
 
 

@@ -8,7 +8,7 @@ alternates two Gamma conditionals with one large Gaussian conditional
     x | rest ~ N(mu, Q^-1),  Q = gamma_y H^t H + gamma_x D^t D,
                              Q mu = gamma_y H^t y,
 
-drawn matrix-free by the perturbation-optimization kernels.  D is a
+drawn matrix-free by any kernel from adapt.make_kernel.  D is a
 circulant Laplacian, so Q is never materialized.
 """
 
@@ -21,7 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .adapt import AdaptController, AdaptiveRjpoKernel, TargetRate
+# perfbench/run.py builds its Gibbs kernels through make_x_sampler, and
+# perfbench/spans.py patches epo_step here, so both stay importable by name
+from .adapt import make_kernel as make_x_sampler  # noqa: F401
 from .errors import ConfigurationError, NumericalBreakdownError
 from .linop import (
     CirculantOperator,
@@ -31,8 +33,8 @@ from .linop import (
     GaussianTarget,
     StackedFactor,
 )
-from .rng import RngStream
-from .sampler import KernelOutcome, epo_step, tpo_step
+from .rng import PairedStream, RngStream
+from .sampler import KernelOutcome, epo_step  # noqa: F401
 
 LAPLACIAN_STENCIL = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0.0]])
 PGM_MAX = 65535
@@ -256,90 +258,11 @@ def conditional_target(model: SuperResModel, observations, gamma_y: float,
     return GaussianTarget(precision, potential, dense_q=dense_q, dense_mu=dense_mu)
 
 
-class CholeskyEpo:
-    """Exact conditional draw: dense Cholesky when a mirror exists, else CG
-    at machine accuracy.  The reference sampler for bias checks."""
-
-    name = "cholesky_epo"
-
-    def draw(self, target, previous, stream) -> KernelOutcome:
-        return epo_step(target, stream)
-
-
-class TpoSampler:
-    """Truncated PO without correction; deliberately biased at loose epsilon."""
-
-    name = "tpo"
-
-    def __init__(self, epsilon: float):
-        if not (epsilon > 0 and math.isfinite(epsilon)):
-            raise ConfigurationError(f"tpo epsilon must be positive finite, got {epsilon}")
-        self.epsilon = epsilon
-
-    def draw(self, target, previous, stream) -> KernelOutcome:
-        return tpo_step(target, previous, stream, self.epsilon)
-
-
-class _PairedStream:
-    """Routes accept/reject uniforms to a side stream.
-
-    All kernels then consume the identical Gaussian sequence from the main
-    stream, so runs with different x samplers but one seed are paired
-    (common random numbers); kernel comparisons measure bias, not noise.
-    """
-
-    def __init__(self, main: RngStream, side: RngStream):
-        self.main = main
-        self.side = side
-
-    def standard_normal_vector(self, n):
-        return self.main.standard_normal_vector(n)
-
-    def uniform(self):
-        return self.side.uniform()
-
-
-class ArjpoSampler:
-    """RJPO with the acceptance-rate controller tuning epsilon on the fly."""
-
-    name = "arjpo"
-
-    def __init__(self, alpha_t: float = 0.99, epsilon0: float = 1e-2,
-                 k0: float = 1.0, kappa: float = 0.5):
-        controller = AdaptController(
-            log_epsilon=math.log(epsilon0), mode=TargetRate(alpha_t), k0=k0, kappa=kappa
-        )
-        self.kernel = AdaptiveRjpoKernel(controller)
-        self._paired: _PairedStream | None = None
-
-    @property
-    def epsilon(self) -> float:
-        return self.kernel.controller.epsilon
-
-    def draw(self, target, previous, stream) -> KernelOutcome:
-        if self._paired is None or self._paired.main is not stream:
-            self._paired = _PairedStream(stream, stream.spawn(1)[0])
-        return self.kernel(target, previous, self._paired)
-
-
-def make_x_sampler(name: str, epsilon: float = 1e-4, alpha_t: float = 0.99,
-                   epsilon0: float = 1e-2):
-    if name == "cholesky_epo":
-        return CholeskyEpo()
-    if name == "tpo":
-        return TpoSampler(epsilon)
-    if name == "arjpo":
-        return ArjpoSampler(alpha_t=alpha_t, epsilon0=epsilon0)
-    raise ConfigurationError(
-        f"unknown x sampler {name!r}; choose cholesky_epo, tpo, or arjpo"
-    )
-
-
 def sample_x(state: GibbsState, model: SuperResModel, observations,
-             stream: RngStream, sampler) -> tuple[np.ndarray, KernelOutcome]:
+             stream: RngStream | PairedStream, sampler) -> tuple[np.ndarray, KernelOutcome]:
     """One draw of the Gaussian conditional by the chosen kernel."""
     target = conditional_target(model, observations, state.gamma_y, state.gamma_x)
-    outcome = sampler.draw(target, state.x, stream)
+    outcome = sampler(target, state.x, stream)
     return outcome.next_sample, outcome
 
 
@@ -383,7 +306,9 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
     of `stream`.  Gamma draws use rejection sampling, so their consumption
     varies with the (state-dependent) parameters; isolating them keeps the
     per-sweep Gaussian sequence identical across runs that share a seed but
-    differ in x sampler, which makes sampler comparisons paired.
+    differ in x sampler, which makes sampler comparisons paired.  For the
+    same reason the x kernel's accept/reject uniforms come from a side
+    stream spawned off the x substream.
     """
     observations = np.asarray(observations, dtype=float).ravel()
     if observations.size != model.data_count:
@@ -401,6 +326,7 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
         x=model.forward.apply_transpose(observations), gamma_y=1.0, gamma_x=1.0
     )
     gamma_stream, x_stream = stream.spawn(2)
+    x_stream = PairedStream(x_stream, x_stream.spawn(1)[0])
     n = model.pixel_count
     x_sum = np.zeros(n)
     x_sumsq = np.zeros(n)
@@ -502,7 +428,10 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
             raise OSError(f"{path}: truncated PGM header")
         ch = blob[pos : pos + 1]
         if ch == b"#":
-            pos = blob.index(b"\n", pos) + 1
+            pos = blob.find(b"\n", pos)
+            if pos < 0:
+                raise OSError(f"{path}: truncated PGM header")
+            pos += 1
         elif ch.isspace():
             pos += 1
         else:
@@ -513,7 +442,12 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
             pos = end
     if tokens[0] != b"P5":
         raise OSError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    cols, rows, max_val = (int(t) for t in tokens[1:])
+    try:
+        cols, rows, max_val = (int(t) for t in tokens[1:])
+    except ValueError as exc:
+        raise OSError(f"{path}: non-integer PGM header field") from exc
+    if cols < 1 or rows < 1 or not 1 <= max_val <= PGM_MAX:
+        raise OSError(f"{path}: bad PGM header (size {cols} x {rows}, max value {max_val})")
     pos += 1  # single whitespace byte separates header from raster
     dtype = np.dtype(">u2") if max_val > 255 else np.dtype(np.uint8)
     count = rows * cols

@@ -1,12 +1,20 @@
 """Independent reference implementations the test suite checks against.
 
 Everything here is deliberately naive (dense algebra, direct loops) and
-shares no code with the package under test beyond numpy itself.
+shares no algorithm with the package under test: it uses numpy, plus the
+package's outcome record and error type so the oracle move can run inside
+run_chain.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from rjpo.errors import ConfigurationError
+from rjpo.sampler import KernelOutcome
 
 
 def naive_circular_convolve(image: np.ndarray, kernel: np.ndarray,
@@ -111,3 +119,62 @@ def energy_test_pvalue(xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator,
 def ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     xc = x - x.mean()
     return float(xc @ (y - y.mean()) / (xc @ xc))
+
+
+@dataclass
+class GeneralMoveSpec:
+    """Auxiliary move z | x ~ N(A x + b, B) with return map x' = -x + f(z).
+
+    Dense and oracle-only.  B must be symmetric positive definite.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        self.A = np.asarray(self.A, dtype=float)
+        self.B = np.asarray(self.B, dtype=float)
+        self.b = np.asarray(self.b, dtype=float).ravel()
+        n = self.b.size
+        if self.A.shape != (n, n) or self.B.shape != (n, n):
+            raise ConfigurationError(
+                f"A {self.A.shape}, B {self.B.shape}, b length {n} are inconsistent"
+            )
+        if not np.allclose(self.B, self.B.T, atol=1e-12):
+            raise ConfigurationError("B must be symmetric")
+        try:
+            self.chol_b = np.linalg.cholesky(self.B)
+        except np.linalg.LinAlgError as exc:
+            raise ConfigurationError("B must be positive definite") from exc
+
+
+def general_rj_step_oracle(target, move: GeneralMoveSpec, previous: np.ndarray,
+                           stream) -> KernelOutcome:
+    """One reversible-jump step for an arbitrary (A, B, b) move, all dense.
+
+    f(z) solves (1/2)(Q + A^t B^-1 A) f = Q mu + A^t B^-1 (z - b) exactly, so
+    the acceptance probability is 1 up to rounding; approximate solvers are
+    exercised through rjpo_step instead.  The log acceptance ratio is the
+    residual form -r^t(previous - proposal), clamped at 0.
+    """
+    if not target.has_mirror:
+        raise ConfigurationError("general move oracle needs a dense mirror")
+    previous = np.asarray(previous, dtype=float).ravel()
+    q, mu = target.dense_q, target.dense_mu
+    n = mu.size
+
+    z = move.A @ previous + move.b + move.chol_b @ stream.standard_normal_vector(n)
+    half_m = 0.5 * (q + move.A.T @ np.linalg.solve(move.B, move.A))
+    rhs = q @ mu + move.A.T @ np.linalg.solve(move.B, z - move.b)
+    f = np.linalg.solve(half_m, rhs)
+    residual = rhs - half_m @ f
+    proposal = -previous + f
+
+    log_alpha = min(0.0, -float(residual @ (previous - proposal)))
+    u = stream.uniform()
+    accepted = u <= 0.0 or math.log(u) < log_alpha
+    next_sample = proposal if accepted else previous
+    rhs_norm = float(np.linalg.norm(rhs))
+    rel = float(np.linalg.norm(residual)) / rhs_norm if rhs_norm > 0 else 0.0
+    return KernelOutcome(next_sample, proposal, math.exp(log_alpha), accepted, 0, rel)

@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 
 import conftest
-from oracles import gaussian_logpdf, lag1_autocorrelation, ols_slope
+from oracles import (
+    GeneralMoveSpec,
+    gaussian_logpdf,
+    general_rj_step_oracle,
+    lag1_autocorrelation,
+    ols_slope,
+)
 from rjpo import cli
 from rjpo import superres as sr
 from rjpo.adapt import (
@@ -30,14 +36,7 @@ from rjpo.adapt import (
 from rjpo.diag import acceptance_curve, rmse
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
-from rjpo.sampler import (
-    GeneralMoveSpec,
-    epo_kernel,
-    general_rj_step_oracle,
-    rjpo_kernel,
-    run_chain,
-    tpo_kernel,
-)
+from rjpo.sampler import epo_kernel, rjpo_kernel, run_chain, tpo_kernel
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -350,12 +349,12 @@ def test_11_conditional_draw_memory_stays_linear():
                           fwhm=4.0, snr_db=20.0)
     truth = sr.phantom((128, 128))
     obs = sr.synthesize(model, truth, RngStream(55))
-    sampler = sr.TpoSampler(1e-4)
+    sampler = sr.make_x_sampler("tpo", epsilon=1e-4)
     previous = np.zeros(model.pixel_count)
     stream = RngStream(56)
     tracemalloc.start()
     target = sr.conditional_target(model, obs, 120.0, 15.0)
-    outcome = sampler.draw(target, previous, stream)
+    outcome = sampler(target, previous, stream)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     peak_mb = peak / 2**20

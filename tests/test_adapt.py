@@ -42,7 +42,9 @@ def test_min_cces_window_bounds():
 
 
 @pytest.mark.parametrize("kw", [dict(k0=0.0), dict(k0=-1.0),
-                                dict(kappa=0.0), dict(kappa=1.5)])
+                                dict(kappa=0.0), dict(kappa=1.5),
+                                dict(log_eps=math.nan), dict(log_eps=math.inf),
+                                dict(log_eps=-math.inf)])
 def test_controller_gain_validation(kw):
     with pytest.raises(ConfigurationError):
         make_ctrl(TargetRate(0.8), **kw)

@@ -128,6 +128,9 @@ def test_parameter_validation():
     b = np.ones(4)
     with pytest.raises(ConfigurationError):
         cg_solve(prec, b, epsilon=-1e-3)
+    for nonfinite in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            cg_solve(prec, b, epsilon=nonfinite)
     with pytest.raises(ConfigurationError):
         cg_solve(prec, b, max_iters=0)
     with pytest.raises(ConfigurationError):

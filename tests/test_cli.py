@@ -1,5 +1,7 @@
 """CLI surface: exit codes, config merging, reproducibility, file formats."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,7 +10,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import rjpo
 from rjpo import cli
 from rjpo import superres as sr
 from rjpo.errors import ConfigurationError
@@ -49,6 +54,79 @@ def test_unknown_sampler_is_a_config_error(tmp_path):
     rc = cli.main(["toy", "--sampler", "nope", "--n", "8", "--n-max", "50",
                    "--out", str(tmp_path / "x")])
     assert rc == 1
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["toy", "--sampler", "tpo", "--epsilon", "nan"],
+    ["toy", "--sampler", "rjpo", "--epsilon", "inf"],
+    ["toy", "--sampler", "tpo", "--epsilon", "0"],
+    ["superres", "--dims", "16", "--sampler", "tpo", "--epsilon", "nan"],
+    ["curve", "--epsilon-grid", "nan"],
+    ["adapt", "--epsilon0", "0"],
+    ["adapt", "--epsilon0", "-1e-3"],
+    ["adapt", "--epsilon0", "nan"],
+    ["adapt", "--mode", "min_cces", "--epsilon0", "inf"],
+])
+def test_unusable_thresholds_are_config_errors(tmp_path, argv):
+    """A NaN, infinite or nonpositive threshold exits 1 before any chain runs."""
+    rc, err = run_cli(argv + ["--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert err.startswith("rjpo: config error:")
+
+
+NON_NUMERIC = st.one_of(
+    st.text(alphabet="bcdghjkmopqvwxz", min_size=1, max_size=8),
+    st.sampled_from(["1.5.2", "1e", "0x10", "--", "[1, 2]"]),
+)
+LENIENT = settings(max_examples=30, deadline=None,
+                   suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@LENIENT
+@given(word=NON_NUMERIC, form=st.sampled_from([
+    ["curve", "--epsilon-grid", "{}"],
+    ["curve", "--epsilon-grid", "1e-3,{}"],
+    ["curve", "--epsilon-grid", "logspace:1e-4:{}:3"],
+    ["adapt", "--alpha-t", "0.5,{}"],
+    ["toy", "--config", "n = {}"],
+    ["toy", "--config", "epsilon = {}"],
+    ["curve", "--config", "epsilon_grid = {}"],
+    ["adapt", "--config", "alpha_t = {}"],
+]))
+def test_malformed_values_exit_1_without_traceback(tmp_path, word, form):
+    argv = [part.format(word) for part in form]
+    if argv[1] == "--config":
+        cfg = tmp_path / "malformed.cfg"
+        cfg.write_text(argv[2] + "\n", encoding="utf-8")
+        argv[2] = str(cfg)
+    rc, err = run_cli(argv + ["--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert err.startswith("rjpo: config error:") and "Traceback" not in err
+
+
+@LENIENT
+@given(field=st.integers(0, 2), bad=st.one_of(
+    NON_NUMERIC.map(lambda w: ("word", w)),
+    st.one_of(st.integers(max_value=0), st.integers(min_value=65536)).map(
+        lambda m: ("max", str(m))),
+))
+def test_malformed_pgm_header_exits_3_without_traceback(tmp_path, field, bad):
+    kind, token = bad
+    header = ["4", "4", "255"]
+    header[2 if kind == "max" else field] = token
+    path = tmp_path / "malformed.pgm"
+    path.write_bytes(("P5\n" + " ".join(header) + "\n").encode() + bytes(32))
+    rc, err = run_cli(["superres", "--input", str(path), "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert err.startswith("rjpo: i/o error:") and "Traceback" not in err
 
 
 def test_numerical_breakdown_exits_2(tmp_path, monkeypatch):
@@ -143,10 +221,14 @@ def test_metadata_alone_reproduces_a_run(tmp_path):
 
 
 def test_module_entry_point_runs(tmp_path):
+    # the subprocess runs from tmp_path, so hand it the package's absolute root
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rjpo.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "rjpo"] + TOY_TINY + ["--n-max", "60",
                                                      "--out", str(tmp_path / "m")],
-        capture_output=True, cwd=tmp_path,
+        capture_output=True, cwd=tmp_path, env=env,
     )
     assert proc.returncode == 0, proc.stderr.decode()
 

@@ -16,6 +16,7 @@ from rjpo.linop import (
     target_from_dense,
     to_dense,
 )
+from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
 
 
@@ -159,6 +160,18 @@ def test_target_from_dense_mirror_consistency():
     assert np.allclose(target.potential, q @ mu, atol=1e-12)
     # mirror solve inverts Q
     assert np.allclose(target.mirror_solve(q @ v), v, atol=1e-9)
+
+
+def test_mirror_solve_is_accurate_at_benchmark_size():
+    """The cached-inverse solve agrees with a dense LU solve at N = 128."""
+    target, _, _ = ar1_target(128, 1.0, 0.8, mean=np.linspace(0.0, 10.0, 128))
+    b = np.random.default_rng(9).standard_normal(128)
+    for _ in range(2):  # first call builds the inverse, second reuses it
+        x = target.mirror_solve(b)
+        residual = np.linalg.norm(b - target.dense_q @ x) / np.linalg.norm(b)
+        assert residual < 1e-13
+        reference = np.linalg.solve(target.dense_q, b)
+        assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_gaussian_target_validation():

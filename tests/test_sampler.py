@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import cholesky_gaussian_draws, gaussian_logpdf, lag1_autocorrelation
+from oracles import (
+    GeneralMoveSpec,
+    cholesky_gaussian_draws,
+    gaussian_logpdf,
+    general_rj_step_oracle,
+    lag1_autocorrelation,
+)
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_from_dense
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
 from rjpo.sampler import (
     EXACT_EPSILON,
-    GeneralMoveSpec,
     epo_kernel,
     epo_step,
-    general_rj_step_oracle,
     perturb,
     rjpo_kernel,
     rjpo_step,

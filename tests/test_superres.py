@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
+from rjpo.adapt import AdaptiveRjpoKernel, TargetRate, make_kernel
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
-from rjpo.rng import RngStream
-from rjpo.sampler import EXACT_EPSILON
+from rjpo.rng import PairedStream, RngStream
+from rjpo.sampler import EXACT_EPSILON, KernelOutcome
 from rjpo import superres as sr
 
 SMOOTH_3X3 = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
@@ -204,15 +205,16 @@ def test_dense_mirror_refused_beyond_oracle_size():
 
 
 def test_exact_conditional_draws_match_cholesky_oracle():
-    """CholeskyEpo draws of x | gamma, y are the right Gaussian (two-sample
-    energy test against direct Cholesky draws from the dense conditional)."""
+    """Exact (cholesky_epo) draws of x | gamma, y are the right Gaussian
+    (two-sample energy test against direct Cholesky draws from the dense
+    conditional)."""
     model = tiny_model()
     obs = sr.synthesize(model, sr.phantom((8, 8)), RngStream(9))
     target = sr.conditional_target(model, obs, 2.0, 0.8, dense_mirror=True)
     state = sr.GibbsState(x=np.zeros(64), gamma_y=2.0, gamma_x=0.8)
-    sampler = sr.CholeskyEpo()
+    sampler = sr.make_x_sampler("cholesky_epo")
     stream = RngStream(10)
-    draws = np.array([sampler.draw(target, state.x, stream).next_sample
+    draws = np.array([sampler(target, state.x, stream).next_sample
                       for _ in range(250)])
     oracle = oracles.cholesky_gaussian_draws(
         target.dense_q, target.dense_mu, 250, np.random.default_rng(11))
@@ -232,10 +234,11 @@ def test_adaptive_sampler_keeps_the_conditional_law():
     streams = RngStream(14).spawn(180)
     kept = []
     for sub in streams:
-        sampler = sr.ArjpoSampler(alpha_t=0.9, epsilon0=1e-2)
+        sampler = sr.make_x_sampler("arjpo", alpha_t=0.9, epsilon0=1e-2)
+        paired = PairedStream(sub, sub.spawn(1)[0])  # as run_gibbs pairs its x stream
         x = np.zeros(36)
         for _ in range(60):
-            x = sampler.draw(target, x, sub).next_sample
+            x = sampler(target, x, paired).next_sample
         kept.append(x)
     oracle = oracles.cholesky_gaussian_draws(
         target.dense_q, target.dense_mu, len(kept), np.random.default_rng(15))
@@ -244,13 +247,46 @@ def test_adaptive_sampler_keeps_the_conditional_law():
 
 
 def test_x_sampler_factory():
-    assert sr.make_x_sampler("cholesky_epo").name == "cholesky_epo"
-    assert sr.make_x_sampler("tpo", epsilon=1e-3).epsilon == 1e-3
-    assert sr.make_x_sampler("arjpo", alpha_t=0.95).name == "arjpo"
+    """superres.make_x_sampler is the one kernel registry, adapt.make_kernel."""
+    assert sr.make_x_sampler is make_kernel
+    for name in ("epo", "cholesky_epo"):
+        assert not hasattr(make_kernel(name), "epsilon")  # exact: no threshold
+    assert make_kernel("tpo", epsilon=1e-3).epsilon == 1e-3
+    assert make_kernel("rjpo", epsilon=2e-3).epsilon == 2e-3
+    arjpo = make_kernel("arjpo", alpha_t=0.95, epsilon0=1e-3)
+    assert isinstance(arjpo, AdaptiveRjpoKernel)
+    assert arjpo.controller.mode == TargetRate(0.95)
+    assert arjpo.epsilon == pytest.approx(1e-3)
     with pytest.raises(ConfigurationError):
-        sr.make_x_sampler("gibbs")
+        make_kernel("gibbs")
+    for name in ("tpo", "rjpo"):
+        for bad in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                make_kernel(name, epsilon=bad)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            make_kernel("arjpo", epsilon0=bad)
     with pytest.raises(ConfigurationError):
-        sr.TpoSampler(0.0)
+        make_kernel("arjpo", alpha_t=1.0)
+
+
+def test_gibbs_pairs_the_x_stream_for_every_kernel():
+    """run_gibbs routes accept/reject uniforms to a side stream: the x
+    kernel sees the x substream's normals and a spawned child's uniforms."""
+    seen = []
+
+    def recording_kernel(target, previous, stream):
+        seen.append((stream.standard_normal_vector(3), stream.uniform()))
+        return KernelOutcome(previous + 1.0, previous + 1.0, 1.0, True, 0, 0.0)
+
+    model = small_model()
+    obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(30))
+    sr.run_gibbs(model, obs, 2, 0, recording_kernel, RngStream(31))
+    x_stream = RngStream(31).spawn(2)[1]
+    side = x_stream.spawn(1)[0]
+    for normals, u in seen:
+        assert np.array_equal(normals, x_stream.standard_normal_vector(3))
+        assert u == side.uniform()
 
 
 # -------------------------------------------------------------- Gibbs sweep
@@ -332,10 +368,7 @@ def test_gibbs_wraps_breakdown_with_sweep_index():
     obs = sr.synthesize(model, truth, RngStream(25))
 
     class FlatSampler:
-        name = "flat"
-
-        def draw(self, target, previous, stream):
-            from rjpo.sampler import KernelOutcome
+        def __call__(self, target, previous, stream):
             flat = np.full(previous.size, 0.3)
             return KernelOutcome(flat, flat, 1.0, True, 0, 0.0)
 
