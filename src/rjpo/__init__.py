@@ -17,15 +17,12 @@ from .diag import DiagnosticsReport, acceptance_curve, ess, gelman_rubin, rmse
 from .errors import ConfigurationError, NumericalBreakdownError
 from .linop import (
     CirculantOperator,
-    ComposedOperator,
-    DecimationOperator,
     DenseOperator,
     FactoredPrecision,
     GaussianTarget,
     LinearOperator,
     StackedFactor,
     target_from_dense,
-    to_dense,
 )
 from .problems import ar1_covariance, ar1_precision, ar1_target
 from .rng import PairedStream, RngStream, derive_seeds

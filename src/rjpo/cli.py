@@ -137,6 +137,18 @@ def _parse_config_file(path) -> dict:
     return entries
 
 
+def _coerce_file_value(path, dest, kind, value):
+    """A config-file value as ``kind``: a bool key takes only JSON true/false,
+    no other key takes them, and an int key takes no fractional number."""
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if (kind is bool) == isinstance(value, bool) and not fractional:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{path}: {dest} = {value!r} is not a valid {kind.__name__}")
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge precedence: hard defaults < config file < explicit flags."""
     name = args.subcommand
@@ -154,13 +166,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, dest, None)
         if value is None and dest in file_entries:
             value = file_entries[dest]
-            if kind is not bool and value is not None:
-                try:
-                    value = kind(value)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigurationError(
-                        f"{args.config}: {dest} = {value!r} is not a valid {kind.__name__}"
-                    ) from exc
+            if value is not None:
+                value = _coerce_file_value(args.config, dest, kind, value)
         if value is None:
             value = default
         cfg[dest] = value

@@ -14,33 +14,42 @@ import numpy as np
 from .errors import ConfigurationError
 
 
+def _vector(x, size: int, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != size:
+        raise ValueError(f"{name} expects length {size}, got {x.size}")
+    return x
+
+
 class LinearOperator:
-    """Base map v -> Mv with an explicit transpose map.
+    """Base map v -> Mv with an explicit transpose map and Gram map.
 
     Subclasses set ``in_dim``/``out_dim`` and implement ``_apply`` and
-    ``_apply_transpose`` on correctly-sized 1-D arrays.
+    ``_apply_transpose`` on correctly-sized 1-D arrays; they override
+    ``_gram`` when M^t M has a cheaper form than the two maps in turn.
     """
 
     in_dim: int
     out_dim: int
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float).ravel()
-        if v.size != self.in_dim:
-            raise ValueError(f"apply expects length {self.in_dim}, got {v.size}")
-        return self._apply(v)
+        return self._apply(_vector(v, self.in_dim, "apply"))
 
     def apply_transpose(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float).ravel()
-        if w.size != self.out_dim:
-            raise ValueError(f"apply_transpose expects length {self.out_dim}, got {w.size}")
-        return self._apply_transpose(w)
+        return self._apply_transpose(_vector(w, self.out_dim, "apply_transpose"))
+
+    def gram(self, v: np.ndarray) -> np.ndarray:
+        """The Gram map v -> M^t M v."""
+        return self._gram(_vector(v, self.in_dim, "gram"))
 
     def _apply(self, v):
         raise NotImplementedError
 
     def _apply_transpose(self, w):
         raise NotImplementedError
+
+    def _gram(self, v):
+        return self._apply_transpose(self._apply(v))
 
 
 class DenseOperator(LinearOperator):
@@ -65,7 +74,8 @@ class CirculantOperator(LinearOperator):
 
     Kernel index (0, 0) is the convolution origin; pass ``origin`` to shift
     a centered stencil onto the origin at construction.  The transpose uses
-    the conjugate transfer function (flipped kernel).
+    the conjugate transfer function (flipped kernel), the Gram its squared
+    modulus, so M^t M costs one filtering like M.
     """
 
     def __init__(self, kernel, image_dims, origin=(0, 0)):
@@ -85,6 +95,7 @@ class CirculantOperator(LinearOperator):
         padded = np.roll(padded, (-origin[0], -origin[1]), axis=(0, 1))
         # forward FFT unscaled, inverse scaled by 1/N (numpy convention)
         self.transfer = np.fft.fft2(padded)
+        self.gram_transfer = np.abs(self.transfer) ** 2
 
     def _convolve(self, v, transfer):
         image = v.reshape(self.image_dims)
@@ -96,39 +107,8 @@ class CirculantOperator(LinearOperator):
     def _apply_transpose(self, w):
         return self._convolve(w, np.conj(self.transfer))
 
-
-class DecimationOperator(LinearOperator):
-    """Keep pixels on the sub-lattice row % factor == offset (and likewise
-    for columns); the transpose scatters back with zeros elsewhere."""
-
-    def __init__(self, image_dims, factor, offset=(0, 0)):
-        rows, cols = image_dims
-        factor = int(factor)
-        if factor < 1:
-            raise ConfigurationError(f"decimation factor must be >= 1, got {factor}")
-        if rows % factor or cols % factor:
-            raise ConfigurationError(
-                f"factor {factor} must divide image dims {tuple(image_dims)}"
-            )
-        if not (0 <= offset[0] < factor and 0 <= offset[1] < factor):
-            raise ConfigurationError(f"offset {tuple(offset)} out of range for factor {factor}")
-        self.image_dims = (int(rows), int(cols))
-        self.factor = factor
-        self.offset = (int(offset[0]), int(offset[1]))
-        self.in_dim = rows * cols
-        self.out_dim = (rows // factor) * (cols // factor)
-
-    def _apply(self, v):
-        image = v.reshape(self.image_dims)
-        return image[self.offset[0] :: self.factor, self.offset[1] :: self.factor].ravel()
-
-    def _apply_transpose(self, w):
-        rows, cols = self.image_dims
-        image = np.zeros((rows, cols))
-        image[self.offset[0] :: self.factor, self.offset[1] :: self.factor] = w.reshape(
-            rows // self.factor, cols // self.factor
-        )
-        return image.ravel()
+    def _gram(self, v):
+        return self._convolve(v, self.gram_transfer)
 
 
 class StackedFactor(LinearOperator):
@@ -164,31 +144,8 @@ class StackedFactor(LinearOperator):
             out += np.sqrt(weight) * op.apply_transpose(seg)
         return out
 
-
-class ComposedOperator(LinearOperator):
-    """outer . inner, e.g. decimation after blur."""
-
-    def __init__(self, outer, inner):
-        if outer.in_dim != inner.out_dim:
-            raise ConfigurationError(
-                f"cannot compose: outer.in_dim={outer.in_dim} != inner.out_dim={inner.out_dim}"
-            )
-        self.outer = outer
-        self.inner = inner
-        self.in_dim = inner.in_dim
-        self.out_dim = outer.out_dim
-
-    def _apply(self, v):
-        return self.outer.apply(self.inner.apply(v))
-
-    def _apply_transpose(self, w):
-        return self.inner.apply_transpose(self.outer.apply_transpose(w))
-
-
-def to_dense(op: LinearOperator) -> np.ndarray:
-    """Materialize an operator column by column (small problems only)."""
-    basis = np.eye(op.in_dim)
-    return np.column_stack([op.apply(basis[:, j]) for j in range(op.in_dim)])
+    def _gram(self, v):
+        return sum(weight * op.gram(v) for weight, op in self.weighted_ops)
 
 
 class FactoredPrecision:
@@ -199,8 +156,8 @@ class FactoredPrecision:
         self.dim = factor.in_dim
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """The induced Gram map v -> Qv = F^t(Fv)."""
-        return self.factor.apply_transpose(self.factor.apply(v))
+        """The induced Gram map v -> Qv = F^t F v."""
+        return self.factor.gram(v)
 
 
 @dataclass
@@ -232,12 +189,6 @@ class GaussianTarget:
     @property
     def has_mirror(self) -> bool:
         return self.dense_q is not None
-
-    @property
-    def dense_mirror(self) -> tuple[np.ndarray, np.ndarray] | None:
-        if self.dense_q is None:
-            return None
-        return self.dense_q, self.dense_mu
 
     def mirror_cholesky(self) -> np.ndarray:
         """Lower Cholesky factor of the dense mirror Q (cached)."""

@@ -1,7 +1,7 @@
 """Unsupervised multi-frame image super-resolution.
 
 Observed frames are decimated, blurred, noisy copies of one hi-res image:
-y = Hx + n with H stacking per-frame decimation-after-blur maps.  Noise and
+y = Hx + n, where H blurs once and stacks each frame's sub-lattice.  Noise and
 smoothness precisions get Jeffreys priors, so a three-step Gibbs sampler
 alternates two Gamma conditionals with one large Gaussian conditional
 
@@ -27,10 +27,9 @@ from .adapt import make_kernel as make_x_sampler  # noqa: F401
 from .errors import ConfigurationError, NumericalBreakdownError
 from .linop import (
     CirculantOperator,
-    ComposedOperator,
-    DecimationOperator,
     FactoredPrecision,
     GaussianTarget,
+    LinearOperator,
     StackedFactor,
 )
 from .rng import PairedStream, RngStream
@@ -63,6 +62,42 @@ def laplace_psf(fwhm: float, tail_mass: float = 1e-4) -> np.ndarray:
     idx = np.arange(-h, h + 1)
     kernel = np.exp(-decay * (np.abs(idx)[:, None] + np.abs(idx)[None, :]))
     return kernel / kernel.sum()
+
+
+class FrameStack(LinearOperator):
+    """H: the blurred image sampled on each frame's sub-lattice, stacked.
+
+    Frame k keeps the pixels with (row, col) % factor == offsets[k].  All
+    frames share one blur B, so H blurs once and gathers every frame, H^t
+    scatter-adds every frame and blurs back once, and the Gram is
+    H^t H = B^t C B with C the count of frames that sample each pixel.
+    """
+
+    def __init__(self, blur: CirculantOperator, factor: int, offsets):
+        self.blur = blur
+        self.factor = factor
+        self.offsets = [tuple(offset) for offset in offsets]
+        self.in_dim = blur.in_dim
+        self.out_dim = len(self.offsets) * blur.in_dim // factor**2
+        counts = np.zeros(blur.image_dims)
+        for r, c in self.offsets:
+            counts[r::factor, c::factor] += 1.0
+        self.counts = counts.ravel()
+
+    def _apply(self, v):
+        image = self.blur.apply(v).reshape(self.blur.image_dims)
+        f = self.factor
+        return np.concatenate([image[r::f, c::f].ravel() for r, c in self.offsets])
+
+    def _apply_transpose(self, w):
+        image = np.zeros(self.blur.image_dims)
+        f = self.factor
+        for (r, c), frame in zip(self.offsets, np.split(w, len(self.offsets))):
+            image[r::f, c::f] += frame.reshape(image[r::f, c::f].shape)
+        return self.blur.apply_transpose(image.ravel())
+
+    def _gram(self, v):
+        return self.blur.apply_transpose(self.counts * self.blur.apply(v))
 
 
 @dataclass(eq=False)
@@ -138,21 +173,10 @@ class SuperResModel:
         )
 
     @cached_property
-    def forward(self) -> StackedFactor:
+    def forward(self) -> FrameStack:
         """H: all frames stacked, each decimation-after-blur."""
-        return StackedFactor(
-            [
-                (
-                    1.0,
-                    ComposedOperator(
-                        DecimationOperator(
-                            self.hi_res_dims, self.decimation_factor, self.frame_offset(f)
-                        ),
-                        self.blur,
-                    ),
-                )
-                for f in range(self.frames)
-            ]
+        return FrameStack(
+            self.blur, self.decimation_factor, map(self.frame_offset, range(self.frames))
         )
 
 

@@ -113,6 +113,36 @@ def test_malformed_values_exit_1_without_traceback(tmp_path, word, form):
 
 
 @LENIENT
+@given(value=st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()),
+       form=st.sampled_from([["toy", "n"], ["toy", "chains"], ["adapt", "window"],
+                             ["superres", "dims"]]))
+def test_fractional_config_integers_exit_1(tmp_path, value, form):
+    """An int key given a non-integral number is an error, not truncated."""
+    cfg = tmp_path / "fractional.cfg"
+    cfg.write_text(f"{form[1]} = {value!r}\n", encoding="utf-8")
+    rc, err = run_cli([form[0], "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert err.startswith("rjpo: config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [
+    ["curve", 'psrf = "no"'],
+    ["curve", "psrf = no"],
+    ["curve", "psrf = 1"],
+    ["superres", 'reference = "false"'],
+    ["superres", "reference = 0"],
+    ["toy", "n = true"],
+])
+def test_config_booleans_are_json_true_or_false(tmp_path, entry):
+    """A bool key takes only JSON true/false, and no other key takes them."""
+    cfg = tmp_path / "bool.cfg"
+    cfg.write_text(entry[1] + "\n", encoding="utf-8")
+    rc, err = run_cli([entry[0], "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert err.startswith("rjpo: config error:") and "Traceback" not in err
+
+
+@LENIENT
 @given(field=st.integers(0, 2), bad=st.one_of(
     NON_NUMERIC.map(lambda w: ("word", w)),
     st.one_of(st.integers(max_value=0), st.integers(min_value=65536)).map(
@@ -160,7 +190,7 @@ def test_missing_input_image_exits_io(tmp_path):
 def test_config_file_merging_precedence(tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("n = 10\nrho = 0.5  # file value loses to the flag\n\n"
-                   "n-max = 60\n")
+                   "n-max = 60.0\n")
     out = tmp_path / "merged"
     rc = cli.main(["toy", "--config", str(cfg), "--rho", "0.7",
                    "--out", str(out)])
@@ -168,7 +198,8 @@ def test_config_file_merging_precedence(tmp_path):
     resolved = json.loads((out / "metadata.json").read_text())["config"]
     assert resolved["n"] == 10          # file overrides the default 20
     assert resolved["rho"] == 0.7       # explicit flag wins over the file
-    assert resolved["n_max"] == 60      # dashed key normalized
+    assert resolved["n_max"] == 60      # dashed key normalized, integral float taken
+    assert isinstance(resolved["n_max"], int)
     assert resolved["sigma2"] == 1.0    # untouched default
 
 
@@ -251,13 +282,17 @@ def test_curve_outputs(tmp_path):
 
 
 def test_curve_psrf_outputs(tmp_path):
-    out = tmp_path / "curvep"
-    rc = cli.main(["curve", "--n", "8", "--epsilon-grid", "1e-2",
-                   "--n-max", "300", "--chains", "2", "--psrf",
-                   "--out", str(out)])
-    assert rc == 0
-    psrf = np.genfromtxt(out / "psrf.csv", delimiter=",", names=True)
-    assert math.isfinite(float(psrf["psrf"]))
+    cfg = tmp_path / "psrf.cfg"
+    cfg.write_text("psrf = true\n", encoding="utf-8")
+    for i, switch in enumerate((["--psrf"], ["--config", str(cfg)])):
+        out = tmp_path / f"curvep{i}"
+        rc = cli.main(["curve", "--n", "8", "--epsilon-grid", "1e-2",
+                       "--n-max", "300", "--chains", "2", *switch,
+                       "--out", str(out)])
+        assert rc == 0
+        psrf = np.genfromtxt(out / "psrf.csv", delimiter=",", names=True)
+        assert math.isfinite(float(psrf["psrf"]))
+        assert json.loads((out / "metadata.json").read_text())["config"]["psrf"] is True
 
 
 def test_curve_psrf_needs_two_chains(tmp_path):

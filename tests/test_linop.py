@@ -7,17 +7,15 @@ from oracles import dense_matrix_of, naive_circular_convolve
 from rjpo.errors import ConfigurationError
 from rjpo.linop import (
     CirculantOperator,
-    ComposedOperator,
-    DecimationOperator,
     DenseOperator,
     FactoredPrecision,
     GaussianTarget,
     StackedFactor,
     target_from_dense,
-    to_dense,
 )
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
+from rjpo.superres import FrameStack
 
 
 def _random_ops(seed):
@@ -25,13 +23,17 @@ def _random_ops(seed):
     rng = np.random.default_rng(seed)
     dims = (4, 6)
     kernel = rng.standard_normal((3, 3))
+    blur = CirculantOperator(kernel, dims)
+    # six frames cycle through the four phases of factor 2: two pixels in
+    # four are sampled twice
+    phases = [(f % 2, (f // 2) % 2) for f in range(6)]
     return [
         DenseOperator(rng.standard_normal((5, 7))),
         CirculantOperator(kernel, dims, origin=(1, 1)),
-        DecimationOperator(dims, 2, offset=(1, 0)),
-        ComposedOperator(DecimationOperator(dims, 2), CirculantOperator(kernel, dims)),
+        FrameStack(blur, 2, [(1, 0)]),
+        FrameStack(blur, 2, phases),
         StackedFactor(
-            [(2.0, CirculantOperator(kernel, dims)), (0.5, DecimationOperator(dims, 2))]
+            [(2.0, CirculantOperator(kernel, dims)), (0.5, FrameStack(blur, 2, phases))]
         ),
     ]
 
@@ -59,6 +61,16 @@ def test_linearity(seed):
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 10_000))
+def test_gram_is_transpose_of_apply(seed):
+    # every operator's own Gram map agrees with M^t(Mv)
+    rng = np.random.default_rng(seed + 3)
+    for op in _random_ops(seed):
+        v = rng.standard_normal(op.in_dim)
+        assert np.allclose(op.gram(v), op.apply_transpose(op.apply(v)), rtol=1e-12, atol=1e-10)
+
+
 def test_circulant_matches_naive_convolution():
     rng = np.random.default_rng(3)
     image = rng.standard_normal((5, 4))
@@ -77,25 +89,6 @@ def test_circulant_delta_kernel_is_identity():
 def test_circulant_kernel_too_large():
     with pytest.raises(ConfigurationError):
         CirculantOperator(np.ones((5, 5)) / 25, (4, 4))
-
-
-def test_decimation_selects_sublattice():
-    op = DecimationOperator((4, 4), 2, offset=(1, 1))
-    image = np.arange(16.0).reshape(4, 4)
-    assert np.allclose(op.apply(image.ravel()), [5.0, 7.0, 13.0, 15.0])
-    # transpose scatters back with zeros elsewhere
-    back = op.apply_transpose(np.array([1.0, 2.0, 3.0, 4.0])).reshape(4, 4)
-    assert back[1, 1] == 1.0 and back[3, 3] == 4.0
-    assert back.sum() == 10.0
-
-
-def test_decimation_validation():
-    with pytest.raises(ConfigurationError):
-        DecimationOperator((4, 4), 3)
-    with pytest.raises(ConfigurationError):
-        DecimationOperator((4, 4), 2, offset=(2, 0))
-    with pytest.raises(ConfigurationError):
-        DecimationOperator((4, 4), 0)
 
 
 def test_stacked_gram_is_weighted_sum():
@@ -119,31 +112,14 @@ def test_stacked_validation():
         StackedFactor([(1.0, op), (1.0, DenseOperator(np.eye(4)))])
 
 
-def test_composed_equals_product():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((3, 5))
-    b = rng.standard_normal((5, 4))
-    comp = ComposedOperator(DenseOperator(a), DenseOperator(b))
-    assert np.allclose(to_dense(comp), a @ b, atol=1e-12)
-
-
-def test_composed_dim_mismatch():
-    with pytest.raises(ConfigurationError):
-        ComposedOperator(DenseOperator(np.eye(3)), DenseOperator(np.eye(4)))
-
-
 def test_apply_shape_validation():
     op = DenseOperator(np.ones((2, 3)))
     with pytest.raises(ValueError):
         op.apply(np.ones(4))
     with pytest.raises(ValueError):
         op.apply_transpose(np.ones(3))
-
-
-def test_to_dense_matches_oracle():
-    rng = np.random.default_rng(6)
-    op = CirculantOperator(rng.standard_normal((2, 2)), (3, 3))
-    assert np.allclose(to_dense(op), dense_matrix_of(op.apply, 9), atol=1e-12)
+    with pytest.raises(ValueError):
+        op.gram(np.ones(2))
 
 
 def test_target_from_dense_mirror_consistency():

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from rjpo.adapt import AdaptiveRjpoKernel, TargetRate, make_kernel
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
+from rjpo.linop import CirculantOperator
 from rjpo.rng import PairedStream, RngStream
 from rjpo.sampler import EXACT_EPSILON, KernelOutcome
 from rjpo import superres as sr
@@ -20,10 +21,10 @@ def small_model(dims=(16, 16), frames=2, factor=2, fwhm=1.0, snr_db=20.0):
                          fwhm=fwhm, snr_db=snr_db)
 
 
-def tiny_model(dims=(8, 8)):
+def tiny_model(dims=(8, 8), frames=2):
     """Model with a hand 3 x 3 blur so dense mirrors stay cheap."""
     return sr.SuperResModel(
-        hi_res_dims=dims, frames=2, decimation_factor=2, psf_kernel=SMOOTH_3X3
+        hi_res_dims=dims, frames=frames, decimation_factor=2, psf_kernel=SMOOTH_3X3
     )
 
 
@@ -101,6 +102,26 @@ def test_model_counts_and_frame_offsets():
     assert [model.frame_offset(f) for f in range(4)] == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
+def test_frame_stack_selects_sublattices():
+    # identity blur: each frame is one phase of the image; the phase (1, 1)
+    # is sampled twice, the phase (1, 0) once, the other two never
+    identity = CirculantOperator(np.array([[1.0]]), (4, 4))
+    op = sr.FrameStack(identity, 2, [(1, 1), (1, 0), (1, 1)])
+    image = np.arange(16.0).reshape(4, 4)
+    assert np.allclose(op.apply(image.ravel()), [5, 7, 13, 15, 4, 6, 12, 14, 5, 7, 13, 15])
+    # transpose scatter-adds every frame, zeros elsewhere
+    back = op.apply_transpose(np.array([1.0, 2, 3, 4, 10, 20, 30, 40, 1, 2, 3, 4]))
+    back = back.reshape(4, 4)
+    assert np.allclose(back[1::2, 1::2], [[2, 4], [6, 8]])
+    assert np.allclose(back[1::2, 0::2], [[10, 20], [30, 40]])
+    assert np.allclose(back[0::2, :], 0.0)
+    expected_counts = np.zeros((4, 4))
+    expected_counts[1::2, 1::2] = 2
+    expected_counts[1::2, 0::2] = 1
+    assert np.array_equal(op.counts.reshape(4, 4), expected_counts)
+    assert np.allclose(op.gram(image.ravel()), expected_counts.ravel() * image.ravel())
+
+
 def test_forward_operator_is_adjoint_consistent():
     model = small_model()
     rng = np.random.default_rng(0)
@@ -176,16 +197,18 @@ def test_degenerate_states_abort():
 # ----------------------------------------------------- Gaussian conditional
 
 def test_conditional_precision_matches_dense_assembly():
-    model = tiny_model()
-    obs = sr.synthesize(model, sr.phantom((8, 8)), RngStream(7))
-    gy, gx = 3.0, 0.5
-    target = sr.conditional_target(model, obs, gy, gx, dense_mirror=True)
-    h_dense = oracles.dense_matrix_of(model.forward.apply, model.pixel_count)
-    d_dense = oracles.dense_matrix_of(model.laplacian.apply, model.pixel_count)
-    q_expected = gy * h_dense.T @ h_dense + gx * d_dense.T @ d_dense
-    assert np.allclose(target.dense_q, q_expected, atol=1e-10)
-    assert np.allclose(q_expected @ target.dense_mu,
-                       gy * h_dense.T @ obs, atol=1e-8)
+    # five frames at factor 2 sample the phase (0, 0) twice
+    for frames in (2, 5):
+        model = tiny_model(frames=frames)
+        obs = sr.synthesize(model, sr.phantom((8, 8)), RngStream(7))
+        gy, gx = 3.0, 0.5
+        target = sr.conditional_target(model, obs, gy, gx, dense_mirror=True)
+        h_dense = oracles.dense_matrix_of(model.forward.apply, model.pixel_count)
+        d_dense = oracles.dense_matrix_of(model.laplacian.apply, model.pixel_count)
+        q_expected = gy * h_dense.T @ h_dense + gx * d_dense.T @ d_dense
+        assert np.allclose(target.dense_q, q_expected, atol=1e-10)
+        assert np.allclose(q_expected @ target.dense_mu,
+                           gy * h_dense.T @ obs, atol=1e-8)
 
 
 def test_conditional_target_validation():
