@@ -21,7 +21,6 @@ from .linop import (
     FactoredPrecision,
     GaussianTarget,
     LinearOperator,
-    StackedFactor,
     target_from_dense,
 )
 from .problems import ar1_covariance, ar1_precision, ar1_target

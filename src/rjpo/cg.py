@@ -16,12 +16,15 @@ class CGOutcome:
 
     residual_vector is recomputed as b - Q x at exit, never the recursive
     residual, and relative_residual = ||residual_vector|| / ||b||.
+    converged is true when the stopping test passed and false when the
+    solve stopped at max_iters.
     """
 
     solution: np.ndarray
     iterations: int
     relative_residual: float
     residual_vector: np.ndarray
+    converged: bool
 
 
 def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) -> CGOutcome:
@@ -59,14 +62,15 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return CGOutcome(x, 0, 0.0, b - q.apply(x))
+        return CGOutcome(x, 0, 0.0, b - q.apply(x), True)
 
     r = b - q.apply(x)
     if not np.all(np.isfinite(r)):
         raise NumericalBreakdownError("non-finite residual at initialization", iteration=0)
     rs = float(r @ r)
     iterations = 0
-    if np.sqrt(rs) / b_norm > epsilon:
+    converged = math.sqrt(rs) / b_norm <= epsilon
+    if not converged:
         p = r.copy()
         for k in range(1, max_iters + 1):
             qp = q.apply(p)
@@ -82,10 +86,12 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
             if not np.isfinite(rs_next):
                 raise NumericalBreakdownError("non-finite residual norm", iteration=k)
             iterations = k
-            if np.sqrt(rs_next) / b_norm <= epsilon:
+            converged = math.sqrt(rs_next) / b_norm <= epsilon
+            if converged:
                 break
             p = r + (rs_next / rs) * p
             rs = rs_next
 
     residual = b - q.apply(x)
-    return CGOutcome(x, iterations, float(np.linalg.norm(residual)) / b_norm, residual)
+    rel = float(np.linalg.norm(residual)) / b_norm
+    return CGOutcome(x, iterations, rel, residual, converged)

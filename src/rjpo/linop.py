@@ -70,12 +70,15 @@ class DenseOperator(LinearOperator):
 
 
 class CirculantOperator(LinearOperator):
-    """Circular 2-D convolution on a rows x cols grid, performed by FFT.
+    """Circular 2-D convolution on a rows x cols grid, performed by real FFT.
 
     Kernel index (0, 0) is the convolution origin; pass ``origin`` to shift
     a centered stencil onto the origin at construction.  The transpose uses
     the conjugate transfer function (flipped kernel), the Gram its squared
-    modulus, so M^t M costs one filtering like M.
+    modulus, so M^t M costs one filtering like M: one ``rfft2`` and one
+    ``irfft2``.  Kernel and images are real, so ``transfer`` and
+    ``gram_transfer`` hold only the rfft2 half spectrum (cols // 2 + 1
+    columns).
     """
 
     def __init__(self, kernel, image_dims, origin=(0, 0)):
@@ -94,12 +97,12 @@ class CirculantOperator(LinearOperator):
         padded[: kernel.shape[0], : kernel.shape[1]] = kernel
         padded = np.roll(padded, (-origin[0], -origin[1]), axis=(0, 1))
         # forward FFT unscaled, inverse scaled by 1/N (numpy convention)
-        self.transfer = np.fft.fft2(padded)
+        self.transfer = np.fft.rfft2(padded)
         self.gram_transfer = np.abs(self.transfer) ** 2
 
     def _convolve(self, v, transfer):
-        image = v.reshape(self.image_dims)
-        return np.fft.ifft2(np.fft.fft2(image) * transfer).real.ravel()
+        spectrum = np.fft.rfft2(v.reshape(self.image_dims)) * transfer
+        return np.fft.irfft2(spectrum, s=self.image_dims).ravel()
 
     def _apply(self, v):
         return self._convolve(v, self.transfer)
@@ -109,43 +112,6 @@ class CirculantOperator(LinearOperator):
 
     def _gram(self, v):
         return self._convolve(v, self.gram_transfer)
-
-
-class StackedFactor(LinearOperator):
-    """Vertical stack [sqrt(w_1) F_1; sqrt(w_2) F_2; ...].
-
-    The induced Gram is the weighted sum of Grams: F^t F = sum_i w_i F_i^t F_i.
-    """
-
-    def __init__(self, weighted_ops):
-        weighted_ops = list(weighted_ops)
-        if not weighted_ops:
-            raise ConfigurationError("stacked factor needs at least one operator")
-        in_dims = {op.in_dim for _, op in weighted_ops}
-        if len(in_dims) != 1:
-            raise ConfigurationError(f"stacked operators disagree on in_dim: {sorted(in_dims)}")
-        for w, _ in weighted_ops:
-            if not (w > 0 and np.isfinite(w)):
-                raise ConfigurationError(f"stack weights must be positive finite, got {w}")
-        self.weighted_ops = [(float(w), op) for w, op in weighted_ops]
-        self.in_dim = weighted_ops[0][1].in_dim
-        self.out_dim = sum(op.out_dim for _, op in weighted_ops)
-        self._splits = np.cumsum([op.out_dim for _, op in weighted_ops])[:-1]
-
-    def _apply(self, v):
-        return np.concatenate(
-            [np.sqrt(w) * op.apply(v) for w, op in self.weighted_ops]
-        )
-
-    def _apply_transpose(self, w):
-        segments = np.split(w, self._splits)
-        out = np.zeros(self.in_dim)
-        for (weight, op), seg in zip(self.weighted_ops, segments):
-            out += np.sqrt(weight) * op.apply_transpose(seg)
-        return out
-
-    def _gram(self, v):
-        return sum(weight * op.gram(v) for weight, op in self.weighted_ops)
 
 
 class FactoredPrecision:

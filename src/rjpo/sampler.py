@@ -61,7 +61,8 @@ def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
     """Exact perturbation-optimization step; successive samples independent.
 
     Solves through the dense mirror when the target carries one, otherwise
-    by CG pushed to machine accuracy.
+    by CG pushed to machine accuracy; a CG solve that stops at its
+    iteration cap first is not exact and raises NumericalBreakdownError.
     """
     eta = perturb(target, stream)
     if target.has_mirror:
@@ -70,6 +71,12 @@ def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
         iterations = 0
     else:
         out = cg_solve(target.precision, eta, epsilon=EXACT_EPSILON)
+        if not out.converged:
+            raise NumericalBreakdownError(
+                f"exact solve stopped at its iteration cap after {out.iterations} "
+                f"iterations, relative residual {out.relative_residual:.3e}",
+                iteration=out.iterations,
+            )
         x, residual, iterations = out.solution, out.residual_vector, out.iterations
     eta_norm = float(np.linalg.norm(eta))
     rel = float(np.linalg.norm(residual)) / eta_norm if eta_norm > 0 else 0.0
@@ -204,16 +211,8 @@ class ChainState:
         return float(self.alphas.mean())
 
     @property
-    def acceptance_rate(self) -> float:
-        return float(self.accepted.mean())
-
-    @property
     def mean_cg_iterations(self) -> float:
         return float(self.cg_iterations.mean())
-
-    @property
-    def total_cg_iterations(self) -> int:
-        return int(self.cg_iterations.sum())
 
 
 def run_chain(

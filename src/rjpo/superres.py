@@ -8,8 +8,9 @@ alternates two Gamma conditionals with one large Gaussian conditional
     x | rest ~ N(mu, Q^-1),  Q = gamma_y H^t H + gamma_x D^t D,
                              Q mu = gamma_y H^t y,
 
-drawn matrix-free by any kernel from adapt.make_kernel.  D is a
-circulant Laplacian, so Q is never materialized.
+drawn matrix-free by any kernel from adapt.make_kernel.  B and D are
+circulant, so Q is never materialized: ConditionalFactor applies it on one
+shared real-FFT half spectrum.
 """
 
 from __future__ import annotations
@@ -25,15 +26,9 @@ import numpy as np
 # perfbench/spans.py patches epo_step here, so both stay importable by name
 from .adapt import make_kernel as make_x_sampler  # noqa: F401
 from .errors import ConfigurationError, NumericalBreakdownError
-from .linop import (
-    CirculantOperator,
-    FactoredPrecision,
-    GaussianTarget,
-    LinearOperator,
-    StackedFactor,
-)
+from .linop import CirculantOperator, FactoredPrecision, GaussianTarget, LinearOperator
 from .rng import PairedStream, RngStream
-from .sampler import KernelOutcome, epo_step  # noqa: F401
+from .sampler import epo_step  # noqa: F401
 
 LAPLACIAN_STENCIL = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0.0]])
 PGM_MAX = 65535
@@ -70,7 +65,8 @@ class FrameStack(LinearOperator):
     Frame k keeps the pixels with (row, col) % factor == offsets[k].  All
     frames share one blur B, so H blurs once and gathers every frame, H^t
     scatter-adds every frame and blurs back once, and the Gram is
-    H^t H = B^t C B with C the count of frames that sample each pixel.
+    H^t H = B^t C B with C (``counts``) the count of frames that sample
+    each pixel.
     """
 
     def __init__(self, blur: CirculantOperator, factor: int, offsets):
@@ -79,25 +75,66 @@ class FrameStack(LinearOperator):
         self.offsets = [tuple(offset) for offset in offsets]
         self.in_dim = blur.in_dim
         self.out_dim = len(self.offsets) * blur.in_dim // factor**2
-        counts = np.zeros(blur.image_dims)
+        self.counts = np.zeros(blur.image_dims)
         for r, c in self.offsets:
-            counts[r::factor, c::factor] += 1.0
-        self.counts = counts.ravel()
+            self.counts[r::factor, c::factor] += 1.0
 
     def _apply(self, v):
         image = self.blur.apply(v).reshape(self.blur.image_dims)
         f = self.factor
         return np.concatenate([image[r::f, c::f].ravel() for r, c in self.offsets])
 
-    def _apply_transpose(self, w):
+    def scatter(self, w) -> np.ndarray:
+        """H^t without the blur: each frame added onto its sub-lattice."""
         image = np.zeros(self.blur.image_dims)
         f = self.factor
         for (r, c), frame in zip(self.offsets, np.split(w, len(self.offsets))):
             image[r::f, c::f] += frame.reshape(image[r::f, c::f].shape)
-        return self.blur.apply_transpose(image.ravel())
+        return image
+
+    def _apply_transpose(self, w):
+        return self.blur.apply_transpose(self.scatter(w).ravel())
+
+
+class ConditionalFactor(LinearOperator):
+    """F = [sqrt(gamma_y) H; sqrt(gamma_x) D], whose Gram is the conditional
+    precision Q = gamma_y B^t C B + gamma_x D^t D.
+
+    B and D are real circulants, so both Grams share the half spectrum
+    V = rfft2(v): Qv = irfft2(gamma_y conj(b) rfft2(C irfft2(b V))
+    + gamma_x |d|^2 V), 4 real transforms.  F^t w scatters its frames once
+    and ends both parts in one inverse, 3 real transforms.
+    """
+
+    def __init__(self, model: SuperResModel, gamma_y: float, gamma_x: float):
+        if not (gamma_y > 0 and gamma_x > 0):
+            raise ConfigurationError(f"precisions must be positive, got {gamma_y}, {gamma_x}")
+        self.forward, self.laplacian = model.forward, model.laplacian
+        self.dims = model.hi_res_dims
+        self.gamma_y, self.gamma_x = float(gamma_y), float(gamma_x)
+        self.in_dim = model.pixel_count
+        self.out_dim = model.data_count + model.pixel_count
+        self._data_gram = self.gamma_y * np.conj(model.blur.transfer)
+        self._smooth_gram = self.gamma_x * model.laplacian.gram_transfer
+
+    def _apply(self, v):
+        return np.concatenate([math.sqrt(self.gamma_y) * self.forward.apply(v),
+                               math.sqrt(self.gamma_x) * self.laplacian.apply(v)])
+
+    def _apply_transpose(self, w):
+        data, smooth = np.split(w, [self.forward.out_dim])
+        spectrum = (math.sqrt(self.gamma_y) * np.conj(self.forward.blur.transfer)
+                    * np.fft.rfft2(self.forward.scatter(data))
+                    + math.sqrt(self.gamma_x) * np.conj(self.laplacian.transfer)
+                    * np.fft.rfft2(smooth.reshape(self.dims)))
+        return np.fft.irfft2(spectrum, s=self.dims).ravel()
 
     def _gram(self, v):
-        return self.blur.apply_transpose(self.counts * self.blur.apply(v))
+        spectrum = np.fft.rfft2(v.reshape(self.dims))
+        blurred = np.fft.irfft2(spectrum * self.forward.blur.transfer, s=self.dims)
+        spectrum = (self._data_gram * np.fft.rfft2(self.forward.counts * blurred)
+                    + self._smooth_gram * spectrum)
+        return np.fft.irfft2(spectrum, s=self.dims).ravel()
 
 
 @dataclass(eq=False)
@@ -257,19 +294,17 @@ def sample_gamma_x(state: GibbsState, model: SuperResModel, stream: RngStream) -
     return stream.gamma_draw(1.0 + (model.pixel_count - 1) / 2.0, 2.0 / sq)
 
 
-def conditional_target(model: SuperResModel, observations, gamma_y: float,
+def conditional_target(model: SuperResModel, back_projection, gamma_y: float,
                        gamma_x: float, dense_mirror: bool = False) -> GaussianTarget:
     """The Gaussian conditional of x as a factored target.
 
-    Q = gamma_y H^t H + gamma_x D^t D through the stacked factor
-    [sqrt(gamma_y) H; sqrt(gamma_x) D]; potential Q mu = gamma_y H^t y.
-    The dense mirror is for small-problem oracles only.
+    Q = gamma_y H^t H + gamma_x D^t D through ConditionalFactor; potential
+    Q mu = gamma_y H^t y, from the back-projection H^t y of the observations
+    (fixed for a run, so callers compute it once).  The dense mirror is for
+    small-problem oracles only.
     """
-    if not (gamma_y > 0 and gamma_x > 0):
-        raise ConfigurationError(f"precisions must be positive, got {gamma_y}, {gamma_x}")
-    factor = StackedFactor([(gamma_y, model.forward), (gamma_x, model.laplacian)])
-    precision = FactoredPrecision(factor)
-    potential = gamma_y * model.forward.apply_transpose(observations)
+    precision = FactoredPrecision(ConditionalFactor(model, gamma_y, gamma_x))
+    potential = gamma_y * np.asarray(back_projection, dtype=float)
     dense_q = dense_mu = None
     if dense_mirror:
         n = model.pixel_count
@@ -280,14 +315,6 @@ def conditional_target(model: SuperResModel, observations, gamma_y: float,
         dense_q = 0.5 * (dense_q + dense_q.T)
         dense_mu = np.linalg.solve(dense_q, potential)
     return GaussianTarget(precision, potential, dense_q=dense_q, dense_mu=dense_mu)
-
-
-def sample_x(state: GibbsState, model: SuperResModel, observations,
-             stream: RngStream | PairedStream, sampler) -> tuple[np.ndarray, KernelOutcome]:
-    """One draw of the Gaussian conditional by the chosen kernel."""
-    target = conditional_target(model, observations, state.gamma_y, state.gamma_x)
-    outcome = sampler(target, state.x, stream)
-    return outcome.next_sample, outcome
 
 
 @dataclass
@@ -323,7 +350,8 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
     """Cycle gamma_y -> gamma_x -> x for `iterations` sweeps.
 
     The chain starts from x = H^t y (data-driven and never constant, so the
-    smoothness conditional is well defined at the first sweep).  Summaries
+    smoothness conditional is well defined at the first sweep); the same
+    back-projection H^t y scales into every sweep's potential.  Summaries
     use sweeps burn_in+1 .. iterations.
 
     Gamma conditionals and the x perturbation draw from separate substreams
@@ -346,9 +374,8 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
             f"burn-in {burn_in} leaves no kept sweeps out of {iterations}"
         )
 
-    state = GibbsState(
-        x=model.forward.apply_transpose(observations), gamma_y=1.0, gamma_x=1.0
-    )
+    back_projection = model.forward.apply_transpose(observations)
+    state = GibbsState(x=back_projection.copy(), gamma_y=1.0, gamma_x=1.0)
     gamma_stream, x_stream = stream.spawn(2)
     x_stream = PairedStream(x_stream, x_stream.spawn(1)[0])
     n = model.pixel_count
@@ -360,11 +387,13 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
         try:
             state.gamma_y = sample_gamma_y(state, model, observations, gamma_stream)
             state.gamma_x = sample_gamma_x(state, model, gamma_stream)
-            state.x, outcome = sample_x(state, model, observations, x_stream, sampler)
+            target = conditional_target(model, back_projection, state.gamma_y, state.gamma_x)
+            outcome = sampler(target, state.x, x_stream)
         except NumericalBreakdownError as exc:
             raise NumericalBreakdownError(
                 f"Gibbs sweep {it} aborted: {exc}", iteration=it
             ) from exc
+        state.x = outcome.next_sample
         state.epsilon = getattr(sampler, "epsilon", None)
         state.gamma_y_chain.append(state.gamma_y)
         state.gamma_x_chain.append(state.gamma_x)

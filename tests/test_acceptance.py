@@ -353,7 +353,7 @@ def test_11_conditional_draw_memory_stays_linear():
     previous = np.zeros(model.pixel_count)
     stream = RngStream(56)
     tracemalloc.start()
-    target = sr.conditional_target(model, obs, 120.0, 15.0)
+    target = sr.conditional_target(model, model.forward.apply_transpose(obs), 120.0, 15.0)
     outcome = sampler(target, previous, stream)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

@@ -100,6 +100,21 @@ def test_max_iters_caps_work():
     b = np.random.default_rng(12).standard_normal(40)
     out = cg_solve(prec, b, epsilon=1e-14, max_iters=3)
     assert out.iterations == 3
+    assert not out.converged
+
+
+def test_converged_flag_reports_the_stopping_test():
+    prec, q = _spd_precision(15, 20)
+    b = np.random.default_rng(16).standard_normal(20)
+    assert cg_solve(prec, b, epsilon=1e-10).converged
+    # the stopping test passes at initialization, with no iteration run
+    solved = cg_solve(prec, b, x0=np.linalg.solve(q, b), epsilon=1e-6)
+    assert solved.converged and solved.iterations == 0
+    assert cg_solve(prec, np.zeros(20), epsilon=1e-10).converged
+    # the cap is reached exactly as the test passes: still converged
+    needed = cg_solve(prec, b, epsilon=1e-4).iterations
+    assert cg_solve(prec, b, epsilon=1e-4, max_iters=needed).converged
+    assert not cg_solve(prec, b, epsilon=1e-4, max_iters=needed - 1).converged
 
 
 def test_indefinite_matrix_breaks_down():

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, config merging, reproducibility, file formats."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rjpo
+import rjpo.sampler
 from rjpo import cli
 from rjpo import superres as sr
 from rjpo.errors import ConfigurationError
@@ -169,6 +171,19 @@ def test_numerical_breakdown_exits_2(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli._DISPATCH, "toy", blow_up)
     assert cli.main(TOY_TINY + ["--out", str(tmp_path / "x")]) == 2
+
+
+def test_capped_exact_solve_exits_2(tmp_path, monkeypatch):
+    """An exact superres draw whose CG solve stops at its cap is a numerical
+    failure (exit 2), never a written "exact" result."""
+    monkeypatch.setattr(rjpo.sampler, "cg_solve",
+                        functools.partial(rjpo.sampler.cg_solve, max_iters=5))
+    argv = ["superres", "--dims", "16", "--fwhm", "1.0", "--iterations", "3",
+            "--burn-in", "1", "--sampler", "epo", "--out", str(tmp_path / "x")]
+    assert cli.main(argv) == 2
+    assert not (tmp_path / "x" / "chain.csv").exists()
+    monkeypatch.undo()  # positive control: uncapped, the same run succeeds
+    assert cli.main(argv[:-1] + [str(tmp_path / "y")]) == 0
 
 
 def test_unwritable_out_exits_io(tmp_path):

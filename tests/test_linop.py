@@ -10,12 +10,11 @@ from rjpo.linop import (
     DenseOperator,
     FactoredPrecision,
     GaussianTarget,
-    StackedFactor,
     target_from_dense,
 )
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
-from rjpo.superres import FrameStack
+from rjpo.superres import ConditionalFactor, FrameStack, SuperResModel
 
 
 def _random_ops(seed):
@@ -27,14 +26,17 @@ def _random_ops(seed):
     # six frames cycle through the four phases of factor 2: two pixels in
     # four are sampled twice
     phases = [(f % 2, (f // 2) % 2) for f in range(6)]
+    psf = rng.random((3, 3))
+    gamma_y, gamma_x = rng.uniform(0.1, 10.0, 2)
     return [
         DenseOperator(rng.standard_normal((5, 7))),
         CirculantOperator(kernel, dims, origin=(1, 1)),
         FrameStack(blur, 2, [(1, 0)]),
         FrameStack(blur, 2, phases),
-        StackedFactor(
-            [(2.0, CirculantOperator(kernel, dims)), (0.5, FrameStack(blur, 2, phases))]
-        ),
+        # the conditional's fused factor, on an even and an odd-column grid,
+        # the second with an asymmetric smoothness kernel
+        ConditionalFactor(SuperResModel(dims, 3, 2, psf / psf.sum()), gamma_y, gamma_x),
+        ConditionalFactor(SuperResModel((6, 9), 4, 3, psf / psf.sum(), kernel), gamma_y, gamma_x),
     ]
 
 
@@ -89,27 +91,6 @@ def test_circulant_delta_kernel_is_identity():
 def test_circulant_kernel_too_large():
     with pytest.raises(ConfigurationError):
         CirculantOperator(np.ones((5, 5)) / 25, (4, 4))
-
-
-def test_stacked_gram_is_weighted_sum():
-    rng = np.random.default_rng(4)
-    f1 = DenseOperator(rng.standard_normal((3, 4)))
-    f2 = DenseOperator(rng.standard_normal((5, 4)))
-    stack = StackedFactor([(2.5, f1), (0.3, f2)])
-    gram = dense_matrix_of(FactoredPrecision(stack).apply, 4)
-    expected = 2.5 * f1.matrix.T @ f1.matrix + 0.3 * f2.matrix.T @ f2.matrix
-    assert np.allclose(gram, expected, atol=1e-12)
-    assert np.allclose(gram, gram.T, atol=1e-12)
-
-
-def test_stacked_validation():
-    with pytest.raises(ConfigurationError):
-        StackedFactor([])
-    op = DenseOperator(np.eye(3))
-    with pytest.raises(ConfigurationError):
-        StackedFactor([(0.0, op)])
-    with pytest.raises(ConfigurationError):
-        StackedFactor([(1.0, op), (1.0, DenseOperator(np.eye(4)))])
 
 
 def test_apply_shape_validation():

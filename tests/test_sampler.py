@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,6 +11,8 @@ from oracles import (
     general_rj_step_oracle,
     lag1_autocorrelation,
 )
+import rjpo.sampler
+from rjpo.cg import cg_solve
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_from_dense
 from rjpo.problems import ar1_target
@@ -80,6 +84,18 @@ def test_epo_without_mirror_uses_machine_accuracy_cg():
     assert out.cg_iterations > 0
     assert out.relative_residual <= EXACT_EPSILON * 10
     assert out.acceptance_probability == 1.0 and out.accepted
+
+
+def test_epo_refuses_a_cg_solve_stopped_at_its_cap(monkeypatch):
+    """A capped CG solve is not exact: epo_step raises instead of returning it."""
+    target, _, _ = _small_target(6, 5)
+    bare = GaussianTarget(target.precision, target.potential)
+    monkeypatch.setattr(rjpo.sampler, "cg_solve", functools.partial(cg_solve, max_iters=2))
+    with pytest.raises(NumericalBreakdownError, match="iteration cap") as err:
+        epo_step(bare, RngStream(2))
+    assert err.value.iteration == 2
+    # with a dense mirror no CG runs, so the cap does not apply
+    assert epo_step(target, RngStream(2)).accepted
 
 
 def test_rjpo_exact_solve_always_accepts():

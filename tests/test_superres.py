@@ -10,7 +10,7 @@ from rjpo.adapt import AdaptiveRjpoKernel, TargetRate, make_kernel
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import CirculantOperator
 from rjpo.rng import PairedStream, RngStream
-from rjpo.sampler import EXACT_EPSILON, KernelOutcome
+from rjpo.sampler import EXACT_EPSILON, KernelOutcome, perturb
 from rjpo import superres as sr
 
 SMOOTH_3X3 = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
@@ -202,7 +202,8 @@ def test_conditional_precision_matches_dense_assembly():
         model = tiny_model(frames=frames)
         obs = sr.synthesize(model, sr.phantom((8, 8)), RngStream(7))
         gy, gx = 3.0, 0.5
-        target = sr.conditional_target(model, obs, gy, gx, dense_mirror=True)
+        back = model.forward.apply_transpose(obs)
+        target = sr.conditional_target(model, back, gy, gx, dense_mirror=True)
         h_dense = oracles.dense_matrix_of(model.forward.apply, model.pixel_count)
         d_dense = oracles.dense_matrix_of(model.laplacian.apply, model.pixel_count)
         q_expected = gy * h_dense.T @ h_dense + gx * d_dense.T @ d_dense
@@ -211,20 +212,95 @@ def test_conditional_precision_matches_dense_assembly():
                            gy * h_dense.T @ obs, atol=1e-8)
 
 
+def _dense_stack(model, gamma_y, gamma_x):
+    """[sqrt(gamma_y) H; sqrt(gamma_x) D] built from the naive convolution
+    and plain index selection, sharing no FFT code with the package."""
+    n, dims, f = model.pixel_count, model.hi_res_dims, model.decimation_factor
+
+    def conv(kernel):
+        origin = ((kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2)
+        return oracles.dense_matrix_of(
+            lambda e: oracles.naive_circular_convolve(e.reshape(dims), kernel, origin).ravel(),
+            n)
+
+    pixels = np.arange(n).reshape(dims)
+    selected = np.concatenate([pixels[r::f, c::f].ravel()
+                               for r, c in map(model.frame_offset, range(model.frames))])
+    h = conv(model.psf_kernel)[selected]
+    return np.vstack([math.sqrt(gamma_y) * h,
+                      math.sqrt(gamma_x) * conv(model.laplacian_kernel)])
+
+
+def test_conditional_factor_matches_dense_stack():
+    """The fused factor's apply, transpose and Gram against the dense stack
+    F = [sqrt(gamma_y) H; sqrt(gamma_x) D]; its Gram is the weighted sum
+    gamma_y H^t H + gamma_x D^t D to 1e-13 relative."""
+    gy, gx = 3.0, 0.5
+    cases = [(dims, frames, 2) for dims in ((8, 8), (16, 16)) for frames in range(1, 6)]
+    for dims, frames, factor in cases + [((9, 15), 4, 3)]:  # one odd-column grid
+        model = sr.SuperResModel(hi_res_dims=dims, frames=frames,
+                                 decimation_factor=factor, psf_kernel=SMOOTH_3X3)
+        factor_op = sr.ConditionalFactor(model, gy, gx)
+        stack = _dense_stack(model, gy, gx)
+        n = model.pixel_count
+        assert factor_op.out_dim == stack.shape[0]
+        for fused, dense in (
+            (oracles.dense_matrix_of(factor_op.apply, n), stack),
+            (oracles.dense_matrix_of(factor_op.apply_transpose, factor_op.out_dim), stack.T),
+            (oracles.dense_matrix_of(factor_op.gram, n), stack.T @ stack),
+        ):
+            assert np.max(np.abs(fused - dense)) <= 1e-13 * np.max(np.abs(dense)), (dims, frames)
+
+
+def test_conditional_factor_validation():
+    model = tiny_model()
+    for gy, gx in ((0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ConfigurationError):
+            sr.ConditionalFactor(model, gy, gx)
+
+
+def test_fused_conditional_transform_counts(monkeypatch):
+    """A Q-apply runs 4 real transforms and a perturbation 3, no complex FFT."""
+    model = small_model()
+    obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
+    target = sr.conditional_target(model, model.forward.apply_transpose(obs), 2.0, 0.8)
+    calls = {}
+
+    def counted(name):
+        transform = getattr(np.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return transform(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("rfft2", "irfft2", "fft2", "ifft2", "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    target.precision.apply(np.ones(model.pixel_count))
+    assert calls == {"rfft2": 2, "irfft2": 2}
+    calls.clear()
+    perturb(target, RngStream(9))
+    assert calls == {"rfft2": 2, "irfft2": 1}
+
+
 def test_conditional_target_validation():
     model = tiny_model()
     obs = sr.synthesize(model, sr.phantom((8, 8)), RngStream(8))
+    back = model.forward.apply_transpose(obs)
     with pytest.raises(ConfigurationError):
-        sr.conditional_target(model, obs, 0.0, 1.0)
+        sr.conditional_target(model, back, 0.0, 1.0)
     with pytest.raises(ConfigurationError):
-        sr.conditional_target(model, obs, 1.0, -2.0)
+        sr.conditional_target(model, back, 1.0, -2.0)
+    with pytest.raises(ConfigurationError):  # observations in place of H^t y
+        sr.conditional_target(model, obs, 1.0, 1.0)
 
 
 def test_dense_mirror_refused_beyond_oracle_size():
     model = sr.make_model((128, 128), frames=2, decimation_factor=2, fwhm=4.0)
-    obs = np.ones(model.data_count)
+    back = np.ones(model.pixel_count)
     with pytest.raises(ConfigurationError):
-        sr.conditional_target(model, obs, 1.0, 1.0, dense_mirror=True)
+        sr.conditional_target(model, back, 1.0, 1.0, dense_mirror=True)
 
 
 def test_exact_conditional_draws_match_cholesky_oracle():
@@ -233,7 +309,8 @@ def test_exact_conditional_draws_match_cholesky_oracle():
     conditional)."""
     model = tiny_model()
     obs = sr.synthesize(model, sr.phantom((8, 8)), RngStream(9))
-    target = sr.conditional_target(model, obs, 2.0, 0.8, dense_mirror=True)
+    target = sr.conditional_target(model, model.forward.apply_transpose(obs), 2.0, 0.8,
+                                   dense_mirror=True)
     state = sr.GibbsState(x=np.zeros(64), gamma_y=2.0, gamma_x=0.8)
     sampler = sr.make_x_sampler("cholesky_epo")
     stream = RngStream(10)
@@ -253,7 +330,8 @@ def test_adaptive_sampler_keeps_the_conditional_law():
     direct Cholesky draws from the dense conditional."""
     model = tiny_model(dims=(6, 6))
     obs = sr.synthesize(model, sr.phantom((6, 6)), RngStream(13))
-    target = sr.conditional_target(model, obs, 2.0, 0.8, dense_mirror=True)
+    target = sr.conditional_target(model, model.forward.apply_transpose(obs), 2.0, 0.8,
+                                   dense_mirror=True)
     streams = RngStream(14).spawn(180)
     kept = []
     for sub in streams:
