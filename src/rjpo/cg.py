@@ -1,4 +1,5 @@
-"""Truncated linear conjugate gradient with a relative-residual stopping rule."""
+"""Truncated linear conjugate gradient with a relative-residual stopping rule,
+preconditioned when the operator carries a preconditioner."""
 
 from __future__ import annotations
 
@@ -35,16 +36,23 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     recomputed so downstream acceptance ratios see the true b - Qx.  With
     ||b|| = 0 the relative residual is defined as 0 and x0 is returned as is.
 
+    When q also has precondition(r), computing M^-1 r for a symmetric
+    positive definite M, the search directions are built from z = M^-1 r
+    (preconditioned CG); otherwise z = r and this is plain CG.  Either way
+    the stopping test is on ||r|| itself.
+
     Args:
-      q: object with apply(v) computing Qv for symmetric positive definite Q.
+      q: object with apply(v) computing Qv for symmetric positive definite Q,
+        and optionally precondition(r).
       b: right-hand side.
       x0: starting point (defaults to zero).
       epsilon: relative-residual threshold, finite and >= 0.
       max_iters: iteration cap, defaults to 10 N.
 
     Raises:
-      NumericalBreakdownError: non-finite values or nonpositive curvature
-        p^t Q p, indicating loss of positive definiteness.
+      NumericalBreakdownError: non-finite values, nonpositive curvature
+        p^t Q p, indicating loss of positive definiteness, or a
+        preconditioner that is not positive definite (r^t M^-1 r <= 0).
     """
     b = np.asarray(b, dtype=float).ravel()
     n = b.size
@@ -70,8 +78,10 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     rs = float(r @ r)
     iterations = 0
     converged = math.sqrt(rs) / b_norm <= epsilon
+    precondition = getattr(q, "precondition", None)
     if not converged:
-        p = r.copy()
+        z, rz = _preconditioned(precondition, r, rs, 0)
+        p = z.copy()
         for k in range(1, max_iters + 1):
             qp = q.apply(p)
             curvature = float(p @ qp)
@@ -79,7 +89,7 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
                 raise NumericalBreakdownError(
                     f"nonpositive or non-finite curvature p^tQp = {curvature}", iteration=k
                 )
-            step = rs / curvature
+            step = rz / curvature
             x += step * p
             r -= step * qp
             rs_next = float(r @ r)
@@ -89,9 +99,25 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
             converged = math.sqrt(rs_next) / b_norm <= epsilon
             if converged:
                 break
-            p = r + (rs_next / rs) * p
-            rs = rs_next
+            z, rz_next = _preconditioned(precondition, r, rs_next, k)
+            p = z + (rz_next / rz) * p
+            rz = rz_next
 
     residual = b - q.apply(x)
     rel = float(np.linalg.norm(residual)) / b_norm
     return CGOutcome(x, iterations, rel, residual, converged)
+
+
+def _preconditioned(precondition, r, rs, iteration):
+    """z = M^-1 r and r^t z; without a preconditioner z = r and r^t z is the
+    already computed rs = r^t r."""
+    if precondition is None:
+        return r, rs
+    z = precondition(r)
+    rz = float(r @ z)
+    # a non-finite entry of z makes r^t z non-finite, so this covers it too
+    if not math.isfinite(rz) or rz <= 0.0:
+        raise NumericalBreakdownError(
+            f"preconditioner is not positive definite: r^t M^-1 r = {rz}", iteration=iteration
+        )
+    return z, rz

@@ -125,6 +125,16 @@ class FactoredPrecision:
         """The induced Gram map v -> Qv = F^t F v."""
         return self.factor.gram(v)
 
+    def preconditioned(self) -> FactoredPrecision:
+        """This Q as seen by a preconditioned cg_solve: the same apply, plus
+        the factor's ``precondition`` (an SPD approximation of Q^-1) when it
+        has one.  Without one it is Q itself, solved by plain CG."""
+        if not hasattr(self.factor, "precondition"):
+            return self
+        view = FactoredPrecision(self.factor)
+        view.precondition = self.factor.precondition
+        return view
+
 
 @dataclass
 class GaussianTarget:

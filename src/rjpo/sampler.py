@@ -57,12 +57,41 @@ def _acceptance_exponent(residual, previous, proposal) -> float:
     return exponent
 
 
+def _exact_cg_solve(precision, eta):
+    """CG to EXACT_EPSILON, preconditioned when the factor offers one.
+
+    CG stops on its recursive residual, so the recomputed one can still sit
+    just above EXACT_EPSILON; one more solve warm-started from that x then
+    takes it below.  A solve that stops at its iteration cap, or a residual
+    still above EXACT_EPSILON after the second solve, is not exact and
+    raises NumericalBreakdownError.
+    """
+    q = precision.preconditioned()
+    x, iterations = None, 0
+    for _ in range(2):
+        out = cg_solve(q, eta, x0=x, epsilon=EXACT_EPSILON)
+        iterations += out.iterations
+        if not out.converged:
+            raise NumericalBreakdownError(
+                f"exact solve stopped at its iteration cap after {out.iterations} "
+                f"iterations, relative residual {out.relative_residual:.3e}",
+                iteration=iterations,
+            )
+        if out.relative_residual <= EXACT_EPSILON:
+            return out.solution, out.residual_vector, iterations
+        x = out.solution
+    raise NumericalBreakdownError(
+        f"exact solve misses its residual target after a warm-started retry: relative "
+        f"residual {out.relative_residual:.3e} > {EXACT_EPSILON:.0e}",
+        iteration=iterations,
+    )
+
+
 def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
     """Exact perturbation-optimization step; successive samples independent.
 
     Solves through the dense mirror when the target carries one, otherwise
-    by CG pushed to machine accuracy; a CG solve that stops at its
-    iteration cap first is not exact and raises NumericalBreakdownError.
+    by CG pushed to machine accuracy (see _exact_cg_solve).
     """
     eta = perturb(target, stream)
     if target.has_mirror:
@@ -70,14 +99,7 @@ def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
         residual = eta - target.precision.apply(x)
         iterations = 0
     else:
-        out = cg_solve(target.precision, eta, epsilon=EXACT_EPSILON)
-        if not out.converged:
-            raise NumericalBreakdownError(
-                f"exact solve stopped at its iteration cap after {out.iterations} "
-                f"iterations, relative residual {out.relative_residual:.3e}",
-                iteration=out.iterations,
-            )
-        x, residual, iterations = out.solution, out.residual_vector, out.iterations
+        x, residual, iterations = _exact_cg_solve(target.precision, eta)
     eta_norm = float(np.linalg.norm(eta))
     rel = float(np.linalg.norm(residual)) / eta_norm if eta_norm > 0 else 0.0
     return KernelOutcome(x, x, 1.0, True, iterations, rel)

@@ -117,6 +117,61 @@ def test_converged_flag_reports_the_stopping_test():
     assert not cg_solve(prec, b, epsilon=1e-4, max_iters=needed - 1).converged
 
 
+def _with_preconditioner(prec, precondition):
+    """prec's preconditioned view, with M^-1 r = precondition(r)."""
+    prec.factor.precondition = precondition
+    return prec.preconditioned()
+
+
+def test_preconditioned_solve_matches_dense_solve():
+    prec, q = _spd_precision(17, 25)
+    a = np.random.default_rng(18).standard_normal((25, 25))
+    m_inv = a @ a.T + np.eye(25)  # an SPD preconditioner unrelated to Q
+    b = np.random.default_rng(19).standard_normal(25)
+    out = cg_solve(_with_preconditioner(prec, lambda r: m_inv @ r), b, epsilon=1e-13)
+    assert out.converged
+    assert np.allclose(out.solution, np.linalg.solve(q, b), atol=1e-9)
+    assert np.allclose(out.residual_vector, b - q @ out.solution, atol=1e-10)
+    assert out.relative_residual <= 1e-12
+
+
+def test_exact_inverse_preconditioner_converges_in_one_iteration():
+    prec, q = _spd_precision(20, 30)
+    b = np.random.default_rng(21).standard_normal(30)
+    q_inv = np.linalg.inv(q)
+    out = cg_solve(_with_preconditioner(prec, lambda r: q_inv @ r), b, epsilon=1e-10)
+    assert out.iterations == 1 and out.converged
+    assert cg_solve(prec, b, epsilon=1e-10).iterations > 1
+
+
+@pytest.mark.parametrize("bad", [
+    lambda r: -r,
+    lambda r: np.zeros_like(r),
+    lambda r: np.full_like(r, np.nan),
+    lambda r: np.where(np.arange(r.size) == 0, np.inf, r),
+], ids=["negative_definite", "zero", "nan", "inf"])
+def test_preconditioner_that_is_not_positive_breaks_down(bad):
+    prec, _ = _spd_precision(22, 6)
+    b = np.random.default_rng(23).standard_normal(6)
+    with pytest.raises(NumericalBreakdownError, match="preconditioner") as err:
+        cg_solve(_with_preconditioner(prec, bad), b, epsilon=1e-10)
+    assert err.value.iteration == 0
+
+
+def test_preconditioner_breakdown_reports_its_iteration():
+    prec, _ = _spd_precision(24, 6)
+    b = np.random.default_rng(25).standard_normal(6)
+    calls = []
+
+    def fails_on_third_call(r):
+        calls.append(1)
+        return r if len(calls) < 3 else -r
+
+    with pytest.raises(NumericalBreakdownError, match="preconditioner") as err:
+        cg_solve(_with_preconditioner(prec, fails_on_third_call), b, epsilon=1e-10)
+    assert err.value.iteration == 2
+
+
 def test_indefinite_matrix_breaks_down():
     indefinite = np.diag([1.0, -2.0, 3.0])
 

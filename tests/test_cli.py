@@ -176,14 +176,18 @@ def test_numerical_breakdown_exits_2(tmp_path, monkeypatch):
 def test_capped_exact_solve_exits_2(tmp_path, monkeypatch):
     """An exact superres draw whose CG solve stops at its cap is a numerical
     failure (exit 2), never a written "exact" result."""
+    cap = 3
     monkeypatch.setattr(rjpo.sampler, "cg_solve",
-                        functools.partial(rjpo.sampler.cg_solve, max_iters=5))
+                        functools.partial(rjpo.sampler.cg_solve, max_iters=cap))
     argv = ["superres", "--dims", "16", "--fwhm", "1.0", "--iterations", "3",
             "--burn-in", "1", "--sampler", "epo", "--out", str(tmp_path / "x")]
     assert cli.main(argv) == 2
     assert not (tmp_path / "x" / "chain.csv").exists()
     monkeypatch.undo()  # positive control: uncapped, the same run succeeds
     assert cli.main(argv[:-1] + [str(tmp_path / "y")]) == 0
+    # and every sweep needs more iterations than the cap, so the cap bit
+    chain = np.genfromtxt(tmp_path / "y" / "chain.csv", delimiter=",", names=True)
+    assert chain["cg_iters"].min() > cap
 
 
 def test_unwritable_out_exits_io(tmp_path):

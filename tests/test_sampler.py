@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -90,12 +91,51 @@ def test_epo_refuses_a_cg_solve_stopped_at_its_cap(monkeypatch):
     """A capped CG solve is not exact: epo_step raises instead of returning it."""
     target, _, _ = _small_target(6, 5)
     bare = GaussianTarget(target.precision, target.potential)
-    monkeypatch.setattr(rjpo.sampler, "cg_solve", functools.partial(cg_solve, max_iters=2))
+    assert epo_step(bare, RngStream(2)).cg_iterations > 1  # so a cap of 1 bites
+    monkeypatch.setattr(rjpo.sampler, "cg_solve", functools.partial(cg_solve, max_iters=1))
     with pytest.raises(NumericalBreakdownError, match="iteration cap") as err:
         epo_step(bare, RngStream(2))
-    assert err.value.iteration == 2
+    assert err.value.iteration == 1
     # with a dense mirror no CG runs, so the cap does not apply
     assert epo_step(target, RngStream(2)).accepted
+
+
+def _residual_reported_as(monkeypatch, relative_residuals):
+    """Stub rjpo.sampler.cg_solve: the real solve, whose k-th call reports
+    relative_residuals[k] in place of its recomputed residual."""
+    calls = []
+
+    def stub(q, b, x0=None, epsilon=0.0, max_iters=None):
+        out = cg_solve(q, b, x0=x0, epsilon=epsilon, max_iters=max_iters)
+        calls.append((x0, out))
+        return dataclasses.replace(out, relative_residual=relative_residuals[len(calls) - 1])
+
+    monkeypatch.setattr(rjpo.sampler, "cg_solve", stub)
+    return calls
+
+
+def test_epo_retries_a_solve_that_misses_its_residual_target(monkeypatch):
+    """A converged solve whose recomputed residual is still above
+    EXACT_EPSILON gets one more solve, warm-started from its x."""
+    target, _, _ = _small_target(6, 5)
+    bare = GaussianTarget(target.precision, target.potential)
+    calls = _residual_reported_as(monkeypatch, [1.002 * EXACT_EPSILON, 0.0])
+    outcome = epo_step(bare, RngStream(2))
+    assert len(calls) == 2
+    (first_x0, first), (retry_x0, retry) = calls
+    assert first_x0 is None and np.array_equal(retry_x0, first.solution)
+    assert np.array_equal(outcome.next_sample, retry.solution)
+    assert outcome.cg_iterations == first.iterations + retry.iterations
+    assert outcome.relative_residual <= EXACT_EPSILON
+
+
+def test_epo_refuses_a_residual_still_above_target_after_the_retry(monkeypatch):
+    target, _, _ = _small_target(6, 5)
+    bare = GaussianTarget(target.precision, target.potential)
+    calls = _residual_reported_as(monkeypatch, [2 * EXACT_EPSILON] * 3)
+    with pytest.raises(NumericalBreakdownError, match="residual target"):
+        epo_step(bare, RngStream(2))
+    assert len(calls) == 2
 
 
 def test_rjpo_exact_solve_always_accepts():

@@ -10,7 +10,8 @@ from rjpo.adapt import AdaptiveRjpoKernel, TargetRate, make_kernel
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import CirculantOperator
 from rjpo.rng import PairedStream, RngStream
-from rjpo.sampler import EXACT_EPSILON, KernelOutcome, perturb
+from rjpo.cg import cg_solve
+from rjpo.sampler import EXACT_EPSILON, KernelOutcome, epo_step, perturb
 from rjpo import superres as sr
 
 SMOOTH_3X3 = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
@@ -282,6 +283,34 @@ def test_fused_conditional_transform_counts(monkeypatch):
     calls.clear()
     perturb(target, RngStream(9))
     assert calls == {"rfft2": 2, "irfft2": 1}
+    calls.clear()
+    target.precision.factor.precondition(np.ones(model.pixel_count))
+    assert calls == {"rfft2": 1, "irfft2": 1}
+
+
+def test_only_the_exact_solve_preconditions(monkeypatch):
+    """tpo, rjpo and arjpo draws never apply P^-1, nor build its spectrum;
+    the exact draw does."""
+    model = small_model()
+    obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
+    back = model.forward.apply_transpose(obs)
+    applied = []
+    precondition = sr.ConditionalFactor.precondition
+
+    def counted(self, r):
+        applied.append(1)
+        return precondition(self, r)
+
+    monkeypatch.setattr(sr.ConditionalFactor, "precondition", counted)
+    stream = RngStream(9)
+    paired = PairedStream(stream, stream.spawn(1)[0])
+    for name in ("tpo", "rjpo", "arjpo"):
+        target = sr.conditional_target(model, back, 2.0, 0.8)
+        make_kernel(name, epsilon=1e-6)(target, back, paired)
+        assert not applied, name
+        assert "_inverse_mean_gram" not in vars(target.precision.factor), name
+    make_kernel("epo")(target, back, paired)
+    assert applied
 
 
 def test_conditional_target_validation():
@@ -303,23 +332,81 @@ def test_dense_mirror_refused_beyond_oracle_size():
         sr.conditional_target(model, back, 1.0, 1.0, dense_mirror=True)
 
 
-def test_exact_conditional_draws_match_cholesky_oracle():
+@pytest.mark.parametrize("dense_mirror", [True, False],
+                         ids=["dense_mirror", "preconditioned_cg"])
+def test_exact_conditional_draws_match_cholesky_oracle(dense_mirror):
     """Exact (cholesky_epo) draws of x | gamma, y are the right Gaussian
     (two-sample energy test against direct Cholesky draws from the dense
-    conditional)."""
+    conditional), whether they are solved through the dense mirror or, with
+    no mirror, by preconditioned CG."""
     model = tiny_model()
     obs = sr.synthesize(model, sr.phantom((8, 8)), RngStream(9))
-    target = sr.conditional_target(model, model.forward.apply_transpose(obs), 2.0, 0.8,
-                                   dense_mirror=True)
+    back = model.forward.apply_transpose(obs)
+    oracle_target = sr.conditional_target(model, back, 2.0, 0.8, dense_mirror=True)
+    target = sr.conditional_target(model, back, 2.0, 0.8, dense_mirror=dense_mirror)
     state = sr.GibbsState(x=np.zeros(64), gamma_y=2.0, gamma_x=0.8)
     sampler = sr.make_x_sampler("cholesky_epo")
     stream = RngStream(10)
     draws = np.array([sampler(target, state.x, stream).next_sample
                       for _ in range(250)])
     oracle = oracles.cholesky_gaussian_draws(
-        target.dense_q, target.dense_mu, 250, np.random.default_rng(11))
+        oracle_target.dense_q, oracle_target.dense_mu, 250, np.random.default_rng(11))
     p = oracles.energy_test_pvalue(draws, oracle, np.random.default_rng(12))
     assert p > 0.01
+
+
+def test_preconditioned_exact_solve_matches_mirror_solve():
+    """The preconditioned CG behind an exact draw without a mirror solves
+    Q x = eta as the dense mirror does, to 1e-11 relative, in a fraction of
+    plain CG's iterations; the perturbation eta is the same on both paths."""
+    gy, gx = 323.6, 780.4  # posterior-typical precisions
+    models = [small_model(frames=2), small_model(frames=5),
+              sr.SuperResModel(hi_res_dims=(9, 15), frames=4, decimation_factor=3,
+                               psf_kernel=SMOOTH_3X3)]
+    for seed, model in enumerate(models):
+        obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(40 + seed))
+        back = model.forward.apply_transpose(obs)
+        mirrored = sr.conditional_target(model, back, gy, gx, dense_mirror=True)
+        bare = sr.conditional_target(model, back, gy, gx)
+        out = epo_step(bare, RngStream(50 + seed))
+        eta = perturb(mirrored, RngStream(50 + seed))
+        expected = mirrored.mirror_solve(eta)
+        error = np.linalg.norm(out.next_sample - expected) / np.linalg.norm(expected)
+        assert error <= 1e-11, (model.hi_res_dims, model.frames, error)
+        assert out.relative_residual <= EXACT_EPSILON
+        plain = cg_solve(bare.precision, eta, epsilon=EXACT_EPSILON)
+        assert 0 < out.cg_iterations < plain.iterations / 4
+
+
+def test_preconditioner_inverts_the_circulant_mean():
+    """P^-1 inverts the Q of the same model with C replaced by its mean, which
+    is the Q of full phase coverage with gamma_y scaled by mean(C) =
+    frames / factor^2."""
+    gy, gx = 323.6, 780.4
+    v = np.random.default_rng(62).standard_normal(256)
+    full = sr.SuperResModel(hi_res_dims=(16, 16), frames=4, decimation_factor=2,
+                            psf_kernel=SMOOTH_3X3)
+    for frames in (1, 2, 3, 5):
+        model = sr.SuperResModel(hi_res_dims=(16, 16), frames=frames, decimation_factor=2,
+                                 psf_kernel=SMOOTH_3X3)
+        p_v = sr.ConditionalFactor(full, gy * frames / 4, gx).gram(v)
+        back = sr.ConditionalFactor(model, gy, gx).precondition(p_v)
+        assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v), frames
+
+
+def test_full_phase_coverage_solves_in_one_iteration():
+    """With frames = factor^2 every pixel is sampled once (C = I), so Q is
+    the circulant P that preconditions it, and the exact solve takes one
+    iteration: the O(N log N) exact sampler."""
+    for dims, factor in (((16, 16), 2), ((9, 15), 3)):
+        model = sr.SuperResModel(hi_res_dims=dims, frames=factor**2,
+                                 decimation_factor=factor, psf_kernel=SMOOTH_3X3)
+        assert np.array_equal(model.forward.counts, np.ones(dims))
+        obs = sr.synthesize(model, sr.phantom(dims), RngStream(60))
+        target = sr.conditional_target(model, model.forward.apply_transpose(obs), 323.6, 780.4)
+        out = epo_step(target, RngStream(61))
+        assert out.cg_iterations == 1
+        assert out.relative_residual <= EXACT_EPSILON
 
 
 def test_adaptive_sampler_keeps_the_conditional_law():
@@ -431,18 +518,21 @@ def test_gibbs_is_deterministic_given_a_seed():
 
 def test_same_seed_runs_are_paired_across_samplers():
     """The exact sampler and T-PO pushed to machine accuracy consume the
-    same substreams, so their whole Gibbs records coincide except for the
-    acceptance diagnostic."""
+    same substreams, so their Gibbs records coincide up to the rounding of
+    their solvers: the exact one runs preconditioned CG, T-PO plain CG.  An
+    unpaired x stream would move the gammas by their posterior spread, about
+    10% here."""
     model = small_model()
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(23))
     ref = sr.run_gibbs(model, obs, 10, 2, sr.make_x_sampler("cholesky_epo"),
                        RngStream(24))
     tpo = sr.run_gibbs(model, obs, 10, 2,
                        sr.make_x_sampler("tpo", epsilon=EXACT_EPSILON), RngStream(24))
-    assert np.array_equal(ref.records[:, 1], tpo.records[:, 1])  # gamma_y
-    assert np.array_equal(ref.records[:, 2], tpo.records[:, 2])  # gamma_x
-    assert np.array_equal(ref.records[:, 4], tpo.records[:, 4])  # cg cost
-    assert np.array_equal(ref.x_mean, tpo.x_mean)
+    # the first sweep's gammas precede any x draw
+    assert np.array_equal(ref.records[0, 1:3], tpo.records[0, 1:3])
+    assert np.allclose(ref.records[:, 1:3], tpo.records[:, 1:3], rtol=1e-9, atol=0)
+    assert np.allclose(ref.x_mean, tpo.x_mean, rtol=1e-9, atol=0)
+    assert np.all(ref.records[:, 4] < tpo.records[:, 4])  # cg cost
 
 
 def test_truncation_without_correction_corrupts_hyperparameters():
