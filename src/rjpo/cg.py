@@ -34,20 +34,31 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     The stopping test uses the cheap recursive residual and is evaluated at
     initialization and after every iteration; the returned residual is
     recomputed so downstream acceptance ratios see the true b - Qx.  With
-    ||b|| = 0 the relative residual is defined as 0 and x0 is returned as is.
+    ||b|| = 0 the relative residual is defined as 0 and x0 is returned (to
+    rounding, when mapped through coordinates).
 
     When q also has precondition(r), computing M^-1 r for a symmetric
     positive definite M, the search directions are built from z = M^-1 r
     (preconditioned CG); otherwise z = r and this is plain CG.  Either way
     the stopping test is on ||r|| itself.
 
+    When q.coordinates() offers an orthonormal basis (see FactoredPrecision),
+    CG runs there: b and x0 are mapped in, the same loop runs on Q in the
+    basis, and the solution and the recomputed residual are mapped back.
+    The map is an isometry, so iterates, stopping test and residual are
+    those of the solve on images up to rounding.  On the super-resolution
+    conditional an iteration then costs 2 real transforms, plain or
+    preconditioned, and a solve 8 more at its boundary: 1 each to map b and
+    x0 in, 2 each for Q x0 and the final Q x, and 1 each to map solution and
+    residual out (7 without x0).
+
     Args:
       q: object with apply(v) computing Qv for symmetric positive definite Q,
-        and optionally precondition(r).
+        and optionally precondition(r) and coordinates().
       b: right-hand side.
       x0: starting point (defaults to zero).
       epsilon: relative-residual threshold, finite and >= 0.
-      max_iters: iteration cap, defaults to 10 N.
+      max_iters: iteration cap, defaults to 10 N for the N entries of b.
 
     Raises:
       NumericalBreakdownError: non-finite values, nonpositive curvature
@@ -56,9 +67,7 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     """
     b = np.asarray(b, dtype=float).ravel()
     n = b.size
-    if x0 is None:
-        x0 = np.zeros(n)
-    x = np.asarray(x0, dtype=float).ravel().copy()
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
     if x.size != n:
         raise ConfigurationError(f"x0 length {x.size} != b length {n}")
     if not 0 <= epsilon < math.inf:
@@ -68,44 +77,57 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     if max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
 
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return CGOutcome(x, 0, 0.0, b - q.apply(x), True)
+    found = q.coordinates() if hasattr(q, "coordinates") else None
+    if found is None:
+        x = x.copy()
+    else:
+        basis, q = found
+        image_b, b = b, basis.enter(b)
+        x = np.zeros(b.size) if x0 is None else basis.enter(x)
 
+    b_norm = float(np.linalg.norm(b))
+    iterations, converged = 0, True
+    if b_norm != 0.0:
+        iterations, converged = _iterate(q, b, x, b_norm, epsilon, max_iters)
+    residual = b - q.apply(x)
+    if found is not None:
+        x, residual = basis.leave(x), basis.leave(residual)
+        b_norm = float(np.linalg.norm(image_b))
+    rel = float(np.linalg.norm(residual)) / b_norm if b_norm != 0.0 else 0.0
+    return CGOutcome(x, iterations, rel, residual, converged)
+
+
+def _iterate(q, b, x, b_norm, epsilon, max_iters):
+    """The CG loop on Q x = b, updating x in place; returns (iterations,
+    converged)."""
     r = b - q.apply(x)
     if not np.all(np.isfinite(r)):
         raise NumericalBreakdownError("non-finite residual at initialization", iteration=0)
     rs = float(r @ r)
-    iterations = 0
-    converged = math.sqrt(rs) / b_norm <= epsilon
+    if math.sqrt(rs) / b_norm <= epsilon:
+        return 0, True
     precondition = getattr(q, "precondition", None)
-    if not converged:
-        z, rz = _preconditioned(precondition, r, rs, 0)
-        p = z.copy()
-        for k in range(1, max_iters + 1):
-            qp = q.apply(p)
-            curvature = float(p @ qp)
-            if not np.isfinite(curvature) or curvature <= 0.0:
-                raise NumericalBreakdownError(
-                    f"nonpositive or non-finite curvature p^tQp = {curvature}", iteration=k
-                )
-            step = rz / curvature
-            x += step * p
-            r -= step * qp
-            rs_next = float(r @ r)
-            if not np.isfinite(rs_next):
-                raise NumericalBreakdownError("non-finite residual norm", iteration=k)
-            iterations = k
-            converged = math.sqrt(rs_next) / b_norm <= epsilon
-            if converged:
-                break
-            z, rz_next = _preconditioned(precondition, r, rs_next, k)
-            p = z + (rz_next / rz) * p
-            rz = rz_next
-
-    residual = b - q.apply(x)
-    rel = float(np.linalg.norm(residual)) / b_norm
-    return CGOutcome(x, iterations, rel, residual, converged)
+    z, rz = _preconditioned(precondition, r, rs, 0)
+    p = z.copy()
+    for k in range(1, max_iters + 1):
+        qp = q.apply(p)
+        curvature = float(p @ qp)
+        if not np.isfinite(curvature) or curvature <= 0.0:
+            raise NumericalBreakdownError(
+                f"nonpositive or non-finite curvature p^tQp = {curvature}", iteration=k
+            )
+        step = rz / curvature
+        x += step * p
+        r -= step * qp
+        rs_next = float(r @ r)
+        if not np.isfinite(rs_next):
+            raise NumericalBreakdownError("non-finite residual norm", iteration=k)
+        if math.sqrt(rs_next) / b_norm <= epsilon:
+            return k, True
+        z, rz_next = _preconditioned(precondition, r, rs_next, k)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return max_iters, False
 
 
 def _preconditioned(precondition, r, rs, iteration):

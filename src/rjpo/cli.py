@@ -412,6 +412,16 @@ def cmd_adapt(cfg, outdir) -> None:
     })
 
 
+def _kept_ess(summary: sr.GibbsSummary, column: int, burn_in: int) -> float | None:
+    """ess of one records column over the kept sweeps, or None (null in the
+    JSON) where it is undefined: fewer than 10 kept sweeps, or a constant
+    series."""
+    try:
+        return ess(summary.records[burn_in:, column])
+    except ValueError:
+        return None
+
+
 def cmd_superres(cfg, outdir) -> None:
     if cfg["input"] is not None:
         pixels, max_val = sr.read_pgm(cfg["input"])
@@ -443,6 +453,8 @@ def cmd_superres(cfg, outdir) -> None:
         "gamma_y_std": summary.gamma_y_std,
         "gamma_x_mean": summary.gamma_x_mean,
         "gamma_x_std": summary.gamma_x_std,
+        "gamma_y_ess": _kept_ess(summary, 1, cfg["burn_in"]),
+        "gamma_x_ess": _kept_ess(summary, 2, cfg["burn_in"]),
         "mean_acceptance": summary.mean_acceptance,
         "mean_cg_iters": summary.mean_cg,
         "peak_cg_iters": summary.peak_cg,
@@ -459,6 +471,8 @@ def cmd_superres(cfg, outdir) -> None:
         payload["reference"] = {
             "gamma_y_mean": ref.gamma_y_mean,
             "gamma_x_mean": ref.gamma_x_mean,
+            "gamma_y_ess": _kept_ess(ref, 1, cfg["burn_in"]),
+            "gamma_x_ess": _kept_ess(ref, 2, cfg["burn_in"]),
             "wall_time_seconds": ref.wall_time,
         }
         payload["gamma_y_rel_deviation"] = abs(

@@ -115,11 +115,20 @@ class CirculantOperator(LinearOperator):
 
 
 class FactoredPrecision:
-    """Precision held through a factor F with Q = F^t F (F maps R^N -> R^N')."""
+    """Precision held through a factor F with Q = F^t F (F maps R^N -> R^N').
 
-    def __init__(self, factor: LinearOperator):
+    A factor may offer ``coordinates()``: an orthonormal basis, whose
+    ``enter`` maps an image in and ``leave`` maps it back, and a factor
+    whose Gram is Q in that basis.  cg_solve then runs there (see
+    ``coordinates``).
+    """
+
+    def __init__(self, factor, preconditioned: bool = False):
         self.factor = factor
         self.dim = factor.in_dim
+        self.is_preconditioned = preconditioned
+        if preconditioned and hasattr(factor, "precondition"):
+            self.precondition = factor.precondition
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The induced Gram map v -> Qv = F^t F v."""
@@ -128,12 +137,18 @@ class FactoredPrecision:
     def preconditioned(self) -> FactoredPrecision:
         """This Q as seen by a preconditioned cg_solve: the same apply, plus
         the factor's ``precondition`` (an SPD approximation of Q^-1) when it
-        has one.  Without one it is Q itself, solved by plain CG."""
-        if not hasattr(self.factor, "precondition"):
-            return self
-        view = FactoredPrecision(self.factor)
-        view.precondition = self.factor.precondition
-        return view
+        has one, here or in the factor's coordinates.  Without one it is
+        solved by plain CG."""
+        return FactoredPrecision(self.factor, preconditioned=True)
+
+    def coordinates(self):
+        """(basis, Q in the basis) when the factor offers orthonormal
+        coordinates, else None.  Q there is preconditioned when this one is."""
+        offer = getattr(self.factor, "coordinates", None)
+        if offer is None:
+            return None
+        basis, factor = offer()
+        return basis, FactoredPrecision(factor, self.is_preconditioned)
 
 
 @dataclass

@@ -10,7 +10,8 @@ alternates two Gamma conditionals with one large Gaussian conditional
 
 drawn matrix-free by any kernel from adapt.make_kernel.  B and D are
 circulant, so Q is never materialized: ConditionalFactor applies it on one
-shared real-FFT half spectrum.
+shared real-FFT half spectrum, and CG runs in that spectrum's orthonormal
+coordinates (HalfSpectrum).
 """
 
 from __future__ import annotations
@@ -105,23 +106,22 @@ class ConditionalFactor(LinearOperator):
     + gamma_x |d|^2 V), 4 real transforms.  F^t w scatters its frames once
     and ends both parts in one inverse, 3 real transforms.
 
-    Replacing C by its mean gives the circulant P = gamma_y mean(C) |b|^2 +
-    gamma_x |d|^2 (the Strang/Chan preconditioner, see Chan & Ng, SIAM
-    Review 1996), which ``precondition`` inverts in 2 real transforms.  P is
-    positive: |d|^2 vanishes only at frequency zero, where |b|^2 = 1 and
-    mean(C) > 0.  With frames = factor^2, C = I and P = Q.
+    CG does not run on images: ``coordinates`` offers the model's
+    HalfSpectrum, where Q costs 2 real transforms (``spectral``) and the
+    circulant preconditioner P^-1 none.  A CG iteration then costs 2, plain
+    or preconditioned (4 and 6 on images), plus 8 per solve to cross into
+    the basis and back (see cg_solve).
     """
 
     def __init__(self, model: SuperResModel, gamma_y: float, gamma_x: float):
         if not (gamma_y > 0 and gamma_x > 0):
             raise ConfigurationError(f"precisions must be positive, got {gamma_y}, {gamma_x}")
+        self.model = model
         self.forward, self.laplacian = model.forward, model.laplacian
         self.dims = model.hi_res_dims
         self.gamma_y, self.gamma_x = float(gamma_y), float(gamma_x)
         self.in_dim = model.pixel_count
         self.out_dim = model.data_count + model.pixel_count
-        self._data_gram = self.gamma_y * np.conj(model.blur.transfer)
-        self._smooth_gram = self.gamma_x * model.laplacian.gram_transfer
 
     def _apply(self, v):
         return np.concatenate([math.sqrt(self.gamma_y) * self.forward.apply(v),
@@ -135,25 +135,106 @@ class ConditionalFactor(LinearOperator):
                     * np.fft.rfft2(smooth.reshape(self.dims)))
         return np.fft.irfft2(spectrum, s=self.dims).ravel()
 
-    @cached_property
-    def _inverse_mean_gram(self):
-        """1 / P on the half spectrum; built on first use, so only exact
-        solves pay for it."""
-        mean_count = self.forward.counts.mean()
-        return 1.0 / (self.gamma_y * mean_count * self.forward.blur.gram_transfer
-                      + self._smooth_gram)
-
-    def precondition(self, r):
-        """P^-1 r, the exact inverse of Q's circulant mean."""
-        spectrum = np.fft.rfft2(r.reshape(self.dims)) * self._inverse_mean_gram
-        return np.fft.irfft2(spectrum, s=self.dims).ravel()
-
     def _gram(self, v):
         spectrum = np.fft.rfft2(v.reshape(self.dims))
         blurred = np.fft.irfft2(spectrum * self.forward.blur.transfer, s=self.dims)
-        spectrum = (self._data_gram * np.fft.rfft2(self.forward.counts * blurred)
-                    + self._smooth_gram * spectrum)
+        spectrum = (self.gamma_y * np.conj(self.forward.blur.transfer)
+                    * np.fft.rfft2(self.forward.counts * blurred)
+                    + self.gamma_x * self.laplacian.gram_transfer * spectrum)
         return np.fft.irfft2(spectrum, s=self.dims).ravel()
+
+    @cached_property
+    def spectral(self) -> SpectralConditional:
+        """Q and P^-1 in the model's HalfSpectrum coordinates."""
+        return SpectralConditional(self.model.half_spectrum, self.gamma_y, self.gamma_x)
+
+    def coordinates(self):
+        """The basis cg_solve runs in, and the factor whose Gram is Q there."""
+        return self.spectral.basis, self.spectral
+
+
+class HalfSpectrum:
+    """Orthonormal real coordinates of real images on the rfft2 half spectrum.
+
+    s = W rfft2(x), the complex half spectrum read as one real vector, with
+    W[:, j] = sqrt(w_j / N): w_j = 1 for column 0 and, when the width is
+    even, for the Nyquist column, and 2 for every other column (each stands
+    for itself and its mirror).  By Parseval, <enter(x), enter(y)> = <x, y>
+    for real images, and leave(enter(x)) = x.  B, D and their circulant
+    means are diagonal here (Chan & Ng, SIAM Review 1996).
+
+    One per model: it also holds the gamma-independent spectra of the
+    conditional's Gram, b / W, conj(b) W, |d|^2 and mean(C) |b|^2.  All
+    multipliers are stored as complex arrays of the half-spectrum shape,
+    because numpy multiplies two such arrays about twice as fast as it
+    multiplies one by a real or broadcast array.
+    """
+
+    def __init__(self, model: SuperResModel):
+        rows, cols = self.dims = model.hi_res_dims
+        self.shape = (rows, cols // 2 + 1)
+        self.dim = 2 * rows * (cols // 2 + 1)
+        weights = np.full(self.shape, 2.0 + 0j)
+        weights[:, 0] = 1.0
+        if cols % 2 == 0:
+            weights[:, -1] = 1.0
+        self.scale = np.sqrt(weights / model.pixel_count)
+        self.unscale = 1.0 / self.scale
+        transfer = model.blur.transfer
+        self.blur = transfer * self.unscale
+        self.adjoint_blur = np.conj(transfer) * self.scale
+        self.counts = model.forward.counts
+        self.smooth_gram = model.laplacian.gram_transfer.astype(complex)
+        self.mean_data_gram = (self.counts.mean() * model.blur.gram_transfer).astype(complex)
+
+    def enter(self, x):
+        """s = W rfft2(x) for a flattened real image x."""
+        return (self.scale * np.fft.rfft2(x.reshape(self.dims))).view(float).ravel()
+
+    def leave(self, s):
+        """The flattened real image x with enter(x) = s."""
+        spectrum = s.view(complex).reshape(self.shape) * self.unscale
+        return np.fft.irfft2(spectrum, s=self.dims).ravel()
+
+
+class SpectralConditional:
+    """The conditional precision in HalfSpectrum coordinates, as a factor
+    whose Gram is Q there:
+
+        Q s = gamma_y conj(b) W rfft2(C irfft2((b / W) s)) + gamma_x |d|^2 s,
+
+    2 real transforms.  Replacing C by its mean gives the circulant
+    P = gamma_y mean(C) |b|^2 + gamma_x |d|^2 (the Strang/Chan
+    preconditioner), diagonal here, so P^-1 s = s / P takes no transform.
+    P is positive: |d|^2 vanishes only at frequency zero, where |b|^2 = 1
+    and mean(C) > 0.  With frames = factor^2, C = I and P = Q.
+    """
+
+    def __init__(self, basis: HalfSpectrum, gamma_y: float, gamma_x: float):
+        self.basis = basis
+        self.in_dim = basis.dim
+        self.gamma_y = gamma_y
+        self._data_gram = gamma_y * basis.adjoint_blur
+        self._smooth_gram = gamma_x * basis.smooth_gram
+
+    def gram(self, s):
+        basis = self.basis
+        spectrum = s.view(complex).reshape(basis.shape)
+        blurred = np.fft.irfft2(basis.blur * spectrum, s=basis.dims)
+        spectrum = (self._data_gram * np.fft.rfft2(basis.counts * blurred)
+                    + self._smooth_gram * spectrum)
+        return spectrum.view(float).ravel()
+
+    @cached_property
+    def _inverse_mean_gram(self):
+        """1 / P; built on first use, so only preconditioned solves pay for
+        it."""
+        return 1.0 / (self.gamma_y * self.basis.mean_data_gram + self._smooth_gram)
+
+    def precondition(self, s):
+        """P^-1 s, the exact inverse of Q's circulant mean."""
+        spectrum = s.view(complex).reshape(self.basis.shape) * self._inverse_mean_gram
+        return spectrum.view(float).ravel()
 
 
 @dataclass(eq=False)
@@ -234,6 +315,11 @@ class SuperResModel:
         return FrameStack(
             self.blur, self.decimation_factor, map(self.frame_offset, range(self.frames))
         )
+
+    @cached_property
+    def half_spectrum(self) -> HalfSpectrum:
+        """The coordinates CG runs in on this model's conditionals."""
+        return HalfSpectrum(self)
 
 
 def make_model(

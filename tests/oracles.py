@@ -91,27 +91,41 @@ def ess_direct(series: np.ndarray) -> float:
     return min(max(n / (1.0 + 2.0 * total), 1.0), n)
 
 
-def energy_distance(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Szekely-Rizzo energy distance between two samples (rows = points)."""
+def pairwise_distances(points: np.ndarray, rows_per_block: int = 50) -> np.ndarray:
+    """Euclidean distances between every pair of rows, by direct differences
+    (blocks of rows bound the memory of the broadcast)."""
+    out = np.empty((points.shape[0], points.shape[0]))
+    for start in range(0, points.shape[0], rows_per_block):
+        diffs = points[start:start + rows_per_block, None, :] - points[None, :, :]
+        out[start:start + rows_per_block] = np.sqrt((diffs**2).sum(axis=2))
+    return out
+
+
+def _energy_distance(distances: np.ndarray, first: np.ndarray, second: np.ndarray) -> float:
+    """Szekely-Rizzo energy distance between the points indexed by first and
+    second, from their pooled distance matrix."""
 
     def mean_pdist(a, b):
-        diffs = a[:, None, :] - b[None, :, :]
-        return float(np.sqrt((diffs**2).sum(axis=2)).mean())
+        return float(distances[np.ix_(a, b)].mean())
 
-    return 2.0 * mean_pdist(xs, ys) - mean_pdist(xs, xs) - mean_pdist(ys, ys)
+    return 2.0 * mean_pdist(first, second) - mean_pdist(first, first) - mean_pdist(second, second)
 
 
 def energy_test_pvalue(xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator,
                        permutations: int = 200) -> float:
-    """Permutation p-value for 'xs and ys share a distribution'."""
-    observed = energy_distance(xs, ys)
+    """Permutation p-value for 'xs and ys share a distribution'.
+
+    The pooled distance matrix does not depend on the permutation, so it is
+    computed once and each permutation only indexes it."""
     pooled = np.vstack([xs, ys])
+    distances = pairwise_distances(pooled)
     n = xs.shape[0]
+    order = np.arange(pooled.shape[0])
+    observed = _energy_distance(distances, order[:n], order[n:])
     hits = 1
     for _ in range(permutations):
         perm = rng.permutation(pooled.shape[0])
-        d = energy_distance(pooled[perm[:n]], pooled[perm[n:]])
-        if d >= observed:
+        if _energy_distance(distances, perm[:n], perm[n:]) >= observed:
             hits += 1
     return hits / (permutations + 1)
 

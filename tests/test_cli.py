@@ -18,6 +18,7 @@ import rjpo
 import rjpo.sampler
 from rjpo import cli
 from rjpo import superres as sr
+from rjpo.diag import ess
 from rjpo.errors import ConfigurationError
 
 TOY_TINY = ["toy", "--n", "8", "--n-max", "400", "--sampler", "rjpo",
@@ -380,6 +381,26 @@ def test_superres_reference_comparison(tmp_path):
     assert summary["gamma_y_rel_deviation"] >= 0
     assert summary["gamma_x_rel_deviation"] >= 0
     assert summary["reference"]["gamma_y_mean"] > 0
+
+
+def test_superres_reports_hyperparameter_ess(tmp_path):
+    """summary.json gives diag.ess of gamma_y and gamma_x over the kept
+    sweeps, for the run and for its reference, and null where ess is
+    undefined (fewer than 10 kept sweeps)."""
+    base = ["superres", "--dims", "16", "--fwhm", "1.0", "--sampler", "arjpo", "--reference"]
+    out = tmp_path / "ess"
+    assert cli.main(base + ["--iterations", "30", "--burn-in", "5", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    for section, csv in ((summary, "chain.csv"), (summary["reference"], "reference_chain.csv")):
+        chain = np.genfromtxt(out / csv, delimiter=",", names=True)
+        for name in ("gamma_y", "gamma_x"):
+            assert section[f"{name}_ess"] == ess(chain[name][5:])
+            assert 1 <= section[f"{name}_ess"] <= 25
+    short = tmp_path / "short"
+    assert cli.main(base + ["--iterations", "12", "--burn-in", "3", "--out", str(short)]) == 0
+    summary = json.loads((short / "summary.json").read_text())
+    for section in (summary, summary["reference"]):
+        assert section["gamma_y_ess"] is None and section["gamma_x_ess"] is None
 
 
 def test_superres_roundtrips_an_input_image(tmp_path):

@@ -260,11 +260,9 @@ def test_conditional_factor_validation():
             sr.ConditionalFactor(model, gy, gx)
 
 
-def test_fused_conditional_transform_counts(monkeypatch):
-    """A Q-apply runs 4 real transforms and a perturbation 3, no complex FFT."""
-    model = small_model()
-    obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
-    target = sr.conditional_target(model, model.forward.apply_transpose(obs), 2.0, 0.8)
+def _counted_transforms(monkeypatch):
+    """Patch every numpy FFT entry point to count its calls in the returned
+    dict."""
     calls = {}
 
     def counted(name):
@@ -278,14 +276,35 @@ def test_fused_conditional_transform_counts(monkeypatch):
 
     for name in ("rfft2", "irfft2", "fft2", "ifft2", "fftn", "ifftn", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, counted(name))
+    return calls
+
+
+def test_fused_conditional_transform_counts(monkeypatch):
+    """A Q-apply on images runs 4 real transforms and a perturbation 3, no
+    complex FFT.  A CG solve runs in HalfSpectrum coordinates: 2 real
+    transforms per iteration, plain or preconditioned, none per P^-1, and 8
+    per solve at the boundary (b and x0 in, Q x0, the final Q x, solution
+    and residual out)."""
+    model = small_model()
+    obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
+    target = sr.conditional_target(model, model.forward.apply_transpose(obs), 2.0, 0.8)
+    calls = _counted_transforms(monkeypatch)
     target.precision.apply(np.ones(model.pixel_count))
     assert calls == {"rfft2": 2, "irfft2": 2}
     calls.clear()
-    perturb(target, RngStream(9))
+    eta = perturb(target, RngStream(9))
     assert calls == {"rfft2": 2, "irfft2": 1}
+    basis, spectral = target.precision.factor.coordinates()
+    s = basis.enter(eta)
     calls.clear()
-    target.precision.factor.precondition(np.ones(model.pixel_count))
-    assert calls == {"rfft2": 1, "irfft2": 1}
+    spectral.precondition(s)
+    assert calls == {}
+    x0 = np.random.default_rng(10).standard_normal(model.pixel_count)
+    for precision in (target.precision, target.precision.preconditioned()):
+        calls.clear()
+        out = cg_solve(precision, eta, x0=x0, epsilon=1e-8)
+        assert out.iterations > 1
+        assert calls == {"rfft2": out.iterations + 4, "irfft2": out.iterations + 4}
 
 
 def test_only_the_exact_solve_preconditions(monkeypatch):
@@ -295,22 +314,113 @@ def test_only_the_exact_solve_preconditions(monkeypatch):
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
     back = model.forward.apply_transpose(obs)
     applied = []
-    precondition = sr.ConditionalFactor.precondition
+    precondition = sr.SpectralConditional.precondition
 
-    def counted(self, r):
+    def counted(self, s):
         applied.append(1)
-        return precondition(self, r)
+        return precondition(self, s)
 
-    monkeypatch.setattr(sr.ConditionalFactor, "precondition", counted)
+    monkeypatch.setattr(sr.SpectralConditional, "precondition", counted)
     stream = RngStream(9)
     paired = PairedStream(stream, stream.spawn(1)[0])
     for name in ("tpo", "rjpo", "arjpo"):
         target = sr.conditional_target(model, back, 2.0, 0.8)
         make_kernel(name, epsilon=1e-6)(target, back, paired)
         assert not applied, name
-        assert "_inverse_mean_gram" not in vars(target.precision.factor), name
+        assert "_inverse_mean_gram" not in vars(target.precision.factor.spectral), name
     make_kernel("epo")(target, back, paired)
     assert applied
+
+
+def _coordinate_cases():
+    """The 8 x 8, 16 x 16 and odd 9 x 15 (factor 3) grids, with 2, 3 and 4
+    frames."""
+    return [sr.SuperResModel(hi_res_dims=dims, frames=frames, decimation_factor=factor,
+                             psf_kernel=SMOOTH_3X3)
+            for dims, frames, factor in (((8, 8), 2, 2), ((16, 16), 3, 2), ((9, 15), 4, 3))]
+
+
+def test_half_spectrum_is_an_isometry():
+    """enter and leave are inverse maps, and enter preserves inner products
+    and norms of real images, to 1e-14."""
+    rng = np.random.default_rng(70)
+    for model in _coordinate_cases():
+        basis = model.half_spectrum
+        rows, cols = model.hi_res_dims
+        assert basis.dim == 2 * rows * (cols // 2 + 1)
+        for _ in range(5):
+            x, y = rng.standard_normal((2, model.pixel_count))
+            s, t = basis.enter(x), basis.enter(y)
+            assert s.shape == (basis.dim,)
+            scale = np.linalg.norm(x) * np.linalg.norm(y)
+            assert abs(s @ t - x @ y) <= 1e-14 * scale, model.hi_res_dims
+            assert abs(s @ s - x @ x) <= 1e-14 * (x @ x), model.hi_res_dims
+            assert np.max(np.abs(basis.leave(s) - x)) <= 1e-14 * np.max(np.abs(x))
+
+
+def test_spectral_gram_matches_the_dense_mirror():
+    """Q in HalfSpectrum coordinates, seen from images (leave Q enter),
+    matches the dense stack's F^t F, the dense mirror and the Gram on
+    images to 1e-13 relative."""
+    gy, gx = 3.0, 0.5
+    for model in _coordinate_cases():
+        n = model.pixel_count
+        target = sr.conditional_target(model, np.zeros(n), gy, gx, dense_mirror=True)
+        basis, spectral = target.precision.factor.coordinates()
+        seen = oracles.dense_matrix_of(lambda v: basis.leave(spectral.gram(basis.enter(v))), n)
+        stack = _dense_stack(model, gy, gx)
+        for reference in (stack.T @ stack, target.dense_q,
+                          oracles.dense_matrix_of(target.precision.apply, n)):
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(seen - reference)) <= 1e-13 * scale, model.hi_res_dims
+
+
+def test_spectral_cg_stops_with_the_spatial_solve():
+    """On fixed RJPO states (an exact draw as previous, a fresh eta) CG in
+    HalfSpectrum coordinates stops at the same iteration as CG on images,
+    and their solutions agree to 1e-10 relative.  The map is an isometry,
+    so the two differ by rounding only, which CG amplifies: on other seeds
+    the 8 x 8 solve at 1e-12 can stop one iteration earlier in the
+    coordinates, and on 9 x 15 at 1e-4 a one-ulp change of eta moves CG on
+    images by 1.5e-10."""
+
+    class OnImages:
+        def __init__(self, factor):
+            self.factor = factor
+
+        def apply(self, v):
+            return self.factor.gram(v)
+
+    for model in (tiny_model(), small_model(), _coordinate_cases()[2]):
+        obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(40))
+        target = sr.conditional_target(model, model.forward.apply_transpose(obs), 3.0, 0.5)
+        previous = epo_step(target, RngStream(50)).next_sample
+        eta = perturb(target, RngStream(60))
+        for eps in (1e-2, 1e-4, 1e-12):
+            spatial = cg_solve(OnImages(target.precision.factor), eta, x0=-previous,
+                               epsilon=eps)
+            spectral = cg_solve(target.precision, eta, x0=-previous, epsilon=eps)
+            assert spectral.iterations == spatial.iterations, (model.hi_res_dims, eps)
+            gap = np.linalg.norm(spectral.solution - spatial.solution)
+            assert gap <= 1e-10 * np.linalg.norm(spatial.solution), (model.hi_res_dims, eps)
+
+
+def test_exact_draw_residuals_are_spatial_residuals():
+    """An exact draw's reported relative residual, from the residual mapped
+    back out of HalfSpectrum coordinates, agrees with ||eta - Q x|| / ||eta||
+    recomputed on images within 1e-13, and both meet 1e-12."""
+    gy, gx = 323.6, 780.4
+    models = [small_model(frames=2), _coordinate_cases()[2], sr.make_model((64, 64))]
+    for seed, model in enumerate(models):
+        obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(80 + seed))
+        target = sr.conditional_target(model, model.forward.apply_transpose(obs), gy, gx)
+        for draw in range(10):
+            out = epo_step(target, RngStream(100 * seed + draw))
+            eta = perturb(target, RngStream(100 * seed + draw))
+            recomputed = (np.linalg.norm(eta - target.precision.apply(out.next_sample))
+                          / np.linalg.norm(eta))
+            assert abs(out.relative_residual - recomputed) <= 1e-13, model.hi_res_dims
+            assert max(out.relative_residual, recomputed) <= EXACT_EPSILON, model.hi_res_dims
 
 
 def test_conditional_target_validation():
@@ -379,19 +489,36 @@ def test_preconditioned_exact_solve_matches_mirror_solve():
 
 
 def test_preconditioner_inverts_the_circulant_mean():
-    """P^-1 inverts the Q of the same model with C replaced by its mean, which
-    is the Q of full phase coverage with gamma_y scaled by mean(C) =
-    frames / factor^2."""
+    """P^-1, applied in HalfSpectrum coordinates, inverts the Q of the same
+    model with C replaced by its mean, which is the Q of full phase coverage
+    with gamma_y scaled by mean(C) = frames / factor^2: to 1e-12 on vectors
+    at 16 x 16, and to 1e-13 as a dense matrix against that Q on the
+    8 x 8, 16 x 16 and 9 x 15 grids."""
     gy, gx = 323.6, 780.4
+
+    def inverse_mean(model, v):
+        basis, spectral = sr.ConditionalFactor(model, gy, gx).coordinates()
+        return basis.leave(spectral.precondition(basis.enter(v)))
+
+    def full_coverage(model):
+        factor = model.decimation_factor
+        return sr.SuperResModel(hi_res_dims=model.hi_res_dims, frames=factor**2,
+                                decimation_factor=factor, psf_kernel=SMOOTH_3X3)
+
     v = np.random.default_rng(62).standard_normal(256)
-    full = sr.SuperResModel(hi_res_dims=(16, 16), frames=4, decimation_factor=2,
-                            psf_kernel=SMOOTH_3X3)
     for frames in (1, 2, 3, 5):
         model = sr.SuperResModel(hi_res_dims=(16, 16), frames=frames, decimation_factor=2,
                                  psf_kernel=SMOOTH_3X3)
-        p_v = sr.ConditionalFactor(full, gy * frames / 4, gx).gram(v)
-        back = sr.ConditionalFactor(model, gy, gx).precondition(p_v)
+        p_v = sr.ConditionalFactor(full_coverage(model), gy * frames / 4, gx).gram(v)
+        back = inverse_mean(model, p_v)
         assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v), frames
+    for model in _coordinate_cases():
+        n = model.pixel_count
+        mean_count = model.frames / model.decimation_factor**2
+        p = oracles.dense_matrix_of(
+            sr.ConditionalFactor(full_coverage(model), gy * mean_count, gx).gram, n)
+        p_inv = oracles.dense_matrix_of(lambda e: inverse_mean(model, e), n)
+        assert np.max(np.abs(p @ p_inv - np.eye(n))) <= 1e-13, model.hi_res_dims
 
 
 def test_full_phase_coverage_solves_in_one_iteration():
