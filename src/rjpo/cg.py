@@ -47,10 +47,10 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     basis, and the solution and the recomputed residual are mapped back.
     The map is an isometry, so iterates, stopping test and residual are
     those of the solve on images up to rounding.  On the super-resolution
-    conditional an iteration then costs 2 real transforms, plain or
-    preconditioned, and a solve 8 more at its boundary: 1 each to map b and
-    x0 in, 2 each for Q x0 and the final Q x, and 1 each to map solution and
-    residual out (7 without x0).
+    conditional Q and P^-1 take no transform there, so an iteration costs
+    none, plain or preconditioned, and a solve 4 real transforms at its
+    boundary: 1 each to map b and x0 in and to map solution and residual
+    out (3 without x0).
 
     Args:
       q: object with apply(v) computing Qv for symmetric positive definite Q,
@@ -112,7 +112,7 @@ def _iterate(q, b, x, b_norm, epsilon, max_iters):
     for k in range(1, max_iters + 1):
         qp = q.apply(p)
         curvature = float(p @ qp)
-        if not np.isfinite(curvature) or curvature <= 0.0:
+        if not math.isfinite(curvature) or curvature <= 0.0:
             raise NumericalBreakdownError(
                 f"nonpositive or non-finite curvature p^tQp = {curvature}", iteration=k
             )
@@ -120,12 +120,13 @@ def _iterate(q, b, x, b_norm, epsilon, max_iters):
         x += step * p
         r -= step * qp
         rs_next = float(r @ r)
-        if not np.isfinite(rs_next):
+        if not math.isfinite(rs_next):
             raise NumericalBreakdownError("non-finite residual norm", iteration=k)
         if math.sqrt(rs_next) / b_norm <= epsilon:
             return k, True
         z, rz_next = _preconditioned(precondition, r, rs_next, k)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     return max_iters, False
 

@@ -2,8 +2,9 @@
 
 Observed frames are decimated, blurred, noisy copies of one hi-res image:
 y = Hx + n, where H blurs once and stacks each frame's sub-lattice.  Noise and
-smoothness precisions get Jeffreys priors, so a three-step Gibbs sampler
-alternates two Gamma conditionals with one large Gaussian conditional
+smoothness precisions get flat priors on (0, inf), so a three-step Gibbs
+sampler alternates two Gamma conditionals (shapes 1 + M/2 and 1 + (N-1)/2)
+with one large Gaussian conditional
 
     x | rest ~ N(mu, Q^-1),  Q = gamma_y H^t H + gamma_x D^t D,
                              Q mu = gamma_y H^t y,
@@ -11,7 +12,7 @@ alternates two Gamma conditionals with one large Gaussian conditional
 drawn matrix-free by any kernel from adapt.make_kernel.  B and D are
 circulant, so Q is never materialized: ConditionalFactor applies it on one
 shared real-FFT half spectrum, and CG runs in that spectrum's orthonormal
-coordinates (HalfSpectrum).
+coordinates (HalfSpectrum), where Q needs no transform at all.
 """
 
 from __future__ import annotations
@@ -107,10 +108,10 @@ class ConditionalFactor(LinearOperator):
     and ends both parts in one inverse, 3 real transforms.
 
     CG does not run on images: ``coordinates`` offers the model's
-    HalfSpectrum, where Q costs 2 real transforms (``spectral``) and the
-    circulant preconditioner P^-1 none.  A CG iteration then costs 2, plain
-    or preconditioned (4 and 6 on images), plus 8 per solve to cross into
-    the basis and back (see cg_solve).
+    HalfSpectrum, where Q is its circulant mean P plus a few alias terms
+    (``spectral``) and neither Q nor P^-1 takes a transform.  A CG iteration
+    then costs none, plain or preconditioned (4 and 6 on images), and a
+    solve 4 to cross into the basis and back (see cg_solve).
     """
 
     def __init__(self, model: SuperResModel, gamma_y: float, gamma_x: float):
@@ -163,17 +164,30 @@ class HalfSpectrum:
     for real images, and leave(enter(x)) = x.  B, D and their circulant
     means are diagonal here (Chan & Ng, SIAM Review 1996).
 
-    One per model: it also holds the gamma-independent spectra of the
-    conditional's Gram, b / W, conj(b) W, |d|^2 and mean(C) |b|^2.  All
-    multipliers are stored as complex arrays of the half-spectrum shape,
-    because numpy multiplies two such arrays about twice as fast as it
-    multiplies one by a real or broadcast array.
+    One per model: it also holds the gamma-independent parts of the
+    conditional's Gram, the diagonals |d|^2 and mean(C) |b|^2 and the
+    ``aliases`` table.  C is periodic with the decimation factor f, so its
+    spectrum lives on the f^2 bins (p R/f, q K/f) of the R x K grid, with
+    c_pq = fft2(C)[p R/f, q K/f] / N and c_00 = mean(C), and multiplying
+    by C mixes each frequency only with its aliases (Tsai & Huang 1984):
+
+        (C u)^[k] = sum_pq c_pq u^[k - (p R/f, q K/f)],  indices mod (R, K).
+
+    Each nonzero c_pq other than c_00 gives one alias term (index, A_pq):
+    ``index`` gathers u^[k - shift] for every half-spectrum bin k from the
+    concatenation [s, conj s] (a shifted bin past column K//2 reads the
+    conjugate of its mirror), and A_pq = W conj(b) c_pq G_pq(b / W) holds
+    the blurs and coordinate scales around it.  At most f^2 - 1 terms; 1 for
+    two frames at f = 2, none with every phase sampled once (C = I).  All
+    multipliers are complex, because numpy multiplies two complex arrays
+    about twice as fast as a complex array by a real or broadcast one.
     """
 
     def __init__(self, model: SuperResModel):
         rows, cols = self.dims = model.hi_res_dims
-        self.shape = (rows, cols // 2 + 1)
-        self.dim = 2 * rows * (cols // 2 + 1)
+        half = cols // 2 + 1
+        self.shape = (rows, half)
+        self.dim = 2 * rows * half
         weights = np.full(self.shape, 2.0 + 0j)
         weights[:, 0] = 1.0
         if cols % 2 == 0:
@@ -181,11 +195,29 @@ class HalfSpectrum:
         self.scale = np.sqrt(weights / model.pixel_count)
         self.unscale = 1.0 / self.scale
         transfer = model.blur.transfer
-        self.blur = transfer * self.unscale
-        self.adjoint_blur = np.conj(transfer) * self.scale
-        self.counts = model.forward.counts
+        counts = model.forward.counts
         self.smooth_gram = model.laplacian.gram_transfer.astype(complex)
-        self.mean_data_gram = (self.counts.mean() * model.blur.gram_transfer).astype(complex)
+        self.mean_data_gram = (counts.mean() * model.blur.gram_transfer).astype(complex)
+
+        f = model.decimation_factor
+        coefficients = np.fft.fft2(counts[:f, :f]) / f**2  # c_pq from one period of C
+        row, col = np.arange(rows)[:, None], np.arange(half)[None, :]
+        blur = transfer * self.unscale
+        both = np.concatenate([blur, np.conj(blur)])
+        adjoint_blur = np.conj(transfer) * self.scale
+        self.aliases = []
+        for (p, q), c in np.ndenumerate(coefficients):
+            # c_pq sums f^2 integer multiples of f-th roots of unity: below
+            # this it is the rounding of an exact zero
+            if (p, q) == (0, 0) or abs(c) <= 1e-12 * coefficients[0, 0].real:
+                continue
+            source_row, source_col = (row - p * rows // f) % rows, (col - q * cols // f) % cols
+            # flat index into [s, conj s]; past column K//2, the mirror bin
+            # (-row mod R, K - col) in the conjugated half
+            index = np.where(source_col > cols // 2,
+                             (rows + (-source_row) % rows) * half + cols - source_col,
+                             source_row * half + source_col)
+            self.aliases.append((index, c * adjoint_blur * np.take(both, index)))
 
     def enter(self, x):
         """s = W rfft2(x) for a flattened real image x."""
@@ -199,37 +231,42 @@ class HalfSpectrum:
 
 class SpectralConditional:
     """The conditional precision in HalfSpectrum coordinates, as a factor
-    whose Gram is Q there:
-
-        Q s = gamma_y conj(b) W rfft2(C irfft2((b / W) s)) + gamma_x |d|^2 s,
-
-    2 real transforms.  Replacing C by its mean gives the circulant
+    whose Gram is Q there.  Replacing C by its mean gives the circulant
     P = gamma_y mean(C) |b|^2 + gamma_x |d|^2 (the Strang/Chan
-    preconditioner), diagonal here, so P^-1 s = s / P takes no transform.
-    P is positive: |d|^2 vanishes only at frequency zero, where |b|^2 = 1
-    and mean(C) > 0.  With frames = factor^2, C = I and P = Q.
+    preconditioner), diagonal here; Q is P plus the alias terms of C:
+
+        Q s = P s + gamma_y sum_pq A_pq G_pq(s),
+
+    pointwise products and one index gather per term, no transform.  P^-1
+    s = s / P takes none either.  P is positive: |d|^2 vanishes only at
+    frequency zero, where |b|^2 = 1 and mean(C) > 0.  With frames =
+    factor^2, C = I and Q = P.
+
+    The alias sum is Q only on real images' half spectra (the image of
+    ``enter``), where it is the spectrum of B^t C B x; CG's iterates stay
+    there up to rounding.
     """
 
     def __init__(self, basis: HalfSpectrum, gamma_y: float, gamma_x: float):
         self.basis = basis
         self.in_dim = basis.dim
-        self.gamma_y = gamma_y
-        self._data_gram = gamma_y * basis.adjoint_blur
-        self._smooth_gram = gamma_x * basis.smooth_gram
+        self._mean_gram = gamma_y * basis.mean_data_gram + gamma_x * basis.smooth_gram
+        self._aliases = [(index, gamma_y * weight) for index, weight in basis.aliases]
 
     def gram(self, s):
-        basis = self.basis
-        spectrum = s.view(complex).reshape(basis.shape)
-        blurred = np.fft.irfft2(basis.blur * spectrum, s=basis.dims)
-        spectrum = (self._data_gram * np.fft.rfft2(basis.counts * blurred)
-                    + self._smooth_gram * spectrum)
-        return spectrum.view(float).ravel()
+        spectrum = s.view(complex).reshape(self.basis.shape)
+        out = self._mean_gram * spectrum
+        if self._aliases:
+            both = np.concatenate([spectrum, np.conj(spectrum)])
+            for index, weight in self._aliases:
+                out += weight * np.take(both, index)
+        return out.view(float).ravel()
 
     @cached_property
     def _inverse_mean_gram(self):
         """1 / P; built on first use, so only preconditioned solves pay for
         it."""
-        return 1.0 / (self.gamma_y * self.basis.mean_data_gram + self._smooth_gram)
+        return 1.0 / self._mean_gram
 
     def precondition(self, s):
         """P^-1 s, the exact inverse of Q's circulant mean."""
