@@ -175,9 +175,8 @@ class AdaptiveRjpoKernel:
     the step actually used, i.e. the pre-update controller value.
     """
 
-    def __init__(self, controller: AdaptController, max_iters: int | None = None):
+    def __init__(self, controller: AdaptController):
         self.controller = controller
-        self.max_iters = max_iters
         self.steps: list[int] = []
         self.epsilons: list[float] = []
         self.alphas: list[float] = []
@@ -189,7 +188,7 @@ class AdaptiveRjpoKernel:
 
     def __call__(self, target, previous, stream) -> KernelOutcome:
         eps = self.controller.epsilon
-        outcome = rjpo_step(target, previous, stream, eps, self.max_iters)
+        outcome = rjpo_step(target, previous, stream, eps)
         self.steps.append(self.controller.step_index)
         self.epsilons.append(eps)
         self.alphas.append(outcome.acceptance_probability)

@@ -26,6 +26,7 @@ from .adapt import (
     AdaptiveRjpoKernel,
     MinCces,
     TargetRate,
+    _window_slopes,
     essr_from_alpha,
     make_kernel,
 )
@@ -278,10 +279,14 @@ def cmd_toy(cfg, outdir) -> None:
 
 def cmd_curve(cfg, outdir) -> None:
     grid = _parse_grid(cfg["epsilon_grid"])
-    master = RngStream(cfg["seed"])
-    target, mu, cov = ar1_target(cfg["n"], cfg["sigma2"], cfg["rho"], stream=master)
     n_max = cfg["n_max"]
     n_min = cfg["n_min"] if cfg["n_min"] is not None else n_max // 10
+    if n_max - n_min + 1 < 10:
+        raise ConfigurationError(
+            f"curve keeps samples {n_min}..{n_max}; its ESS and PSRF need at least 10"
+        )
+    master = RngStream(cfg["seed"])
+    target, mu, cov = ar1_target(cfg["n"], cfg["sigma2"], cfg["rho"], stream=master)
 
     acc_rows, rmse_rows, essr_rows = [], [], []
     streams = master.spawn(2 * len(grid) + 1)
@@ -333,11 +338,6 @@ def cmd_curve(cfg, outdir) -> None:
                               psrf < cfg["psrf_threshold"]))
         write_csv(os.path.join(outdir, "psrf.csv"),
                   ["epsilon", "psrf", "threshold", "converged"], psrf_rows)
-
-
-def _ols_slope(x, y) -> float:
-    xc = x - x.mean()
-    return float(xc @ (y - y.mean()) / (xc @ xc))
 
 
 def cmd_adapt(cfg, outdir) -> None:
@@ -397,10 +397,10 @@ def cmd_adapt(cfg, outdir) -> None:
     trail = traj[-min(2000, n_max):]
     logeps = np.log(trail[:, 1])
     alpha, jits = trail[:, 2], trail[:, 3]
-    slope_a, slope_j = _ols_slope(logeps, alpha), _ols_slope(logeps, jits)
+    slope_a, slope_j, degenerate = _window_slopes(np.column_stack([logeps, jits, alpha]))
     mean_alpha, mean_j = float(alpha.mean()), float(jits.mean())
     resid = (mean_j * (slope_a / slope_j) - mean_alpha + mean_alpha**2 / 2
-             if slope_j != 0 else float("nan"))
+             if not degenerate else float("nan"))
     write_json(os.path.join(outdir, "summary.json"), {
         "mode": mode,
         "epsilon_star": float(np.exp(logeps.mean())),

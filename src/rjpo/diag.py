@@ -1,5 +1,5 @@
 """Chain-quality diagnostics: moment errors, effective sample size,
-Gelman-Rubin PSRF, acceptance-vs-threshold curves."""
+Gelman-Rubin PSRF."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapt import essr_from_alpha
-from .errors import ConfigurationError
-from .sampler import ChainState, rjpo_kernel, run_chain
+from .sampler import ChainState
 
 
 @dataclass(frozen=True)
@@ -20,16 +19,14 @@ class DiagnosticsReport:
     cces: float
     mean_acceptance: float
     mean_cg_iters: float
-    psrf: float | None = None
 
     @classmethod
-    def from_chain(cls, chain: ChainState, true_mean, true_cov,
-                   psrf: float | None = None) -> "DiagnosticsReport":
+    def from_chain(cls, chain: ChainState, true_mean, true_cov) -> "DiagnosticsReport":
         r_mean, r_cov = rmse(chain, true_mean, true_cov)
         alpha = chain.mean_acceptance
         essr = essr_from_alpha(alpha)
         mean_j = chain.mean_cg_iterations
-        return cls(r_mean, r_cov, essr, mean_j / essr, alpha, mean_j, psrf)
+        return cls(r_mean, r_cov, essr, mean_j / essr, alpha, mean_j)
 
 
 def rmse(chain: ChainState, true_mean, true_cov) -> tuple[float, float]:
@@ -96,28 +93,3 @@ def gelman_rubin(chains) -> float:
     v_hat = (n - 1) / n * within + between / n
     return float(np.sqrt(v_hat / within))
 
-
-def acceptance_curve(target, epsilons, n_max: int, stream) -> np.ndarray:
-    """Mean acceptance probability and CG cost of an RJPO chain per threshold.
-
-    Returns rows (epsilon, mean_alpha, mean_J); statistics exclude the
-    first 10% of each chain.  Each threshold gets an independent substream
-    so rows do not depend on grid order.
-    """
-    epsilons = [float(e) for e in epsilons]
-    if not epsilons:
-        raise ConfigurationError("epsilon grid is empty")
-    if any(e <= 0 for e in epsilons):
-        raise ConfigurationError("epsilon grid entries must be positive")
-    if sorted(epsilons) != epsilons:
-        raise ConfigurationError("epsilon grid must be sorted ascending")
-    streams = stream.spawn(len(epsilons))
-    rows = []
-    n_min = n_max // 10
-    for eps, sub in zip(epsilons, streams):
-        chain = run_chain(target, rjpo_kernel(eps), n_max, n_min, sub,
-                          track_covariance=False)
-        rows.append((eps,
-                     float(chain.alphas[n_min:].mean()),
-                     float(chain.cg_iterations[n_min:].mean())))
-    return np.array(rows)

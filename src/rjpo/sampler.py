@@ -110,7 +110,6 @@ def tpo_step(
     previous: np.ndarray,
     stream: RngStream,
     epsilon: float,
-    max_iters: int | None = None,
 ) -> KernelOutcome:
     """Truncated PO step from x0 = 0: always accepts, so truncation biases
     the chain.  The acceptance probability is still computed and recorded
@@ -119,7 +118,7 @@ def tpo_step(
     if previous.ndim != 1:
         previous = previous.ravel()
     eta = perturb(target, stream)
-    out = cg_solve(target.precision, eta, epsilon=epsilon, max_iters=max_iters)
+    out = cg_solve(target.precision, eta, epsilon=epsilon)
     x = out.solution
     alpha = math.exp(min(0.0, _acceptance_exponent(out.residual_vector, previous, x)))
     return KernelOutcome(x, x, alpha, True, out.iterations, out.relative_residual)
@@ -130,7 +129,6 @@ def rjpo_step(
     previous: np.ndarray,
     stream: RngStream,
     epsilon: float,
-    max_iters: int | None = None,
 ) -> KernelOutcome:
     """Reversible-jump PO step.
 
@@ -143,7 +141,7 @@ def rjpo_step(
     if previous.ndim != 1:
         previous = previous.ravel()
     eta = perturb(target, stream)
-    out = cg_solve(target.precision, eta, x0=-previous, epsilon=epsilon, max_iters=max_iters)
+    out = cg_solve(target.precision, eta, x0=-previous, epsilon=epsilon)
     x_hat = out.solution
     log_alpha = min(0.0, _acceptance_exponent(out.residual_vector, previous, x_hat))
     u = stream.uniform()
@@ -164,18 +162,18 @@ def epo_kernel():
     return step
 
 
-def tpo_kernel(epsilon: float, max_iters: int | None = None):
+def tpo_kernel(epsilon: float):
     def step(target, previous, stream):
-        return tpo_step(target, previous, stream, epsilon, max_iters)
+        return tpo_step(target, previous, stream, epsilon)
 
     step.epsilon = epsilon
     step.draw = step
     return step
 
 
-def rjpo_kernel(epsilon: float, max_iters: int | None = None):
+def rjpo_kernel(epsilon: float):
     def step(target, previous, stream):
-        return rjpo_step(target, previous, stream, epsilon, max_iters)
+        return rjpo_step(target, previous, stream, epsilon)
 
     step.epsilon = epsilon
     step.draw = step
@@ -192,14 +190,8 @@ class ChainState:
     allocate an N x N array.
     """
 
-    def __init__(self, dim: int, n_max: int, n_min: int,
-                 track_covariance: bool, store_samples: bool):
-        self.dim = dim
-        self.n_max = n_max
-        self.n_min = n_min
-        self.iteration = 0
+    def __init__(self, dim: int, n_max: int, track_covariance: bool, store_samples: bool):
         self.count = 0
-        self.epsilon: float | None = None
         self.x = np.zeros(dim)
         self.alphas = np.zeros(n_max)
         self.accepted = np.zeros(n_max, dtype=bool)
@@ -265,7 +257,7 @@ def run_chain(
     dim = target.dim
     if track_covariance is None:
         track_covariance = dim <= 512
-    state = ChainState(dim, n_max, n_min, track_covariance, store_samples)
+    state = ChainState(dim, n_max, track_covariance, store_samples)
 
     x = np.zeros(dim) if initial is None else np.asarray(initial, dtype=float).ravel().copy()
     if x.size != dim:
@@ -295,6 +287,4 @@ def run_chain(
             state._accumulate(x)
 
     state.x = x
-    state.iteration = n_max
-    state.epsilon = getattr(kernel, "epsilon", None)
     return state

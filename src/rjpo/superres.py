@@ -36,12 +36,16 @@ LAPLACIAN_STENCIL = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0
 PGM_MAX = 65535
 
 
-def laplace_psf(fwhm: float, tail_mass: float = 1e-4) -> np.ndarray:
-    """Laplace-shaped separable blur kernel k(i,j) ~ exp(-(|i|+|j|) 2ln2/fwhm).
+def psf_half_width(fwhm: float, tail_mass: float = 1e-4) -> int:
+    """Half-width h of the support laplace_psf keeps: the smallest h whose
+    centered (2h+1)^2 square discards less than ``tail_mass`` of the
+    infinite-sum mass of k(i,j) ~ q^(|i|+|j|), q = exp(-2 ln2 / fwhm).
 
-    The support is the smallest centered square that discards less than
-    ``tail_mass`` of the total (infinite-sum) kernel mass; the truncated
-    kernel is renormalized to sum to 1.
+    Separable: the 2-D mass inside [-h,h]^2 is (s_h / s_inf)^2 with the 1-D
+    partial sums s_h = 1 + 2(q + ... + q^h), s_inf = (1+q)/(1-q), and
+    s_h / s_inf = 1 - 2q^(h+1)/(1+q).  So h is the smallest integer with
+    q^(h+1) < (1+q)(1 - sqrt(1 - tail_mass))/2, found in closed form: the
+    size check in make_model runs before any kernel is built.
     """
     if not (fwhm > 0 and math.isfinite(fwhm)):
         raise ConfigurationError(f"PSF FWHM must be positive finite, got {fwhm}")
@@ -49,14 +53,21 @@ def laplace_psf(fwhm: float, tail_mass: float = 1e-4) -> np.ndarray:
         raise ConfigurationError(f"tail_mass must lie in (0, 1), got {tail_mass}")
     decay = 2.0 * math.log(2.0) / fwhm
     q = math.exp(-decay)
-    # separable: 2-D mass inside [-h,h]^2 is (s_h / s_inf)^2 with the 1-D
-    # partial sums s_h = 1 + 2(q + ... + q^h), s_inf = (1+q)/(1-q)
-    s_inf = (1.0 + q) / (1.0 - q)
-    s_h, h = 1.0, 0
-    while 1.0 - (s_h / s_inf) ** 2 >= tail_mass:
-        h += 1
-        s_h += 2.0 * q**h
+    # 1 - sqrt(1 - t) without the cancellation
+    bound = 0.5 * (1.0 + q) * tail_mass / (1.0 + math.sqrt(1.0 - tail_mass))
+    return max(0, math.floor(math.log(bound) / -decay))
+
+
+def laplace_psf(fwhm: float, tail_mass: float = 1e-4) -> np.ndarray:
+    """Laplace-shaped separable blur kernel k(i,j) ~ exp(-(|i|+|j|) 2ln2/fwhm).
+
+    The support is the smallest centered square that discards less than
+    ``tail_mass`` of the total (infinite-sum) kernel mass (psf_half_width);
+    the truncated kernel is renormalized to sum to 1.
+    """
+    h = psf_half_width(fwhm, tail_mass)
     idx = np.arange(-h, h + 1)
+    decay = 2.0 * math.log(2.0) / fwhm
     kernel = np.exp(-decay * (np.abs(idx)[:, None] + np.abs(idx)[None, :]))
     return kernel / kernel.sum()
 
@@ -102,16 +113,15 @@ class ConditionalFactor(LinearOperator):
     """F = [sqrt(gamma_y) H; sqrt(gamma_x) D], whose Gram is the conditional
     precision Q = gamma_y B^t C B + gamma_x D^t D.
 
-    B and D are real circulants, so both Grams share the half spectrum
-    V = rfft2(v): Qv = irfft2(gamma_y conj(b) rfft2(C irfft2(b V))
-    + gamma_x |d|^2 V), 4 real transforms.  F^t w scatters its frames once
-    and ends both parts in one inverse, 3 real transforms.
+    B and D are real circulants, so F^t w scatters its frames once and ends
+    both parts in one inverse real transform of their shared half spectrum,
+    3 real transforms.
 
-    CG does not run on images: ``coordinates`` offers the model's
+    Q is not applied on images: ``coordinates`` offers the model's
     HalfSpectrum, where Q is its circulant mean P plus a few alias terms
     (``spectral``) and neither Q nor P^-1 takes a transform.  A CG iteration
-    then costs none, plain or preconditioned (4 and 6 on images), and a
-    solve 4 to cross into the basis and back (see cg_solve).
+    then costs none, plain or preconditioned, and a solve 4 to cross into
+    the basis and back (see cg_solve).
     """
 
     def __init__(self, model: SuperResModel, gamma_y: float, gamma_x: float):
@@ -134,14 +144,6 @@ class ConditionalFactor(LinearOperator):
                     * np.fft.rfft2(self.forward.scatter(data))
                     + math.sqrt(self.gamma_x) * np.conj(self.laplacian.transfer)
                     * np.fft.rfft2(smooth.reshape(self.dims)))
-        return np.fft.irfft2(spectrum, s=self.dims).ravel()
-
-    def _gram(self, v):
-        spectrum = np.fft.rfft2(v.reshape(self.dims))
-        blurred = np.fft.irfft2(spectrum * self.forward.blur.transfer, s=self.dims)
-        spectrum = (self.gamma_y * np.conj(self.forward.blur.transfer)
-                    * np.fft.rfft2(self.forward.counts * blurred)
-                    + self.gamma_x * self.laplacian.gram_transfer * spectrum)
         return np.fft.irfft2(spectrum, s=self.dims).ravel()
 
     @cached_property
@@ -366,6 +368,11 @@ def make_model(
     fwhm: float = 4.0,
     snr_db: float = 20.0,
 ) -> SuperResModel:
+    width = 2 * psf_half_width(fwhm) + 1
+    if width > min(hi_res_dims):
+        raise ConfigurationError(
+            f"a FWHM {fwhm} blur spans {width} pixels, more than the image {tuple(hi_res_dims)}"
+        )
     model = SuperResModel(
         hi_res_dims=tuple(hi_res_dims),
         frames=frames,
@@ -395,24 +402,9 @@ def synthesize(model: SuperResModel, ground_truth, stream: RngStream) -> np.ndar
     return clean + math.sqrt(noise_var) * stream.standard_normal_vector(model.data_count)
 
 
-@dataclass
-class GibbsState:
-    """Mutable Gibbs chain state plus per-iteration records."""
-
-    x: np.ndarray
-    gamma_y: float
-    gamma_x: float
-    epsilon: float | None = None
-    gamma_y_chain: list = field(default_factory=list)
-    gamma_x_chain: list = field(default_factory=list)
-    alpha_chain: list = field(default_factory=list)
-    cg_chain: list = field(default_factory=list)
-
-
-def sample_gamma_y(state: GibbsState, model: SuperResModel, observations,
-                   stream: RngStream) -> float:
-    """Noise-precision conditional Gamma(1 + M/2, 2/||y - Hx||^2)."""
-    residual = observations - model.forward.apply(state.x)
+def sample_gamma_y(x, model: SuperResModel, observations, stream: RngStream) -> float:
+    """Noise-precision conditional Gamma(1 + M/2, 2/||y - Hx||^2) at image x."""
+    residual = observations - model.forward.apply(x)
     sq = float(residual @ residual)
     if sq == 0:
         raise NumericalBreakdownError(
@@ -421,13 +413,13 @@ def sample_gamma_y(state: GibbsState, model: SuperResModel, observations,
     return stream.gamma_draw(1.0 + model.data_count / 2.0, 2.0 / sq)
 
 
-def sample_gamma_x(state: GibbsState, model: SuperResModel, stream: RngStream) -> float:
-    """Smoothness-precision conditional Gamma(1 + (N-1)/2, 2/||Dx||^2).
+def sample_gamma_x(x, model: SuperResModel, stream: RngStream) -> float:
+    """Smoothness-precision conditional Gamma(1 + (N-1)/2, 2/||Dx||^2) at image x.
 
     Shape uses N - 1 because D annihilates constants; a constant image is a
     genuine degeneracy and aborts rather than being regularized away.
     """
-    dx = model.laplacian.apply(state.x)
+    dx = model.laplacian.apply(x)
     sq = float(dx @ dx)
     if sq == 0:
         raise NumericalBreakdownError(
@@ -437,26 +429,15 @@ def sample_gamma_x(state: GibbsState, model: SuperResModel, stream: RngStream) -
 
 
 def conditional_target(model: SuperResModel, back_projection, gamma_y: float,
-                       gamma_x: float, dense_mirror: bool = False) -> GaussianTarget:
+                       gamma_x: float) -> GaussianTarget:
     """The Gaussian conditional of x as a factored target.
 
     Q = gamma_y H^t H + gamma_x D^t D through ConditionalFactor; potential
     Q mu = gamma_y H^t y, from the back-projection H^t y of the observations
-    (fixed for a run, so callers compute it once).  The dense mirror is for
-    small-problem oracles only.
+    (fixed for a run, so callers compute it once).
     """
     precision = FactoredPrecision(ConditionalFactor(model, gamma_y, gamma_x))
-    potential = gamma_y * np.asarray(back_projection, dtype=float)
-    dense_q = dense_mu = None
-    if dense_mirror:
-        n = model.pixel_count
-        if n > 4096:
-            raise ConfigurationError(f"dense mirror refused for N = {n}")
-        basis = np.eye(n)
-        dense_q = np.column_stack([precision.apply(basis[:, j]) for j in range(n)])
-        dense_q = 0.5 * (dense_q + dense_q.T)
-        dense_mu = np.linalg.solve(dense_q, potential)
-    return GaussianTarget(precision, potential, dense_q=dense_q, dense_mu=dense_mu)
+    return GaussianTarget(precision, gamma_y * np.asarray(back_projection, dtype=float))
 
 
 @dataclass
@@ -469,7 +450,6 @@ class GibbsSummary:
     gamma_x_mean: float
     gamma_x_std: float
     x_mean: np.ndarray
-    x_std: np.ndarray
     records: np.ndarray  # columns: iter, gamma_y, gamma_x, alpha, cg_iters
     wall_time: float
     mean_acceptance: float
@@ -517,60 +497,43 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
         )
 
     back_projection = model.forward.apply_transpose(observations)
-    state = GibbsState(x=back_projection.copy(), gamma_y=1.0, gamma_x=1.0)
+    x = back_projection.copy()
     gamma_stream, x_stream = stream.spawn(2)
     x_stream = PairedStream(x_stream, x_stream.spawn(1)[0])
-    n = model.pixel_count
-    x_sum = np.zeros(n)
-    x_sumsq = np.zeros(n)
-    kept = 0
+    records = np.empty((iterations, 5))
+    records[:, 0] = np.arange(1, iterations + 1)
+    x_sum = np.zeros(model.pixel_count)
     start = time.perf_counter()
     for it in range(1, iterations + 1):
         try:
-            state.gamma_y = sample_gamma_y(state, model, observations, gamma_stream)
-            state.gamma_x = sample_gamma_x(state, model, gamma_stream)
-            target = conditional_target(model, back_projection, state.gamma_y, state.gamma_x)
-            outcome = sampler(target, state.x, x_stream)
+            gamma_y = sample_gamma_y(x, model, observations, gamma_stream)
+            gamma_x = sample_gamma_x(x, model, gamma_stream)
+            target = conditional_target(model, back_projection, gamma_y, gamma_x)
+            outcome = sampler(target, x, x_stream)
         except NumericalBreakdownError as exc:
             raise NumericalBreakdownError(
                 f"Gibbs sweep {it} aborted: {exc}", iteration=it
             ) from exc
-        state.x = outcome.next_sample
-        state.epsilon = getattr(sampler, "epsilon", None)
-        state.gamma_y_chain.append(state.gamma_y)
-        state.gamma_x_chain.append(state.gamma_x)
-        state.alpha_chain.append(outcome.acceptance_probability)
-        state.cg_chain.append(outcome.cg_iterations)
+        x = outcome.next_sample
+        records[it - 1, 1:] = (gamma_y, gamma_x, outcome.acceptance_probability,
+                               outcome.cg_iterations)
         if it > burn_in:
-            kept += 1
-            x_sum += state.x
-            x_sumsq += state.x**2
+            x_sum += x
     wall = time.perf_counter() - start
 
-    gy = np.array(state.gamma_y_chain)
-    gx = np.array(state.gamma_x_chain)
-    gy_mean, gy_std = _mean_std(gy[burn_in:])
-    gx_mean, gx_std = _mean_std(gx[burn_in:])
-    x_mean = x_sum / kept
-    if kept >= 2:
-        x_var = np.maximum(x_sumsq - kept * x_mean**2, 0.0) / (kept - 1)
-    else:
-        x_var = np.zeros(n)
-    cg = np.array(state.cg_chain)
-    records = np.column_stack(
-        [np.arange(1, iterations + 1), gy, gx, np.array(state.alpha_chain), cg]
-    )
+    gy_mean, gy_std = _mean_std(records[burn_in:, 1])
+    gx_mean, gx_std = _mean_std(records[burn_in:, 2])
+    cg = records[:, 4]
     return GibbsSummary(
         hi_res_dims=model.hi_res_dims,
         gamma_y_mean=gy_mean,
         gamma_y_std=gy_std,
         gamma_x_mean=gx_mean,
         gamma_x_std=gx_std,
-        x_mean=x_mean,
-        x_std=np.sqrt(x_var),
+        x_mean=x_sum / (iterations - burn_in),
         records=records,
         wall_time=wall,
-        mean_acceptance=float(np.mean(state.alpha_chain)),
+        mean_acceptance=float(records[:, 3].mean()),
         mean_cg=float(cg.mean()),
         peak_cg=int(cg.max()),
     )

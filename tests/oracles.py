@@ -1,9 +1,12 @@
-"""Independent reference implementations the test suite checks against.
+"""Independent reference implementations the test suite checks against,
+and the verification-only helpers built on the package.
 
-Everything here is deliberately naive (dense algebra, direct loops) and
-shares no algorithm with the package under test: it uses numpy, plus the
+The references are deliberately naive (dense algebra, direct loops) and
+share no algorithm with the package under test: they use numpy, plus the
 package's outcome record and error type so the oracle move can run inside
-run_chain.
+run_chain.  The helpers at the end (dense mirrors of a target, the
+acceptance-vs-threshold curve) drive the package itself; no CLI run or
+benchmark needs them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from rjpo.errors import ConfigurationError
-from rjpo.sampler import KernelOutcome
+from rjpo.linop import GaussianTarget
+from rjpo.sampler import KernelOutcome, rjpo_kernel, run_chain
 
 
 def naive_circular_convolve(image: np.ndarray, kernel: np.ndarray,
@@ -192,3 +196,47 @@ def general_rj_step_oracle(target, move: GeneralMoveSpec, previous: np.ndarray,
     rhs_norm = float(np.linalg.norm(rhs))
     rel = float(np.linalg.norm(residual)) / rhs_norm if rhs_norm > 0 else 0.0
     return KernelOutcome(next_sample, proposal, math.exp(log_alpha), accepted, 0, rel)
+
+
+# ------------------------------------------------- helpers on the package
+
+def with_dense_mirror(target: GaussianTarget) -> GaussianTarget:
+    """The target with a dense mirror: Q materialized column by column
+    through its precision and symmetrized, and mu = Q^-1 (Q mu).  Refused
+    beyond N = 4096, where the N x N matrix and its solve stop being an
+    oracle's job."""
+    n = target.dim
+    if n > 4096:
+        raise ConfigurationError(f"dense mirror refused for N = {n}")
+    dense_q = dense_matrix_of(target.precision.apply, n)
+    dense_q = 0.5 * (dense_q + dense_q.T)
+    return GaussianTarget(target.precision, target.potential, dense_q=dense_q,
+                          dense_mu=np.linalg.solve(dense_q, target.potential))
+
+
+def acceptance_curve(target, epsilons, n_max: int, stream) -> np.ndarray:
+    """Mean acceptance probability and CG cost of an RJPO chain per threshold.
+
+    Returns rows (epsilon, mean_alpha, mean_J); statistics exclude the
+    first 10% of each chain.  Row i runs on child i of stream.spawn, so a
+    row depends on its threshold's position in the grid, not on the
+    thresholds after it: dropping a point leaves the rows before it
+    unchanged and moves every later row onto another substream.
+    """
+    epsilons = [float(e) for e in epsilons]
+    if not epsilons:
+        raise ConfigurationError("epsilon grid is empty")
+    if any(e <= 0 for e in epsilons):
+        raise ConfigurationError("epsilon grid entries must be positive")
+    if sorted(epsilons) != epsilons:
+        raise ConfigurationError("epsilon grid must be sorted ascending")
+    streams = stream.spawn(len(epsilons))
+    rows = []
+    n_min = n_max // 10
+    for eps, sub in zip(epsilons, streams):
+        chain = run_chain(target, rjpo_kernel(eps), n_max, n_min, sub,
+                          track_covariance=False)
+        rows.append((eps,
+                     float(chain.alphas[n_min:].mean()),
+                     float(chain.cg_iterations[n_min:].mean())))
+    return np.array(rows)

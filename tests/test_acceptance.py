@@ -19,6 +19,7 @@ import pytest
 import conftest
 from oracles import (
     GeneralMoveSpec,
+    acceptance_curve,
     gaussian_logpdf,
     general_rj_step_oracle,
     lag1_autocorrelation,
@@ -33,7 +34,7 @@ from rjpo.adapt import (
     TargetRate,
     essr_from_alpha,
 )
-from rjpo.diag import acceptance_curve, rmse
+from rjpo.diag import rmse
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
 from rjpo.sampler import epo_kernel, rjpo_kernel, run_chain, tpo_kernel

@@ -1,5 +1,6 @@
 """Controller behavior: gain schedule, fixed points, convergence bands."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rjpo.sampler
 from rjpo.adapt import (
     ALPHA_CLAMP_LOW,
     CORRECTION_CLIP,
@@ -18,6 +20,7 @@ from rjpo.adapt import (
     update_min_cces,
     update_target_rate,
 )
+from rjpo.cg import cg_solve
 from rjpo.errors import ConfigurationError
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
@@ -231,9 +234,12 @@ def test_adaptive_kernel_records_trajectory():
     assert kernel.epsilon == kernel.controller.epsilon
 
 
-def test_adaptive_kernel_honors_iteration_cap():
+def test_adaptive_kernel_honors_iteration_cap(monkeypatch):
+    """With CG capped at 2 iterations, the kernel's recorded costs stay
+    within the cap."""
+    monkeypatch.setattr(rjpo.sampler, "cg_solve", functools.partial(cg_solve, max_iters=2))
     stream = RngStream(4)
     target, _, _ = ar1_target(16, 1.0, 0.8, stream=stream)
-    kernel = AdaptiveRjpoKernel(make_ctrl(TargetRate(0.8)), max_iters=2)
+    kernel = AdaptiveRjpoKernel(make_ctrl(TargetRate(0.8)))
     run_chain(target, kernel, n_max=30, n_min=3, stream=stream)
     assert max(kernel.cg_iterations) <= 2

@@ -77,12 +77,15 @@ def run_cli(argv):
     ["adapt", "--epsilon0", "-1e-3"],
     ["adapt", "--epsilon0", "nan"],
     ["adapt", "--mode", "min_cces", "--epsilon0", "inf"],
+    ["curve", "--n-max", "5", "--epsilon-grid", "1e-2"],
+    ["curve", "--n-max", "12", "--n-min", "8"],
 ])
 def test_unusable_thresholds_are_config_errors(tmp_path, argv):
-    """A NaN, infinite or nonpositive threshold exits 1 before any chain runs."""
+    """A NaN, infinite or nonpositive threshold, or a curve window too short
+    for its ESS witness, exits 1 before any chain runs."""
     rc, err = run_cli(argv + ["--out", str(tmp_path / "x")])
     assert rc == 1
-    assert err.startswith("rjpo: config error:")
+    assert err.startswith("rjpo: config error:") and "Traceback" not in err
 
 
 NON_NUMERIC = st.one_of(

@@ -1,6 +1,7 @@
 """Super-resolution model, conditionals, Gibbs sweep, and image I/O."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -58,6 +59,26 @@ def test_psf_support_follows_the_tail_mass_rule():
         assert h == 0 or 1.0 - mass(h - 1) >= tail
 
 
+def _loop_half_width(fwhm, tail_mass=1e-4):
+    """The half-width by summing the 1-D partial sums term by term until the
+    separable mass outside [-h,h]^2 drops under tail_mass."""
+    q = math.exp(-2.0 * math.log(2.0) / fwhm)
+    s_inf = (1.0 + q) / (1.0 - q)
+    s_h, h = 1.0, 0
+    while 1.0 - (s_h / s_inf) ** 2 >= tail_mass:
+        h += 1
+        s_h += 2.0 * q**h
+    return h
+
+
+def test_closed_form_half_width_matches_the_partial_sum_loop():
+    grid = np.append(np.logspace(-1, 2, 600), 4.0)
+    for tail in (1e-4, 1e-3, 1e-6):
+        for fwhm in grid:
+            assert sr.psf_half_width(fwhm, tail) == _loop_half_width(fwhm, tail), (fwhm, tail)
+    assert sr.psf_half_width(1000.0) == 7144
+
+
 def test_psf_of_fwhm_4_spans_59_cells():
     assert sr.laplace_psf(4.0).shape == (59, 59)
 
@@ -93,6 +114,19 @@ def test_model_validation():
         small_model(snr_db=math.nan)
     with pytest.raises(ConfigurationError):
         small_model(dims=(16, 16), fwhm=4.0)  # 59 x 59 blur exceeds the grid
+
+
+def test_oversized_psf_is_refused_before_it_is_built(monkeypatch):
+    """FWHM 1e4 asks for a 142877 x 142877 kernel; make_model refuses it from
+    the half-width alone."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("laplace_psf called")
+
+    monkeypatch.setattr(sr, "laplace_psf", unbuilt)
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError):
+        sr.make_model((64, 64), fwhm=1e4)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_model_counts_and_frame_offsets():
@@ -169,30 +203,28 @@ def test_gamma_conditional_means():
     model = small_model()
     truth = sr.phantom((16, 16))
     obs = sr.synthesize(model, truth, RngStream(4))
-    state = sr.GibbsState(x=truth.ravel(), gamma_y=1.0, gamma_x=1.0)
+    x = truth.ravel()
     stream = RngStream(5)
 
-    resid = obs - model.forward.apply(state.x)
+    resid = obs - model.forward.apply(x)
     expect_y = (1.0 + model.data_count / 2.0) * 2.0 / float(resid @ resid)
-    draws = np.array([sr.sample_gamma_y(state, model, obs, stream) for _ in range(8000)])
+    draws = np.array([sr.sample_gamma_y(x, model, obs, stream) for _ in range(8000)])
     assert draws.mean() == pytest.approx(expect_y, rel=0.007)
 
-    dx = model.laplacian.apply(state.x)
+    dx = model.laplacian.apply(x)
     expect_x = (1.0 + (model.pixel_count - 1) / 2.0) * 2.0 / float(dx @ dx)
-    draws = np.array([sr.sample_gamma_x(state, model, stream) for _ in range(8000)])
+    draws = np.array([sr.sample_gamma_x(x, model, stream) for _ in range(8000)])
     assert draws.mean() == pytest.approx(expect_x, rel=0.007)
 
 
 def test_degenerate_states_abort():
     model = small_model()
-    flat = sr.GibbsState(x=np.full(model.pixel_count, 0.7), gamma_y=1.0, gamma_x=1.0)
     with pytest.raises(NumericalBreakdownError):
-        sr.sample_gamma_x(flat, model, RngStream(6))
-    truth = sr.phantom((16, 16))
-    exact = sr.GibbsState(x=truth.ravel(), gamma_y=1.0, gamma_x=1.0)
-    clean = model.forward.apply(truth.ravel())
+        sr.sample_gamma_x(np.full(model.pixel_count, 0.7), model, RngStream(6))
+    truth = sr.phantom((16, 16)).ravel()
+    clean = model.forward.apply(truth)
     with pytest.raises(NumericalBreakdownError):
-        sr.sample_gamma_y(exact, model, clean, RngStream(6))
+        sr.sample_gamma_y(truth, model, clean, RngStream(6))
 
 
 # ----------------------------------------------------- Gaussian conditional
@@ -204,7 +236,7 @@ def test_conditional_precision_matches_dense_assembly():
         obs = sr.synthesize(model, sr.phantom((8, 8)), RngStream(7))
         gy, gx = 3.0, 0.5
         back = model.forward.apply_transpose(obs)
-        target = sr.conditional_target(model, back, gy, gx, dense_mirror=True)
+        target = oracles.with_dense_mirror(sr.conditional_target(model, back, gy, gx))
         h_dense = oracles.dense_matrix_of(model.forward.apply, model.pixel_count)
         d_dense = oracles.dense_matrix_of(model.laplacian.apply, model.pixel_count)
         q_expected = gy * h_dense.T @ h_dense + gx * d_dense.T @ d_dense
@@ -280,18 +312,14 @@ def _counted_transforms(monkeypatch):
 
 
 def test_fused_conditional_transform_counts(monkeypatch):
-    """A Q-apply on images runs 4 real transforms and a perturbation 3, no
-    complex FFT.  A CG solve runs in HalfSpectrum coordinates, where Q and
-    P^-1 take none, so a solve runs 4 whatever its iteration count, plain
-    or preconditioned: b and x0 in, solution and residual out (3 without
-    x0)."""
+    """A perturbation runs 3 real transforms, no complex FFT.  A CG solve
+    runs in HalfSpectrum coordinates, where Q and P^-1 take none, so a solve
+    runs 4 whatever its iteration count, plain or preconditioned: b and x0
+    in, solution and residual out (3 without x0)."""
     model = small_model()
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
     target = sr.conditional_target(model, model.forward.apply_transpose(obs), 2.0, 0.8)
     calls = _counted_transforms(monkeypatch)
-    target.precision.apply(np.ones(model.pixel_count))
-    assert calls == {"rfft2": 2, "irfft2": 2}
-    calls.clear()
     eta = perturb(target, RngStream(9))
     assert calls == {"rfft2": 2, "irfft2": 1}
     basis, spectral = target.precision.factor.coordinates()
@@ -308,6 +336,25 @@ def test_fused_conditional_transform_counts(monkeypatch):
             out = cg_solve(precision, eta, x0=start, epsilon=1e-8)
             assert out.iterations > 1
             assert calls == expected
+
+
+@pytest.mark.parametrize("name", ["rjpo", "arjpo", "tpo"])
+def test_gibbs_sweep_transform_counts(monkeypatch, name):
+    """A 64 x 64 Gibbs sweep runs 2 real transforms per gamma conditional
+    (H x, D x), 3 for the perturbation and 4 for the CG solve (3 for tpo,
+    which starts from zero), and no complex FFT.  The difference of a 10-
+    and a 5-sweep run cancels the per-run back-projection H^t y."""
+    per_sweep = {"rfft2": 5 if name == "tpo" else 6, "irfft2": 5}
+    model = sr.make_model((64, 64))
+    obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(32))
+    calls = _counted_transforms(monkeypatch)
+    counts = []
+    for sweeps in (5, 10):
+        calls.clear()
+        sr.run_gibbs(model, obs, sweeps, 0, make_kernel(name, epsilon=1e-2), RngStream(33))
+        counts.append(dict(calls))
+    assert set(counts[1]) == set(per_sweep)
+    assert {k: (counts[1][k] - counts[0][k]) / 5 for k in per_sweep} == per_sweep
 
 
 def test_only_the_exact_solve_preconditions(monkeypatch):
@@ -368,7 +415,7 @@ def test_spectral_gram_matches_the_dense_mirror():
     gy, gx = 3.0, 0.5
     for model in _coordinate_cases():
         n = model.pixel_count
-        target = sr.conditional_target(model, np.zeros(n), gy, gx, dense_mirror=True)
+        target = oracles.with_dense_mirror(sr.conditional_target(model, np.zeros(n), gy, gx))
         basis, spectral = target.precision.factor.coordinates()
         seen = oracles.dense_matrix_of(lambda v: basis.leave(spectral.gram(basis.enter(v))), n)
         stack = _dense_stack(model, gy, gx)
@@ -410,7 +457,7 @@ def test_alias_gram_matches_the_two_transform_gram():
     for model in _alias_cases():
         case = (model.hi_res_dims, model.frames, model.decimation_factor)
         n = model.pixel_count
-        target = sr.conditional_target(model, np.zeros(n), gy, gx, dense_mirror=True)
+        target = oracles.with_dense_mirror(sr.conditional_target(model, np.zeros(n), gy, gx))
         basis, spectral = target.precision.factor.coordinates()
         for _ in range(5):
             s = basis.enter(rng.standard_normal(n))
@@ -499,7 +546,7 @@ def test_dense_mirror_refused_beyond_oracle_size():
     model = sr.make_model((128, 128), frames=2, decimation_factor=2, fwhm=4.0)
     back = np.ones(model.pixel_count)
     with pytest.raises(ConfigurationError):
-        sr.conditional_target(model, back, 1.0, 1.0, dense_mirror=True)
+        oracles.with_dense_mirror(sr.conditional_target(model, back, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("dense_mirror", [True, False],
@@ -512,12 +559,11 @@ def test_exact_conditional_draws_match_cholesky_oracle(dense_mirror):
     model = tiny_model()
     obs = sr.synthesize(model, sr.phantom((8, 8)), RngStream(9))
     back = model.forward.apply_transpose(obs)
-    oracle_target = sr.conditional_target(model, back, 2.0, 0.8, dense_mirror=True)
-    target = sr.conditional_target(model, back, 2.0, 0.8, dense_mirror=dense_mirror)
-    state = sr.GibbsState(x=np.zeros(64), gamma_y=2.0, gamma_x=0.8)
+    oracle_target = oracles.with_dense_mirror(sr.conditional_target(model, back, 2.0, 0.8))
+    target = oracle_target if dense_mirror else sr.conditional_target(model, back, 2.0, 0.8)
     sampler = sr.make_x_sampler("cholesky_epo")
     stream = RngStream(10)
-    draws = np.array([sampler(target, state.x, stream).next_sample
+    draws = np.array([sampler(target, np.zeros(64), stream).next_sample
                       for _ in range(250)])
     oracle = oracles.cholesky_gaussian_draws(
         oracle_target.dense_q, oracle_target.dense_mu, 250, np.random.default_rng(11))
@@ -536,7 +582,7 @@ def test_preconditioned_exact_solve_matches_mirror_solve():
     for seed, model in enumerate(models):
         obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(40 + seed))
         back = model.forward.apply_transpose(obs)
-        mirrored = sr.conditional_target(model, back, gy, gx, dense_mirror=True)
+        mirrored = oracles.with_dense_mirror(sr.conditional_target(model, back, gy, gx))
         bare = sr.conditional_target(model, back, gy, gx)
         out = epo_step(bare, RngStream(50 + seed))
         eta = perturb(mirrored, RngStream(50 + seed))
@@ -604,8 +650,8 @@ def test_adaptive_sampler_keeps_the_conditional_law():
     direct Cholesky draws from the dense conditional."""
     model = tiny_model(dims=(6, 6))
     obs = sr.synthesize(model, sr.phantom((6, 6)), RngStream(13))
-    target = sr.conditional_target(model, model.forward.apply_transpose(obs), 2.0, 0.8,
-                                   dense_mirror=True)
+    target = oracles.with_dense_mirror(
+        sr.conditional_target(model, model.forward.apply_transpose(obs), 2.0, 0.8))
     streams = RngStream(14).spawn(180)
     kept = []
     for sub in streams:
@@ -677,7 +723,6 @@ def test_gibbs_smoke_and_summary_shapes():
     assert summary.gamma_y_mean > 0 and summary.gamma_x_mean > 0
     assert np.isfinite(summary.records).all()
     assert summary.posterior_mean_image.shape == (16, 16)
-    assert summary.x_std.shape == (256,)
     assert summary.wall_time > 0
     assert summary.peak_cg >= summary.mean_cg > 0
 
