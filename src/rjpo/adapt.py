@@ -20,7 +20,6 @@ the adaptive one.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +56,31 @@ class MinCces:
             raise ConfigurationError(f"window_size must be >= 1, got {self.window_size}")
 
 
+class SlopeWindow:
+    """The last ``size`` (log eps, J, alpha) triples as columns of a 3 x 2 size
+    array, each written at i and i + size for i cycling through 0 .. size - 1,
+    so ``columns`` is one contiguous slice, oldest first, and no step moves
+    or rebuilds the window."""
+
+    def __init__(self, size: int):
+        self._rows = np.zeros((3, 2 * size))
+        self._size, self._next, self._count = size, 0, 0
+
+    def append(self, entry) -> None:
+        i = self._next
+        self._rows[:, i] = self._rows[:, i + self._size] = entry
+        self._next = (i + 1) % self._size
+        self._count = min(self._count + 1, self._size)
+
+    def columns(self) -> np.ndarray:
+        """Rows log eps, J and alpha of the filled window, oldest first."""
+        start = self._next if self._count == self._size else 0
+        return self._rows[:, start:start + self._count]
+
+    def __iter__(self):
+        return iter(map(tuple, self.columns().T.tolist()))
+
+
 @dataclass
 class AdaptController:
     """Robbins-Monro state shared by both tuning modes.
@@ -72,7 +96,7 @@ class AdaptController:
     kappa: float = 0.5
     step_index: int = 1
     degenerate_windows: int = 0
-    history: deque = field(default_factory=deque)
+    history: SlopeWindow = field(init=False, repr=False)
 
     def __post_init__(self):
         if not math.isfinite(self.log_epsilon):
@@ -82,7 +106,7 @@ class AdaptController:
         if not 0.0 < self.kappa <= 1.0:
             raise ConfigurationError(f"kappa must lie in (0, 1], got {self.kappa}")
         window = self.mode.window_size if isinstance(self.mode, MinCces) else 1
-        self.history = deque(self.history, maxlen=window)
+        self.history = SlopeWindow(window)
 
     @property
     def epsilon(self) -> float:
@@ -110,8 +134,8 @@ def update_target_rate(ctrl: AdaptController, alpha_n: float) -> AdaptController
 CORRECTION_CLIP = 2.0
 
 
-def _window_slopes(history) -> tuple[float, float, bool]:
-    """Regress alpha and J on log eps over the window.
+def _window_slopes(le, js, alphas) -> tuple[float, float, bool]:
+    """Regress alpha and J on log eps over a window of (log eps, J, alpha).
 
     Returns (dalpha/dlogeps, dJ/dlogeps, degenerate).  log eps is the
     exactly known controlled variable, so both ordinary-least-squares
@@ -120,9 +144,6 @@ def _window_slopes(history) -> tuple[float, float, bool]:
     controller's equilibrium off the fixed point.  Windows with no spread
     in log eps or in J are degenerate and give zero slopes.
     """
-    le = np.array([t[0] for t in history])
-    js = np.array([t[1] for t in history])
-    alphas = np.array([t[2] for t in history])
     var_le = le.var()
     if var_le == 0.0 or js.var() == 0.0:
         return 0.0, 0.0, True
@@ -147,7 +168,7 @@ def update_min_cces(ctrl: AdaptController, j_n: int, alpha_n: float) -> AdaptCon
         raise ConfigurationError("controller is not in min-CCES mode")
     alpha = min(1.0, max(ALPHA_CLAMP_LOW, alpha_n))
     ctrl.history.append((ctrl.log_epsilon, float(j_n), alpha))
-    slope_a, slope_j, degenerate = _window_slopes(ctrl.history)
+    slope_a, slope_j, degenerate = _window_slopes(*ctrl.history.columns())
     essr_gap = alpha - 0.5 * alpha * alpha
     if degenerate:
         ctrl.degenerate_windows += 1

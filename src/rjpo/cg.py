@@ -34,31 +34,25 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     The stopping test uses the cheap recursive residual and is evaluated at
     initialization and after every iteration; the returned residual is
     recomputed so downstream acceptance ratios see the true b - Qx.  With
-    ||b|| = 0 the relative residual is defined as 0 and x0 is returned (to
-    rounding, when mapped through coordinates).
+    ||b|| = 0 the relative residual is defined as 0 and x0 is returned.
 
     When q also has precondition(r), computing M^-1 r for a symmetric
     positive definite M, the search directions are built from z = M^-1 r
     (preconditioned CG); otherwise z = r and this is plain CG.  Either way
     the stopping test is on ||r|| itself.
 
-    When q.coordinates() offers an orthonormal basis (see FactoredPrecision),
-    CG runs there: b and x0 are mapped in, the same loop runs on Q in the
-    basis, and the solution and the recomputed residual are mapped back.
-    The map is an isometry, so iterates, stopping test and residual are
-    those of the solve on images up to rounding.  On the super-resolution
-    conditional Q and P^-1 take no transform there, so an iteration costs
-    none, plain or preconditioned, and a solve 4 real transforms at its
-    boundary: 1 each to map b and x0 in and to map solution and residual
-    out (3 without x0).
+    b, x0 and the solution are vectors in whatever coordinates q.apply
+    takes; the super-resolution Gibbs chain hands over HalfSpectrum
+    coordinates, where Q and P^-1 take no transform, so a solve there costs
+    none, plain or preconditioned.
 
     Args:
       q: object with apply(v) computing Qv for symmetric positive definite Q,
-        and optionally precondition(r) and coordinates().
+        and optionally precondition(r).
       b: right-hand side.
       x0: starting point (defaults to zero).
       epsilon: relative-residual threshold, finite and >= 0.
-      max_iters: iteration cap, defaults to 10 N for the N entries of b.
+      max_iters: iteration cap, defaults to 10 * b.size.
 
     Raises:
       NumericalBreakdownError: non-finite values, nonpositive curvature
@@ -67,7 +61,7 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     """
     b = np.asarray(b, dtype=float).ravel()
     n = b.size
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float).ravel()
     if x.size != n:
         raise ConfigurationError(f"x0 length {x.size} != b length {n}")
     if not 0 <= epsilon < math.inf:
@@ -77,22 +71,11 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     if max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
 
-    found = q.coordinates() if hasattr(q, "coordinates") else None
-    if found is None:
-        x = x.copy()
-    else:
-        basis, q = found
-        image_b, b = b, basis.enter(b)
-        x = np.zeros(b.size) if x0 is None else basis.enter(x)
-
     b_norm = float(np.linalg.norm(b))
     iterations, converged = 0, True
     if b_norm != 0.0:
         iterations, converged = _iterate(q, b, x, b_norm, epsilon, max_iters)
     residual = b - q.apply(x)
-    if found is not None:
-        x, residual = basis.leave(x), basis.leave(residual)
-        b_norm = float(np.linalg.norm(image_b))
     rel = float(np.linalg.norm(residual)) / b_norm if b_norm != 0.0 else 0.0
     return CGOutcome(x, iterations, rel, residual, converged)
 

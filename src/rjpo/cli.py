@@ -4,9 +4,9 @@ Four subcommands: `toy` (AR(1) moment-recovery study), `curve`
 (acceptance/RMSE/cost versus truncation threshold), `adapt` (threshold
 controllers), `superres` (multi-frame super-resolution Gibbs sampler).
 
-Every run writes metadata.json (resolved config + seed + build id) next to
-its outputs; numeric CSVs carry 17 significant digits so downstream
-plotting loses nothing.  Exit codes: 0 ok, 1 config error, 2 numerical
+Every finished run writes metadata.json (resolved config + seed + build id)
+next to its outputs, last; numeric CSVs carry 17 significant digits so
+downstream plotting loses nothing.  Exit codes: 0 ok, 1 config error, 2 numerical
 error, 3 I/O error.
 """
 
@@ -397,7 +397,7 @@ def cmd_adapt(cfg, outdir) -> None:
     trail = traj[-min(2000, n_max):]
     logeps = np.log(trail[:, 1])
     alpha, jits = trail[:, 2], trail[:, 3]
-    slope_a, slope_j, degenerate = _window_slopes(np.column_stack([logeps, jits, alpha]))
+    slope_a, slope_j, degenerate = _window_slopes(logeps, jits, alpha)
     mean_alpha, mean_j = float(alpha.mean()), float(jits.mean())
     resid = (mean_j * (slope_a / slope_j) - mean_alpha + mean_alpha**2 / 2
              if not degenerate else float("nan"))
@@ -487,10 +487,12 @@ _DISPATCH = {"toy": cmd_toy, "curve": cmd_curve, "adapt": cmd_adapt,
 
 
 def run_subcommand(name: str, cfg: dict, outdir: str) -> None:
-    """Resolved-config entry point; also what metadata-driven re-runs call."""
+    """Resolved-config entry point; also what metadata-driven re-runs call.
+    metadata.json goes last, so a run that fails leaves none."""
+    metadata = {**cfg, "subcommand": name}
     os.makedirs(outdir, exist_ok=True)
-    _write_metadata(outdir, {**cfg, "subcommand": name})
     _DISPATCH[name](cfg, outdir)
+    _write_metadata(outdir, metadata)
 
 
 def main(argv=None) -> int:

@@ -117,16 +117,16 @@ class CirculantOperator(LinearOperator):
 class FactoredPrecision:
     """Precision held through a factor F with Q = F^t F (F maps R^N -> R^N').
 
-    A factor may offer ``coordinates()``: an orthonormal basis, whose
-    ``enter`` maps an image in and ``leave`` maps it back, and a factor
-    whose Gram is Q in that basis.  cg_solve then runs there (see
-    ``coordinates``).
+    The factor needs ``in_dim``, ``out_dim``, ``gram`` (Q) and
+    ``apply_transpose`` (F^t, which perturbations draw through), and may
+    offer ``precondition``.  Vectors live in whatever coordinates the
+    factor takes: images for the operators here, HalfSpectrum coordinates
+    for the super-resolution conditional.
     """
 
     def __init__(self, factor, preconditioned: bool = False):
         self.factor = factor
         self.dim = factor.in_dim
-        self.is_preconditioned = preconditioned
         if preconditioned and hasattr(factor, "precondition"):
             self.precondition = factor.precondition
 
@@ -137,18 +137,8 @@ class FactoredPrecision:
     def preconditioned(self) -> FactoredPrecision:
         """This Q as seen by a preconditioned cg_solve: the same apply, plus
         the factor's ``precondition`` (an SPD approximation of Q^-1) when it
-        has one, here or in the factor's coordinates.  Without one it is
-        solved by plain CG."""
+        has one.  Without one it is solved by plain CG."""
         return FactoredPrecision(self.factor, preconditioned=True)
-
-    def coordinates(self):
-        """(basis, Q in the basis) when the factor offers orthonormal
-        coordinates, else None.  Q there is preconditioned when this one is."""
-        offer = getattr(self.factor, "coordinates", None)
-        if offer is None:
-            return None
-        basis, factor = offer()
-        return basis, FactoredPrecision(factor, self.is_preconditioned)
 
 
 @dataclass

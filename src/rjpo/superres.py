@@ -10,9 +10,9 @@ with one large Gaussian conditional
                              Q mu = gamma_y H^t y,
 
 drawn matrix-free by any kernel from adapt.make_kernel.  B and D are
-circulant, so Q is never materialized: ConditionalFactor applies it on one
-shared real-FFT half spectrum, and CG runs in that spectrum's orthonormal
-coordinates (HalfSpectrum), where Q needs no transform at all.
+circulant, so the chain lives in the orthonormal coordinates of the real-FFT
+half spectrum (HalfSpectrum), where Q takes no transform (SpectralConditional)
+and a sweep takes 3 (see run_gibbs).
 """
 
 from __future__ import annotations
@@ -92,10 +92,14 @@ class FrameStack(LinearOperator):
         for r, c in self.offsets:
             self.counts[r::factor, c::factor] += 1.0
 
-    def _apply(self, v):
-        image = self.blur.apply(v).reshape(self.blur.image_dims)
+    def gather(self, image) -> np.ndarray:
+        """H without the blur: each frame's sub-lattice of the image, stacked."""
+        image = image.reshape(self.blur.image_dims)
         f = self.factor
         return np.concatenate([image[r::f, c::f].ravel() for r, c in self.offsets])
+
+    def _apply(self, v):
+        return self.gather(self.blur.apply(v))
 
     def scatter(self, w) -> np.ndarray:
         """H^t without the blur: each frame added onto its sub-lattice."""
@@ -109,53 +113,6 @@ class FrameStack(LinearOperator):
         return self.blur.apply_transpose(self.scatter(w).ravel())
 
 
-class ConditionalFactor(LinearOperator):
-    """F = [sqrt(gamma_y) H; sqrt(gamma_x) D], whose Gram is the conditional
-    precision Q = gamma_y B^t C B + gamma_x D^t D.
-
-    B and D are real circulants, so F^t w scatters its frames once and ends
-    both parts in one inverse real transform of their shared half spectrum,
-    3 real transforms.
-
-    Q is not applied on images: ``coordinates`` offers the model's
-    HalfSpectrum, where Q is its circulant mean P plus a few alias terms
-    (``spectral``) and neither Q nor P^-1 takes a transform.  A CG iteration
-    then costs none, plain or preconditioned, and a solve 4 to cross into
-    the basis and back (see cg_solve).
-    """
-
-    def __init__(self, model: SuperResModel, gamma_y: float, gamma_x: float):
-        if not (gamma_y > 0 and gamma_x > 0):
-            raise ConfigurationError(f"precisions must be positive, got {gamma_y}, {gamma_x}")
-        self.model = model
-        self.forward, self.laplacian = model.forward, model.laplacian
-        self.dims = model.hi_res_dims
-        self.gamma_y, self.gamma_x = float(gamma_y), float(gamma_x)
-        self.in_dim = model.pixel_count
-        self.out_dim = model.data_count + model.pixel_count
-
-    def _apply(self, v):
-        return np.concatenate([math.sqrt(self.gamma_y) * self.forward.apply(v),
-                               math.sqrt(self.gamma_x) * self.laplacian.apply(v)])
-
-    def _apply_transpose(self, w):
-        data, smooth = np.split(w, [self.forward.out_dim])
-        spectrum = (math.sqrt(self.gamma_y) * np.conj(self.forward.blur.transfer)
-                    * np.fft.rfft2(self.forward.scatter(data))
-                    + math.sqrt(self.gamma_x) * np.conj(self.laplacian.transfer)
-                    * np.fft.rfft2(smooth.reshape(self.dims)))
-        return np.fft.irfft2(spectrum, s=self.dims).ravel()
-
-    @cached_property
-    def spectral(self) -> SpectralConditional:
-        """Q and P^-1 in the model's HalfSpectrum coordinates."""
-        return SpectralConditional(self.model.half_spectrum, self.gamma_y, self.gamma_x)
-
-    def coordinates(self):
-        """The basis cg_solve runs in, and the factor whose Gram is Q there."""
-        return self.spectral.basis, self.spectral
-
-
 class HalfSpectrum:
     """Orthonormal real coordinates of real images on the rfft2 half spectrum.
 
@@ -163,13 +120,18 @@ class HalfSpectrum:
     W[:, j] = sqrt(w_j / N): w_j = 1 for column 0 and, when the width is
     even, for the Nyquist column, and 2 for every other column (each stands
     for itself and its mirror).  By Parseval, <enter(x), enter(y)> = <x, y>
-    for real images, and leave(enter(x)) = x.  B, D and their circulant
-    means are diagonal here (Chan & Ng, SIAM Review 1996).
+    for real images, and leave(enter(x)) = x.  The dim = 2 R (K//2 + 1)
+    coordinates hold the N real images as a subspace, the image of enter.
+    B, D and their circulant means are diagonal here (Chan & Ng, SIAM
+    Review 1996).
 
-    One per model: it also holds the gamma-independent parts of the
-    conditional's Gram, the diagonals |d|^2 and mean(C) |b|^2 and the
-    ``aliases`` table.  C is periodic with the decimation factor f, so its
-    spectrum lives on the f^2 bins (p R/f, q K/f) of the R x K grid, with
+    One per model, built on first use: the Gibbs chain's state lives here,
+    and it holds every gamma-independent multiplier the chain needs: W
+    conj(b) and W conj(d) for F^t (``back_project`` and the perturbation),
+    b / W for B x (``blurred``), and the parts of the conditional's Gram,
+    the diagonals |d|^2 and mean(C) |b|^2 and the ``aliases`` table.  C is
+    periodic with the decimation factor f, so its spectrum lives on the f^2
+    bins (p R/f, q K/f) of the R x K grid, with
     c_pq = fft2(C)[p R/f, q K/f] / N and c_00 = mean(C), and multiplying
     by C mixes each frequency only with its aliases (Tsai & Huang 1984):
 
@@ -196,17 +158,19 @@ class HalfSpectrum:
             weights[:, -1] = 1.0
         self.scale = np.sqrt(weights / model.pixel_count)
         self.unscale = 1.0 / self.scale
+        self.forward = model.forward
         transfer = model.blur.transfer
         counts = model.forward.counts
+        self.adjoint_blur = np.conj(transfer) * self.scale
+        self.adjoint_smooth = np.conj(model.laplacian.transfer) * self.scale
+        self.blur = transfer * self.unscale
         self.smooth_gram = model.laplacian.gram_transfer.astype(complex)
         self.mean_data_gram = (counts.mean() * model.blur.gram_transfer).astype(complex)
 
         f = model.decimation_factor
         coefficients = np.fft.fft2(counts[:f, :f]) / f**2  # c_pq from one period of C
         row, col = np.arange(rows)[:, None], np.arange(half)[None, :]
-        blur = transfer * self.unscale
-        both = np.concatenate([blur, np.conj(blur)])
-        adjoint_blur = np.conj(transfer) * self.scale
+        both = np.concatenate([self.blur, np.conj(self.blur)])
         self.aliases = []
         for (p, q), c in np.ndenumerate(coefficients):
             # c_pq sums f^2 integer multiples of f-th roots of unity: below
@@ -219,7 +183,7 @@ class HalfSpectrum:
             index = np.where(source_col > cols // 2,
                              (rows + (-source_row) % rows) * half + cols - source_col,
                              source_row * half + source_col)
-            self.aliases.append((index, c * adjoint_blur * np.take(both, index)))
+            self.aliases.append((index, c * self.adjoint_blur * np.take(both, index)))
 
     def enter(self, x):
         """s = W rfft2(x) for a flattened real image x."""
@@ -230,10 +194,26 @@ class HalfSpectrum:
         spectrum = s.view(complex).reshape(self.shape) * self.unscale
         return np.fft.irfft2(spectrum, s=self.dims).ravel()
 
+    def back_project(self, data):
+        """enter(H^t data) for stacked frames: W conj(b) rfft2(scatter(data)),
+        one rfft2."""
+        spectrum = self.adjoint_blur * np.fft.rfft2(self.forward.scatter(data))
+        return spectrum.view(float).ravel()
+
+    def blurred(self, s):
+        """The blurred image B x of x = leave(s): irfft2((b / W) s), one
+        irfft2."""
+        spectrum = self.blur * s.view(complex).reshape(self.shape)
+        return np.fft.irfft2(spectrum, s=self.dims)
+
 
 class SpectralConditional:
-    """The conditional precision in HalfSpectrum coordinates, as a factor
-    whose Gram is Q there.  Replacing C by its mean gives the circulant
+    """The factor F = [sqrt(gamma_y) H; sqrt(gamma_x) D] seen from
+    HalfSpectrum coordinates, whose Gram is the conditional precision Q
+    there.  F^t w = enter(sqrt(gamma_y) H^t w_y + sqrt(gamma_x) D^t w_x)
+    scatters the frames and ends in the spectrum: 2 rfft2, no inverse.
+
+    Replacing C by its mean gives the circulant
     P = gamma_y mean(C) |b|^2 + gamma_x |d|^2 (the Strang/Chan
     preconditioner), diagonal here; Q is P plus the alias terms of C:
 
@@ -245,15 +225,26 @@ class SpectralConditional:
     factor^2, C = I and Q = P.
 
     The alias sum is Q only on real images' half spectra (the image of
-    ``enter``), where it is the spectrum of B^t C B x; CG's iterates stay
-    there up to rounding.
+    ``enter``), where it is the spectrum of B^t C B x; the Gibbs state,
+    every perturbation and CG's iterates stay there up to rounding.
     """
 
     def __init__(self, basis: HalfSpectrum, gamma_y: float, gamma_x: float):
+        if not (gamma_y > 0 and gamma_x > 0):
+            raise ConfigurationError(f"precisions must be positive, got {gamma_y}, {gamma_x}")
         self.basis = basis
         self.in_dim = basis.dim
+        self.out_dim = basis.forward.out_dim + basis.forward.in_dim
+        self._roots = math.sqrt(gamma_y), math.sqrt(gamma_x)
         self._mean_gram = gamma_y * basis.mean_data_gram + gamma_x * basis.smooth_gram
         self._aliases = [(index, gamma_y * weight) for index, weight in basis.aliases]
+
+    def apply_transpose(self, w):
+        basis, (root_y, root_x) = self.basis, self._roots
+        data, smooth = np.split(w, [basis.forward.out_dim])
+        spectrum = (root_y * basis.adjoint_blur * np.fft.rfft2(basis.forward.scatter(data))
+                    + root_x * basis.adjoint_smooth * np.fft.rfft2(smooth.reshape(basis.dims)))
+        return spectrum.view(float).ravel()
 
     def gram(self, s):
         spectrum = s.view(complex).reshape(self.basis.shape)
@@ -357,7 +348,7 @@ class SuperResModel:
 
     @cached_property
     def half_spectrum(self) -> HalfSpectrum:
-        """The coordinates CG runs in on this model's conditionals."""
+        """The coordinates this model's Gibbs chain runs in."""
         return HalfSpectrum(self)
 
 
@@ -402,9 +393,10 @@ def synthesize(model: SuperResModel, ground_truth, stream: RngStream) -> np.ndar
     return clean + math.sqrt(noise_var) * stream.standard_normal_vector(model.data_count)
 
 
-def sample_gamma_y(x, model: SuperResModel, observations, stream: RngStream) -> float:
-    """Noise-precision conditional Gamma(1 + M/2, 2/||y - Hx||^2) at image x."""
-    residual = observations - model.forward.apply(x)
+def sample_gamma_y(s, model: SuperResModel, observations, stream: RngStream) -> float:
+    """Noise-precision conditional Gamma(1 + M/2, 2/||y - Hx||^2) at the
+    image x with HalfSpectrum coordinates s: one irfft2 for Hx."""
+    residual = observations - model.forward.gather(model.half_spectrum.blurred(s))
     sq = float(residual @ residual)
     if sq == 0:
         raise NumericalBreakdownError(
@@ -413,14 +405,16 @@ def sample_gamma_y(x, model: SuperResModel, observations, stream: RngStream) -> 
     return stream.gamma_draw(1.0 + model.data_count / 2.0, 2.0 / sq)
 
 
-def sample_gamma_x(x, model: SuperResModel, stream: RngStream) -> float:
-    """Smoothness-precision conditional Gamma(1 + (N-1)/2, 2/||Dx||^2) at image x.
+def sample_gamma_x(s, model: SuperResModel, stream: RngStream) -> float:
+    """Smoothness-precision conditional Gamma(1 + (N-1)/2, 2/||Dx||^2) at the
+    image x with HalfSpectrum coordinates s, where ||Dx||^2 = sum |d|^2 |s|^2
+    takes no transform.
 
     Shape uses N - 1 because D annihilates constants; a constant image is a
     genuine degeneracy and aborts rather than being regularized away.
     """
-    dx = model.laplacian.apply(x)
-    sq = float(dx @ dx)
+    spectrum = s.view(complex)
+    sq = float(np.vdot(spectrum, model.half_spectrum.smooth_gram.ravel() * spectrum).real)
     if sq == 0:
         raise NumericalBreakdownError(
             "Dx = 0 (constant image): smoothness-precision conditional is degenerate"
@@ -430,13 +424,15 @@ def sample_gamma_x(x, model: SuperResModel, stream: RngStream) -> float:
 
 def conditional_target(model: SuperResModel, back_projection, gamma_y: float,
                        gamma_x: float) -> GaussianTarget:
-    """The Gaussian conditional of x as a factored target.
+    """The Gaussian conditional of x as a factored target in the model's
+    HalfSpectrum coordinates.
 
-    Q = gamma_y H^t H + gamma_x D^t D through ConditionalFactor; potential
-    Q mu = gamma_y H^t y, from the back-projection H^t y of the observations
-    (fixed for a run, so callers compute it once).
+    Q = gamma_y H^t H + gamma_x D^t D through SpectralConditional; potential
+    Q mu = gamma_y H^t y, from the back-projection of the observations in
+    coordinates, half_spectrum.back_project(y) (fixed for a run, so callers
+    compute it once).
     """
-    precision = FactoredPrecision(ConditionalFactor(model, gamma_y, gamma_x))
+    precision = FactoredPrecision(SpectralConditional(model.half_spectrum, gamma_y, gamma_x))
     return GaussianTarget(precision, gamma_y * np.asarray(back_projection, dtype=float))
 
 
@@ -471,10 +467,13 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
               sampler, stream: RngStream) -> GibbsSummary:
     """Cycle gamma_y -> gamma_x -> x for `iterations` sweeps.
 
-    The chain starts from x = H^t y (data-driven and never constant, so the
-    smoothness conditional is well defined at the first sweep); the same
-    back-projection H^t y scales into every sweep's potential.  Summaries
-    use sweeps burn_in+1 .. iterations.
+    The chain's state is x in the model's HalfSpectrum coordinates: H^t y is
+    mapped in once (1 rfft2), a sweep takes 2 rfft2 for the perturbation and
+    1 irfft2 for the data residual, and the posterior mean is mapped out once
+    (1 irfft2).  The chain starts from x = H^t y (data-driven and never
+    constant, so the smoothness conditional is well defined at the first
+    sweep); the same back-projection scales into every sweep's potential.
+    Summaries use sweeps burn_in+1 .. iterations.
 
     Gamma conditionals and the x perturbation draw from separate substreams
     of `stream`.  Gamma draws use rejection sampling, so their consumption
@@ -496,13 +495,14 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
             f"burn-in {burn_in} leaves no kept sweeps out of {iterations}"
         )
 
-    back_projection = model.forward.apply_transpose(observations)
+    basis = model.half_spectrum
+    back_projection = basis.back_project(observations)
     x = back_projection.copy()
     gamma_stream, x_stream = stream.spawn(2)
     x_stream = PairedStream(x_stream, x_stream.spawn(1)[0])
     records = np.empty((iterations, 5))
     records[:, 0] = np.arange(1, iterations + 1)
-    x_sum = np.zeros(model.pixel_count)
+    x_sum = np.zeros(basis.dim)
     start = time.perf_counter()
     for it in range(1, iterations + 1):
         try:
@@ -530,7 +530,7 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
         gamma_y_std=gy_std,
         gamma_x_mean=gx_mean,
         gamma_x_std=gx_std,
-        x_mean=x_sum / (iterations - burn_in),
+        x_mean=basis.leave(x_sum / (iterations - burn_in)),
         records=records,
         wall_time=wall,
         mean_acceptance=float(records[:, 3].mean()),

@@ -351,10 +351,11 @@ def test_11_conditional_draw_memory_stays_linear():
     truth = sr.phantom((128, 128))
     obs = sr.synthesize(model, truth, RngStream(55))
     sampler = sr.make_x_sampler("tpo", epsilon=1e-4)
-    previous = np.zeros(model.pixel_count)
+    back = model.half_spectrum.back_project(obs)
+    previous = np.zeros(back.size)
     stream = RngStream(56)
     tracemalloc.start()
-    target = sr.conditional_target(model, model.forward.apply_transpose(obs), 120.0, 15.0)
+    target = sr.conditional_target(model, back, 120.0, 15.0)
     outcome = sampler(target, previous, stream)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()

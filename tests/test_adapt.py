@@ -2,6 +2,7 @@
 
 import functools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from rjpo.adapt import (
     AdaptController,
     AdaptiveRjpoKernel,
     MinCces,
+    SlopeWindow,
     TargetRate,
+    _window_slopes,
     essr_from_alpha,
     update_min_cces,
     update_target_rate,
@@ -106,6 +109,40 @@ def test_target_rate_trailing_acceptance_reaches_band():
 
 
 # ------------------------------------------------------------- min-CCES mode
+
+def _tuple_window_slopes(history):
+    """The window regression on a deque of (log eps, J, alpha) tuples, with
+    the three arrays rebuilt from it: the reference the in-place window
+    must reproduce bit for bit."""
+    le = np.array([t[0] for t in history])
+    js = np.array([t[1] for t in history])
+    alphas = np.array([t[2] for t in history])
+    var_le = le.var()
+    if var_le == 0.0 or js.var() == 0.0:
+        return 0.0, 0.0, True
+    dle = le - le.mean()
+    slope_a = float((dle * (alphas - alphas.mean())).mean() / var_le)
+    slope_j = float((dle * (js - js.mean())).mean() / var_le)
+    return slope_a, slope_j, slope_j == 0.0
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 10_000), size=st.sampled_from([1, 2, 3, 7, 50, 200]))
+def test_slope_window_matches_the_tuple_window_bitwise(seed, size):
+    """After every append, from the first entry through several wraps of
+    the window, the in-place window holds the same triples in the same
+    order as a deque(maxlen=size) and gives bitwise the same slopes; J runs
+    constant for stretches, so degenerate windows occur too."""
+    rng = np.random.default_rng(seed)
+    window, reference = SlopeWindow(size), deque(maxlen=size)
+    for step in range(3 * size + 5):
+        j = 40.0 if step % 23 < 4 else float(rng.integers(5, 80))
+        entry = (float(rng.normal(-5.0, 0.3)), j, float(rng.uniform(1e-6, 1.0)))
+        window.append(entry)
+        reference.append(entry)
+        assert list(window) == list(reference)
+        assert _window_slopes(*window.columns()) == _tuple_window_slopes(reference)
+
 
 def test_correction_vanishes_on_the_optimality_curve():
     """With window data lying on an affine (log eps, J, alpha) relationship

@@ -88,6 +88,21 @@ def test_unusable_thresholds_are_config_errors(tmp_path, argv):
     assert err.startswith("rjpo: config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["superres", "--fwhm", "1000"],
+    ["curve", "--n-max", "5"],
+])
+def test_failed_runs_write_no_metadata(tmp_path, argv):
+    """metadata.json marks a finished run: a run that exits 1 on its config
+    leaves none, and a good run still writes it."""
+    out = tmp_path / "x"
+    rc, _ = run_cli(argv + ["--out", str(out)])
+    assert rc == 1
+    assert not (out / "metadata.json").exists()
+    assert cli.main(TOY_TINY + ["--out", str(out)]) == 0
+    assert json.loads((out / "metadata.json").read_text())["subcommand"] == "toy"
+
+
 NON_NUMERIC = st.one_of(
     st.text(alphabet="bcdghjkmopqvwxz", min_size=1, max_size=8),
     st.sampled_from(["1.5.2", "1e", "0x10", "--", "[1, 2]"]),

@@ -2,7 +2,14 @@
 
 import json
 
+import numpy as np
+
+import rjpo.sampler
+import ulp_control
 from compare_outputs import compare, main, relative_change
+from rjpo import cli
+from rjpo import superres as sr
+from rjpo.rng import RngStream
 
 
 def _write(root, files):
@@ -45,3 +52,31 @@ def test_compare_reports_files_columns_and_fields(tmp_path, capsys):
     assert main([str(a), str(b)]) == 1
     assert main([str(a / "run"), str(a / "run")]) == 0
     assert "identical  chain.csv" in capsys.readouterr().out
+
+
+def test_ulp_control_reruns_a_superres_run_with_moved_etas(tmp_path, capsys):
+    """The control replays DIR_A's config into DIR_B with every eta one ulp
+    up, restores the sampler afterwards, and prints the comparison: same
+    config and data, moved chain."""
+    model = sr.make_model((16, 16), fwhm=1.0)
+    back = model.half_spectrum.back_project(np.ones(model.data_count))
+    target = sr.conditional_target(model, back, 2.0, 0.5)
+    perturb = rjpo.sampler.perturb
+    with ulp_control.etas_moved_by_one_ulp():
+        moved = rjpo.sampler.perturb(target, RngStream(1))
+    assert rjpo.sampler.perturb is perturb
+    assert np.array_equal(moved, np.nextafter(perturb(target, RngStream(1)), np.inf))
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["superres", "--dims", "16", "--fwhm", "1.0", "--iterations", "6",
+                     "--burn-in", "2", "--seed", "3", "--out", str(a)]) == 0
+    capsys.readouterr()
+    assert ulp_control.main([str(a), str(b)]) == 0
+    assert rjpo.sampler.perturb is perturb
+    report = capsys.readouterr().out.splitlines()
+    for name in ("ground_truth.pgm", "metadata.json"):
+        assert f"identical  {name}" in report
+    assert "differs    chain.csv" in report
+    assert ulp_control.main([str(a)]) == 2
+    assert cli.main(["toy", "--n", "4", "--n-max", "50", "--out", str(tmp_path / "t")]) == 0
+    assert ulp_control.main([str(tmp_path / "t"), str(tmp_path / "u")]) == 1

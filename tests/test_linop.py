@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_matrix_of, naive_circular_convolve
+from oracles import ConditionalFactor, dense_matrix_of, naive_circular_convolve
 from rjpo.errors import ConfigurationError
 from rjpo.linop import (
     CirculantOperator,
@@ -14,7 +14,7 @@ from rjpo.linop import (
 )
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
-from rjpo.superres import ConditionalFactor, FrameStack, SuperResModel
+from rjpo.superres import FrameStack, SuperResModel
 
 
 def _random_ops(seed):

@@ -12,7 +12,7 @@ from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import CirculantOperator
 from rjpo.rng import PairedStream, RngStream
 from rjpo.cg import cg_solve
-from rjpo.sampler import EXACT_EPSILON, KernelOutcome, epo_step, perturb
+from rjpo.sampler import EXACT_EPSILON, KernelOutcome, _exact_cg_solve, epo_step, perturb
 from rjpo import superres as sr
 
 SMOOTH_3X3 = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
@@ -206,42 +206,52 @@ def test_gamma_conditional_means():
     x = truth.ravel()
     stream = RngStream(5)
 
+    s = model.half_spectrum.enter(x)
+
     resid = obs - model.forward.apply(x)
     expect_y = (1.0 + model.data_count / 2.0) * 2.0 / float(resid @ resid)
-    draws = np.array([sr.sample_gamma_y(x, model, obs, stream) for _ in range(8000)])
+    draws = np.array([sr.sample_gamma_y(s, model, obs, stream) for _ in range(8000)])
     assert draws.mean() == pytest.approx(expect_y, rel=0.007)
 
     dx = model.laplacian.apply(x)
     expect_x = (1.0 + (model.pixel_count - 1) / 2.0) * 2.0 / float(dx @ dx)
-    draws = np.array([sr.sample_gamma_x(x, model, stream) for _ in range(8000)])
+    draws = np.array([sr.sample_gamma_x(s, model, stream) for _ in range(8000)])
     assert draws.mean() == pytest.approx(expect_x, rel=0.007)
 
 
 def test_degenerate_states_abort():
     model = small_model()
+    enter = model.half_spectrum.enter
     with pytest.raises(NumericalBreakdownError):
-        sr.sample_gamma_x(np.full(model.pixel_count, 0.7), model, RngStream(6))
-    truth = sr.phantom((16, 16)).ravel()
-    clean = model.forward.apply(truth)
+        sr.sample_gamma_x(enter(np.full(model.pixel_count, 0.7)), model, RngStream(6))
+    # frames equal to H x as the chain computes it from the coordinates
+    state = enter(sr.phantom((16, 16)).ravel())
+    clean = model.forward.gather(model.half_spectrum.blurred(state))
     with pytest.raises(NumericalBreakdownError):
-        sr.sample_gamma_y(truth, model, clean, RngStream(6))
+        sr.sample_gamma_y(state, model, clean, RngStream(6))
 
 
 # ----------------------------------------------------- Gaussian conditional
 
 def test_conditional_precision_matches_dense_assembly():
+    """The conditional target, seen from images through leave and enter,
+    has the densely assembled Q, and its potential is gamma_y H^t y."""
     # five frames at factor 2 sample the phase (0, 0) twice
     for frames in (2, 5):
         model = tiny_model(frames=frames)
+        basis = model.half_spectrum
         obs = sr.synthesize(model, sr.phantom((8, 8)), RngStream(7))
         gy, gx = 3.0, 0.5
-        back = model.forward.apply_transpose(obs)
-        target = oracles.with_dense_mirror(sr.conditional_target(model, back, gy, gx))
+        target = sr.conditional_target(model, basis.back_project(obs), gy, gx)
+        dense_q = oracles.dense_matrix_of(
+            lambda v: basis.leave(target.precision.apply(basis.enter(v))), model.pixel_count)
+        dense_q = 0.5 * (dense_q + dense_q.T)
+        dense_mu = np.linalg.solve(dense_q, basis.leave(target.potential))
         h_dense = oracles.dense_matrix_of(model.forward.apply, model.pixel_count)
         d_dense = oracles.dense_matrix_of(model.laplacian.apply, model.pixel_count)
         q_expected = gy * h_dense.T @ h_dense + gx * d_dense.T @ d_dense
-        assert np.allclose(target.dense_q, q_expected, atol=1e-10)
-        assert np.allclose(q_expected @ target.dense_mu,
+        assert np.allclose(dense_q, q_expected, atol=1e-10)
+        assert np.allclose(q_expected @ dense_mu,
                            gy * h_dense.T @ obs, atol=1e-8)
 
 
@@ -265,22 +275,27 @@ def _dense_stack(model, gamma_y, gamma_x):
 
 
 def test_conditional_factor_matches_dense_stack():
-    """The fused factor's apply, transpose and Gram against the dense stack
-    F = [sqrt(gamma_y) H; sqrt(gamma_x) D]; its Gram is the weighted sum
-    gamma_y H^t H + gamma_x D^t D to 1e-13 relative."""
+    """The image-space factor's apply, transpose and Gram, and the transpose
+    of the factor in HalfSpectrum coordinates seen from images (leave F^t),
+    against the dense stack F = [sqrt(gamma_y) H; sqrt(gamma_x) D]; its Gram
+    is the weighted sum gamma_y H^t H + gamma_x D^t D to 1e-13 relative."""
     gy, gx = 3.0, 0.5
     cases = [(dims, frames, 2) for dims in ((8, 8), (16, 16)) for frames in range(1, 6)]
     for dims, frames, factor in cases + [((9, 15), 4, 3)]:  # one odd-column grid
         model = sr.SuperResModel(hi_res_dims=dims, frames=frames,
                                  decimation_factor=factor, psf_kernel=SMOOTH_3X3)
-        factor_op = sr.ConditionalFactor(model, gy, gx)
+        factor_op = oracles.ConditionalFactor(model, gy, gx)
+        spectral = sr.SpectralConditional(model.half_spectrum, gy, gx)
         stack = _dense_stack(model, gy, gx)
         n = model.pixel_count
-        assert factor_op.out_dim == stack.shape[0]
+        assert factor_op.out_dim == spectral.out_dim == stack.shape[0]
+        spectral_transpose = oracles.dense_matrix_of(
+            lambda w: model.half_spectrum.leave(spectral.apply_transpose(w)), stack.shape[0])
         for fused, dense in (
             (oracles.dense_matrix_of(factor_op.apply, n), stack),
             (oracles.dense_matrix_of(factor_op.apply_transpose, factor_op.out_dim), stack.T),
             (oracles.dense_matrix_of(factor_op.gram, n), stack.T @ stack),
+            (spectral_transpose, stack.T),
         ):
             assert np.max(np.abs(fused - dense)) <= 1e-13 * np.max(np.abs(dense)), (dims, frames)
 
@@ -289,7 +304,7 @@ def test_conditional_factor_validation():
     model = tiny_model()
     for gy, gx in ((0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.nan)):
         with pytest.raises(ConfigurationError):
-            sr.ConditionalFactor(model, gy, gx)
+            sr.SpectralConditional(model.half_spectrum, gy, gx)
 
 
 def _counted_transforms(monkeypatch):
@@ -312,49 +327,48 @@ def _counted_transforms(monkeypatch):
 
 
 def test_fused_conditional_transform_counts(monkeypatch):
-    """A perturbation runs 3 real transforms, no complex FFT.  A CG solve
-    runs in HalfSpectrum coordinates, where Q and P^-1 take none, so a solve
-    runs 4 whatever its iteration count, plain or preconditioned: b and x0
-    in, solution and residual out (3 without x0)."""
+    """A perturbation runs 2 rfft2 and no inverse or complex FFT.  In
+    HalfSpectrum coordinates Q and P^-1 take no transform, so neither does a
+    CG solve, whatever its iteration count, plain or preconditioned."""
     model = small_model()
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
-    target = sr.conditional_target(model, model.forward.apply_transpose(obs), 2.0, 0.8)
+    target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 2.0, 0.8)
     calls = _counted_transforms(monkeypatch)
     eta = perturb(target, RngStream(9))
-    assert calls == {"rfft2": 2, "irfft2": 1}
-    basis, spectral = target.precision.factor.coordinates()
-    s = basis.enter(eta)
+    assert calls == {"rfft2": 2}
     calls.clear()
-    spectral.gram(s)
-    spectral.precondition(s)
+    target.precision.factor.gram(eta)
+    target.precision.factor.precondition(eta)
     assert calls == {}
-    x0 = np.random.default_rng(10).standard_normal(model.pixel_count)
+    x0 = np.random.default_rng(10).standard_normal(target.dim)
     for precision in (target.precision, target.precision.preconditioned()):
-        for start, expected in ((x0, {"rfft2": 2, "irfft2": 2}),
-                                (None, {"rfft2": 1, "irfft2": 2})):
-            calls.clear()
+        for start in (x0, None):
             out = cg_solve(precision, eta, x0=start, epsilon=1e-8)
             assert out.iterations > 1
-            assert calls == expected
+            assert calls == {}
 
 
-@pytest.mark.parametrize("name", ["rjpo", "arjpo", "tpo"])
+@pytest.mark.parametrize("name", ["epo", "rjpo", "arjpo", "tpo"])
 def test_gibbs_sweep_transform_counts(monkeypatch, name):
-    """A 64 x 64 Gibbs sweep runs 2 real transforms per gamma conditional
-    (H x, D x), 3 for the perturbation and 4 for the CG solve (3 for tpo,
-    which starts from zero), and no complex FFT.  The difference of a 10-
-    and a 5-sweep run cancels the per-run back-projection H^t y."""
-    per_sweep = {"rfft2": 5 if name == "tpo" else 6, "irfft2": 5}
+    """A 64 x 64 Gibbs sweep runs 2 rfft2 for the perturbation and 1 irfft2
+    for the data residual H x, and no complex FFT; ||D x|| and every CG solve
+    take none.  Outside the sweeps a run maps H^t y in (1 rfft2) and the
+    posterior mean out (1 irfft2).  The difference of a 10- and a 5-sweep
+    run gives the per-sweep count.  The model's coordinates are built once
+    per model (one f x f fft2 for the alias table), before the runs."""
+    per_sweep, per_run = {"rfft2": 2, "irfft2": 1}, {"rfft2": 1, "irfft2": 1}
     model = sr.make_model((64, 64))
     obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(32))
+    model.half_spectrum
     calls = _counted_transforms(monkeypatch)
     counts = []
     for sweeps in (5, 10):
         calls.clear()
         sr.run_gibbs(model, obs, sweeps, 0, make_kernel(name, epsilon=1e-2), RngStream(33))
         counts.append(dict(calls))
-    assert set(counts[1]) == set(per_sweep)
+    assert set(counts[0]) == set(counts[1]) == set(per_sweep)
     assert {k: (counts[1][k] - counts[0][k]) / 5 for k in per_sweep} == per_sweep
+    assert {k: counts[0][k] - 5 * per_sweep[k] for k in per_sweep} == per_run
 
 
 def test_only_the_exact_solve_preconditions(monkeypatch):
@@ -362,7 +376,7 @@ def test_only_the_exact_solve_preconditions(monkeypatch):
     the exact draw does."""
     model = small_model()
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
-    back = model.forward.apply_transpose(obs)
+    back = model.half_spectrum.back_project(obs)
     applied = []
     precondition = sr.SpectralConditional.precondition
 
@@ -377,7 +391,7 @@ def test_only_the_exact_solve_preconditions(monkeypatch):
         target = sr.conditional_target(model, back, 2.0, 0.8)
         make_kernel(name, epsilon=1e-6)(target, back, paired)
         assert not applied, name
-        assert "_inverse_mean_gram" not in vars(target.precision.factor.spectral), name
+        assert "_inverse_mean_gram" not in vars(target.precision.factor), name
     make_kernel("epo")(target, back, paired)
     assert applied
 
@@ -414,9 +428,9 @@ def test_spectral_gram_matches_the_dense_mirror():
     images to 1e-13 relative."""
     gy, gx = 3.0, 0.5
     for model in _coordinate_cases():
-        n = model.pixel_count
-        target = oracles.with_dense_mirror(sr.conditional_target(model, np.zeros(n), gy, gx))
-        basis, spectral = target.precision.factor.coordinates()
+        n, basis = model.pixel_count, model.half_spectrum
+        target = oracles.image_conditional_target(model, np.zeros(model.data_count), gy, gx)
+        spectral = sr.SpectralConditional(basis, gy, gx)
         seen = oracles.dense_matrix_of(lambda v: basis.leave(spectral.gram(basis.enter(v))), n)
         stack = _dense_stack(model, gy, gx)
         for reference in (stack.T @ stack, target.dense_q,
@@ -456,9 +470,9 @@ def test_alias_gram_matches_the_two_transform_gram():
     rng = np.random.default_rng(90)
     for model in _alias_cases():
         case = (model.hi_res_dims, model.frames, model.decimation_factor)
-        n = model.pixel_count
-        target = oracles.with_dense_mirror(sr.conditional_target(model, np.zeros(n), gy, gx))
-        basis, spectral = target.precision.factor.coordinates()
+        n, basis = model.pixel_count, model.half_spectrum
+        target = oracles.image_conditional_target(model, np.zeros(model.data_count), gy, gx)
+        spectral = sr.SpectralConditional(basis, gy, gx)
         for _ in range(5):
             s = basis.enter(rng.standard_normal(n))
             q_s = spectral.gram(s)
@@ -484,8 +498,9 @@ def test_alias_term_counts():
 
 def test_spectral_cg_stops_with_the_spatial_solve():
     """On fixed RJPO states (an exact draw as previous, a fresh eta) CG in
-    HalfSpectrum coordinates stops at the same iteration as CG on images,
-    and their solutions agree to 1e-10 relative.  The map is an isometry,
+    HalfSpectrum coordinates stops at the same iteration as CG on the same
+    states mapped to images, with the image-space Gram, and their solutions
+    agree to 1e-10 relative.  The map is an isometry,
     so the two differ by rounding only, which CG amplifies: on other seeds
     the 8 x 8 solve at 1e-12 can stop one iteration earlier in the
     coordinates, and on 9 x 15 at 1e-4 a one-ulp change of eta moves CG on
@@ -499,32 +514,36 @@ def test_spectral_cg_stops_with_the_spatial_solve():
             return self.factor.gram(v)
 
     for model in (tiny_model(), small_model(), _coordinate_cases()[2]):
+        leave = model.half_spectrum.leave
         obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(40))
-        target = sr.conditional_target(model, model.forward.apply_transpose(obs), 3.0, 0.5)
+        target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 3.0, 0.5)
         previous = epo_step(target, RngStream(50)).next_sample
         eta = perturb(target, RngStream(60))
+        on_images = OnImages(oracles.ConditionalFactor(model, 3.0, 0.5))
         for eps in (1e-2, 1e-4, 1e-12):
-            spatial = cg_solve(OnImages(target.precision.factor), eta, x0=-previous,
-                               epsilon=eps)
+            spatial = cg_solve(on_images, leave(eta), x0=-leave(previous), epsilon=eps)
             spectral = cg_solve(target.precision, eta, x0=-previous, epsilon=eps)
             assert spectral.iterations == spatial.iterations, (model.hi_res_dims, eps)
-            gap = np.linalg.norm(spectral.solution - spatial.solution)
+            gap = np.linalg.norm(leave(spectral.solution) - spatial.solution)
             assert gap <= 1e-10 * np.linalg.norm(spatial.solution), (model.hi_res_dims, eps)
 
 
 def test_exact_draw_residuals_are_spatial_residuals():
-    """An exact draw's reported relative residual, from the residual mapped
-    back out of HalfSpectrum coordinates, agrees with ||eta - Q x|| / ||eta||
-    recomputed on images within 1e-13, and both meet 1e-12."""
+    """An exact draw's reported relative residual, computed in HalfSpectrum
+    coordinates, agrees with ||eta - Q x|| / ||eta|| recomputed on images
+    (eta and x mapped out, Q the image-space Gram) within 1e-13, and both
+    meet 1e-12."""
     gy, gx = 323.6, 780.4
     models = [small_model(frames=2), _coordinate_cases()[2], sr.make_model((64, 64))]
     for seed, model in enumerate(models):
+        leave = model.half_spectrum.leave
         obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(80 + seed))
-        target = sr.conditional_target(model, model.forward.apply_transpose(obs), gy, gx)
+        target = sr.conditional_target(model, model.half_spectrum.back_project(obs), gy, gx)
+        image_gram = oracles.ConditionalFactor(model, gy, gx).gram
         for draw in range(10):
             out = epo_step(target, RngStream(100 * seed + draw))
-            eta = perturb(target, RngStream(100 * seed + draw))
-            recomputed = (np.linalg.norm(eta - target.precision.apply(out.next_sample))
+            eta = leave(perturb(target, RngStream(100 * seed + draw)))
+            recomputed = (np.linalg.norm(eta - image_gram(leave(out.next_sample)))
                           / np.linalg.norm(eta))
             assert abs(out.relative_residual - recomputed) <= 1e-13, model.hi_res_dims
             assert max(out.relative_residual, recomputed) <= EXACT_EPSILON, model.hi_res_dims
@@ -533,20 +552,21 @@ def test_exact_draw_residuals_are_spatial_residuals():
 def test_conditional_target_validation():
     model = tiny_model()
     obs = sr.synthesize(model, sr.phantom((8, 8)), RngStream(8))
-    back = model.forward.apply_transpose(obs)
+    back = model.half_spectrum.back_project(obs)
     with pytest.raises(ConfigurationError):
         sr.conditional_target(model, back, 0.0, 1.0)
     with pytest.raises(ConfigurationError):
         sr.conditional_target(model, back, 1.0, -2.0)
     with pytest.raises(ConfigurationError):  # observations in place of H^t y
         sr.conditional_target(model, obs, 1.0, 1.0)
+    with pytest.raises(ConfigurationError):  # H^t y on images, not in coordinates
+        sr.conditional_target(model, model.forward.apply_transpose(obs), 1.0, 1.0)
 
 
 def test_dense_mirror_refused_beyond_oracle_size():
     model = sr.make_model((128, 128), frames=2, decimation_factor=2, fwhm=4.0)
-    back = np.ones(model.pixel_count)
-    with pytest.raises(ConfigurationError):
-        oracles.with_dense_mirror(sr.conditional_target(model, back, 1.0, 1.0))
+    with pytest.raises(ConfigurationError, match="dense mirror refused"):
+        oracles.image_conditional_target(model, np.ones(model.data_count), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("dense_mirror", [True, False],
@@ -554,16 +574,21 @@ def test_dense_mirror_refused_beyond_oracle_size():
 def test_exact_conditional_draws_match_cholesky_oracle(dense_mirror):
     """Exact (cholesky_epo) draws of x | gamma, y are the right Gaussian
     (two-sample energy test against direct Cholesky draws from the dense
-    conditional), whether they are solved through the dense mirror or, with
-    no mirror, by preconditioned CG."""
+    conditional on images), whether they are solved on images through the
+    dense mirror or, in HalfSpectrum coordinates with no mirror, by
+    preconditioned CG and mapped out through leave."""
     model = tiny_model()
     obs = sr.synthesize(model, sr.phantom((8, 8)), RngStream(9))
-    back = model.forward.apply_transpose(obs)
-    oracle_target = oracles.with_dense_mirror(sr.conditional_target(model, back, 2.0, 0.8))
-    target = oracle_target if dense_mirror else sr.conditional_target(model, back, 2.0, 0.8)
+    oracle_target = oracles.image_conditional_target(model, obs, 2.0, 0.8)
+    if dense_mirror:
+        target, leave = oracle_target, np.asarray
+    else:
+        basis = model.half_spectrum
+        leave = basis.leave
+        target = sr.conditional_target(model, basis.back_project(obs), 2.0, 0.8)
     sampler = sr.make_x_sampler("cholesky_epo")
     stream = RngStream(10)
-    draws = np.array([sampler(target, np.zeros(64), stream).next_sample
+    draws = np.array([leave(sampler(target, np.zeros(target.dim), stream).next_sample)
                       for _ in range(250)])
     oracle = oracles.cholesky_gaussian_draws(
         oracle_target.dense_q, oracle_target.dense_mu, 250, np.random.default_rng(11))
@@ -573,21 +598,23 @@ def test_exact_conditional_draws_match_cholesky_oracle(dense_mirror):
 
 def test_preconditioned_exact_solve_matches_mirror_solve():
     """The preconditioned CG behind an exact draw without a mirror solves
-    Q x = eta as the dense mirror does, to 1e-11 relative, in a fraction of
-    plain CG's iterations; the perturbation eta is the same on both paths."""
+    Q x = eta as the dense mirror on images does with eta mapped out, to
+    1e-11 relative once the draw is mapped out too, in a fraction of plain
+    CG's iterations."""
     gy, gx = 323.6, 780.4  # posterior-typical precisions
     models = [small_model(frames=2), small_model(frames=5),
               sr.SuperResModel(hi_res_dims=(9, 15), frames=4, decimation_factor=3,
                                psf_kernel=SMOOTH_3X3)]
     for seed, model in enumerate(models):
         obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(40 + seed))
-        back = model.forward.apply_transpose(obs)
-        mirrored = oracles.with_dense_mirror(sr.conditional_target(model, back, gy, gx))
-        bare = sr.conditional_target(model, back, gy, gx)
+        basis = model.half_spectrum
+        mirrored = oracles.image_conditional_target(model, obs, gy, gx)
+        bare = sr.conditional_target(model, basis.back_project(obs), gy, gx)
         out = epo_step(bare, RngStream(50 + seed))
-        eta = perturb(mirrored, RngStream(50 + seed))
-        expected = mirrored.mirror_solve(eta)
-        error = np.linalg.norm(out.next_sample - expected) / np.linalg.norm(expected)
+        eta = perturb(bare, RngStream(50 + seed))
+        expected = mirrored.mirror_solve(basis.leave(eta))
+        error = (np.linalg.norm(basis.leave(out.next_sample) - expected)
+                 / np.linalg.norm(expected))
         assert error <= 1e-11, (model.hi_res_dims, model.frames, error)
         assert out.relative_residual <= EXACT_EPSILON
         plain = cg_solve(bare.precision, eta, epsilon=EXACT_EPSILON)
@@ -603,7 +630,8 @@ def test_preconditioner_inverts_the_circulant_mean():
     gy, gx = 323.6, 780.4
 
     def inverse_mean(model, v):
-        basis, spectral = sr.ConditionalFactor(model, gy, gx).coordinates()
+        basis = model.half_spectrum
+        spectral = sr.SpectralConditional(basis, gy, gx)
         return basis.leave(spectral.precondition(basis.enter(v)))
 
     def full_coverage(model):
@@ -615,14 +643,14 @@ def test_preconditioner_inverts_the_circulant_mean():
     for frames in (1, 2, 3, 5):
         model = sr.SuperResModel(hi_res_dims=(16, 16), frames=frames, decimation_factor=2,
                                  psf_kernel=SMOOTH_3X3)
-        p_v = sr.ConditionalFactor(full_coverage(model), gy * frames / 4, gx).gram(v)
+        p_v = oracles.ConditionalFactor(full_coverage(model), gy * frames / 4, gx).gram(v)
         back = inverse_mean(model, p_v)
         assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v), frames
     for model in _coordinate_cases():
         n = model.pixel_count
         mean_count = model.frames / model.decimation_factor**2
         p = oracles.dense_matrix_of(
-            sr.ConditionalFactor(full_coverage(model), gy * mean_count, gx).gram, n)
+            oracles.ConditionalFactor(full_coverage(model), gy * mean_count, gx).gram, n)
         p_inv = oracles.dense_matrix_of(lambda e: inverse_mean(model, e), n)
         assert np.max(np.abs(p @ p_inv - np.eye(n))) <= 1e-13, model.hi_res_dims
 
@@ -636,7 +664,8 @@ def test_full_phase_coverage_solves_in_one_iteration():
                                  decimation_factor=factor, psf_kernel=SMOOTH_3X3)
         assert np.array_equal(model.forward.counts, np.ones(dims))
         obs = sr.synthesize(model, sr.phantom(dims), RngStream(60))
-        target = sr.conditional_target(model, model.forward.apply_transpose(obs), 323.6, 780.4)
+        target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 323.6,
+                                       780.4)
         out = epo_step(target, RngStream(61))
         assert out.cg_iterations == 1
         assert out.relative_residual <= EXACT_EPSILON
@@ -646,23 +675,25 @@ def test_adaptive_sampler_keeps_the_conditional_law():
     """A-RJPO is exactness-preserving despite ongoing epsilon adaptation.
 
     Final states of independent replicate chains (so the two-sample test
-    sees i.i.d. points, which a thinned single chain would not give) match
-    direct Cholesky draws from the dense conditional."""
+    sees i.i.d. points, which a thinned single chain would not give), run in
+    HalfSpectrum coordinates and mapped out through leave, match direct
+    Cholesky draws from the dense conditional on images."""
     model = tiny_model(dims=(6, 6))
+    basis = model.half_spectrum
     obs = sr.synthesize(model, sr.phantom((6, 6)), RngStream(13))
-    target = oracles.with_dense_mirror(
-        sr.conditional_target(model, model.forward.apply_transpose(obs), 2.0, 0.8))
+    target = sr.conditional_target(model, basis.back_project(obs), 2.0, 0.8)
+    oracle_target = oracles.image_conditional_target(model, obs, 2.0, 0.8)
     streams = RngStream(14).spawn(180)
     kept = []
     for sub in streams:
         sampler = sr.make_x_sampler("arjpo", alpha_t=0.9, epsilon0=1e-2)
         paired = PairedStream(sub, sub.spawn(1)[0])  # as run_gibbs pairs its x stream
-        x = np.zeros(36)
+        x = np.zeros(target.dim)
         for _ in range(60):
             x = sampler(target, x, paired).next_sample
-        kept.append(x)
+        kept.append(basis.leave(x))
     oracle = oracles.cholesky_gaussian_draws(
-        target.dense_q, target.dense_mu, len(kept), np.random.default_rng(15))
+        oracle_target.dense_q, oracle_target.dense_mu, len(kept), np.random.default_rng(15))
     p = oracles.energy_test_pvalue(np.array(kept), oracle, np.random.default_rng(16))
     assert p > 0.01
 
@@ -725,6 +756,77 @@ def test_gibbs_smoke_and_summary_shapes():
     assert summary.posterior_mean_image.shape == (16, 16)
     assert summary.wall_time > 0
     assert summary.peak_cg >= summary.mean_cg > 0
+
+
+def _image_space_gibbs(model, observations, sweeps, stream):
+    """The Gibbs chain with its state on images: the gamma conditionals read
+    H x and D x on images, the perturbation is drawn through the image-space
+    factor, and only the exact solve crosses into HalfSpectrum coordinates
+    and back.  Returns the (gamma_y, gamma_x) records and the final image."""
+    basis = model.half_spectrum
+    back = model.forward.apply_transpose(observations)
+    x = back.copy()
+    gamma_stream, x_stream = stream.spawn(2)
+    x_stream = PairedStream(x_stream, x_stream.spawn(1)[0])
+    records = []
+    for _ in range(sweeps):
+        residual = observations - model.forward.apply(x)
+        gamma_y = gamma_stream.gamma_draw(1.0 + model.data_count / 2.0,
+                                          2.0 / float(residual @ residual))
+        dx = model.laplacian.apply(x)
+        gamma_x = gamma_stream.gamma_draw(1.0 + (model.pixel_count - 1) / 2.0,
+                                          2.0 / float(dx @ dx))
+        factor = oracles.ConditionalFactor(model, gamma_y, gamma_x)
+        eta = gamma_y * back + factor.apply_transpose(
+            x_stream.standard_normal_vector(factor.out_dim))
+        spectral = sr.conditional_target(model, basis.enter(back), gamma_y, gamma_x)
+        solution, _, _ = _exact_cg_solve(spectral.precision, basis.enter(eta))
+        x = basis.leave(solution)
+        records.append((gamma_y, gamma_x))
+    return np.array(records), x
+
+
+def test_gibbs_sweep_matches_the_image_space_sweep():
+    """A 16 x 16 exact Gibbs chain in HalfSpectrum coordinates reproduces
+    the chain whose state lives on images (same streams, same solver) to
+    1e-13 relative in every gamma and in the final image: the coordinates
+    change only the rounding."""
+    model = small_model()
+    obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(34))
+    states = []
+
+    def kernel(target, previous, stream):
+        outcome = make_kernel("epo")(target, previous, stream)
+        states.append(outcome.next_sample)
+        return outcome
+
+    summary = sr.run_gibbs(model, obs, 8, 7, kernel, RngStream(35))
+    records, x = _image_space_gibbs(model, obs, 8, RngStream(35))
+    assert np.max(np.abs(summary.records[:, 1:3] / records - 1.0)) <= 1e-13
+    final = model.half_spectrum.leave(states[-1])
+    assert np.max(np.abs(final - x)) <= 1e-13 * np.max(np.abs(x))
+    assert np.max(np.abs(summary.x_mean - x)) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_long_chain_stays_on_real_images():
+    """After 500 arjpo sweeps at 16 x 16 the state is still a real image's
+    half spectrum, enter(leave(s)) = s to 1e-12 relative: rounding does not
+    drift it off the subspace where the alias Gram is Q."""
+    model = small_model()
+    basis = model.half_spectrum
+    obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(36))
+    sampler = make_kernel("arjpo", alpha_t=0.9, epsilon0=1e-2)
+    last = []
+
+    def kernel(target, previous, stream):
+        outcome = sampler(target, previous, stream)
+        last[:] = [outcome.next_sample]
+        return outcome
+
+    sr.run_gibbs(model, obs, 500, 0, kernel, RngStream(37))
+    state = last[0]
+    drift = np.linalg.norm(basis.enter(basis.leave(state)) - state)
+    assert drift <= 1e-12 * np.linalg.norm(state)
 
 
 def test_gibbs_preconditions():
@@ -792,7 +894,7 @@ def test_gibbs_wraps_breakdown_with_sweep_index():
 
     class FlatSampler:
         def __call__(self, target, previous, stream):
-            flat = np.full(previous.size, 0.3)
+            flat = model.half_spectrum.enter(np.full(model.pixel_count, 0.3))
             return KernelOutcome(flat, flat, 1.0, True, 0, 0.0)
 
     with pytest.raises(NumericalBreakdownError) as exc_info:
