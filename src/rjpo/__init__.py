@@ -16,11 +16,9 @@ from .cg import CGOutcome, cg_solve
 from .diag import DiagnosticsReport, ess, gelman_rubin, rmse
 from .errors import ConfigurationError, NumericalBreakdownError
 from .linop import (
-    CirculantOperator,
     DenseOperator,
     FactoredPrecision,
     GaussianTarget,
-    LinearOperator,
     target_from_dense,
 )
 from .problems import ar1_covariance, ar1_precision, ar1_target

@@ -77,9 +77,6 @@ class SlopeWindow:
         start = self._next if self._count == self._size else 0
         return self._rows[:, start:start + self._count]
 
-    def __iter__(self):
-        return iter(map(tuple, self.columns().T.tolist()))
-
 
 @dataclass
 class AdaptController:
@@ -142,14 +139,16 @@ def _window_slopes(le, js, alphas) -> tuple[float, float, bool]:
     slopes are unbiased however small the window's spread; regressing
     alpha on the noisy J directly would attenuate the slope and drag the
     controller's equilibrium off the fixed point.  Windows with no spread
-    in log eps or in J are degenerate and give zero slopes.
+    in log eps or in J are degenerate and give zero slopes.  Each centred
+    deviation is formed once, and a variance is the mean of its squares,
+    which is numpy's var() to the bit.
     """
-    var_le = le.var()
-    if var_le == 0.0 or js.var() == 0.0:
+    dle, dj = le - le.mean(), js - js.mean()
+    var_le = (dle * dle).mean()
+    if var_le == 0.0 or (dj * dj).mean() == 0.0:
         return 0.0, 0.0, True
-    dle = le - le.mean()
     slope_a = float((dle * (alphas - alphas.mean())).mean() / var_le)
-    slope_j = float((dle * (js - js.mean())).mean() / var_le)
+    slope_j = float((dle * dj).mean() / var_le)
     return slope_a, slope_j, slope_j == 0.0
 
 

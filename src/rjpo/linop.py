@@ -1,8 +1,9 @@
-"""Matrix-free linear operators and factored precision targets.
+"""Factored precision targets and the dense factor.
 
-All operators act on flattened images in row-major order.  Operators are
-immutable after construction and safe to share between chains; FFT work
-arrays are per-call.
+A target holds its precision Q through a factor F with Q = F^t F: a
+DenseOperator for the small dense problems, the super-resolution
+conditional's SpectralConditional (rjpo.superres) for images.  Factors are
+immutable after construction and safe to share between chains.
 """
 
 from __future__ import annotations
@@ -21,38 +22,10 @@ def _vector(x, size: int, name: str) -> np.ndarray:
     return x
 
 
-class LinearOperator:
-    """Base map v -> Mv with an explicit transpose map and Gram map.
+class DenseOperator:
+    """A matrix M as a factor: v -> Mv, its transpose w -> M^t w and its Gram
+    map v -> M^t (M v), each on a checked-length vector."""
 
-    Subclasses set ``in_dim``/``out_dim`` and implement ``_apply`` and
-    ``_apply_transpose`` on correctly-sized 1-D arrays; they override
-    ``_gram`` when M^t M has a cheaper form than the two maps in turn.
-    """
-
-    in_dim: int
-    out_dim: int
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(_vector(v, self.in_dim, "apply"))
-
-    def apply_transpose(self, w: np.ndarray) -> np.ndarray:
-        return self._apply_transpose(_vector(w, self.out_dim, "apply_transpose"))
-
-    def gram(self, v: np.ndarray) -> np.ndarray:
-        """The Gram map v -> M^t M v."""
-        return self._gram(_vector(v, self.in_dim, "gram"))
-
-    def _apply(self, v):
-        raise NotImplementedError
-
-    def _apply_transpose(self, w):
-        raise NotImplementedError
-
-    def _gram(self, v):
-        return self._apply_transpose(self._apply(v))
-
-
-class DenseOperator(LinearOperator):
     def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
@@ -62,56 +35,14 @@ class DenseOperator(LinearOperator):
         self.matrix = matrix
         self.out_dim, self.in_dim = matrix.shape
 
-    def _apply(self, v):
-        return self.matrix @ v
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.matrix @ _vector(v, self.in_dim, "apply")
 
-    def _apply_transpose(self, w):
-        return self.matrix.T @ w
+    def apply_transpose(self, w: np.ndarray) -> np.ndarray:
+        return self.matrix.T @ _vector(w, self.out_dim, "apply_transpose")
 
-
-class CirculantOperator(LinearOperator):
-    """Circular 2-D convolution on a rows x cols grid, performed by real FFT.
-
-    Kernel index (0, 0) is the convolution origin; pass ``origin`` to shift
-    a centered stencil onto the origin at construction.  The transpose uses
-    the conjugate transfer function (flipped kernel), the Gram its squared
-    modulus, so M^t M costs one filtering like M: one ``rfft2`` and one
-    ``irfft2``.  Kernel and images are real, so ``transfer`` and
-    ``gram_transfer`` hold only the rfft2 half spectrum (cols // 2 + 1
-    columns).
-    """
-
-    def __init__(self, kernel, image_dims, origin=(0, 0)):
-        kernel = np.asarray(kernel, dtype=float)
-        rows, cols = image_dims
-        if kernel.ndim != 2:
-            raise ConfigurationError("convolution kernel must be 2-D")
-        if kernel.shape[0] > rows or kernel.shape[1] > cols:
-            raise ConfigurationError(
-                f"kernel {kernel.shape} larger than image {tuple(image_dims)}"
-            )
-        self.image_dims = (int(rows), int(cols))
-        self.kernel = kernel
-        self.in_dim = self.out_dim = rows * cols
-        padded = np.zeros(self.image_dims)
-        padded[: kernel.shape[0], : kernel.shape[1]] = kernel
-        padded = np.roll(padded, (-origin[0], -origin[1]), axis=(0, 1))
-        # forward FFT unscaled, inverse scaled by 1/N (numpy convention)
-        self.transfer = np.fft.rfft2(padded)
-        self.gram_transfer = np.abs(self.transfer) ** 2
-
-    def _convolve(self, v, transfer):
-        spectrum = np.fft.rfft2(v.reshape(self.image_dims)) * transfer
-        return np.fft.irfft2(spectrum, s=self.image_dims).ravel()
-
-    def _apply(self, v):
-        return self._convolve(v, self.transfer)
-
-    def _apply_transpose(self, w):
-        return self._convolve(w, np.conj(self.transfer))
-
-    def _gram(self, v):
-        return self._convolve(v, self.gram_transfer)
+    def gram(self, v: np.ndarray) -> np.ndarray:
+        return self.matrix.T @ (self.matrix @ _vector(v, self.in_dim, "gram"))
 
 
 class FactoredPrecision:
@@ -120,8 +51,8 @@ class FactoredPrecision:
     The factor needs ``in_dim``, ``out_dim``, ``gram`` (Q) and
     ``apply_transpose`` (F^t, which perturbations draw through), and may
     offer ``precondition``.  Vectors live in whatever coordinates the
-    factor takes: images for the operators here, HalfSpectrum coordinates
-    for the super-resolution conditional.
+    factor takes: plain vectors for a DenseOperator, HalfSpectrum
+    coordinates for the super-resolution conditional.
     """
 
     def __init__(self, factor, preconditioned: bool = False):

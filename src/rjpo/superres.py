@@ -1,7 +1,8 @@
 """Unsupervised multi-frame image super-resolution.
 
 Observed frames are decimated, blurred, noisy copies of one hi-res image:
-y = Hx + n, where H blurs once and stacks each frame's sub-lattice.  Noise and
+y = Hx + n, where H blurs once and stacks each frame's sub-lattice
+(SuperResModel.gather; scatter is its transpose).  Noise and
 smoothness precisions get flat priors on (0, inf), so a three-step Gibbs
 sampler alternates two Gamma conditionals (shapes 1 + M/2 and 1 + (N-1)/2)
 with one large Gaussian conditional
@@ -10,9 +11,10 @@ with one large Gaussian conditional
                              Q mu = gamma_y H^t y,
 
 drawn matrix-free by any kernel from adapt.make_kernel.  B and D are
-circulant, so the chain lives in the orthonormal coordinates of the real-FFT
-half spectrum (HalfSpectrum), where Q takes no transform (SpectralConditional)
-and a sweep takes 3 (see run_gibbs).
+circulant, so the model holds each as its rfft2 transfer function (b and d,
+centred_transfer), and the chain lives in the orthonormal coordinates of the
+real-FFT half spectrum (HalfSpectrum), where Q takes no transform
+(SpectralConditional) and a sweep takes 3 (see run_gibbs).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 # perfbench/spans.py patches epo_step here, so both stay importable by name
 from .adapt import make_kernel as make_x_sampler  # noqa: F401
 from .errors import ConfigurationError, NumericalBreakdownError
-from .linop import CirculantOperator, FactoredPrecision, GaussianTarget, LinearOperator
+from .linop import FactoredPrecision, GaussianTarget
 from .rng import PairedStream, RngStream
 from .sampler import epo_step  # noqa: F401
 
@@ -72,45 +74,22 @@ def laplace_psf(fwhm: float, tail_mass: float = 1e-4) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-class FrameStack(LinearOperator):
-    """H: the blurred image sampled on each frame's sub-lattice, stacked.
-
-    Frame k keeps the pixels with (row, col) % factor == offsets[k].  All
-    frames share one blur B, so H blurs once and gathers every frame, H^t
-    scatter-adds every frame and blurs back once, and the Gram is
-    H^t H = B^t C B with C (``counts``) the count of frames that sample
-    each pixel.
-    """
-
-    def __init__(self, blur: CirculantOperator, factor: int, offsets):
-        self.blur = blur
-        self.factor = factor
-        self.offsets = [tuple(offset) for offset in offsets]
-        self.in_dim = blur.in_dim
-        self.out_dim = len(self.offsets) * blur.in_dim // factor**2
-        self.counts = np.zeros(blur.image_dims)
-        for r, c in self.offsets:
-            self.counts[r::factor, c::factor] += 1.0
-
-    def gather(self, image) -> np.ndarray:
-        """H without the blur: each frame's sub-lattice of the image, stacked."""
-        image = image.reshape(self.blur.image_dims)
-        f = self.factor
-        return np.concatenate([image[r::f, c::f].ravel() for r, c in self.offsets])
-
-    def _apply(self, v):
-        return self.gather(self.blur.apply(v))
-
-    def scatter(self, w) -> np.ndarray:
-        """H^t without the blur: each frame added onto its sub-lattice."""
-        image = np.zeros(self.blur.image_dims)
-        f = self.factor
-        for (r, c), frame in zip(self.offsets, np.split(w, len(self.offsets))):
-            image[r::f, c::f] += frame.reshape(image[r::f, c::f].shape)
-        return image
-
-    def _apply_transpose(self, w):
-        return self.blur.apply_transpose(self.scatter(w).ravel())
+def centred_transfer(kernel, image_dims) -> np.ndarray:
+    """The rfft2 half spectrum of circular convolution by ``kernel`` on an
+    image_dims grid, with the kernel's centre cell ((rows - 1) // 2,
+    (cols - 1) // 2) as the convolution origin.  The convolution of an image
+    x by the returned t is irfft2(rfft2(x) * t, s=image_dims); its transpose
+    takes conj(t)."""
+    kernel = np.asarray(kernel, dtype=float)
+    rows, cols = image_dims
+    if kernel.ndim != 2:
+        raise ConfigurationError("convolution kernel must be 2-D")
+    if kernel.shape[0] > rows or kernel.shape[1] > cols:
+        raise ConfigurationError(f"kernel {kernel.shape} larger than image {tuple(image_dims)}")
+    padded = np.zeros((int(rows), int(cols)))
+    padded[: kernel.shape[0], : kernel.shape[1]] = kernel
+    origin = ((kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2)
+    return np.fft.rfft2(np.roll(padded, (-origin[0], -origin[1]), axis=(0, 1)))
 
 
 class HalfSpectrum:
@@ -158,14 +137,13 @@ class HalfSpectrum:
             weights[:, -1] = 1.0
         self.scale = np.sqrt(weights / model.pixel_count)
         self.unscale = 1.0 / self.scale
-        self.forward = model.forward
-        transfer = model.blur.transfer
-        counts = model.forward.counts
+        self.model = model
+        transfer, counts = model.blur, model.counts
         self.adjoint_blur = np.conj(transfer) * self.scale
-        self.adjoint_smooth = np.conj(model.laplacian.transfer) * self.scale
+        self.adjoint_smooth = np.conj(model.laplacian) * self.scale
         self.blur = transfer * self.unscale
-        self.smooth_gram = model.laplacian.gram_transfer.astype(complex)
-        self.mean_data_gram = (counts.mean() * model.blur.gram_transfer).astype(complex)
+        self.smooth_gram = (np.abs(model.laplacian) ** 2).astype(complex)
+        self.mean_data_gram = (counts.mean() * np.abs(transfer) ** 2).astype(complex)
 
         f = model.decimation_factor
         coefficients = np.fft.fft2(counts[:f, :f]) / f**2  # c_pq from one period of C
@@ -197,7 +175,7 @@ class HalfSpectrum:
     def back_project(self, data):
         """enter(H^t data) for stacked frames: W conj(b) rfft2(scatter(data)),
         one rfft2."""
-        spectrum = self.adjoint_blur * np.fft.rfft2(self.forward.scatter(data))
+        spectrum = self.adjoint_blur * np.fft.rfft2(self.model.scatter(data))
         return spectrum.view(float).ravel()
 
     def blurred(self, s):
@@ -234,15 +212,15 @@ class SpectralConditional:
             raise ConfigurationError(f"precisions must be positive, got {gamma_y}, {gamma_x}")
         self.basis = basis
         self.in_dim = basis.dim
-        self.out_dim = basis.forward.out_dim + basis.forward.in_dim
+        self.out_dim = basis.model.data_count + basis.model.pixel_count
         self._roots = math.sqrt(gamma_y), math.sqrt(gamma_x)
         self._mean_gram = gamma_y * basis.mean_data_gram + gamma_x * basis.smooth_gram
         self._aliases = [(index, gamma_y * weight) for index, weight in basis.aliases]
 
     def apply_transpose(self, w):
         basis, (root_y, root_x) = self.basis, self._roots
-        data, smooth = np.split(w, [basis.forward.out_dim])
-        spectrum = (root_y * basis.adjoint_blur * np.fft.rfft2(basis.forward.scatter(data))
+        data, smooth = np.split(w, [basis.model.data_count])
+        spectrum = (root_y * basis.adjoint_blur * np.fft.rfft2(basis.model.scatter(data))
                     + root_x * basis.adjoint_smooth * np.fft.rfft2(smooth.reshape(basis.dims)))
         return spectrum.view(float).ravel()
 
@@ -272,7 +250,12 @@ class SuperResModel:
     """Acquisition geometry: hi-res grid, frame count, decimation, blur.
 
     ``psf_kernel`` must already be flux-preserving (sums to 1); ``snr_db``
-    only drives synthesis, not inference.
+    only drives synthesis, not inference.  The model holds the operators
+    once: ``blur`` and ``laplacian`` are the transfer functions b and d of B
+    and D (centred_transfer), and frame k keeps the pixels with
+    (row, col) % factor == ``frame_offsets[k]`` (``gather``; ``scatter`` is
+    its transpose, and ``counts`` C the number of frames that sample each
+    pixel, so H^t H = B^t C B).
     """
 
     hi_res_dims: tuple[int, int]
@@ -311,40 +294,48 @@ class SuperResModel:
         return self.hi_res_dims[0] * self.hi_res_dims[1]
 
     @property
-    def frame_dims(self) -> tuple[int, int]:
-        f = self.decimation_factor
-        return (self.hi_res_dims[0] // f, self.hi_res_dims[1] // f)
-
-    @property
     def data_count(self) -> int:
         return self.frames * self.pixel_count // self.decimation_factor**2
 
-    def frame_offset(self, frame: int) -> tuple[int, int]:
-        """Sub-lattice offset of one frame; frames cycle through the
+    @cached_property
+    def frame_offsets(self) -> tuple[tuple[int, int], ...]:
+        """Sub-lattice offset of each frame; frames cycle through the
         factor x factor grid of phases so they carry complementary pixels."""
         f = self.decimation_factor
-        return (frame % f, (frame // f) % f)
+        return tuple((frame % f, (frame // f) % f) for frame in range(self.frames))
 
     @cached_property
-    def blur(self) -> CirculantOperator:
-        k = self.psf_kernel
-        return CirculantOperator(
-            k, self.hi_res_dims, origin=((k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2)
-        )
+    def blur(self) -> np.ndarray:
+        """b, the transfer function of the blur B."""
+        return centred_transfer(self.psf_kernel, self.hi_res_dims)
 
     @cached_property
-    def laplacian(self) -> CirculantOperator:
-        k = self.laplacian_kernel
-        return CirculantOperator(
-            k, self.hi_res_dims, origin=((k.shape[0] - 1) // 2, (k.shape[1] - 1) // 2)
-        )
+    def laplacian(self) -> np.ndarray:
+        """d, the transfer function of the smoothness operator D."""
+        return centred_transfer(self.laplacian_kernel, self.hi_res_dims)
 
     @cached_property
-    def forward(self) -> FrameStack:
-        """H: all frames stacked, each decimation-after-blur."""
-        return FrameStack(
-            self.blur, self.decimation_factor, map(self.frame_offset, range(self.frames))
-        )
+    def counts(self) -> np.ndarray:
+        """C: the number of frames that sample each pixel."""
+        counts = np.zeros(self.hi_res_dims)
+        f = self.decimation_factor
+        for r, c in self.frame_offsets:
+            counts[r::f, c::f] += 1.0
+        return counts
+
+    def gather(self, image) -> np.ndarray:
+        """H without the blur: each frame's sub-lattice of the image, stacked."""
+        image = image.reshape(self.hi_res_dims)
+        f = self.decimation_factor
+        return np.concatenate([image[r::f, c::f].ravel() for r, c in self.frame_offsets])
+
+    def scatter(self, frames) -> np.ndarray:
+        """H^t without the blur: each frame added onto its sub-lattice."""
+        image = np.zeros(self.hi_res_dims)
+        f = self.decimation_factor
+        for (r, c), frame in zip(self.frame_offsets, np.split(frames, self.frames)):
+            image[r::f, c::f] += frame.reshape(image[r::f, c::f].shape)
+        return image
 
     @cached_property
     def half_spectrum(self) -> HalfSpectrum:
@@ -372,7 +363,7 @@ def make_model(
         snr_db=snr_db,
     )
     # fail fast on kernel/grid mismatches instead of at first apply
-    model.blur, model.laplacian, model.forward
+    model.blur, model.laplacian
     return model
 
 
@@ -383,7 +374,7 @@ def synthesize(model: SuperResModel, ground_truth, stream: RngStream) -> np.ndar
         raise ConfigurationError(
             f"ground truth shape {truth.shape} != model dims {model.hi_res_dims}"
         )
-    clean = model.forward.apply(truth.ravel())
+    clean = model.gather(np.fft.irfft2(np.fft.rfft2(truth) * model.blur, s=model.hi_res_dims))
     if math.isinf(model.snr_db):
         return clean
     power = float(clean @ clean)
@@ -396,7 +387,7 @@ def synthesize(model: SuperResModel, ground_truth, stream: RngStream) -> np.ndar
 def sample_gamma_y(s, model: SuperResModel, observations, stream: RngStream) -> float:
     """Noise-precision conditional Gamma(1 + M/2, 2/||y - Hx||^2) at the
     image x with HalfSpectrum coordinates s: one irfft2 for Hx."""
-    residual = observations - model.forward.gather(model.half_spectrum.blurred(s))
+    residual = observations - model.gather(model.half_spectrum.blurred(s))
     sq = float(residual @ residual)
     if sq == 0:
         raise NumericalBreakdownError(

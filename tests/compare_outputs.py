@@ -7,7 +7,10 @@ byte-identical.  For a CSV file that differs it prints, per column, the
 maximum relative change of its numeric cells and the number of rows that
 changed; for a JSON file the same per field, with nested keys joined by
 dots and list entries by their index.  The relative change of a and b is
-|a - b| / max(|a|, |b|).  Exits 0 when every file is identical, 1 otherwise.
+|a - b| / max(|a|, |b|).  A changed JSON leaf named wall_time_seconds, at any
+depth, is a measured time rather than a result: it is printed on a line of
+its own that starts with "timing" and does not make its file differ.  Exits
+0 when every file is identical up to such timing lines, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import json
 import math
 import sys
 from pathlib import Path
+
+TIMING_FIELD = "wall_time_seconds"
 
 
 def relative_change(a: str, b: str) -> float | None:
@@ -31,12 +36,12 @@ def relative_change(a: str, b: str) -> float | None:
     return abs(x - y) / scale if math.isfinite(scale) else math.inf
 
 
-def _column_changes(columns_a: dict, columns_b: dict) -> list[str]:
-    """One line per changed column: max relative change and changed rows."""
+def _column_changes(columns_a: dict, columns_b: dict) -> list[tuple[str, str]]:
+    """(name, change) per changed column: max relative change and changed rows."""
     lines = []
     for name in dict.fromkeys([*columns_a, *columns_b]):
         if name not in columns_a or name not in columns_b:
-            lines.append(f"    {name}: only in {'B' if name in columns_b else 'A'}")
+            lines.append((name, f"only in {'B' if name in columns_b else 'A'}"))
             continue
         cells_a, cells_b = columns_a[name], columns_b[name]
         changed = [(a, b) for a, b in zip(cells_a, cells_b) if a != b]
@@ -44,10 +49,10 @@ def _column_changes(columns_a: dict, columns_b: dict) -> list[str]:
             continue
         numeric = [r for r in (relative_change(a, b) for a, b in changed) if r is not None]
         largest = f"max rel {max(numeric):.2e}" if numeric else "non-numeric"
-        line = f"    {name}: {largest}, {len(changed)} of {len(cells_a)} rows changed"
+        line = f"{largest}, {len(changed)} of {len(cells_a)} rows changed"
         if len(cells_a) != len(cells_b):
             line += f" (row counts {len(cells_a)} vs {len(cells_b)})"
-        lines.append(line)
+        lines.append((name, line))
     return lines
 
 
@@ -84,12 +89,18 @@ def compare(dir_a, dir_b) -> list[str]:
         elif a.read_bytes() == b.read_bytes():
             lines.append(f"identical  {name}")
         else:
-            lines.append(f"differs    {name}")
+            changes, timing = [], []
             if a.suffix == ".csv":
-                lines += _column_changes(_csv_columns(a), _csv_columns(b))
+                changes = _column_changes(_csv_columns(a), _csv_columns(b))
             elif a.suffix == ".json":
-                lines += _column_changes(_json_fields(json.loads(a.read_text())),
-                                         _json_fields(json.loads(b.read_text())))
+                for field, change in _column_changes(_json_fields(json.loads(a.read_text())),
+                                                     _json_fields(json.loads(b.read_text()))):
+                    is_timing = field.rsplit(".", 1)[-1] == TIMING_FIELD
+                    (timing if is_timing else changes).append((field, change))
+            if changes or not timing:
+                lines.append(f"differs    {name}")
+                lines += [f"    {field}: {change}" for field, change in changes]
+            lines += [f"timing     {name}  {field}: {change}" for field, change in timing]
     return lines
 
 
@@ -100,7 +111,7 @@ def main(argv=None) -> int:
         return 2
     lines = compare(*argv)
     print("\n".join(lines))
-    return 0 if all(line.startswith("identical") for line in lines) else 1
+    return 0 if all(line.startswith(("identical", "timing")) for line in lines) else 1
 
 
 if __name__ == "__main__":

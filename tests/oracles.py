@@ -6,9 +6,9 @@ share no algorithm with the package under test: they use numpy, plus the
 package's outcome record and error type so the oracle move can run inside
 run_chain.  The helpers at the end (dense mirrors of a target, the
 acceptance-vs-threshold curve) drive the package itself; no CLI run or
-benchmark needs them, and neither does the image-space factor of the
-super-resolution conditional (the Gibbs chain runs in HalfSpectrum
-coordinates).
+benchmark needs them, and neither do the image-space maps H, H^t and D of
+the super-resolution model and the conditional's factor built on them (the
+Gibbs chain runs in HalfSpectrum coordinates).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rjpo.errors import ConfigurationError
-from rjpo.linop import FactoredPrecision, GaussianTarget, LinearOperator
+from rjpo.linop import FactoredPrecision, GaussianTarget
 from rjpo.sampler import KernelOutcome, rjpo_kernel, run_chain
 
 
@@ -244,32 +244,56 @@ def acceptance_curve(target, epsilons, n_max: int, stream) -> np.ndarray:
     return np.array(rows)
 
 
-class ConditionalFactor(LinearOperator):
-    """F = [sqrt(gamma_y) H; sqrt(gamma_x) D] on images, whose Gram is the
-    super-resolution conditional precision Q = gamma_y B^t C B + gamma_x
-    D^t D (through the default F^t(F v)).  F^t w scatters the frames once
-    and ends both parts in one inverse real transform."""
+def _filter(model, image, transfer) -> np.ndarray:
+    """The flattened circular convolution irfft2(rfft2(image) * transfer)."""
+    spectrum = np.fft.rfft2(np.reshape(image, model.hi_res_dims)) * transfer
+    return np.fft.irfft2(spectrum, s=model.hi_res_dims).ravel()
+
+
+def forward_apply(model, v) -> np.ndarray:
+    """H v: the image blurred by b, then each frame's sub-lattice, stacked."""
+    return model.gather(_filter(model, v, model.blur))
+
+
+def forward_transpose(model, w) -> np.ndarray:
+    """H^t w: the frames scattered onto their sub-lattices, blurred by conj(b)."""
+    return _filter(model, model.scatter(w), np.conj(model.blur))
+
+
+def smooth_apply(model, v) -> np.ndarray:
+    """D v: the image filtered by the smoothness transfer d."""
+    return _filter(model, v, model.laplacian)
+
+
+class ConditionalFactor:
+    """F = [sqrt(gamma_y) H; sqrt(gamma_x) D] on images, whose Gram
+    F^t (F v) is the super-resolution conditional precision
+    Q = gamma_y B^t C B + gamma_x D^t D.  F^t w scatters the frames once and
+    ends both parts in one inverse real transform."""
 
     def __init__(self, model, gamma_y: float, gamma_x: float):
         if not (gamma_y > 0 and gamma_x > 0):
             raise ConfigurationError(f"precisions must be positive, got {gamma_y}, {gamma_x}")
-        self.forward, self.laplacian = model.forward, model.laplacian
-        self.dims = model.hi_res_dims
+        self.model = model
         self.gamma_y, self.gamma_x = float(gamma_y), float(gamma_x)
         self.in_dim = model.pixel_count
         self.out_dim = model.data_count + model.pixel_count
 
-    def _apply(self, v):
-        return np.concatenate([math.sqrt(self.gamma_y) * self.forward.apply(v),
-                               math.sqrt(self.gamma_x) * self.laplacian.apply(v)])
+    def apply(self, v):
+        return np.concatenate([math.sqrt(self.gamma_y) * forward_apply(self.model, v),
+                               math.sqrt(self.gamma_x) * smooth_apply(self.model, v)])
 
-    def _apply_transpose(self, w):
-        data, smooth = np.split(w, [self.forward.out_dim])
-        spectrum = (math.sqrt(self.gamma_y) * np.conj(self.forward.blur.transfer)
-                    * np.fft.rfft2(self.forward.scatter(data))
-                    + math.sqrt(self.gamma_x) * np.conj(self.laplacian.transfer)
-                    * np.fft.rfft2(smooth.reshape(self.dims)))
-        return np.fft.irfft2(spectrum, s=self.dims).ravel()
+    def apply_transpose(self, w):
+        model = self.model
+        data, smooth = np.split(w, [model.data_count])
+        spectrum = (math.sqrt(self.gamma_y) * np.conj(model.blur)
+                    * np.fft.rfft2(model.scatter(data))
+                    + math.sqrt(self.gamma_x) * np.conj(model.laplacian)
+                    * np.fft.rfft2(smooth.reshape(model.hi_res_dims)))
+        return np.fft.irfft2(spectrum, s=model.hi_res_dims).ravel()
+
+    def gram(self, v):
+        return self.apply_transpose(self.apply(v))
 
 
 def image_conditional_target(model, observations, gamma_y: float,
@@ -278,4 +302,4 @@ def image_conditional_target(model, observations, gamma_y: float,
     mirror: Q through ConditionalFactor, potential gamma_y H^t y."""
     return with_dense_mirror(GaussianTarget(
         FactoredPrecision(ConditionalFactor(model, gamma_y, gamma_x)),
-        gamma_y * model.forward.apply_transpose(observations)))
+        gamma_y * forward_transpose(model, observations)))

@@ -140,8 +140,41 @@ def test_slope_window_matches_the_tuple_window_bitwise(seed, size):
         entry = (float(rng.normal(-5.0, 0.3)), j, float(rng.uniform(1e-6, 1.0)))
         window.append(entry)
         reference.append(entry)
-        assert list(window) == list(reference)
+        assert window.columns().T.tolist() == [list(entry) for entry in reference]
         assert _window_slopes(*window.columns()) == _tuple_window_slopes(reference)
+
+
+def _var_window_slopes(le, js, alphas):
+    """The window regression with numpy's var() for both variances, each
+    mean and deviation recomputed where it is used."""
+    var_le = le.var()
+    if var_le == 0.0 or js.var() == 0.0:
+        return 0.0, 0.0, True
+    dle = le - le.mean()
+    slope_a = float((dle * (alphas - alphas.mean())).mean() / var_le)
+    slope_j = float((dle * (js - js.mean())).mean() / var_le)
+    return slope_a, slope_j, slope_j == 0.0
+
+
+def test_window_slopes_match_the_var_formula_bitwise():
+    """Variances taken as means of squared deviations give bitwise the
+    slopes and degeneracy flags of numpy's var(), on 3000 windows of length
+    1-200 drawn as SlopeWindow lays them out; one in four has constant J
+    and one in ten constant log eps."""
+    rng = np.random.default_rng(29)
+    degenerate = 0
+    for trial in range(3000):
+        size = int(rng.integers(1, 201))
+        rows = np.zeros((3, 2 * size))
+        rows[0, :size] = -5.0 if trial % 10 == 0 else rng.normal(-5.0, 0.3, size)
+        rows[1, :size] = 40.0 if trial % 4 == 0 else rng.integers(5, 80, size)
+        rows[2, :size] = rng.uniform(1e-6, 1.0, size)
+        start = int(rng.integers(0, size + 1))
+        window = np.roll(rows, start, axis=1)[:, start:start + size]
+        slopes = _window_slopes(*window)
+        assert slopes == _var_window_slopes(*window), trial
+        degenerate += slopes[2]
+    assert degenerate >= 750
 
 
 def test_correction_vanishes_on_the_optimality_curve():
@@ -203,7 +236,7 @@ def test_alpha_is_clamped_into_unit_interval():
     ctrl = make_ctrl(MinCces(window_size=4))
     update_min_cces(ctrl, 10, 0.0)
     update_min_cces(ctrl, 11, 1.3)
-    stored = [t[2] for t in ctrl.history]
+    stored = ctrl.history.columns()[2].tolist()
     assert stored[0] == ALPHA_CLAMP_LOW
     assert stored[1] == 1.0
 

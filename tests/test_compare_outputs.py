@@ -54,6 +54,33 @@ def test_compare_reports_files_columns_and_fields(tmp_path, capsys):
     assert "identical  chain.csv" in capsys.readouterr().out
 
 
+def test_wall_time_differences_are_timing_lines(tmp_path, capsys):
+    """Summaries that differ only in wall_time_seconds, at any depth, compare
+    as equal and print the timing lines; any other changed field still
+    fails."""
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    summary = {"gamma_x_mean": 412.5, "wall_time_seconds": 1.25,
+               "reference": {"wall_time_seconds": 2.0}}
+    _write(a, {"summary.json": json.dumps(summary)})
+    _write(b, {"summary.json": json.dumps({**summary, "wall_time_seconds": 1.5,
+                                           "reference": {"wall_time_seconds": 2.5}})})
+    _write(c, {"summary.json": json.dumps({**summary, "wall_time_seconds": 1.5,
+                                           "gamma_x_mean": 412.75})})
+    timing = "timing     summary.json  wall_time_seconds: max rel 1.67e-01, 1 of 1 rows changed"
+    assert main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        timing,
+        "timing     summary.json  reference.wall_time_seconds: max rel 2.00e-01,"
+        " 1 of 1 rows changed",
+    ]
+    assert main([str(a), str(c)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs    summary.json",
+        "    gamma_x_mean: max rel 6.06e-04, 1 of 1 rows changed",
+        timing,
+    ]
+
+
 def test_ulp_control_reruns_a_superres_run_with_moved_etas(tmp_path, capsys):
     """The control replays DIR_A's config into DIR_B with every eta one ulp
     up, restores the sampler afterwards, and prints the comparison: same

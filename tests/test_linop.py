@@ -1,42 +1,54 @@
+"""The linear maps: the dense factor, the circulant transfer functions and
+frame gather/scatter of the super-resolution model, and factored targets."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ConditionalFactor, dense_matrix_of, naive_circular_convolve
+from oracles import ConditionalFactor, naive_circular_convolve
 from rjpo.errors import ConfigurationError
-from rjpo.linop import (
-    CirculantOperator,
-    DenseOperator,
-    FactoredPrecision,
-    GaussianTarget,
-    target_from_dense,
-)
+from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_from_dense
 from rjpo.problems import ar1_target
-from rjpo.rng import RngStream
-from rjpo.superres import FrameStack, SuperResModel
+from rjpo.superres import SuperResModel, centred_transfer
+
+
+class FrameSampling:
+    """A model's frame geometry as an operator: gather, its transpose
+    scatter, and the Gram C v read from the model's frame counts."""
+
+    def __init__(self, model):
+        self.model = model
+        self.in_dim, self.out_dim = model.pixel_count, model.data_count
+
+    def apply(self, v):
+        return self.model.gather(v)
+
+    def apply_transpose(self, w):
+        return self.model.scatter(w).ravel()
+
+    def gram(self, v):
+        return self.model.counts.ravel() * v
 
 
 def _random_ops(seed):
     """A small zoo of operators for property tests."""
     rng = np.random.default_rng(seed)
-    dims = (4, 6)
     kernel = rng.standard_normal((3, 3))
-    blur = CirculantOperator(kernel, dims)
-    # six frames cycle through the four phases of factor 2: two pixels in
-    # four are sampled twice
-    phases = [(f % 2, (f // 2) % 2) for f in range(6)]
     psf = rng.random((3, 3))
+    psf /= psf.sum()
     gamma_y, gamma_x = rng.uniform(0.1, 10.0, 2)
     return [
         DenseOperator(rng.standard_normal((5, 7))),
-        CirculantOperator(kernel, dims, origin=(1, 1)),
-        FrameStack(blur, 2, [(1, 0)]),
-        FrameStack(blur, 2, phases),
+        # six frames cycle through the four phases of factor 2, so two
+        # pixels in four are sampled twice; eleven through the nine of
+        # factor 3 sample two phases twice
+        FrameSampling(SuperResModel((4, 6), 6, 2, psf)),
+        FrameSampling(SuperResModel((6, 9), 11, 3, psf)),
         # the conditional's fused factor, on an even and an odd-column grid,
         # the second with an asymmetric smoothness kernel
-        ConditionalFactor(SuperResModel(dims, 3, 2, psf / psf.sum()), gamma_y, gamma_x),
-        ConditionalFactor(SuperResModel((6, 9), 4, 3, psf / psf.sum(), kernel), gamma_y, gamma_x),
+        ConditionalFactor(SuperResModel((4, 6), 3, 2, psf), gamma_y, gamma_x),
+        ConditionalFactor(SuperResModel((6, 9), 4, 3, psf, kernel), gamma_y, gamma_x),
     ]
 
 
@@ -74,23 +86,30 @@ def test_gram_is_transpose_of_apply(seed):
 
 
 def test_circulant_matches_naive_convolution():
+    """Filtering by a centred kernel's transfer function is the circular
+    convolution with the kernel's centre cell as origin."""
     rng = np.random.default_rng(3)
     image = rng.standard_normal((5, 4))
     kernel = rng.standard_normal((3, 3))
-    op = CirculantOperator(kernel, (5, 4), origin=(1, 1))
+    transfer = centred_transfer(kernel, (5, 4))
+    filtered = np.fft.irfft2(np.fft.rfft2(image) * transfer, s=(5, 4))
     expected = naive_circular_convolve(image, kernel, (1, 1))
-    assert np.allclose(op.apply(image.ravel()), expected.ravel(), atol=1e-12)
+    assert np.allclose(filtered, expected, atol=1e-12)
 
 
 def test_circulant_delta_kernel_is_identity():
-    op = CirculantOperator(np.array([[1.0]]), (6, 6))
-    v = np.arange(36.0)
-    assert np.allclose(op.apply(v), v, atol=1e-12)
+    """A delta kernel's transfer function is all ones: its circulant is the
+    identity."""
+    transfer = centred_transfer(np.array([[1.0]]), (6, 6))
+    assert transfer.shape == (6, 4)
+    assert np.array_equal(transfer, np.ones((6, 4)))
 
 
 def test_circulant_kernel_too_large():
     with pytest.raises(ConfigurationError):
-        CirculantOperator(np.ones((5, 5)) / 25, (4, 4))
+        centred_transfer(np.ones((5, 5)) / 25, (4, 4))
+    with pytest.raises(ConfigurationError):
+        centred_transfer(np.ones(3) / 3, (4, 4))
 
 
 def test_apply_shape_validation():

@@ -9,7 +9,6 @@ import pytest
 import oracles
 from rjpo.adapt import AdaptiveRjpoKernel, TargetRate, make_kernel
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
-from rjpo.linop import CirculantOperator
 from rjpo.rng import PairedStream, RngStream
 from rjpo.cg import cg_solve
 from rjpo.sampler import EXACT_EPSILON, KernelOutcome, _exact_cg_solve, epo_step, perturb
@@ -132,29 +131,37 @@ def test_oversized_psf_is_refused_before_it_is_built(monkeypatch):
 def test_model_counts_and_frame_offsets():
     model = small_model(frames=4)
     assert model.pixel_count == 256
-    assert model.frame_dims == (8, 8)
     assert model.data_count == 4 * 64
-    assert [model.frame_offset(f) for f in range(4)] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert model.frame_offsets == ((0, 0), (1, 0), (0, 1), (1, 1))
+    assert np.array_equal(model.counts, np.ones((16, 16)))
+    assert model.gather(np.zeros(256)).size == model.data_count
 
 
-def test_frame_stack_selects_sublattices():
-    # identity blur: each frame is one phase of the image; the phase (1, 1)
-    # is sampled twice, the phase (1, 0) once, the other two never
-    identity = CirculantOperator(np.array([[1.0]]), (4, 4))
-    op = sr.FrameStack(identity, 2, [(1, 1), (1, 0), (1, 1)])
+def test_gather_and_scatter_select_sublattices():
+    # each frame is one phase of the image: five frames at factor 2 take the
+    # phases (0, 0), (1, 0), (0, 1), (1, 1) and (0, 0) again; with a delta
+    # blur, H is the gather alone
+    model = sr.SuperResModel((4, 4), 5, 2, psf_kernel=np.array([[1.0]]))
     image = np.arange(16.0).reshape(4, 4)
-    assert np.allclose(op.apply(image.ravel()), [5, 7, 13, 15, 4, 6, 12, 14, 5, 7, 13, 15])
-    # transpose scatter-adds every frame, zeros elsewhere
-    back = op.apply_transpose(np.array([1.0, 2, 3, 4, 10, 20, 30, 40, 1, 2, 3, 4]))
-    back = back.reshape(4, 4)
-    assert np.allclose(back[1::2, 1::2], [[2, 4], [6, 8]])
-    assert np.allclose(back[1::2, 0::2], [[10, 20], [30, 40]])
-    assert np.allclose(back[0::2, :], 0.0)
-    expected_counts = np.zeros((4, 4))
-    expected_counts[1::2, 1::2] = 2
-    expected_counts[1::2, 0::2] = 1
-    assert np.array_equal(op.counts.reshape(4, 4), expected_counts)
-    assert np.allclose(op.gram(image.ravel()), expected_counts.ravel() * image.ravel())
+    assert np.array_equal(model.gather(image.ravel()),
+                          [0, 2, 8, 10, 4, 6, 12, 14, 1, 3, 9, 11, 5, 7, 13, 15, 0, 2, 8, 10])
+    assert np.allclose(oracles.forward_apply(model, image.ravel()), model.gather(image),
+                       rtol=0, atol=1e-12)
+    # scatter adds every frame onto its phase
+    frames = np.arange(1.0, 21.0)
+    back = model.scatter(frames)
+    assert np.array_equal(back[0::2, 0::2], [[18, 20], [22, 24]])
+    assert np.array_equal(back[1::2, 0::2], [[5, 6], [7, 8]])
+    assert np.array_equal(back[0::2, 1::2], [[9, 10], [11, 12]])
+    assert np.array_equal(back[1::2, 1::2], [[13, 14], [15, 16]])
+    expected_counts = np.ones((4, 4))
+    expected_counts[0::2, 0::2] = 2
+    assert np.array_equal(model.counts, expected_counts)
+    assert np.array_equal(model.scatter(model.gather(image)), expected_counts * image)
+    # two frames leave the phases (0, 1) and (1, 1) unsampled
+    two = sr.SuperResModel((4, 4), 2, 2, psf_kernel=np.array([[1.0]]))
+    assert np.array_equal(two.counts[:, 1::2], np.zeros((4, 2)))
+    assert np.array_equal(two.scatter(np.ones(8)), two.counts)
 
 
 def test_forward_operator_is_adjoint_consistent():
@@ -162,8 +169,8 @@ def test_forward_operator_is_adjoint_consistent():
     rng = np.random.default_rng(0)
     u = rng.standard_normal(model.pixel_count)
     v = rng.standard_normal(model.data_count)
-    lhs = float(model.forward.apply(u) @ v)
-    rhs = float(u @ model.forward.apply_transpose(v))
+    lhs = float(oracles.forward_apply(model, u) @ v)
+    rhs = float(u @ oracles.forward_transpose(model, v))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -174,7 +181,7 @@ def test_synthesized_snr_matches_request():
                           fwhm=4.0, snr_db=20.0)
     truth = sr.phantom((64, 64))
     obs = sr.synthesize(model, truth, RngStream(1))
-    clean = model.forward.apply(truth.ravel())
+    clean = oracles.forward_apply(model, truth.ravel())
     noise = obs - clean
     measured = 10.0 * math.log10(float(clean @ clean) / float(noise @ noise))
     assert abs(measured - 20.0) < 0.5
@@ -184,7 +191,7 @@ def test_infinite_snr_returns_clean_frames():
     model = small_model(snr_db=math.inf)
     truth = sr.phantom((16, 16))
     obs = sr.synthesize(model, truth, RngStream(2))
-    assert np.array_equal(obs, model.forward.apply(truth.ravel()))
+    assert np.array_equal(obs, oracles.forward_apply(model, truth.ravel()))
 
 
 def test_synthesize_validation():
@@ -208,12 +215,12 @@ def test_gamma_conditional_means():
 
     s = model.half_spectrum.enter(x)
 
-    resid = obs - model.forward.apply(x)
+    resid = obs - oracles.forward_apply(model, x)
     expect_y = (1.0 + model.data_count / 2.0) * 2.0 / float(resid @ resid)
     draws = np.array([sr.sample_gamma_y(s, model, obs, stream) for _ in range(8000)])
     assert draws.mean() == pytest.approx(expect_y, rel=0.007)
 
-    dx = model.laplacian.apply(x)
+    dx = oracles.smooth_apply(model, x)
     expect_x = (1.0 + (model.pixel_count - 1) / 2.0) * 2.0 / float(dx @ dx)
     draws = np.array([sr.sample_gamma_x(s, model, stream) for _ in range(8000)])
     assert draws.mean() == pytest.approx(expect_x, rel=0.007)
@@ -226,7 +233,7 @@ def test_degenerate_states_abort():
         sr.sample_gamma_x(enter(np.full(model.pixel_count, 0.7)), model, RngStream(6))
     # frames equal to H x as the chain computes it from the coordinates
     state = enter(sr.phantom((16, 16)).ravel())
-    clean = model.forward.gather(model.half_spectrum.blurred(state))
+    clean = model.gather(model.half_spectrum.blurred(state))
     with pytest.raises(NumericalBreakdownError):
         sr.sample_gamma_y(state, model, clean, RngStream(6))
 
@@ -247,8 +254,10 @@ def test_conditional_precision_matches_dense_assembly():
             lambda v: basis.leave(target.precision.apply(basis.enter(v))), model.pixel_count)
         dense_q = 0.5 * (dense_q + dense_q.T)
         dense_mu = np.linalg.solve(dense_q, basis.leave(target.potential))
-        h_dense = oracles.dense_matrix_of(model.forward.apply, model.pixel_count)
-        d_dense = oracles.dense_matrix_of(model.laplacian.apply, model.pixel_count)
+        h_dense = oracles.dense_matrix_of(lambda v: oracles.forward_apply(model, v),
+                                          model.pixel_count)
+        d_dense = oracles.dense_matrix_of(lambda v: oracles.smooth_apply(model, v),
+                                          model.pixel_count)
         q_expected = gy * h_dense.T @ h_dense + gx * d_dense.T @ d_dense
         assert np.allclose(dense_q, q_expected, atol=1e-10)
         assert np.allclose(q_expected @ dense_mu,
@@ -268,7 +277,7 @@ def _dense_stack(model, gamma_y, gamma_x):
 
     pixels = np.arange(n).reshape(dims)
     selected = np.concatenate([pixels[r::f, c::f].ravel()
-                               for r, c in map(model.frame_offset, range(model.frames))])
+                               for r, c in model.frame_offsets])
     h = conv(model.psf_kernel)[selected]
     return np.vstack([math.sqrt(gamma_y) * h,
                       math.sqrt(gamma_x) * conv(model.laplacian_kernel)])
@@ -442,12 +451,12 @@ def test_spectral_gram_matches_the_dense_mirror():
 def _two_transform_gram(model, gamma_y, gamma_x, s):
     """Q in HalfSpectrum coordinates through the image of C:
     gamma_y conj(b) W rfft2(C irfft2((b / W) s)) + gamma_x |d|^2 s."""
-    basis, transfer = model.half_spectrum, model.blur.transfer
+    basis, transfer = model.half_spectrum, model.blur
     spectrum = s.view(complex).reshape(basis.shape)
     blurred = np.fft.irfft2(transfer * basis.unscale * spectrum, s=basis.dims)
     spectrum = (gamma_y * np.conj(transfer) * basis.scale
-                * np.fft.rfft2(model.forward.counts * blurred)
-                + gamma_x * model.laplacian.gram_transfer * spectrum)
+                * np.fft.rfft2(model.counts * blurred)
+                + gamma_x * np.abs(model.laplacian) ** 2 * spectrum)
     return spectrum.view(float).ravel()
 
 
@@ -560,7 +569,7 @@ def test_conditional_target_validation():
     with pytest.raises(ConfigurationError):  # observations in place of H^t y
         sr.conditional_target(model, obs, 1.0, 1.0)
     with pytest.raises(ConfigurationError):  # H^t y on images, not in coordinates
-        sr.conditional_target(model, model.forward.apply_transpose(obs), 1.0, 1.0)
+        sr.conditional_target(model, oracles.forward_transpose(model, obs), 1.0, 1.0)
 
 
 def test_dense_mirror_refused_beyond_oracle_size():
@@ -662,7 +671,7 @@ def test_full_phase_coverage_solves_in_one_iteration():
     for dims, factor in (((16, 16), 2), ((9, 15), 3)):
         model = sr.SuperResModel(hi_res_dims=dims, frames=factor**2,
                                  decimation_factor=factor, psf_kernel=SMOOTH_3X3)
-        assert np.array_equal(model.forward.counts, np.ones(dims))
+        assert np.array_equal(model.counts, np.ones(dims))
         obs = sr.synthesize(model, sr.phantom(dims), RngStream(60))
         target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 323.6,
                                        780.4)
@@ -764,16 +773,16 @@ def _image_space_gibbs(model, observations, sweeps, stream):
     factor, and only the exact solve crosses into HalfSpectrum coordinates
     and back.  Returns the (gamma_y, gamma_x) records and the final image."""
     basis = model.half_spectrum
-    back = model.forward.apply_transpose(observations)
+    back = oracles.forward_transpose(model, observations)
     x = back.copy()
     gamma_stream, x_stream = stream.spawn(2)
     x_stream = PairedStream(x_stream, x_stream.spawn(1)[0])
     records = []
     for _ in range(sweeps):
-        residual = observations - model.forward.apply(x)
+        residual = observations - oracles.forward_apply(model, x)
         gamma_y = gamma_stream.gamma_draw(1.0 + model.data_count / 2.0,
                                           2.0 / float(residual @ residual))
-        dx = model.laplacian.apply(x)
+        dx = oracles.smooth_apply(model, x)
         gamma_x = gamma_stream.gamma_draw(1.0 + (model.pixel_count - 1) / 2.0,
                                           2.0 / float(dx @ dx))
         factor = oracles.ConditionalFactor(model, gamma_y, gamma_x)
