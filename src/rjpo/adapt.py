@@ -191,16 +191,14 @@ def essr_from_alpha(alpha: float) -> float:
 class AdaptiveRjpoKernel:
     """RJPO kernel with an online-tuned threshold, pluggable into run_chain.
 
-    Records the (n, epsilon, alpha, J) trajectory; epsilon is the threshold
-    the step actually used, i.e. the pre-update controller value.
+    Records in ``epsilons`` the threshold each step used, i.e. the
+    pre-update controller value; each step's alpha and J are kept by the
+    loop that calls it (run_chain's ChainState, run_gibbs's records).
     """
 
     def __init__(self, controller: AdaptController):
         self.controller = controller
-        self.steps: list[int] = []
         self.epsilons: list[float] = []
-        self.alphas: list[float] = []
-        self.cg_iterations: list[int] = []
 
     @property
     def epsilon(self) -> float:
@@ -209,10 +207,7 @@ class AdaptiveRjpoKernel:
     def __call__(self, target, previous, stream) -> KernelOutcome:
         eps = self.controller.epsilon
         outcome = rjpo_step(target, previous, stream, eps)
-        self.steps.append(self.controller.step_index)
         self.epsilons.append(eps)
-        self.alphas.append(outcome.acceptance_probability)
-        self.cg_iterations.append(outcome.cg_iterations)
         if isinstance(self.controller.mode, TargetRate):
             update_target_rate(self.controller, outcome.acceptance_probability)
         else:
@@ -220,11 +215,7 @@ class AdaptiveRjpoKernel:
                             outcome.acceptance_probability)
         return outcome
 
-    draw = __call__  # perfbench/run.py drives Gibbs kernels through .draw
-
-    def trajectory(self) -> np.ndarray:
-        """Columns: step index, epsilon used, acceptance probability, CG iterations."""
-        return np.column_stack([self.steps, self.epsilons, self.alphas, self.cg_iterations])
+    draw = __call__  # perfbench/run.py drives the `arjpo` Gibbs kernel through .draw
 
 
 def make_kernel(name: str, epsilon: float = 1e-4, alpha_t: float = 0.99,

@@ -35,6 +35,8 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     initialization and after every iteration; the returned residual is
     recomputed so downstream acceptance ratios see the true b - Qx.  With
     ||b|| = 0 the relative residual is defined as 0 and x0 is returned.
+    A solve of J iterations costs J + 1 Q-applies from the zero start and
+    J + 2 from a given x0, whose initial residual b - Q x0 takes one more.
 
     When q also has precondition(r), computing M^-1 r for a symmetric
     positive definite M, the search directions are built from z = M^-1 r
@@ -72,46 +74,43 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
 
     b_norm = float(np.linalg.norm(b))
-    iterations, converged = 0, True
-    if b_norm != 0.0:
-        iterations, converged = _iterate(q, b, x, b_norm, epsilon, max_iters)
-    residual = b - q.apply(x)
-    rel = float(np.linalg.norm(residual)) / b_norm if b_norm != 0.0 else 0.0
-    return CGOutcome(x, iterations, rel, residual, converged)
-
-
-def _iterate(q, b, x, b_norm, epsilon, max_iters):
-    """The CG loop on Q x = b, updating x in place; returns (iterations,
-    converged)."""
-    r = b - q.apply(x)
+    if b_norm == 0.0:
+        return CGOutcome(x, 0, 0.0, b - q.apply(x), True)
+    # from a zero start Qx is exactly zero, so r = b without a Q-apply
+    r = b.copy() if x0 is None else b - q.apply(x)
     if not np.all(np.isfinite(r)):
         raise NumericalBreakdownError("non-finite residual at initialization", iteration=0)
     rs = float(r @ r)
-    if math.sqrt(rs) / b_norm <= epsilon:
-        return 0, True
-    precondition = getattr(q, "precondition", None)
-    z, rz = _preconditioned(precondition, r, rs, 0)
-    p = z.copy()
-    for k in range(1, max_iters + 1):
-        qp = q.apply(p)
-        curvature = float(p @ qp)
-        if not math.isfinite(curvature) or curvature <= 0.0:
-            raise NumericalBreakdownError(
-                f"nonpositive or non-finite curvature p^tQp = {curvature}", iteration=k
-            )
-        step = rz / curvature
-        x += step * p
-        r -= step * qp
-        rs_next = float(r @ r)
-        if not math.isfinite(rs_next):
-            raise NumericalBreakdownError("non-finite residual norm", iteration=k)
-        if math.sqrt(rs_next) / b_norm <= epsilon:
-            return k, True
-        z, rz_next = _preconditioned(precondition, r, rs_next, k)
-        p *= rz_next / rz
-        p += z
-        rz = rz_next
-    return max_iters, False
+    iterations, converged = 0, True
+    if math.sqrt(rs) / b_norm > epsilon:
+        precondition = getattr(q, "precondition", None)
+        z, rz = _preconditioned(precondition, r, rs, 0)
+        p = z.copy()
+        for iterations in range(1, max_iters + 1):
+            qp = q.apply(p)
+            curvature = float(p @ qp)
+            if not math.isfinite(curvature) or curvature <= 0.0:
+                raise NumericalBreakdownError(
+                    f"nonpositive or non-finite curvature p^tQp = {curvature}",
+                    iteration=iterations,
+                )
+            step = rz / curvature
+            x += step * p
+            r -= step * qp
+            rs_next = float(r @ r)
+            if not math.isfinite(rs_next):
+                raise NumericalBreakdownError("non-finite residual norm", iteration=iterations)
+            if math.sqrt(rs_next) / b_norm <= epsilon:
+                break
+            z, rz_next = _preconditioned(precondition, r, rs_next, iterations)
+            p *= rz_next / rz
+            p += z
+            rz = rz_next
+        else:
+            converged = False
+    residual = b - q.apply(x)
+    return CGOutcome(x, iterations, float(np.linalg.norm(residual)) / b_norm, residual,
+                     converged)
 
 
 def _preconditioned(precondition, r, rs, iteration):

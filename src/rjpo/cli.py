@@ -340,6 +340,13 @@ def cmd_curve(cfg, outdir) -> None:
                   ["epsilon", "psrf", "threshold", "converged"], psrf_rows)
 
 
+def _trajectory(kernel: AdaptiveRjpoKernel, chain) -> np.ndarray:
+    """Columns: step n, the epsilon step n ran with, its acceptance
+    probability and its CG iterations."""
+    n = np.arange(1, chain.alphas.size + 1)
+    return np.column_stack([n, kernel.epsilons, chain.alphas, chain.cg_iterations])
+
+
 def cmd_adapt(cfg, outdir) -> None:
     mode = cfg["mode"]
     if mode not in ("target_rate", "min_cces"):
@@ -348,7 +355,6 @@ def cmd_adapt(cfg, outdir) -> None:
     n_max = cfg["n_max"] if cfg["n_max"] is not None else (
         1000 if mode == "target_rate" else 12000
     )
-    n_min = cfg["n_min"] if cfg["n_min"] is not None else n_max // 10
     epsilon0 = cfg["epsilon0"] if cfg["epsilon0"] is not None else (
         1e-3 if mode == "target_rate" else 1e-2
     )
@@ -369,8 +375,8 @@ def cmd_adapt(cfg, outdir) -> None:
                 k0=cfg["k0"], kappa=cfg["kappa"],
             )
             kernel = AdaptiveRjpoKernel(ctrl)
-            run_chain(target, kernel, n_max, n_min, sub, track_covariance=False)
-            traj = kernel.trajectory()
+            chain = run_chain(target, kernel, n_max, cfg["n_min"], sub, track_covariance=False)
+            traj = _trajectory(kernel, chain)
             write_csv(os.path.join(outdir, f"trajectory_alpha_{alpha_t:g}.csv"),
                       ["n", "epsilon", "alpha", "cg_iters"], traj)
             trailing = traj[-min(200, n_max):, 2]
@@ -390,8 +396,8 @@ def cmd_adapt(cfg, outdir) -> None:
         k0=cfg["k0"], kappa=cfg["kappa"],
     )
     kernel = AdaptiveRjpoKernel(ctrl)
-    run_chain(target, kernel, n_max, n_min, master, track_covariance=False)
-    traj = kernel.trajectory()
+    chain = run_chain(target, kernel, n_max, cfg["n_min"], master, track_covariance=False)
+    traj = _trajectory(kernel, chain)
     write_csv(os.path.join(outdir, "trajectory_min_cces.csv"),
               ["n", "epsilon", "alpha", "cg_iters"], traj)
     trail = traj[-min(2000, n_max):]

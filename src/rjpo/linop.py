@@ -127,7 +127,8 @@ def target_from_dense(q: np.ndarray, mu: np.ndarray) -> GaussianTarget:
     """Build a target from a dense SPD precision matrix.
 
     The factor is F = C^t from the Cholesky factorization Q = C C^t, so the
-    factored path and the dense mirror describe the identical Q.
+    factored path and the dense mirror describe the identical Q; C is also
+    the mirror's Cholesky factor, so Q is factorised once.
     """
     q = np.asarray(q, dtype=float)
     mu = np.asarray(mu, dtype=float).ravel()
@@ -139,4 +140,5 @@ def target_from_dense(q: np.ndarray, mu: np.ndarray) -> GaussianTarget:
         potential=q @ mu,
         dense_q=q,
         dense_mu=mu,
+        _chol=low,
     )

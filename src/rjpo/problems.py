@@ -14,25 +14,24 @@ from .linop import GaussianTarget, target_from_dense
 from .rng import RngStream
 
 
-def ar1_covariance(n: int, sigma2: float = 1.0, rho: float = 0.8) -> np.ndarray:
+def _check_ar1(n: int, sigma2: float, rho: float) -> None:
     if n < 1:
         raise ConfigurationError(f"dimension must be >= 1, got {n}")
     if not -1.0 < rho < 1.0:
         raise ConfigurationError(f"rho must lie in (-1, 1), got {rho}")
     if sigma2 <= 0:
         raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
+
+
+def ar1_covariance(n: int, sigma2: float = 1.0, rho: float = 0.8) -> np.ndarray:
+    _check_ar1(n, sigma2, rho)
     idx = np.arange(n)
     return sigma2 * rho ** np.abs(idx[:, None] - idx[None, :])
 
 
 def ar1_precision(n: int, sigma2: float = 1.0, rho: float = 0.8) -> np.ndarray:
     """Exact inverse of ar1_covariance: tridiagonal with corner corrections."""
-    if n < 1:
-        raise ConfigurationError(f"dimension must be >= 1, got {n}")
-    if not -1.0 < rho < 1.0:
-        raise ConfigurationError(f"rho must lie in (-1, 1), got {rho}")
-    if sigma2 <= 0:
-        raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
+    _check_ar1(n, sigma2, rho)
     if n == 1:
         return np.array([[1.0 / sigma2]])
     q = np.zeros((n, n))

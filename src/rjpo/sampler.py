@@ -64,7 +64,8 @@ def _exact_cg_solve(precision, eta):
     just above EXACT_EPSILON; one more solve warm-started from that x then
     takes it below.  A solve that stops at its iteration cap, or a residual
     still above EXACT_EPSILON after the second solve, is not exact and
-    raises NumericalBreakdownError.
+    raises NumericalBreakdownError.  Returns (x, relative residual,
+    iterations).
     """
     q = precision.preconditioned()
     x, iterations = None, 0
@@ -78,7 +79,7 @@ def _exact_cg_solve(precision, eta):
                 iteration=iterations,
             )
         if out.relative_residual <= EXACT_EPSILON:
-            return out.solution, out.residual_vector, iterations
+            return out.solution, out.relative_residual, iterations
         x = out.solution
     raise NumericalBreakdownError(
         f"exact solve misses its residual target after a warm-started retry: relative "
@@ -97,11 +98,10 @@ def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
     if target.has_mirror:
         x = target.mirror_solve(eta)
         residual = eta - target.precision.apply(x)
-        iterations = 0
-    else:
-        x, residual, iterations = _exact_cg_solve(target.precision, eta)
-    eta_norm = float(np.linalg.norm(eta))
-    rel = float(np.linalg.norm(residual)) / eta_norm if eta_norm > 0 else 0.0
+        eta_norm = float(np.linalg.norm(eta))
+        rel = float(np.linalg.norm(residual)) / eta_norm if eta_norm > 0 else 0.0
+        return KernelOutcome(x, x, 1.0, True, 0, rel)
+    x, rel, iterations = _exact_cg_solve(target.precision, eta)
     return KernelOutcome(x, x, 1.0, True, iterations, rel)
 
 
@@ -152,8 +152,7 @@ def rjpo_step(
     )
 
 
-# Each kernel keeps `draw` as an alias of the call: perfbench/run.py drives
-# Gibbs kernels through `.draw`.
+# perfbench/run.py drives the `cholesky_epo` Gibbs kernel through `.draw`
 def epo_kernel():
     def step(target, previous, stream):
         return epo_step(target, stream)
@@ -167,7 +166,6 @@ def tpo_kernel(epsilon: float):
         return tpo_step(target, previous, stream, epsilon)
 
     step.epsilon = epsilon
-    step.draw = step
     return step
 
 
@@ -176,7 +174,6 @@ def rjpo_kernel(epsilon: float):
         return rjpo_step(target, previous, stream, epsilon)
 
     step.epsilon = epsilon
-    step.draw = step
     return step
 
 

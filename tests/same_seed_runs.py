@@ -1,0 +1,64 @@
+"""Run the fixed-seed CLI list that gates a refactor, each into OUTDIR/<name>/.
+
+    PYTHONPATH=src python tests/same_seed_runs.py OUTDIR
+
+Every run goes through rjpo.cli.main with the rjpo on the import path, so
+the same list run from two checkouts, then
+
+    python tests/compare_outputs.py PARENT_OUT CHANGE_OUT
+
+gates all of it in one call: a refactor that keeps every arithmetic
+operation leaves every file identical except the timing lines.  The runs
+are short (about 20 s together on one core) but reach every sampler,
+both controllers, the PSRF study, the exact super-resolution reference and
+a 3 x 3 decimation.  Prints one line per run with its exit code and wall
+time; exits 0 when every run exited 0, 1 otherwise, 2 on a usage error.
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+from rjpo import cli
+
+RUNS = {
+    "toy_all": ["toy", "--sampler", "all", "--n-max", "5000", "--seed", "1"],
+    "curve_psrf": ["curve", "--psrf", "--n-max", "1000", "--chains", "2",
+                   "--epsilon-grid", "logspace:1e-4:1e-1:5", "--seed", "2"],
+    "adapt_target_rate": ["adapt", "--mode", "target_rate", "--n-max", "1000", "--seed", "3"],
+    "adapt_min_cces": ["adapt", "--mode", "min_cces", "--n-max", "6000", "--seed", "4"],
+    "superres64_arjpo": ["superres", "--dims", "64", "--sampler", "arjpo",
+                         "--iterations", "300", "--burn-in", "30", "--seed", "13"],
+    "superres64_epo": ["superres", "--dims", "64", "--sampler", "epo",
+                       "--iterations", "300", "--burn-in", "30", "--seed", "13"],
+    "superres16_reference": ["superres", "--dims", "16", "--fwhm", "1", "--sampler", "arjpo",
+                             "--reference", "--iterations", "500", "--burn-in", "50",
+                             "--seed", "9"],
+    "superres30_factor3": ["superres", "--dims", "30", "--frames", "5", "--factor", "3",
+                           "--fwhm", "1", "--sampler", "tpo", "--iterations", "300",
+                           "--burn-in", "30", "--seed", "4"],
+}
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python tests/same_seed_runs.py OUTDIR", file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    failed = []
+    for name, args in RUNS.items():
+        start = time.perf_counter()
+        code = cli.main([*args, "--out", str(outdir / name)])
+        print(f"{name}: exit {code} in {time.perf_counter() - start:.1f} s", flush=True)
+        if code != 0:
+            failed.append(name)
+    if failed:
+        print(f"failed: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

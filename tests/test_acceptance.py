@@ -230,8 +230,8 @@ def test_08_rate_servo_tracks_setpoints():
     for i, alpha_t in enumerate((0.5, 0.8, 0.99)):
         ctrl = AdaptController(math.log(1e-2), TargetRate(alpha_t))
         kernel = AdaptiveRjpoKernel(ctrl)
-        run_chain(target, kernel, 1000, 0, RngStream(1200 + i), track_covariance=False)
-        trailing = float(np.mean(kernel.alphas[-200:]))
+        chain = run_chain(target, kernel, 1000, 0, RngStream(1200 + i), track_covariance=False)
+        trailing = float(np.mean(chain.alphas[-200:]))
         ok = ok and abs(trailing - alpha_t) <= 0.05
         details.append(f"{alpha_t} -> {trailing:.3f}")
     _report(
@@ -248,13 +248,13 @@ def test_09_cces_controller_reaches_fixed_point():
     target, _, _ = ar1_target(128, 1.0, 0.8, stream=RngStream(31))
     ctrl = AdaptController(math.log(1e-2), MinCces())
     kernel = AdaptiveRjpoKernel(ctrl)
-    run_chain(target, kernel, 20_000, 0, RngStream(32), track_covariance=False)
-    tail = kernel.trajectory()[-5000:]
-    log_eps = np.log(tail[:, 1])
-    mean_alpha = float(tail[:, 2].mean())
-    mean_j = float(tail[:, 3].mean())
-    slope_a = ols_slope(log_eps, tail[:, 2])
-    slope_j = ols_slope(log_eps, tail[:, 3])
+    chain = run_chain(target, kernel, 20_000, 0, RngStream(32), track_covariance=False)
+    log_eps = np.log(kernel.epsilons[-5000:])
+    tail_alpha, tail_j = chain.alphas[-5000:], chain.cg_iterations[-5000:]
+    mean_alpha = float(tail_alpha.mean())
+    mean_j = float(tail_j.mean())
+    slope_a = ols_slope(log_eps, tail_alpha)
+    slope_j = ols_slope(log_eps, tail_j)
     resid = mean_j * (slope_a / slope_j) - mean_alpha + mean_alpha**2 / 2
     eps_star = float(np.exp(log_eps.mean()))
     ok = abs(resid) < 0.05 and 0.9 <= mean_alpha <= 1.0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rjpo.adapt
 import rjpo.sampler
 from rjpo.adapt import (
     ALPHA_CLAMP_LOW,
@@ -103,8 +104,8 @@ def test_target_rate_trailing_acceptance_reaches_band():
         stream = RngStream(5)
         target, _, _ = ar1_target(16, 1.0, 0.8, stream=stream)
         kernel = AdaptiveRjpoKernel(make_ctrl(TargetRate(alpha_t)))
-        run_chain(target, kernel, n_max=1000, n_min=100, stream=stream)
-        trailing = np.array(kernel.alphas[-200:])
+        chain = run_chain(target, kernel, n_max=1000, n_min=100, stream=stream)
+        trailing = chain.alphas[-200:]
         assert abs(trailing.mean() - alpha_t) < 0.05, alpha_t
 
 
@@ -251,11 +252,10 @@ def test_min_cces_converges_from_both_sides(eps0):
     target, _, _ = ar1_target(16, 1.0, 0.8, stream=stream)
     kernel = AdaptiveRjpoKernel(make_ctrl(MinCces(window_size=200),
                                           log_eps=math.log(eps0)))
-    run_chain(target, kernel, n_max=2000, n_min=200, stream=stream)
-    trailing = kernel.trajectory()[-500:]
-    assert 3e-6 < math.exp(np.log(trailing[:, 1]).mean()) < 3e-3
-    assert trailing[:, 2].mean() > 0.9
-    assert trailing[:, 3].mean() <= 16.0
+    chain = run_chain(target, kernel, n_max=2000, n_min=200, stream=stream)
+    assert 3e-6 < math.exp(np.log(kernel.epsilons[-500:]).mean()) < 3e-3
+    assert chain.alphas[-500:].mean() > 0.9
+    assert chain.cg_iterations[-500:].mean() <= 16.0
 
 
 def test_optimality_condition_is_the_cces_stationary_point():
@@ -295,13 +295,35 @@ def test_adaptive_kernel_records_trajectory():
     stream = RngStream(3)
     target, _, _ = ar1_target(16, 1.0, 0.8, stream=stream)
     kernel = AdaptiveRjpoKernel(make_ctrl(TargetRate(0.8)))
-    run_chain(target, kernel, n_max=50, n_min=5, stream=stream)
-    traj = kernel.trajectory()
-    assert traj.shape == (50, 4)
-    assert np.array_equal(traj[:, 0], np.arange(1, 51))
-    assert np.all(traj[:, 1] > 0)
+    chain = run_chain(target, kernel, n_max=50, n_min=5, stream=stream)
+    assert len(kernel.epsilons) == chain.alphas.size == chain.cg_iterations.size == 50
+    assert np.all(np.array(kernel.epsilons) > 0)
     assert kernel.controller.step_index == 51
     assert kernel.epsilon == kernel.controller.epsilon
+
+
+@pytest.mark.parametrize("mode", [TargetRate(0.8), MinCces(window_size=20)])
+def test_adaptive_kernel_epsilons_are_the_thresholds_its_steps_ran_with(monkeypatch, mode):
+    """epsilons[i] is the pre-update threshold rjpo_step i was called with,
+    and it is the only history the kernel keeps: alpha and J of each step
+    are in the chain's arrays."""
+    used = []
+
+    def recording_step(target, previous, stream, epsilon):
+        used.append(epsilon)
+        return rjpo.sampler.rjpo_step(target, previous, stream, epsilon)
+
+    monkeypatch.setattr(rjpo.adapt, "rjpo_step", recording_step)
+    stream = RngStream(6)
+    target, _, _ = ar1_target(16, 1.0, 0.8, stream=stream)
+    kernel = AdaptiveRjpoKernel(make_ctrl(mode))
+    before = kernel.controller.epsilon
+    chain = run_chain(target, kernel, n_max=40, n_min=4, stream=stream)
+    assert kernel.epsilons == used
+    assert kernel.epsilons[0] == before
+    assert kernel.epsilons[-1] != kernel.epsilon  # the last update came after the step
+    assert set(vars(kernel)) == {"controller", "epsilons"}
+    assert chain.alphas.size == len(kernel.epsilons)
 
 
 def test_adaptive_kernel_honors_iteration_cap(monkeypatch):
@@ -311,5 +333,5 @@ def test_adaptive_kernel_honors_iteration_cap(monkeypatch):
     stream = RngStream(4)
     target, _, _ = ar1_target(16, 1.0, 0.8, stream=stream)
     kernel = AdaptiveRjpoKernel(make_ctrl(TargetRate(0.8)))
-    run_chain(target, kernel, n_max=30, n_min=3, stream=stream)
-    assert max(kernel.cg_iterations) <= 2
+    chain = run_chain(target, kernel, n_max=30, n_min=3, stream=stream)
+    assert max(chain.cg_iterations) <= 2

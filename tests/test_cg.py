@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rjpo.superres as sr
 from oracles import dense_solve_cg_reference
 from rjpo.cg import cg_solve
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import DenseOperator, FactoredPrecision
+from rjpo.problems import ar1_target
+from rjpo.rng import RngStream
+from rjpo.sampler import perturb
 
 
 def _spd_precision(seed, n):
@@ -191,6 +195,45 @@ def test_nonfinite_rhs_breaks_down():
     prec, _ = _spd_precision(13, 4)
     with pytest.raises(NumericalBreakdownError):
         cg_solve(prec, np.array([1.0, np.nan, 0.0, 2.0]), epsilon=1e-8)
+
+
+def _sr64_conditional():
+    model = sr.make_model((64, 64))
+    obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(2))
+    return sr.conditional_target(model, model.half_spectrum.back_project(obs), 11.6, 962.0)
+
+
+@pytest.mark.parametrize("case", ["dense", "sr64", "sr64_preconditioned"])
+def test_q_applies_per_solve(monkeypatch, case):
+    """A solve of J iterations makes J + 1 Q-applies from the zero start
+    (Q 0 is never formed) and J + 2 from a given x0; skipping Q 0 leaves
+    the solve bitwise equal to one started from an explicit zero vector."""
+    if case == "dense":
+        target, _, _ = ar1_target(64, 1.0, 0.8, stream=RngStream(1))
+    else:
+        target = _sr64_conditional()
+    stream = RngStream(3)
+    eta = perturb(target, stream)
+    start = stream.standard_normal_vector(target.dim)
+    precision = target.precision
+    if case == "sr64_preconditioned":
+        precision = precision.preconditioned()
+    applies = []
+    apply = FactoredPrecision.apply
+
+    def counted(self, v):
+        applies.append(1)
+        return apply(self, v)
+
+    monkeypatch.setattr(FactoredPrecision, "apply", counted)
+    solutions = []
+    for x0, extra in ((None, 1), (start, 2), (np.zeros(target.dim), 2)):
+        applies.clear()
+        out = cg_solve(precision, eta, x0=x0, epsilon=1e-3)
+        assert out.iterations >= 1
+        assert len(applies) == out.iterations + extra, (x0 is None, out.iterations)
+        solutions.append(out.solution)
+    assert np.array_equal(solutions[0], solutions[2])
 
 
 def test_parameter_validation():

@@ -20,6 +20,7 @@ from rjpo import cli
 from rjpo import superres as sr
 from rjpo.diag import ess
 from rjpo.errors import ConfigurationError
+from same_seed_runs import RUNS
 
 TOY_TINY = ["toy", "--n", "8", "--n-max", "400", "--sampler", "rjpo",
             "--epsilon", "1e-2", "--seed", "3"]
@@ -251,6 +252,15 @@ def test_malformed_config_line_is_rejected(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("just some words\n")
     assert cli.main(["toy", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+
+
+def test_same_seed_run_list_parses():
+    """Every argv of tests/same_seed_runs.py is a valid command line, and
+    the list reaches all four subcommands."""
+    for name, argv in RUNS.items():
+        cfg = cli.resolve_config(cli.build_parser().parse_args([*argv, "--out", "out"]))
+        assert cfg["subcommand"] == argv[0], name
+    assert {argv[0] for argv in RUNS.values()} == set(cli.SUBCOMMANDS)
 
 
 def test_grid_specs():

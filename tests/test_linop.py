@@ -150,6 +150,26 @@ def test_mirror_solve_is_accurate_at_benchmark_size():
         assert np.max(np.abs(x - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
+def test_dense_target_factorises_its_precision_once(monkeypatch):
+    """The dense mirror's Cholesky factor is the one target_from_dense
+    took for the factor F = C^t: building ar1_target(128), factorising the
+    mirror and one mirror solve call np.linalg.cholesky once."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    target, _, _ = ar1_target(128, 1.0, 0.8, mean=np.linspace(0.0, 10.0, 128))
+    low = target.mirror_cholesky()
+    target.mirror_solve(np.ones(128))
+    assert calls == [(128, 128)]
+    assert np.array_equal(low, target.precision.factor.matrix.T)
+    assert np.array_equal(low, cholesky(target.dense_q))
+
+
 def test_gaussian_target_validation():
     rng = np.random.default_rng(8)
     q = np.eye(3)

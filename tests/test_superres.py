@@ -494,6 +494,18 @@ def test_alias_gram_matches_the_two_transform_gram():
         assert np.max(np.abs(seen - target.dense_q)) <= 1e-13 * scale, case
 
 
+def test_coordinates_are_built_by_the_first_sweep_not_with_the_model():
+    """Building a model and synthesizing its data leave the HalfSpectrum
+    coordinates unbuilt; the first Gibbs sweep builds them.  A benchmark's
+    setup (make_model + synthesize) so never pays for the coordinate
+    tables."""
+    model = sr.make_model((64, 64))
+    obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(32))
+    assert "half_spectrum" not in vars(model)
+    sr.run_gibbs(model, obs, 1, 0, make_kernel("arjpo"), RngStream(33))
+    assert "half_spectrum" in vars(model)
+
+
 def test_alias_term_counts():
     """Two frames at factor 2 sample every row of the even columns (C = 1
     there), one alias term; with every phase sampled once C = I and Q = P,
