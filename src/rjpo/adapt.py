@@ -91,8 +91,8 @@ class AdaptController:
     mode: TargetRate | MinCces
     k0: float = 1.0
     kappa: float = 0.5
-    step_index: int = 1
-    degenerate_windows: int = 0
+    step_index: int = field(default=1, init=False)
+    degenerate_windows: int = field(default=0, init=False)
     history: SlopeWindow = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -223,7 +223,8 @@ def make_kernel(name: str, epsilon: float = 1e-4, alpha_t: float = 0.99,
     """A kernel (target, previous, stream) -> KernelOutcome by name.
 
     epo (alias cholesky_epo) solves exactly; tpo and rjpo truncate at
-    epsilon, which must be positive and finite; arjpo is RJPO whose
+    epsilon, which must lie in (0, 1) (at 1 or above, CG stops before its
+    first iteration and a chain from zero never moves); arjpo is RJPO whose
     threshold starts at epsilon0 and is tuned toward acceptance alpha_t.
     """
     if name in ("epo", "cholesky_epo"):
@@ -236,6 +237,6 @@ def make_kernel(name: str, epsilon: float = 1e-4, alpha_t: float = 0.99,
         raise ConfigurationError(
             f"unknown sampler {name!r}; choose epo, cholesky_epo, tpo, rjpo, or arjpo"
         )
-    if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise ConfigurationError(f"{name} epsilon must be positive finite, got {epsilon}")
+    if not 0.0 < epsilon < 1.0:
+        raise ConfigurationError(f"{name} epsilon must lie in (0, 1), got {epsilon}")
     return tpo_kernel(epsilon) if name == "tpo" else rjpo_kernel(epsilon)

@@ -236,12 +236,14 @@ def _parse_grid(spec) -> list[float]:
             raise ConfigurationError(f"bad epsilon grid {spec!r}") from exc
     if not grid:
         raise ConfigurationError("epsilon grid is empty")
-    if any(e <= 0 for e in grid):
-        raise ConfigurationError("epsilon grid entries must be positive")
+    if not all(0.0 < e < 1.0 for e in grid):
+        raise ConfigurationError(f"epsilon grid entries must lie in (0, 1), got {spec!r}")
     return sorted(grid)
 
 
 def cmd_toy(cfg, outdir) -> None:
+    if cfg["chains"] < 1:
+        raise ConfigurationError(f"toy needs at least 1 chain, got {cfg['chains']}")
     samplers = (
         ["epo", "tpo", "rjpo"] if cfg["sampler"] == "all" else cfg["sampler"].split(",")
     )
@@ -285,6 +287,8 @@ def cmd_curve(cfg, outdir) -> None:
         raise ConfigurationError(
             f"curve keeps samples {n_min}..{n_max}; its ESS and PSRF need at least 10"
         )
+    if cfg["psrf"] and cfg["chains"] < 2:
+        raise ConfigurationError("PSRF needs at least 2 chains")
     master = RngStream(cfg["seed"])
     target, mu, cov = ar1_target(cfg["n"], cfg["sigma2"], cfg["rho"], stream=master)
 
@@ -320,8 +324,6 @@ def cmd_curve(cfg, outdir) -> None:
               ["sampler", "epsilon", "essr", "cces"], essr_rows)
 
     if cfg["psrf"]:
-        if cfg["chains"] < 2:
-            raise ConfigurationError("PSRF needs at least 2 chains")
         psrf_rows = []
         cov_chol = np.linalg.cholesky(cov)
         for i, eps in enumerate(grid):
@@ -392,7 +394,7 @@ def cmd_adapt(cfg, outdir) -> None:
     window = cfg["window"]
     ctrl = AdaptController(
         log_epsilon=math.log(epsilon0),
-        mode=MinCces(window_size=window) if window else MinCces(),
+        mode=MinCces(window_size=window) if window is not None else MinCces(),
         k0=cfg["k0"], kappa=cfg["kappa"],
     )
     kernel = AdaptiveRjpoKernel(ctrl)

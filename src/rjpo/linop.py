@@ -55,11 +55,9 @@ class FactoredPrecision:
     coordinates for the super-resolution conditional.
     """
 
-    def __init__(self, factor, preconditioned: bool = False):
+    def __init__(self, factor):
         self.factor = factor
         self.dim = factor.in_dim
-        if preconditioned and hasattr(factor, "precondition"):
-            self.precondition = factor.precondition
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The induced Gram map v -> Qv = F^t F v."""
@@ -69,21 +67,23 @@ class FactoredPrecision:
         """This Q as seen by a preconditioned cg_solve: the same apply, plus
         the factor's ``precondition`` (an SPD approximation of Q^-1) when it
         has one.  Without one it is solved by plain CG."""
-        return FactoredPrecision(self.factor, preconditioned=True)
+        view = FactoredPrecision(self.factor)
+        if hasattr(self.factor, "precondition"):
+            view.precondition = self.factor.precondition
+        return view
 
 
 @dataclass
 class GaussianTarget:
     """A target N(mu, Q^-1) held as (factored Q, potential vector Q mu).
 
-    ``dense_q``/``dense_mu`` form an optional dense mirror for oracle use
-    on small problems; the sampling kernels never require it.
+    ``dense_q`` is an optional dense mirror of Q for exact solves and
+    oracle use on small problems; the sampling kernels never require it.
     """
 
     precision: FactoredPrecision
     potential: np.ndarray
     dense_q: np.ndarray | None = None
-    dense_mu: np.ndarray | None = None
     _chol: np.ndarray | None = field(default=None, repr=False, compare=False)
     _chol_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -139,6 +139,5 @@ def target_from_dense(q: np.ndarray, mu: np.ndarray) -> GaussianTarget:
         precision=FactoredPrecision(DenseOperator(low.T)),
         potential=q @ mu,
         dense_q=q,
-        dense_mu=mu,
         _chol=low,
     )

@@ -19,8 +19,8 @@ def _check_ar1(n: int, sigma2: float, rho: float) -> None:
         raise ConfigurationError(f"dimension must be >= 1, got {n}")
     if not -1.0 < rho < 1.0:
         raise ConfigurationError(f"rho must lie in (-1, 1), got {rho}")
-    if sigma2 <= 0:
-        raise ConfigurationError(f"sigma2 must be positive, got {sigma2}")
+    if not 0.0 < sigma2 < np.inf:
+        raise ConfigurationError(f"sigma2 must be positive and finite, got {sigma2}")
 
 
 def ar1_covariance(n: int, sigma2: float = 1.0, rho: float = 0.8) -> np.ndarray:
@@ -48,23 +48,15 @@ def ar1_target(
     n: int,
     sigma2: float = 1.0,
     rho: float = 0.8,
-    stream: RngStream | None = None,
-    mean: np.ndarray | None = None,
+    *,
+    stream: RngStream,
 ) -> tuple[GaussianTarget, np.ndarray, np.ndarray]:
     """Build the AR(1) benchmark target.
 
-    The mean is drawn once from U[0, 10] using the supplied stream unless
-    given explicitly.  Returns (target, true_mean, true_cov); the target
-    carries a dense mirror and a Cholesky-factor precision, affordable at
-    the benchmark sizes used here.
+    The mean is drawn once from U[0, 10) using the supplied stream.  Returns
+    (target, true_mean, true_cov); the target carries a dense mirror and a
+    Cholesky-factor precision, affordable at the benchmark sizes used here.
     """
     cov = ar1_covariance(n, sigma2, rho)
-    q = ar1_precision(n, sigma2, rho)
-    if mean is None:
-        if stream is None:
-            raise ConfigurationError("need a stream or an explicit mean")
-        mean = stream.uniform_vector(n, 0.0, 10.0)
-    mean = np.asarray(mean, dtype=float).ravel()
-    if mean.size != n:
-        raise ConfigurationError(f"mean length {mean.size} != dimension {n}")
-    return target_from_dense(q, mean), mean, cov
+    mean = 10.0 * stream.uniform_vector(n)
+    return target_from_dense(ar1_precision(n, sigma2, rho), mean), mean, cov

@@ -33,10 +33,11 @@ class RngStream:
         """One U(0, 1) draw."""
         return float(self._gen.random())
 
-    def uniform_vector(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+    def uniform_vector(self, n: int) -> np.ndarray:
+        """n i.i.d. U[0, 1) draws; advances the stream."""
         if n < 1:
             raise ValueError(f"need n >= 1 draws, got {n}")
-        return self._gen.uniform(low, high, n)
+        return self._gen.random(n)
 
     def gamma_draw(self, shape: float, scale: float) -> float:
         """One Gamma(shape, scale) draw (mean shape*scale)."""

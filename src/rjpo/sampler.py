@@ -183,8 +183,8 @@ class ChainState:
     Moments accumulate over iterations n_min..n_max inclusive (the empirical
     mean over n_max - n_min + 1 samples and the (n-1)-denominator covariance),
     matching the estimators the error metrics are defined against.  The
-    second-moment matrix is optional so large-dimension chains never
-    allocate an N x N array.
+    N x N second-moment matrix is optional: a large-dimension caller turns
+    it off, as `adapt` does.
     """
 
     def __init__(self, dim: int, n_max: int, track_covariance: bool, store_samples: bool):
@@ -233,15 +233,16 @@ def run_chain(
     n_min: int | None,
     stream: RngStream,
     initial: np.ndarray | None = None,
-    track_covariance: bool | None = None,
+    track_covariance: bool = True,
     store_samples: bool = False,
 ) -> ChainState:
     """Iterate a kernel n_max times, accumulating moments after burn-in.
 
     kernel is any callable (target, previous, stream) -> KernelOutcome.
     n_min defaults to 10% of n_max; samples n_min..n_max enter the moment
-    estimators (the initial point counts only when n_min = 0).  Covariance
-    tracking defaults on for dim <= 512.
+    estimators (the initial point counts only when n_min = 0).  A
+    large-dimension caller passes track_covariance=False, as `adapt` does,
+    so the chain never allocates an N x N array.
     """
     if n_max < 1:
         raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
@@ -252,8 +253,6 @@ def run_chain(
             f"burn-in n_min = {n_min} leaves no post-burn-in window before n_max = {n_max}"
         )
     dim = target.dim
-    if track_covariance is None:
-        track_covariance = dim <= 512
     state = ChainState(dim, n_max, track_covariance, store_samples)
 
     x = np.zeros(dim) if initial is None else np.asarray(initial, dtype=float).ravel().copy()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,38 +36,38 @@ from .sampler import epo_step  # noqa: F401
 
 LAPLACIAN_STENCIL = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0.0]])
 PGM_MAX = 65535
+# share of the blur kernel's infinite-sum mass that laplace_psf may discard
+TAIL_MASS = 1e-4
 
 
-def psf_half_width(fwhm: float, tail_mass: float = 1e-4) -> int:
+def psf_half_width(fwhm: float) -> int:
     """Half-width h of the support laplace_psf keeps: the smallest h whose
-    centered (2h+1)^2 square discards less than ``tail_mass`` of the
+    centered (2h+1)^2 square discards less than TAIL_MASS of the
     infinite-sum mass of k(i,j) ~ q^(|i|+|j|), q = exp(-2 ln2 / fwhm).
 
     Separable: the 2-D mass inside [-h,h]^2 is (s_h / s_inf)^2 with the 1-D
     partial sums s_h = 1 + 2(q + ... + q^h), s_inf = (1+q)/(1-q), and
     s_h / s_inf = 1 - 2q^(h+1)/(1+q).  So h is the smallest integer with
-    q^(h+1) < (1+q)(1 - sqrt(1 - tail_mass))/2, found in closed form: the
+    q^(h+1) < (1+q)(1 - sqrt(1 - TAIL_MASS))/2, found in closed form: the
     size check in make_model runs before any kernel is built.
     """
     if not (fwhm > 0 and math.isfinite(fwhm)):
         raise ConfigurationError(f"PSF FWHM must be positive finite, got {fwhm}")
-    if not 0 < tail_mass < 1:
-        raise ConfigurationError(f"tail_mass must lie in (0, 1), got {tail_mass}")
     decay = 2.0 * math.log(2.0) / fwhm
     q = math.exp(-decay)
     # 1 - sqrt(1 - t) without the cancellation
-    bound = 0.5 * (1.0 + q) * tail_mass / (1.0 + math.sqrt(1.0 - tail_mass))
+    bound = 0.5 * (1.0 + q) * TAIL_MASS / (1.0 + math.sqrt(1.0 - TAIL_MASS))
     return max(0, math.floor(math.log(bound) / -decay))
 
 
-def laplace_psf(fwhm: float, tail_mass: float = 1e-4) -> np.ndarray:
+def laplace_psf(fwhm: float) -> np.ndarray:
     """Laplace-shaped separable blur kernel k(i,j) ~ exp(-(|i|+|j|) 2ln2/fwhm).
 
     The support is the smallest centered square that discards less than
-    ``tail_mass`` of the total (infinite-sum) kernel mass (psf_half_width);
+    TAIL_MASS of the total (infinite-sum) kernel mass (psf_half_width);
     the truncated kernel is renormalized to sum to 1.
     """
-    h = psf_half_width(fwhm, tail_mass)
+    h = psf_half_width(fwhm)
     idx = np.arange(-h, h + 1)
     decay = 2.0 * math.log(2.0) / fwhm
     kernel = np.exp(-decay * (np.abs(idx)[:, None] + np.abs(idx)[None, :]))
@@ -262,7 +262,6 @@ class SuperResModel:
     frames: int
     decimation_factor: int
     psf_kernel: np.ndarray
-    laplacian_kernel: np.ndarray = field(default_factory=lambda: LAPLACIAN_STENCIL.copy())
     snr_db: float = 20.0
 
     def __post_init__(self):
@@ -285,7 +284,6 @@ class SuperResModel:
             raise ConfigurationError(
                 f"PSF must sum to 1 (flux preservation), sums to {self.psf_kernel.sum()}"
             )
-        self.laplacian_kernel = np.asarray(self.laplacian_kernel, dtype=float)
         if math.isnan(self.snr_db):
             raise ConfigurationError("snr_db must be a real number or +inf")
 
@@ -311,8 +309,9 @@ class SuperResModel:
 
     @cached_property
     def laplacian(self) -> np.ndarray:
-        """d, the transfer function of the smoothness operator D."""
-        return centred_transfer(self.laplacian_kernel, self.hi_res_dims)
+        """d, the transfer function of the smoothness operator D, the
+        5-point Laplacian LAPLACIAN_STENCIL."""
+        return centred_transfer(LAPLACIAN_STENCIL, self.hi_res_dims)
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -548,21 +547,19 @@ def phantom(dims) -> np.ndarray:
     return np.clip(img / img.max(), 0.0, 1.0)
 
 
-def write_pgm(path, image, max_val: int = PGM_MAX) -> None:
-    """Binary (P5) portable graymap; 2 bytes big-endian per pixel above 255."""
+def write_pgm(path, image) -> None:
+    """Binary (P5) 16-bit portable graymap, max value PGM_MAX: each pixel
+    rounded, clipped to [0, PGM_MAX] and written as 2 bytes big-endian."""
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ConfigurationError(f"PGM image must be 2-D, got shape {image.shape}")
     if not np.all(np.isfinite(image)):
         raise ConfigurationError("PGM image has non-finite pixels")
-    if not 1 <= max_val <= 65535:
-        raise ConfigurationError(f"PGM max value must lie in [1, 65535], got {max_val}")
     rows, cols = image.shape
-    data = np.clip(np.rint(image), 0, max_val)
-    dtype = np.dtype(">u2") if max_val > 255 else np.dtype(np.uint8)
+    data = np.clip(np.rint(image), 0, PGM_MAX)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{cols} {rows}\n{max_val}\n".encode("ascii"))
-        fh.write(data.astype(dtype).tobytes())
+        fh.write(f"P5\n{cols} {rows}\n{PGM_MAX}\n".encode("ascii"))
+        fh.write(data.astype(">u2").tobytes())
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:

@@ -181,12 +181,11 @@ def general_rj_step_oracle(target, move: GeneralMoveSpec, previous: np.ndarray,
     if not target.has_mirror:
         raise ConfigurationError("general move oracle needs a dense mirror")
     previous = np.asarray(previous, dtype=float).ravel()
-    q, mu = target.dense_q, target.dense_mu
-    n = mu.size
+    q, n = target.dense_q, target.dim
 
     z = move.A @ previous + move.b + move.chol_b @ stream.standard_normal_vector(n)
     half_m = 0.5 * (q + move.A.T @ np.linalg.solve(move.B, move.A))
-    rhs = q @ mu + move.A.T @ np.linalg.solve(move.B, z - move.b)
+    rhs = target.potential + move.A.T @ np.linalg.solve(move.B, z - move.b)
     f = np.linalg.solve(half_m, rhs)
     residual = rhs - half_m @ f
     proposal = -previous + f
@@ -204,16 +203,19 @@ def general_rj_step_oracle(target, move: GeneralMoveSpec, previous: np.ndarray,
 
 def with_dense_mirror(target: GaussianTarget) -> GaussianTarget:
     """The target with a dense mirror: Q materialized column by column
-    through its precision and symmetrized, and mu = Q^-1 (Q mu).  Refused
-    beyond N = 4096, where the N x N matrix and its solve stop being an
-    oracle's job."""
+    through its precision and symmetrized.  Refused beyond N = 4096, where
+    the N x N matrix and its solve stop being an oracle's job."""
     n = target.dim
     if n > 4096:
         raise ConfigurationError(f"dense mirror refused for N = {n}")
     dense_q = dense_matrix_of(target.precision.apply, n)
     dense_q = 0.5 * (dense_q + dense_q.T)
-    return GaussianTarget(target.precision, target.potential, dense_q=dense_q,
-                          dense_mu=np.linalg.solve(dense_q, target.potential))
+    return GaussianTarget(target.precision, target.potential, dense_q=dense_q)
+
+
+def dense_mean(target: GaussianTarget) -> np.ndarray:
+    """mu = Q^-1 (Q mu) of a target with a dense mirror, by a dense solve."""
+    return np.linalg.solve(target.dense_q, target.potential)
 
 
 def acceptance_curve(target, epsilons, n_max: int, stream) -> np.ndarray:

@@ -10,8 +10,8 @@ the same list run from two checkouts, then
 gates all of it in one call: a refactor that keeps every arithmetic
 operation leaves every file identical except the timing lines.  The runs
 are short (about 20 s together on one core) but reach every sampler,
-both controllers, the PSRF study, the exact super-resolution reference and
-a 3 x 3 decimation.  Prints one line per run with its exit code and wall
+both controllers (MinCces at its default window and at a set one), the
+PSRF study, the exact super-resolution reference and a 3 x 3 decimation.  Prints one line per run with its exit code and wall
 time; exits 0 when every run exited 0, 1 otherwise, 2 on a usage error.
 """
 
@@ -29,6 +29,8 @@ RUNS = {
                    "--epsilon-grid", "logspace:1e-4:1e-1:5", "--seed", "2"],
     "adapt_target_rate": ["adapt", "--mode", "target_rate", "--n-max", "1000", "--seed", "3"],
     "adapt_min_cces": ["adapt", "--mode", "min_cces", "--n-max", "6000", "--seed", "4"],
+    "adapt_min_cces_window": ["adapt", "--mode", "min_cces", "--window", "50",
+                              "--n-max", "3000", "--seed", "5"],
     "superres64_arjpo": ["superres", "--dims", "64", "--sampler", "arjpo",
                          "--iterations", "300", "--burn-in", "30", "--seed", "13"],
     "superres64_epo": ["superres", "--dims", "64", "--sampler", "epo",

@@ -57,6 +57,16 @@ def test_controller_gain_validation(kw):
         make_ctrl(TargetRate(0.8), **kw)
 
 
+@pytest.mark.parametrize("state", ["step_index", "degenerate_windows"])
+def test_controller_state_is_not_a_constructor_argument(state):
+    """The step count and degenerate-window tally start at 1 and 0 and move
+    only through the updates."""
+    with pytest.raises(TypeError):
+        make_ctrl(TargetRate(0.8), **{state: 5})
+    ctrl = make_ctrl(MinCces())
+    assert (ctrl.step_index, ctrl.degenerate_windows) == (1, 0)
+
+
 def test_kappa_one_is_allowed():
     ctrl = make_ctrl(TargetRate(0.8), kappa=1.0)
     assert ctrl.step_size == ctrl.k0

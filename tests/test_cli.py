@@ -80,10 +80,23 @@ def run_cli(argv):
     ["adapt", "--mode", "min_cces", "--epsilon0", "inf"],
     ["curve", "--n-max", "5", "--epsilon-grid", "1e-2"],
     ["curve", "--n-max", "12", "--n-min", "8"],
+    ["adapt", "--mode", "min_cces", "--window", "0", "--n-max", "100"],
+    ["toy", "--chains", "0"],
+    ["toy", "--chains", "-2"],
+    ["toy", "--sigma2", "inf"],
+    ["toy", "--sigma2", "nan"],
+    ["curve", "--sigma2", "inf"],
+    ["adapt", "--sigma2", "inf"],
+    ["curve", "--epsilon-grid", "1.5", "--n", "8", "--n-max", "200"],
+    ["curve", "--epsilon-grid", "logspace:1e-3:1:4", "--n", "8", "--n-max", "200"],
+    ["toy", "--sampler", "rjpo,tpo", "--epsilon", "1.5", "--n-max", "200"],
+    ["toy", "--sampler", "tpo", "--epsilon", "1", "--n-max", "200"],
 ])
 def test_unusable_thresholds_are_config_errors(tmp_path, argv):
-    """A NaN, infinite or nonpositive threshold, or a curve window too short
-    for its ESS witness, exits 1 before any chain runs."""
+    """A threshold that is NaN, infinite or outside (0, 1), a sigma2 that
+    is not positive and finite, fewer than 1 chain, a zero MinCces window,
+    or a curve window too short for its ESS witness, exits 1 with a config
+    error before any chain runs."""
     rc, err = run_cli(argv + ["--out", str(tmp_path / "x")])
     assert rc == 1
     assert err.startswith("rjpo: config error:") and "Traceback" not in err
@@ -348,6 +361,7 @@ def test_curve_psrf_needs_two_chains(tmp_path):
                    "--n-max", "100", "--chains", "1", "--psrf",
                    "--out", str(tmp_path / "x")])
     assert rc == 1
+    assert not (tmp_path / "x" / "acceptance.csv").exists()
 
 
 def test_adapt_target_rate_outputs(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import ConditionalFactor, naive_circular_convolve
 from rjpo.errors import ConfigurationError
 from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_from_dense
-from rjpo.problems import ar1_target
+from rjpo.problems import ar1_precision
 from rjpo.superres import SuperResModel, centred_transfer
 
 
@@ -34,7 +34,6 @@ class FrameSampling:
 def _random_ops(seed):
     """A small zoo of operators for property tests."""
     rng = np.random.default_rng(seed)
-    kernel = rng.standard_normal((3, 3))
     psf = rng.random((3, 3))
     psf /= psf.sum()
     gamma_y, gamma_x = rng.uniform(0.1, 10.0, 2)
@@ -46,9 +45,9 @@ def _random_ops(seed):
         FrameSampling(SuperResModel((4, 6), 6, 2, psf)),
         FrameSampling(SuperResModel((6, 9), 11, 3, psf)),
         # the conditional's fused factor, on an even and an odd-column grid,
-        # the second with an asymmetric smoothness kernel
+        # each with an asymmetric blur kernel
         ConditionalFactor(SuperResModel((4, 6), 3, 2, psf), gamma_y, gamma_x),
-        ConditionalFactor(SuperResModel((6, 9), 4, 3, psf, kernel), gamma_y, gamma_x),
+        ConditionalFactor(SuperResModel((6, 9), 4, 3, psf), gamma_y, gamma_x),
     ]
 
 
@@ -140,7 +139,7 @@ def test_target_from_dense_mirror_consistency():
 
 def test_mirror_solve_is_accurate_at_benchmark_size():
     """The cached-inverse solve agrees with a dense LU solve at N = 128."""
-    target, _, _ = ar1_target(128, 1.0, 0.8, mean=np.linspace(0.0, 10.0, 128))
+    target = target_from_dense(ar1_precision(128, 1.0, 0.8), np.linspace(0.0, 10.0, 128))
     b = np.random.default_rng(9).standard_normal(128)
     for _ in range(2):  # first call builds the inverse, second reuses it
         x = target.mirror_solve(b)
@@ -152,8 +151,9 @@ def test_mirror_solve_is_accurate_at_benchmark_size():
 
 def test_dense_target_factorises_its_precision_once(monkeypatch):
     """The dense mirror's Cholesky factor is the one target_from_dense
-    took for the factor F = C^t: building ar1_target(128), factorising the
-    mirror and one mirror solve call np.linalg.cholesky once."""
+    took for the factor F = C^t: building the AR(1) target at N = 128,
+    factorising the mirror and one mirror solve call np.linalg.cholesky
+    once."""
     calls = []
     cholesky = np.linalg.cholesky
 
@@ -162,7 +162,7 @@ def test_dense_target_factorises_its_precision_once(monkeypatch):
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
-    target, _, _ = ar1_target(128, 1.0, 0.8, mean=np.linspace(0.0, 10.0, 128))
+    target = target_from_dense(ar1_precision(128, 1.0, 0.8), np.linspace(0.0, 10.0, 128))
     low = target.mirror_cholesky()
     target.mirror_solve(np.ones(128))
     assert calls == [(128, 128)]

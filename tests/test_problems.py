@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from oracles import ar1_covariance_direct
 from rjpo.errors import ConfigurationError
+from rjpo.linop import target_from_dense
 from rjpo.problems import ar1_covariance, ar1_precision, ar1_target
 from rjpo.rng import RngStream
 
@@ -40,10 +43,11 @@ def test_target_carries_consistent_pieces():
 
 
 def test_target_accepts_fixed_mean():
+    """A fixed-mean AR(1) target is target_from_dense on ar1_precision; its
+    mirror solve of the potential Q mu gives the mean back."""
     mean = np.linspace(0.0, 1.0, 6)
-    target, mu, _ = ar1_target(6, 1.0, 0.5, mean=mean)
-    assert np.array_equal(mu, mean)
-    assert np.allclose(target.dense_mu, mean, atol=1e-12)
+    target = target_from_dense(ar1_precision(6, 1.0, 0.5), mean)
+    assert np.allclose(target.mirror_solve(target.potential), mean, atol=1e-12)
 
 
 def test_validation():
@@ -53,5 +57,8 @@ def test_validation():
         ar1_covariance(4, 1.0, 1.0)
     with pytest.raises(ConfigurationError):
         ar1_covariance(4, -1.0, 0.5)
+    for sigma2 in (math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            ar1_precision(4, sigma2, 0.5)
     with pytest.raises(ConfigurationError):
         ar1_precision(4, 1.0, -1.0)

@@ -16,7 +16,7 @@ import rjpo.sampler
 from rjpo.cg import cg_solve
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_from_dense
-from rjpo.problems import ar1_target
+from rjpo.problems import ar1_precision, ar1_target
 from rjpo.rng import RngStream
 from rjpo.sampler import (
     EXACT_EPSILON,
@@ -206,7 +206,7 @@ def test_tpo_exact_termination_equals_epo_on_same_stream():
 def test_tpo_biased_toward_origin_at_loose_truncation():
     """From x0 = 0, a heavily truncated solve undershoots; sample variance
     shrinks measurably below the truth."""
-    target, mu, cov = ar1_target(20, 1.0, 0.8, stream=RngStream(50), mean=np.zeros(20))
+    target = target_from_dense(ar1_precision(20, 1.0, 0.8), np.zeros(20))
     tight = run_chain(target, tpo_kernel(1e-10), 4000, 400, RngStream(51))
     loose = run_chain(target, tpo_kernel(0.5), 4000, 400, RngStream(51))
     var_tight = np.trace(tight.empirical_cov())

@@ -42,10 +42,11 @@ def test_psf_is_normalized_symmetric_odd_square():
 
 def test_psf_support_follows_the_tail_mass_rule():
     """The support half-width is the smallest h whose truncated separable
-    mass (s_h / s_inf)^2 leaves less than tail_mass outside; checked against
+    mass (s_h / s_inf)^2 leaves less than TAIL_MASS outside; checked against
     the closed-form partial sums of the geometric tails."""
-    for fwhm, tail in ((4.0, 1e-4), (1.0, 1e-4), (2.5, 1e-3)):
-        k = sr.laplace_psf(fwhm, tail_mass=tail)
+    tail = sr.TAIL_MASS
+    for fwhm in (4.0, 1.0):
+        k = sr.laplace_psf(fwhm)
         h = (k.shape[0] - 1) // 2
         q = math.exp(-2.0 * math.log(2.0) / fwhm)
         s_inf = (1.0 + q) / (1.0 - q)
@@ -58,13 +59,13 @@ def test_psf_support_follows_the_tail_mass_rule():
         assert h == 0 or 1.0 - mass(h - 1) >= tail
 
 
-def _loop_half_width(fwhm, tail_mass=1e-4):
+def _loop_half_width(fwhm):
     """The half-width by summing the 1-D partial sums term by term until the
-    separable mass outside [-h,h]^2 drops under tail_mass."""
+    separable mass outside [-h,h]^2 drops under TAIL_MASS."""
     q = math.exp(-2.0 * math.log(2.0) / fwhm)
     s_inf = (1.0 + q) / (1.0 - q)
     s_h, h = 1.0, 0
-    while 1.0 - (s_h / s_inf) ** 2 >= tail_mass:
+    while 1.0 - (s_h / s_inf) ** 2 >= sr.TAIL_MASS:
         h += 1
         s_h += 2.0 * q**h
     return h
@@ -72,9 +73,8 @@ def _loop_half_width(fwhm, tail_mass=1e-4):
 
 def test_closed_form_half_width_matches_the_partial_sum_loop():
     grid = np.append(np.logspace(-1, 2, 600), 4.0)
-    for tail in (1e-4, 1e-3, 1e-6):
-        for fwhm in grid:
-            assert sr.psf_half_width(fwhm, tail) == _loop_half_width(fwhm, tail), (fwhm, tail)
+    for fwhm in grid:
+        assert sr.psf_half_width(fwhm) == _loop_half_width(fwhm), fwhm
     assert sr.psf_half_width(1000.0) == 7144
 
 
@@ -94,8 +94,6 @@ def test_psf_parameter_validation():
         sr.laplace_psf(0.0)
     with pytest.raises(ConfigurationError):
         sr.laplace_psf(math.inf)
-    with pytest.raises(ConfigurationError):
-        sr.laplace_psf(4.0, tail_mass=0.0)
 
 
 # -------------------------------------------------------------------- model
@@ -280,7 +278,7 @@ def _dense_stack(model, gamma_y, gamma_x):
                                for r, c in model.frame_offsets])
     h = conv(model.psf_kernel)[selected]
     return np.vstack([math.sqrt(gamma_y) * h,
-                      math.sqrt(gamma_x) * conv(model.laplacian_kernel)])
+                      math.sqrt(gamma_x) * conv(sr.LAPLACIAN_STENCIL)])
 
 
 def test_conditional_factor_matches_dense_stack():
@@ -612,7 +610,8 @@ def test_exact_conditional_draws_match_cholesky_oracle(dense_mirror):
     draws = np.array([leave(sampler(target, np.zeros(target.dim), stream).next_sample)
                       for _ in range(250)])
     oracle = oracles.cholesky_gaussian_draws(
-        oracle_target.dense_q, oracle_target.dense_mu, 250, np.random.default_rng(11))
+        oracle_target.dense_q, oracles.dense_mean(oracle_target), 250,
+        np.random.default_rng(11))
     p = oracles.energy_test_pvalue(draws, oracle, np.random.default_rng(12))
     assert p > 0.01
 
@@ -714,7 +713,8 @@ def test_adaptive_sampler_keeps_the_conditional_law():
             x = sampler(target, x, paired).next_sample
         kept.append(basis.leave(x))
     oracle = oracles.cholesky_gaussian_draws(
-        oracle_target.dense_q, oracle_target.dense_mu, len(kept), np.random.default_rng(15))
+        oracle_target.dense_q, oracles.dense_mean(oracle_target), len(kept),
+        np.random.default_rng(15))
     p = oracles.energy_test_pvalue(np.array(kept), oracle, np.random.default_rng(16))
     assert p > 0.01
 
@@ -733,7 +733,7 @@ def test_x_sampler_factory():
     with pytest.raises(ConfigurationError):
         make_kernel("gibbs")
     for name in ("tpo", "rjpo"):
-        for bad in (0.0, -1e-3, math.nan, math.inf):
+        for bad in (0.0, -1e-3, 1.0, 1.5, math.nan, math.inf):
             with pytest.raises(ConfigurationError):
                 make_kernel(name, epsilon=bad)
     for bad in (0.0, math.nan, math.inf):
@@ -951,10 +951,18 @@ def test_pgm_round_trip_16_bit(tmp_path):
     assert np.array_equal(pixels, image)
 
 
+def _write_pgm_8_bit(path, image):
+    """An 8-bit (max value 255) binary PGM, one byte per pixel; write_pgm
+    writes only 16-bit files, and read_pgm takes both."""
+    rows, cols = image.shape
+    path.write_bytes(f"P5\n{cols} {rows}\n255\n".encode("ascii")
+                     + image.astype(np.uint8).tobytes())
+
+
 def test_pgm_round_trip_8_bit(tmp_path):
     image = np.arange(20.0).reshape(4, 5) * 10
     path = tmp_path / "img8.pgm"
-    sr.write_pgm(path, image, max_val=255)
+    _write_pgm_8_bit(path, image)
     pixels, max_val = sr.read_pgm(path)
     assert max_val == 255
     assert np.array_equal(pixels, image)
@@ -973,7 +981,7 @@ def test_pgm_reader_tolerates_comments(tmp_path):
 
 def test_pgm_reader_rejects_truncation(tmp_path):
     path = tmp_path / "trunc.pgm"
-    sr.write_pgm(path, np.ones((8, 8)) * 100, max_val=255)
+    _write_pgm_8_bit(path, np.ones((8, 8)) * 100)
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(OSError):
         sr.read_pgm(path)
