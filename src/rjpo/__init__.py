@@ -13,7 +13,7 @@ from .adapt import (
     update_target_rate,
 )
 from .cg import CGOutcome, cg_solve
-from .diag import DiagnosticsReport, ess, gelman_rubin, rmse
+from .diag import ess, essr_cces, gelman_rubin, rmse
 from .errors import ConfigurationError, NumericalBreakdownError
 from .linop import (
     DenseOperator,

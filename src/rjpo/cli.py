@@ -27,14 +27,13 @@ from .adapt import (
     MinCces,
     TargetRate,
     _window_slopes,
-    essr_from_alpha,
     make_kernel,
 )
-from .diag import DiagnosticsReport, ess, gelman_rubin
+from .diag import ess, essr_cces, gelman_rubin, rmse
 from .errors import ConfigurationError, NumericalBreakdownError
 from .problems import ar1_target
 from .rng import GENERATOR_NAME, RngStream
-from .sampler import run_chain
+from .sampler import resolve_burn_in, run_chain
 from . import superres as sr
 
 SUBCOMMANDS = ("toy", "curve", "adapt", "superres")
@@ -260,10 +259,9 @@ def cmd_toy(cfg, outdir) -> None:
                 target, kernel, cfg["n_max"], cfg["n_min"],
                 streams[si * cfg["chains"] + k], track_covariance=True,
             )
-            report = DiagnosticsReport.from_chain(chain, mu, cov)
             rmse_rows.append(
-                (name, k, report.rmse_mean, report.rmse_cov, report.mean_acceptance,
-                 report.mean_cg_iters, report.essr, report.cces)
+                (name, k, *rmse(chain, mu, cov), chain.mean_acceptance,
+                 chain.mean_cg_iterations, *essr_cces(chain))
             )
             write_csv(
                 os.path.join(outdir, f"chain_{name}_{k}.csv"),
@@ -282,7 +280,7 @@ def cmd_toy(cfg, outdir) -> None:
 def cmd_curve(cfg, outdir) -> None:
     grid = _parse_grid(cfg["epsilon_grid"])
     n_max = cfg["n_max"]
-    n_min = cfg["n_min"] if cfg["n_min"] is not None else n_max // 10
+    n_min = resolve_burn_in(n_max, cfg["n_min"])
     if n_max - n_min + 1 < 10:
         raise ConfigurationError(
             f"curve keeps samples {n_min}..{n_max}; its ESS and PSRF need at least 10"
@@ -299,21 +297,15 @@ def cmd_curve(cfg, outdir) -> None:
                        streams[2 * i], track_covariance=True)
         tp = run_chain(target, make_kernel("tpo", epsilon=eps), n_max, n_min,
                        streams[2 * i + 1], track_covariance=True)
-        alpha = float(rj.alphas[n_min:].mean())
-        mean_j = float(rj.cg_iterations[n_min:].mean())
-        acc_rows.append((eps, alpha, mean_j))
-        rj_rep = DiagnosticsReport.from_chain(rj, mu, cov)
-        tp_rep = DiagnosticsReport.from_chain(tp, mu, cov)
-        rmse_rows.append(("rjpo", eps, rj_rep.rmse_mean, rj_rep.rmse_cov))
-        rmse_rows.append(("tpo", eps, tp_rep.rmse_mean, tp_rep.rmse_cov))
-        essr = essr_from_alpha(max(alpha, 1e-12))
-        essr_rows.append(("rjpo", eps, essr, mean_j / essr))
+        acc_rows.append((eps, rj.mean_acceptance, rj.mean_cg_iterations))
+        rmse_rows.append(("rjpo", eps, *rmse(rj, mu, cov)))
+        rmse_rows.append(("tpo", eps, *rmse(tp, mu, cov)))
+        essr_rows.append(("rjpo", eps, *essr_cces(rj)))
     epo = run_chain(target, make_kernel("epo"), n_max, n_min, streams[-1],
                     track_covariance=True, store_samples=True)
-    epo_rep = DiagnosticsReport.from_chain(epo, mu, cov)
-    rmse_rows.append(("epo", 0.0, epo_rep.rmse_mean, epo_rep.rmse_cov))
+    rmse_rows.append(("epo", 0.0, *rmse(epo, mu, cov)))
     # independence witness: ESSR measured from the sample series itself
-    essr_measured = ess(epo.samples[n_min:, 0]) / (n_max - n_min + 1)
+    essr_measured = ess(epo.samples[n_min:, 0]) / epo.count
     essr_rows.append(("epo", 0.0, essr_measured, 0.0))
 
     write_csv(os.path.join(outdir, "acceptance.csv"),
@@ -420,12 +412,12 @@ def cmd_adapt(cfg, outdir) -> None:
     })
 
 
-def _kept_ess(summary: sr.GibbsSummary, column: int, burn_in: int) -> float | None:
+def _kept_ess(summary: sr.GibbsSummary, column: str, burn_in: int) -> float | None:
     """ess of one records column over the kept sweeps, or None (null in the
     JSON) where it is undefined: fewer than 10 kept sweeps, or a constant
     series."""
     try:
-        return ess(summary.records[burn_in:, column])
+        return ess(summary.records[burn_in:, sr.RECORD_COLUMNS.index(column)])
     except ValueError:
         return None
 
@@ -452,17 +444,16 @@ def cmd_superres(cfg, outdir) -> None:
     summary = sr.run_gibbs(model, observations, cfg["iterations"], cfg["burn_in"],
                            sampler, run_stream)
     sr.write_pgm(os.path.join(outdir, "posterior_mean.pgm"),
-                 summary.posterior_mean_image * sr.PGM_MAX)
-    write_csv(os.path.join(outdir, "chain.csv"),
-              ["iter", "gamma_y", "gamma_x", "alpha", "cg_iters"], summary.records)
+                 summary.x_mean * sr.PGM_MAX)
+    write_csv(os.path.join(outdir, "chain.csv"), sr.RECORD_COLUMNS, summary.records)
     payload = {
         "sampler": cfg["sampler"],
         "gamma_y_mean": summary.gamma_y_mean,
         "gamma_y_std": summary.gamma_y_std,
         "gamma_x_mean": summary.gamma_x_mean,
         "gamma_x_std": summary.gamma_x_std,
-        "gamma_y_ess": _kept_ess(summary, 1, cfg["burn_in"]),
-        "gamma_x_ess": _kept_ess(summary, 2, cfg["burn_in"]),
+        "gamma_y_ess": _kept_ess(summary, "gamma_y", cfg["burn_in"]),
+        "gamma_x_ess": _kept_ess(summary, "gamma_x", cfg["burn_in"]),
         "mean_acceptance": summary.mean_acceptance,
         "mean_cg_iters": summary.mean_cg,
         "peak_cg_iters": summary.peak_cg,
@@ -473,14 +464,14 @@ def cmd_superres(cfg, outdir) -> None:
         ref = sr.run_gibbs(model, observations, cfg["iterations"], cfg["burn_in"],
                            make_kernel("epo"), ref_stream)
         sr.write_pgm(os.path.join(outdir, "reference_mean.pgm"),
-                     ref.posterior_mean_image * sr.PGM_MAX)
-        write_csv(os.path.join(outdir, "reference_chain.csv"),
-                  ["iter", "gamma_y", "gamma_x", "alpha", "cg_iters"], ref.records)
+                     ref.x_mean * sr.PGM_MAX)
+        write_csv(os.path.join(outdir, "reference_chain.csv"), sr.RECORD_COLUMNS,
+                  ref.records)
         payload["reference"] = {
             "gamma_y_mean": ref.gamma_y_mean,
             "gamma_x_mean": ref.gamma_x_mean,
-            "gamma_y_ess": _kept_ess(ref, 1, cfg["burn_in"]),
-            "gamma_x_ess": _kept_ess(ref, 2, cfg["burn_in"]),
+            "gamma_y_ess": _kept_ess(ref, "gamma_y", cfg["burn_in"]),
+            "gamma_x_ess": _kept_ess(ref, "gamma_x", cfg["burn_in"]),
             "wall_time_seconds": ref.wall_time,
         }
         payload["gamma_y_rel_deviation"] = abs(

@@ -1,9 +1,9 @@
-"""Chain-quality diagnostics: moment errors, effective sample size,
-Gelman-Rubin PSRF."""
+"""Chain-quality diagnostics: moment errors, cost per effective sample,
+effective sample size, Gelman-Rubin PSRF."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -11,22 +11,14 @@ from .adapt import essr_from_alpha
 from .sampler import ChainState
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    rmse_mean: float
-    rmse_cov: float
-    essr: float
-    cces: float
-    mean_acceptance: float
-    mean_cg_iters: float
-
-    @classmethod
-    def from_chain(cls, chain: ChainState, true_mean, true_cov) -> "DiagnosticsReport":
-        r_mean, r_cov = rmse(chain, true_mean, true_cov)
-        alpha = chain.mean_acceptance
-        essr = essr_from_alpha(alpha)
-        mean_j = chain.mean_cg_iterations
-        return cls(r_mean, r_cov, essr, mean_j / essr, alpha, mean_j)
+def essr_cces(chain: ChainState) -> tuple[float, float]:
+    """(ESSR, CCES = J / ESSR) from the chain's kept-step mean acceptance and
+    CG iterations J.  A chain that never moves has ESSR 0 and CCES inf."""
+    alpha = chain.mean_acceptance
+    if alpha == 0.0:
+        return 0.0, math.inf
+    essr = essr_from_alpha(alpha)
+    return essr, chain.mean_cg_iterations / essr
 
 
 def rmse(chain: ChainState, true_mean, true_cov) -> tuple[float, float]:

@@ -180,15 +180,19 @@ def rjpo_kernel(epsilon: float):
 class ChainState:
     """History and running moments of one chain.
 
-    Moments accumulate over iterations n_min..n_max inclusive (the empirical
-    mean over n_max - n_min + 1 samples and the (n-1)-denominator covariance),
-    matching the estimators the error metrics are defined against.  The
-    N x N second-moment matrix is optional: a large-dimension caller turns
-    it off, as `adapt` does.
+    Every statistic covers the kept window: the moments average samples
+    n_min..n_max inclusive (the empirical mean over count = n_max - n_min + 1
+    samples and the (n-1)-denominator covariance), matching the estimators
+    the error metrics are defined against, and the mean acceptance and CG
+    cost average steps n_min+1..n_max, the moves between those samples.
+    The N x N second-moment matrix is optional: a large-dimension caller
+    turns it off, as `adapt` does.
     """
 
-    def __init__(self, dim: int, n_max: int, track_covariance: bool, store_samples: bool):
-        self.count = 0
+    def __init__(self, dim: int, n_max: int, n_min: int, track_covariance: bool,
+                 store_samples: bool):
+        self.n_min = n_min
+        self.count = n_max - n_min + 1
         self.x = np.zeros(dim)
         self.alphas = np.zeros(n_max)
         self.accepted = np.zeros(n_max, dtype=bool)
@@ -199,31 +203,40 @@ class ChainState:
         self._outer = np.zeros((dim, dim)) if track_covariance else None
 
     def _accumulate(self, x):
-        self.count += 1
         self._sum += x
         if self._outer is not None:
             self._outer += np.outer(x, x)
 
     def empirical_mean(self) -> np.ndarray:
-        if self.count == 0:
-            raise ValueError("no post-burn-in samples accumulated")
         return self._sum / self.count
 
     def empirical_cov(self) -> np.ndarray:
         if self._outer is None:
             raise ValueError("chain was run without covariance tracking")
-        if self.count < 2:
-            raise ValueError("need at least 2 post-burn-in samples for a covariance")
         mean = self.empirical_mean()
         return (self._outer - self.count * np.outer(mean, mean)) / (self.count - 1)
 
     @property
     def mean_acceptance(self) -> float:
-        return float(self.alphas.mean())
+        return float(self.alphas[self.n_min:].mean())
 
     @property
     def mean_cg_iterations(self) -> float:
-        return float(self.cg_iterations.mean())
+        return float(self.cg_iterations[self.n_min:].mean())
+
+
+def resolve_burn_in(n_max: int, n_min: int | None) -> int:
+    """run_chain's burn-in: n_min, or 10% of n_max when None, checked so
+    that the kept samples n_min..n_max number at least two."""
+    if n_max < 1:
+        raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
+    if n_min is None:
+        n_min = n_max // 10
+    if not 0 <= n_min < n_max:
+        raise ConfigurationError(
+            f"burn-in n_min = {n_min} leaves no post-burn-in window before n_max = {n_max}"
+        )
+    return n_min
 
 
 def run_chain(
@@ -239,21 +252,14 @@ def run_chain(
     """Iterate a kernel n_max times, accumulating moments after burn-in.
 
     kernel is any callable (target, previous, stream) -> KernelOutcome.
-    n_min defaults to 10% of n_max; samples n_min..n_max enter the moment
-    estimators (the initial point counts only when n_min = 0).  A
-    large-dimension caller passes track_covariance=False, as `adapt` does,
-    so the chain never allocates an N x N array.
+    n_min defaults to 10% of n_max (resolve_burn_in); samples n_min..n_max
+    enter the moment estimators (the initial point counts only when
+    n_min = 0).  A large-dimension caller passes track_covariance=False, as
+    `adapt` does, so the chain never allocates an N x N array.
     """
-    if n_max < 1:
-        raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
-    if n_min is None:
-        n_min = n_max // 10
-    if not 0 <= n_min < n_max:
-        raise ConfigurationError(
-            f"burn-in n_min = {n_min} leaves no post-burn-in window before n_max = {n_max}"
-        )
+    n_min = resolve_burn_in(n_max, n_min)
     dim = target.dim
-    state = ChainState(dim, n_max, track_covariance, store_samples)
+    state = ChainState(dim, n_max, n_min, track_covariance, store_samples)
 
     x = np.zeros(dim) if initial is None else np.asarray(initial, dtype=float).ravel().copy()
     if x.size != dim:

@@ -426,25 +426,24 @@ def conditional_target(model: SuperResModel, back_projection, gamma_y: float,
     return GaussianTarget(precision, gamma_y * np.asarray(back_projection, dtype=float))
 
 
+# the columns of run_gibbs's per-sweep records, one row per sweep
+RECORD_COLUMNS = ("iter", "gamma_y", "gamma_x", "alpha", "cg_iters")
+
+
 @dataclass
 class GibbsSummary:
-    """Post-burn-in posterior summaries and the full per-iteration record."""
+    """Summaries over the kept sweeps and the full per-sweep record."""
 
-    hi_res_dims: tuple[int, int]
     gamma_y_mean: float
     gamma_y_std: float
     gamma_x_mean: float
     gamma_x_std: float
-    x_mean: np.ndarray
-    records: np.ndarray  # columns: iter, gamma_y, gamma_x, alpha, cg_iters
+    x_mean: np.ndarray  # the posterior mean image
+    records: np.ndarray  # columns: RECORD_COLUMNS
     wall_time: float
     mean_acceptance: float
     mean_cg: float
     peak_cg: int
-
-    @property
-    def posterior_mean_image(self) -> np.ndarray:
-        return self.x_mean.reshape(self.hi_res_dims)
 
 
 def _mean_std(values: np.ndarray) -> tuple[float, float]:
@@ -463,7 +462,8 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
     (1 irfft2).  The chain starts from x = H^t y (data-driven and never
     constant, so the smoothness conditional is well defined at the first
     sweep); the same back-projection scales into every sweep's potential.
-    Summaries use sweeps burn_in+1 .. iterations.
+    Every summary, the x-kernel's acceptance and CG cost included, covers
+    the kept sweeps burn_in+1 .. iterations.
 
     Gamma conditionals and the x perturbation draw from separate substreams
     of `stream`.  Gamma draws use rejection sampling, so their consumption
@@ -490,7 +490,7 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
     x = back_projection.copy()
     gamma_stream, x_stream = stream.spawn(2)
     x_stream = PairedStream(x_stream, x_stream.spawn(1)[0])
-    records = np.empty((iterations, 5))
+    records = np.empty((iterations, len(RECORD_COLUMNS)))
     records[:, 0] = np.arange(1, iterations + 1)
     x_sum = np.zeros(basis.dim)
     start = time.perf_counter()
@@ -511,21 +511,20 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
             x_sum += x
     wall = time.perf_counter() - start
 
-    gy_mean, gy_std = _mean_std(records[burn_in:, 1])
-    gx_mean, gx_std = _mean_std(records[burn_in:, 2])
-    cg = records[:, 4]
+    kept = records[burn_in:]
+    gy_mean, gy_std = _mean_std(kept[:, 1])
+    gx_mean, gx_std = _mean_std(kept[:, 2])
     return GibbsSummary(
-        hi_res_dims=model.hi_res_dims,
         gamma_y_mean=gy_mean,
         gamma_y_std=gy_std,
         gamma_x_mean=gx_mean,
         gamma_x_std=gx_std,
-        x_mean=basis.leave(x_sum / (iterations - burn_in)),
+        x_mean=basis.leave(x_sum / len(kept)).reshape(model.hi_res_dims),
         records=records,
         wall_time=wall,
-        mean_acceptance=float(records[:, 3].mean()),
-        mean_cg=float(cg.mean()),
-        peak_cg=int(cg.max()),
+        mean_acceptance=float(kept[:, 3].mean()),
+        mean_cg=float(kept[:, 4].mean()),
+        peak_cg=int(kept[:, 4].max()),
     )
 
 

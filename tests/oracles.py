@@ -236,13 +236,10 @@ def acceptance_curve(target, epsilons, n_max: int, stream) -> np.ndarray:
         raise ConfigurationError("epsilon grid must be sorted ascending")
     streams = stream.spawn(len(epsilons))
     rows = []
-    n_min = n_max // 10
     for eps, sub in zip(epsilons, streams):
-        chain = run_chain(target, rjpo_kernel(eps), n_max, n_min, sub,
+        chain = run_chain(target, rjpo_kernel(eps), n_max, None, sub,
                           track_covariance=False)
-        rows.append((eps,
-                     float(chain.alphas[n_min:].mean()),
-                     float(chain.cg_iterations[n_min:].mean())))
+        rows.append((eps, chain.mean_acceptance, chain.mean_cg_iterations))
     return np.array(rows)
 
 

@@ -11,8 +11,10 @@ gates all of it in one call: a refactor that keeps every arithmetic
 operation leaves every file identical except the timing lines.  The runs
 are short (about 20 s together on one core) but reach every sampler,
 both controllers (MinCces at its default window and at a set one), the
-PSRF study, the exact super-resolution reference and a 3 x 3 decimation.  Prints one line per run with its exit code and wall
-time; exits 0 when every run exited 0, 1 otherwise, 2 on a usage error.
+PSRF study, a curve whose rjpo chains almost never move, the exact
+super-resolution reference and a 3 x 3 decimation.  Prints one line per
+run with its exit code and wall time; exits 0 when every run exited 0,
+1 otherwise, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ RUNS = {
     "toy_all": ["toy", "--sampler", "all", "--n-max", "5000", "--seed", "1"],
     "curve_psrf": ["curve", "--psrf", "--n-max", "1000", "--chains", "2",
                    "--epsilon-grid", "logspace:1e-4:1e-1:5", "--seed", "2"],
+    "curve_loose": ["curve", "--n", "128", "--epsilon-grid", "0.5,0.9", "--n-max", "200",
+                    "--seed", "0"],
     "adapt_target_rate": ["adapt", "--mode", "target_rate", "--n-max", "1000", "--seed", "3"],
     "adapt_min_cces": ["adapt", "--mode", "min_cces", "--n-max", "6000", "--seed", "4"],
     "adapt_min_cces_window": ["adapt", "--mode", "min_cces", "--window", "50",

@@ -46,6 +46,26 @@ def test_toy_run_succeeds_and_writes_outputs(tmp_path):
     assert meta["config"]["n"] == 8 and meta["config"]["seed"] == 3
 
 
+def test_toy_cost_columns_cover_the_kept_steps(tmp_path):
+    """rmse.csv's mean_alpha and mean_J are the means of the chain CSV's
+    rows with n > n_min (default n_max // 10), and essr and cces follow
+    from them."""
+    out = tmp_path / "toy"
+    assert cli.main(["toy", "--n", "8", "--n-max", "400", "--sampler", "rjpo,tpo",
+                     "--epsilon", "0.3", "--seed", "3", "--out", str(out)]) == 0
+    rows = np.genfromtxt(out / "rmse.csv", delimiter=",", names=True, dtype=None,
+                         encoding="ascii")
+    assert rows.shape == (2,)
+    for row in rows:
+        chain = np.genfromtxt(out / f"chain_{row['sampler']}_0.csv", delimiter=",", names=True)
+        kept = chain[chain["n"] > 40]
+        assert kept.size == 360
+        alpha, mean_j = kept["alpha"].mean(), kept["cg_iters"].mean()
+        assert row["mean_alpha"] == alpha and row["mean_J"] == mean_j
+        essr = alpha / (2.0 - alpha)
+        assert row["essr"] == essr and row["cces"] == mean_j / essr
+
+
 def test_missing_subcommand_is_a_config_error():
     assert cli.main([]) == 1
 
@@ -443,6 +463,21 @@ def test_superres_reports_hyperparameter_ess(tmp_path):
     summary = json.loads((short / "summary.json").read_text())
     for section in (summary, summary["reference"]):
         assert section["gamma_y_ess"] is None and section["gamma_x_ess"] is None
+
+
+def test_superres_cost_summaries_cover_the_kept_sweeps(tmp_path):
+    """summary.json's mean_acceptance, mean_cg_iters and peak_cg_iters are
+    the statistics of chain.csv's rows with iter > burn_in."""
+    out = tmp_path / "cost"
+    assert cli.main(["superres", "--dims", "16", "--fwhm", "1.0", "--sampler", "arjpo",
+                     "--iterations", "30", "--burn-in", "10", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    chain = np.genfromtxt(out / "chain.csv", delimiter=",", names=True)
+    kept = chain[chain["iter"] > 10]
+    assert kept.size == 20
+    assert summary["mean_acceptance"] == kept["alpha"].mean()
+    assert summary["mean_cg_iters"] == kept["cg_iters"].mean()
+    assert summary["peak_cg_iters"] == kept["cg_iters"].max()
 
 
 def test_superres_roundtrips_an_input_image(tmp_path):

@@ -1,5 +1,7 @@
 """Diagnostics: effective sample size, PSRF, moment errors, cost summaries."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import acceptance_curve
 from rjpo.adapt import essr_from_alpha
-from rjpo.diag import DiagnosticsReport, ess, gelman_rubin, rmse
+from rjpo.diag import ess, essr_cces, gelman_rubin, rmse
 from rjpo.errors import ConfigurationError
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
@@ -127,21 +129,25 @@ def test_rmse_rejects_zero_norm_references():
 
 def test_report_combines_quality_and_cost():
     chain = FakeChain([1.0, 0.0], np.eye(2), alpha=0.8, mean_j=12.0)
-    report = DiagnosticsReport.from_chain(chain, np.array([1.0, 0.0]), np.eye(2))
-    assert report.rmse_mean == 0.0
-    assert report.essr == pytest.approx(essr_from_alpha(0.8))
-    assert report.cces == pytest.approx(12.0 / essr_from_alpha(0.8))
+    assert rmse(chain, np.array([1.0, 0.0]), np.eye(2))[0] == 0.0
+    essr, cces = essr_cces(chain)
+    assert essr == pytest.approx(essr_from_alpha(0.8))
+    assert cces == pytest.approx(12.0 / essr_from_alpha(0.8))
 
 
 def test_report_from_a_real_chain():
     stream = RngStream(8)
     target, mu, cov = ar1_target(8, 1.0, 0.8, stream=stream)
     chain = run_chain(target, epo_kernel(), n_max=4000, n_min=400, stream=stream)
-    report = DiagnosticsReport.from_chain(chain, mu, cov)
-    assert report.rmse_mean < 0.05
-    assert report.rmse_cov < 0.25
-    assert report.mean_acceptance == 1.0
-    assert report.essr == 1.0
+    r_mean, r_cov = rmse(chain, mu, cov)
+    assert r_mean < 0.05
+    assert r_cov < 0.25
+    assert chain.mean_acceptance == 1.0
+    assert essr_cces(chain)[0] == 1.0
+
+
+def test_a_chain_that_never_moves_has_zero_essr_and_infinite_cces():
+    assert essr_cces(FakeChain([1.0], np.eye(1), alpha=0.0, mean_j=7.0)) == (0.0, math.inf)
 
 
 # --------------------------------------------------------- acceptance curve

@@ -184,6 +184,66 @@ def test_rjpo_stationary_distribution_ks():
     assert p > 1e-3
 
 
+# The RJPO move is reversible only if it is an involution: x_hat = -previous
+# + f(z) with f a function of z = eta + Q previous alone.  rjpo_step's CG
+# stops on ||r|| / ||eta||, and ||eta|| = ||z - Q previous|| depends on the
+# current state, so the reverse move from x_hat can stop at another
+# iteration and miss previous.  Both tests below pass once the solve stops
+# on ||r|| / ||z|| (Q f = z from zero, x_hat = f - previous).
+NOT_AN_INVOLUTION = pytest.mark.xfail(
+    strict=True, reason="rjpo_step's stopping test depends on the current state")
+
+
+@NOT_AN_INVOLUTION
+def test_rjpo_reverse_move_returns_to_the_previous_state(monkeypatch):
+    """On AR(1), N = 20, for seeded (previous, eta) pairs at eps 0.1 and
+    1e-2: the move rerun from x_hat with the same z (so eta' = z - Q x_hat)
+    returns previous to rounding, in the same iteration count."""
+    target, mu, cov = ar1_target(20, 1.0, 0.8, stream=RngStream(21))
+    q_chol = np.linalg.cholesky(ar1_precision(20, 1.0, 0.8))
+    cov_chol = np.linalg.cholesky(cov)
+    etas = []
+    monkeypatch.setattr(rjpo.sampler, "perturb", lambda target, stream: etas.pop())
+    misses = {}
+    for eps in (0.1, 1e-2):
+        rng = np.random.default_rng(22)
+        misses[eps] = 0
+        for _ in range(200):
+            previous = mu + cov_chol @ rng.standard_normal(20)
+            eta = target.potential + q_chol @ rng.standard_normal(20)
+            etas.append(eta)
+            forward = rjpo_step(target, previous, RngStream(0), eps)
+            z = eta + target.precision.apply(previous)
+            etas.append(z - target.precision.apply(forward.proposal))
+            reverse = rjpo_step(target, forward.proposal, RngStream(0), eps)
+            gap = np.linalg.norm(reverse.proposal - previous) / np.linalg.norm(previous)
+            if not (gap <= 1e-8 and reverse.cg_iterations == forward.cg_iterations):
+                misses[eps] += 1
+    assert misses == {0.1: 0, 1e-2: 0}
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(epo_kernel(), id="epo"),
+    pytest.param(rjpo_kernel(0.3), marks=NOT_AN_INVOLUTION, id="rjpo"),
+])
+def test_chain_keeps_the_target_energy(kernel):
+    """E[(x - mu)^t Q (x - mu)] = N under the target.  AR(1), N = 3, rho
+    0.8, zero mean; 8 chains x 10 000 steps started from target draws.  The
+    bound 0.05 is about 5 chain-level standard errors of the exact kernel
+    on this harness."""
+    q = ar1_precision(3, 1.0, 0.8)
+    target = target_from_dense(q, np.zeros(3))
+    cov_chol = np.linalg.cholesky(np.linalg.inv(q))
+    energies = []
+    for sub in RngStream(5).spawn(8):
+        start = cov_chol @ sub.standard_normal_vector(3)
+        chain = run_chain(target, kernel, 10_000, 0, sub, initial=start,
+                          track_covariance=False, store_samples=True)
+        x = chain.samples[1:]
+        energies.append(np.einsum("ij,jk,ik->i", x, q, x).mean())
+    assert abs(np.mean(energies) - 3.0) <= 0.05
+
+
 def test_tpo_always_accepts_and_records_diagnostic_alpha():
     target, _, _ = _small_target(9, 5)
     out = tpo_step(target, np.ones(5), RngStream(3), epsilon=1e-1)
@@ -295,6 +355,17 @@ def test_run_chain_moment_window_accounting():
     assert np.allclose(chain.empirical_mean(), expected_mean, atol=1e-12)
     cov = np.cov(chain.samples[10:].T, ddof=1)
     assert np.allclose(chain.empirical_cov(), cov, atol=1e-10)
+
+
+def test_cost_statistics_cover_the_kept_steps_only():
+    """mean_acceptance and mean_cg_iterations average steps n_min+1..n_max,
+    the moves between the kept samples n_min..n_max."""
+    target, _, _ = ar1_target(8, 1.0, 0.8, stream=RngStream(12))
+    chain = run_chain(target, rjpo_kernel(0.3), 60, 20, RngStream(13))
+    assert chain.count == 41
+    assert chain.mean_acceptance == float(chain.alphas[20:].mean())
+    assert chain.mean_cg_iterations == float(chain.cg_iterations[20:].mean())
+    assert chain.mean_acceptance != float(chain.alphas.mean())
 
 
 def test_run_chain_validation():
