@@ -259,9 +259,10 @@ def cmd_toy(cfg, outdir) -> None:
                 target, kernel, cfg["n_max"], cfg["n_min"],
                 streams[si * cfg["chains"] + k], track_covariance=True,
             )
+            independent = name in ("epo", "cholesky_epo", "tpo")  # fresh eta, solved from 0
             rmse_rows.append(
                 (name, k, *rmse(chain, mu, cov), chain.mean_acceptance,
-                 chain.mean_cg_iterations, *essr_cces(chain))
+                 chain.mean_cg_iterations, *essr_cces(chain, independent))
             )
             write_csv(
                 os.path.join(outdir, f"chain_{name}_{k}.csv"),

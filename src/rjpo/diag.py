@@ -11,10 +11,11 @@ from .adapt import essr_from_alpha
 from .sampler import ChainState
 
 
-def essr_cces(chain: ChainState) -> tuple[float, float]:
-    """(ESSR, CCES = J / ESSR) from the chain's kept-step mean acceptance and
-    CG iterations J.  A chain that never moves has ESSR 0 and CCES inf."""
-    alpha = chain.mean_acceptance
+def essr_cces(chain: ChainState, independent: bool = False) -> tuple[float, float]:
+    """(ESSR, CCES = J / ESSR) from the chain's kept-step mean acceptance (1 for
+    independent draws, whatever alpha they record) and CG iterations J.  A
+    chain that never moves has ESSR 0 and CCES inf."""
+    alpha = 1.0 if independent else chain.mean_acceptance
     if alpha == 0.0:
         return 0.0, math.inf
     essr = essr_from_alpha(alpha)

@@ -26,7 +26,7 @@ def _check_ar1(n: int, sigma2: float, rho: float) -> None:
 def ar1_covariance(n: int, sigma2: float = 1.0, rho: float = 0.8) -> np.ndarray:
     _check_ar1(n, sigma2, rho)
     idx = np.arange(n)
-    return sigma2 * rho ** np.abs(idx[:, None] - idx[None, :])
+    return sigma2 * (rho ** idx)[np.abs(idx[:, None] - idx[None, :])]  # n powers, not n^2
 
 
 def ar1_precision(n: int, sigma2: float = 1.0, rho: float = 0.8) -> np.ndarray:

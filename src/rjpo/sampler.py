@@ -27,6 +27,8 @@ from .rng import RngStream
 
 # machine-accuracy proxy for an "exact" CG solve when no dense mirror exists
 EXACT_EPSILON = 1e-12
+# kept samples per second-moment product in ChainState; the folding step pays for it
+COV_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -181,12 +183,12 @@ class ChainState:
     """History and running moments of one chain.
 
     Every statistic covers the kept window: the moments average samples
-    n_min..n_max inclusive (the empirical mean over count = n_max - n_min + 1
-    samples and the (n-1)-denominator covariance), matching the estimators
-    the error metrics are defined against, and the mean acceptance and CG
-    cost average steps n_min+1..n_max, the moves between those samples.
-    The N x N second-moment matrix is optional: a large-dimension caller
-    turns it off, as `adapt` does.
+    n_min..n_max inclusive (mean over count = n_max - n_min + 1 samples,
+    (n-1)-denominator covariance), the estimators the error metrics are
+    defined against; mean acceptance and CG cost average steps
+    n_min+1..n_max, the moves between those samples.  The optional N x N
+    second moment (`adapt` turns it off) takes kept samples COV_BLOCK rows
+    at a time, one matrix product per block; empirical_cov folds the rest.
     """
 
     def __init__(self, dim: int, n_max: int, n_min: int, track_covariance: bool,
@@ -201,11 +203,21 @@ class ChainState:
         self.samples = np.zeros((n_max + 1, dim)) if store_samples else None
         self._sum = np.zeros(dim)
         self._outer = np.zeros((dim, dim)) if track_covariance else None
+        self._block = np.zeros((COV_BLOCK, dim)) if track_covariance else None
+        self._filled = 0
 
     def _accumulate(self, x):
         self._sum += x
-        if self._outer is not None:
-            self._outer += np.outer(x, x)
+        if self._block is not None:
+            self._block[self._filled] = x
+            self._filled += 1
+            if self._filled == COV_BLOCK:
+                self._fold()
+
+    def _fold(self):
+        rows = self._block[:self._filled]  # the copy keeps numpy off BLAS syrk, 3x slower
+        self._outer += rows.T @ rows.copy()
+        self._filled = 0
 
     def empirical_mean(self) -> np.ndarray:
         return self._sum / self.count
@@ -213,6 +225,7 @@ class ChainState:
     def empirical_cov(self) -> np.ndarray:
         if self._outer is None:
             raise ValueError("chain was run without covariance tracking")
+        self._fold()
         mean = self.empirical_mean()
         return (self._outer - self.count * np.outer(mean, mean)) / (self.count - 1)
 
@@ -253,9 +266,9 @@ def run_chain(
 
     kernel is any callable (target, previous, stream) -> KernelOutcome.
     n_min defaults to 10% of n_max (resolve_burn_in); samples n_min..n_max
-    enter the moment estimators (the initial point counts only when
-    n_min = 0).  A large-dimension caller passes track_covariance=False, as
-    `adapt` does, so the chain never allocates an N x N array.
+    (the initial point only when n_min = 0) enter the moment estimators, the
+    second moment in blocks of COV_BLOCK.  A large-dimension caller passes
+    track_covariance=False, as `adapt` does: no N x N array is allocated.
     """
     n_min = resolve_burn_in(n_max, n_min)
     dim = target.dim

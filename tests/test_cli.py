@@ -49,7 +49,8 @@ def test_toy_run_succeeds_and_writes_outputs(tmp_path):
 def test_toy_cost_columns_cover_the_kept_steps(tmp_path):
     """rmse.csv's mean_alpha and mean_J are the means of the chain CSV's
     rows with n > n_min (default n_max // 10), and essr and cces follow
-    from them."""
+    from them: alpha / (2 - alpha) for rjpo, 1 for tpo, whose draws are
+    independent whatever alpha it records."""
     out = tmp_path / "toy"
     assert cli.main(["toy", "--n", "8", "--n-max", "400", "--sampler", "rjpo,tpo",
                      "--epsilon", "0.3", "--seed", "3", "--out", str(out)]) == 0
@@ -62,8 +63,9 @@ def test_toy_cost_columns_cover_the_kept_steps(tmp_path):
         assert kept.size == 360
         alpha, mean_j = kept["alpha"].mean(), kept["cg_iters"].mean()
         assert row["mean_alpha"] == alpha and row["mean_J"] == mean_j
-        essr = alpha / (2.0 - alpha)
+        essr = alpha / (2.0 - alpha) if row["sampler"] == "rjpo" else 1.0
         assert row["essr"] == essr and row["cces"] == mean_j / essr
+    assert rows[rows["sampler"] == "tpo"]["mean_alpha"][0] < 1.0
 
 
 def test_missing_subcommand_is_a_config_error():

@@ -146,6 +146,12 @@ def test_report_from_a_real_chain():
     assert essr_cces(chain)[0] == 1.0
 
 
+def test_independent_draws_have_unit_essr_whatever_alpha_they_record():
+    chain = FakeChain([1.0], np.eye(1), alpha=0.3, mean_j=7.0)
+    assert essr_cces(chain, independent=True) == (1.0, 7.0)
+    assert essr_cces(chain)[0] == essr_from_alpha(0.3)
+
+
 def test_a_chain_that_never_moves_has_zero_essr_and_infinite_cces():
     assert essr_cces(FakeChain([1.0], np.eye(1), alpha=0.0, mean_j=7.0)) == (0.0, math.inf)
 

@@ -19,6 +19,7 @@ from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_
 from rjpo.problems import ar1_precision, ar1_target
 from rjpo.rng import RngStream
 from rjpo.sampler import (
+    COV_BLOCK,
     EXACT_EPSILON,
     epo_kernel,
     epo_step,
@@ -355,6 +356,32 @@ def test_run_chain_moment_window_accounting():
     assert np.allclose(chain.empirical_mean(), expected_mean, atol=1e-12)
     cov = np.cov(chain.samples[10:].T, ddof=1)
     assert np.allclose(chain.empirical_cov(), cov, atol=1e-10)
+
+
+@pytest.mark.parametrize("n_min", [0, 7])
+@pytest.mark.parametrize("kept", [COV_BLOCK - 1, COV_BLOCK, COV_BLOCK + 1, 3 * COV_BLOCK + 2])
+def test_blocked_second_moment_gives_the_sample_covariance(n_min, kept):
+    """The second moment takes kept samples COV_BLOCK at a time and folds the
+    partial block when read: empirical_cov is np.cov of the kept samples for
+    no, one and several full blocks, with and without a remainder, exactly
+    symmetric, and the same array when read twice."""
+    target, _, _ = ar1_target(12, 1.0, 0.8, stream=RngStream(21))
+    chain = run_chain(target, epo_kernel(), n_min + kept - 1, n_min, RngStream(22),
+                      store_samples=True)
+    assert chain.count == kept
+    cov = chain.empirical_cov()
+    expected = np.cov(chain.samples[n_min:], rowvar=False)
+    assert np.linalg.norm(cov - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.array_equal(cov, cov.T)
+    assert np.array_equal(chain.empirical_cov(), cov)
+
+
+def test_chain_without_covariance_tracking_refuses_empirical_cov():
+    target, _, _ = ar1_target(12, 1.0, 0.8, stream=RngStream(23))
+    chain = run_chain(target, epo_kernel(), 3 * COV_BLOCK, 0, RngStream(24),
+                      track_covariance=False)
+    with pytest.raises(ValueError):
+        chain.empirical_cov()
 
 
 def test_cost_statistics_cover_the_kept_steps_only():
