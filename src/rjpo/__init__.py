@@ -30,9 +30,7 @@ from .sampler import (
     epo_kernel,
     epo_step,
     perturb,
-    rjpo_kernel,
     rjpo_step,
     run_chain,
-    tpo_kernel,
     tpo_step,
 )

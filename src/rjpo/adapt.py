@@ -13,8 +13,8 @@ Step sizes K_n = k0 / n^kappa with kappa in (0, 1] vanish while their sum
 diverges, so adaptation dies out and the chain keeps its target law.
 
 make_kernel is the one registry of sampling kernels by name; it lives
-here, the lowest module that sees both the fixed-threshold kernels and
-the adaptive one.
+here, the lowest module that sees both the fixed-threshold steps and
+the adaptive kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .sampler import KernelOutcome, epo_kernel, rjpo_kernel, rjpo_step, tpo_kernel
+from .sampler import KernelOutcome, epo_kernel, rjpo_step, tpo_step
 
 ALPHA_CLAMP_LOW = 1e-6
 
@@ -226,6 +226,8 @@ def make_kernel(name: str, epsilon: float = 1e-4, alpha_t: float = 0.99,
     epsilon, which must lie in (0, 1) (at 1 or above, CG stops before its
     first iteration and a chain from zero never moves); arjpo is RJPO whose
     threshold starts at epsilon0 and is tuned toward acceptance alpha_t.
+    This is the only constructor of the tpo and rjpo kernels; like
+    AdaptiveRjpoKernel, they look their step up here at call time.
     """
     if name in ("epo", "cholesky_epo"):
         return epo_kernel()
@@ -239,4 +241,6 @@ def make_kernel(name: str, epsilon: float = 1e-4, alpha_t: float = 0.99,
         )
     if not 0.0 < epsilon < 1.0:
         raise ConfigurationError(f"{name} epsilon must lie in (0, 1), got {epsilon}")
-    return tpo_kernel(epsilon) if name == "tpo" else rjpo_kernel(epsilon)
+    if name == "tpo":
+        return lambda target, previous, stream: tpo_step(target, previous, stream, epsilon)
+    return lambda target, previous, stream: rjpo_step(target, previous, stream, epsilon)

@@ -211,9 +211,9 @@ def _write_metadata(outdir, cfg) -> None:
     )
 
 
-def _parse_grid(spec) -> list[float]:
-    """Grid forms: 'logspace:lo:hi:count', comma-separated floats, or a list."""
-    if isinstance(spec, str) and spec.startswith("logspace:"):
+def _parse_grid(spec: str) -> list[float]:
+    """Grid forms: 'logspace:lo:hi:count' or comma-separated floats."""
+    if spec.startswith("logspace:"):
         parts = spec.split(":")
         if len(parts) != 4:
             raise ConfigurationError(f"bad grid spec {spec!r}; want logspace:lo:hi:count")
@@ -225,13 +225,9 @@ def _parse_grid(spec) -> list[float]:
             raise ConfigurationError(f"bad logspace range in {spec!r}")
         grid = list(np.logspace(math.log10(lo), math.log10(hi), count))
     else:
-        if isinstance(spec, str):
-            values = [v for v in spec.split(",") if v.strip()]
-        else:
-            values = spec if isinstance(spec, (list, tuple)) else [spec]
         try:
-            grid = [float(v) for v in values]
-        except (TypeError, ValueError) as exc:
+            grid = [float(v) for v in spec.split(",") if v.strip()]
+        except ValueError as exc:
             raise ConfigurationError(f"bad epsilon grid {spec!r}") from exc
     if not grid:
         raise ConfigurationError("epsilon grid is empty")
@@ -246,6 +242,11 @@ def cmd_toy(cfg, outdir) -> None:
     samplers = (
         ["epo", "tpo", "rjpo"] if cfg["sampler"] == "all" else cfg["sampler"].split(",")
     )
+    if len(set(samplers)) < len(samplers):  # each name owns its chain_<name>_<k>.csv
+        raise ConfigurationError(f"toy sampler list {cfg['sampler']!r} repeats a name")
+    for name in samplers:  # a bad name or epsilon is refused before any file is written
+        make_kernel(name, epsilon=cfg["epsilon"])
+    n_min = resolve_burn_in(cfg["n_max"], cfg["n_min"])
     master = RngStream(cfg["seed"])
     target, mu, cov = ar1_target(cfg["n"], cfg["sigma2"], cfg["rho"], stream=master)
     streams = master.spawn(len(samplers) * cfg["chains"])
@@ -256,7 +257,7 @@ def cmd_toy(cfg, outdir) -> None:
         for k in range(cfg["chains"]):
             kernel = make_kernel(name, epsilon=cfg["epsilon"])
             chain = run_chain(
-                target, kernel, cfg["n_max"], cfg["n_min"],
+                target, kernel, cfg["n_max"], n_min,
                 streams[si * cfg["chains"] + k], track_covariance=True,
             )
             independent = name in ("epo", "cholesky_epo", "tpo")  # fresh eta, solved from 0
@@ -360,13 +361,19 @@ def cmd_adapt(cfg, outdir) -> None:
 
     if mode == "target_rate":
         try:
-            targets = [float(v) for v in str(cfg["alpha_t"]).split(",")]
+            targets = [float(v) for v in cfg["alpha_t"].split(",")]
         except ValueError as exc:
             raise ConfigurationError(f"bad alpha_t list {cfg['alpha_t']!r}: {exc}") from exc
+        if len({f"{alpha_t:g}" for alpha_t in targets}) < len(targets):
+            raise ConfigurationError(
+                f"alpha_t list {cfg['alpha_t']!r} repeats a trajectory file name"
+            )
+        setpoints = [TargetRate(alpha_t) for alpha_t in targets]  # checked before any chain
         summary = []
-        for alpha_t, sub in zip(targets, master.spawn(len(targets))):
+        for setpoint, sub in zip(setpoints, master.spawn(len(targets))):
+            alpha_t = setpoint.alpha_t
             ctrl = AdaptController(
-                log_epsilon=math.log(epsilon0), mode=TargetRate(alpha_t),
+                log_epsilon=math.log(epsilon0), mode=setpoint,
                 k0=cfg["k0"], kappa=cfg["kappa"],
             )
             kernel = AdaptiveRjpoKernel(ctrl)
@@ -439,11 +446,11 @@ def cmd_superres(cfg, outdir) -> None:
     # perturbation noise (paired comparison; see run_gibbs on substreams).
     ref_stream = RngStream(run_stream.seed)
     observations = sr.synthesize(model, truth, synth_stream)
-    sr.write_pgm(os.path.join(outdir, "ground_truth.pgm"), truth * sr.PGM_MAX)
 
     sampler = make_kernel(cfg["sampler"], epsilon=cfg["epsilon"], alpha_t=cfg["alpha_t"])
     summary = sr.run_gibbs(model, observations, cfg["iterations"], cfg["burn_in"],
                            sampler, run_stream)
+    sr.write_pgm(os.path.join(outdir, "ground_truth.pgm"), truth * sr.PGM_MAX)
     sr.write_pgm(os.path.join(outdir, "posterior_mean.pgm"),
                  summary.x_mean * sr.PGM_MAX)
     write_csv(os.path.join(outdir, "chain.csv"), sr.RECORD_COLUMNS, summary.records)

@@ -8,9 +8,9 @@ turn that perturbation into a sample of N(mu, Q^-1):
   rjpo_step  truncated solve from x0 = -previous plus a reversible-jump
              accept/reject that restores exactness at any truncation level
 
-A kernel is a callable (target, previous, stream) -> KernelOutcome; the
-chain driver here and the Gibbs driver in superres both take one, and
-adapt.make_kernel builds them by name.
+A kernel is a callable (target, previous, stream) -> KernelOutcome, with
+previous the chain's 1-D state; the chain driver here and the Gibbs driver
+in superres both take one, and adapt.make_kernel builds them by name.
 """
 
 from __future__ import annotations
@@ -116,9 +116,6 @@ def tpo_step(
     """Truncated PO step from x0 = 0: always accepts, so truncation biases
     the chain.  The acceptance probability is still computed and recorded
     for diagnostics; it plays no role in the transition."""
-    previous = np.asarray(previous, dtype=float)
-    if previous.ndim != 1:
-        previous = previous.ravel()
     eta = perturb(target, stream)
     out = cg_solve(target.precision, eta, epsilon=epsilon)
     x = out.solution
@@ -139,9 +136,6 @@ def rjpo_step(
     recomputed eta - Q x_hat, and acceptance is decided in log space with a
     single uniform draw.
     """
-    previous = np.asarray(previous, dtype=float)
-    if previous.ndim != 1:
-        previous = previous.ravel()
     eta = perturb(target, stream)
     out = cg_solve(target.precision, eta, x0=-previous, epsilon=epsilon)
     x_hat = out.solution
@@ -160,22 +154,6 @@ def epo_kernel():
         return epo_step(target, stream)
 
     step.draw = step
-    return step
-
-
-def tpo_kernel(epsilon: float):
-    def step(target, previous, stream):
-        return tpo_step(target, previous, stream, epsilon)
-
-    step.epsilon = epsilon
-    return step
-
-
-def rjpo_kernel(epsilon: float):
-    def step(target, previous, stream):
-        return rjpo_step(target, previous, stream, epsilon)
-
-    step.epsilon = epsilon
     return step
 
 
@@ -239,16 +217,14 @@ class ChainState:
 
 
 def resolve_burn_in(n_max: int, n_min: int | None) -> int:
-    """run_chain's burn-in: n_min, or 10% of n_max when None, checked so
-    that the kept samples n_min..n_max number at least two."""
+    """The burn-in of run_chain and run_gibbs: n_min, or 10% of n_max when
+    None, checked so that at least one of the n_max steps follows it."""
     if n_max < 1:
-        raise ConfigurationError(f"n_max must be >= 1, got {n_max}")
+        raise ConfigurationError(f"need at least 1 step, got {n_max}")
     if n_min is None:
         n_min = n_max // 10
     if not 0 <= n_min < n_max:
-        raise ConfigurationError(
-            f"burn-in n_min = {n_min} leaves no post-burn-in window before n_max = {n_max}"
-        )
+        raise ConfigurationError(f"burn-in {n_min} leaves no kept step out of {n_max}")
     return n_min
 
 

@@ -32,7 +32,7 @@ from .adapt import make_kernel as make_x_sampler  # noqa: F401
 from .errors import ConfigurationError, NumericalBreakdownError
 from .linop import FactoredPrecision, GaussianTarget
 from .rng import PairedStream, RngStream
-from .sampler import epo_step  # noqa: F401
+from .sampler import epo_step, resolve_burn_in  # noqa: F401
 
 LAPLACIAN_STENCIL = np.array([[0.0, -1.0, 0.0], [-1.0, 4.0, -1.0], [0.0, -1.0, 0.0]])
 PGM_MAX = 65535
@@ -284,8 +284,8 @@ class SuperResModel:
             raise ConfigurationError(
                 f"PSF must sum to 1 (flux preservation), sums to {self.psf_kernel.sum()}"
             )
-        if math.isnan(self.snr_db):
-            raise ConfigurationError("snr_db must be a real number or +inf")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ConfigurationError(f"snr_db must be a real number or +inf, got {self.snr_db}")
 
     @property
     def pixel_count(self) -> int:
@@ -374,7 +374,7 @@ def synthesize(model: SuperResModel, ground_truth, stream: RngStream) -> np.ndar
             f"ground truth shape {truth.shape} != model dims {model.hi_res_dims}"
         )
     clean = model.gather(np.fft.irfft2(np.fft.rfft2(truth) * model.blur, s=model.hi_res_dims))
-    if math.isinf(model.snr_db):
+    if model.snr_db == math.inf:
         return clean
     power = float(clean @ clean)
     if power == 0:
@@ -478,12 +478,7 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
         raise ConfigurationError(
             f"observations length {observations.size} != model data count {model.data_count}"
         )
-    if iterations < 1:
-        raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
-    if not 0 <= burn_in < iterations:
-        raise ConfigurationError(
-            f"burn-in {burn_in} leaves no kept sweeps out of {iterations}"
-        )
+    burn_in = resolve_burn_in(iterations, burn_in)
 
     basis = model.half_spectrum
     back_projection = basis.back_project(observations)

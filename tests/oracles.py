@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rjpo.adapt import make_kernel
 from rjpo.errors import ConfigurationError
 from rjpo.linop import FactoredPrecision, GaussianTarget
-from rjpo.sampler import KernelOutcome, rjpo_kernel, run_chain
+from rjpo.sampler import KernelOutcome, run_chain
 
 
 def naive_circular_convolve(image: np.ndarray, kernel: np.ndarray,
@@ -237,7 +238,7 @@ def acceptance_curve(target, epsilons, n_max: int, stream) -> np.ndarray:
     streams = stream.spawn(len(epsilons))
     rows = []
     for eps, sub in zip(epsilons, streams):
-        chain = run_chain(target, rjpo_kernel(eps), n_max, None, sub,
+        chain = run_chain(target, make_kernel("rjpo", epsilon=eps), n_max, None, sub,
                           track_covariance=False)
         rows.append((eps, chain.mean_acceptance, chain.mean_cg_iterations))
     return np.array(rows)

@@ -33,11 +33,12 @@ from rjpo.adapt import (
     MinCces,
     TargetRate,
     essr_from_alpha,
+    make_kernel,
 )
 from rjpo.diag import rmse
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
-from rjpo.sampler import epo_kernel, rjpo_kernel, run_chain, tpo_kernel
+from rjpo.sampler import epo_kernel, rjpo_step, run_chain
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -65,9 +66,11 @@ def test_01_exact_sampler_moment_recovery():
 
 def test_02_zero_threshold_accepts_identically():
     target, _, _ = ar1_target(16, 1.0, 0.8, stream=RngStream(1003))
-    chain = run_chain(
-        target, rjpo_kernel(0.0), 1000, 0, RngStream(1004), track_covariance=False
-    )
+
+    def exact_rjpo(target, previous, stream):  # eps = 0 lies outside make_kernel's (0, 1)
+        return rjpo_step(target, previous, stream, 0.0)
+
+    chain = run_chain(target, exact_rjpo, 1000, 0, RngStream(1004), track_covariance=False)
     gap = float(np.max(np.abs(chain.alphas - 1.0)))
     ok = gap < 1e-10
     _report(
@@ -188,8 +191,9 @@ def test_06_correction_beats_plain_truncation():
     should be at least twice smaller than the uncorrected one's."""
     target, mu, cov = ar1_target(16, 1.0, 0.8, stream=RngStream(1012))
     eps = 1e-2
-    corrected = run_chain(target, rjpo_kernel(eps), 100_000, None, RngStream(1013))
-    plain = run_chain(target, tpo_kernel(eps), 100_000, None, RngStream(1014))
+    corrected = run_chain(target, make_kernel("rjpo", epsilon=eps), 100_000, None,
+                          RngStream(1013))
+    plain = run_chain(target, make_kernel("tpo", epsilon=eps), 100_000, None, RngStream(1014))
     alpha = corrected.mean_acceptance
     _, e_corr = rmse(corrected, mu, cov)
     _, e_plain = rmse(plain, mu, cov)
@@ -278,14 +282,14 @@ def gibbs_runs():
     runs = {}
     t0 = time.perf_counter()
     runs["ref"] = sr.run_gibbs(
-        model, obs, 1000, 100, sr.make_x_sampler("cholesky_epo"), RngStream(777)
+        model, obs, 1000, 100, make_kernel("cholesky_epo"), RngStream(777)
     )
     runs["arjpo"] = sr.run_gibbs(
         model, obs, 1000, 100,
-        sr.make_x_sampler("arjpo", alpha_t=0.99, epsilon0=1e-2), RngStream(777)
+        make_kernel("arjpo", alpha_t=0.99, epsilon0=1e-2), RngStream(777)
     )
     runs["tpo"] = sr.run_gibbs(
-        model, obs, 1000, 100, sr.make_x_sampler("tpo", epsilon=1e-4), RngStream(777)
+        model, obs, 1000, 100, make_kernel("tpo", epsilon=1e-4), RngStream(777)
     )
     runs["wall"] = time.perf_counter() - t0
     return runs
@@ -350,7 +354,7 @@ def test_11_conditional_draw_memory_stays_linear():
                           fwhm=4.0, snr_db=20.0)
     truth = sr.phantom((128, 128))
     obs = sr.synthesize(model, truth, RngStream(55))
-    sampler = sr.make_x_sampler("tpo", epsilon=1e-4)
+    sampler = make_kernel("tpo", epsilon=1e-4)
     back = model.half_spectrum.back_project(obs)
     previous = np.zeros(back.size)
     stream = RngStream(56)

@@ -113,12 +113,19 @@ def run_cli(argv):
     ["curve", "--epsilon-grid", "logspace:1e-3:1:4", "--n", "8", "--n-max", "200"],
     ["toy", "--sampler", "rjpo,tpo", "--epsilon", "1.5", "--n-max", "200"],
     ["toy", "--sampler", "tpo", "--epsilon", "1", "--n-max", "200"],
+    ["superres", "--dims", "16", "--fwhm", "1", "--iterations", "3", "--burn-in", "1",
+     "--snr-db=-inf"],
+    ["toy", "--sampler", "rjpo,rjpo", "--n-max", "200"],
+    ["adapt", "--alpha-t", "0.5,0.50", "--n-max", "200"],
+    ["adapt", "--alpha-t", "0.5,0.8,0.5000001", "--n-max", "200"],
 ])
 def test_unusable_thresholds_are_config_errors(tmp_path, argv):
     """A threshold that is NaN, infinite or outside (0, 1), a sigma2 that
-    is not positive and finite, fewer than 1 chain, a zero MinCces window,
-    or a curve window too short for its ESS witness, exits 1 with a config
-    error before any chain runs."""
+    is not positive and finite, an SNR of -inf dB, fewer than 1 chain, a
+    zero MinCces window, a curve window too short for its ESS witness, or a
+    toy sampler or adapt setpoint listed twice (their output files would
+    overwrite each other), exits 1 with a config error before any chain
+    runs."""
     rc, err = run_cli(argv + ["--out", str(tmp_path / "x")])
     assert rc == 1
     assert err.startswith("rjpo: config error:") and "Traceback" not in err
@@ -127,14 +134,21 @@ def test_unusable_thresholds_are_config_errors(tmp_path, argv):
 @pytest.mark.parametrize("argv", [
     ["superres", "--fwhm", "1000"],
     ["curve", "--n-max", "5"],
+    ["superres", "--dims", "16", "--fwhm", "1", "--iterations", "3", "--burn-in", "3"],
+    ["superres", "--dims", "16", "--fwhm", "1", "--iterations", "3", "--burn-in", "1",
+     "--sampler", "rjpo", "--epsilon", "0"],
+    ["toy", "--sampler", "tpo", "--epsilon", "0"],
+    ["toy", "--sampler", "rjpo,nope", "--n-max", "50"],
+    ["adapt", "--alpha-t", "0.5,1.5", "--n-max", "50"],
+    ["toy", "--n-max", "100", "--n-min", "100"],
 ])
 def test_failed_runs_write_no_metadata(tmp_path, argv):
     """metadata.json marks a finished run: a run that exits 1 on its config
-    leaves none, and a good run still writes it."""
+    leaves no file at all, and a good run still writes it."""
     out = tmp_path / "x"
     rc, _ = run_cli(argv + ["--out", str(out)])
     assert rc == 1
-    assert not (out / "metadata.json").exists()
+    assert list(out.iterdir()) == []
     assert cli.main(TOY_TINY + ["--out", str(out)]) == 0
     assert json.loads((out / "metadata.json").read_text())["subcommand"] == "toy"
 

@@ -12,7 +12,9 @@ from oracles import (
     general_rj_step_oracle,
     lag1_autocorrelation,
 )
+import rjpo.adapt
 import rjpo.sampler
+from rjpo.adapt import make_kernel
 from rjpo.cg import cg_solve
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_from_dense
@@ -24,10 +26,8 @@ from rjpo.sampler import (
     epo_kernel,
     epo_step,
     perturb,
-    rjpo_kernel,
     rjpo_step,
     run_chain,
-    tpo_kernel,
     tpo_step,
 )
 
@@ -153,8 +153,8 @@ def test_rjpo_exact_solve_always_accepts():
 
 def test_rjpo_acceptance_drops_with_loose_epsilon():
     target, mu, cov = ar1_target(16, 1.0, 0.8, stream=RngStream(40))
-    loose = run_chain(target, rjpo_kernel(1e-1), 2000, 200, RngStream(41))
-    tight = run_chain(target, rjpo_kernel(1e-5), 2000, 200, RngStream(41))
+    loose = run_chain(target, make_kernel("rjpo", epsilon=1e-1), 2000, 200, RngStream(41))
+    tight = run_chain(target, make_kernel("rjpo", epsilon=1e-5), 2000, 200, RngStream(41))
     assert loose.mean_acceptance < 0.3
     assert tight.mean_acceptance > 0.9
 
@@ -177,7 +177,7 @@ def test_rjpo_rejected_steps_keep_previous():
 def test_rjpo_stationary_distribution_ks():
     """RJPO at moderate truncation matches the exact marginal (KS test)."""
     target, q, mu = _small_target(8, 4)
-    chain = run_chain(target, rjpo_kernel(1e-3), 20000, 2000, RngStream(44),
+    chain = run_chain(target, make_kernel("rjpo", epsilon=1e-3), 20000, 2000, RngStream(44),
                       store_samples=True)
     samples = chain.samples[2000::10, 2]
     sd = np.sqrt(np.linalg.inv(q)[2, 2])
@@ -225,7 +225,7 @@ def test_rjpo_reverse_move_returns_to_the_previous_state(monkeypatch):
 
 @pytest.mark.parametrize("kernel", [
     pytest.param(epo_kernel(), id="epo"),
-    pytest.param(rjpo_kernel(0.3), marks=NOT_AN_INVOLUTION, id="rjpo"),
+    pytest.param(make_kernel("rjpo", epsilon=0.3), marks=NOT_AN_INVOLUTION, id="rjpo"),
 ])
 def test_chain_keeps_the_target_energy(kernel):
     """E[(x - mu)^t Q (x - mu)] = N under the target.  AR(1), N = 3, rho
@@ -268,8 +268,8 @@ def test_tpo_biased_toward_origin_at_loose_truncation():
     """From x0 = 0, a heavily truncated solve undershoots; sample variance
     shrinks measurably below the truth."""
     target = target_from_dense(ar1_precision(20, 1.0, 0.8), np.zeros(20))
-    tight = run_chain(target, tpo_kernel(1e-10), 4000, 400, RngStream(51))
-    loose = run_chain(target, tpo_kernel(0.5), 4000, 400, RngStream(51))
+    tight = run_chain(target, make_kernel("tpo", epsilon=1e-10), 4000, 400, RngStream(51))
+    loose = run_chain(target, make_kernel("tpo", epsilon=0.5), 4000, 400, RngStream(51))
     var_tight = np.trace(tight.empirical_cov())
     var_loose = np.trace(loose.empirical_cov())
     assert var_loose < 0.9 * var_tight
@@ -388,7 +388,7 @@ def test_cost_statistics_cover_the_kept_steps_only():
     """mean_acceptance and mean_cg_iterations average steps n_min+1..n_max,
     the moves between the kept samples n_min..n_max."""
     target, _, _ = ar1_target(8, 1.0, 0.8, stream=RngStream(12))
-    chain = run_chain(target, rjpo_kernel(0.3), 60, 20, RngStream(13))
+    chain = run_chain(target, make_kernel("rjpo", epsilon=0.3), 60, 20, RngStream(13))
     assert chain.count == 41
     assert chain.mean_acceptance == float(chain.alphas[20:].mean())
     assert chain.mean_cg_iterations == float(chain.cg_iterations[20:].mean())
@@ -420,12 +420,26 @@ def test_run_chain_breakdown_carries_step():
 
     bad = GaussianTarget(FakePrecision(), np.array([0.3, 1.0]))
     with pytest.raises(NumericalBreakdownError):
-        run_chain(bad, rjpo_kernel(1e-8), 5, 0, RngStream(10))
+        run_chain(bad, make_kernel("rjpo", epsilon=1e-8), 5, 0, RngStream(10))
 
 
-def test_kernel_factories_expose_epsilon():
-    assert rjpo_kernel(1e-3).epsilon == 1e-3
-    assert tpo_kernel(2e-4).epsilon == 2e-4
+@pytest.mark.parametrize("name, step", [("tpo", tpo_step), ("rjpo", rjpo_step)])
+def test_registry_kernels_run_their_step_at_their_epsilon(monkeypatch, name, step):
+    """make_kernel's tpo and rjpo kernels are their step at the epsilon
+    they were built with, looked up in rjpo.adapt when called, so a patch
+    there (as a tracer installs one) sees every step."""
+    target, _, _ = ar1_target(8, 1.0, 0.8, stream=RngStream(60))
+    previous = RngStream(61).standard_normal_vector(8)
+    kernel = make_kernel(name, epsilon=2e-2)
+    got = kernel(target, previous, RngStream(62))
+    want = step(target, previous, RngStream(62), 2e-2)
+    assert got.cg_iterations == want.cg_iterations and got.accepted == want.accepted
+    assert np.array_equal(got.next_sample, want.next_sample)
+    calls = []
+    monkeypatch.setattr(rjpo.adapt, f"{name}_step",
+                        lambda *args: calls.append(args[-1]) or step(*args))
+    kernel(target, previous, RngStream(62))
+    assert calls == [2e-2]
 
 
 def test_chain_against_cholesky_oracle_two_sample():

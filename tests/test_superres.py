@@ -11,7 +11,9 @@ from rjpo.adapt import AdaptiveRjpoKernel, TargetRate, make_kernel
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.rng import PairedStream, RngStream
 from rjpo.cg import cg_solve
-from rjpo.sampler import EXACT_EPSILON, KernelOutcome, _exact_cg_solve, epo_step, perturb
+from rjpo.sampler import (
+    EXACT_EPSILON, KernelOutcome, _exact_cg_solve, epo_step, perturb, resolve_burn_in,
+)
 from rjpo import superres as sr
 
 SMOOTH_3X3 = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
@@ -107,8 +109,9 @@ def test_model_validation():
         small_model(factor=3)  # does not divide 16
     with pytest.raises(ConfigurationError):
         sr.SuperResModel((8, 8), 2, 2, psf_kernel=np.ones((3, 3)))  # sums to 9
-    with pytest.raises(ConfigurationError):
-        small_model(snr_db=math.nan)
+    for bad_snr in (math.nan, -math.inf):  # -inf would pass for noise-free, like +inf
+        with pytest.raises(ConfigurationError):
+            small_model(snr_db=bad_snr)
     with pytest.raises(ConfigurationError):
         small_model(dims=(16, 16), fwhm=4.0)  # 59 x 59 blur exceeds the grid
 
@@ -605,7 +608,7 @@ def test_exact_conditional_draws_match_cholesky_oracle(dense_mirror):
         basis = model.half_spectrum
         leave = basis.leave
         target = sr.conditional_target(model, basis.back_project(obs), 2.0, 0.8)
-    sampler = sr.make_x_sampler("cholesky_epo")
+    sampler = make_kernel("cholesky_epo")
     stream = RngStream(10)
     draws = np.array([leave(sampler(target, np.zeros(target.dim), stream).next_sample)
                       for _ in range(250)])
@@ -706,7 +709,7 @@ def test_adaptive_sampler_keeps_the_conditional_law():
     streams = RngStream(14).spawn(180)
     kept = []
     for sub in streams:
-        sampler = sr.make_x_sampler("arjpo", alpha_t=0.9, epsilon0=1e-2)
+        sampler = make_kernel("arjpo", alpha_t=0.9, epsilon0=1e-2)
         paired = PairedStream(sub, sub.spawn(1)[0])  # as run_gibbs pairs its x stream
         x = np.zeros(target.dim)
         for _ in range(60):
@@ -724,8 +727,6 @@ def test_x_sampler_factory():
     assert sr.make_x_sampler is make_kernel
     for name in ("epo", "cholesky_epo"):
         assert not hasattr(make_kernel(name), "epsilon")  # exact: no threshold
-    assert make_kernel("tpo", epsilon=1e-3).epsilon == 1e-3
-    assert make_kernel("rjpo", epsilon=2e-3).epsilon == 2e-3
     arjpo = make_kernel("arjpo", alpha_t=0.95, epsilon0=1e-3)
     assert isinstance(arjpo, AdaptiveRjpoKernel)
     assert arjpo.controller.mode == TargetRate(0.95)
@@ -768,7 +769,7 @@ def test_gibbs_smoke_and_summary_shapes():
     model = small_model()
     truth = sr.phantom((16, 16))
     obs = sr.synthesize(model, truth, RngStream(17))
-    summary = sr.run_gibbs(model, obs, 12, 2, sr.make_x_sampler("tpo", epsilon=1e-6),
+    summary = sr.run_gibbs(model, obs, 12, 2, make_kernel("tpo", epsilon=1e-6),
                            RngStream(18))
     assert summary.records.shape == (12, 5)
     assert np.array_equal(summary.records[:, 0], np.arange(1, 13))
@@ -853,7 +854,7 @@ def test_long_chain_stays_on_real_images():
 def test_gibbs_preconditions():
     model = small_model()
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(19))
-    sampler = sr.make_x_sampler("tpo", epsilon=1e-6)
+    sampler = make_kernel("tpo", epsilon=1e-6)
     with pytest.raises(ConfigurationError):
         sr.run_gibbs(model, obs[:-1], 10, 2, sampler, RngStream(20))
     with pytest.raises(ConfigurationError):
@@ -862,10 +863,33 @@ def test_gibbs_preconditions():
         sr.run_gibbs(model, obs, 10, 10, sampler, RngStream(20))
 
 
+@pytest.mark.parametrize("iterations, burn_in", [(0, 0), (-1, 0), (3, 3), (3, 4), (3, -1)])
+def test_gibbs_sweeps_and_burn_in_follow_run_chains_rule(iterations, burn_in):
+    """run_gibbs refuses, before its first sweep, exactly what
+    resolve_burn_in refuses for run_chain: fewer than 1 sweep, or a burn-in
+    outside 0 .. iterations - 1; a burn-in of iterations - 1 keeps one sweep."""
+    model = small_model()
+    obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(19))
+    calls = []
+
+    def kernel(target, previous, stream):
+        calls.append(previous)
+        return make_kernel("epo")(target, previous, stream)
+
+    with pytest.raises(ConfigurationError) as gibbs:
+        sr.run_gibbs(model, obs, iterations, burn_in, kernel, RngStream(20))
+    with pytest.raises(ConfigurationError) as chain:
+        resolve_burn_in(iterations, burn_in)
+    assert str(gibbs.value) == str(chain.value)
+    assert calls == []
+    summary = sr.run_gibbs(model, obs, 3, 2, kernel, RngStream(20))
+    assert len(calls) == 3 and summary.records.shape[0] == 3
+
+
 def test_gibbs_is_deterministic_given_a_seed():
     model = small_model()
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(21))
-    runs = [sr.run_gibbs(model, obs, 10, 2, sr.make_x_sampler("tpo", epsilon=1e-6),
+    runs = [sr.run_gibbs(model, obs, 10, 2, make_kernel("tpo", epsilon=1e-6),
                          RngStream(22)) for _ in range(2)]
     assert np.array_equal(runs[0].records, runs[1].records)
     assert np.array_equal(runs[0].x_mean, runs[1].x_mean)
@@ -879,10 +903,10 @@ def test_same_seed_runs_are_paired_across_samplers():
     10% here."""
     model = small_model()
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(23))
-    ref = sr.run_gibbs(model, obs, 10, 2, sr.make_x_sampler("cholesky_epo"),
+    ref = sr.run_gibbs(model, obs, 10, 2, make_kernel("cholesky_epo"),
                        RngStream(24))
     tpo = sr.run_gibbs(model, obs, 10, 2,
-                       sr.make_x_sampler("tpo", epsilon=EXACT_EPSILON), RngStream(24))
+                       make_kernel("tpo", epsilon=EXACT_EPSILON), RngStream(24))
     # the first sweep's gammas precede any x draw
     assert np.array_equal(ref.records[0, 1:3], tpo.records[0, 1:3])
     assert np.allclose(ref.records[:, 1:3], tpo.records[:, 1:3], rtol=1e-9, atol=0)
@@ -899,9 +923,9 @@ def test_truncation_without_correction_corrupts_hyperparameters():
     model = small_model(dims=(32, 32), fwhm=2.0)
     truth = sr.phantom((32, 32))
     obs = sr.synthesize(model, truth, RngStream(28))
-    ref = sr.run_gibbs(model, obs, 200, 40, sr.make_x_sampler("cholesky_epo"),
+    ref = sr.run_gibbs(model, obs, 200, 40, make_kernel("cholesky_epo"),
                        RngStream(29))
-    loose = sr.run_gibbs(model, obs, 200, 40, sr.make_x_sampler("tpo", epsilon=3e-2),
+    loose = sr.run_gibbs(model, obs, 200, 40, make_kernel("tpo", epsilon=3e-2),
                          RngStream(29))
     deviation = (loose.gamma_x_mean - ref.gamma_x_mean) / ref.gamma_x_mean
     assert deviation > 0.25
