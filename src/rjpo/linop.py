@@ -2,13 +2,17 @@
 
 A target holds its precision Q through a factor F with Q = F^t F: a
 DenseOperator for the small dense problems, the super-resolution
-conditional's SpectralConditional (rjpo.superres) for images.  Factors are
-immutable after construction and safe to share between chains.
+conditional's SpectralConditional (rjpo.superres) for images.  A dense
+factor's Gram map is one product with M^t M, formed at its first Gram call
+rather than at construction, so building a target stays cheap and a target
+that is never solved against never pays for it.  Factors are immutable
+after construction and safe to share between chains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +28,10 @@ def _vector(x, size: int, name: str) -> np.ndarray:
 
 class DenseOperator:
     """A matrix M as a factor: v -> Mv, its transpose w -> M^t w and its Gram
-    map v -> M^t (M v), each on a checked-length vector."""
+    map v -> (M^t M) v, each on a checked-length vector.  The Gram matrix
+    M^t M is formed by the first Gram call, not here: an N x N product would
+    dominate the set-up of a dense target, and one that is never solved
+    against pays nothing."""
 
     def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
@@ -41,8 +48,12 @@ class DenseOperator:
     def apply_transpose(self, w: np.ndarray) -> np.ndarray:
         return self.matrix.T @ _vector(w, self.out_dim, "apply_transpose")
 
+    @cached_property
+    def _gram_matrix(self) -> np.ndarray:
+        return self.matrix.T @ self.matrix
+
     def gram(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ (self.matrix @ _vector(v, self.in_dim, "gram"))
+        return self._gram_matrix @ _vector(v, self.in_dim, "gram")
 
 
 class FactoredPrecision:

@@ -214,6 +214,33 @@ def with_dense_mirror(target: GaussianTarget) -> GaussianTarget:
     return GaussianTarget(target.precision, target.potential, dense_q=dense_q)
 
 
+class TwoProductFactor:
+    """A dense factor M whose Gram map is the two products M^t (M v), the
+    reference for DenseOperator's one product with M^t M; M v and M^t w
+    are the same products as DenseOperator's."""
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.out_dim, self.in_dim = self.matrix.shape
+
+    def apply(self, v):
+        return self.matrix @ v
+
+    def apply_transpose(self, w):
+        return self.matrix.T @ w
+
+    def gram(self, v):
+        return self.matrix.T @ (self.matrix @ v)
+
+
+def with_two_product_factor(target: GaussianTarget) -> GaussianTarget:
+    """A copy of a dense target (target_from_dense) whose factor applies Q
+    as M^t (M v); potential, mirror and its Cholesky factor are shared."""
+    return GaussianTarget(FactoredPrecision(TwoProductFactor(target.precision.factor.matrix)),
+                          target.potential, dense_q=target.dense_q,
+                          _chol=target.mirror_cholesky())
+
+
 def dense_mean(target: GaussianTarget) -> np.ndarray:
     """mu = Q^-1 (Q mu) of a target with a dense mirror, by a dense solve."""
     return np.linalg.solve(target.dense_q, target.potential)

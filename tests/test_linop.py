@@ -84,6 +84,29 @@ def test_gram_is_transpose_of_apply(seed):
         assert np.allclose(op.gram(v), op.apply_transpose(op.apply(v)), rtol=1e-12, atol=1e-10)
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (5, 3), (3, 5)])
+def test_dense_gram_is_one_product_with_the_gram_matrix(shape):
+    """A dense factor's Gram map is (M^t M) v, bitwise, for a square, a
+    tall and a wide M; M^t M is formed by the first Gram call and reused."""
+    rng = np.random.default_rng(17)
+    m = rng.standard_normal(shape)
+    op = DenseOperator(m)
+    assert "_gram_matrix" not in vars(op)
+    for _ in range(2):
+        v = rng.standard_normal(shape[1])
+        assert np.array_equal(op.gram(v), (m.T @ m) @ v)
+    assert "_gram_matrix" in vars(op)
+
+
+def test_dense_target_forms_its_gram_matrix_on_first_use():
+    """Building a dense target forms no M^t M; its first Q-apply does."""
+    target = target_from_dense(ar1_precision(128, 1.0, 0.8), np.linspace(0.0, 10.0, 128))
+    factor = target.precision.factor
+    assert "_gram_matrix" not in vars(factor)
+    target.precision.apply(np.ones(128))
+    assert np.array_equal(vars(factor)["_gram_matrix"], factor.matrix.T @ factor.matrix)
+
+
 def test_circulant_matches_naive_convolution():
     """Filtering by a centred kernel's transfer function is the circular
     convolution with the kernel's centre cell as origin."""

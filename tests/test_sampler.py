@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ from oracles import (
     gaussian_logpdf,
     general_rj_step_oracle,
     lag1_autocorrelation,
+    with_two_product_factor,
 )
 import rjpo.adapt
 import rjpo.sampler
-from rjpo.adapt import make_kernel
+from rjpo.adapt import AdaptController, AdaptiveRjpoKernel, MinCces, make_kernel
 from rjpo.cg import cg_solve
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_from_dense
@@ -440,6 +442,30 @@ def test_registry_kernels_run_their_step_at_their_epsilon(monkeypatch, name, ste
                         lambda *args: calls.append(args[-1]) or step(*args))
     kernel(target, previous, RngStream(62))
     assert calls == [2e-2]
+
+
+@pytest.mark.parametrize("name", ["rjpo", "tpo", "min_cces"])
+def test_one_product_gram_moves_no_decision(name):
+    """A dense target's one-product Q-apply (M^t M) v moves no decision
+    against the two products M^t (M v): same-seed chains at N = 128 take the
+    same accept decisions and CG iteration counts over 2000 steps, also
+    under the MinCces controller, which integrates alpha's rounding into its
+    epsilon.  Fixed-epsilon samples agree to 1e-12 relative."""
+    target, _, _ = ar1_target(128, 1.0, 0.8, stream=RngStream(70))
+    chains = []
+    for copy in (target, with_two_product_factor(target)):
+        if name == "min_cces":
+            kernel = AdaptiveRjpoKernel(AdaptController(math.log(1e-2), MinCces()))
+        else:
+            kernel = make_kernel(name, epsilon=1e-3)
+        chains.append(run_chain(copy, kernel, 2000, None, RngStream(71),
+                                track_covariance=False, store_samples=name != "min_cces"))
+    one, two = chains
+    assert np.array_equal(one.accepted, two.accepted)
+    assert np.array_equal(one.cg_iterations, two.cg_iterations)
+    if name != "min_cces":
+        scale = np.max(np.abs(two.samples))
+        assert np.max(np.abs(one.samples - two.samples)) <= 1e-12 * scale
 
 
 def test_chain_against_cholesky_oracle_two_sample():
