@@ -141,14 +141,16 @@ def _window_slopes(le, js, alphas) -> tuple[float, float, bool]:
     controller's equilibrium off the fixed point.  Windows with no spread
     in log eps or in J are degenerate and give zero slopes.  Each centred
     deviation is formed once, and a variance is the mean of its squares,
-    which is numpy's var() to the bit.
+    which is numpy's var() to the bit.  Each mean is sum() / n, which is
+    mean() to the bit without its per-call overhead.
     """
-    dle, dj = le - le.mean(), js - js.mean()
-    var_le = (dle * dle).mean()
-    if var_le == 0.0 or (dj * dj).mean() == 0.0:
+    n = le.size
+    dle, dj = le - le.sum() / n, js - js.sum() / n
+    var_le = (dle * dle).sum() / n
+    if var_le == 0.0 or (dj * dj).sum() / n == 0.0:
         return 0.0, 0.0, True
-    slope_a = float((dle * (alphas - alphas.mean())).mean() / var_le)
-    slope_j = float((dle * dj).mean() / var_le)
+    slope_a = float((dle * (alphas - alphas.sum() / n)).sum() / n / var_le)
+    slope_j = float((dle * dj).sum() / n / var_le)
     return slope_a, slope_j, slope_j == 0.0
 
 
@@ -174,7 +176,7 @@ def update_min_cces(ctrl: AdaptController, j_n: int, alpha_n: float) -> AdaptCon
         correction = essr_gap
     else:
         correction = j_n * slope_a - essr_gap * slope_j
-    correction = float(np.clip(correction, -CORRECTION_CLIP, CORRECTION_CLIP))
+    correction = float(min(max(correction, -CORRECTION_CLIP), CORRECTION_CLIP))
     ctrl.log_epsilon += ctrl.step_size * correction
     ctrl.step_index += 1
     return ctrl

@@ -14,7 +14,10 @@ drawn matrix-free by any kernel from adapt.make_kernel.  B and D are
 circulant, so the model holds each as its rfft2 transfer function (b and d,
 centred_transfer), and the chain lives in the orthonormal coordinates of the
 real-FFT half spectrum (HalfSpectrum), where Q takes no transform
-(SpectralConditional) and a sweep takes 3 (see run_gibbs).
+(SpectralConditional) and a sweep takes 3 (see run_gibbs).  The exact
+draw's CG is preconditioned there by Q^-1 itself when C has one alias term
+(two frames at factor 2, the default), so it stops after one iteration, and
+by Q's circulant mean P otherwise (SpectralConditional.precondition).
 """
 
 from __future__ import annotations
@@ -92,6 +95,25 @@ def centred_transfer(kernel, image_dims) -> np.ndarray:
     return np.fft.rfft2(np.roll(padded, (-origin[0], -origin[1]), axis=(0, 1)))
 
 
+def _alias_gather(spectrum, index) -> np.ndarray:
+    """The half spectrum read at each bin's alias source: ``index`` into
+    [spectrum, conj spectrum] (see HalfSpectrum)."""
+    return np.take(np.concatenate([spectrum, np.conj(spectrum)]), index)
+
+
+def _diagonal_plus_gathers(diagonal, aliases, s) -> np.ndarray:
+    """diagonal s + sum of weight G(s) over the (index, weight) aliases, G
+    the _alias_gather of ``index``, for s in HalfSpectrum coordinates: the
+    form of both Q and its inverse in SpectralConditional, no transform."""
+    spectrum = s.view(complex).reshape(diagonal.shape)
+    out = diagonal * spectrum
+    if aliases:
+        both = np.concatenate([spectrum, np.conj(spectrum)])
+        for index, weight in aliases:
+            out += weight * np.take(both, index)
+    return out.view(float).ravel()
+
+
 class HalfSpectrum:
     """Orthonormal real coordinates of real images on the rfft2 half spectrum.
 
@@ -148,7 +170,6 @@ class HalfSpectrum:
         f = model.decimation_factor
         coefficients = np.fft.fft2(counts[:f, :f]) / f**2  # c_pq from one period of C
         row, col = np.arange(rows)[:, None], np.arange(half)[None, :]
-        both = np.concatenate([self.blur, np.conj(self.blur)])
         self.aliases = []
         for (p, q), c in np.ndenumerate(coefficients):
             # c_pq sums f^2 integer multiples of f-th roots of unity: below
@@ -161,7 +182,7 @@ class HalfSpectrum:
             index = np.where(source_col > cols // 2,
                              (rows + (-source_row) % rows) * half + cols - source_col,
                              source_row * half + source_col)
-            self.aliases.append((index, c * self.adjoint_blur * np.take(both, index)))
+            self.aliases.append((index, c * self.adjoint_blur * _alias_gather(self.blur, index)))
 
     def enter(self, x):
         """s = W rfft2(x) for a flattened real image x."""
@@ -197,10 +218,13 @@ class SpectralConditional:
 
         Q s = P s + gamma_y sum_pq A_pq G_pq(s),
 
-    pointwise products and one index gather per term, no transform.  P^-1
-    s = s / P takes none either.  P is positive: |d|^2 vanishes only at
-    frequency zero, where |b|^2 = 1 and mean(C) > 0.  With frames =
-    factor^2, C = I and Q = P.
+    pointwise products and one index gather per term, no transform.  P is
+    positive: |d|^2 vanishes only at frequency zero, where |b|^2 = 1 and
+    mean(C) > 0.  With frames = factor^2, C = I and Q = P.
+
+    ``precondition`` applies Q^-1 itself when C has at most one alias
+    term (frames = factor^2, or two frames at factor 2), and P^-1 when it
+    has more; either takes no transform.
 
     The alias sum is Q only on real images' half spectra (the image of
     ``enter``), where it is the spectrum of B^t C B x; the Gibbs state,
@@ -225,24 +249,43 @@ class SpectralConditional:
         return spectrum.view(float).ravel()
 
     def gram(self, s):
-        spectrum = s.view(complex).reshape(self.basis.shape)
-        out = self._mean_gram * spectrum
-        if self._aliases:
-            both = np.concatenate([spectrum, np.conj(spectrum)])
-            for index, weight in self._aliases:
-                out += weight * np.take(both, index)
-        return out.view(float).ravel()
+        return _diagonal_plus_gathers(self._mean_gram, self._aliases, s)
 
     @cached_property
-    def _inverse_mean_gram(self):
-        """1 / P; built on first use, so only preconditioned solves pay for
-        it."""
-        return 1.0 / self._mean_gram
+    def _preconditioner(self):
+        """The diagonal and alias terms of ``precondition``; built on first
+        use, so only preconditioned solves pay for them.
+
+        With one alias term (index, w), its shift is its own negative (C
+        is real, so c_-pq = conj c_pq is a term too), so the gather G pairs
+        each bin k with one bin j, G(G(s)) = s, and Q is block diagonal in
+        1 x 1 and 2 x 2 blocks:
+
+            (Q s)_k = P_k s_k + w_k ~s_j,   (Q s)_j = P_j s_j + w_j ~s_k,
+
+        ~ the conjugation the gather applies (none, or conj where a shifted
+        bin leaves the half spectrum).  Solving each block,
+
+            (Q^-1 s)_k = (P_j s_k - w_k ~s_j) / (P_k P_j - w_k ~w_j),
+
+        with P_j = G(P)_k and ~w_j = G(w)_k: Q^-1 is the same diagonal plus
+        one gather, at about the cost of a Q-apply.  With no alias term
+        (C = I) Q^-1 = P^-1; with two or more the blocks are larger, and
+        P^-1 stands in for Q^-1.
+        """
+        if len(self._aliases) != 1:
+            return 1.0 / self._mean_gram, []
+        [(index, weight)] = self._aliases
+        paired_mean = _alias_gather(self._mean_gram, index)
+        determinant = self._mean_gram * paired_mean - weight * _alias_gather(weight, index)
+        return paired_mean / determinant, [(index, -weight / determinant)]
 
     def precondition(self, s):
-        """P^-1 s, the exact inverse of Q's circulant mean."""
-        spectrum = s.view(complex).reshape(self.basis.shape) * self._inverse_mean_gram
-        return spectrum.view(float).ravel()
+        """M^-1 s for CG's preconditioner M, no transform: Q^-1 s exactly
+        when C has at most one alias term, so an exact solve stops after
+        one iteration, and the Strang/Chan P^-1 s = s / P when it has
+        two or more (3 or 5 frames at factor 2, for instance)."""
+        return _diagonal_plus_gathers(*self._preconditioner, s)
 
 
 @dataclass(eq=False)

@@ -230,6 +230,16 @@ def test_correction_is_clipped():
     before = ctrl.log_epsilon
     update_min_cces(ctrl, 100, 1.0)
     assert ctrl.log_epsilon - before == pytest.approx(ctrl.k0 * CORRECTION_CLIP)
+    # acceptance collapsing from 1 to 0.01 over 0.2 in log eps: the raw
+    # correction is about -485, clipped from below
+    ctrl = make_ctrl(MinCces(window_size=3), log_eps=0.2)
+    ctrl.history.append((0.0, 300.0, 1.0))
+    ctrl.history.append((0.1, 200.0, 0.5))
+    before = ctrl.log_epsilon
+    update_min_cces(ctrl, 100, 0.01)
+    assert ctrl.degenerate_windows == 0
+    assert ctrl.log_epsilon - before == pytest.approx(-ctrl.k0 * CORRECTION_CLIP)
+    assert isinstance(ctrl.log_epsilon, float)
 
 
 def test_degenerate_windows_counted_and_drift_loose():

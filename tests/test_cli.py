@@ -244,11 +244,13 @@ def test_numerical_breakdown_exits_2(tmp_path, monkeypatch):
 
 def test_capped_exact_solve_exits_2(tmp_path, monkeypatch):
     """An exact superres draw whose CG solve stops at its cap is a numerical
-    failure (exit 2), never a written "exact" result."""
+    failure (exit 2), never a written "exact" result.  Three frames, where
+    the exact solve is preconditioned by the circulant mean and takes
+    several iterations (two frames solve in one)."""
     cap = 3
     monkeypatch.setattr(rjpo.sampler, "cg_solve",
                         functools.partial(rjpo.sampler.cg_solve, max_iters=cap))
-    argv = ["superres", "--dims", "16", "--fwhm", "1.0", "--iterations", "3",
+    argv = ["superres", "--dims", "16", "--fwhm", "1.0", "--frames", "3", "--iterations", "3",
             "--burn-in", "1", "--sampler", "epo", "--out", str(tmp_path / "x")]
     assert cli.main(argv) == 2
     assert not (tmp_path / "x" / "chain.csv").exists()

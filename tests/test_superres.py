@@ -338,23 +338,33 @@ def _counted_transforms(monkeypatch):
 
 def test_fused_conditional_transform_counts(monkeypatch):
     """A perturbation runs 2 rfft2 and no inverse or complex FFT.  In
-    HalfSpectrum coordinates Q and P^-1 take no transform, so neither does a
-    CG solve, whatever its iteration count, plain or preconditioned."""
-    model = small_model()
-    obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
-    target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 2.0, 0.8)
+    HalfSpectrum coordinates Q and its preconditioner take no transform, so
+    neither does a CG solve, whatever its iteration count, plain or
+    preconditioned: plain CG on 2 frames and CG preconditioned by P^-1 on 3
+    frames take several iterations, CG preconditioned by Q^-1 on 2 frames
+    takes one."""
     calls = _counted_transforms(monkeypatch)
-    eta = perturb(target, RngStream(9))
-    assert calls == {"rfft2": 2}
-    calls.clear()
-    target.precision.factor.gram(eta)
-    target.precision.factor.precondition(eta)
-    assert calls == {}
-    x0 = np.random.default_rng(10).standard_normal(target.dim)
-    for precision in (target.precision, target.precision.preconditioned()):
+    problems = []
+    for frames in (2, 3):
+        model = small_model(frames=frames)
+        obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
+        target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 2.0, 0.8)
+        calls.clear()
+        eta = perturb(target, RngStream(9))
+        assert calls == {"rfft2": 2}
+        calls.clear()
+        target.precision.factor.gram(eta)
+        target.precision.factor.precondition(eta)
+        assert calls == {}
+        problems.append((target.precision, eta))
+    (two, eta_two), (three, eta_three) = problems
+    x0 = np.random.default_rng(10).standard_normal(eta_two.size)
+    for precision, eta, one_iteration in ((two, eta_two, False),
+                                          (three.preconditioned(), eta_three, False),
+                                          (two.preconditioned(), eta_two, True)):
         for start in (x0, None):
             out = cg_solve(precision, eta, x0=start, epsilon=1e-8)
-            assert out.iterations > 1
+            assert out.iterations == 1 if one_iteration else out.iterations > 1
             assert calls == {}
 
 
@@ -382,8 +392,8 @@ def test_gibbs_sweep_transform_counts(monkeypatch, name):
 
 
 def test_only_the_exact_solve_preconditions(monkeypatch):
-    """tpo, rjpo and arjpo draws never apply P^-1, nor build its spectrum;
-    the exact draw does."""
+    """tpo, rjpo and arjpo draws never apply the preconditioner, nor build
+    its coefficients; the exact draw does both."""
     model = small_model()
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
     back = model.half_spectrum.back_project(obs)
@@ -401,9 +411,10 @@ def test_only_the_exact_solve_preconditions(monkeypatch):
         target = sr.conditional_target(model, back, 2.0, 0.8)
         make_kernel(name, epsilon=1e-6)(target, back, paired)
         assert not applied, name
-        assert "_inverse_mean_gram" not in vars(target.precision.factor), name
+        assert "_preconditioner" not in vars(target.precision.factor), name
     make_kernel("epo")(target, back, paired)
     assert applied
+    assert "_preconditioner" in vars(target.precision.factor)
 
 
 def _coordinate_cases():
@@ -522,7 +533,9 @@ def test_spectral_cg_stops_with_the_spatial_solve():
     """On fixed RJPO states (an exact draw as previous, a fresh eta) CG in
     HalfSpectrum coordinates stops at the same iteration as CG on the same
     states mapped to images, with the image-space Gram, and their solutions
-    agree to 1e-10 relative.  The map is an isometry,
+    agree to 1e-10 relative.  The exact draw is the dense mirror's solve on
+    images, mapped in, so the states do not depend on the coordinates'
+    solver.  The map is an isometry,
     so the two differ by rounding only, which CG amplifies: on other seeds
     the 8 x 8 solve at 1e-12 can stop one iteration earlier in the
     coordinates, and on 9 x 15 at 1e-4 a one-ulp change of eta moves CG on
@@ -536,10 +549,11 @@ def test_spectral_cg_stops_with_the_spatial_solve():
             return self.factor.gram(v)
 
     for model in (tiny_model(), small_model(), _coordinate_cases()[2]):
-        leave = model.half_spectrum.leave
+        enter, leave = model.half_spectrum.enter, model.half_spectrum.leave
         obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(40))
         target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 3.0, 0.5)
-        previous = epo_step(target, RngStream(50)).next_sample
+        mirrored = oracles.image_conditional_target(model, obs, 3.0, 0.5)
+        previous = enter(mirrored.mirror_solve(leave(perturb(target, RngStream(50)))))
         eta = perturb(target, RngStream(60))
         on_images = OnImages(oracles.ConditionalFactor(model, 3.0, 0.5))
         for eps in (1e-2, 1e-4, 1e-12):
@@ -645,11 +659,13 @@ def test_preconditioned_exact_solve_matches_mirror_solve():
 
 
 def test_preconditioner_inverts_the_circulant_mean():
-    """P^-1, applied in HalfSpectrum coordinates, inverts the Q of the same
-    model with C replaced by its mean, which is the Q of full phase coverage
-    with gamma_y scaled by mean(C) = frames / factor^2: to 1e-12 on vectors
-    at 16 x 16, and to 1e-13 as a dense matrix against that Q on the
-    8 x 8, 16 x 16 and 9 x 15 grids."""
+    """Where C has no or several alias terms, the preconditioner, applied in
+    HalfSpectrum coordinates, is P^-1: it inverts the Q of the same model
+    with C replaced by its mean, which is the Q of full phase coverage with
+    gamma_y scaled by mean(C) = frames / factor^2, to 1e-12 on vectors at
+    16 x 16 with 1, 3 and 5 frames, and to 1e-13 as a dense matrix against
+    that Q on the 16 x 16 and 9 x 15 grids.  (Two frames at factor 2 have
+    one alias term, where the preconditioner is Q^-1 itself.)"""
     gy, gx = 323.6, 780.4
 
     def inverse_mean(model, v):
@@ -663,19 +679,78 @@ def test_preconditioner_inverts_the_circulant_mean():
                                 decimation_factor=factor, psf_kernel=SMOOTH_3X3)
 
     v = np.random.default_rng(62).standard_normal(256)
-    for frames in (1, 2, 3, 5):
+    for frames in (1, 3, 5):
         model = sr.SuperResModel(hi_res_dims=(16, 16), frames=frames, decimation_factor=2,
                                  psf_kernel=SMOOTH_3X3)
+        assert len(model.half_spectrum.aliases) > 1, frames
         p_v = oracles.ConditionalFactor(full_coverage(model), gy * frames / 4, gx).gram(v)
         back = inverse_mean(model, p_v)
         assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v), frames
-    for model in _coordinate_cases():
+    for model in _coordinate_cases()[1:]:
+        assert len(model.half_spectrum.aliases) > 1, model.hi_res_dims
         n = model.pixel_count
         mean_count = model.frames / model.decimation_factor**2
         p = oracles.dense_matrix_of(
             oracles.ConditionalFactor(full_coverage(model), gy * mean_count, gx).gram, n)
         p_inv = oracles.dense_matrix_of(lambda e: inverse_mean(model, e), n)
         assert np.max(np.abs(p @ p_inv - np.eye(n))) <= 1e-13, model.hi_res_dims
+
+
+def _one_alias_models():
+    """8 x 8 with the hand 3 x 3 blur, 16 x 16 and 64 x 64 with Laplace
+    blurs, each with 2 and 6 frames at factor 2: the configurations with
+    one alias term."""
+    models = []
+    for frames in (2, 6):
+        models += [tiny_model(frames=frames), small_model(frames=frames),
+                   sr.make_model((64, 64), frames=frames)]
+    return models
+
+
+def test_preconditioner_inverts_q_with_one_alias_term():
+    """With one alias term the preconditioner is Q^-1: applied after Q it
+    returns real images' half spectra to 1e-13."""
+    gy, gx = 323.6, 780.4
+    rng = np.random.default_rng(63)
+    for model in _one_alias_models():
+        case = (model.hi_res_dims, model.frames)
+        basis = model.half_spectrum
+        assert len(basis.aliases) == 1, case
+        spectral = sr.SpectralConditional(basis, gy, gx)
+        for _ in range(3):
+            s = basis.enter(rng.standard_normal(model.pixel_count))
+            back = spectral.precondition(spectral.gram(s))
+            assert np.max(np.abs(back - s)) <= 1e-13 * np.max(np.abs(s)), case
+
+
+def test_preconditioner_is_the_dense_inverse_with_one_alias_term():
+    """Seen from images (leave M^-1 enter), the one-alias-term
+    preconditioner is the inverse of the oracle's dense Q at 8 x 8, with 2
+    and 6 frames, to 1e-13."""
+    gy, gx = 323.6, 780.4
+    for frames in (2, 6):
+        model = tiny_model(frames=frames)
+        n, basis = model.pixel_count, model.half_spectrum
+        target = oracles.image_conditional_target(model, np.zeros(model.data_count), gy, gx)
+        spectral = sr.SpectralConditional(basis, gy, gx)
+        q_inv = oracles.dense_matrix_of(
+            lambda e: basis.leave(spectral.precondition(basis.enter(e))), n)
+        assert np.max(np.abs(q_inv @ target.dense_q - np.eye(n))) <= 1e-13, frames
+        assert np.max(np.abs(target.dense_q @ q_inv - np.eye(n))) <= 1e-13, frames
+
+
+@pytest.mark.parametrize("gammas", [(320.0, 400.0), (11.6, 962.0), (1e4, 1.0), (1.0, 1e4)])
+def test_exact_solve_with_one_alias_term_takes_one_iteration(gammas):
+    """The 64 x 64 two-frame exact draw, preconditioned by Q^-1, stops after
+    one CG iteration with a recomputed residual within EXACT_EPSILON, from
+    posterior-typical precisions to ratios of 1e4 either way."""
+    model = sr.make_model((64, 64))
+    obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(64))
+    target = sr.conditional_target(model, model.half_spectrum.back_project(obs), *gammas)
+    for seed in (65, 66):
+        out = epo_step(target, RngStream(seed))
+        assert out.cg_iterations == 1
+        assert out.relative_residual <= EXACT_EPSILON
 
 
 def test_full_phase_coverage_solves_in_one_iteration():
