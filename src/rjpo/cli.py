@@ -280,6 +280,8 @@ def cmd_toy(cfg, outdir) -> None:
 
 
 def cmd_curve(cfg, outdir) -> None:
+    if not math.isfinite(cfg["psrf_threshold"]):
+        raise ConfigurationError(f"psrf_threshold must be finite, got {cfg['psrf_threshold']}")
     grid = _parse_grid(cfg["epsilon_grid"])
     n_max = cfg["n_max"]
     n_min = resolve_burn_in(n_max, cfg["n_min"])
@@ -408,7 +410,7 @@ def cmd_adapt(cfg, outdir) -> None:
     slope_a, slope_j, degenerate = _window_slopes(logeps, jits, alpha)
     mean_alpha, mean_j = float(alpha.mean()), float(jits.mean())
     resid = (mean_j * (slope_a / slope_j) - mean_alpha + mean_alpha**2 / 2
-             if not degenerate else float("nan"))
+             if not degenerate else None)
     write_json(os.path.join(outdir, "summary.json"), {
         "mode": mode,
         "epsilon_star": float(np.exp(logeps.mean())),

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -118,14 +119,18 @@ def run_cli(argv):
     ["toy", "--sampler", "rjpo,rjpo", "--n-max", "200"],
     ["adapt", "--alpha-t", "0.5,0.50", "--n-max", "200"],
     ["adapt", "--alpha-t", "0.5,0.8,0.5000001", "--n-max", "200"],
+    ["curve", "--n", "8", "--n-max", "200", "--epsilon-grid", "1e-2", "--psrf",
+     "--psrf-threshold", "nan"],
+    ["curve", "--n", "8", "--n-max", "200", "--epsilon-grid", "1e-2", "--psrf",
+     "--psrf-threshold", "inf"],
 ])
 def test_unusable_thresholds_are_config_errors(tmp_path, argv):
-    """A threshold that is NaN, infinite or outside (0, 1), a sigma2 that
-    is not positive and finite, an SNR of -inf dB, fewer than 1 chain, a
-    zero MinCces window, a curve window too short for its ESS witness, or a
-    toy sampler or adapt setpoint listed twice (their output files would
-    overwrite each other), exits 1 with a config error before any chain
-    runs."""
+    """A threshold that is NaN, infinite or outside (0, 1), a PSRF
+    threshold that is not finite, a sigma2 that is not positive and
+    finite, an SNR of -inf dB, fewer than 1 chain, a zero MinCces window, a
+    curve window too short for its ESS witness, or a toy sampler or adapt
+    setpoint listed twice (their output files would overwrite each other),
+    exits 1 with a config error before any chain runs."""
     rc, err = run_cli(argv + ["--out", str(tmp_path / "x")])
     assert rc == 1
     assert err.startswith("rjpo: config error:") and "Traceback" not in err
@@ -141,6 +146,8 @@ def test_unusable_thresholds_are_config_errors(tmp_path, argv):
     ["toy", "--sampler", "rjpo,nope", "--n-max", "50"],
     ["adapt", "--alpha-t", "0.5,1.5", "--n-max", "50"],
     ["toy", "--n-max", "100", "--n-min", "100"],
+    ["curve", "--n", "8", "--n-max", "200", "--epsilon-grid", "1e-2", "--psrf",
+     "--psrf-threshold", "nan"],
 ])
 def test_failed_runs_write_no_metadata(tmp_path, argv):
     """metadata.json marks a finished run: a run that exits 1 on its config
@@ -314,6 +321,22 @@ def test_same_seed_run_list_parses():
     assert {argv[0] for argv in RUNS.values()} == set(cli.SUBCOMMANDS)
 
 
+def test_readme_study_commands_parse():
+    """Every `rjpo ...` line of the README's Command line code block, the
+    one record of the standard studies, is a valid command line, and the
+    studies reach all four subcommands."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("rjpo ")]
+    for argv in commands:
+        cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+        assert cfg["subcommand"] == argv[0], argv
+    assert {argv[0] for argv in commands} == set(cli.SUBCOMMANDS)
+
+
 def test_grid_specs():
     grid = cli._parse_grid("logspace:1e-3:1e-1:3")
     assert grid == pytest.approx([1e-3, 1e-2, 1e-1])
@@ -424,6 +447,21 @@ def test_adapt_min_cces_outputs(tmp_path):
     assert summary["epsilon_star"] > 0
     assert "fixed_point_residual" in summary
     assert summary["trailing_mean_alpha"] <= 1.0
+
+
+def test_adapt_min_cces_degenerate_window_writes_null_residual(tmp_path):
+    """A one-step trailing window has no spread, so the optimality residual
+    is undefined: summary.json holds null there, and stays strict JSON."""
+    out = tmp_path / "mincces"
+    rc = cli.main(["adapt", "--mode", "min_cces", "--n-max", "1", "--n-min", "0",
+                   "--out", str(out)])
+    assert rc == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    assert summary["fixed_point_residual"] is None
 
 
 def test_adapt_rejects_unknown_mode(tmp_path):

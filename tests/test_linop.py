@@ -158,6 +158,22 @@ def test_target_from_dense_mirror_consistency():
     assert np.allclose(target.mirror_solve(q @ v), v, atol=1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason="target_from_dense checks neither symmetry "
+                   "nor positive definiteness")
+@pytest.mark.parametrize("q", [
+    [[1.0, 5.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+    [[0.0, 0.0], [0.0, 0.0]],
+    [[1.0, 2.0], [2.0, 1.0]],
+])
+def test_target_from_dense_refuses_a_precision_it_cannot_factor(q):
+    """Cholesky reads only q's lower triangle, so [[1, 5], [0, 1]] would
+    factor as Q = I while its potential q mu used the 5; an indefinite q
+    should be a configuration error, not numpy's LinAlgError."""
+    with pytest.raises(ConfigurationError):
+        target_from_dense(np.array(q), np.ones(2))
+
+
 def test_mirror_solve_is_accurate_at_benchmark_size():
     """The cached-inverse solve agrees with a dense LU solve at N = 128."""
     target = target_from_dense(ar1_precision(128, 1.0, 0.8), np.linspace(0.0, 10.0, 128))
