@@ -295,7 +295,9 @@ def cmd_curve(cfg, outdir) -> None:
     target, mu, cov = ar1_target(cfg["n"], cfg["sigma2"], cfg["rho"], stream=master)
 
     acc_rows, rmse_rows, essr_rows = [], [], []
-    streams = master.spawn(2 * len(grid) + 1)
+    # rjpo, tpo per grid point, the epo chain, then each grid point's PSRF chains
+    chains = cfg["chains"] if cfg["psrf"] else 0
+    streams = master.spawn(2 * len(grid) + 1 + len(grid) * chains)
     for i, eps in enumerate(grid):
         rj = run_chain(target, make_kernel("rjpo", epsilon=eps), n_max, n_min,
                        streams[2 * i], track_covariance=True)
@@ -305,7 +307,7 @@ def cmd_curve(cfg, outdir) -> None:
         rmse_rows.append(("rjpo", eps, *rmse(rj, mu, cov)))
         rmse_rows.append(("tpo", eps, *rmse(tp, mu, cov)))
         essr_rows.append(("rjpo", eps, *essr_cces(rj)))
-    epo = run_chain(target, make_kernel("epo"), n_max, n_min, streams[-1],
+    epo = run_chain(target, make_kernel("epo"), n_max, n_min, streams[2 * len(grid)],
                     track_covariance=True, store_samples=True)
     rmse_rows.append(("epo", 0.0, *rmse(epo, mu, cov)))
     # independence witness: ESSR measured from the sample series itself
@@ -323,15 +325,16 @@ def cmd_curve(cfg, outdir) -> None:
         psrf_rows = []
         cov_chol = np.linalg.cholesky(cov)
         for i, eps in enumerate(grid):
-            chains = []
-            for k, sub in enumerate(master.spawn(cfg["chains"])):
+            series = []
+            first = 2 * len(grid) + 1 + i * chains
+            for sub in streams[first:first + chains]:
                 # overdispersed starts: mean plus 4 sigma in correlated shape
                 initial = mu + 4.0 * (cov_chol @ sub.standard_normal_vector(cfg["n"]))
                 ch = run_chain(target, make_kernel("rjpo", epsilon=eps), n_max, n_min, sub,
                                initial=initial, track_covariance=False,
                                store_samples=True)
-                chains.append(ch.samples[n_min:, 0])
-            psrf = gelman_rubin(chains)
+                series.append(ch.samples[n_min:, 0])
+            psrf = gelman_rubin(series)
             psrf_rows.append((eps, psrf, cfg["psrf_threshold"],
                               psrf < cfg["psrf_threshold"]))
         write_csv(os.path.join(outdir, "psrf.csv"),
@@ -498,6 +501,8 @@ _DISPATCH = {"toy": cmd_toy, "curve": cmd_curve, "adapt": cmd_adapt,
 def run_subcommand(name: str, cfg: dict, outdir: str) -> None:
     """Resolved-config entry point; also what metadata-driven re-runs call.
     metadata.json goes last, so a run that fails leaves none."""
+    if cfg["seed"] < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {cfg['seed']}")
     metadata = {**cfg, "subcommand": name}
     os.makedirs(outdir, exist_ok=True)
     _DISPATCH[name](cfg, outdir)

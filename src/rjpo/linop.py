@@ -11,7 +11,7 @@ after construction and safe to share between chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,11 +27,9 @@ def _vector(x, size: int, name: str) -> np.ndarray:
 
 
 class DenseOperator:
-    """A matrix M as a factor: v -> Mv, its transpose w -> M^t w and its Gram
-    map v -> (M^t M) v, each on a checked-length vector.  The Gram matrix
-    M^t M is formed by the first Gram call, not here: an N x N product would
-    dominate the set-up of a dense target, and one that is never solved
-    against pays nothing."""
+    """A matrix M as a factor: its transpose w -> M^t w and its Gram map
+    v -> (M^t M) v, each on a checked-length vector; M^t M is formed by the
+    first Gram call."""
 
     def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
@@ -41,9 +39,6 @@ class DenseOperator:
             raise ConfigurationError("dense operator matrix has non-finite entries")
         self.matrix = matrix
         self.out_dim, self.in_dim = matrix.shape
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ _vector(v, self.in_dim, "apply")
 
     def apply_transpose(self, w: np.ndarray) -> np.ndarray:
         return self.matrix.T @ _vector(w, self.out_dim, "apply_transpose")
@@ -88,15 +83,14 @@ class FactoredPrecision:
 class GaussianTarget:
     """A target N(mu, Q^-1) held as (factored Q, potential vector Q mu).
 
-    ``dense_q`` is an optional dense mirror of Q for exact solves and
-    oracle use on small problems; the sampling kernels never require it.
+    ``mirror`` is an optional dense mirror of Q for exact solves on small
+    problems, held as its lower Cholesky factor L (Q = L L^t); the sampling
+    kernels never require it.
     """
 
     precision: FactoredPrecision
     potential: np.ndarray
-    dense_q: np.ndarray | None = None
-    _chol: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _chol_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
+    mirror: np.ndarray | None = None
 
     def __post_init__(self):
         self.potential = np.asarray(self.potential, dtype=float).ravel()
@@ -111,44 +105,41 @@ class GaussianTarget:
 
     @property
     def has_mirror(self) -> bool:
-        return self.dense_q is not None
+        return self.mirror is not None
 
     def mirror_cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor of the dense mirror Q (cached)."""
-        if self.dense_q is None:
+        """Lower Cholesky factor L of the dense mirror Q."""
+        if self.mirror is None:
             raise ConfigurationError("target has no dense mirror")
-        if self._chol is None:
-            self._chol = np.linalg.cholesky(self.dense_q)
-        return self._chol
+        return self.mirror
+
+    @cached_property
+    def _mirror_inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.mirror_cholesky())
 
     def mirror_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve Q x = b as L^-t (L^-1 b), two matvecs with the inverse of the
-        mirror Cholesky factor L.
-
-        The inverse is built and cached by the first solve, not by
-        mirror_cholesky, so targets that are factorised but never solved
-        against do not pay for it.
-        """
-        if self._chol_inv is None:
-            self._chol_inv = np.linalg.inv(self.mirror_cholesky())
-        return self._chol_inv.T @ (self._chol_inv @ b)
+        """Solve Q x = b as L^-t (L^-1 b), two matvecs with L^-1, which the
+        first solve builds and caches."""
+        inverse = self._mirror_inverse
+        return inverse.T @ (inverse @ b)
 
 
 def target_from_dense(q: np.ndarray, mu: np.ndarray) -> GaussianTarget:
     """Build a target from a dense SPD precision matrix.
 
-    The factor is F = C^t from the Cholesky factorization Q = C C^t, so the
-    factored path and the dense mirror describe the identical Q; C is also
-    the mirror's Cholesky factor, so Q is factorised once.
+    The factor is F = C^t from the Cholesky factorization Q = C C^t, and C
+    is the mirror, so Q is factorised once and not kept.  A q that is not
+    exactly symmetric (Cholesky reads only its lower triangle, q mu all of
+    it) or not positive definite is refused.
     """
     q = np.asarray(q, dtype=float)
     mu = np.asarray(mu, dtype=float).ravel()
     if q.shape != (mu.size, mu.size):
         raise ConfigurationError(f"precision shape {q.shape} does not match mean length {mu.size}")
-    low = np.linalg.cholesky(q)
-    return GaussianTarget(
-        precision=FactoredPrecision(DenseOperator(low.T)),
-        potential=q @ mu,
-        dense_q=q,
-        _chol=low,
-    )
+    if not np.array_equal(q, q.T):
+        raise ConfigurationError("precision matrix is not symmetric")
+    try:
+        low = np.linalg.cholesky(q)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigurationError("precision matrix is not positive definite") from exc
+    return GaussianTarget(FactoredPrecision(DenseOperator(low.T)), q @ mu, mirror=low)

@@ -323,6 +323,8 @@ class SuperResModel:
                 f"decimation factor {self.decimation_factor} must divide dims {self.hi_res_dims}"
             )
         self.psf_kernel = np.asarray(self.psf_kernel, dtype=float)
+        if not np.all(np.isfinite(self.psf_kernel)):
+            raise ConfigurationError("PSF has non-finite entries")
         if abs(self.psf_kernel.sum() - 1.0) > 1e-8:
             raise ConfigurationError(
                 f"PSF must sum to 1 (flux preservation), sums to {self.psf_kernel.sum()}"

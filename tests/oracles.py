@@ -170,19 +170,18 @@ class GeneralMoveSpec:
             raise ConfigurationError("B must be positive definite") from exc
 
 
-def general_rj_step_oracle(target, move: GeneralMoveSpec, previous: np.ndarray,
-                           stream) -> KernelOutcome:
-    """One reversible-jump step for an arbitrary (A, B, b) move, all dense.
+def general_rj_step_oracle(target, q: np.ndarray, move: GeneralMoveSpec,
+                           previous: np.ndarray, stream) -> KernelOutcome:
+    """One reversible-jump step for an arbitrary (A, B, b) move, all dense,
+    on the target whose dense precision is q.
 
     f(z) solves (1/2)(Q + A^t B^-1 A) f = Q mu + A^t B^-1 (z - b) exactly, so
     the acceptance probability is 1 up to rounding; approximate solvers are
     exercised through rjpo_step instead.  The log acceptance ratio is the
     residual form -r^t(previous - proposal), clamped at 0.
     """
-    if not target.has_mirror:
-        raise ConfigurationError("general move oracle needs a dense mirror")
     previous = np.asarray(previous, dtype=float).ravel()
-    q, n = target.dense_q, target.dim
+    n = target.dim
 
     z = move.A @ previous + move.b + move.chol_b @ stream.standard_normal_vector(n)
     half_m = 0.5 * (q + move.A.T @ np.linalg.solve(move.B, move.A))
@@ -202,29 +201,32 @@ def general_rj_step_oracle(target, move: GeneralMoveSpec, previous: np.ndarray,
 
 # ------------------------------------------------- helpers on the package
 
-def with_dense_mirror(target: GaussianTarget) -> GaussianTarget:
-    """The target with a dense mirror: Q materialized column by column
-    through its precision and symmetrized.  Refused beyond N = 4096, where
-    the N x N matrix and its solve stop being an oracle's job."""
-    n = target.dim
+def dense_precision(precision: FactoredPrecision) -> np.ndarray:
+    """A precision's Q materialized column by column through its apply and
+    symmetrized.  Refused beyond N = 4096, where the N x N matrix and its
+    solve stop being an oracle's job."""
+    n = precision.dim
     if n > 4096:
         raise ConfigurationError(f"dense mirror refused for N = {n}")
-    dense_q = dense_matrix_of(target.precision.apply, n)
-    dense_q = 0.5 * (dense_q + dense_q.T)
-    return GaussianTarget(target.precision, target.potential, dense_q=dense_q)
+    dense_q = dense_matrix_of(precision.apply, n)
+    return 0.5 * (dense_q + dense_q.T)
+
+
+def with_dense_mirror(target: GaussianTarget) -> GaussianTarget:
+    """The target with a dense mirror: the Cholesky factor of its
+    dense_precision."""
+    mirror = np.linalg.cholesky(dense_precision(target.precision))
+    return GaussianTarget(target.precision, target.potential, mirror=mirror)
 
 
 class TwoProductFactor:
     """A dense factor M whose Gram map is the two products M^t (M v), the
-    reference for DenseOperator's one product with M^t M; M v and M^t w
-    are the same products as DenseOperator's."""
+    reference for DenseOperator's one product with M^t M; M^t w is the same
+    product as DenseOperator's."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
         self.out_dim, self.in_dim = self.matrix.shape
-
-    def apply(self, v):
-        return self.matrix @ v
 
     def apply_transpose(self, w):
         return self.matrix.T @ w
@@ -235,15 +237,9 @@ class TwoProductFactor:
 
 def with_two_product_factor(target: GaussianTarget) -> GaussianTarget:
     """A copy of a dense target (target_from_dense) whose factor applies Q
-    as M^t (M v); potential, mirror and its Cholesky factor are shared."""
+    as M^t (M v); potential and mirror are shared."""
     return GaussianTarget(FactoredPrecision(TwoProductFactor(target.precision.factor.matrix)),
-                          target.potential, dense_q=target.dense_q,
-                          _chol=target.mirror_cholesky())
-
-
-def dense_mean(target: GaussianTarget) -> np.ndarray:
-    """mu = Q^-1 (Q mu) of a target with a dense mirror, by a dense solve."""
-    return np.linalg.solve(target.dense_q, target.potential)
+                          target.potential, mirror=target.mirror)
 
 
 def acceptance_curve(target, epsilons, n_max: int, stream) -> np.ndarray:
@@ -321,6 +317,12 @@ class ConditionalFactor:
 
     def gram(self, v):
         return self.apply_transpose(self.apply(v))
+
+
+def image_conditional_precision(model, gamma_y: float, gamma_x: float) -> np.ndarray:
+    """The dense Q of the super-resolution conditional on images: the
+    dense_precision of ConditionalFactor's Gram."""
+    return dense_precision(FactoredPrecision(ConditionalFactor(model, gamma_y, gamma_x)))
 
 
 def image_conditional_target(model, observations, gamma_y: float,

@@ -36,7 +36,7 @@ from rjpo.adapt import (
     make_kernel,
 )
 from rjpo.diag import rmse
-from rjpo.problems import ar1_target
+from rjpo.problems import ar1_precision, ar1_target
 from rjpo.rng import RngStream
 from rjpo.sampler import epo_kernel, rjpo_step, run_chain
 
@@ -97,11 +97,11 @@ def test_03_draw_independence_with_positive_control():
     )
 
     target8, _, _ = ar1_target(8, 1.0, 0.8, stream=RngStream(1007))
-    q8 = target8.dense_q
+    q8 = ar1_precision(8, 1.0, 0.8)
     matched = GeneralMoveSpec(A=q8, B=q8, b=np.zeros(8))
     chain_m = run_chain(
         target8,
-        lambda t, x, s: general_rj_step_oracle(t, matched, x, s),
+        lambda t, x, s: general_rj_step_oracle(t, q8, matched, x, s),
         n_steps, 0, RngStream(1008),
         track_covariance=False, store_samples=True,
     )
@@ -113,7 +113,7 @@ def test_03_draw_independence_with_positive_control():
     mismatched = GeneralMoveSpec(A=0.1 * q8, B=q8, b=np.zeros(8))
     chain_b = run_chain(
         target8,
-        lambda t, x, s: general_rj_step_oracle(t, mismatched, x, s),
+        lambda t, x, s: general_rj_step_oracle(t, q8, mismatched, x, s),
         n_steps, 0, RngStream(1009),
         track_covariance=False, store_samples=True,
     )

@@ -123,14 +123,15 @@ def run_cli(argv):
      "--psrf-threshold", "nan"],
     ["curve", "--n", "8", "--n-max", "200", "--epsilon-grid", "1e-2", "--psrf",
      "--psrf-threshold", "inf"],
+    ["toy", "--n", "4", "--n-max", "20", "--seed", "-1"],
 ])
 def test_unusable_thresholds_are_config_errors(tmp_path, argv):
     """A threshold that is NaN, infinite or outside (0, 1), a PSRF
     threshold that is not finite, a sigma2 that is not positive and
     finite, an SNR of -inf dB, fewer than 1 chain, a zero MinCces window, a
-    curve window too short for its ESS witness, or a toy sampler or adapt
+    curve window too short for its ESS witness, a toy sampler or adapt
     setpoint listed twice (their output files would overwrite each other),
-    exits 1 with a config error before any chain runs."""
+    or a negative seed exits 1 with a config error before any chain runs."""
     rc, err = run_cli(argv + ["--out", str(tmp_path / "x")])
     assert rc == 1
     assert err.startswith("rjpo: config error:") and "Traceback" not in err
@@ -148,14 +149,16 @@ def test_unusable_thresholds_are_config_errors(tmp_path, argv):
     ["toy", "--n-max", "100", "--n-min", "100"],
     ["curve", "--n", "8", "--n-max", "200", "--epsilon-grid", "1e-2", "--psrf",
      "--psrf-threshold", "nan"],
+    ["toy", "--n", "4", "--n-max", "20", "--seed", "-1"],
 ])
 def test_failed_runs_write_no_metadata(tmp_path, argv):
     """metadata.json marks a finished run: a run that exits 1 on its config
-    leaves no file at all, and a good run still writes it."""
+    leaves no file at all (a seed it refuses before making the directory),
+    and a good run still writes it."""
     out = tmp_path / "x"
     rc, _ = run_cli(argv + ["--out", str(out)])
     assert rc == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists() or list(out.iterdir()) == []
     assert cli.main(TOY_TINY + ["--out", str(out)]) == 0
     assert json.loads((out / "metadata.json").read_text())["subcommand"] == "toy"
 
@@ -415,6 +418,27 @@ def test_curve_psrf_outputs(tmp_path):
         psrf = np.genfromtxt(out / "psrf.csv", delimiter=",", names=True)
         assert math.isfinite(float(psrf["psrf"]))
         assert json.loads((out / "metadata.json").read_text())["config"]["psrf"] is True
+
+
+def test_curve_psrf_chains_have_their_own_streams(tmp_path, monkeypatch):
+    """Every PSRF chain of every grid point runs on its own stream: the PSRF
+    seeds are pairwise distinct across grid points and none is the seed of
+    a grid chain (rjpo, tpo or epo)."""
+    grid_seeds, psrf_seeds = [], []
+    real_run_chain = cli.run_chain
+
+    def recording(target, kernel, n_max, n_min, stream, **kwargs):
+        seeds = psrf_seeds if "initial" in kwargs else grid_seeds
+        seeds.append(stream.seed)
+        return real_run_chain(target, kernel, n_max, n_min, stream, **kwargs)
+
+    monkeypatch.setattr(cli, "run_chain", recording)
+    rc = cli.main(["curve", "--n", "8", "--epsilon-grid", "1e-3,1e-2,1e-1",
+                   "--n-max", "100", "--chains", "3", "--psrf", "--out", str(tmp_path / "x")])
+    assert rc == 0
+    assert len(grid_seeds) == 2 * 3 + 1 and len(psrf_seeds) == 3 * 3
+    assert len(set(psrf_seeds)) == len(psrf_seeds)
+    assert not set(psrf_seeds) & set(grid_seeds)
 
 
 def test_curve_psrf_needs_two_chains(tmp_path):

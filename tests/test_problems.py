@@ -38,8 +38,9 @@ def test_target_carries_consistent_pieces():
     assert mu.shape == (10,)
     assert np.all((0 <= mu) & (mu <= 10))
     assert np.allclose(cov, ar1_covariance(10, 1.0, 0.8), atol=1e-14)
-    assert np.allclose(target.dense_q @ cov, np.eye(10), atol=1e-9)
-    assert np.allclose(target.potential, target.dense_q @ mu, atol=1e-10)
+    q = ar1_precision(10, 1.0, 0.8)
+    assert np.allclose(q @ cov, np.eye(10), atol=1e-9)
+    assert np.allclose(target.potential, q @ mu, atol=1e-10)
 
 
 def test_target_accepts_fixed_mean():

@@ -320,7 +320,7 @@ def test_general_move_oracle_accepts_exact_solves():
     )
     stream = RngStream(71)
     prev = rng.standard_normal(5)
-    out = general_rj_step_oracle(target, move, prev, stream)
+    out = general_rj_step_oracle(target, q, move, prev, stream)
     assert out.acceptance_probability == pytest.approx(1.0, abs=1e-9)
 
 
@@ -332,7 +332,7 @@ def test_general_move_oracle_stationarity():
     x = mu.copy()
     draws = []
     for i in range(30000):
-        x = general_rj_step_oracle(target, move, x, stream).next_sample
+        x = general_rj_step_oracle(target, q, move, x, stream).next_sample
         if i % 10 == 0:
             draws.append(x[1])
     sd = np.sqrt(np.linalg.inv(q)[1, 1])

@@ -116,6 +116,14 @@ def test_model_validation():
         small_model(dims=(16, 16), fwhm=4.0)  # 59 x 59 blur exceeds the grid
 
 
+def test_model_refuses_a_non_finite_psf():
+    """A NaN kernel, and an inf/-inf kernel whose sum is NaN, are refused:
+    a NaN sum would pass a sum-to-1 test written as |sum - 1| > tol."""
+    for kernel in (np.full((3, 3), np.nan), np.diag([math.inf, 1.0, -math.inf])):
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            sr.SuperResModel((8, 8), 2, 2, kernel)
+
+
 def test_oversized_psf_is_refused_before_it_is_built(monkeypatch):
     """FWHM 1e4 asks for a 142877 x 142877 kernel; make_model refuses it from
     the half-width alone."""
@@ -450,12 +458,12 @@ def test_spectral_gram_matches_the_dense_mirror():
     gy, gx = 3.0, 0.5
     for model in _coordinate_cases():
         n, basis = model.pixel_count, model.half_spectrum
-        target = oracles.image_conditional_target(model, np.zeros(model.data_count), gy, gx)
+        factor = oracles.ConditionalFactor(model, gy, gx)
         spectral = sr.SpectralConditional(basis, gy, gx)
         seen = oracles.dense_matrix_of(lambda v: basis.leave(spectral.gram(basis.enter(v))), n)
         stack = _dense_stack(model, gy, gx)
-        for reference in (stack.T @ stack, target.dense_q,
-                          oracles.dense_matrix_of(target.precision.apply, n)):
+        for reference in (stack.T @ stack, oracles.image_conditional_precision(model, gy, gx),
+                          oracles.dense_matrix_of(factor.gram, n)):
             scale = np.max(np.abs(reference))
             assert np.max(np.abs(seen - reference)) <= 1e-13 * scale, model.hi_res_dims
 
@@ -492,7 +500,7 @@ def test_alias_gram_matches_the_two_transform_gram():
     for model in _alias_cases():
         case = (model.hi_res_dims, model.frames, model.decimation_factor)
         n, basis = model.pixel_count, model.half_spectrum
-        target = oracles.image_conditional_target(model, np.zeros(model.data_count), gy, gx)
+        dense_q = oracles.image_conditional_precision(model, gy, gx)
         spectral = sr.SpectralConditional(basis, gy, gx)
         for _ in range(5):
             s = basis.enter(rng.standard_normal(n))
@@ -502,8 +510,8 @@ def test_alias_gram_matches_the_two_transform_gram():
             closed = basis.enter(basis.leave(q_s))
             assert np.max(np.abs(closed - q_s)) <= 1e-13 * np.max(np.abs(q_s)), case
         seen = oracles.dense_matrix_of(lambda v: basis.leave(spectral.gram(basis.enter(v))), n)
-        scale = np.max(np.abs(target.dense_q))
-        assert np.max(np.abs(seen - target.dense_q)) <= 1e-13 * scale, case
+        scale = np.max(np.abs(dense_q))
+        assert np.max(np.abs(seen - dense_q)) <= 1e-13 * scale, case
 
 
 def test_coordinates_are_built_by_the_first_sweep_not_with_the_model():
@@ -626,8 +634,9 @@ def test_exact_conditional_draws_match_cholesky_oracle(dense_mirror):
     stream = RngStream(10)
     draws = np.array([leave(sampler(target, np.zeros(target.dim), stream).next_sample)
                       for _ in range(250)])
+    dense_q = oracles.dense_precision(oracle_target.precision)
     oracle = oracles.cholesky_gaussian_draws(
-        oracle_target.dense_q, oracles.dense_mean(oracle_target), 250,
+        dense_q, np.linalg.solve(dense_q, oracle_target.potential), 250,
         np.random.default_rng(11))
     p = oracles.energy_test_pvalue(draws, oracle, np.random.default_rng(12))
     assert p > 0.01
@@ -731,12 +740,12 @@ def test_preconditioner_is_the_dense_inverse_with_one_alias_term():
     for frames in (2, 6):
         model = tiny_model(frames=frames)
         n, basis = model.pixel_count, model.half_spectrum
-        target = oracles.image_conditional_target(model, np.zeros(model.data_count), gy, gx)
+        dense_q = oracles.image_conditional_precision(model, gy, gx)
         spectral = sr.SpectralConditional(basis, gy, gx)
         q_inv = oracles.dense_matrix_of(
             lambda e: basis.leave(spectral.precondition(basis.enter(e))), n)
-        assert np.max(np.abs(q_inv @ target.dense_q - np.eye(n))) <= 1e-13, frames
-        assert np.max(np.abs(target.dense_q @ q_inv - np.eye(n))) <= 1e-13, frames
+        assert np.max(np.abs(q_inv @ dense_q - np.eye(n))) <= 1e-13, frames
+        assert np.max(np.abs(dense_q @ q_inv - np.eye(n))) <= 1e-13, frames
 
 
 @pytest.mark.parametrize("gammas", [(320.0, 400.0), (11.6, 962.0), (1e4, 1.0), (1.0, 1e4)])
@@ -790,8 +799,9 @@ def test_adaptive_sampler_keeps_the_conditional_law():
         for _ in range(60):
             x = sampler(target, x, paired).next_sample
         kept.append(basis.leave(x))
+    dense_q = oracles.dense_precision(oracle_target.precision)
     oracle = oracles.cholesky_gaussian_draws(
-        oracle_target.dense_q, oracles.dense_mean(oracle_target), len(kept),
+        dense_q, np.linalg.solve(dense_q, oracle_target.potential), len(kept),
         np.random.default_rng(15))
     p = oracles.energy_test_pvalue(np.array(kept), oracle, np.random.default_rng(16))
     assert p > 0.01
