@@ -98,8 +98,8 @@ class AdaptController:
     def __post_init__(self):
         if not math.isfinite(self.log_epsilon):
             raise ConfigurationError(f"log epsilon must be finite, got {self.log_epsilon}")
-        if self.k0 <= 0:
-            raise ConfigurationError(f"k0 must be positive, got {self.k0}")
+        if not (0 < self.k0 < math.inf):
+            raise ConfigurationError(f"k0 must be positive and finite, got {self.k0}")
         if not 0.0 < self.kappa <= 1.0:
             raise ConfigurationError(f"kappa must lie in (0, 1], got {self.kappa}")
         window = self.mode.window_size if isinstance(self.mode, MinCces) else 1

@@ -249,17 +249,16 @@ def cmd_toy(cfg, outdir) -> None:
     n_min = resolve_burn_in(cfg["n_max"], cfg["n_min"])
     master = RngStream(cfg["seed"])
     target, mu, cov = ar1_target(cfg["n"], cfg["sigma2"], cfg["rho"], stream=master)
-    streams = master.spawn(len(samplers) * cfg["chains"])
 
     write_csv(os.path.join(outdir, "mu.csv"), ["i", "mu"], list(enumerate(mu)))
     rmse_rows = []
-    for si, name in enumerate(samplers):
-        for k in range(cfg["chains"]):
+    for name in samplers:
+        # chain k of every sampler reads child k of the seed; each sampler
+        # spawns afresh, as a shared stream would go on where the last left off
+        for k, stream in enumerate(master.spawn(cfg["chains"])):
             kernel = make_kernel(name, epsilon=cfg["epsilon"])
-            chain = run_chain(
-                target, kernel, cfg["n_max"], n_min,
-                streams[si * cfg["chains"] + k], track_covariance=True,
-            )
+            chain = run_chain(target, kernel, cfg["n_max"], n_min, stream,
+                              track_covariance=True)
             independent = name in ("epo", "cholesky_epo", "tpo")  # fresh eta, solved from 0
             rmse_rows.append(
                 (name, k, *rmse(chain, mu, cov), chain.mean_acceptance,
@@ -348,22 +347,22 @@ def _trajectory(kernel: AdaptiveRjpoKernel, chain) -> np.ndarray:
     return np.column_stack([n, kernel.epsilons, chain.alphas, chain.cg_iterations])
 
 
+# mode -> defaults of n, n_max and epsilon0
+_ADAPT_DEFAULTS = {"target_rate": (16, 1000, 1e-3), "min_cces": (128, 12000, 1e-2)}
+
+
 def cmd_adapt(cfg, outdir) -> None:
     mode = cfg["mode"]
-    if mode not in ("target_rate", "min_cces"):
+    if mode not in _ADAPT_DEFAULTS:
         raise ConfigurationError(f"mode must be target_rate or min_cces, got {mode!r}")
-    n = cfg["n"] if cfg["n"] is not None else (16 if mode == "target_rate" else 128)
-    n_max = cfg["n_max"] if cfg["n_max"] is not None else (
-        1000 if mode == "target_rate" else 12000
-    )
-    epsilon0 = cfg["epsilon0"] if cfg["epsilon0"] is not None else (
-        1e-3 if mode == "target_rate" else 1e-2
-    )
+    n, n_max, epsilon0 = (default if cfg[key] is None else cfg[key] for key, default
+                          in zip(("n", "n_max", "epsilon0"), _ADAPT_DEFAULTS[mode]))
     if not epsilon0 > 0:
         raise ConfigurationError(f"epsilon0 must be positive, got {epsilon0}")
     master = RngStream(cfg["seed"])
     target, mu, cov = ar1_target(n, cfg["sigma2"], cfg["rho"], stream=master)
 
+    # (trajectory file, setpoint, stream) per run, all checked before any chain
     if mode == "target_rate":
         try:
             targets = [float(v) for v in cfg["alpha_t"].split(",")]
@@ -373,56 +372,50 @@ def cmd_adapt(cfg, outdir) -> None:
             raise ConfigurationError(
                 f"alpha_t list {cfg['alpha_t']!r} repeats a trajectory file name"
             )
-        setpoints = [TargetRate(alpha_t) for alpha_t in targets]  # checked before any chain
-        summary = []
-        for setpoint, sub in zip(setpoints, master.spawn(len(targets))):
-            alpha_t = setpoint.alpha_t
-            ctrl = AdaptController(
-                log_epsilon=math.log(epsilon0), mode=setpoint,
-                k0=cfg["k0"], kappa=cfg["kappa"],
-            )
-            kernel = AdaptiveRjpoKernel(ctrl)
-            chain = run_chain(target, kernel, n_max, cfg["n_min"], sub, track_covariance=False)
-            traj = _trajectory(kernel, chain)
-            write_csv(os.path.join(outdir, f"trajectory_alpha_{alpha_t:g}.csv"),
-                      ["n", "epsilon", "alpha", "cg_iters"], traj)
-            trailing = traj[-min(200, n_max):, 2]
-            summary.append({
-                "alpha_t": alpha_t,
-                "trailing_mean_alpha": float(trailing.mean()),
-                "final_epsilon": float(traj[-1, 1]),
-                "n_max": n_max,
-            })
-        write_json(os.path.join(outdir, "summary.json"), {"mode": mode, "runs": summary})
-        return
+        # every setpoint reads the seed's first child, as it would alone
+        runs = [(f"trajectory_alpha_{alpha_t:g}.csv", TargetRate(alpha_t), master.spawn(1)[0])
+                for alpha_t in targets]
+    else:
+        window = cfg["window"]
+        setpoint = MinCces(window_size=window) if window is not None else MinCces()
+        runs = [("trajectory_min_cces.csv", setpoint, master)]
 
-    window = cfg["window"]
-    ctrl = AdaptController(
-        log_epsilon=math.log(epsilon0),
-        mode=MinCces(window_size=window) if window is not None else MinCces(),
-        k0=cfg["k0"], kappa=cfg["kappa"],
-    )
-    kernel = AdaptiveRjpoKernel(ctrl)
-    chain = run_chain(target, kernel, n_max, cfg["n_min"], master, track_covariance=False)
-    traj = _trajectory(kernel, chain)
-    write_csv(os.path.join(outdir, "trajectory_min_cces.csv"),
-              ["n", "epsilon", "alpha", "cg_iters"], traj)
-    trail = traj[-min(2000, n_max):]
-    logeps = np.log(trail[:, 1])
-    alpha, jits = trail[:, 2], trail[:, 3]
-    slope_a, slope_j, degenerate = _window_slopes(logeps, jits, alpha)
-    mean_alpha, mean_j = float(alpha.mean()), float(jits.mean())
-    resid = (mean_j * (slope_a / slope_j) - mean_alpha + mean_alpha**2 / 2
-             if not degenerate else None)
-    write_json(os.path.join(outdir, "summary.json"), {
-        "mode": mode,
-        "epsilon_star": float(np.exp(logeps.mean())),
-        "trailing_mean_alpha": mean_alpha,
-        "trailing_mean_cg_iters": mean_j,
-        "fixed_point_residual": resid,
-        "degenerate_windows": ctrl.degenerate_windows,
-        "n_max": n_max,
-    })
+    finished = []
+    for filename, setpoint, stream in runs:
+        ctrl = AdaptController(log_epsilon=math.log(epsilon0), mode=setpoint,
+                               k0=cfg["k0"], kappa=cfg["kappa"])
+        kernel = AdaptiveRjpoKernel(ctrl)
+        chain = run_chain(target, kernel, n_max, cfg["n_min"], stream, track_covariance=False)
+        traj = _trajectory(kernel, chain)
+        write_csv(os.path.join(outdir, filename), ["n", "epsilon", "alpha", "cg_iters"], traj)
+        finished.append((ctrl, traj))
+
+    if mode == "target_rate":
+        summary = {"mode": mode, "runs": [{
+            "alpha_t": ctrl.mode.alpha_t,
+            "trailing_mean_alpha": float(traj[-min(200, n_max):, 2].mean()),
+            "final_epsilon": float(traj[-1, 1]),
+            "n_max": n_max,
+        } for ctrl, traj in finished]}
+    else:
+        ((ctrl, traj),) = finished
+        trail = traj[-min(2000, n_max):]
+        logeps = np.log(trail[:, 1])
+        alpha, jits = trail[:, 2], trail[:, 3]
+        slope_a, slope_j, degenerate = _window_slopes(logeps, jits, alpha)
+        mean_alpha, mean_j = float(alpha.mean()), float(jits.mean())
+        resid = (mean_j * (slope_a / slope_j) - mean_alpha + mean_alpha**2 / 2
+                 if not degenerate else None)
+        summary = {
+            "mode": mode,
+            "epsilon_star": float(np.exp(logeps.mean())),
+            "trailing_mean_alpha": mean_alpha,
+            "trailing_mean_cg_iters": mean_j,
+            "fixed_point_residual": resid,
+            "degenerate_windows": ctrl.degenerate_windows,
+            "n_max": n_max,
+        }
+    write_json(os.path.join(outdir, "summary.json"), summary)
 
 
 def _kept_ess(summary: sr.GibbsSummary, column: str, burn_in: int) -> float | None:

@@ -103,10 +103,6 @@ class GaussianTarget:
     def dim(self) -> int:
         return self.precision.dim
 
-    @property
-    def has_mirror(self) -> bool:
-        return self.mirror is not None
-
     def mirror_cholesky(self) -> np.ndarray:
         """Lower Cholesky factor L of the dense mirror Q."""
         if self.mirror is None:

@@ -97,7 +97,7 @@ def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
     by CG pushed to machine accuracy (see _exact_cg_solve).
     """
     eta = perturb(target, stream)
-    if target.has_mirror:
+    if target.mirror is not None:
         x = target.mirror_solve(eta)
         residual = eta - target.precision.apply(x)
         eta_norm = float(np.linalg.norm(eta))

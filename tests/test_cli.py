@@ -124,6 +124,8 @@ def run_cli(argv):
     ["curve", "--n", "8", "--n-max", "200", "--epsilon-grid", "1e-2", "--psrf",
      "--psrf-threshold", "inf"],
     ["toy", "--n", "4", "--n-max", "20", "--seed", "-1"],
+    ["adapt", "--k0", "nan"],
+    ["adapt", "--k0", "inf"],
 ])
 def test_unusable_thresholds_are_config_errors(tmp_path, argv):
     """A threshold that is NaN, infinite or outside (0, 1), a PSRF
@@ -131,10 +133,13 @@ def test_unusable_thresholds_are_config_errors(tmp_path, argv):
     finite, an SNR of -inf dB, fewer than 1 chain, a zero MinCces window, a
     curve window too short for its ESS witness, a toy sampler or adapt
     setpoint listed twice (their output files would overwrite each other),
-    or a negative seed exits 1 with a config error before any chain runs."""
+    a negative seed, or a controller gain k0 that is not finite exits 1
+    with a config error, naming the gain, before any chain runs."""
     rc, err = run_cli(argv + ["--out", str(tmp_path / "x")])
     assert rc == 1
     assert err.startswith("rjpo: config error:") and "Traceback" not in err
+    if "--k0" in argv:
+        assert "k0" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -361,6 +366,39 @@ def test_toy_reruns_are_byte_identical(tmp_path):
     for name in os.listdir(outs[0]):
         if name.endswith(".csv"):
             assert read(outs[0] / name) == read(outs[1] / name), name
+
+
+TOY_STUDY = ["toy", "--n", "8", "--n-max", "300", "--epsilon", "0.3", "--seed", "3",
+             "--chains", "2"]
+
+
+def test_toy_sampler_all_repeats_each_sampler_run_alone(tmp_path):
+    """Chain k of every sampler reads child k of the seed, so each chain of
+    `--sampler all` is byte for byte the chain of that sampler run alone."""
+    assert cli.main([*TOY_STUDY, "--sampler", "all", "--out", str(tmp_path / "all")]) == 0
+    all_rows = read(tmp_path / "all" / "rmse.csv").decode().splitlines()
+    for name in ("epo", "tpo", "rjpo"):
+        alone = tmp_path / name
+        assert cli.main([*TOY_STUDY, "--sampler", name, "--out", str(alone)]) == 0
+        for k in range(2):
+            csv = f"chain_{name}_{k}.csv"
+            assert read(tmp_path / "all" / csv) == read(alone / csv), csv
+        alone_rows = read(alone / "rmse.csv").decode().splitlines()
+        assert alone_rows[1:] == [row for row in all_rows if row.startswith(name + ",")]
+
+
+def test_adapt_setpoint_list_repeats_each_setpoint_run_alone(tmp_path):
+    """Every --alpha-t setpoint reads the seed's first child, so its
+    trajectory and summary entry do not depend on the rest of the list."""
+    base = ["adapt", "--n", "8", "--n-max", "150", "--seed", "3"]
+    listed, alone = tmp_path / "listed", tmp_path / "alone"
+    assert cli.main([*base, "--alpha-t", "0.5,0.8", "--out", str(listed)]) == 0
+    assert cli.main([*base, "--alpha-t", "0.8", "--out", str(alone)]) == 0
+    name = "trajectory_alpha_0.8.csv"
+    assert read(listed / name) == read(alone / name)
+    listed_runs = json.loads((listed / "summary.json").read_text())["runs"]
+    alone_runs = json.loads((alone / "summary.json").read_text())["runs"]
+    assert [run for run in listed_runs if run["alpha_t"] == 0.8] == alone_runs
 
 
 def test_metadata_alone_reproduces_a_run(tmp_path):

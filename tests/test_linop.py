@@ -157,7 +157,7 @@ def test_target_from_dense_mirror_consistency():
     mu = rng.standard_normal(6)
     target = target_from_dense(q, mu)
     assert target.dim == 6
-    assert target.has_mirror
+    assert target.mirror is not None
     # factored path Q v agrees with the dense mirror
     v = rng.standard_normal(6)
     assert np.allclose(target.precision.apply(v), q @ v, atol=1e-10)
@@ -233,7 +233,7 @@ def test_gaussian_target_validation():
     with pytest.raises(ConfigurationError):
         GaussianTarget(FactoredPrecision(DenseOperator(np.eye(3))), np.ones(4))
     target = GaussianTarget(FactoredPrecision(DenseOperator(np.eye(3))), np.ones(3))
-    assert not target.has_mirror
+    assert target.mirror is None
     with pytest.raises(ConfigurationError):
         target.mirror_cholesky()
 
