@@ -1,5 +1,6 @@
 """Truncated linear conjugate gradient with a relative-residual stopping rule,
-preconditioned when the operator carries a preconditioner."""
+preconditioned when the operator carries a preconditioner, and run in Q's
+eigenbasis when an unpreconditioned operator offers one."""
 
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ class CGOutcome:
     """Result of a (possibly truncated) CG solve of Q x = b.
 
     residual_vector is recomputed as b - Q x at exit, never the recursive
-    residual, and relative_residual = ||residual_vector|| / ||b||.
+    residual (in Q's eigenbasis, U^t (U b - Lambda U x), mapped out), and
+    relative_residual = ||residual_vector|| / ||b||.
     converged is true when the stopping test passed and false when the
     solve stopped at max_iters.
     """
@@ -43,14 +45,23 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     (preconditioned CG); otherwise z = r and this is plain CG.  Either way
     the stopping test is on ||r|| itself.
 
+    When q has no precondition but offers a ``rotation`` that is not None
+    (an orthogonal U with U Q U^t = Lambda diagonal, as ``enter``, ``leave``
+    and ``precision``; FactoredPrecision.rotation), plain CG runs on Lambda
+    from U b and U x0, and the solution and the recomputed residual are
+    mapped out with U^t.  CG is invariant under an orthogonal change of
+    basis, so the iterations, the stopping test and the Q-applies (now
+    applies of Lambda, one multiply each) are those of plain CG on Q up to
+    rounding: this is still plain CG, not a preconditioner.
+
     b, x0 and the solution are vectors in whatever coordinates q.apply
     takes; the super-resolution Gibbs chain hands over HalfSpectrum
-    coordinates, where Q and P^-1 take no transform, so a solve there costs
-    none, plain or preconditioned.
+    coordinates, where Q, its preconditioner and its eigenbasis take no
+    transform, so a solve there costs none, plain or preconditioned.
 
     Args:
       q: object with apply(v) computing Qv for symmetric positive definite Q,
-        and optionally precondition(r).
+        and optionally precondition(r) or rotation.
       b: right-hand side.
       x0: starting point (defaults to zero).
       epsilon: relative-residual threshold, finite and >= 0.
@@ -72,6 +83,13 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
         max_iters = 10 * n
     if max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
+
+    rotation = None if hasattr(q, "precondition") else getattr(q, "rotation", None)
+    if rotation is not None:
+        out = cg_solve(rotation.precision, rotation.enter(b),
+                       None if x0 is None else rotation.enter(x), epsilon, max_iters)
+        return CGOutcome(rotation.leave(out.solution), out.iterations, out.relative_residual,
+                         rotation.leave(out.residual_vector), out.converged)
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:

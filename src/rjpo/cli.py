@@ -362,23 +362,24 @@ def cmd_adapt(cfg, outdir) -> None:
     master = RngStream(cfg["seed"])
     target, mu, cov = ar1_target(n, cfg["sigma2"], cfg["rho"], stream=master)
 
-    # (trajectory file, setpoint, stream) per run, all checked before any chain
+    # both modes check both setpoint options before any chain, so neither
+    # runs with, or records in metadata.json, a value the other refuses
+    try:
+        rates = [TargetRate(float(v)) for v in cfg["alpha_t"].split(",")]
+    except ValueError as exc:
+        raise ConfigurationError(f"bad alpha_t list {cfg['alpha_t']!r}: {exc}") from exc
+    if len({f"{rate.alpha_t:g}" for rate in rates}) < len(rates):
+        raise ConfigurationError(f"alpha_t list {cfg['alpha_t']!r} repeats a trajectory file name")
+    window = cfg["window"]
+    min_cces = MinCces(window_size=window) if window is not None else MinCces()
+
+    # (trajectory file, setpoint, stream) per run
     if mode == "target_rate":
-        try:
-            targets = [float(v) for v in cfg["alpha_t"].split(",")]
-        except ValueError as exc:
-            raise ConfigurationError(f"bad alpha_t list {cfg['alpha_t']!r}: {exc}") from exc
-        if len({f"{alpha_t:g}" for alpha_t in targets}) < len(targets):
-            raise ConfigurationError(
-                f"alpha_t list {cfg['alpha_t']!r} repeats a trajectory file name"
-            )
         # every setpoint reads the seed's first child, as it would alone
-        runs = [(f"trajectory_alpha_{alpha_t:g}.csv", TargetRate(alpha_t), master.spawn(1)[0])
-                for alpha_t in targets]
+        runs = [(f"trajectory_alpha_{rate.alpha_t:g}.csv", rate, master.spawn(1)[0])
+                for rate in rates]
     else:
-        window = cfg["window"]
-        setpoint = MinCces(window_size=window) if window is not None else MinCces()
-        runs = [("trajectory_min_cces.csv", setpoint, master)]
+        runs = [("trajectory_min_cces.csv", min_cces, master)]
 
     finished = []
     for filename, setpoint, stream in runs:

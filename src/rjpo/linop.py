@@ -56,9 +56,11 @@ class FactoredPrecision:
 
     The factor needs ``in_dim``, ``out_dim``, ``gram`` (Q) and
     ``apply_transpose`` (F^t, which perturbations draw through), and may
-    offer ``precondition``.  Vectors live in whatever coordinates the
-    factor takes: plain vectors for a DenseOperator, HalfSpectrum
-    coordinates for the super-resolution conditional.
+    offer ``precondition`` and ``rotation``; a factor that is only solved
+    against, such as the Lambda of a rotation, needs only ``in_dim`` and
+    ``gram``.  Vectors live in whatever coordinates the factor takes: plain
+    vectors for a DenseOperator, HalfSpectrum coordinates for the
+    super-resolution conditional.
     """
 
     def __init__(self, factor):
@@ -68,6 +70,15 @@ class FactoredPrecision:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The induced Gram map v -> Qv = F^t F v."""
         return self.factor.gram(v)
+
+    @property
+    def rotation(self):
+        """The factor's ``rotation`` when it offers one, else None: an
+        orthogonal U and a diagonal Lambda = U Q U^t, as ``enter`` (v -> U v),
+        ``leave`` (u -> U^t u) and ``precision`` (Lambda, whose apply is one
+        multiply).  A plain cg_solve runs in its coordinates; dense factors
+        offer none."""
+        return getattr(self.factor, "rotation", None)
 
     def preconditioned(self) -> FactoredPrecision:
         """This Q as seen by a preconditioned cg_solve: the same apply, plus

@@ -17,11 +17,14 @@ real-FFT half spectrum (HalfSpectrum), where Q takes no transform
 (SpectralConditional) and a sweep takes 3 (see run_gibbs).  The exact
 draw's CG is preconditioned there by Q^-1 itself when C has one alias term
 (two frames at factor 2, the default), so it stops after one iteration, and
-by Q's circulant mean P otherwise (SpectralConditional.precondition).
+by Q's circulant mean P otherwise (SpectralConditional.precondition).  With
+that one alias term, the truncated kernels' plain CG runs in Q's eigenbasis,
+where a Q-apply is one multiply (PairRotation).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -95,23 +98,33 @@ def centred_transfer(kernel, image_dims) -> np.ndarray:
     return np.fft.rfft2(np.roll(padded, (-origin[0], -origin[1]), axis=(0, 1)))
 
 
-def _alias_gather(spectrum, index) -> np.ndarray:
-    """The half spectrum read at each bin's alias source: ``index`` into
-    [spectrum, conj spectrum] (see HalfSpectrum)."""
-    return np.take(np.concatenate([spectrum, np.conj(spectrum)]), index)
+def _alias_gather(spectrum, gather) -> np.ndarray:
+    """The half spectrum read at each bin's alias source: ``gather`` is the
+    (source, sign) table of one alias term (see HalfSpectrum), the flat bin
+    each bin reads and -1 where it reads that bin conjugated."""
+    source, sign = gather
+    out = np.take(spectrum, source)
+    out.imag *= sign
+    return out
 
 
-def _diagonal_plus_gathers(diagonal, aliases, s) -> np.ndarray:
-    """diagonal s + sum of weight G(s) over the (index, weight) aliases, G
-    the _alias_gather of ``index``, for s in HalfSpectrum coordinates: the
-    form of both Q and its inverse in SpectralConditional, no transform."""
-    spectrum = s.view(complex).reshape(diagonal.shape)
-    out = diagonal * spectrum
-    if aliases:
-        both = np.concatenate([spectrum, np.conj(spectrum)])
-        for index, weight in aliases:
-            out += weight * np.take(both, index)
-    return out.view(float).ravel()
+class _DiagonalPlusGathers:
+    """s -> diagonal s + sum of weight G(s) over the (gather, weight)
+    aliases, G the _alias_gather of ``gather``, for s in HalfSpectrum
+    coordinates, no transform: the form of Q, of its inverse and of the
+    rotation to its eigenbasis in SpectralConditional."""
+
+    def __init__(self, diagonal, aliases):
+        self.diagonal, self.aliases = diagonal, aliases
+
+    def __call__(self, s) -> np.ndarray:
+        spectrum = s.view(complex).reshape(self.diagonal.shape)
+        out = self.diagonal * spectrum
+        for gather, weight in self.aliases:
+            # not an in-place product on the gathered array: that changes the
+            # last bits of Q s (numpy 2.4.6)
+            out += weight * _alias_gather(spectrum, gather)
+        return out.view(float).ravel()
 
 
 class HalfSpectrum:
@@ -138,14 +151,22 @@ class HalfSpectrum:
 
         (C u)^[k] = sum_pq c_pq u^[k - (p R/f, q K/f)],  indices mod (R, K).
 
-    Each nonzero c_pq other than c_00 gives one alias term (index, A_pq):
-    ``index`` gathers u^[k - shift] for every half-spectrum bin k from the
-    concatenation [s, conj s] (a shifted bin past column K//2 reads the
-    conjugate of its mirror), and A_pq = W conj(b) c_pq G_pq(b / W) holds
-    the blurs and coordinate scales around it.  At most f^2 - 1 terms; 1 for
-    two frames at f = 2, none with every phase sampled once (C = I).  All
-    multipliers are complex, because numpy multiplies two complex arrays
-    about twice as fast as a complex array by a real or broadcast one.
+    Each nonzero c_pq other than c_00 gives one alias term (gather, A_pq):
+    ``gather`` reads u^[k - shift] for every half-spectrum bin k as a
+    (source, sign) table, the flat bin it reads and -1 on the imaginary part
+    where that bin is the mirror of a shifted bin past column K//2, read
+    conjugated; A_pq = W conj(b) c_pq G_pq(b / W) holds the blurs and
+    coordinate scales around it.  At most f^2 - 1 terms; 1 for two frames
+    at f = 2, none with every phase sampled once (C = I).  All multipliers
+    are complex, because numpy multiplies two complex arrays about twice as
+    fast as a complex array by a real or broadcast one.
+
+    With one alias term it also holds the gamma-independent ``pair_*``
+    tables of PairRotation.  The gather then pairs each bin k with one bin
+    j, both ways: the ``pair_first`` member of each pair has the smaller
+    flat index, its ``pair_partner`` the larger, and a bin that reads
+    itself conjugated is a lone bin ((0, K/4) and (R/2, K/4) when 4
+    divides K; (0, 16) and (32, 16) at 64 x 64).
     """
 
     def __init__(self, model: SuperResModel):
@@ -170,19 +191,55 @@ class HalfSpectrum:
         f = model.decimation_factor
         coefficients = np.fft.fft2(counts[:f, :f]) / f**2  # c_pq from one period of C
         row, col = np.arange(rows)[:, None], np.arange(half)[None, :]
-        self.aliases = []
+        self.aliases, moduli = [], []
         for (p, q), c in np.ndenumerate(coefficients):
             # c_pq sums f^2 integer multiples of f-th roots of unity: below
             # this it is the rounding of an exact zero
             if (p, q) == (0, 0) or abs(c) <= 1e-12 * coefficients[0, 0].real:
                 continue
             source_row, source_col = (row - p * rows // f) % rows, (col - q * cols // f) % cols
-            # flat index into [s, conj s]; past column K//2, the mirror bin
-            # (-row mod R, K - col) in the conjugated half
-            index = np.where(source_col > cols // 2,
-                             (rows + (-source_row) % rows) * half + cols - source_col,
-                             source_row * half + source_col)
-            self.aliases.append((index, c * self.adjoint_blur * _alias_gather(self.blur, index)))
+            # past column K//2, the mirror bin (-row mod R, K - col), conjugated
+            mirrored = source_col > cols // 2
+            gather = (np.where(mirrored, ((-source_row) % rows) * half + cols - source_col,
+                               source_row * half + source_col),
+                      np.where(mirrored, -1.0, 1.0))
+            self.aliases.append((gather, c * self.adjoint_blur * _alias_gather(self.blur, gather)))
+            moduli.append(abs(c))
+        if len(self.aliases) != 1:
+            return
+
+        [((source, _), weight)] = self.aliases
+        flat = np.arange(source.size).reshape(self.shape)
+        self.pair_first, self.pair_partner = flat < source, flat > source
+        lone = flat == source
+        # every table below reads the same at both members of a pair: each
+        # product of a bin's value and its partner's is formed in one order
+        power = np.abs(transfer) ** 2
+        both_powers = power * np.take(power, source)
+        data, smooth = self.mean_data_gram.real, self.smooth_gram.real
+        c0, [c1] = coefficients[0, 0].real, moduli
+        # |A| = |c1| |b_k| |b_j| (W is the same on both members)
+        self.pair_modulus = c1 * np.sqrt(both_powers)
+        # lone bins take no rotation angle, only a phase turn
+        self.pair_turning = np.where(lone, 0.0, self.pair_modulus)
+        # the determinant P_k P_j - |w|^2 of a pair's block, over gamma_y^2,
+        # gamma_y gamma_x and gamma_x^2, each part non-negative (C >= 0, so
+        # c0 >= |c1|, and two frames at f = 2 have c0 = |c1|)
+        self.pair_determinant = ((c0 - c1) * (c0 + c1) * both_powers,
+                                 data * np.take(smooth, source) + smooth * np.take(data, source),
+                                 smooth * np.take(smooth, source))
+        # e^(i phi) of A at the first member, as the gather reads it at the partner
+        phase = np.divide(weight, np.abs(weight), out=np.ones_like(weight), where=weight != 0)
+        read = _alias_gather(phase, gather)
+        one, half_turn = np.ones_like(phase), np.sqrt(phase)
+        # the diagonal and gather weight of U and of U^t, before the pair's cos
+        # and sin (see PairRotation); a lone bin's sin is 0
+        self.pair_turns = (np.select([self.pair_first, self.pair_partner], [one, read],
+                                     np.conj(half_turn)),
+                           np.where(self.pair_first, phase, -one),
+                           np.select([self.pair_first, self.pair_partner], [one, np.conj(read)],
+                                     half_turn),
+                           np.where(self.pair_first, -one, np.conj(read)))
 
     def enter(self, x):
         """s = W rfft2(x) for a flattened real image x."""
@@ -224,7 +281,10 @@ class SpectralConditional:
 
     ``precondition`` applies Q^-1 itself when C has at most one alias
     term (frames = factor^2, or two frames at factor 2), and P^-1 when it
-    has more; either takes no transform.
+    has more; either takes no transform.  With exactly one alias term the
+    factor also offers ``rotation``, Q's eigenbasis (PairRotation), where
+    plain CG runs; with none or several, ``rotation`` is None and plain CG
+    applies Q as above.
 
     The alias sum is Q only on real images' half spectra (the image of
     ``enter``), where it is the spectrum of B^t C B x; the Gibbs state,
@@ -237,9 +297,11 @@ class SpectralConditional:
         self.basis = basis
         self.in_dim = basis.dim
         self.out_dim = basis.model.data_count + basis.model.pixel_count
+        self.gammas = gamma_y, gamma_x
         self._roots = math.sqrt(gamma_y), math.sqrt(gamma_x)
-        self._mean_gram = gamma_y * basis.mean_data_gram + gamma_x * basis.smooth_gram
-        self._aliases = [(index, gamma_y * weight) for index, weight in basis.aliases]
+        self.gram = _DiagonalPlusGathers(
+            gamma_y * basis.mean_data_gram + gamma_x * basis.smooth_gram,
+            [(gather, gamma_y * weight) for gather, weight in basis.aliases])
 
     def apply_transpose(self, w):
         basis, (root_y, root_x) = self.basis, self._roots
@@ -248,15 +310,12 @@ class SpectralConditional:
                     + root_x * basis.adjoint_smooth * np.fft.rfft2(smooth.reshape(basis.dims)))
         return spectrum.view(float).ravel()
 
-    def gram(self, s):
-        return _diagonal_plus_gathers(self._mean_gram, self._aliases, s)
-
     @cached_property
     def _preconditioner(self):
-        """The diagonal and alias terms of ``precondition``; built on first
-        use, so only preconditioned solves pay for them.
+        """The map ``precondition`` applies; built on first use, so only
+        preconditioned solves pay for it.
 
-        With one alias term (index, w), its shift is its own negative (C
+        With one alias term (gather, w), its shift is its own negative (C
         is real, so c_-pq = conj c_pq is a term too), so the gather G pairs
         each bin k with one bin j, G(G(s)) = s, and Q is block diagonal in
         1 x 1 and 2 x 2 blocks:
@@ -273,19 +332,100 @@ class SpectralConditional:
         (C = I) Q^-1 = P^-1; with two or more the blocks are larger, and
         P^-1 stands in for Q^-1.
         """
-        if len(self._aliases) != 1:
-            return 1.0 / self._mean_gram, []
-        [(index, weight)] = self._aliases
-        paired_mean = _alias_gather(self._mean_gram, index)
-        determinant = self._mean_gram * paired_mean - weight * _alias_gather(weight, index)
-        return paired_mean / determinant, [(index, -weight / determinant)]
+        mean, aliases = self.gram.diagonal, self.gram.aliases
+        if len(aliases) != 1:
+            return _DiagonalPlusGathers(1.0 / mean, [])
+        [(gather, weight)] = aliases
+        paired_mean = _alias_gather(mean, gather)
+        determinant = mean * paired_mean - weight * _alias_gather(weight, gather)
+        return _DiagonalPlusGathers(paired_mean / determinant,
+                                    [(gather, -weight / determinant)])
 
     def precondition(self, s):
         """M^-1 s for CG's preconditioner M, no transform: Q^-1 s exactly
         when C has at most one alias term, so an exact solve stops after
         one iteration, and the Strang/Chan P^-1 s = s / P when it has
         two or more (3 or 5 frames at factor 2, for instance)."""
-        return _diagonal_plus_gathers(*self._preconditioner, s)
+        return self._preconditioner(s)
+
+    @cached_property
+    def rotation(self):
+        """Q's eigenbasis (PairRotation) when C has exactly one alias term,
+        else None; built by the first plain solve against this Q, so the
+        preconditioned exact draw never pays for it."""
+        return PairRotation(self) if len(self.gram.aliases) == 1 else None
+
+
+class PairRotation:
+    """An orthogonal U and positive diagonal Lambda with U Q U^t = Lambda,
+    for the conditional Q of one alias term, no transform.
+
+    Q is block diagonal (SpectralConditional._preconditioner): on the
+    first member k of a pair and its partner j it is the Hermitian block
+    [[P_k, w], [conj w, P_j]] on (s_k, ~s_j), w = |w| e^(i phi) = w_k.
+    Its eigenvalues are
+
+        lambda+ = (P_k + P_j) / 2 + r,   r^2 = ((P_k - P_j) / 2)^2 + |w|^2,
+        lambda- = det / lambda+,
+
+    with det = P_k P_j - |w|^2 summed from the non-negative parts of
+    HalfSpectrum.pair_determinant, never as a difference, so lambda- keeps
+    its relative accuracy however small it is.  A Jacobi rotation by theta,
+    with tan theta = |w| / (|P_k - P_j| / 2 + r) or its inverse, after a
+    turn by phi, diagonalises the block (Golub & Van Loan, Matrix
+    Computations, 8.5): the first member's coordinate takes lambda+, the
+    partner's lambda-.  A lone bin, which reads itself, has
+    (Q s)_k = P_k s_k + w conj(s_k); turned by e^(-i phi / 2), its real part
+    takes P_k + |w| (lambda+) and its imaginary part P_k - |w| (lambda-).
+
+    ``enter`` (s -> U s) and ``leave`` (u -> U^t u) are each a diagonal
+    plus the alias term's gather, as Q is; Lambda is a diagonal on the real
+    view, so Q in the eigenbasis (``gram``, with ``precision``) is one
+    multiply.  CG is invariant under an orthogonal change of basis
+    (Hestenes & Stiefel 1952), so plain CG on Lambda from U b and U x0 runs
+    the iterations of plain CG on Q, up to rounding: this is not a
+    preconditioner.
+    """
+
+    def __init__(self, conditional: SpectralConditional):
+        basis = conditional.basis
+        gamma_y, gamma_x = conditional.gammas
+        [(gather, _)] = conditional.gram.aliases
+        mean = conditional.gram.diagonal.real
+        paired = np.take(mean, gather[0])
+        # (P_k - P_j) / 2 at the first member k, its negative at the partner
+        gap = (mean - paired) * 0.5
+        modulus = gamma_y * basis.pair_modulus
+        radius = np.sqrt(gap * gap + modulus * modulus)  # np.hypot takes 3x longer
+        high = (mean + paired) * 0.5 + radius
+        by_y, by_both, by_x = basis.pair_determinant
+        low = (gamma_y * gamma_y * by_y + gamma_y * gamma_x * by_both
+               + gamma_x * gamma_x * by_x) / high
+        denominator = np.abs(gap) + radius
+        tangent = np.divide(gamma_y * basis.pair_turning, denominator,
+                            out=np.zeros(basis.shape), where=denominator > 0)
+        cos = 1.0 / np.sqrt(1.0 + tangent * tangent)
+        sin = tangent * cos
+        # tangent is tan theta when P_k >= P_j and 1 / tan theta when P_k < P_j,
+        # where the first member's eigenvector leans to the partner
+        swap = np.where(basis.pair_partner, gap > 0, gap < 0)
+        cos, sin = np.where(swap, sin, cos), np.where(swap, cos, sin)
+        eigenvalues = np.empty(basis.shape + (2,))
+        eigenvalues[..., 0] = np.where(basis.pair_partner, low, high)
+        eigenvalues[..., 1] = np.where(basis.pair_first, high, low)
+        self.eigenvalues = eigenvalues.ravel()
+        self.in_dim = self.eigenvalues.size
+        forward, forward_gathered, backward, backward_gathered = basis.pair_turns
+        self.enter = _DiagonalPlusGathers(cos * forward, [(gather, sin * forward_gathered)])
+        self.leave = _DiagonalPlusGathers(cos * backward, [(gather, sin * backward_gathered)])
+        # Lambda as the Gram map of a factor: one multiply
+        self.gram = functools.partial(np.multiply, self.eigenvalues)
+
+    @property
+    def precision(self) -> FactoredPrecision:
+        """Lambda as a precision, so each of CG's applies of it is a
+        FactoredPrecision.apply, counted and traced as a Q-apply."""
+        return FactoredPrecision(self)
 
 
 @dataclass(eq=False)

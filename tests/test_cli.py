@@ -126,6 +126,9 @@ def run_cli(argv):
     ["toy", "--n", "4", "--n-max", "20", "--seed", "-1"],
     ["adapt", "--k0", "nan"],
     ["adapt", "--k0", "inf"],
+    ["adapt", "--mode", "target_rate", "--window", "0", "--n-max", "20", "--n-min", "0"],
+    ["adapt", "--mode", "min_cces", "--alpha-t", "7", "--n-max", "20", "--n-min", "0"],
+    ["adapt", "--mode", "min_cces", "--alpha-t", "0.5,0.50", "--n-max", "20", "--n-min", "0"],
 ])
 def test_unusable_thresholds_are_config_errors(tmp_path, argv):
     """A threshold that is NaN, infinite or outside (0, 1), a PSRF
@@ -134,7 +137,9 @@ def test_unusable_thresholds_are_config_errors(tmp_path, argv):
     curve window too short for its ESS witness, a toy sampler or adapt
     setpoint listed twice (their output files would overwrite each other),
     a negative seed, or a controller gain k0 that is not finite exits 1
-    with a config error, naming the gain, before any chain runs."""
+    with a config error, naming the gain, before any chain runs.  adapt
+    checks its MinCces window and its alpha_t list in both modes, the one
+    it runs and the one it ignores."""
     rc, err = run_cli(argv + ["--out", str(tmp_path / "x")])
     assert rc == 1
     assert err.startswith("rjpo: config error:") and "Traceback" not in err
@@ -155,6 +160,8 @@ def test_unusable_thresholds_are_config_errors(tmp_path, argv):
     ["curve", "--n", "8", "--n-max", "200", "--epsilon-grid", "1e-2", "--psrf",
      "--psrf-threshold", "nan"],
     ["toy", "--n", "4", "--n-max", "20", "--seed", "-1"],
+    ["adapt", "--mode", "target_rate", "--window", "0", "--n-max", "20", "--n-min", "0"],
+    ["adapt", "--mode", "min_cces", "--alpha-t", "7", "--n-max", "20", "--n-min", "0"],
 ])
 def test_failed_runs_write_no_metadata(tmp_path, argv):
     """metadata.json marks a finished run: a run that exits 1 on its config

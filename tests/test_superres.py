@@ -9,6 +9,7 @@ import pytest
 import oracles
 from rjpo.adapt import AdaptiveRjpoKernel, TargetRate, make_kernel
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
+from rjpo.linop import target_from_dense
 from rjpo.rng import PairedStream, RngStream
 from rjpo.cg import cg_solve
 from rjpo.sampler import (
@@ -776,6 +777,106 @@ def test_full_phase_coverage_solves_in_one_iteration():
         out = epo_step(target, RngStream(61))
         assert out.cg_iterations == 1
         assert out.relative_residual <= EXACT_EPSILON
+
+
+ONE_ALIAS_GAMMAS = ((320.0, 400.0), (11.6, 962.0), (1e4, 1.0), (1.0, 1e4))
+
+
+def test_rotation_diagonalises_q_with_one_alias_term():
+    """With one alias term Q's rotation is orthogonal, U^t U = I and the
+    leave map is the transpose of the enter map, to 1e-14; its eigenvalues
+    are positive; and leave U^t Lambda U enter is the oracle's image-space
+    Q to 1e-13 relative, at 8 x 8, 16 x 16 and 64 x 64 with 2 and 6 frames
+    and precision ratios from 1e-4 to 1e4.  Up to 16 x 16 the maps are
+    compared as dense matrices, against image_conditional_precision; at
+    64 x 64 (a dense image-space Q takes 134 MB) on 8 random vectors,
+    against the Gram that matrix is built from.  Each grid has two lone
+    bins, which read themselves conjugated: (0, K/4) and (R/2, K/4)."""
+    rng = np.random.default_rng(67)
+    for model in _one_alias_models():
+        basis, n = model.half_spectrum, model.pixel_count
+        lone = ~(basis.pair_first | basis.pair_partner)
+        assert lone.sum() == 2, model.hi_res_dims
+        for gammas in ONE_ALIAS_GAMMAS:
+            case = (model.hi_res_dims, model.frames, gammas)
+            rotation = sr.SpectralConditional(basis, *gammas).rotation
+            assert np.all(rotation.eigenvalues > 0), case
+
+            def q_images(x):
+                lambda_u = rotation.precision.apply(rotation.enter(basis.enter(x)))
+                return basis.leave(rotation.leave(lambda_u))
+
+            if n <= 256:
+                u = oracles.dense_matrix_of(rotation.enter, basis.dim)
+                u_t = oracles.dense_matrix_of(rotation.leave, basis.dim)
+                assert np.max(np.abs(u_t @ u - np.eye(basis.dim))) <= 1e-14, case
+                assert np.max(np.abs(u_t - u.T)) <= 1e-14, case
+                dense_q = oracles.image_conditional_precision(model, *gammas)
+                seen = oracles.dense_matrix_of(q_images, n)
+                assert np.max(np.abs(seen - dense_q)) <= 1e-13 * np.max(np.abs(dense_q)), case
+                continue
+            image_gram = oracles.ConditionalFactor(model, *gammas).gram
+            for _ in range(8):
+                v, w = rng.standard_normal(basis.dim), rng.standard_normal(basis.dim)
+                assert np.max(np.abs(rotation.leave(rotation.enter(v)) - v)) <= 1e-14 * np.max(
+                    np.abs(v)), case
+                assert abs(rotation.enter(v) @ w - v @ rotation.leave(w)) <= 1e-14 * (
+                    np.linalg.norm(v) * np.linalg.norm(w)), case
+                x = rng.standard_normal(n)
+                reference = image_gram(x)
+                assert np.max(np.abs(q_images(x) - reference)) <= 1e-13 * np.max(
+                    np.abs(reference)), case
+
+
+@pytest.mark.parametrize("gammas", ONE_ALIAS_GAMMAS)
+def test_rotated_truncated_solve_reports_its_recomputed_residual(gammas):
+    """A plain solve of a one-alias-term Q runs in Q's eigenbasis, and the
+    relative residual it reports, from U^t (U b - Lambda U x), is
+    ||eta - Q x|| / ||eta|| recomputed with Q itself to 1e-13, at eps 1e-2
+    and 1e-4, from zero and from -previous (previous an exact draw).
+    Recomputed on images (eta and x mapped out, Q the image-space Gram) it
+    differs by no more than the share of Q x that leave drops, the part of x
+    that rounding moved off real images' half spectra, plus 1e-13: long
+    solves at extreme precision ratios drift that way, unrotated as well.
+    The exact draw, preconditioned, never builds the rotation."""
+    for model in _one_alias_models():
+        case = (model.hi_res_dims, model.frames, gammas)
+        basis = model.half_spectrum
+        obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(68))
+        target = sr.conditional_target(model, basis.back_project(obs), *gammas)
+        previous = epo_step(target, RngStream(69)).next_sample
+        assert "rotation" not in vars(target.precision.factor), case
+        image_gram = oracles.ConditionalFactor(model, *gammas).gram
+        eta = perturb(target, RngStream(70))
+        eta_norm = np.linalg.norm(eta)
+        for eps in (1e-2, 1e-4):
+            for x0 in (None, -previous):
+                out = cg_solve(target.precision, eta, x0=x0, epsilon=eps)
+                assert out.converged and out.iterations >= 1, case
+                x = out.solution
+                recomputed = np.linalg.norm(eta - target.precision.factor.gram(x)) / eta_norm
+                assert abs(out.relative_residual - recomputed) <= 1e-13, (case, eps)
+                on_images = (np.linalg.norm(basis.leave(eta) - image_gram(basis.leave(x)))
+                             / np.linalg.norm(basis.leave(eta)))
+                dropped = target.precision.factor.gram(x - basis.enter(basis.leave(x)))
+                assert abs(out.relative_residual - on_images) <= (
+                    np.linalg.norm(dropped) / eta_norm + 1e-13), (case, eps)
+        assert "rotation" in vars(target.precision.factor), case
+
+
+def test_no_rotation_without_exactly_one_alias_term():
+    """Models with no alias term (every phase sampled once) or several (1, 3
+    or 5 frames at factor 2, factor 3), and dense targets, offer no
+    rotation, so their plain solves apply Q itself."""
+    models = [sr.SuperResModel(hi_res_dims=dims, frames=frames, decimation_factor=factor,
+                               psf_kernel=SMOOTH_3X3)
+              for dims, frames, factor in (((16, 16), 4, 2), ((9, 15), 9, 3), ((16, 16), 1, 2),
+                                           ((16, 16), 3, 2), ((8, 8), 5, 2), ((9, 15), 2, 3))]
+    for model in models:
+        assert len(model.half_spectrum.aliases) != 1, model.hi_res_dims
+        target = sr.conditional_target(model, np.zeros(model.half_spectrum.dim), 3.0, 0.5)
+        assert target.precision.rotation is None, (model.hi_res_dims, model.frames)
+    assert target_from_dense(np.eye(3) * 2.0, np.ones(3)).precision.rotation is None
 
 
 def test_adaptive_sampler_keeps_the_conditional_law():
