@@ -134,10 +134,9 @@ class GaussianTarget:
 def target_from_dense(q: np.ndarray, mu: np.ndarray) -> GaussianTarget:
     """Build a target from a dense SPD precision matrix.
 
-    The factor is F = C^t from the Cholesky factorization Q = C C^t, and C
-    is the mirror, so Q is factorised once and not kept.  A q that is not
-    exactly symmetric (Cholesky reads only its lower triangle, q mu all of
-    it) or not positive definite is refused.
+    Q = C C^t is factorised once and the target is target_from_cholesky(C, mu).
+    A q that is not exactly symmetric (Cholesky reads only its lower triangle
+    and would drop the rest) or not positive definite is refused.
     """
     q = np.asarray(q, dtype=float)
     mu = np.asarray(mu, dtype=float).ravel()
@@ -149,4 +148,10 @@ def target_from_dense(q: np.ndarray, mu: np.ndarray) -> GaussianTarget:
         low = np.linalg.cholesky(q)
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError("precision matrix is not positive definite") from exc
-    return GaussianTarget(FactoredPrecision(DenseOperator(low.T)), q @ mu, mirror=low)
+    return target_from_cholesky(low, mu)
+
+
+def target_from_cholesky(low: np.ndarray, mu: np.ndarray) -> GaussianTarget:
+    """N(mu, (L L^t)^-1) for a lower Cholesky factor L: factor F = L^t (a view
+    of L), potential L (L^t mu) and mirror L, so no Q is formed or kept."""
+    return GaussianTarget(FactoredPrecision(DenseOperator(low.T)), low @ (low.T @ mu), mirror=low)

@@ -78,6 +78,21 @@ def ar1_covariance_direct(n: int, sigma2: float, rho: float) -> np.ndarray:
     return sigma2 * rho ** np.abs(idx[:, None] - idx[None, :])
 
 
+def ar1_precision(n: int, sigma2: float, rho: float) -> np.ndarray:
+    """Exact inverse of the AR(1) covariance, entry by entry: tridiagonal
+    with corner corrections."""
+    if n == 1:
+        return np.array([[1.0 / sigma2]])
+    q = np.zeros((n, n))
+    diag = np.full(n, 1.0 + rho * rho)
+    diag[0] = diag[-1] = 1.0
+    np.fill_diagonal(q, diag)
+    off = np.arange(n - 1)
+    q[off, off + 1] = -rho
+    q[off + 1, off] = -rho
+    return q / (sigma2 * (1.0 - rho * rho))
+
+
 def lag1_autocorrelation(series: np.ndarray) -> float:
     c = series - series.mean()
     return float((c[:-1] @ c[1:]) / (c @ c))

@@ -20,6 +20,7 @@ import conftest
 from oracles import (
     GeneralMoveSpec,
     acceptance_curve,
+    ar1_precision,
     gaussian_logpdf,
     general_rj_step_oracle,
     lag1_autocorrelation,
@@ -36,7 +37,7 @@ from rjpo.adapt import (
     make_kernel,
 )
 from rjpo.diag import rmse
-from rjpo.problems import ar1_precision, ar1_target
+from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
 from rjpo.sampler import epo_kernel, rjpo_step, run_chain
 

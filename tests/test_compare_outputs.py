@@ -82,17 +82,19 @@ def test_wall_time_differences_are_timing_lines(tmp_path, capsys):
 
 
 def test_ulp_control_reruns_a_superres_run_with_moved_etas(tmp_path, capsys):
-    """The control replays DIR_A's config into DIR_B with every eta one ulp
-    up, restores the sampler afterwards, and prints the comparison: same
-    config and data, moved chain."""
+    """The control replays DIR_A's config into DIR_B/up and DIR_B/down with
+    every eta one ulp up and one ulp down, restores the sampler afterwards,
+    and prints both comparisons: same config and data, moved chain.  Any
+    finished run takes it; a directory without metadata.json does not."""
     model = sr.make_model((16, 16), fwhm=1.0)
     back = model.half_spectrum.back_project(np.ones(model.data_count))
     target = sr.conditional_target(model, back, 2.0, 0.5)
     perturb = rjpo.sampler.perturb
-    with ulp_control.etas_moved_by_one_ulp():
-        moved = rjpo.sampler.perturb(target, RngStream(1))
-    assert rjpo.sampler.perturb is perturb
-    assert np.array_equal(moved, np.nextafter(perturb(target, RngStream(1)), np.inf))
+    for towards in (np.inf, -np.inf):
+        with ulp_control.etas_moved_by_one_ulp(towards):
+            moved = rjpo.sampler.perturb(target, RngStream(1))
+        assert rjpo.sampler.perturb is perturb
+        assert np.array_equal(moved, np.nextafter(perturb(target, RngStream(1)), towards))
 
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["superres", "--dims", "16", "--fwhm", "1.0", "--iterations", "6",
@@ -101,9 +103,16 @@ def test_ulp_control_reruns_a_superres_run_with_moved_etas(tmp_path, capsys):
     assert ulp_control.main([str(a), str(b)]) == 0
     assert rjpo.sampler.perturb is perturb
     report = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in report if line.startswith("==")] == [
+        "== eta one ulp up", "== eta one ulp down"]
     for name in ("ground_truth.pgm", "metadata.json"):
-        assert f"identical  {name}" in report
-    assert "differs    chain.csv" in report
+        assert report.count(f"identical  {name}") == 2
+    assert report.count("differs    chain.csv") == 2
     assert ulp_control.main([str(a)]) == 2
     assert cli.main(["toy", "--n", "4", "--n-max", "50", "--out", str(tmp_path / "t")]) == 0
-    assert ulp_control.main([str(tmp_path / "t"), str(tmp_path / "u")]) == 1
+    capsys.readouterr()
+    assert ulp_control.main([str(tmp_path / "t"), str(tmp_path / "u")]) == 0
+    assert capsys.readouterr().out.count("identical  metadata.json") == 2
+    assert (tmp_path / "u" / "up" / "metadata.json").exists()
+    assert (tmp_path / "u" / "down" / "metadata.json").exists()
+    assert ulp_control.main([str(tmp_path / "u"), str(tmp_path / "v")]) == 1

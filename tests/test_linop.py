@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ConditionalFactor, naive_circular_convolve
+from oracles import ConditionalFactor, ar1_precision, naive_circular_convolve
 from rjpo.errors import ConfigurationError
 from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_from_dense
-from rjpo.problems import ar1_precision
 from rjpo.superres import SuperResModel, centred_transfer
 
 
@@ -174,8 +173,8 @@ def test_target_from_dense_mirror_consistency():
 ])
 def test_target_from_dense_refuses_a_precision_it_cannot_factor(q):
     """Cholesky reads only q's lower triangle, so [[1, 5], [0, 1]] would
-    factor as Q = I while its potential q mu used the 5; an indefinite q
-    is a configuration error, not numpy's LinAlgError."""
+    factor as Q = I and silently drop the 5; an indefinite q is a
+    configuration error, not numpy's LinAlgError."""
     with pytest.raises(ConfigurationError):
         target_from_dense(np.array(q), np.ones(2))
 
@@ -195,9 +194,9 @@ def test_mirror_solve_is_accurate_at_benchmark_size():
 
 def test_dense_target_factorises_its_precision_once(monkeypatch):
     """The dense mirror's Cholesky factor is the one target_from_dense
-    took for the factor F = C^t: building the AR(1) target at N = 128,
-    factorising the mirror and one mirror solve call np.linalg.cholesky
-    once."""
+    took for the factor F = C^t: building a target from the N = 128 AR(1)
+    precision, reading the mirror and one mirror solve call
+    np.linalg.cholesky once."""
     calls = []
     cholesky = np.linalg.cholesky
 

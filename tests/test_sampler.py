@@ -8,6 +8,7 @@ from scipy import stats
 
 from oracles import (
     GeneralMoveSpec,
+    ar1_precision,
     cholesky_gaussian_draws,
     gaussian_logpdf,
     general_rj_step_oracle,
@@ -20,7 +21,7 @@ from rjpo.adapt import AdaptController, AdaptiveRjpoKernel, MinCces, make_kernel
 from rjpo.cg import cg_solve
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_from_dense
-from rjpo.problems import ar1_precision, ar1_target
+from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
 from rjpo.sampler import (
     COV_BLOCK,
