@@ -419,14 +419,24 @@ def cmd_adapt(cfg, outdir) -> None:
     write_json(os.path.join(outdir, "summary.json"), summary)
 
 
-def _kept_ess(summary: sr.GibbsSummary, column: str, burn_in: int) -> float | None:
-    """ess of one records column over the kept sweeps, or None (null in the
-    JSON) where it is undefined: fewer than 10 kept sweeps, or a constant
-    series."""
-    try:
-        return ess(summary.records[burn_in:, sr.RECORD_COLUMNS.index(column)])
-    except ValueError:
-        return None
+def _kept_statistics(records: np.ndarray, burn_in: int) -> dict:
+    """summary.json's figures over the kept sweeps records[burn_in:] of a
+    run_gibbs record: the mean acceptance, the mean and peak CG iterations,
+    and each gamma's mean, sample std (0 for one sweep) and ess, None (null
+    in the JSON) under 10 kept sweeps or for a constant series."""
+    kept = dict(zip(sr.RECORD_COLUMNS, records[burn_in:].T))
+    stats = {"mean_acceptance": float(kept["alpha"].mean()),
+             "mean_cg_iters": float(kept["cg_iters"].mean()),
+             "peak_cg_iters": int(kept["cg_iters"].max())}
+    for name in ("gamma_y", "gamma_x"):
+        values = kept[name]
+        stats[f"{name}_mean"] = float(values.mean())
+        stats[f"{name}_std"] = float(values.std(ddof=1)) if values.size >= 2 else 0.0
+        try:
+            stats[f"{name}_ess"] = ess(values)
+        except ValueError:
+            stats[f"{name}_ess"] = None
+    return stats
 
 
 def cmd_superres(cfg, outdir) -> None:
@@ -450,41 +460,23 @@ def cmd_superres(cfg, outdir) -> None:
     summary = sr.run_gibbs(model, observations, cfg["iterations"], cfg["burn_in"],
                            sampler, run_stream)
     sr.write_pgm(os.path.join(outdir, "ground_truth.pgm"), truth * sr.PGM_MAX)
-    sr.write_pgm(os.path.join(outdir, "posterior_mean.pgm"),
-                 summary.x_mean * sr.PGM_MAX)
+    sr.write_pgm(os.path.join(outdir, "posterior_mean.pgm"), summary.x_mean * sr.PGM_MAX)
     write_csv(os.path.join(outdir, "chain.csv"), sr.RECORD_COLUMNS, summary.records)
-    payload = {
-        "sampler": cfg["sampler"],
-        "gamma_y_mean": summary.gamma_y_mean,
-        "gamma_y_std": summary.gamma_y_std,
-        "gamma_x_mean": summary.gamma_x_mean,
-        "gamma_x_std": summary.gamma_x_std,
-        "gamma_y_ess": _kept_ess(summary, "gamma_y", cfg["burn_in"]),
-        "gamma_x_ess": _kept_ess(summary, "gamma_x", cfg["burn_in"]),
-        "mean_acceptance": summary.mean_acceptance,
-        "mean_cg_iters": summary.mean_cg,
-        "peak_cg_iters": summary.peak_cg,
-        "wall_time_seconds": summary.wall_time,
-    }
+    payload = {"sampler": cfg["sampler"], **_kept_statistics(summary.records, cfg["burn_in"]),
+               "wall_time_seconds": summary.wall_time}
 
     if cfg["reference"] and cfg["sampler"] not in ("epo", "cholesky_epo"):
         ref = sr.run_gibbs(model, observations, cfg["iterations"], cfg["burn_in"],
                            make_kernel("epo"), ref_stream)
-        sr.write_pgm(os.path.join(outdir, "reference_mean.pgm"),
-                     ref.x_mean * sr.PGM_MAX)
+        sr.write_pgm(os.path.join(outdir, "reference_mean.pgm"), ref.x_mean * sr.PGM_MAX)
         write_csv(os.path.join(outdir, "reference_chain.csv"), sr.RECORD_COLUMNS,
                   ref.records)
-        payload["reference"] = {
-            "gamma_y_mean": ref.gamma_y_mean,
-            "gamma_x_mean": ref.gamma_x_mean,
-            "gamma_y_ess": _kept_ess(ref, "gamma_y", cfg["burn_in"]),
-            "gamma_x_ess": _kept_ess(ref, "gamma_x", cfg["burn_in"]),
-            "wall_time_seconds": ref.wall_time,
-        }
-        payload["gamma_y_rel_deviation"] = abs(
-            summary.gamma_y_mean - ref.gamma_y_mean) / ref.gamma_y_mean
-        payload["gamma_x_rel_deviation"] = abs(
-            summary.gamma_x_mean - ref.gamma_x_mean) / ref.gamma_x_mean
+        stats = _kept_statistics(ref.records, cfg["burn_in"])
+        payload["reference"] = {"wall_time_seconds": ref.wall_time}
+        for name in ("gamma_y", "gamma_x"):
+            mean = payload["reference"][f"{name}_mean"] = stats[f"{name}_mean"]
+            payload["reference"][f"{name}_ess"] = stats[f"{name}_ess"]
+            payload[f"{name}_rel_deviation"] = abs(payload[f"{name}_mean"] - mean) / mean
     write_json(os.path.join(outdir, "summary.json"), payload)
 
 

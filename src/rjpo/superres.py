@@ -19,7 +19,8 @@ draw's CG is preconditioned there by Q^-1 itself when C has one alias term
 (two frames at factor 2, the default), so it stops after one iteration, and
 by Q's circulant mean P otherwise (SpectralConditional.precondition).  With
 that one alias term, the truncated kernels' plain CG runs in Q's eigenbasis,
-where a Q-apply is one multiply (PairRotation).
+where a Q-apply is one multiply (PairRotation); Q^-1 and the eigenbasis share
+one cancellation-free block determinant, computed once per conditional.
 """
 
 from __future__ import annotations
@@ -162,11 +163,12 @@ class HalfSpectrum:
     fast as a complex array by a real or broadcast one.
 
     With one alias term it also holds the gamma-independent ``pair_*``
-    tables of PairRotation.  The gather then pairs each bin k with one bin
-    j, both ways: the ``pair_first`` member of each pair has the smaller
-    flat index, its ``pair_partner`` the larger, and a bin that reads
-    itself conjugated is a lone bin ((0, K/4) and (R/2, K/4) when 4
-    divides K; (0, 16) and (32, 16) at 64 x 64).
+    tables of the block determinant (SpectralConditional) and PairRotation.
+    The gather then pairs each bin k with one bin j, both ways: the
+    ``pair_first`` member of each pair has the smaller flat index, its
+    ``pair_partner`` the larger, and a bin that reads itself conjugated is a
+    lone bin ((0, K/4) and (R/2, K/4) when 4 divides K; (0, 16) and (32, 16)
+    at 64 x 64).
     """
 
     def __init__(self, model: SuperResModel):
@@ -279,12 +281,14 @@ class SpectralConditional:
     positive: |d|^2 vanishes only at frequency zero, where |b|^2 = 1 and
     mean(C) > 0.  With frames = factor^2, C = I and Q = P.
 
-    ``precondition`` applies Q^-1 itself when C has at most one alias
-    term (frames = factor^2, or two frames at factor 2), and P^-1 when it
-    has more; either takes no transform.  With exactly one alias term the
+    ``precondition`` is Q^-1 itself when C has at most one alias term
+    (frames = factor^2, or two frames at factor 2), and P^-1 when it has
+    more; either takes no transform.  With exactly one alias term the
     factor also offers ``rotation``, Q's eigenbasis (PairRotation), where
     plain CG runs; with none or several, ``rotation`` is None and plain CG
-    applies Q as above.
+    applies Q as above.  Both read ``paired_mean`` (P_j at bin k of a pair
+    (k, j)) and ``determinant`` (P_k P_j - |w|^2, summed from the non-negative
+    parts of HalfSpectrum.pair_determinant), built once with one alias term.
 
     The alias sum is Q only on real images' half spectra (the image of
     ``enter``), where it is the spectrum of B^t C B x; the Gibbs state,
@@ -299,9 +303,15 @@ class SpectralConditional:
         self.out_dim = basis.model.data_count + basis.model.pixel_count
         self.gammas = gamma_y, gamma_x
         self._roots = math.sqrt(gamma_y), math.sqrt(gamma_x)
+        mean = gamma_y * basis.mean_data_gram + gamma_x * basis.smooth_gram
         self.gram = _DiagonalPlusGathers(
-            gamma_y * basis.mean_data_gram + gamma_x * basis.smooth_gram,
-            [(gather, gamma_y * weight) for gather, weight in basis.aliases])
+            mean, [(gather, gamma_y * weight) for gather, weight in basis.aliases])
+        if len(basis.aliases) == 1:
+            [((source, _), _)] = basis.aliases
+            self.paired_mean = np.take(mean, source)
+            by_y, by_both, by_x = basis.pair_determinant
+            self.determinant = (gamma_y * gamma_y * by_y + gamma_y * gamma_x * by_both
+                                + gamma_x * gamma_x * by_x)
 
     def apply_transpose(self, w):
         basis, (root_y, root_x) = self.basis, self._roots
@@ -311,9 +321,11 @@ class SpectralConditional:
         return spectrum.view(float).ravel()
 
     @cached_property
-    def _preconditioner(self):
-        """The map ``precondition`` applies; built on first use, so only
-        preconditioned solves pay for it.
+    def precondition(self):
+        """s -> M^-1 s for CG's preconditioner M, no transform; built on
+        first use, so only preconditioned solves pay for it.  With two or
+        more alias terms (3 or 5 frames at factor 2, for instance) it is the
+        Strang/Chan P^-1 s = s / P, and Q^-1 with none (C = I, Q = P).
 
         With one alias term (gather, w), its shift is its own negative (C
         is real, so c_-pq = conj c_pq is a term too), so the gather G pairs
@@ -325,28 +337,17 @@ class SpectralConditional:
         ~ the conjugation the gather applies (none, or conj where a shifted
         bin leaves the half spectrum).  Solving each block,
 
-            (Q^-1 s)_k = (P_j s_k - w_k ~s_j) / (P_k P_j - w_k ~w_j),
+            (Q^-1 s)_k = (P_j s_k - w_k ~s_j) / (P_k P_j - |w|^2),
 
-        with P_j = G(P)_k and ~w_j = G(w)_k: Q^-1 is the same diagonal plus
-        one gather, at about the cost of a Q-apply.  With no alias term
-        (C = I) Q^-1 = P^-1; with two or more the blocks are larger, and
-        P^-1 stands in for Q^-1.
+        with P_j = G(P)_k (``paired_mean``) and the block's ``determinant``:
+        Q^-1 is the same diagonal plus one gather, at about the cost of a
+        Q-apply, and an exact solve stops after one iteration.
         """
-        mean, aliases = self.gram.diagonal, self.gram.aliases
-        if len(aliases) != 1:
-            return _DiagonalPlusGathers(1.0 / mean, [])
-        [(gather, weight)] = aliases
-        paired_mean = _alias_gather(mean, gather)
-        determinant = mean * paired_mean - weight * _alias_gather(weight, gather)
-        return _DiagonalPlusGathers(paired_mean / determinant,
-                                    [(gather, -weight / determinant)])
-
-    def precondition(self, s):
-        """M^-1 s for CG's preconditioner M, no transform: Q^-1 s exactly
-        when C has at most one alias term, so an exact solve stops after
-        one iteration, and the Strang/Chan P^-1 s = s / P when it has
-        two or more (3 or 5 frames at factor 2, for instance)."""
-        return self._preconditioner(s)
+        if len(self.gram.aliases) != 1:
+            return _DiagonalPlusGathers(1.0 / self.gram.diagonal, [])
+        [(gather, weight)] = self.gram.aliases
+        return _DiagonalPlusGathers(self.paired_mean / self.determinant,
+                                    [(gather, -weight / self.determinant)])
 
     @cached_property
     def rotation(self):
@@ -360,7 +361,7 @@ class PairRotation:
     """An orthogonal U and positive diagonal Lambda with U Q U^t = Lambda,
     for the conditional Q of one alias term, no transform.
 
-    Q is block diagonal (SpectralConditional._preconditioner): on the
+    Q is block diagonal (SpectralConditional.precondition): on the
     first member k of a pair and its partner j it is the Hermitian block
     [[P_k, w], [conj w, P_j]] on (s_k, ~s_j), w = |w| e^(i phi) = w_k.
     Its eigenvalues are
@@ -368,12 +369,12 @@ class PairRotation:
         lambda+ = (P_k + P_j) / 2 + r,   r^2 = ((P_k - P_j) / 2)^2 + |w|^2,
         lambda- = det / lambda+,
 
-    with det = P_k P_j - |w|^2 summed from the non-negative parts of
-    HalfSpectrum.pair_determinant, never as a difference, so lambda- keeps
-    its relative accuracy however small it is.  A Jacobi rotation by theta,
-    with tan theta = |w| / (|P_k - P_j| / 2 + r) or its inverse, after a
-    turn by phi, diagonalises the block (Golub & Van Loan, Matrix
-    Computations, 8.5): the first member's coordinate takes lambda+, the
+    with det = P_k P_j - |w|^2 the conditional's ``determinant``, summed
+    without cancellation, so lambda- keeps its relative accuracy however
+    small it is.  A Jacobi rotation by theta, with tan theta =
+    |w| / (|P_k - P_j| / 2 + r) or its inverse, after a turn by phi,
+    diagonalises the block (Golub & Van Loan, Matrix Computations, 8.5):
+    the first member's coordinate takes lambda+, the
     partner's lambda-.  A lone bin, which reads itself, has
     (Q s)_k = P_k s_k + w conj(s_k); turned by e^(-i phi / 2), its real part
     takes P_k + |w| (lambda+) and its imaginary part P_k - |w| (lambda-).
@@ -389,18 +390,15 @@ class PairRotation:
 
     def __init__(self, conditional: SpectralConditional):
         basis = conditional.basis
-        gamma_y, gamma_x = conditional.gammas
+        gamma_y = conditional.gammas[0]
         [(gather, _)] = conditional.gram.aliases
-        mean = conditional.gram.diagonal.real
-        paired = np.take(mean, gather[0])
+        mean, paired = conditional.gram.diagonal.real, conditional.paired_mean.real
         # (P_k - P_j) / 2 at the first member k, its negative at the partner
         gap = (mean - paired) * 0.5
         modulus = gamma_y * basis.pair_modulus
         radius = np.sqrt(gap * gap + modulus * modulus)  # np.hypot takes 3x longer
         high = (mean + paired) * 0.5 + radius
-        by_y, by_both, by_x = basis.pair_determinant
-        low = (gamma_y * gamma_y * by_y + gamma_y * gamma_x * by_both
-               + gamma_x * gamma_x * by_x) / high
+        low = conditional.determinant / high
         denominator = np.abs(gap) + radius
         tangent = np.divide(gamma_y * basis.pair_turning, denominator,
                             out=np.zeros(basis.shape), where=denominator > 0)
@@ -617,24 +615,11 @@ RECORD_COLUMNS = ("iter", "gamma_y", "gamma_x", "alpha", "cg_iters")
 
 @dataclass
 class GibbsSummary:
-    """Summaries over the kept sweeps and the full per-sweep record."""
+    """The Gibbs loop's per-sweep record, posterior mean and wall time."""
 
-    gamma_y_mean: float
-    gamma_y_std: float
-    gamma_x_mean: float
-    gamma_x_std: float
+    records: np.ndarray  # columns: RECORD_COLUMNS, one row per sweep
     x_mean: np.ndarray  # the posterior mean image
-    records: np.ndarray  # columns: RECORD_COLUMNS
     wall_time: float
-    mean_acceptance: float
-    mean_cg: float
-    peak_cg: int
-
-
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
-    std = float(values.std(ddof=1)) if values.size >= 2 else 0.0
-    return mean, std
 
 
 def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
@@ -647,8 +632,8 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
     (1 irfft2).  The chain starts from x = H^t y (data-driven and never
     constant, so the smoothness conditional is well defined at the first
     sweep); the same back-projection scales into every sweep's potential.
-    Every summary, the x-kernel's acceptance and CG cost included, covers
-    the kept sweeps burn_in+1 .. iterations.
+    The posterior mean covers the kept sweeps burn_in+1 .. iterations, the
+    records every sweep.
 
     Gamma conditionals and the x perturbation draw from separate substreams
     of `stream`.  Gamma draws use rejection sampling, so their consumption
@@ -690,22 +675,8 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
         if it > burn_in:
             x_sum += x
     wall = time.perf_counter() - start
-
-    kept = records[burn_in:]
-    gy_mean, gy_std = _mean_std(kept[:, 1])
-    gx_mean, gx_std = _mean_std(kept[:, 2])
-    return GibbsSummary(
-        gamma_y_mean=gy_mean,
-        gamma_y_std=gy_std,
-        gamma_x_mean=gx_mean,
-        gamma_x_std=gx_std,
-        x_mean=basis.leave(x_sum / len(kept)).reshape(model.hi_res_dims),
-        records=records,
-        wall_time=wall,
-        mean_acceptance=float(kept[:, 3].mean()),
-        mean_cg=float(kept[:, 4].mean()),
-        peak_cg=int(kept[:, 4].max()),
-    )
+    x_mean = basis.leave(x_sum / (iterations - burn_in)).reshape(model.hi_res_dims)
+    return GibbsSummary(records, x_mean, wall)
 
 
 def phantom(dims) -> np.ndarray:

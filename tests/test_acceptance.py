@@ -297,8 +297,11 @@ def gibbs_runs():
 
 
 def _gamma_deviations(run, ref) -> tuple[float, float]:
-    dev_y = abs(run.gamma_y_mean - ref.gamma_y_mean) / ref.gamma_y_mean
-    dev_x = abs(run.gamma_x_mean - ref.gamma_x_mean) / ref.gamma_x_mean
+    """Relative deviations of run's gamma_y and gamma_x means over the kept
+    sweeps (after the fixture's 100 burn-in sweeps) from ref's."""
+    run_kept, ref_kept = run.records[100:], ref.records[100:]
+    dev_y, dev_x = (abs(run_kept[:, c].mean() - ref_kept[:, c].mean()) / ref_kept[:, c].mean()
+                    for c in (1, 2))
     return dev_y, dev_x
 
 

@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 
+import rjpo.problems
 import rjpo.sampler
 import ulp_control
 from compare_outputs import compare, main, relative_change
 from rjpo import cli
 from rjpo import superres as sr
+from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
 
 
@@ -83,18 +85,31 @@ def test_wall_time_differences_are_timing_lines(tmp_path, capsys):
 
 def test_ulp_control_reruns_a_superres_run_with_moved_etas(tmp_path, capsys):
     """The control replays DIR_A's config into DIR_B/up and DIR_B/down with
-    every eta one ulp up and one ulp down, restores the sampler afterwards,
-    and prints both comparisons: same config and data, moved chain.  Any
-    finished run takes it; a directory without metadata.json does not."""
+    every eta one ulp up and one ulp down, then into DIR_B/precision_up and
+    DIR_B/precision_down with each conditional's gamma_y and gamma_x, or
+    each nonzero entry of the AR(1) factor, one ulp up and down; it restores
+    what it moved afterwards, and prints all four comparisons: same config
+    and data, moved chain.  Any finished run takes it; a directory without
+    metadata.json does not."""
     model = sr.make_model((16, 16), fwhm=1.0)
     back = model.half_spectrum.back_project(np.ones(model.data_count))
     target = sr.conditional_target(model, back, 2.0, 0.5)
     perturb = rjpo.sampler.perturb
+    conditional_target = sr.conditional_target
+    target_from_cholesky = rjpo.problems.target_from_cholesky
+    low = ar1_target(4, stream=RngStream(2))[0].mirror
     for towards in (np.inf, -np.inf):
         with ulp_control.etas_moved_by_one_ulp(towards):
             moved = rjpo.sampler.perturb(target, RngStream(1))
         assert rjpo.sampler.perturb is perturb
         assert np.array_equal(moved, np.nextafter(perturb(target, RngStream(1)), towards))
+        with ulp_control.precisions_moved_by_one_ulp(towards):
+            gammas = sr.conditional_target(model, back, 2.0, 0.5).precision.factor.gammas
+            moved_low = ar1_target(4, stream=RngStream(2))[0].mirror
+        assert sr.conditional_target is conditional_target
+        assert rjpo.problems.target_from_cholesky is target_from_cholesky
+        assert gammas == (np.nextafter(2.0, towards), np.nextafter(0.5, towards))
+        assert np.array_equal(moved_low, np.where(low != 0, np.nextafter(low, towards), 0.0))
 
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["superres", "--dims", "16", "--fwhm", "1.0", "--iterations", "6",
@@ -102,17 +117,22 @@ def test_ulp_control_reruns_a_superres_run_with_moved_etas(tmp_path, capsys):
     capsys.readouterr()
     assert ulp_control.main([str(a), str(b)]) == 0
     assert rjpo.sampler.perturb is perturb
+    assert sr.conditional_target is conditional_target
     report = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in report if line.startswith("==")] == [
-        "== eta one ulp up", "== eta one ulp down"]
+        "== eta one ulp up", "== eta one ulp down",
+        "== precision one ulp up", "== precision one ulp down"]
     for name in ("ground_truth.pgm", "metadata.json"):
-        assert report.count(f"identical  {name}") == 2
-    assert report.count("differs    chain.csv") == 2
+        assert report.count(f"identical  {name}") == 4
+    assert report.count("differs    chain.csv") == 4
     assert ulp_control.main([str(a)]) == 2
     assert cli.main(["toy", "--n", "4", "--n-max", "50", "--out", str(tmp_path / "t")]) == 0
     capsys.readouterr()
     assert ulp_control.main([str(tmp_path / "t"), str(tmp_path / "u")]) == 0
-    assert capsys.readouterr().out.count("identical  metadata.json") == 2
-    assert (tmp_path / "u" / "up" / "metadata.json").exists()
-    assert (tmp_path / "u" / "down" / "metadata.json").exists()
+    report = capsys.readouterr().out
+    assert report.count("identical  metadata.json") == 4
+    assert report.count("differs    chain_epo_0.csv") == 4
+    assert rjpo.problems.target_from_cholesky is target_from_cholesky
+    for name in ("up", "down", "precision_up", "precision_down"):
+        assert (tmp_path / "u" / name / "metadata.json").exists()
     assert ulp_control.main([str(tmp_path / "u"), str(tmp_path / "v")]) == 1

@@ -1,20 +1,30 @@
-"""Rerun an `rjpo` output directory with every eta moved by one ulp, both ways.
+"""Rerun an `rjpo` output directory with its etas, then its precisions,
+moved by one ulp, both ways.
 
     python tests/ulp_control.py DIR_A DIR_B
 
 DIR_A holds a finished `rjpo` run of any subcommand; its metadata.json
-carries the whole resolved config.  The tool reruns that config twice, into
-DIR_B/up with every perturbation eta replaced by np.nextafter(eta, inf), one
-ulp up in each entry, and into DIR_B/down with np.nextafter(eta, -inf), and
-prints compare_outputs' report of DIR_A against each.  Every kernel draws
-eta through rjpo.sampler.perturb, so `toy`, `curve`, `adapt` and
-`superres` runs all take the control.  A truncated CG solve amplifies
-rounding far above machine precision, so a changed digit between two code
-versions means something only next to this control, and the two
-directions give a range rather than one draw of it: a change no larger
-than the controls' is rounding.  The reruns use the rjpo on the import
-path.  Exits 0 when both controls ran, 1 when DIR_A holds no
-metadata.json, 2 on a usage error.
+carries the whole resolved config.  The tool reruns that config four times
+and prints compare_outputs' report of DIR_A against each:
+
+- the eta control, into DIR_B/up with every perturbation eta replaced by
+  np.nextafter(eta, inf), one ulp up in each entry, and into DIR_B/down
+  with np.nextafter(eta, -inf).  Every kernel draws eta through
+  rjpo.sampler.perturb, so `toy`, `curve`, `adapt` and `superres` runs all
+  take it.
+- the precision control, into DIR_B/precision_up and DIR_B/precision_down
+  with the target's precision moved one ulp the same ways: each
+  super-resolution conditional's gamma_y and gamma_x, and for `toy`,
+  `curve` and `adapt` every nonzero entry of the AR(1) Cholesky factor L.
+  A change that rounds Q or its inverse differently moves the chain in a
+  way that moving eta does not bound.
+
+A truncated CG solve amplifies rounding far above machine precision, so a
+changed digit between two code versions means something only next to
+these controls, and the two directions give a range rather than one draw
+of it: a change no larger than the controls' is rounding.  The reruns use
+the rjpo on the import path.  Exits 0 when every control ran, 1 when DIR_A
+holds no metadata.json, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -26,7 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
+import rjpo.problems
 import rjpo.sampler
+import rjpo.superres
 from rjpo import cli
 from compare_outputs import compare
 
@@ -34,19 +46,44 @@ DIRECTIONS = {"up": np.inf, "down": -np.inf}
 
 
 @contextlib.contextmanager
-def etas_moved_by_one_ulp(towards):
-    """Every eta drawn by rjpo.sampler.perturb moved one ulp towards
-    ``towards``, for the duration of the block."""
-    perturb = rjpo.sampler.perturb
-
-    def moved(target, stream):
-        return np.nextafter(perturb(target, stream), towards)
-
-    rjpo.sampler.perturb = moved
+def _replaced(module, name, wrap):
+    """module.name replaced by wrap(module.name) for the duration of the
+    block."""
+    original = getattr(module, name)
+    setattr(module, name, wrap(original))
     try:
         yield
     finally:
-        rjpo.sampler.perturb = perturb
+        setattr(module, name, original)
+
+
+def etas_moved_by_one_ulp(towards):
+    """Every eta drawn by rjpo.sampler.perturb moved one ulp towards
+    ``towards``, for the duration of the block."""
+    def moved(perturb):
+        return lambda target, stream: np.nextafter(perturb(target, stream), towards)
+
+    return _replaced(rjpo.sampler, "perturb", moved)
+
+
+@contextlib.contextmanager
+def precisions_moved_by_one_ulp(towards):
+    """Every target's precision moved one ulp towards ``towards``, for the
+    duration of the block: gamma_y and gamma_x of each super-resolution
+    conditional, built by rjpo.superres.conditional_target, which run_gibbs
+    looks up there, and every nonzero entry of each AR(1) factor L, which
+    rjpo.problems.ar1_target hands to target_from_cholesky."""
+    def moved_gammas(conditional_target):
+        return lambda model, back_projection, gamma_y, gamma_x: conditional_target(
+            model, back_projection, np.nextafter(gamma_y, towards), np.nextafter(gamma_x, towards))
+
+    def moved_factor(target_from_cholesky):
+        return lambda low, mu: target_from_cholesky(
+            np.where(low != 0, np.nextafter(low, towards), low), mu)
+
+    with _replaced(rjpo.superres, "conditional_target", moved_gammas), \
+            _replaced(rjpo.problems, "target_from_cholesky", moved_factor):
+        yield
 
 
 def main(argv=None) -> int:
@@ -60,12 +97,15 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         print(f"{dir_a}: no metadata.json, not a finished rjpo run", file=sys.stderr)
         return 1
-    for name, towards in DIRECTIONS.items():
-        moved_dir = Path(dir_b) / name
-        with etas_moved_by_one_ulp(towards):
-            cli.run_subcommand(meta["subcommand"], dict(meta["config"]), str(moved_dir))
-        print(f"== eta one ulp {name}: {dir_a} against {moved_dir}")
-        print("\n".join(compare(dir_a, moved_dir)))
+    controls = (("eta", "", etas_moved_by_one_ulp),
+                ("precision", "precision_", precisions_moved_by_one_ulp))
+    for control, prefix, moved in controls:
+        for name, towards in DIRECTIONS.items():
+            moved_dir = Path(dir_b) / f"{prefix}{name}"
+            with moved(towards):
+                cli.run_subcommand(meta["subcommand"], dict(meta["config"]), str(moved_dir))
+            print(f"== {control} one ulp {name}: {dir_a} against {moved_dir}")
+            print("\n".join(compare(dir_a, moved_dir)))
     return 0
 
 
