@@ -70,7 +70,8 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     Raises:
       NumericalBreakdownError: non-finite values, nonpositive curvature
         p^t Q p, indicating loss of positive definiteness, or a
-        preconditioner that is not positive definite (r^t M^-1 r <= 0).
+        preconditioner that is not positive definite (r^t M^-1 r <= 0), at
+        the CG iteration its message ends in.
     """
     b = np.asarray(b, dtype=float).ravel()
     n = b.size
@@ -97,7 +98,7 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     # from a zero start Qx is exactly zero, so r = b without a Q-apply
     r = b.copy() if x0 is None else b - q.apply(x)
     if not np.all(np.isfinite(r)):
-        raise NumericalBreakdownError("non-finite residual at initialization", iteration=0)
+        raise NumericalBreakdownError("non-finite initial residual at CG iteration 0")
     rs = float(r @ r)
     iterations, converged = 0, True
     if math.sqrt(rs) / b_norm > epsilon:
@@ -108,16 +109,14 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
             qp = q.apply(p)
             curvature = float(p @ qp)
             if not math.isfinite(curvature) or curvature <= 0.0:
-                raise NumericalBreakdownError(
-                    f"nonpositive or non-finite curvature p^tQp = {curvature}",
-                    iteration=iterations,
-                )
+                raise NumericalBreakdownError(f"nonpositive or non-finite curvature "
+                                              f"p^tQp = {curvature} at CG iteration {iterations}")
             step = rz / curvature
             x += step * p
             r -= step * qp
             rs_next = float(r @ r)
             if not math.isfinite(rs_next):
-                raise NumericalBreakdownError("non-finite residual norm", iteration=iterations)
+                raise NumericalBreakdownError(f"non-finite residual at CG iteration {iterations}")
             if math.sqrt(rs_next) / b_norm <= epsilon:
                 break
             z, rz_next = _preconditioned(precondition, r, rs_next, iterations)
@@ -140,7 +139,6 @@ def _preconditioned(precondition, r, rs, iteration):
     rz = float(r @ z)
     # a non-finite entry of z makes r^t z non-finite, so this covers it too
     if not math.isfinite(rz) or rz <= 0.0:
-        raise NumericalBreakdownError(
-            f"preconditioner is not positive definite: r^t M^-1 r = {rz}", iteration=iteration
-        )
+        raise NumericalBreakdownError(f"preconditioner is not positive definite: "
+                                      f"r^t M^-1 r = {rz} at CG iteration {iteration}")
     return z, rz

@@ -106,7 +106,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="rjpo", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="subcommand", metavar="{toy,curve,adapt,superres}")
+    sub = parser.add_subparsers(dest="subcommand", metavar="{%s}" % ",".join(SUBCOMMANDS))
     for name in SUBCOMMANDS:
         p = sub.add_parser(name, add_help=True)
         for dest, (kind, _) in {**_COMMON, **_OPTIONS[name]}.items():
@@ -499,7 +499,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.subcommand is None:
-            raise ConfigurationError("missing subcommand (toy, curve, adapt, superres)")
+            raise ConfigurationError(f"missing subcommand ({', '.join(SUBCOMMANDS)})")
         cfg = resolve_config(args)
         outdir = cfg["out"] if cfg["out"] is not None else os.path.join(
             "runs", cfg["subcommand"])

@@ -10,8 +10,5 @@ class ConfigurationError(ValueError):
 
 
 class NumericalBreakdownError(ArithmeticError):
-    """Non-finite values or loss of positive-definiteness during a solve."""
-
-    def __init__(self, message, iteration=None):
-        super().__init__(message)
-        self.iteration = iteration
+    """Non-finite values or loss of positive-definiteness during a solve; the
+    message names its CG iteration, chain step or Gibbs sweep."""

@@ -131,26 +131,6 @@ class GaussianTarget:
         return inverse.T @ (inverse @ b)
 
 
-def target_from_dense(q: np.ndarray, mu: np.ndarray) -> GaussianTarget:
-    """Build a target from a dense SPD precision matrix.
-
-    Q = C C^t is factorised once and the target is target_from_cholesky(C, mu).
-    A q that is not exactly symmetric (Cholesky reads only its lower triangle
-    and would drop the rest) or not positive definite is refused.
-    """
-    q = np.asarray(q, dtype=float)
-    mu = np.asarray(mu, dtype=float).ravel()
-    if q.shape != (mu.size, mu.size):
-        raise ConfigurationError(f"precision shape {q.shape} does not match mean length {mu.size}")
-    if not np.array_equal(q, q.T):
-        raise ConfigurationError("precision matrix is not symmetric")
-    try:
-        low = np.linalg.cholesky(q)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigurationError("precision matrix is not positive definite") from exc
-    return target_from_cholesky(low, mu)
-
-
 def target_from_cholesky(low: np.ndarray, mu: np.ndarray) -> GaussianTarget:
     """N(mu, (L L^t)^-1) for a lower Cholesky factor L: factor F = L^t (a view
     of L), potential L (L^t mu) and mirror L, so no Q is formed or kept."""

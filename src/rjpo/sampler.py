@@ -76,17 +76,15 @@ def _exact_cg_solve(precision, eta):
         iterations += out.iterations
         if not out.converged:
             raise NumericalBreakdownError(
-                f"exact solve stopped at its iteration cap after {out.iterations} "
-                f"iterations, relative residual {out.relative_residual:.3e}",
-                iteration=iterations,
+                f"exact solve stopped at its iteration cap with relative residual "
+                f"{out.relative_residual:.3e} at CG iteration {iterations} of the two solves"
             )
         if out.relative_residual <= EXACT_EPSILON:
             return out.solution, out.relative_residual, iterations
         x = out.solution
     raise NumericalBreakdownError(
-        f"exact solve misses its residual target after a warm-started retry: relative "
-        f"residual {out.relative_residual:.3e} > {EXACT_EPSILON:.0e}",
-        iteration=iterations,
+        f"exact solve misses its residual target {EXACT_EPSILON:.0e} after a warm-started retry: "
+        f"relative residual {out.relative_residual:.3e} at CG iteration {iterations} of the two"
     )
 
 
@@ -262,10 +260,7 @@ def run_chain(
         try:
             outcome = kernel(target, x, stream)
         except NumericalBreakdownError as exc:
-            raise NumericalBreakdownError(
-                f"kernel failed at chain step {n}: {exc}",
-                iteration=getattr(exc, "iteration", None),
-            ) from exc
+            raise NumericalBreakdownError(f"kernel failed at chain step {n}: {exc}") from exc
         x = outcome.next_sample
         i = n - 1
         state.alphas[i] = outcome.acceptance_probability

@@ -163,12 +163,12 @@ class HalfSpectrum:
     fast as a complex array by a real or broadcast one.
 
     With one alias term it also holds the gamma-independent ``pair_*``
-    tables of the block determinant (SpectralConditional) and PairRotation.
-    The gather then pairs each bin k with one bin j, both ways: the
-    ``pair_first`` member of each pair has the smaller flat index, its
-    ``pair_partner`` the larger, and a bin that reads itself conjugated is a
-    lone bin ((0, K/4) and (R/2, K/4) when 4 divides K; (0, 16) and (32, 16)
-    at 64 x 64).
+    tables of the block determinant (SpectralConditional) and of
+    PairRotation's U (``pair_turns``, two tables).  The gather then pairs
+    each bin k with one bin j, both ways: the ``pair_first`` member of each
+    pair has the smaller flat index, its ``pair_partner`` the larger, and a
+    bin that reads itself conjugated is a lone bin ((0, K/4) and (R/2, K/4)
+    when 4 divides K; (0, 16) and (32, 16) at 64 x 64).
     """
 
     def __init__(self, model: SuperResModel):
@@ -230,18 +230,11 @@ class HalfSpectrum:
         self.pair_determinant = ((c0 - c1) * (c0 + c1) * both_powers,
                                  data * np.take(smooth, source) + smooth * np.take(data, source),
                                  smooth * np.take(smooth, source))
-        # e^(i phi) of A at the first member, as the gather reads it at the partner
+        # e^(i phi) of A at each bin gives U's diagonal turn and signed gather
+        # phase (see PairRotation); a lone bin's sin is 0, so only its turn counts
         phase = np.divide(weight, np.abs(weight), out=np.ones_like(weight), where=weight != 0)
-        read = _alias_gather(phase, gather)
-        one, half_turn = np.ones_like(phase), np.sqrt(phase)
-        # the diagonal and gather weight of U and of U^t, before the pair's cos
-        # and sin (see PairRotation); a lone bin's sin is 0
-        self.pair_turns = (np.select([self.pair_first, self.pair_partner], [one, read],
-                                     np.conj(half_turn)),
-                           np.where(self.pair_first, phase, -one),
-                           np.select([self.pair_first, self.pair_partner], [one, np.conj(read)],
-                                     half_turn),
-                           np.where(self.pair_first, -one, np.conj(read)))
+        self.pair_turns = (np.where(lone, np.conj(np.sqrt(phase)), 1.0),
+                           np.where(self.pair_first, phase, -phase))
 
     def enter(self, x):
         """s = W rfft2(x) for a flattened real image x."""
@@ -380,9 +373,13 @@ class PairRotation:
     takes P_k + |w| (lambda+) and its imaginary part P_k - |w| (lambda-).
 
     ``enter`` (s -> U s) and ``leave`` (u -> U^t u) are each a diagonal
-    plus the alias term's gather, as Q is; Lambda is a diagonal on the real
-    view, so Q in the eigenbasis (``gram``, with ``precision``) is one
-    multiply.  CG is invariant under an orthogonal change of basis
+    plus the alias term's gather G, as Q is: U = cos t + sin g G and
+    U^t = cos conj(t) - sin g G, with the pair's cos and sin, and
+    HalfSpectrum.pair_turns' diagonal turn t (e^(-i phi / 2) at a lone bin, 1
+    elsewhere) and signed gather phase g (e^(i phi) at a first member,
+    -e^(i phi) at a partner, each bin's own phase).  Lambda is a diagonal on
+    the real view, so Q in the eigenbasis (``gram``, with ``precision``) is
+    one multiply.  CG is invariant under an orthogonal change of basis
     (Hestenes & Stiefel 1952), so plain CG on Lambda from U b and U x0 runs
     the iterations of plain CG on Q, up to rounding: this is not a
     preconditioner.
@@ -413,9 +410,10 @@ class PairRotation:
         eigenvalues[..., 1] = np.where(basis.pair_first, high, low)
         self.eigenvalues = eigenvalues.ravel()
         self.in_dim = self.eigenvalues.size
-        forward, forward_gathered, backward, backward_gathered = basis.pair_turns
-        self.enter = _DiagonalPlusGathers(cos * forward, [(gather, sin * forward_gathered)])
-        self.leave = _DiagonalPlusGathers(cos * backward, [(gather, sin * backward_gathered)])
+        turn, phase = basis.pair_turns
+        gathered = sin * phase
+        self.enter = _DiagonalPlusGathers(cos * turn, [(gather, gathered)])
+        self.leave = _DiagonalPlusGathers(cos * np.conj(turn), [(gather, -gathered)])
         # Lambda as the Gram map of a factor: one multiply
         self.gram = functools.partial(np.multiply, self.eigenvalues)
 
@@ -666,9 +664,7 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
             target = conditional_target(model, back_projection, gamma_y, gamma_x)
             outcome = sampler(target, x, x_stream)
         except NumericalBreakdownError as exc:
-            raise NumericalBreakdownError(
-                f"Gibbs sweep {it} aborted: {exc}", iteration=it
-            ) from exc
+            raise NumericalBreakdownError(f"Gibbs sweep {it} aborted: {exc}") from exc
         x = outcome.next_sample
         records[it - 1, 1:] = (gamma_y, gamma_x, outcome.acceptance_probability,
                                outcome.cg_iterations)

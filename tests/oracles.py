@@ -4,11 +4,12 @@ and the verification-only helpers built on the package.
 The references are deliberately naive (dense algebra, direct loops) and
 share no algorithm with the package under test: they use numpy, plus the
 package's outcome record and error type so the oracle move can run inside
-run_chain.  The helpers at the end (dense mirrors of a target, the
-acceptance-vs-threshold curve) drive the package itself; no CLI run or
-benchmark needs them, and neither do the image-space maps H, H^t and D of
-the super-resolution model and the conditional's factor built on them (the
-Gibbs chain runs in HalfSpectrum coordinates).
+run_chain.  The helpers at the end (a target built from a dense precision
+matrix, dense mirrors of a target, the acceptance-vs-threshold curve)
+drive the package itself; no CLI run or benchmark needs them, and
+neither do the image-space maps H, H^t and D of the super-resolution
+model and the conditional's factor built on them (the Gibbs chain runs in
+HalfSpectrum coordinates).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from rjpo.adapt import make_kernel
 from rjpo.errors import ConfigurationError
-from rjpo.linop import FactoredPrecision, GaussianTarget
+from rjpo.linop import FactoredPrecision, GaussianTarget, target_from_cholesky
 from rjpo.sampler import KernelOutcome, run_chain
 
 
@@ -215,6 +216,26 @@ def general_rj_step_oracle(target, q: np.ndarray, move: GeneralMoveSpec,
 
 
 # ------------------------------------------------- helpers on the package
+
+def target_from_dense(q: np.ndarray, mu: np.ndarray) -> GaussianTarget:
+    """Build a target from a dense SPD precision matrix.
+
+    Q = C C^t is factorised once and the target is target_from_cholesky(C, mu).
+    A q that is not exactly symmetric (Cholesky reads only its lower triangle
+    and would drop the rest) or not positive definite is refused.
+    """
+    q = np.asarray(q, dtype=float)
+    mu = np.asarray(mu, dtype=float).ravel()
+    if q.shape != (mu.size, mu.size):
+        raise ConfigurationError(f"precision shape {q.shape} does not match mean length {mu.size}")
+    if not np.array_equal(q, q.T):
+        raise ConfigurationError("precision matrix is not symmetric")
+    try:
+        low = np.linalg.cholesky(q)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigurationError("precision matrix is not positive definite") from exc
+    return target_from_cholesky(low, mu)
+
 
 def dense_precision(precision: FactoredPrecision) -> np.ndarray:
     """A precision's Q materialized column by column through its apply and

@@ -12,10 +12,11 @@ operation leaves every file identical except the timing lines.  The runs
 are short (about 20 s together on one core) but reach every sampler,
 both controllers (MinCces at its default window and at a set one), the
 PSRF study, a curve whose rjpo chains almost never move, the exact
-super-resolution reference, a 3 x 3 decimation, and an exact chain on three
-frames, whose several alias terms precondition by P^-1.  Prints one line per
-run with its exit code and wall time; exits 0 when every run exited 0,
-1 otherwise, 2 on a usage error.
+super-resolution reference, a 3 x 3 decimation under tpo and under the
+exact solve, and an exact chain on three frames, whose several alias
+terms precondition by P^-1.  Prints one line per run with its exit code
+and wall time; exits 0 when every run exited 0, 1 otherwise, 2 on a
+usage error.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ RUNS = {
     "superres30_factor3": ["superres", "--dims", "30", "--frames", "5", "--factor", "3",
                            "--fwhm", "1", "--sampler", "tpo", "--iterations", "300",
                            "--burn-in", "30", "--seed", "4"],
+    "superres30_factor3_epo": ["superres", "--dims", "30", "--frames", "5", "--factor", "3",
+                               "--fwhm", "1", "--sampler", "epo", "--iterations", "300",
+                               "--burn-in", "30", "--seed", "4"],
     "superres32_three_frames_epo": ["superres", "--dims", "32", "--frames", "3", "--factor",
                                     "2", "--fwhm", "1", "--sampler", "epo", "--iterations",
                                     "200", "--burn-in", "20", "--seed", "6"],

@@ -157,9 +157,8 @@ def test_exact_inverse_preconditioner_converges_in_one_iteration():
 def test_preconditioner_that_is_not_positive_breaks_down(bad):
     prec, _ = _spd_precision(22, 6)
     b = np.random.default_rng(23).standard_normal(6)
-    with pytest.raises(NumericalBreakdownError, match="preconditioner") as err:
+    with pytest.raises(NumericalBreakdownError, match="preconditioner.* at CG iteration 0$"):
         cg_solve(_with_preconditioner(prec, bad), b, epsilon=1e-10)
-    assert err.value.iteration == 0
 
 
 def test_preconditioner_breakdown_reports_its_iteration():
@@ -171,9 +170,8 @@ def test_preconditioner_breakdown_reports_its_iteration():
         calls.append(1)
         return r if len(calls) < 3 else -r
 
-    with pytest.raises(NumericalBreakdownError, match="preconditioner") as err:
+    with pytest.raises(NumericalBreakdownError, match="preconditioner.* at CG iteration 2$"):
         cg_solve(_with_preconditioner(prec, fails_on_third_call), b, epsilon=1e-10)
-    assert err.value.iteration == 2
 
 
 def test_indefinite_matrix_breaks_down():
@@ -186,9 +184,8 @@ def test_indefinite_matrix_breaks_down():
             return indefinite @ v
 
     b = np.array([0.1, 1.0, 0.2])
-    with pytest.raises(NumericalBreakdownError) as err:
+    with pytest.raises(NumericalBreakdownError, match=r"at CG iteration \d+$"):
         cg_solve(FakePrecision(), b, epsilon=1e-12)
-    assert err.value.iteration is not None
 
 
 def test_nonfinite_rhs_breaks_down():

@@ -258,7 +258,7 @@ def test_numerical_breakdown_exits_2(tmp_path, monkeypatch):
     from rjpo.errors import NumericalBreakdownError
 
     def blow_up(cfg, outdir):
-        raise NumericalBreakdownError("curvature lost", iteration=7)
+        raise NumericalBreakdownError("curvature lost")
 
     monkeypatch.setitem(cli._DISPATCH, "toy", blow_up)
     assert cli.main(TOY_TINY + ["--out", str(tmp_path / "x")]) == 2

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ConditionalFactor, ar1_precision, naive_circular_convolve
+from oracles import (
+    ConditionalFactor, ar1_precision, naive_circular_convolve, target_from_dense,
+)
 from rjpo.errors import ConfigurationError
-from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_from_dense
+from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget
 from rjpo.superres import SuperResModel, centred_transfer
 
 

@@ -4,9 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import ar1_covariance_direct, ar1_precision
+from oracles import ar1_covariance_direct, ar1_precision, target_from_dense
 from rjpo.errors import ConfigurationError
-from rjpo.linop import target_from_dense
 from rjpo.problems import ar1_covariance, ar1_target
 from rjpo.rng import RngStream
 

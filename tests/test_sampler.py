@@ -13,6 +13,7 @@ from oracles import (
     gaussian_logpdf,
     general_rj_step_oracle,
     lag1_autocorrelation,
+    target_from_dense,
     with_two_product_factor,
 )
 import rjpo.adapt
@@ -20,7 +21,7 @@ import rjpo.sampler
 from rjpo.adapt import AdaptController, AdaptiveRjpoKernel, MinCces, make_kernel
 from rjpo.cg import cg_solve
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
-from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_from_dense
+from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
 from rjpo.sampler import (
@@ -97,9 +98,9 @@ def test_epo_refuses_a_cg_solve_stopped_at_its_cap(monkeypatch):
     bare = GaussianTarget(target.precision, target.potential)
     assert epo_step(bare, RngStream(2)).cg_iterations > 1  # so a cap of 1 bites
     monkeypatch.setattr(rjpo.sampler, "cg_solve", functools.partial(cg_solve, max_iters=1))
-    with pytest.raises(NumericalBreakdownError, match="iteration cap") as err:
+    with pytest.raises(NumericalBreakdownError,
+                       match="iteration cap .* at CG iteration 1 of the two solves$"):
         epo_step(bare, RngStream(2))
-    assert err.value.iteration == 1
     # with a dense mirror no CG runs, so the cap does not apply
     assert epo_step(target, RngStream(2)).accepted
 
