@@ -1,6 +1,7 @@
 """Truncated linear conjugate gradient with a relative-residual stopping rule,
-preconditioned when the operator carries a preconditioner, and run in Q's
-eigenbasis when an unpreconditioned operator offers one."""
+preconditioned when the operator carries a preconditioner, and run on the
+distinct eigenvalues of Q's eigenbasis when an unpreconditioned operator
+offers one."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalBreakdownError
+from .linop import Diagonal, FactoredPrecision
 
 
 @dataclass(frozen=True)
@@ -46,13 +48,23 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     the stopping test is on ||r|| itself.
 
     When q has no precondition but offers a ``rotation`` that is not None
-    (an orthogonal U with U Q U^t = Lambda diagonal, as ``enter``, ``leave``
-    and ``precision``; FactoredPrecision.rotation), plain CG runs on Lambda
-    from U b and U x0, and the solution and the recomputed residual are
-    mapped out with U^t.  CG is invariant under an orthogonal change of
-    basis, so the iterations, the stopping test and the Q-applies (now
-    applies of Lambda, one multiply each) are those of plain CG on Q up to
-    rounding: this is still plain CG, not a preconditioner.
+    (an orthogonal U with U Q U^t = Lambda diagonal, as ``enter``, ``leave``,
+    ``precision`` and its diagonal ``eigenvalues``;
+    FactoredPrecision.rotation), plain CG runs in U's coordinates on Lambda's
+    distinct eigenvalues.  CG's iterates depend only on the spectral measure
+    of (Lambda, r0), r0 = U b - Lambda U x0: the distinct values and r0's
+    mass on each (Hestenes & Stiefel 1952; Golub & Meurant, Matrices,
+    Moments and Quadrature, 2010).  So the loop runs from zero on one
+    coordinate per value, with right-hand side w = sqrt(sum of r0^2 over
+    the coordinates sharing it), and without an x recurrence; its final
+    residual r maps back as U x = U x0 + r0 (w - r) / (w lambda), 0 where
+    w = 0.  The stopping test stays ||r|| / ||U b||, and the residual is
+    recomputed as U b - Lambda U x and mapped out with U^t, as is the
+    solution.  CG is invariant under an orthogonal change of basis, so the
+    iterations, the stopping decisions and x are those of plain CG on Q up
+    to rounding: this is still plain CG, not a preconditioner.  Every apply
+    of Lambda and of the distinct-value diagonal is one multiply and counts
+    as a Q-apply.
 
     b, x0 and the solution are vectors in whatever coordinates q.apply
     takes; the super-resolution Gibbs chain hands over HalfSpectrum
@@ -87,18 +99,38 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
 
     rotation = None if hasattr(q, "precondition") else getattr(q, "rotation", None)
     if rotation is not None:
-        out = cg_solve(rotation.precision, rotation.enter(b),
-                       None if x0 is None else rotation.enter(x), epsilon, max_iters)
-        return CGOutcome(rotation.leave(out.solution), out.iterations, out.relative_residual,
-                         rotation.leave(out.residual_vector), out.converged)
-
+        q, b = rotation.precision, rotation.enter(b)
+        if x0 is not None:
+            x = rotation.enter(x)
     b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return CGOutcome(x, 0, 0.0, b - q.apply(x), True)
-    # from a zero start Qx is exactly zero, so r = b without a Q-apply
-    r = b.copy() if x0 is None else b - q.apply(x)
-    if not np.all(np.isfinite(r)):
-        raise NumericalBreakdownError("non-finite initial residual at CG iteration 0")
+    iterations, converged = 0, True
+    if b_norm != 0.0:
+        # from a zero start Qx is exactly zero, so r = b without a Q-apply
+        r = b.copy() if x0 is None else b - q.apply(x)
+        if not np.all(np.isfinite(r)):
+            raise NumericalBreakdownError("non-finite initial residual at CG iteration 0")
+        if rotation is None:
+            iterations, converged = _iterate(q, r, x, b_norm, epsilon, max_iters)
+        else:
+            # one coordinate per distinct eigenvalue, weighted by r's mass on it
+            values, group = np.unique(rotation.eigenvalues, return_inverse=True)
+            weight = np.sqrt(np.bincount(group, r * r))
+            left = weight.copy()
+            iterations, converged = _iterate(FactoredPrecision(Diagonal(values)), left, None,
+                                             b_norm, epsilon, max_iters)
+            scale = np.divide(weight - left, weight * values, out=np.zeros(values.size),
+                              where=weight > 0)
+            x += r * scale[group]
+    residual = b - q.apply(x)
+    relative = float(np.linalg.norm(residual)) / b_norm if b_norm else 0.0
+    if rotation is not None:
+        x, residual = rotation.leave(x), rotation.leave(residual)
+    return CGOutcome(x, iterations, relative, residual, converged)
+
+
+def _iterate(q, r, x, b_norm, epsilon, max_iters):
+    """The CG loop from residual r, updated in place, as is x unless it is
+    None; returns (iterations, converged)."""
     rs = float(r @ r)
     iterations, converged = 0, True
     if math.sqrt(rs) / b_norm > epsilon:
@@ -112,7 +144,8 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
                 raise NumericalBreakdownError(f"nonpositive or non-finite curvature "
                                               f"p^tQp = {curvature} at CG iteration {iterations}")
             step = rz / curvature
-            x += step * p
+            if x is not None:
+                x += step * p
             r -= step * qp
             rs_next = float(r @ r)
             if not math.isfinite(rs_next):
@@ -125,9 +158,7 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
             rz = rz_next
         else:
             converged = False
-    residual = b - q.apply(x)
-    return CGOutcome(x, iterations, float(np.linalg.norm(residual)) / b_norm, residual,
-                     converged)
+    return iterations, converged
 
 
 def _preconditioned(precondition, r, rs, iteration):

@@ -12,7 +12,7 @@ after construction and safe to share between chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -51,16 +51,25 @@ class DenseOperator:
         return self._gram_matrix @ _vector(v, self.in_dim, "gram")
 
 
+class Diagonal:
+    """A positive diagonal as a factor that is only solved against, such as
+    a rotation's Lambda: its Gram map is one multiply."""
+
+    def __init__(self, values):
+        self.in_dim = values.size
+        self.gram = partial(np.multiply, values)
+
+
 class FactoredPrecision:
     """Precision held through a factor F with Q = F^t F (F maps R^N -> R^N').
 
     The factor needs ``in_dim``, ``out_dim``, ``gram`` (Q) and
     ``apply_transpose`` (F^t, which perturbations draw through), and may
     offer ``precondition`` and ``rotation``; a factor that is only solved
-    against, such as the Lambda of a rotation, needs only ``in_dim`` and
-    ``gram``.  Vectors live in whatever coordinates the factor takes: plain
-    vectors for a DenseOperator, HalfSpectrum coordinates for the
-    super-resolution conditional.
+    against (Diagonal) needs only ``in_dim`` and ``gram``.  Vectors live in
+    whatever coordinates the factor takes: plain vectors for a
+    DenseOperator, HalfSpectrum coordinates for the super-resolution
+    conditional.
     """
 
     def __init__(self, factor):

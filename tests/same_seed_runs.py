@@ -13,10 +13,11 @@ are short (about 20 s together on one core) but reach every sampler,
 both controllers (MinCces at its default window and at a set one), the
 PSRF study, a curve whose rjpo chains almost never move, the exact
 super-resolution reference, a 3 x 3 decimation under tpo and under the
-exact solve, and an exact chain on three frames, whose several alias
-terms precondition by P^-1.  Prints one line per run with its exit code
-and wall time; exits 0 when every run exited 0, 1 otherwise, 2 on a
-usage error.
+exact solve, an exact chain on three frames, whose several alias terms
+precondition by P^-1, and a fixed-threshold rjpo chain on six frames,
+whose one alias term puts its plain solves in Q's eigenbasis.  Prints one
+line per run with its exit code and wall time; exits 0 when every run
+exited 0, 1 otherwise, 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -53,6 +54,9 @@ RUNS = {
     "superres32_three_frames_epo": ["superres", "--dims", "32", "--frames", "3", "--factor",
                                     "2", "--fwhm", "1", "--sampler", "epo", "--iterations",
                                     "200", "--burn-in", "20", "--seed", "6"],
+    "superres32_six_frames_rjpo": ["superres", "--dims", "32", "--frames", "6", "--factor", "2",
+                                   "--fwhm", "1", "--sampler", "rjpo", "--epsilon", "1e-3",
+                                   "--iterations", "200", "--burn-in", "20", "--seed", "7"],
 }
 
 

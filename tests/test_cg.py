@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ import rjpo.superres as sr
 from oracles import dense_solve_cg_reference
 from rjpo.cg import cg_solve
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
-from rjpo.linop import DenseOperator, FactoredPrecision
+from rjpo.linop import DenseOperator, Diagonal, FactoredPrecision
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
 from rjpo.sampler import perturb
@@ -192,6 +194,59 @@ def test_nonfinite_rhs_breaks_down():
     prec, _ = _spd_precision(13, 4)
     with pytest.raises(NumericalBreakdownError):
         cg_solve(prec, np.array([1.0, np.nan, 0.0, 2.0]), epsilon=1e-8)
+
+
+def _grouped_rotation():
+    """An operator whose rotation is the identity and whose Lambda has 1000
+    coordinates on 7 distinct eigenvalues, with a right-hand side that is
+    zero on one of them."""
+    rng = np.random.default_rng(26)
+    group = rng.integers(0, 7, 1000)
+    eigenvalues = np.geomspace(1.0, 30.0, 7)[group]
+    b = rng.standard_normal(1000)
+    b[group == 3] = 0.0
+    rotation = SimpleNamespace(eigenvalues=eigenvalues, enter=lambda v: v, leave=lambda v: v,
+                               precision=FactoredPrecision(Diagonal(eigenvalues)))
+    return SimpleNamespace(rotation=rotation), eigenvalues, b
+
+
+def test_rotated_solve_runs_on_the_distinct_eigenvalues():
+    """Through a rotation CG iterates once per distinct eigenvalue, so 7
+    values take at most 8 iterations at eps 1e-12 (rounding may add one),
+    from zero and from a random x0, and reach b / lambda to 1e-12 relative;
+    a group with no right-hand side from zero stays at 0.  Truncated at eps
+    0.3, its iterations and, to 1e-12, its solution are those of plain CG
+    on the same Lambda without the rotation."""
+    rotated, eigenvalues, b = _grouped_rotation()
+    exact = b / eigenvalues
+    x0 = np.random.default_rng(27).standard_normal(b.size)
+    for start in (None, x0):
+        out = cg_solve(rotated, b, x0=start, epsilon=1e-12)
+        assert out.converged and out.iterations <= 8
+        assert np.all(np.isfinite(out.solution))
+        assert np.max(np.abs(out.solution - exact)) <= 1e-12 * np.max(np.abs(exact))
+        assert np.array_equal(out.residual_vector, b - eigenvalues * out.solution)
+        assert start is not None or not np.any(out.solution[b == 0.0])
+        plain = cg_solve(rotated.rotation.precision, b, x0=start, epsilon=0.3)
+        loose = cg_solve(rotated, b, x0=start, epsilon=0.3)
+        assert loose.iterations == plain.iterations < out.iterations
+        assert np.max(np.abs(loose.solution - plain.solution)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_rotated_solve_of_a_zero_rhs_returns_the_start_point():
+    rotated, _, b = _grouped_rotation()
+    x0 = np.random.default_rng(28).standard_normal(b.size)
+    out = cg_solve(rotated, np.zeros(b.size), x0=x0, epsilon=1e-8)
+    assert out.iterations == 0 and out.relative_residual == 0.0
+    assert np.array_equal(out.solution, x0)
+
+
+def test_rotated_solve_of_a_nonfinite_rhs_breaks_down():
+    rotated, _, b = _grouped_rotation()
+    b[5] = np.nan
+    with pytest.raises(NumericalBreakdownError,
+                       match="^non-finite initial residual at CG iteration 0$"):
+        cg_solve(rotated, b, epsilon=1e-8)
 
 
 def _sr64_conditional():
