@@ -64,7 +64,10 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     iterations, the stopping decisions and x are those of plain CG on Q up
     to rounding: this is still plain CG, not a preconditioner.  Every apply
     of Lambda and of the distinct-value diagonal is one multiply and counts
-    as a Q-apply.
+    as a Q-apply.  A dense factor offers the eigenbasis of its M^t M
+    (DenseOperator.rotation), so a solve maps in and out with 3 N x N
+    matvecs from zero and 4 from x0, and its iterations take none; the
+    super-resolution conditional offers its PairRotation.
 
     b, x0 and the solution are vectors in whatever coordinates q.apply
     takes; the super-resolution Gibbs chain hands over HalfSpectrum

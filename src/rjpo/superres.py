@@ -37,7 +37,7 @@ import numpy as np
 # perfbench/spans.py patches epo_step here, so both stay importable by name
 from .adapt import make_kernel as make_x_sampler  # noqa: F401
 from .errors import ConfigurationError, NumericalBreakdownError
-from .linop import Diagonal, FactoredPrecision, GaussianTarget
+from .linop import Eigenbasis, FactoredPrecision, GaussianTarget
 from .rng import PairedStream, RngStream
 from .sampler import epo_step, resolve_burn_in  # noqa: F401
 
@@ -350,7 +350,7 @@ class SpectralConditional:
         return PairRotation(self) if len(self.gram.aliases) == 1 else None
 
 
-class PairRotation:
+class PairRotation(Eigenbasis):
     """An orthogonal U and positive diagonal Lambda with U Q U^t = Lambda,
     for the conditional Q of one alias term, no transform.
 
@@ -410,19 +410,11 @@ class PairRotation:
         eigenvalues = np.empty(basis.shape + (2,))
         eigenvalues[..., 0] = np.where(basis.pair_partner, low, high)
         eigenvalues[..., 1] = np.where(basis.pair_first, high, low)
-        self.eigenvalues = eigenvalues.ravel()
         turn, phase = basis.pair_turns
         gathered = sin * phase
-        self.enter = _DiagonalPlusGathers(cos * turn, [(gather, gathered)])
-        self.leave = _DiagonalPlusGathers(cos * np.conj(turn), [(gather, -gathered)])
-
-    @property
-    def precision(self) -> FactoredPrecision:
-        """Lambda as a precision, whose apply is one multiply, counted and
-        traced as a Q-apply: cg_solve applies it for a solve's initial
-        residual from x0 and its recomputed final one, and runs its
-        iterations on Lambda's distinct eigenvalues."""
-        return FactoredPrecision(Diagonal(self.eigenvalues))
+        super().__init__(eigenvalues.ravel(),
+                         _DiagonalPlusGathers(cos * turn, [(gather, gathered)]),
+                         _DiagonalPlusGathers(cos * np.conj(turn), [(gather, -gathered)]))
 
 
 @dataclass(eq=False)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import rjpo.superres as sr
 from oracles import dense_solve_cg_reference
 from rjpo.cg import cg_solve
@@ -247,6 +248,68 @@ def test_rotated_solve_of_a_nonfinite_rhs_breaks_down():
     with pytest.raises(NumericalBreakdownError,
                        match="^non-finite initial residual at CG iteration 0$"):
         cg_solve(rotated, b, epsilon=1e-8)
+
+
+def _dense_cases():
+    """(name, dense precision, its rotation-free copy, Q) for the AR(1) N =
+    128 target and a random SPD N = 12 one."""
+    ar1, _, _ = ar1_target(128, 1.0, 0.8, stream=RngStream(1))
+    hidden = oracles.with_two_product_factor(ar1).precision
+    prec, q = _spd_precision(30, 12)
+    return [("ar1", ar1.precision, hidden, oracles.dense_precision(hidden)),
+            ("spd12", prec, FactoredPrecision(oracles.TwoProductFactor(prec.factor.matrix)), q)]
+
+
+def test_dense_rotation_diagonalises_q():
+    """A dense factor's rotation is Q's eigenbasis: U U^t = I and
+    U Q U^t = diag(eigenvalues) to 1e-13 relative, the eigenvalues
+    ascending and positive.  A multiple of I has one eigenvalue, so a plain
+    solve against it takes one iteration."""
+    for name, precision, _, q in _dense_cases():
+        rotation = precision.rotation
+        u = oracles.dense_matrix_of(rotation.enter, q.shape[0])
+        assert np.array_equal(u.T, oracles.dense_matrix_of(rotation.leave, q.shape[0])), name
+        assert np.max(np.abs(u @ u.T - np.eye(q.shape[0]))) <= 1e-13, name
+        values = rotation.eigenvalues
+        assert np.all(values > 0) and np.all(np.diff(values) >= 0), name
+        assert np.max(np.abs(u @ q @ u.T - np.diag(values))) <= 1e-13 * values[-1], name
+    scaled = oracles.target_from_dense(np.eye(3) * 2.0, np.ones(3)).precision
+    assert scaled.rotation is not None
+    assert cg_solve(scaled, np.array([1.0, -2.0, 0.5]), epsilon=1e-12).iterations == 1
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-10])
+def test_dense_rotated_solve_matches_plain_cg(eps):
+    """Plain solves through a dense factor's eigenbasis match plain CG on
+    the same Q with the rotation hidden, from zero and from an x0: equal
+    iterations on AR(1), solutions within 1e-10 relative, and the returned
+    residual is b - Q x to 1e-10."""
+    stream = RngStream(4)
+    for name, precision, hidden, q in _dense_cases():
+        b = stream.standard_normal_vector(q.shape[0])
+        for x0 in (None, stream.standard_normal_vector(q.shape[0])):
+            out = cg_solve(precision, b, x0=x0, epsilon=eps)
+            plain = cg_solve(hidden, b, x0=x0, epsilon=eps)
+            assert out.converged and out.relative_residual <= 2 * eps, (name, eps)
+            assert name != "ar1" or out.iterations == plain.iterations, (name, eps)
+            scale = np.linalg.norm(plain.solution)
+            assert np.linalg.norm(out.solution - plain.solution) <= 1e-10 * scale, (name, eps)
+            expected = b - q @ out.solution
+            assert np.linalg.norm(out.residual_vector - expected) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_singular_dense_gram_keeps_its_outcome():
+    """A wide 3 x 5 factor has a singular Gram: in its eigenbasis, as with
+    the rotation hidden, a right-hand side in its range converges in 3
+    iterations and a generic one breaks down on its curvature."""
+    rng = np.random.default_rng(31)
+    m = rng.standard_normal((3, 5))
+    in_range, generic = m.T @ rng.standard_normal(3), rng.standard_normal(5)
+    for precision in (FactoredPrecision(DenseOperator(m)),
+                      FactoredPrecision(oracles.TwoProductFactor(m))):
+        assert cg_solve(precision, in_range, epsilon=1e-10).iterations == 3
+        with pytest.raises(NumericalBreakdownError, match="nonpositive or non-finite curvature"):
+            cg_solve(precision, generic, epsilon=1e-10)
 
 
 def _sr64_conditional():

@@ -11,8 +11,12 @@ from hypothesis import strategies as st
 from oracles import (
     ConditionalFactor, ar1_precision, naive_circular_convolve, target_from_dense,
 )
+from rjpo.cg import cg_solve
 from rjpo.errors import ConfigurationError
 from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget
+from rjpo.problems import ar1_target
+from rjpo.rng import RngStream
+from rjpo.sampler import epo_step
 from rjpo.superres import SuperResModel, centred_transfer
 
 
@@ -114,6 +118,31 @@ def test_dense_target_forms_its_gram_matrix_on_first_use():
     assert "_gram_matrix" not in vars(factor)
     target.precision.apply(np.ones(128))
     assert np.array_equal(vars(factor)["_gram_matrix"], factor.matrix.T @ factor.matrix)
+
+
+def test_dense_target_builds_its_rotation_on_the_first_plain_solve(monkeypatch):
+    """Building a dense target (ar1_target, target_from_dense) and an exact
+    draw through its mirror build no rotation; the first plain CG solve
+    does, with one np.linalg.eigh that later solves reuse."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    built, _, _ = ar1_target(128, stream=RngStream(1))
+    copied = target_from_dense(ar1_precision(128, 1.0, 0.8), np.linspace(0.0, 10.0, 128))
+    for target in (built, copied):
+        epo_step(target, RngStream(2))
+        assert "rotation" not in vars(target.precision.factor)
+    assert calls == []
+    b = np.random.default_rng(3).standard_normal(128)
+    for x0 in (None, -b, None):
+        cg_solve(built.precision, b, x0=x0, epsilon=1e-6)
+    assert calls == [(128, 128)]
+    assert "rotation" in vars(built.precision.factor)
 
 
 def test_circulant_matches_naive_convolution():

@@ -887,8 +887,8 @@ def test_rotated_truncated_solve_reports_its_recomputed_residual(gammas):
 
 def test_no_rotation_without_exactly_one_alias_term():
     """Models with no alias term (every phase sampled once) or several (1, 3
-    or 5 frames at factor 2, factor 3), and dense targets, offer no
-    rotation, so their plain solves apply Q itself."""
+    or 5 frames at factor 2, factor 3) offer no rotation, so their plain
+    solves apply Q itself."""
     models = [sr.SuperResModel(hi_res_dims=dims, frames=frames, decimation_factor=factor,
                                psf_kernel=SMOOTH_3X3)
               for dims, frames, factor in (((16, 16), 4, 2), ((9, 15), 9, 3), ((16, 16), 1, 2),
@@ -897,7 +897,6 @@ def test_no_rotation_without_exactly_one_alias_term():
         assert len(model.half_spectrum.aliases) != 1, model.hi_res_dims
         target = sr.conditional_target(model, np.zeros(model.half_spectrum.dim), 3.0, 0.5)
         assert target.precision.rotation is None, (model.hi_res_dims, model.frames)
-    assert oracles.target_from_dense(np.eye(3) * 2.0, np.ones(3)).precision.rotation is None
 
 
 def test_adaptive_sampler_keeps_the_conditional_law():
