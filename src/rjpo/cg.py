@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalBreakdownError
-from .linop import Diagonal, FactoredPrecision
 
 
 @dataclass(frozen=True)
@@ -48,12 +47,12 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     the stopping test is on ||r|| itself.
 
     When q has no precondition but offers a ``rotation`` that is not None
-    (an orthogonal U with U Q U^t = Lambda diagonal, as ``enter``, ``leave``,
-    ``precision`` and its diagonal ``eigenvalues``;
+    (an Eigenbasis: an orthogonal U with U Q U^t = Lambda diagonal;
     FactoredPrecision.rotation), plain CG runs in U's coordinates on Lambda's
-    distinct eigenvalues.  CG's iterates depend only on the spectral measure
-    of (Lambda, r0), r0 = U b - Lambda U x0: the distinct values and r0's
-    mass on each (Hestenes & Stiefel 1952; Golub & Meurant, Matrices,
+    distinct eigenvalues, which the Eigenbasis groups at its first solve
+    and keeps (``distinct``).  CG's iterates depend only on the spectral
+    measure of (Lambda, r0), r0 = U b - Lambda U x0: the distinct values
+    and r0's mass on each (Hestenes & Stiefel 1952; Golub & Meurant, Matrices,
     Moments and Quadrature, 2010).  So the loop runs from zero on one
     coordinate per value, with right-hand side w = sqrt(sum of r0^2 over
     the coordinates sharing it), and without an x recurrence; its final
@@ -65,8 +64,8 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     to rounding: this is still plain CG, not a preconditioner.  Every apply
     of Lambda and of the distinct-value diagonal is one multiply and counts
     as a Q-apply.  A dense factor offers the eigenbasis of its M^t M
-    (DenseOperator.rotation), so a solve maps in and out with 3 N x N
-    matvecs from zero and 4 from x0, and its iterations take none; the
+    (DenseOperator.rotation), so a solve maps in and out with a fixed
+    number of N x N matvecs and its iterations take none; the
     super-resolution conditional offers its PairRotation.
 
     b, x0 and the solution are vectors in whatever coordinates q.apply
@@ -116,11 +115,11 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
             iterations, converged = _iterate(q, r, x, b_norm, epsilon, max_iters)
         else:
             # one coordinate per distinct eigenvalue, weighted by r's mass on it
-            values, group = np.unique(rotation.eigenvalues, return_inverse=True)
+            distinct, group = rotation.distinct
+            values = distinct.factor.values
             weight = np.sqrt(np.bincount(group, r * r))
             left = weight.copy()
-            iterations, converged = _iterate(FactoredPrecision(Diagonal(values)), left, None,
-                                             b_norm, epsilon, max_iters)
+            iterations, converged = _iterate(distinct, left, None, b_norm, epsilon, max_iters)
             scale = np.divide(weight - left, weight * values, out=np.zeros(values.size),
                               where=weight > 0)
             x += r * scale[group]

@@ -32,20 +32,29 @@ def _vector(x, size: int, name: str) -> np.ndarray:
 class Eigenbasis:
     """An orthogonal U and diagonal Lambda = U Q U^t, the ``rotation`` a
     factor may offer: ``eigenvalues`` (Lambda's diagonal), ``enter``
-    (v -> U v) and ``leave`` (u -> U^t u)."""
+    (v -> U v) and ``leave`` (u -> U^t u).  Its precisions are built once,
+    at their first use, so a basis solved against many times pays for them
+    once."""
 
     def __init__(self, eigenvalues, enter, leave):
         self.eigenvalues = eigenvalues
         self.enter = enter
         self.leave = leave
 
-    @property
+    @cached_property
     def precision(self) -> FactoredPrecision:
         """Lambda as a precision, whose apply is one multiply, counted and
         traced as a Q-apply: cg_solve applies it for a solve's initial
-        residual from x0 and its recomputed final one, and runs its
-        iterations on Lambda's distinct eigenvalues."""
+        residual from x0 and its recomputed final one."""
         return FactoredPrecision(Diagonal(self.eigenvalues))
+
+    @cached_property
+    def distinct(self) -> tuple[FactoredPrecision, np.ndarray]:
+        """Lambda's distinct values, ascending, as a diagonal precision
+        counted like ``precision``, and each coordinate's index among them:
+        cg_solve runs its iterations on these."""
+        values, group = np.unique(self.eigenvalues, return_inverse=True)
+        return FactoredPrecision(Diagonal(values)), group
 
 
 class DenseOperator:
@@ -76,9 +85,7 @@ class DenseOperator:
     def rotation(self) -> Eigenbasis:
         """Q's eigenbasis from np.linalg.eigh of M^t M: U = V^t for its
         eigenvectors V, and Lambda its ascending eigenvalues.  Built by the
-        first plain solve: eigh takes about 1.6 ms at N = 128, 40 ms at 512
-        and 250 ms at 1024 (1 thread), and at N = 128 about 20 truncated
-        solves recover it."""
+        first plain solve and kept for every later one."""
         values, vectors = np.linalg.eigh(self._gram_matrix)
         return Eigenbasis(values, partial(np.matmul, vectors.T), partial(np.matmul, vectors))
 
@@ -88,6 +95,7 @@ class Diagonal:
     a rotation's Lambda: its Gram map is one multiply."""
 
     def __init__(self, values):
+        self.values = values
         self.in_dim = values.size
         self.gram = partial(np.multiply, values)
 

@@ -10,7 +10,7 @@ import rjpo.superres as sr
 from oracles import dense_solve_cg_reference
 from rjpo.cg import cg_solve
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
-from rjpo.linop import DenseOperator, Diagonal, FactoredPrecision
+from rjpo.linop import DenseOperator, Eigenbasis, FactoredPrecision
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
 from rjpo.sampler import perturb
@@ -206,8 +206,7 @@ def _grouped_rotation():
     eigenvalues = np.geomspace(1.0, 30.0, 7)[group]
     b = rng.standard_normal(1000)
     b[group == 3] = 0.0
-    rotation = SimpleNamespace(eigenvalues=eigenvalues, enter=lambda v: v, leave=lambda v: v,
-                               precision=FactoredPrecision(Diagonal(eigenvalues)))
+    rotation = Eigenbasis(eigenvalues, enter=lambda v: v, leave=lambda v: v)
     return SimpleNamespace(rotation=rotation), eigenvalues, b
 
 

@@ -123,15 +123,21 @@ def test_dense_target_forms_its_gram_matrix_on_first_use():
 def test_dense_target_builds_its_rotation_on_the_first_plain_solve(monkeypatch):
     """Building a dense target (ar1_target, target_from_dense) and an exact
     draw through its mirror build no rotation; the first plain CG solve
-    does, with one np.linalg.eigh that later solves reuse."""
+    does, with one np.linalg.eigh and one grouping of its distinct
+    eigenvalues (np.unique) that later solves reuse."""
     calls = []
-    eigh = np.linalg.eigh
+    eigh, unique = np.linalg.eigh, np.unique
 
     def counted(a):
         calls.append(a.shape)
         return eigh(a)
 
+    def counted_unique(a, **kwargs):
+        calls.append(("unique", a.size))
+        return unique(a, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np, "unique", counted_unique)
     built, _, _ = ar1_target(128, stream=RngStream(1))
     copied = target_from_dense(ar1_precision(128, 1.0, 0.8), np.linspace(0.0, 10.0, 128))
     for target in (built, copied):
@@ -141,7 +147,7 @@ def test_dense_target_builds_its_rotation_on_the_first_plain_solve(monkeypatch):
     b = np.random.default_rng(3).standard_normal(128)
     for x0 in (None, -b, None):
         cg_solve(built.precision, b, x0=x0, epsilon=1e-6)
-    assert calls == [(128, 128)]
+    assert calls == [(128, 128), ("unique", 128)]
     assert "rotation" in vars(built.precision.factor)
 
 
