@@ -49,8 +49,8 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     When q has no precondition but offers a ``rotation`` that is not None
     (an Eigenbasis: an orthogonal U with U Q U^t = Lambda diagonal;
     FactoredPrecision.rotation), plain CG runs in U's coordinates on Lambda's
-    distinct eigenvalues, which the Eigenbasis groups at its first solve
-    and keeps (``distinct``).  CG's iterates depend only on the spectral
+    distinct eigenvalues, which the Eigenbasis groups when it is built
+    (``distinct`` and ``group``).  CG's iterates depend only on the spectral
     measure of (Lambda, r0), r0 = U b - Lambda U x0: the distinct values
     and r0's mass on each (Hestenes & Stiefel 1952; Golub & Meurant, Matrices,
     Moments and Quadrature, 2010).  So the loop runs from zero on one
@@ -61,12 +61,14 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     recomputed as U b - Lambda U x and mapped out with U^t, as is the
     solution.  CG is invariant under an orthogonal change of basis, so the
     iterations, the stopping decisions and x are those of plain CG on Q up
-    to rounding: this is still plain CG, not a preconditioner.  Every apply
-    of Lambda and of the distinct-value diagonal is one multiply and counts
-    as a Q-apply.  A dense factor offers the eigenbasis of its M^t M
-    (DenseOperator.rotation), so a solve maps in and out with a fixed
-    number of N x N matvecs and its iterations take none; the
-    super-resolution conditional offers its PairRotation.
+    to rounding: this is still plain CG, not a preconditioner.  As a
+    precision the Eigenbasis is Lambda, which it applies for the residual
+    from x0 and the recomputed one; each apply of Lambda or of the
+    distinct-value diagonal is one multiply and counts as a Q-apply.  A
+    dense factor offers the eigenbasis of its M^t M (DenseOperator.rotation),
+    so a solve maps in and out with a fixed number of N x N matvecs and its
+    iterations take none; the super-resolution conditional offers its
+    PairRotation.
 
     b, x0 and the solution are vectors in whatever coordinates q.apply
     takes; the super-resolution Gibbs chain hands over HalfSpectrum
@@ -101,7 +103,7 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
 
     rotation = None if hasattr(q, "precondition") else getattr(q, "rotation", None)
     if rotation is not None:
-        q, b = rotation.precision, rotation.enter(b)
+        q, b = rotation, rotation.enter(b)
         if x0 is not None:
             x = rotation.enter(x)
     b_norm = float(np.linalg.norm(b))
@@ -115,13 +117,12 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
             iterations, converged = _iterate(q, r, x, b_norm, epsilon, max_iters)
         else:
             # one coordinate per distinct eigenvalue, weighted by r's mass on it
-            distinct, group = rotation.distinct
-            values = distinct.factor.values
+            distinct, group = rotation.distinct, rotation.group
             weight = np.sqrt(np.bincount(group, r * r))
             left = weight.copy()
             iterations, converged = _iterate(distinct, left, None, b_norm, epsilon, max_iters)
-            scale = np.divide(weight - left, weight * values, out=np.zeros(values.size),
-                              where=weight > 0)
+            scale = np.divide(weight - left, weight * distinct.factor.values,
+                              out=np.zeros(weight.size), where=weight > 0)
             x += r * scale[group]
     residual = b - q.apply(x)
     relative = float(np.linalg.norm(residual)) / b_norm if b_norm else 0.0

@@ -6,10 +6,10 @@ conditional's SpectralConditional (rjpo.superres) for images.  A dense
 factor's Gram map is one product with M^t M, formed at its first Gram call
 rather than at construction, so building a target stays cheap and a target
 that is never solved against never pays for it.  Its eigenbasis (an
-Eigenbasis, as the super-resolution PairRotation is) is likewise built by
-the first plain CG solve, so the exact draw through the dense mirror never
-pays for it.  Factors are immutable after construction and safe to share
-between chains.
+Eigenbasis, as the super-resolution PairRotation is: Lambda as a precision,
+with its equal values grouped) is likewise built by the first plain CG
+solve, so the exact draw through the dense mirror never pays for it.
+Factors are immutable after construction and safe to share between chains.
 """
 
 from __future__ import annotations
@@ -27,34 +27,6 @@ def _vector(x, size: int, name: str) -> np.ndarray:
     if x.size != size:
         raise ValueError(f"{name} expects length {size}, got {x.size}")
     return x
-
-
-class Eigenbasis:
-    """An orthogonal U and diagonal Lambda = U Q U^t, the ``rotation`` a
-    factor may offer: ``eigenvalues`` (Lambda's diagonal), ``enter``
-    (v -> U v) and ``leave`` (u -> U^t u).  Its precisions are built once,
-    at their first use, so a basis solved against many times pays for them
-    once."""
-
-    def __init__(self, eigenvalues, enter, leave):
-        self.eigenvalues = eigenvalues
-        self.enter = enter
-        self.leave = leave
-
-    @cached_property
-    def precision(self) -> FactoredPrecision:
-        """Lambda as a precision, whose apply is one multiply, counted and
-        traced as a Q-apply: cg_solve applies it for a solve's initial
-        residual from x0 and its recomputed final one."""
-        return FactoredPrecision(Diagonal(self.eigenvalues))
-
-    @cached_property
-    def distinct(self) -> tuple[FactoredPrecision, np.ndarray]:
-        """Lambda's distinct values, ascending, as a diagonal precision
-        counted like ``precision``, and each coordinate's index among them:
-        cg_solve runs its iterations on these."""
-        values, group = np.unique(self.eigenvalues, return_inverse=True)
-        return FactoredPrecision(Diagonal(values)), group
 
 
 class DenseOperator:
@@ -106,7 +78,8 @@ class FactoredPrecision:
     The factor needs ``in_dim``, ``out_dim``, ``gram`` (Q) and
     ``apply_transpose`` (F^t, which perturbations draw through), and may
     offer ``precondition`` and ``rotation``; a factor that is only solved
-    against (Diagonal) needs only ``in_dim`` and ``gram``.  Vectors live in
+    against (Diagonal, as in an Eigenbasis) needs only ``in_dim`` and
+    ``gram``.  Vectors live in
     whatever coordinates the factor takes: plain vectors for a
     DenseOperator, HalfSpectrum coordinates for the super-resolution
     conditional.
@@ -136,6 +109,22 @@ class FactoredPrecision:
         if hasattr(self.factor, "precondition"):
             view.precondition = self.factor.precondition
         return view
+
+
+class Eigenbasis(FactoredPrecision):
+    """An orthogonal U and diagonal Lambda = U Q U^t, the ``rotation`` a
+    factor may offer: ``eigenvalues`` (Lambda's diagonal), ``enter``
+    (v -> U v) and ``leave`` (u -> U^t u).  As a precision it is Lambda,
+    whose apply is one multiply, counted and traced as a Q-apply.  It groups
+    Lambda's equal values when it is built: ``distinct`` holds the distinct
+    values, ascending, as a diagonal precision, and ``group`` each
+    coordinate's index among them; cg_solve runs its iterations on these."""
+
+    def __init__(self, eigenvalues, enter, leave):
+        super().__init__(Diagonal(eigenvalues))
+        self.eigenvalues, self.enter, self.leave = eigenvalues, enter, leave
+        values, self.group = np.unique(eigenvalues, return_inverse=True)
+        self.distinct = FactoredPrecision(Diagonal(values))
 
 
 @dataclass

@@ -222,8 +222,6 @@ class HalfSpectrum:
         c0, [c1] = coefficients[0, 0].real, moduli
         # |A| = |c1| |b_k| |b_j| (W is the same on both members)
         self.pair_modulus = c1 * np.sqrt(both_powers)
-        # lone bins take no rotation angle, only a phase turn
-        self.pair_turning = np.where(lone, 0.0, self.pair_modulus)
         # the determinant P_k P_j - |w|^2 of a pair's block, over gamma_y^2,
         # gamma_y gamma_x and gamma_x^2, each part non-negative (C >= 0, so
         # c0 >= |c1|, and two frames at f = 2 have c0 = |c1|)
@@ -378,8 +376,8 @@ class PairRotation(Eigenbasis):
     HalfSpectrum.pair_turns' diagonal turn t (e^(-i phi / 2) at a lone bin, 1
     elsewhere) and signed gather phase g (e^(i phi) at a first member,
     -e^(i phi) at a partner, each bin's own phase).  Lambda is a diagonal on
-    the real view (``eigenvalues``), so Q in the eigenbasis (``precision``)
-    is one multiply.  A paired bin's real and imaginary parts share an
+    the real view (``eigenvalues``), so Q in the eigenbasis, this rotation as
+    a precision, is one multiply.  A paired bin's real and imaginary parts share an
     eigenvalue, and so do many mirror rows: at 64 x 64 the 4224 coordinates
     hold 1200-1500 distinct values, and cg_solve runs plain CG on those.
     CG is invariant under an orthogonal change of basis (Hestenes & Stiefel
@@ -399,8 +397,9 @@ class PairRotation(Eigenbasis):
         high = (mean + paired) * 0.5 + radius
         low = conditional.determinant / high
         denominator = np.abs(gap) + radius
-        tangent = np.divide(gamma_y * basis.pair_turning, denominator,
-                            out=np.zeros(basis.shape), where=denominator > 0)
+        # lone bins take no rotation angle, only a phase turn
+        tangent = np.divide(modulus, denominator, out=np.zeros(basis.shape),
+                            where=(denominator > 0) & (basis.pair_first | basis.pair_partner))
         cos = 1.0 / np.sqrt(1.0 + tangent * tangent)
         sin = tangent * cos
         # tangent is tan theta when P_k >= P_j and 1 / tan theta when P_k < P_j,

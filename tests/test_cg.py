@@ -227,7 +227,7 @@ def test_rotated_solve_runs_on_the_distinct_eigenvalues():
         assert np.max(np.abs(out.solution - exact)) <= 1e-12 * np.max(np.abs(exact))
         assert np.array_equal(out.residual_vector, b - eigenvalues * out.solution)
         assert start is not None or not np.any(out.solution[b == 0.0])
-        plain = cg_solve(rotated.rotation.precision, b, x0=start, epsilon=0.3)
+        plain = cg_solve(rotated.rotation, b, x0=start, epsilon=0.3)
         loose = cg_solve(rotated, b, x0=start, epsilon=0.3)
         assert loose.iterations == plain.iterations < out.iterations
         assert np.max(np.abs(loose.solution - plain.solution)) <= 1e-12 * np.max(np.abs(exact))

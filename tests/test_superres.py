@@ -824,7 +824,7 @@ def test_rotation_diagonalises_q_with_one_alias_term():
             assert np.max(np.abs(product / conditional.determinant - 1)) <= 1e-13, case
 
             def q_images(x):
-                lambda_u = rotation.precision.apply(rotation.enter(basis.enter(x)))
+                lambda_u = rotation.apply(rotation.enter(basis.enter(x)))
                 return basis.leave(rotation.leave(lambda_u))
 
             if n <= 256:
