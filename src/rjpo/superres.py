@@ -137,6 +137,8 @@ class HalfSpectrum:
     for itself and its mirror).  By Parseval, <enter(x), enter(y)> = <x, y>
     for real images, and leave(enter(x)) = x.  The dim = 2 R (K//2 + 1)
     coordinates hold the N real images as a subspace, the image of enter.
+    Columns 0 and K/2 hold each frequency at rows r and R - r: |b|^2 and
+    |d|^2 are made equal there, so Q's eigenbasis solves stay on the subspace.
     B, D and their circulant means are diagonal here (Chan & Ng, SIAM
     Review 1996).
 
@@ -187,8 +189,14 @@ class HalfSpectrum:
         self.adjoint_blur = np.conj(transfer) * self.scale
         self.adjoint_smooth = np.conj(model.laplacian) * self.scale
         self.blur = transfer * self.unscale
-        self.smooth_gram = (np.abs(model.laplacian) ** 2).astype(complex)
-        self.mean_data_gram = (counts.mean() * np.abs(transfer) ** 2).astype(complex)
+        # rows r and R - r of columns 0 and K/2 hold one frequency, which rfft2
+        # rounds apart: copy r onto R - r
+        power, smooth = np.abs(transfer) ** 2, np.abs(model.laplacian) ** 2
+        upper, columns = np.arange(1, (rows + 1) // 2), [0, half - 1] if cols % 2 == 0 else [0]
+        for table in (power, smooth):
+            table[np.ix_(rows - upper, columns)] = table[np.ix_(upper, columns)]
+        self.smooth_gram = smooth.astype(complex)
+        self.mean_data_gram = (counts.mean() * power).astype(complex)
 
         f = model.decimation_factor
         coefficients = np.fft.fft2(counts[:f, :f]) / f**2  # c_pq from one period of C
@@ -216,7 +224,6 @@ class HalfSpectrum:
         lone = flat == source
         # every table below reads the same at both members of a pair: each
         # product of a bin's value and its partner's is formed in one order
-        power = np.abs(transfer) ** 2
         both_powers = power * np.take(power, source)
         data, smooth = self.mean_data_gram.real, self.smooth_gram.real
         c0, [c1] = coefficients[0, 0].real, moduli
@@ -282,8 +289,8 @@ class SpectralConditional:
     parts of HalfSpectrum.pair_determinant), built once with one alias term.
 
     The alias sum is Q only on real images' half spectra (the image of
-    ``enter``), where it is the spectrum of B^t C B x; the Gibbs state,
-    every perturbation and CG's iterates stay there up to rounding.
+    ``enter``), where it is the spectrum of B^t C B x; every perturbation
+    stays there, and with one alias term so do CG's iterates and the state.
     """
 
     def __init__(self, basis: HalfSpectrum, gamma_y: float, gamma_x: float):
@@ -378,8 +385,8 @@ class PairRotation(Eigenbasis):
     -e^(i phi) at a partner, each bin's own phase).  Lambda is a diagonal on
     the real view (``eigenvalues``), so Q in the eigenbasis, this rotation as
     a precision, is one multiply.  A paired bin's real and imaginary parts share an
-    eigenvalue, and so do many mirror rows: at 64 x 64 the 4224 coordinates
-    hold 1200-1500 distinct values, and cg_solve runs plain CG on those.
+    eigenvalue, and so do mirror rows: at 64 x 64 the 4224 coordinates hold
+    1200-1480 distinct values, and cg_solve runs plain CG on those.
     CG is invariant under an orthogonal change of basis (Hestenes & Stiefel
     1952), so this runs the iterations of plain CG on Q, up to rounding: it
     is not a preconditioner.
