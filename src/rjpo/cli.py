@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -109,6 +110,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", metavar="{%s}" % ",".join(SUBCOMMANDS))
     for name in SUBCOMMANDS:
         p = sub.add_parser(name, add_help=True)
+        # argparse reads `-5e-1` and `-inf` as options (on Python 3.11 only -1 and -1.5
+        # look like negative numbers to it), so `--rho -5e-1` would lose its value
+        p._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
         for dest, (kind, _) in {**_COMMON, **_OPTIONS[name]}.items():
             flag = "--" + dest.replace("_", "-")
             if kind is bool:

@@ -77,6 +77,21 @@ def test_unknown_flag_is_a_config_error():
     assert cli.main(["toy", "--bogus", "1"]) == 1
 
 
+def test_negative_values_in_exponent_form_parse(tmp_path):
+    """A negative value in exponent form or -inf is an option's value, not an
+    unknown option: `--rho -5e-1` runs with rho -0.5, and an SNR of -inf dB
+    and a negative epsilon reach their own range errors."""
+    out = tmp_path / "toy"
+    assert cli.main(["toy", "--rho", "-5e-1", "--n-max", "20", "--out", str(out)]) == 0
+    assert json.loads((out / "metadata.json").read_text())["config"]["rho"] == -0.5
+    rc, err = run_cli(["superres", "--snr-db", "-inf", "--out", str(tmp_path / "sr")])
+    assert rc == 1 and "snr_db must be a real number or +inf, got -inf" in err
+    # the default epo sampler never reads epsilon, so name one that does
+    rc, err = run_cli(["toy", "--sampler", "rjpo", "--epsilon", "-1e-3",
+                       "--out", str(tmp_path / "eps")])
+    assert rc == 1 and "rjpo epsilon must lie in (0, 1), got -0.001" in err
+
+
 def test_unknown_sampler_is_a_config_error(tmp_path):
     rc = cli.main(["toy", "--sampler", "nope", "--n", "8", "--n-max", "50",
                    "--out", str(tmp_path / "x")])
