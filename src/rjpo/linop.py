@@ -79,10 +79,9 @@ class FactoredPrecision:
     ``apply_transpose`` (F^t, which perturbations draw through), and may
     offer ``precondition`` and ``rotation``; a factor that is only solved
     against (Diagonal, as in an Eigenbasis) needs only ``in_dim`` and
-    ``gram``.  Vectors live in
-    whatever coordinates the factor takes: plain vectors for a
-    DenseOperator, HalfSpectrum coordinates for the super-resolution
-    conditional.
+    ``gram``.  Vectors live in whatever coordinates the factor takes: plain
+    vectors for a DenseOperator, HalfSpectrum coordinates for the
+    super-resolution conditional.
     """
 
     def __init__(self, factor):

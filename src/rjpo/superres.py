@@ -384,9 +384,10 @@ class PairRotation(Eigenbasis):
     elsewhere) and signed gather phase g (e^(i phi) at a first member,
     -e^(i phi) at a partner, each bin's own phase).  Lambda is a diagonal on
     the real view (``eigenvalues``), so Q in the eigenbasis, this rotation as
-    a precision, is one multiply.  A paired bin's real and imaginary parts share an
-    eigenvalue, and so do mirror rows: at 64 x 64 the 4224 coordinates hold
-    1200-1480 distinct values, and cg_solve runs plain CG on those.
+    a precision, is one multiply.  A paired bin's real and imaginary parts
+    share an eigenvalue, and so do mirror rows: at 64 x 64 the 4224
+    coordinates hold 1200-1480 distinct values, and cg_solve runs plain CG
+    on those.
     CG is invariant under an orthogonal change of basis (Hestenes & Stiefel
     1952), so this runs the iterations of plain CG on Q, up to rounding: it
     is not a preconditioner.
