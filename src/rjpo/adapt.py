@@ -225,24 +225,26 @@ def make_kernel(name: str, epsilon: float = 1e-4, alpha_t: float = 0.99,
     """A kernel (target, previous, stream) -> KernelOutcome by name.
 
     epo (alias cholesky_epo) solves exactly; tpo and rjpo truncate at
-    epsilon, which must lie in (0, 1) (at 1 or above, CG stops before its
-    first iteration and a chain from zero never moves); arjpo is RJPO whose
-    threshold starts at epsilon0 and is tuned toward acceptance alpha_t.
-    This is the only constructor of the tpo and rjpo kernels; like
-    AdaptiveRjpoKernel, they look their step up here at call time.
+    epsilon (at 1 or above, CG stops before its first iteration and a chain
+    from zero never moves); arjpo is RJPO whose threshold starts at epsilon0
+    and is tuned toward acceptance alpha_t.  epsilon must lie in (0, 1) for
+    every name, also where the kernel never reads it, so that a bad value
+    is refused before a study switches samplers.  This is the only
+    constructor of the tpo and rjpo kernels; like AdaptiveRjpoKernel, they
+    look their step up here at call time.
     """
+    if name not in ("epo", "cholesky_epo", "arjpo", "tpo", "rjpo"):
+        raise ConfigurationError(
+            f"unknown sampler {name!r}; choose epo, cholesky_epo, tpo, rjpo, or arjpo"
+        )
+    if not 0.0 < epsilon < 1.0:
+        raise ConfigurationError(f"{name} epsilon must lie in (0, 1), got {epsilon}")
     if name in ("epo", "cholesky_epo"):
         return epo_kernel()
     if name == "arjpo":
         if not (epsilon0 > 0 and math.isfinite(epsilon0)):
             raise ConfigurationError(f"arjpo epsilon0 must be positive finite, got {epsilon0}")
         return AdaptiveRjpoKernel(AdaptController(math.log(epsilon0), TargetRate(alpha_t)))
-    if name not in ("tpo", "rjpo"):
-        raise ConfigurationError(
-            f"unknown sampler {name!r}; choose epo, cholesky_epo, tpo, rjpo, or arjpo"
-        )
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigurationError(f"{name} epsilon must lie in (0, 1), got {epsilon}")
     if name == "tpo":
         return lambda target, previous, stream: tpo_step(target, previous, stream, epsilon)
     return lambda target, previous, stream: rjpo_step(target, previous, stream, epsilon)

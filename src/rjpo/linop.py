@@ -77,11 +77,13 @@ class FactoredPrecision:
 
     The factor needs ``in_dim``, ``out_dim``, ``gram`` (Q) and
     ``apply_transpose`` (F^t, which perturbations draw through), and may
-    offer ``precondition`` and ``rotation``; a factor that is only solved
-    against (Diagonal, as in an Eigenbasis) needs only ``in_dim`` and
-    ``gram``.  Vectors live in whatever coordinates the factor takes: plain
-    vectors for a DenseOperator, HalfSpectrum coordinates for the
-    super-resolution conditional.
+    offer ``precondition``, ``rotation`` and ``inverse`` (a closed-form
+    Q^-1, which the exact draw applies in place of a solve, or None where
+    it has none); a factor that is only solved against (Diagonal, as in an
+    Eigenbasis) needs only ``in_dim`` and ``gram``.  Vectors live in
+    whatever coordinates the factor takes: plain vectors for a
+    DenseOperator, HalfSpectrum coordinates for the super-resolution
+    conditional.
     """
 
     def __init__(self, factor):

@@ -3,7 +3,8 @@
 perturb draws eta ~ N(Q mu, Q) through the precision factor; the kernels
 turn that perturbation into a sample of N(mu, Q^-1):
 
-  epo_step   exact solve of Q x = eta, always accepted, independent samples
+  epo_step   exact solve of Q x = eta (Q^-1 applied where it is known, CG to
+             machine accuracy otherwise), always accepted, independent samples
   tpo_step   truncated solve from x0 = 0, always accepted (biased kernel)
   rjpo_step  truncated solve from x0 = -previous plus a reversible-jump
              accept/reject that restores exactness at any truncation level
@@ -59,8 +60,9 @@ def _acceptance_exponent(residual, previous, proposal) -> float:
     return exponent
 
 
-def _exact_cg_solve(precision, eta):
-    """CG to EXACT_EPSILON, preconditioned when the factor offers one.
+def _exact_cg_solve(precision, eta, x0=None):
+    """CG to EXACT_EPSILON from x0 (zero when None), preconditioned when the
+    factor offers one.
 
     CG stops on its recursive residual, so the recomputed one can still sit
     just above EXACT_EPSILON; one more solve warm-started from that x then
@@ -70,7 +72,7 @@ def _exact_cg_solve(precision, eta):
     iterations).
     """
     q = precision.preconditioned()
-    x, iterations = None, 0
+    x, iterations = x0, 0
     for _ in range(2):
         out = cg_solve(q, eta, x0=x, epsilon=EXACT_EPSILON)
         iterations += out.iterations
@@ -91,17 +93,28 @@ def _exact_cg_solve(precision, eta):
 def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
     """Exact perturbation-optimization step; successive samples independent.
 
-    Solves through the dense mirror when the target carries one, otherwise
-    by CG pushed to machine accuracy (see _exact_cg_solve).
+    Where Q^-1 is known, the draw applies it once and recomputes its
+    residual with one Q-apply, no CG (0 iterations): through the dense
+    mirror when the target carries one, else through the factor's
+    ``inverse`` when it offers one (the super-resolution conditional with at
+    most one alias term).  A mirror draw stands as it is; a draw through
+    ``inverse`` whose relative residual misses EXACT_EPSILON is the start of
+    the CG solve below, which then reports its iterations.  Without a known
+    Q^-1, CG is pushed to machine accuracy (see _exact_cg_solve).
     """
     eta = perturb(target, stream)
-    if target.mirror is not None:
-        x = target.mirror_solve(eta)
+    mirrored = target.mirror is not None
+    factor = target.precision.factor
+    inverse = target.mirror_solve if mirrored else getattr(factor, "inverse", None)
+    x = None
+    if inverse is not None:
+        x = inverse(eta)
         residual = eta - target.precision.apply(x)
         eta_norm = float(np.linalg.norm(eta))
         rel = float(np.linalg.norm(residual)) / eta_norm if eta_norm > 0 else 0.0
-        return KernelOutcome(x, x, 1.0, True, 0, rel)
-    x, rel, iterations = _exact_cg_solve(target.precision, eta)
+        if mirrored or rel <= EXACT_EPSILON:
+            return KernelOutcome(x, x, 1.0, True, 0, rel)
+    x, rel, iterations = _exact_cg_solve(target.precision, eta, x)
     return KernelOutcome(x, x, 1.0, True, iterations, rel)
 
 

@@ -14,14 +14,16 @@ drawn matrix-free by any kernel from adapt.make_kernel.  B and D are
 circulant, so the model holds each as its rfft2 transfer function (b and d,
 centred_transfer), and the chain lives in the orthonormal coordinates of the
 real-FFT half spectrum (HalfSpectrum), where Q takes no transform
-(SpectralConditional) and a sweep takes 3 (see run_gibbs).  The exact
-draw's CG is preconditioned there by Q^-1 itself when C has one alias term
-(two frames at factor 2, the default), so it stops after one iteration, and
-by Q's circulant mean P otherwise (SpectralConditional.precondition).  With
-that one alias term, the truncated kernels' plain CG runs in Q's eigenbasis,
-on the distinct values of its diagonal Lambda, where a Q-apply is one
-multiply (PairRotation); Q^-1 and the eigenbasis share one cancellation-free
-block determinant, computed once per conditional.
+(SpectralConditional) and a sweep takes 3 (see run_gibbs).  When C has at
+most one alias term (two frames at factor 2, the default, or frames =
+factor^2), Q^-1 is known there in closed form (SpectralConditional.inverse)
+and the exact draw applies it once, with no CG; with several, the exact
+draw runs CG preconditioned by Q's circulant mean P
+(SpectralConditional.precondition).  With one alias term, the truncated
+kernels' plain CG runs in Q's eigenbasis, on the distinct values of its
+diagonal Lambda, where a Q-apply is one multiply (PairRotation); Q^-1 and
+the eigenbasis share one cancellation-free block determinant, computed once
+per conditional.
 """
 
 from __future__ import annotations
@@ -102,10 +104,12 @@ def centred_transfer(kernel, image_dims) -> np.ndarray:
 def _alias_gather(spectrum, gather) -> np.ndarray:
     """The half spectrum read at each bin's alias source: ``gather`` is the
     (source, sign) table of one alias term (see HalfSpectrum), the flat bin
-    each bin reads and -1 where it reads that bin conjugated."""
+    each bin reads and -1 where it reads that bin conjugated; sign is None
+    where no bin does."""
     source, sign = gather
     out = np.take(spectrum, source)
-    out.imag *= sign
+    if sign is not None:
+        out.imag *= sign
     return out
 
 
@@ -158,7 +162,8 @@ class HalfSpectrum:
     ``gather`` reads u^[k - shift] for every half-spectrum bin k as a
     (source, sign) table, the flat bin it reads and -1 on the imaginary part
     where that bin is the mirror of a shifted bin past column K//2, read
-    conjugated; A_pq = W conj(b) c_pq G_pq(b / W) holds the blurs and
+    conjugated (sign None for a term that shifts rows only, which reads no
+    mirror); A_pq = W conj(b) c_pq G_pq(b / W) holds the blurs and
     coordinate scales around it.  At most f^2 - 1 terms; 1 for two frames
     at f = 2, none with every phase sampled once (C = I).  All multipliers
     are complex, because numpy multiplies two complex arrays about twice as
@@ -212,7 +217,7 @@ class HalfSpectrum:
             mirrored = source_col > cols // 2
             gather = (np.where(mirrored, ((-source_row) % rows) * half + cols - source_col,
                                source_row * half + source_col),
-                      np.where(mirrored, -1.0, 1.0))
+                      np.where(mirrored, -1.0, 1.0) if mirrored.any() else None)
             self.aliases.append((gather, c * self.adjoint_blur * _alias_gather(self.blur, gather)))
             moduli.append(abs(c))
         if len(self.aliases) != 1:
@@ -279,14 +284,15 @@ class SpectralConditional:
     positive: |d|^2 vanishes only at frequency zero, where |b|^2 = 1 and
     mean(C) > 0.  With frames = factor^2, C = I and Q = P.
 
-    ``precondition`` is Q^-1 itself when C has at most one alias term
-    (frames = factor^2, or two frames at factor 2), and P^-1 when it has
-    more; either takes no transform.  With exactly one alias term the
-    factor also offers ``rotation``, Q's eigenbasis (PairRotation), where
-    plain CG runs; with none or several, ``rotation`` is None and plain CG
-    applies Q as above.  Both read ``paired_mean`` (P_j at bin k of a pair
-    (k, j)) and ``determinant`` (P_k P_j - |w|^2, summed from the non-negative
-    parts of HalfSpectrum.pair_determinant), built once with one alias term.
+    ``inverse`` is Q^-1 when C has at most one alias term (frames =
+    factor^2, or two frames at factor 2), and None when it has more;
+    ``precondition`` is that Q^-1, or P^-1 where there is none.  Neither
+    takes a transform.  With exactly one alias term the factor also offers
+    ``rotation``, Q's eigenbasis (PairRotation), where plain CG runs; with
+    none or several, ``rotation`` is None and plain CG applies Q as above.
+    Both read ``paired_mean`` (P_j at bin k of a pair (k, j)) and
+    ``determinant`` (P_k P_j - |w|^2, summed from the non-negative parts of
+    HalfSpectrum.pair_determinant), built once with one alias term.
 
     The alias sum is Q only on real images' half spectra (the image of
     ``enter``), where it is the spectrum of B^t C B x; every perturbation
@@ -321,14 +327,14 @@ class SpectralConditional:
     @cached_property
     def precondition(self):
         """s -> M^-1 s for CG's preconditioner M, no transform; built on
-        first use, so only preconditioned solves pay for it.  With two or
-        more alias terms (3 or 5 frames at factor 2, for instance) it is the
-        Strang/Chan P^-1 s = s / P, and Q^-1 with none (C = I, Q = P).
+        first use, so only exact draws pay for it.  With no alias term (C =
+        I, Q = P) it is Q^-1 = P^-1, s / P, and with two or more (3 or 5
+        frames at factor 2, for instance) the Strang/Chan P^-1, also s / P.
 
-        With one alias term (gather, w), its shift is its own negative (C
-        is real, so c_-pq = conj c_pq is a term too), so the gather G pairs
-        each bin k with one bin j, G(G(s)) = s, and Q is block diagonal in
-        1 x 1 and 2 x 2 blocks:
+        With one alias term (gather, w) it is Q^-1 too.  The term's shift is
+        its own negative (C is real, so c_-pq = conj c_pq is a term too),
+        so the gather G pairs each bin k with one bin j, G(G(s)) = s, and Q
+        is block diagonal in 1 x 1 and 2 x 2 blocks:
 
             (Q s)_k = P_k s_k + w_k ~s_j,   (Q s)_j = P_j s_j + w_j ~s_k,
 
@@ -339,13 +345,25 @@ class SpectralConditional:
 
         with P_j = G(P)_k (``paired_mean``) and the block's ``determinant``:
         Q^-1 is the same diagonal plus one gather, at about the cost of a
-        Q-apply, and an exact solve stops after one iteration.
+        Q-apply.  Its two tables take one reciprocal of the determinant,
+        held complex, and two complex multiplies, the bits of dividing by
+        the real determinant (numpy divides a complex number by a real one
+        through its reciprocal) at about half the time.
         """
         if len(self.gram.aliases) != 1:
             return _DiagonalPlusGathers(1.0 / self.gram.diagonal, [])
         [(gather, weight)] = self.gram.aliases
-        return _DiagonalPlusGathers(self.paired_mean / self.determinant,
-                                    [(gather, -weight / self.determinant)])
+        reciprocal = (1.0 / self.determinant).astype(complex)
+        return _DiagonalPlusGathers(self.paired_mean * reciprocal,
+                                    [(gather, -weight * reciprocal)])
+
+    @property
+    def inverse(self):
+        """Q^-1 as a map, no transform, when C has at most one alias term:
+        ``precondition``, built by its first use.  None with several, where
+        P^-1 only preconditions.  The exact draw applies it in place of a
+        solve (rjpo.sampler.epo_step)."""
+        return self.precondition if len(self.gram.aliases) <= 1 else None
 
     @cached_property
     def rotation(self):
@@ -513,8 +531,11 @@ class SuperResModel:
         """H^t without the blur: each frame added onto its sub-lattice."""
         image = np.zeros(self.hi_res_dims)
         f = self.decimation_factor
-        for (r, c), frame in zip(self.frame_offsets, np.split(frames, self.frames)):
-            image[r::f, c::f] += frame.reshape(image[r::f, c::f].shape)
+        rows, cols = self.hi_res_dims
+        # one reshape in place of np.split, which costs more than the additions
+        stacked = np.reshape(frames, (self.frames, rows // f, cols // f))
+        for (r, c), frame in zip(self.frame_offsets, stacked):
+            image[r::f, c::f] += frame
         return image
 
     @cached_property

@@ -86,10 +86,13 @@ def test_negative_values_in_exponent_form_parse(tmp_path):
     assert json.loads((out / "metadata.json").read_text())["config"]["rho"] == -0.5
     rc, err = run_cli(["superres", "--snr-db", "-inf", "--out", str(tmp_path / "sr")])
     assert rc == 1 and "snr_db must be a real number or +inf, got -inf" in err
-    # the default epo sampler never reads epsilon, so name one that does
-    rc, err = run_cli(["toy", "--sampler", "rjpo", "--epsilon", "-1e-3",
-                       "--out", str(tmp_path / "eps")])
-    assert rc == 1 and "rjpo epsilon must lie in (0, 1), got -0.001" in err
+    # every sampler refuses it, also the default epo and arjpo, which never read it
+    for sampler in ("rjpo", "epo", "arjpo"):
+        rc, err = run_cli(["toy", "--sampler", sampler, "--epsilon", "-1e-3",
+                           "--out", str(tmp_path / sampler)])
+        assert rc == 1 and f"{sampler} epsilon must lie in (0, 1), got -0.001" in err
+    rc, err = run_cli(["toy", "--epsilon", "-1e-3", "--out", str(tmp_path / "default")])
+    assert rc == 1 and "epo epsilon must lie in (0, 1), got -0.001" in err
 
 
 def test_unknown_sampler_is_a_config_error(tmp_path):
@@ -111,6 +114,10 @@ def run_cli(argv):
     ["toy", "--sampler", "rjpo", "--epsilon", "inf"],
     ["toy", "--sampler", "tpo", "--epsilon", "0"],
     ["superres", "--dims", "16", "--sampler", "tpo", "--epsilon", "nan"],
+    ["superres", "--dims", "16", "--fwhm", "1", "--iterations", "3", "--burn-in", "1",
+     "--sampler", "epo", "--epsilon", "nan"],
+    ["superres", "--dims", "16", "--fwhm", "1", "--iterations", "3", "--burn-in", "1",
+     "--sampler", "arjpo", "--epsilon", "0"],
     ["curve", "--epsilon-grid", "nan"],
     ["adapt", "--epsilon0", "0"],
     ["adapt", "--epsilon0", "-1e-3"],

@@ -14,6 +14,7 @@ from rjpo.cg import cg_solve
 from rjpo.sampler import (
     EXACT_EPSILON, KernelOutcome, _exact_cg_solve, epo_step, perturb, resolve_burn_in,
 )
+import rjpo.sampler
 from rjpo import superres as sr
 
 SMOOTH_3X3 = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
@@ -633,10 +634,12 @@ def test_exact_conditional_draws_match_cholesky_oracle(dense_mirror):
 
 
 def test_preconditioned_exact_solve_matches_mirror_solve():
-    """The preconditioned CG behind an exact draw without a mirror solves
-    Q x = eta as the dense mirror on images does with eta mapped out, to
-    1e-11 relative once the draw is mapped out too, in a fraction of plain
-    CG's iterations."""
+    """An exact draw without a mirror solves Q x = eta as the dense mirror
+    on images does with eta mapped out, to 1e-11 relative once the draw is
+    mapped out too: on two frames (one alias term) by the closed-form
+    Q^-1 with no CG iteration, on five frames and at factor 3 (several
+    alias terms) by CG preconditioned by P^-1 in a fraction of plain CG's
+    iterations."""
     gy, gx = 323.6, 780.4  # posterior-typical precisions
     models = [small_model(frames=2), small_model(frames=5),
               sr.SuperResModel(hi_res_dims=(9, 15), frames=4, decimation_factor=3,
@@ -653,6 +656,9 @@ def test_preconditioned_exact_solve_matches_mirror_solve():
                  / np.linalg.norm(expected))
         assert error <= 1e-11, (model.hi_res_dims, model.frames, error)
         assert out.relative_residual <= EXACT_EPSILON
+        if len(basis.aliases) == 1:
+            assert out.cg_iterations == 0, model.frames
+            continue
         plain = cg_solve(bare.precision, eta, epsilon=EXACT_EPSILON)
         assert 0 < out.cg_iterations < plain.iterations / 4
 
@@ -763,34 +769,113 @@ def test_preconditioner_is_the_dense_inverse_with_one_alias_term():
         assert np.max(np.abs(dense_q @ q_inv - np.eye(n))) <= 1e-13, frames
 
 
+def _full_coverage_models():
+    """C = I at factor 2 (16 x 16, 4 frames) and factor 3 (9 x 15, 9 frames)."""
+    return [sr.SuperResModel(hi_res_dims=dims, frames=factor**2, decimation_factor=factor,
+                             psf_kernel=SMOOTH_3X3)
+            for dims, factor in (((16, 16), 2), ((9, 15), 3))]
+
+
 @pytest.mark.parametrize("gammas", ONE_ALIAS_GAMMAS)
 def test_exact_solve_with_one_alias_term_takes_one_iteration(gammas):
-    """The 64 x 64 two-frame exact draw, preconditioned by Q^-1, stops after
-    one CG iteration with a recomputed residual within EXACT_EPSILON, from
-    posterior-typical precisions to ratios of 1e4 either way."""
+    """The 64 x 64 two-frame exact draw applies the closed-form Q^-1 once and
+    runs no CG iteration, with a recomputed residual within EXACT_EPSILON,
+    from posterior-typical precisions to ratios of 1e4 either way."""
     model = sr.make_model((64, 64))
     obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(64))
     target = sr.conditional_target(model, model.half_spectrum.back_project(obs), *gammas)
     for seed in (65, 66):
         out = epo_step(target, RngStream(seed))
-        assert out.cg_iterations == 1
+        assert out.cg_iterations == 0
         assert out.relative_residual <= EXACT_EPSILON
 
 
 def test_full_phase_coverage_solves_in_one_iteration():
     """With frames = factor^2 every pixel is sampled once (C = I), so Q is
-    the circulant P that preconditions it, and the exact solve takes one
+    the circulant P, whose inverse the exact draw applies with no CG
     iteration: the O(N log N) exact sampler."""
-    for dims, factor in (((16, 16), 2), ((9, 15), 3)):
-        model = sr.SuperResModel(hi_res_dims=dims, frames=factor**2,
-                                 decimation_factor=factor, psf_kernel=SMOOTH_3X3)
+    for model in _full_coverage_models():
+        dims = model.hi_res_dims
         assert np.array_equal(model.counts, np.ones(dims))
         obs = sr.synthesize(model, sr.phantom(dims), RngStream(60))
         target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 323.6,
                                        780.4)
         out = epo_step(target, RngStream(61))
-        assert out.cg_iterations == 1
+        assert out.cg_iterations == 0
         assert out.relative_residual <= EXACT_EPSILON
+
+
+@pytest.mark.parametrize("gammas", ONE_ALIAS_GAMMAS)
+def test_closed_form_draw_matches_the_preconditioned_solve(gammas):
+    """Where Q^-1 is known in closed form (the 64 x 64 two-frame model, and
+    full phase coverage at factors 2 and 3), the exact draw that applies it
+    is the draw of the CG solve preconditioned by it from the same eta
+    (_exact_cg_solve, one iteration) to 1e-14 relative."""
+    for model in [sr.make_model((64, 64))] + _full_coverage_models():
+        case = (model.hi_res_dims, model.frames, gammas)
+        basis = model.half_spectrum
+        obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(71))
+        target = sr.conditional_target(model, basis.back_project(obs), *gammas)
+        assert target.precision.factor.inverse is not None, case
+        for seed in (72, 73, 74):
+            out = epo_step(target, RngStream(seed))
+            assert out.cg_iterations == 0, case
+            solution, _, iterations = _exact_cg_solve(target.precision,
+                                                      perturb(target, RngStream(seed)))
+            assert iterations == 1, case
+            error = np.linalg.norm(out.next_sample - solution) / np.linalg.norm(solution)
+            assert error <= 1e-14, (case, error)
+
+
+def test_closed_form_draw_that_misses_its_residual_continues_in_cg(monkeypatch):
+    """A closed-form draw whose recomputed residual misses EXACT_EPSILON
+    (here Q^-1 scaled by 1 + 1e-9) is the start of the preconditioned CG
+    solve, and the draw reports that solve's iterations and residual; it
+    lands on the unscaled draw to 1e-14 relative."""
+    model = sr.make_model((64, 64))
+    basis = model.half_spectrum
+    obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(75))
+    target = sr.conditional_target(model, basis.back_project(obs), 11.6, 962.0)
+    exact = epo_step(target, RngStream(76))
+    inverse = sr.SpectralConditional.inverse.fget
+    monkeypatch.setattr(sr.SpectralConditional, "inverse",
+                        property(lambda self: lambda s: inverse(self)(s) * (1.0 + 1e-9)))
+    out = epo_step(target, RngStream(76))
+    eta = perturb(target, RngStream(76))
+    start = target.precision.factor.inverse(eta)
+    eta_norm = np.linalg.norm(eta)
+    assert np.linalg.norm(eta - target.precision.apply(start)) > EXACT_EPSILON * eta_norm
+    solution, residual, iterations = _exact_cg_solve(target.precision, eta, start)
+    assert out.cg_iterations == iterations >= 1
+    assert out.relative_residual == residual <= EXACT_EPSILON
+    assert np.array_equal(out.next_sample, solution)
+    error = np.linalg.norm(out.next_sample - exact.next_sample) / np.linalg.norm(exact.next_sample)
+    assert error <= 1e-14, error
+
+
+def test_exact_draw_with_several_alias_terms_runs_cg_preconditioned_by_p(monkeypatch):
+    """Three frames at factor 2 have three alias terms, so the conditional
+    knows no Q^-1 and the exact draw runs CG from zero preconditioned by
+    P^-1, the factor's ``precondition``, in several iterations."""
+    model = small_model(frames=3)
+    basis = model.half_spectrum
+    assert len(basis.aliases) == 3
+    obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(77))
+    target = sr.conditional_target(model, basis.back_project(obs), 323.6, 780.4)
+    factor = target.precision.factor
+    assert factor.inverse is None
+    solves = []
+
+    def recorded(q, b, x0=None, epsilon=0.0, max_iters=None):
+        solves.append((q.precondition, x0, epsilon))
+        return cg_solve(q, b, x0=x0, epsilon=epsilon, max_iters=max_iters)
+
+    monkeypatch.setattr(rjpo.sampler, "cg_solve", recorded)
+    out = epo_step(target, RngStream(78))
+    assert solves[0] == (factor.precondition, None, EXACT_EPSILON)
+    assert np.array_equal(factor.precondition.diagonal, 1.0 / factor.gram.diagonal)
+    assert not factor.precondition.aliases
+    assert out.cg_iterations > 1 and out.relative_residual <= EXACT_EPSILON
 
 
 def test_rotation_diagonalises_q_with_one_alias_term():
@@ -945,9 +1030,9 @@ def test_x_sampler_factory():
     assert arjpo.epsilon == pytest.approx(1e-3)
     with pytest.raises(ConfigurationError):
         make_kernel("gibbs")
-    for name in ("tpo", "rjpo"):
+    for name in ("epo", "cholesky_epo", "tpo", "rjpo", "arjpo"):
         for bad in (0.0, -1e-3, 1.0, 1.5, math.nan, math.inf):
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(ConfigurationError, match=f"{name} epsilon must lie in"):
                 make_kernel(name, epsilon=bad)
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ConfigurationError):
