@@ -104,12 +104,10 @@ def centred_transfer(kernel, image_dims) -> np.ndarray:
 def _alias_gather(spectrum, gather) -> np.ndarray:
     """The half spectrum read at each bin's alias source: ``gather`` is the
     (source, sign) table of one alias term (see HalfSpectrum), the flat bin
-    each bin reads and -1 where it reads that bin conjugated; sign is None
-    where no bin does."""
+    each bin reads and -1 where it reads that bin conjugated."""
     source, sign = gather
     out = np.take(spectrum, source)
-    if sign is not None:
-        out.imag *= sign
+    out.imag *= sign
     return out
 
 
@@ -162,8 +160,7 @@ class HalfSpectrum:
     ``gather`` reads u^[k - shift] for every half-spectrum bin k as a
     (source, sign) table, the flat bin it reads and -1 on the imaginary part
     where that bin is the mirror of a shifted bin past column K//2, read
-    conjugated (sign None for a term that shifts rows only, which reads no
-    mirror); A_pq = W conj(b) c_pq G_pq(b / W) holds the blurs and
+    conjugated; A_pq = W conj(b) c_pq G_pq(b / W) holds the blurs and
     coordinate scales around it.  At most f^2 - 1 terms; 1 for two frames
     at f = 2, none with every phase sampled once (C = I).  All multipliers
     are complex, because numpy multiplies two complex arrays about twice as
@@ -217,7 +214,7 @@ class HalfSpectrum:
             mirrored = source_col > cols // 2
             gather = (np.where(mirrored, ((-source_row) % rows) * half + cols - source_col,
                                source_row * half + source_col),
-                      np.where(mirrored, -1.0, 1.0) if mirrored.any() else None)
+                      np.where(mirrored, -1.0, 1.0))
             self.aliases.append((gather, c * self.adjoint_blur * _alias_gather(self.blur, gather)))
             moduli.append(abs(c))
         if len(self.aliases) != 1:

@@ -780,7 +780,8 @@ def _full_coverage_models():
 def test_exact_solve_with_one_alias_term_takes_one_iteration(gammas):
     """The 64 x 64 two-frame exact draw applies the closed-form Q^-1 once and
     runs no CG iteration, with a recomputed residual within EXACT_EPSILON,
-    from posterior-typical precisions to ratios of 1e4 either way."""
+    from posterior-typical precisions to ratios of 1e4 either way.  (The
+    name is that of the one-iteration PCG draw this replaced.)"""
     model = sr.make_model((64, 64))
     obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(64))
     target = sr.conditional_target(model, model.half_spectrum.back_project(obs), *gammas)
@@ -793,7 +794,8 @@ def test_exact_solve_with_one_alias_term_takes_one_iteration(gammas):
 def test_full_phase_coverage_solves_in_one_iteration():
     """With frames = factor^2 every pixel is sampled once (C = I), so Q is
     the circulant P, whose inverse the exact draw applies with no CG
-    iteration: the O(N log N) exact sampler."""
+    iteration: the O(N log N) exact sampler.  (The name is that of the
+    one-iteration PCG draw this replaced.)"""
     for model in _full_coverage_models():
         dims = model.hi_res_dims
         assert np.array_equal(model.counts, np.ones(dims))
