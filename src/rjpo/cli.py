@@ -345,13 +345,6 @@ def cmd_curve(cfg, outdir) -> None:
                   ["epsilon", "psrf", "threshold", "converged"], psrf_rows)
 
 
-def _trajectory(kernel: AdaptiveRjpoKernel, chain) -> np.ndarray:
-    """Columns: step n, the epsilon step n ran with, its acceptance
-    probability and its CG iterations."""
-    n = np.arange(1, chain.alphas.size + 1)
-    return np.column_stack([n, kernel.epsilons, chain.alphas, chain.cg_iterations])
-
-
 # mode -> defaults of n, n_max and epsilon0
 _ADAPT_DEFAULTS = {"target_rate": (16, 1000, 1e-3), "min_cces": (128, 12000, 1e-2)}
 
@@ -392,7 +385,9 @@ def cmd_adapt(cfg, outdir) -> None:
                                k0=cfg["k0"], kappa=cfg["kappa"])
         kernel = AdaptiveRjpoKernel(ctrl)
         chain = run_chain(target, kernel, n_max, cfg["n_min"], stream, track_covariance=False)
-        traj = _trajectory(kernel, chain)
+        # step n, the epsilon step n ran with, its acceptance and its CG iterations
+        traj = np.column_stack([np.arange(1, chain.alphas.size + 1), kernel.epsilons,
+                                chain.alphas, chain.cg_iterations])
         write_csv(os.path.join(outdir, filename), ["n", "epsilon", "alpha", "cg_iters"], traj)
         finished.append((ctrl, traj))
 

@@ -17,18 +17,14 @@ from .linop import GaussianTarget, target_from_cholesky
 from .rng import RngStream
 
 
-def _check_ar1(n: int, sigma2: float, rho: float) -> None:
+def ar1_covariance(n: int, sigma2: float = 1.0, rho: float = 0.8) -> np.ndarray:
+    """R_ij = sigma2 rho^|i-j|, one copy of windows over its n scaled powers."""
     if n < 1:
         raise ConfigurationError(f"dimension must be >= 1, got {n}")
     if not -1.0 < rho < 1.0:
         raise ConfigurationError(f"rho must lie in (-1, 1), got {rho}")
     if not 0.0 < sigma2 < np.inf:
         raise ConfigurationError(f"sigma2 must be positive and finite, got {sigma2}")
-
-
-def ar1_covariance(n: int, sigma2: float = 1.0, rho: float = 0.8) -> np.ndarray:
-    """R_ij = sigma2 rho^|i-j|, one copy of windows over its n scaled powers."""
-    _check_ar1(n, sigma2, rho)
     powers = sigma2 * rho ** np.arange(n)
     return sliding_window_view(np.concatenate([powers[:0:-1], powers]), n)[::-1].copy()
 

@@ -110,8 +110,8 @@ def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
     if inverse is not None:
         x = inverse(eta)
         residual = eta - target.precision.apply(x)
-        eta_norm = float(np.linalg.norm(eta))
-        rel = float(np.linalg.norm(residual)) / eta_norm if eta_norm > 0 else 0.0
+        eta_norm = math.sqrt(eta @ eta)  # np.linalg.norm's formula, without its wrapper
+        rel = math.sqrt(residual @ residual) / eta_norm if eta_norm > 0 else 0.0
         if mirrored or rel <= EXACT_EPSILON:
             return KernelOutcome(x, x, 1.0, True, 0, rel)
     x, rel, iterations = _exact_cg_solve(target.precision, eta, x)

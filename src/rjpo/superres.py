@@ -14,7 +14,8 @@ drawn matrix-free by any kernel from adapt.make_kernel.  B and D are
 circulant, so the model holds each as its rfft2 transfer function (b and d,
 centred_transfer), and the chain lives in the orthonormal coordinates of the
 real-FFT half spectrum (HalfSpectrum), where Q takes no transform
-(SpectralConditional) and a sweep takes 3 (see run_gibbs).  When C has at
+(SpectralConditional) and a sweep transforms 3 images: 2 forward, in one
+stacked call, and 1 inverse (see run_gibbs).  When C has at
 most one alias term (two frames at factor 2, the default, or frames =
 factor^2), Q^-1 is known there in closed form (SpectralConditional.inverse)
 and the exact draw applies it once, with no CG; with several, the exact
@@ -35,8 +36,8 @@ from functools import cached_property
 
 import numpy as np
 
-# perfbench/run.py builds its Gibbs kernels through make_x_sampler, and
-# perfbench/spans.py patches epo_step here, so both stay importable by name
+# perfbench/run.py builds its Gibbs kernels through make_x_sampler; no kernel
+# calls epo_step from here, but perfbench/spans.py patches it here by name
 from .adapt import make_kernel as make_x_sampler  # noqa: F401
 from .errors import ConfigurationError, NumericalBreakdownError
 from .linop import Eigenbasis, FactoredPrecision, GaussianTarget
@@ -83,6 +84,17 @@ def laplace_psf(fwhm: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
+def _rfft2(images) -> np.ndarray:
+    """rfft2 over the last two axes, of one image or a stack: the 1-D passes
+    rfftn makes, in its order (so its bits), without its ~10 us wrapper."""
+    return np.fft.fft(np.fft.rfft(images), axis=-2)
+
+
+def _irfft2(spectra, cols: int) -> np.ndarray:
+    """irfft2 over the last two axes, to images ``cols`` wide, as _rfft2."""
+    return np.fft.irfft(np.fft.ifft(spectra, axis=-2), n=cols)
+
+
 def centred_transfer(kernel, image_dims) -> np.ndarray:
     """The rfft2 half spectrum of circular convolution by ``kernel`` on an
     image_dims grid, with the kernel's centre cell ((rows - 1) // 2,
@@ -98,7 +110,7 @@ def centred_transfer(kernel, image_dims) -> np.ndarray:
     padded = np.zeros((int(rows), int(cols)))
     padded[: kernel.shape[0], : kernel.shape[1]] = kernel
     origin = ((kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2)
-    return np.fft.rfft2(np.roll(padded, (-origin[0], -origin[1]), axis=(0, 1)))
+    return _rfft2(np.roll(padded, (-origin[0], -origin[1]), axis=(0, 1)))
 
 
 def _alias_gather(spectrum, gather) -> np.ndarray:
@@ -146,9 +158,10 @@ class HalfSpectrum:
 
     One per model, built on first use: the Gibbs chain's state lives here,
     and it holds every gamma-independent multiplier the chain needs: W
-    conj(b) and W conj(d) for F^t (``back_project`` and the perturbation),
-    b / W for B x (``blurred``), and the parts of the conditional's Gram,
-    the diagonals |d|^2 and mean(C) |b|^2 and the ``aliases`` table.  C is
+    conj(b) and W conj(d) for F^t (``back_project``, and the perturbation,
+    whose frames and w_x one bincount over ``stack_index`` stacks as two
+    images), b / W for B x (``blurred``), and the parts of the conditional's
+    Gram, the diagonals |d|^2 and mean(C) |b|^2 and the ``aliases`` table.  C is
     periodic with the decimation factor f, so its spectrum lives on the f^2
     bins (p R/f, q K/f) of the R x K grid, with
     c_pq = fft2(C)[p R/f, q K/f] / N and c_00 = mean(C), and multiplying
@@ -187,6 +200,7 @@ class HalfSpectrum:
         self.scale = np.sqrt(weights / model.pixel_count)
         self.unscale = 1.0 / self.scale
         self.model = model
+        self.stack_index = np.r_[model.frame_index, model.pixel_count:2 * model.pixel_count]
         transfer, counts = model.blur, model.counts
         self.adjoint_blur = np.conj(transfer) * self.scale
         self.adjoint_smooth = np.conj(model.laplacian) * self.scale
@@ -245,31 +259,30 @@ class HalfSpectrum:
 
     def enter(self, x):
         """s = W rfft2(x) for a flattened real image x."""
-        return (self.scale * np.fft.rfft2(x.reshape(self.dims))).view(float).ravel()
+        return (self.scale * _rfft2(x.reshape(self.dims))).view(float).ravel()
 
     def leave(self, s):
         """The flattened real image x with enter(x) = s."""
         spectrum = s.view(complex).reshape(self.shape) * self.unscale
-        return np.fft.irfft2(spectrum, s=self.dims).ravel()
+        return _irfft2(spectrum, self.dims[1]).ravel()
 
     def back_project(self, data):
         """enter(H^t data) for stacked frames: W conj(b) rfft2(scatter(data)),
         one rfft2."""
-        spectrum = self.adjoint_blur * np.fft.rfft2(self.model.scatter(data))
+        spectrum = self.adjoint_blur * _rfft2(self.model.scatter(data))
         return spectrum.view(float).ravel()
 
     def blurred(self, s):
         """The blurred image B x of x = leave(s): irfft2((b / W) s), one
         irfft2."""
-        spectrum = self.blur * s.view(complex).reshape(self.shape)
-        return np.fft.irfft2(spectrum, s=self.dims)
+        return _irfft2(self.blur * s.view(complex).reshape(self.shape), self.dims[1])
 
 
 class SpectralConditional:
     """The factor F = [sqrt(gamma_y) H; sqrt(gamma_x) D] seen from
     HalfSpectrum coordinates, whose Gram is the conditional precision Q
     there.  F^t w = enter(sqrt(gamma_y) H^t w_y + sqrt(gamma_x) D^t w_x)
-    scatters the frames and ends in the spectrum: 2 rfft2, no inverse.
+    ends in the spectrum: 2 images forward, in one stacked call, no inverse.
 
     Replacing C by its mean gives the circulant
     P = gamma_y mean(C) |b|^2 + gamma_x |d|^2 (the Strang/Chan
@@ -315,10 +328,11 @@ class SpectralConditional:
                                 + gamma_x * gamma_x * by_x)
 
     def apply_transpose(self, w):
+        """F^t w: one bincount stacks its two images, one call transforms both."""
         basis, (root_y, root_x) = self.basis, self._roots
-        data, smooth = np.split(w, [basis.model.data_count])
-        spectrum = (root_y * basis.adjoint_blur * np.fft.rfft2(basis.model.scatter(data))
-                    + root_x * basis.adjoint_smooth * np.fft.rfft2(smooth.reshape(basis.dims)))
+        stack = np.bincount(basis.stack_index, w, 2 * basis.model.pixel_count)
+        data, smooth = _rfft2(stack.reshape((2,) + basis.dims))
+        spectrum = root_y * basis.adjoint_blur * data + root_x * basis.adjoint_smooth * smooth
         return spectrum.view(float).ravel()
 
     @cached_property
@@ -510,30 +524,25 @@ class SuperResModel:
         return centred_transfer(LAPLACIAN_STENCIL, self.hi_res_dims)
 
     @cached_property
+    def frame_index(self) -> np.ndarray:
+        """The flat pixel each entry of the stacked frames reads: frame k's
+        sub-lattice (row, col) % factor == frame_offsets[k], row-major."""
+        f, pixels = self.decimation_factor, np.arange(self.pixel_count).reshape(self.hi_res_dims)
+        return np.concatenate([pixels[r::f, c::f].ravel() for r, c in self.frame_offsets])
+
+    @cached_property
     def counts(self) -> np.ndarray:
         """C: the number of frames that sample each pixel."""
-        counts = np.zeros(self.hi_res_dims)
-        f = self.decimation_factor
-        for r, c in self.frame_offsets:
-            counts[r::f, c::f] += 1.0
-        return counts
+        return self.scatter(np.ones(self.data_count))
 
     def gather(self, image) -> np.ndarray:
         """H without the blur: each frame's sub-lattice of the image, stacked."""
-        image = image.reshape(self.hi_res_dims)
-        f = self.decimation_factor
-        return np.concatenate([image[r::f, c::f].ravel() for r, c in self.frame_offsets])
+        return np.take(image, self.frame_index)
 
     def scatter(self, frames) -> np.ndarray:
-        """H^t without the blur: each frame added onto its sub-lattice."""
-        image = np.zeros(self.hi_res_dims)
-        f = self.decimation_factor
-        rows, cols = self.hi_res_dims
-        # one reshape in place of np.split, which costs more than the additions
-        stacked = np.reshape(frames, (self.frames, rows // f, cols // f))
-        for (r, c), frame in zip(self.frame_offsets, stacked):
-            image[r::f, c::f] += frame
-        return image
+        """H^t without the blur: each frame added onto its sub-lattice, in
+        stacked-frame order (bincount), so in the order of a loop over frames."""
+        return np.bincount(self.frame_index, frames, self.pixel_count).reshape(self.hi_res_dims)
 
     @cached_property
     def half_spectrum(self) -> HalfSpectrum:
@@ -572,7 +581,7 @@ def synthesize(model: SuperResModel, ground_truth, stream: RngStream) -> np.ndar
         raise ConfigurationError(
             f"ground truth shape {truth.shape} != model dims {model.hi_res_dims}"
         )
-    clean = model.gather(np.fft.irfft2(np.fft.rfft2(truth) * model.blur, s=model.hi_res_dims))
+    clean = model.gather(_irfft2(_rfft2(truth) * model.blur, model.hi_res_dims[1]))
     if model.snr_db == math.inf:
         return clean
     power = float(clean @ clean)
@@ -643,13 +652,13 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
     """Cycle gamma_y -> gamma_x -> x for `iterations` sweeps.
 
     The chain's state is x in the model's HalfSpectrum coordinates: H^t y is
-    mapped in once (1 rfft2), a sweep takes 2 rfft2 for the perturbation and
-    1 irfft2 for the data residual, and the posterior mean is mapped out once
-    (1 irfft2).  The chain starts from x = H^t y (data-driven and never
-    constant, so the smoothness conditional is well defined at the first
-    sweep); the same back-projection scales into every sweep's potential.
-    The posterior mean covers the kept sweeps burn_in+1 .. iterations, the
-    records every sweep.
+    mapped in once (1 rfft2), a sweep transforms 3 images, 2 forward in one
+    stacked call for the perturbation and 1 inverse for the data residual,
+    and the posterior mean is mapped out once (1 irfft2).  The chain starts
+    from x = H^t y (data-driven and never constant, so the smoothness
+    conditional is well defined at the first sweep); the same
+    back-projection scales into every sweep's potential.  The posterior mean
+    covers the kept sweeps burn_in+1 .. iterations, the records every sweep.
 
     Gamma conditionals and the x perturbation draw from separate substreams
     of `stream`.  Gamma draws use rejection sampling, so their consumption

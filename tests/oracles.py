@@ -9,7 +9,9 @@ matrix, dense mirrors of a target, the acceptance-vs-threshold curve)
 drive the package itself; no CLI run or benchmark needs them, and
 neither do the image-space maps H, H^t and D of the super-resolution
 model and the conditional's factor built on them (the Gibbs chain runs in
-HalfSpectrum coordinates).
+HalfSpectrum coordinates), or the strided-slice frame maps and the
+two-transform F^t that the package's index tables and stacked transform
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -322,6 +324,36 @@ def forward_transpose(model, w) -> np.ndarray:
 def smooth_apply(model, v) -> np.ndarray:
     """D v: the image filtered by the smoothness transfer d."""
     return _filter(model, v, model.laplacian)
+
+
+def strided_gather(model, image) -> np.ndarray:
+    """H without the blur by strided slices: each frame's sub-lattice of the
+    image, stacked."""
+    image, f = np.reshape(image, model.hi_res_dims), model.decimation_factor
+    return np.concatenate([image[r::f, c::f].ravel() for r, c in model.frame_offsets])
+
+
+def strided_scatter(model, frames) -> np.ndarray:
+    """H^t without the blur by strided slices: each frame added onto its
+    sub-lattice, one frame after another."""
+    (rows, cols), f = model.hi_res_dims, model.decimation_factor
+    image = np.zeros(model.hi_res_dims)
+    stacked = np.reshape(frames, (model.frames, rows // f, cols // f))
+    for (r, c), frame in zip(model.frame_offsets, stacked):
+        image[r::f, c::f] += frame
+    return image
+
+
+def spectral_transpose(conditional, w) -> np.ndarray:
+    """F^t w of a SpectralConditional in two rfft2 calls: the strided
+    scatter of the frames, and w_x, each transformed on its own."""
+    basis, (gamma_y, gamma_x) = conditional.basis, conditional.gammas
+    data, smooth = np.split(w, [basis.model.data_count])
+    spectrum = (math.sqrt(gamma_y) * basis.adjoint_blur
+                * np.fft.rfft2(strided_scatter(basis.model, data))
+                + math.sqrt(gamma_x) * basis.adjoint_smooth
+                * np.fft.rfft2(smooth.reshape(basis.dims)))
+    return spectrum.view(float).ravel()
 
 
 class ConditionalFactor:

@@ -136,3 +136,36 @@ def test_ulp_control_reruns_a_superres_run_with_moved_etas(tmp_path, capsys):
     for name in ("up", "down", "precision_up", "precision_down"):
         assert (tmp_path / "u" / name / "metadata.json").exists()
     assert ulp_control.main([str(tmp_path / "u"), str(tmp_path / "v")]) == 1
+
+
+def test_ulp_reference_control_moves_only_the_reference_chain(tmp_path, capsys):
+    """On a `superres --reference` run the control adds DIR_B/reference_up
+    and DIR_B/reference_down, where only the reference chain's etas move:
+    the sampler's chain and posterior mean stay byte-identical, the
+    reference chain differs.  It restores run_gibbs afterwards, and a run
+    without a reference chain gets no such control."""
+    run_gibbs = sr.run_gibbs
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["superres", "--dims", "16", "--fwhm", "1.0", "--sampler", "arjpo",
+                     "--reference", "--iterations", "6", "--burn-in", "2", "--seed", "3",
+                     "--out", str(a)]) == 0
+    capsys.readouterr()
+    assert ulp_control.main([str(a), str(b)]) == 0
+    assert sr.run_gibbs is run_gibbs
+    report = capsys.readouterr().out.split("== ")[1:]
+    assert [block.split(":")[0] for block in report] == [
+        "eta one ulp up", "eta one ulp down", "precision one ulp up",
+        "precision one ulp down", "reference eta one ulp up", "reference eta one ulp down"]
+    for block in report[:4]:
+        assert "differs    chain.csv" in block and "differs    reference_chain.csv" in block
+    for block in report[4:]:
+        assert "identical  chain.csv" in block and "identical  posterior_mean.pgm" in block
+        assert "differs    reference_chain.csv" in block
+    assert (b / "reference_down" / "metadata.json").exists()
+    # an epo run has no reference chain, even with --reference
+    assert cli.main(["superres", "--dims", "16", "--fwhm", "1.0", "--sampler", "epo",
+                     "--reference", "--iterations", "3", "--burn-in", "1",
+                     "--out", str(tmp_path / "e")]) == 0
+    assert ulp_control.main([str(tmp_path / "e"), str(tmp_path / "f")]) == 0
+    assert sorted(path.name for path in (tmp_path / "f").iterdir()) == [
+        "down", "precision_down", "precision_up", "up"]

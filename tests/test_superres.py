@@ -327,26 +327,45 @@ def test_conditional_factor_validation():
 
 
 def _counted_transforms(monkeypatch):
-    """Patch every numpy FFT entry point to count its calls in the returned
-    dict."""
+    """Patch numpy's 1-D and 2-D FFT entry points to count, per entry point
+    in the returned dict, the images each call transforms: the product of
+    the array's axes before its last two, 1 for a single image (or a
+    vector)."""
     calls = {}
 
     def counted(name):
         transform = getattr(np.fft, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return transform(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            calls[name] = calls.get(name, 0) + math.prod(np.shape(a)[:-2])
+            return transform(a, *args, **kwargs)
 
         return wrapper
 
-    for name in ("rfft2", "irfft2", "fft2", "ifft2", "fftn", "ifftn", "rfftn", "irfftn"):
+    for name in ("rfft", "irfft", "fft", "ifft", "rfft2", "irfft2", "fft2", "ifft2",
+                 "rfftn", "irfftn", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, counted(name))
     return calls
 
 
+def _images_by_direction(calls):
+    """The images transformed forward and inverse (real to half spectrum and
+    back), and complex 2-D transforms.  A 2-D real transform through 1-D
+    calls is a real pass on the last axis and a complex pass on axis -2
+    (superres._rfft2, _irfft2), so each rfft or irfft image owns one fft or
+    ifft image; any other complex pass counts as complex."""
+    def count(*names):
+        return sum(calls.get(name, 0) for name in names)
+
+    return {"forward": count("rfft", "rfft2", "rfftn"),
+            "inverse": count("irfft", "irfft2", "irfftn"),
+            "complex": (count("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
+                        - count("rfft", "irfft"))}
+
+
 def test_fused_conditional_transform_counts(monkeypatch):
-    """A perturbation runs 2 rfft2 and no inverse or complex FFT.  In
+    """A perturbation transforms 2 images forward and none inverse, with no
+    complex 2-D transform.  In
     HalfSpectrum coordinates Q and its preconditioner take no transform, so
     neither does a CG solve, whatever its iteration count, plain or
     preconditioned: plain CG on 2 frames and CG preconditioned by P^-1 on 3
@@ -360,7 +379,8 @@ def test_fused_conditional_transform_counts(monkeypatch):
         target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 2.0, 0.8)
         calls.clear()
         eta = perturb(target, RngStream(9))
-        assert calls == {"rfft2": 2}
+        assert calls == {"rfft": 2, "fft": 2}
+        assert _images_by_direction(calls) == {"forward": 2, "inverse": 0, "complex": 0}
         calls.clear()
         target.precision.factor.gram(eta)
         target.precision.factor.precondition(eta)
@@ -379,13 +399,15 @@ def test_fused_conditional_transform_counts(monkeypatch):
 
 @pytest.mark.parametrize("name", ["epo", "rjpo", "arjpo", "tpo"])
 def test_gibbs_sweep_transform_counts(monkeypatch, name):
-    """A 64 x 64 Gibbs sweep runs 2 rfft2 for the perturbation and 1 irfft2
-    for the data residual H x, and no complex FFT; ||D x|| and every CG solve
-    take none.  Outside the sweeps a run maps H^t y in (1 rfft2) and the
-    posterior mean out (1 irfft2).  The difference of a 10- and a 5-sweep
-    run gives the per-sweep count.  The model's coordinates are built once
-    per model (one f x f fft2 for the alias table), before the runs."""
-    per_sweep, per_run = {"rfft2": 2, "irfft2": 1}, {"rfft2": 1, "irfft2": 1}
+    """A 64 x 64 Gibbs sweep transforms 2 images forward for the
+    perturbation and 1 inverse for the data residual H x, with no complex
+    2-D transform; ||D x|| and every CG solve take none.  Outside the
+    sweeps a run maps H^t y in (1 forward) and the posterior mean out (1
+    inverse).  The difference of a 10- and a 5-sweep run gives the
+    per-sweep count.  The model's coordinates are built once per model (one
+    f x f fft2 for the alias table), before the runs."""
+    per_sweep = {"forward": 2, "inverse": 1, "complex": 0}
+    per_run = {"forward": 1, "inverse": 1, "complex": 0}
     model = sr.make_model((64, 64))
     obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(32))
     model.half_spectrum
@@ -394,8 +416,7 @@ def test_gibbs_sweep_transform_counts(monkeypatch, name):
     for sweeps in (5, 10):
         calls.clear()
         sr.run_gibbs(model, obs, sweeps, 0, make_kernel(name, epsilon=1e-2), RngStream(33))
-        counts.append(dict(calls))
-    assert set(counts[0]) == set(counts[1]) == set(per_sweep)
+        counts.append(_images_by_direction(calls))
     assert {k: (counts[1][k] - counts[0][k]) / 5 for k in per_sweep} == per_sweep
     assert {k: counts[0][k] - 5 * per_sweep[k] for k in per_sweep} == per_run
 
@@ -422,6 +443,41 @@ def _coordinate_cases():
     return [sr.SuperResModel(hi_res_dims=dims, frames=frames, decimation_factor=factor,
                              psf_kernel=SMOOTH_3X3)
             for dims, frames, factor in (((8, 8), 2, 2), ((16, 16), 3, 2), ((9, 15), 4, 3))]
+
+
+def test_frame_maps_and_stacked_transpose_match_the_strided_references():
+    """gather (np.take), scatter (np.bincount) and the one-call F^t of the
+    stacked images give the bits of the strided-slice maps and of one rfft2
+    per image: at 64 x 64 with 2 and 6 frames (6 frames sample some pixels
+    twice), 30 x 30 with 5 frames and 15 x 21 with 4 at factor 3, and one
+    frame at factor 1."""
+    rng = np.random.default_rng(71)
+    for dims, frames, factor in (((64, 64), 2, 2), ((64, 64), 6, 2), ((30, 30), 5, 3),
+                                 ((15, 21), 4, 3), ((33, 35), 1, 1)):
+        model = sr.SuperResModel(dims, frames, factor, psf_kernel=SMOOTH_3X3)
+        conditional = sr.SpectralConditional(model.half_spectrum, 3.7, 0.21)
+        for _ in range(3):
+            image = rng.standard_normal(dims)
+            frames_data = rng.standard_normal(model.data_count)
+            w = rng.standard_normal(conditional.out_dim)
+            assert np.array_equal(model.gather(image), oracles.strided_gather(model, image))
+            assert np.array_equal(model.scatter(frames_data),
+                                  oracles.strided_scatter(model, frames_data))
+            assert np.array_equal(conditional.apply_transpose(w),
+                                  oracles.spectral_transpose(conditional, w)), dims
+
+
+def test_per_axis_transforms_match_numpy():
+    """superres._rfft2 and _irfft2 give the bits of np.fft.rfft2 and irfft2,
+    on even, odd and rectangular grids, one image or a stack."""
+    rng = np.random.default_rng(72)
+    for dims in ((8, 8), (15, 21), (33, 35), (7, 6), (64, 64)):
+        images = rng.standard_normal((3,) + dims)
+        spectra = sr._rfft2(images)
+        assert np.array_equal(spectra, np.fft.rfft2(images))
+        assert np.array_equal(sr._rfft2(images[1]), np.fft.rfft2(images[1]))
+        assert np.array_equal(sr._irfft2(spectra, dims[1]), np.fft.irfft2(spectra, s=dims))
+        assert np.array_equal(sr._irfft2(spectra[2], dims[1]), np.fft.irfft2(spectra[2], s=dims))
 
 
 def test_half_spectrum_is_an_isometry():

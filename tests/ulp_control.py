@@ -1,11 +1,13 @@
 """Rerun an `rjpo` output directory with its etas, then its precisions,
-moved by one ulp, both ways.
+moved by one ulp, both ways; and a `superres --reference` run with only
+its reference chain's etas moved.
 
     python tests/ulp_control.py DIR_A DIR_B
 
 DIR_A holds a finished `rjpo` run of any subcommand; its metadata.json
-carries the whole resolved config.  The tool reruns that config four times
-and prints compare_outputs' report of DIR_A against each:
+carries the whole resolved config.  The tool reruns that config four times,
+six for a `superres` run with a reference chain, and prints
+compare_outputs' report of DIR_A against each:
 
 - the eta control, into DIR_B/up with every perturbation eta replaced by
   np.nextafter(eta, inf), one ulp up in each entry, and into DIR_B/down
@@ -18,6 +20,14 @@ and prints compare_outputs' report of DIR_A against each:
   `curve` and `adapt` every nonzero entry of the AR(1) Cholesky factor L.
   A change that rounds Q or its inverse differently moves the chain in a
   way that moving eta does not bound.
+- the reference control, into DIR_B/reference_up and
+  DIR_B/reference_down, only for a `superres` run whose reference chain
+  ran (`--reference` with a sampler other than epo): the eta control on
+  the reference chain alone, the sampler's chain untouched.  The
+  deviations of the gamma means between the two chains
+  (`gamma_*_rel_deviation`) divide their difference, so a change that
+  moves only one chain can move them further than the two-chain controls
+  do; this control bounds such a change.
 
 A truncated CG solve amplifies rounding far above machine precision, so a
 changed digit between two code versions means something only next to
@@ -86,6 +96,32 @@ def precisions_moved_by_one_ulp(towards):
         yield
 
 
+def reference_etas_moved_by_one_ulp(towards):
+    """The etas of the reference chain of a `superres --reference` run moved
+    one ulp towards ``towards``, for the duration of the block: that chain
+    is the second rjpo.superres.run_gibbs call of cli.cmd_superres, which
+    runs inside etas_moved_by_one_ulp, and the first runs as it is."""
+    def moved(run_gibbs):
+        calls = []
+
+        def wrapped(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                return run_gibbs(*args)
+            with etas_moved_by_one_ulp(towards):
+                return run_gibbs(*args)
+
+        return wrapped
+
+    return _replaced(rjpo.superres, "run_gibbs", moved)
+
+
+def _has_reference_chain(meta) -> bool:
+    config = meta["config"]
+    return (meta["subcommand"] == "superres" and config["reference"]
+            and config["sampler"] not in ("epo", "cholesky_epo"))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
@@ -97,8 +133,10 @@ def main(argv=None) -> int:
     except FileNotFoundError:
         print(f"{dir_a}: no metadata.json, not a finished rjpo run", file=sys.stderr)
         return 1
-    controls = (("eta", "", etas_moved_by_one_ulp),
-                ("precision", "precision_", precisions_moved_by_one_ulp))
+    controls = [("eta", "", etas_moved_by_one_ulp),
+                ("precision", "precision_", precisions_moved_by_one_ulp)]
+    if _has_reference_chain(meta):
+        controls.append(("reference eta", "reference_", reference_etas_moved_by_one_ulp))
     for control, prefix, moved in controls:
         for name, towards in DIRECTIONS.items():
             moved_dir = Path(dir_b) / f"{prefix}{name}"
