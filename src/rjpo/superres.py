@@ -15,11 +15,11 @@ circulant, so the model holds each as its rfft2 transfer function (b and d,
 centred_transfer), and the chain lives in the orthonormal coordinates of the
 real-FFT half spectrum (HalfSpectrum), where Q takes no transform
 (SpectralConditional) and a sweep transforms 3 images: 2 forward, in one
-stacked call, and 1 inverse (see run_gibbs).  When C has at
-most one alias term (two frames at factor 2, the default, or frames =
-factor^2), Q^-1 is known there in closed form (SpectralConditional.inverse)
-and the exact draw applies it once, with no CG; with several, the exact
-draw runs CG preconditioned by Q's circulant mean P
+stacked call, and 1 inverse (see run_gibbs).  When C has at most one
+alias term (two frames at factor 2, the default, or frames = factor^2),
+Q^-1 is known there in closed form (SpectralConditional.inverse) and the
+exact draw applies it once, with no CG; with several, the exact draw runs
+CG preconditioned by Q's circulant mean P
 (SpectralConditional.precondition).  With one alias term, the truncated
 kernels' plain CG runs in Q's eigenbasis, on the distinct values of its
 diagonal Lambda, where a Q-apply is one multiply (PairRotation); Q^-1 and
@@ -160,10 +160,10 @@ class HalfSpectrum:
     and it holds every gamma-independent multiplier the chain needs: W
     conj(b) and W conj(d) for F^t (``back_project``, and the perturbation,
     whose frames and w_x one bincount over ``stack_index`` stacks as two
-    images), b / W for B x (``blurred``), and the parts of the conditional's
-    Gram, the diagonals |d|^2 and mean(C) |b|^2 and the ``aliases`` table.  C is
-    periodic with the decimation factor f, so its spectrum lives on the f^2
-    bins (p R/f, q K/f) of the R x K grid, with
+    images), b / W for B x (``blurred``), the parts of the conditional's
+    Gram (the diagonals |d|^2 and mean(C) |b|^2 and the ``aliases``
+    table).  C is periodic with the decimation factor f, so its spectrum
+    lives on the f^2 bins (p R/f, q K/f) of the R x K grid, with
     c_pq = fft2(C)[p R/f, q K/f] / N and c_00 = mean(C), and multiplying
     by C mixes each frequency only with its aliases (Tsai & Huang 1984):
 

@@ -365,9 +365,9 @@ def _images_by_direction(calls):
 
 def test_fused_conditional_transform_counts(monkeypatch):
     """A perturbation transforms 2 images forward and none inverse, with no
-    complex 2-D transform.  In
-    HalfSpectrum coordinates Q and its preconditioner take no transform, so
-    neither does a CG solve, whatever its iteration count, plain or
+    complex 2-D transform.  In HalfSpectrum coordinates Q and its
+    preconditioner take no transform, so neither does a CG solve, whatever
+    its iteration count, plain or
     preconditioned: plain CG on 2 frames and CG preconditioned by P^-1 on 3
     frames take several iterations, CG preconditioned by Q^-1 on 2 frames
     takes one."""

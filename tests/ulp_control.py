@@ -22,7 +22,7 @@ compare_outputs' report of DIR_A against each:
   way that moving eta does not bound.
 - the reference control, into DIR_B/reference_up and
   DIR_B/reference_down, only for a `superres` run whose reference chain
-  ran (`--reference` with a sampler other than epo): the eta control on
+  ran (DIR_A holds reference_chain.csv): the eta control on
   the reference chain alone, the sampler's chain untouched.  The
   deviations of the gamma means between the two chains
   (`gamma_*_rel_deviation`) divide their difference, so a change that
@@ -40,6 +40,7 @@ holds no metadata.json, 2 on a usage error.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -102,11 +103,10 @@ def reference_etas_moved_by_one_ulp(towards):
     is the second rjpo.superres.run_gibbs call of cli.cmd_superres, which
     runs inside etas_moved_by_one_ulp, and the first runs as it is."""
     def moved(run_gibbs):
-        calls = []
+        calls = itertools.count()
 
         def wrapped(*args):
-            calls.append(args)
-            if len(calls) == 1:
+            if next(calls) == 0:
                 return run_gibbs(*args)
             with etas_moved_by_one_ulp(towards):
                 return run_gibbs(*args)
@@ -114,12 +114,6 @@ def reference_etas_moved_by_one_ulp(towards):
         return wrapped
 
     return _replaced(rjpo.superres, "run_gibbs", moved)
-
-
-def _has_reference_chain(meta) -> bool:
-    config = meta["config"]
-    return (meta["subcommand"] == "superres" and config["reference"]
-            and config["sampler"] not in ("epo", "cholesky_epo"))
 
 
 def main(argv=None) -> int:
@@ -135,7 +129,7 @@ def main(argv=None) -> int:
         return 1
     controls = [("eta", "", etas_moved_by_one_ulp),
                 ("precision", "precision_", precisions_moved_by_one_ulp)]
-    if _has_reference_chain(meta):
+    if (Path(dir_a) / "reference_chain.csv").exists():
         controls.append(("reference eta", "reference_", reference_etas_moved_by_one_ulp))
     for control, prefix, moved in controls:
         for name, towards in DIRECTIONS.items():
