@@ -118,7 +118,7 @@ def _alias_gather(spectrum, gather) -> np.ndarray:
     (source, sign) table of one alias term (see HalfSpectrum), the flat bin
     each bin reads and -1 where it reads that bin conjugated."""
     source, sign = gather
-    out = np.take(spectrum, source)
+    out = spectrum.take(source)  # np.take's wrapper costs 1.6 us more
     out.imag *= sign
     return out
 
@@ -158,12 +158,11 @@ class HalfSpectrum:
 
     One per model, built on first use: the Gibbs chain's state lives here,
     and it holds every gamma-independent multiplier the chain needs: W
-    conj(b) and W conj(d) for F^t (``back_project``, and the perturbation,
-    whose frames and w_x one bincount over ``stack_index`` stacks as two
-    images), b / W for B x (``blurred``), the parts of the conditional's
-    Gram (the diagonals |d|^2 and mean(C) |b|^2 and the ``aliases``
-    table).  C is periodic with the decimation factor f, so its spectrum
-    lives on the f^2 bins (p R/f, q K/f) of the R x K grid, with
+    conj(b) and W conj(d) for F^t (``back_project`` and the perturbation),
+    b / W for B x (``blurred``), and the parts of the conditional's Gram,
+    the diagonals |d|^2 and mean(C) |b|^2 and the ``aliases`` table.  C is
+    periodic with the decimation factor f, so its spectrum lives on the f^2
+    bins (p R/f, q K/f) of the R x K grid, with
     c_pq = fft2(C)[p R/f, q K/f] / N and c_00 = mean(C), and multiplying
     by C mixes each frequency only with its aliases (Tsai & Huang 1984):
 
@@ -200,7 +199,6 @@ class HalfSpectrum:
         self.scale = np.sqrt(weights / model.pixel_count)
         self.unscale = 1.0 / self.scale
         self.model = model
-        self.stack_index = np.r_[model.frame_index, model.pixel_count:2 * model.pixel_count]
         transfer, counts = model.blur, model.counts
         self.adjoint_blur = np.conj(transfer) * self.scale
         self.adjoint_smooth = np.conj(model.laplacian) * self.scale
@@ -328,9 +326,11 @@ class SpectralConditional:
                                 + gamma_x * gamma_x * by_x)
 
     def apply_transpose(self, w):
-        """F^t w: one bincount stacks its two images, one call transforms both."""
+        """F^t w: the scattered frames and w_x as one stack of two images, which
+        one call transforms."""
         basis, (root_y, root_x) = self.basis, self._roots
-        stack = np.bincount(basis.stack_index, w, 2 * basis.model.pixel_count)
+        count = basis.model.data_count
+        stack = np.concatenate([basis.model.scatter(w[:count]).ravel(), w[count:]])
         data, smooth = _rfft2(stack.reshape((2,) + basis.dims))
         spectrum = root_y * basis.adjoint_blur * data + root_x * basis.adjoint_smooth * smooth
         return spectrum.view(float).ravel()
