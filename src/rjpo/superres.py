@@ -537,7 +537,7 @@ class SuperResModel:
 
     def gather(self, image) -> np.ndarray:
         """H without the blur: each frame's sub-lattice of the image, stacked."""
-        return np.take(image, self.frame_index)
+        return image.reshape(self.hi_res_dims).take(self.frame_index)
 
     def scatter(self, frames) -> np.ndarray:
         """H^t without the blur: each frame added onto its sub-lattice, in

@@ -450,7 +450,7 @@ def test_frame_maps_and_stacked_transpose_match_the_strided_references():
     stacked images give the bits of the strided-slice maps and of one rfft2
     per image: at 64 x 64 with 2 and 6 frames (6 frames sample some pixels
     twice), 30 x 30 with 5 frames and 15 x 21 with 4 at factor 3, and one
-    frame at factor 1."""
+    frame at factor 1.  Either map refuses a vector of the wrong length."""
     rng = np.random.default_rng(71)
     for dims, frames, factor in (((64, 64), 2, 2), ((64, 64), 6, 2), ((30, 30), 5, 3),
                                  ((15, 21), 4, 3), ((33, 35), 1, 1)):
@@ -465,6 +465,9 @@ def test_frame_maps_and_stacked_transpose_match_the_strided_references():
                                   oracles.strided_scatter(model, frames_data))
             assert np.array_equal(conditional.apply_transpose(w),
                                   oracles.spectral_transpose(conditional, w)), dims
+        for frame_map, size in ((model.gather, model.pixel_count), (model.scatter, model.data_count)):
+            with pytest.raises(ValueError):
+                frame_map(np.zeros(size + 1))
 
 
 def test_per_axis_transforms_match_numpy():
