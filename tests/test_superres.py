@@ -465,7 +465,8 @@ def test_frame_maps_and_stacked_transpose_match_the_strided_references():
                                   oracles.strided_scatter(model, frames_data))
             assert np.array_equal(conditional.apply_transpose(w),
                                   oracles.spectral_transpose(conditional, w)), dims
-        for frame_map, size in ((model.gather, model.pixel_count), (model.scatter, model.data_count)):
+        for frame_map, size in ((model.gather, model.pixel_count),
+                                (model.scatter, model.data_count)):
             with pytest.raises(ValueError):
                 frame_map(np.zeros(size + 1))
 
