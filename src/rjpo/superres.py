@@ -14,13 +14,16 @@ drawn matrix-free by any kernel from adapt.make_kernel.  B and D are
 circulant, so the model holds each as its rfft2 transfer function (b and d,
 centred_transfer), and the chain lives in the orthonormal coordinates of the
 real-FFT half spectrum (HalfSpectrum), where Q takes no transform
-(SpectralConditional) and a sweep transforms 3 images: 2 forward, in one
-stacked call, and 1 inverse (see run_gibbs).  When C has at most one
-alias term (two frames at factor 2, the default, or frames = factor^2),
-Q^-1 is known there in closed form (SpectralConditional.inverse) and the
-exact draw applies it once, with no CG; with several, the exact draw runs
-CG preconditioned by Q's circulant mean P
-(SpectralConditional.precondition).  With one alias term, the truncated
+(SpectralConditional).  When C has at most one alias term (two frames at
+factor 2, the default, or frames = factor^2), Q^-1 and Q^(1/2) are known
+there in closed form (SpectralConditional.inverse, .root): the
+perturbation draws N normals through Q^(1/2), the exact draw applies Q^-1
+once, with no CG, and a sweep transforms 1 image, inverse, for the data
+residual.  With several, the perturbation draws M + N normals through the
+stacked factor, whose 2 images one call transforms forward, and the exact
+draw runs CG preconditioned by Q's circulant mean P
+(SpectralConditional.precondition); a sweep then transforms 3 images (see
+run_gibbs).  With one alias term, the truncated
 kernels' plain CG runs in Q's eigenbasis, on the distinct values of its
 diagonal Lambda, where a Q-apply is one multiply (PairRotation); Q^-1 and
 the eigenbasis share one cancellation-free block determinant, computed once
@@ -158,9 +161,12 @@ class HalfSpectrum:
 
     One per model, built on first use: the Gibbs chain's state lives here,
     and it holds every gamma-independent multiplier the chain needs: W
-    conj(b) and W conj(d) for F^t (``back_project`` and the perturbation),
-    b / W for B x (``blurred``), and the parts of the conditional's Gram,
-    the diagonals |d|^2 and mean(C) |b|^2 and the ``aliases`` table.  C is
+    conj(b) and W conj(d) for the stacked F^t (``back_project`` and the
+    perturbation with several alias terms), b / W for B x (``blurred``),
+    the ``embedding`` A (``embed``), an isometry from R^N onto the real
+    images' half spectra that the perturbation through Q^(1/2) draws in,
+    and the parts of the conditional's Gram, the diagonals |d|^2 and
+    mean(C) |b|^2 and the ``aliases`` table.  C is
     periodic with the decimation factor f, so its spectrum lives on the f^2
     bins (p R/f, q K/f) of the R x K grid, with
     c_pq = fft2(C)[p R/f, q K/f] / N and c_00 = mean(C), and multiplying
@@ -211,6 +217,20 @@ class HalfSpectrum:
             table[np.ix_(rows - upper, columns)] = table[np.ix_(upper, columns)]
         self.smooth_gram = smooth.astype(complex)
         self.mean_data_gram = (counts.mean() * power).astype(complex)
+
+        # A: one normal per real degree of freedom; a frequency held at rows r
+        # and R - r of columns 0 and K/2 takes (a + ib, a - ib) / sqrt(2), and a
+        # self-conjugate bin (rows 0 and R/2 there) a real part only
+        lower, mirror = rows - upper, np.zeros(self.shape + (2,), dtype=bool)
+        zero_imag = np.ix_([0, rows // 2] if rows % 2 == 0 else [0], columns, [1])
+        mirror[np.ix_(lower, columns)] = mirror[zero_imag] = True
+        index, weight = np.zeros(mirror.shape, dtype=np.intp), np.ones(mirror.shape)
+        index[~mirror] = np.arange(model.pixel_count)
+        index[np.ix_(lower, columns)] = index[np.ix_(upper, columns)]
+        weight[np.ix_(upper, columns)] = math.sqrt(0.5)
+        weight[np.ix_(lower, columns)] = [math.sqrt(0.5), -math.sqrt(0.5)]
+        weight[zero_imag] = 0.0
+        self.embedding = index.ravel(), weight.ravel()
 
         f = model.decimation_factor
         coefficients = np.fft.fft2(counts[:f, :f]) / f**2  # c_pq from one period of C
@@ -264,6 +284,13 @@ class HalfSpectrum:
         spectrum = s.view(complex).reshape(self.shape) * self.unscale
         return _irfft2(spectrum, self.dims[1]).ravel()
 
+    def embed(self, z):
+        """A z: N coordinates z onto real images' half spectra, isometrically
+        (A^t A = I_N, and A A^t is the projector enter leave), one gather;
+        A is gamma-independent."""
+        index, weight = self.embedding
+        return weight * z.take(index)
+
     def back_project(self, data):
         """enter(H^t data) for stacked frames: W conj(b) rfft2(scatter(data)),
         one rfft2."""
@@ -277,10 +304,17 @@ class HalfSpectrum:
 
 
 class SpectralConditional:
-    """The factor F = [sqrt(gamma_y) H; sqrt(gamma_x) D] seen from
-    HalfSpectrum coordinates, whose Gram is the conditional precision Q
-    there.  F^t w = enter(sqrt(gamma_y) H^t w_y + sqrt(gamma_x) D^t w_x)
-    ends in the spectrum: 2 images forward, in one stacked call, no inverse.
+    """A factor F of the conditional precision Q in HalfSpectrum
+    coordinates, F^t F = Q on real images' half spectra: any such factor
+    draws a perturbation of the right law (Orieux, Feron & Giovannelli,
+    IEEE SPL 2012).  With several alias terms it is the stack
+    [sqrt(gamma_y) H; sqrt(gamma_x) D] seen from the coordinates, out_dim
+    M + N: F^t w = enter(sqrt(gamma_y) H^t w_y + sqrt(gamma_x) D^t w_x)
+    ends in the spectrum, 2 images forward in one stacked call, no inverse.
+    With at most one it is the square A^t Q^(1/2), out_dim N: F^t w =
+    Q^(1/2) A w (``root``, HalfSpectrum.embed) takes no transform, and
+    F^t F = Q^(1/2) A A^t Q^(1/2) is Q on the real images' half spectra,
+    the range of A, which Q^(1/2) keeps.
 
     Replacing C by its mean gives the circulant
     P = gamma_y mean(C) |b|^2 + gamma_x |d|^2 (the Strang/Chan
@@ -312,7 +346,9 @@ class SpectralConditional:
             raise ConfigurationError(f"precisions must be positive, got {gamma_y}, {gamma_x}")
         self.basis = basis
         self.in_dim = basis.dim
-        self.out_dim = basis.model.data_count + basis.model.pixel_count
+        self.out_dim = basis.model.pixel_count
+        if len(basis.aliases) > 1:
+            self.out_dim += basis.model.data_count
         self.gammas = gamma_y, gamma_x
         self._roots = math.sqrt(gamma_y), math.sqrt(gamma_x)
         mean = gamma_y * basis.mean_data_gram + gamma_x * basis.smooth_gram
@@ -326,14 +362,38 @@ class SpectralConditional:
                                 + gamma_x * gamma_x * by_x)
 
     def apply_transpose(self, w):
-        """F^t w: the scattered frames and w_x as one stack of two images, which
-        one call transforms."""
+        """F^t w: Q^(1/2) A w (``root``, HalfSpectrum.embed) with at most one
+        alias term, no transform; with several, the scattered frames and w_x
+        as one stack of two images, which one call transforms."""
+        if self.root is not None:
+            return self.root(self.basis.embed(w))
         basis, (root_y, root_x) = self.basis, self._roots
         count = basis.model.data_count
         stack = np.concatenate([basis.model.scatter(w[:count]).ravel(), w[count:]])
         data, smooth = _rfft2(stack.reshape((2,) + basis.dims))
         spectrum = root_y * basis.adjoint_blur * data + root_x * basis.adjoint_smooth * smooth
         return spectrum.view(float).ravel()
+
+    @cached_property
+    def root(self):
+        """Q^(1/2) as a map, no transform, when C has at most one alias term,
+        else None.  Q^(1/2) is a function of Q, so it has Q's blocks
+        (``precondition``): on a pair's Hermitian block Q_2 with determinant
+        det, Q_2^(1/2) = (Q_2 + sqrt(det) I) / sqrt(P_k + P_j + 2 sqrt(det))
+        (Cayley-Hamilton; a lone bin is its own pair, P_j = P_k), and with
+        no alias term it is sqrt(P).  Every sum is of positive terms, and
+        det is the cancellation-free ``determinant``."""
+        aliases = self.gram.aliases
+        if len(aliases) > 1:
+            return None
+        if not aliases:
+            return _DiagonalPlusGathers(np.sqrt(self.gram.diagonal), [])
+        [(gather, weight)] = aliases
+        root_det = np.sqrt(self.determinant)
+        scale = (1.0 / np.sqrt((self.gram.diagonal + self.paired_mean).real
+                               + 2.0 * root_det)).astype(complex)
+        return _DiagonalPlusGathers((self.gram.diagonal + root_det) * scale,
+                                    [(gather, weight * scale)])
 
     @cached_property
     def precondition(self):
@@ -652,9 +712,10 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
     """Cycle gamma_y -> gamma_x -> x for `iterations` sweeps.
 
     The chain's state is x in the model's HalfSpectrum coordinates: H^t y is
-    mapped in once (1 rfft2), a sweep transforms 3 images, 2 forward in one
-    stacked call for the perturbation and 1 inverse for the data residual,
-    and the posterior mean is mapped out once (1 irfft2).  The chain starts
+    mapped in once (1 rfft2), a sweep transforms 1 image, inverse, for the
+    data residual, plus 2 forward in one stacked call for the perturbation
+    when C has several alias terms (SpectralConditional), and the posterior
+    mean is mapped out once (1 irfft2).  The chain starts
     from x = H^t y (data-driven and never constant, so the smoothness
     conditional is well defined at the first sweep); the same
     back-projection scales into every sweep's potential.  The posterior mean

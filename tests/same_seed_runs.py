@@ -15,7 +15,12 @@ PSRF study, a curve whose rjpo chains almost never move, the exact
 super-resolution reference, a 3 x 3 decimation under tpo and under the
 exact solve, an exact chain on three frames, whose several alias terms
 precondition by P^-1, and a fixed-threshold rjpo chain on six frames,
-whose one alias term puts its plain solves in Q's eigenbasis.  The toy,
+whose one alias term puts its plain solves in Q's eigenbasis.  The
+two-frame runs (superres64_*, superres16_reference, both of its chains)
+and the six-frame run have at most one alias term and draw their
+perturbations through Q^(1/2) (SpectralConditional.root); the factor-3
+and three-frame runs have several and draw through the stacked factor
+[sqrt(gamma_y) H; sqrt(gamma_x) D].  The toy,
 curve and adapt runs' plain solves run in the dense AR(1) factor's
 eigenbasis (DenseOperator.rotation).  Prints one line per run with its
 exit code and wall time; exits 0 when every run exited 0, 1 otherwise, 2

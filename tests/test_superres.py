@@ -294,10 +294,14 @@ def _dense_stack(model, gamma_y, gamma_x):
 
 
 def test_conditional_factor_matches_dense_stack():
-    """The image-space factor's apply, transpose and Gram, and the transpose
-    of the factor in HalfSpectrum coordinates seen from images (leave F^t),
-    against the dense stack F = [sqrt(gamma_y) H; sqrt(gamma_x) D]; its Gram
-    is the weighted sum gamma_y H^t H + gamma_x D^t D to 1e-13 relative."""
+    """The image-space factor's apply, transpose and Gram against the dense
+    stack F = [sqrt(gamma_y) H; sqrt(gamma_x) D], whose Gram is the weighted
+    sum gamma_y H^t H + gamma_x D^t D, to 1e-13 relative.  The factor in
+    HalfSpectrum coordinates, seen from images (leave F^t), is that stack's
+    transpose where C has several alias terms (1, 3 and 5 frames, and 4 at
+    factor 3 on an odd-column grid); with at most one (2 and 4 frames) it is
+    the square factor Q^(1/2) A, with N rows, whose Gram seen from images,
+    (leave F^t)(leave F^t)^t, is the stack's F^t F."""
     gy, gx = 3.0, 0.5
     cases = [(dims, frames, 2) for dims in ((8, 8), (16, 16)) for frames in range(1, 6)]
     for dims, frames, factor in cases + [((9, 15), 4, 3)]:  # one odd-column grid
@@ -307,14 +311,20 @@ def test_conditional_factor_matches_dense_stack():
         spectral = sr.SpectralConditional(model.half_spectrum, gy, gx)
         stack = _dense_stack(model, gy, gx)
         n = model.pixel_count
-        assert factor_op.out_dim == spectral.out_dim == stack.shape[0]
+        assert factor_op.out_dim == stack.shape[0]
         spectral_transpose = oracles.dense_matrix_of(
-            lambda w: model.half_spectrum.leave(spectral.apply_transpose(w)), stack.shape[0])
+            lambda w: model.half_spectrum.leave(spectral.apply_transpose(w)), spectral.out_dim)
+        if len(model.half_spectrum.aliases) <= 1:
+            assert frames in (2, 4) and spectral.out_dim == n, (dims, frames)
+            seen = (spectral_transpose @ spectral_transpose.T, stack.T @ stack)
+        else:
+            assert spectral.out_dim == stack.shape[0], (dims, frames)
+            seen = (spectral_transpose, stack.T)
         for fused, dense in (
             (oracles.dense_matrix_of(factor_op.apply, n), stack),
             (oracles.dense_matrix_of(factor_op.apply_transpose, factor_op.out_dim), stack.T),
             (oracles.dense_matrix_of(factor_op.gram, n), stack.T @ stack),
-            (spectral_transpose, stack.T),
+            seen,
         ):
             assert np.max(np.abs(fused - dense)) <= 1e-13 * np.max(np.abs(dense)), (dims, frames)
 
@@ -364,8 +374,10 @@ def _images_by_direction(calls):
 
 
 def test_fused_conditional_transform_counts(monkeypatch):
-    """A perturbation transforms 2 images forward and none inverse, with no
-    complex 2-D transform.  In HalfSpectrum coordinates Q and its
+    """A perturbation on 2 frames (one alias term) draws through Q^(1/2) and
+    takes no transform; on 3 frames (several) it transforms 2 images
+    forward in one stacked call and none inverse, with no complex 2-D
+    transform.  In HalfSpectrum coordinates Q and its
     preconditioner take no transform, so neither does a CG solve, whatever
     its iteration count, plain or
     preconditioned: plain CG on 2 frames and CG preconditioned by P^-1 on 3
@@ -379,8 +391,11 @@ def test_fused_conditional_transform_counts(monkeypatch):
         target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 2.0, 0.8)
         calls.clear()
         eta = perturb(target, RngStream(9))
-        assert calls == {"rfft": 2, "fft": 2}
-        assert _images_by_direction(calls) == {"forward": 2, "inverse": 0, "complex": 0}
+        if frames == 2:
+            assert calls == {}
+        else:
+            assert calls == {"rfft": 2, "fft": 2}
+            assert _images_by_direction(calls) == {"forward": 2, "inverse": 0, "complex": 0}
         calls.clear()
         target.precision.factor.gram(eta)
         target.precision.factor.precondition(eta)
@@ -399,26 +414,29 @@ def test_fused_conditional_transform_counts(monkeypatch):
 
 @pytest.mark.parametrize("name", ["epo", "rjpo", "arjpo", "tpo"])
 def test_gibbs_sweep_transform_counts(monkeypatch, name):
-    """A 64 x 64 Gibbs sweep transforms 2 images forward for the
-    perturbation and 1 inverse for the data residual H x, with no complex
-    2-D transform; ||D x|| and every CG solve take none.  Outside the
-    sweeps a run maps H^t y in (1 forward) and the posterior mean out (1
-    inverse).  The difference of a 10- and a 5-sweep run gives the
-    per-sweep count.  The model's coordinates are built once per model (one
-    f x f fft2 for the alias table), before the runs."""
-    per_sweep = {"forward": 2, "inverse": 1, "complex": 0}
+    """A 64 x 64 two-frame Gibbs sweep transforms 1 image, inverse, for the
+    data residual H x: its perturbation draws through Q^(1/2) and takes no
+    transform.  On three frames (several alias terms) the perturbation
+    transforms 2 images forward as well.  No sweep takes a complex 2-D
+    transform; ||D x|| and every CG solve take none.  Outside the sweeps a
+    run maps H^t y in (1 forward) and the posterior mean out (1 inverse).
+    The difference of a 10- and a 5-sweep run gives the per-sweep count.
+    The model's coordinates are built once per model (one f x f fft2 for
+    the alias table), before the runs."""
     per_run = {"forward": 1, "inverse": 1, "complex": 0}
-    model = sr.make_model((64, 64))
-    obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(32))
-    model.half_spectrum
     calls = _counted_transforms(monkeypatch)
-    counts = []
-    for sweeps in (5, 10):
-        calls.clear()
-        sr.run_gibbs(model, obs, sweeps, 0, make_kernel(name, epsilon=1e-2), RngStream(33))
-        counts.append(_images_by_direction(calls))
-    assert {k: (counts[1][k] - counts[0][k]) / 5 for k in per_sweep} == per_sweep
-    assert {k: counts[0][k] - 5 * per_sweep[k] for k in per_sweep} == per_run
+    for frames, forward in ((2, 0), (3, 2)):
+        per_sweep = {"forward": forward, "inverse": 1, "complex": 0}
+        model = sr.make_model((64, 64), frames=frames)
+        obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(32))
+        model.half_spectrum
+        counts = []
+        for sweeps in (5, 10):
+            calls.clear()
+            sr.run_gibbs(model, obs, sweeps, 0, make_kernel(name, epsilon=1e-2), RngStream(33))
+            counts.append(_images_by_direction(calls))
+        assert {k: (counts[1][k] - counts[0][k]) / 5 for k in per_sweep} == per_sweep, frames
+        assert {k: counts[0][k] - 5 * per_sweep[k] for k in per_sweep} == per_run, frames
 
 
 def test_only_the_exact_solve_preconditions():
@@ -448,13 +466,16 @@ def _coordinate_cases():
 def test_frame_maps_and_stacked_transpose_match_the_strided_references():
     """gather (np.take), scatter (np.bincount) and the one-call F^t of the
     stacked images give the bits of the strided-slice maps and of one rfft2
-    per image: at 64 x 64 with 2 and 6 frames (6 frames sample some pixels
-    twice), 30 x 30 with 5 frames and 15 x 21 with 4 at factor 3, and one
-    frame at factor 1.  Either map refuses a vector of the wrong length."""
+    per image, on models with several alias terms, the only ones whose
+    perturbation draws through the stacked factor: at 64 x 64 with 3 and 5
+    frames (5 frames sample some pixels twice), 30 x 30 with 5 frames and
+    15 x 21 with 4 at factor 3, and the odd 21 x 35 with 3 frames at factor
+    7.  Either map refuses a vector of the wrong length."""
     rng = np.random.default_rng(71)
-    for dims, frames, factor in (((64, 64), 2, 2), ((64, 64), 6, 2), ((30, 30), 5, 3),
-                                 ((15, 21), 4, 3), ((33, 35), 1, 1)):
+    for dims, frames, factor in (((64, 64), 3, 2), ((64, 64), 5, 2), ((30, 30), 5, 3),
+                                 ((15, 21), 4, 3), ((21, 35), 3, 7)):
         model = sr.SuperResModel(dims, frames, factor, psf_kernel=SMOOTH_3X3)
+        assert len(model.half_spectrum.aliases) > 1, dims
         conditional = sr.SpectralConditional(model.half_spectrum, 3.7, 0.21)
         for _ in range(3):
             image = rng.standard_normal(dims)
@@ -594,7 +615,9 @@ def test_spectral_cg_stops_with_the_spatial_solve():
     states mapped to images, with the image-space Gram, and their solutions
     agree to 1e-10 relative.  The exact draw is the dense mirror's solve on
     images, mapped in, so the states do not depend on the coordinates'
-    solver.  The map is an isometry,
+    solver, and both states are drawn through the stacked factor
+    (oracles.spectral_transpose), as every model's were before the one-alias
+    perturbation drew through Q^(1/2).  The map is an isometry,
     so the two differ by rounding only, which CG amplifies: on other seeds
     the 8 x 8 solve at 1e-12 can stop one iteration earlier in the
     coordinates, and on 9 x 15 at 1e-4 a one-ulp change of eta moves CG on
@@ -612,8 +635,14 @@ def test_spectral_cg_stops_with_the_spatial_solve():
         obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(40))
         target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 3.0, 0.5)
         mirrored = oracles.image_conditional_target(model, obs, 3.0, 0.5)
-        previous = enter(mirrored.mirror_solve(leave(perturb(target, RngStream(50)))))
-        eta = perturb(target, RngStream(60))
+        conditional, size = target.precision.factor, model.data_count + model.pixel_count
+
+        def stacked_perturbation(seed):
+            omega = RngStream(seed).standard_normal_vector(size)
+            return target.potential + oracles.spectral_transpose(conditional, omega)
+
+        previous = enter(mirrored.mirror_solve(leave(stacked_perturbation(50))))
+        eta = stacked_perturbation(60)
         on_images = OnImages(oracles.ConditionalFactor(model, 3.0, 0.5))
         for eps in (1e-2, 1e-4, 1e-12):
             spatial = cg_solve(on_images, leave(eta), x0=-leave(previous), epsilon=eps)
@@ -773,6 +802,47 @@ def _one_alias_models():
 
 
 ONE_ALIAS_GAMMAS = ((320.0, 400.0), (11.6, 962.0), (1e4, 1.0), (1.0, 1e4))
+
+
+def _root_cases():
+    """The models whose perturbation draws through Q^(1/2): 8 x 8 and 16 x 16
+    with 2 frames and 16 x 16 with 6 (one alias term, with counts 1 and 2
+    at 6 frames), 16 x 16 with 4 frames and the odd-width 9 x 15 with 9 at
+    factor 3 (C = I, none)."""
+    return [sr.SuperResModel(hi_res_dims=dims, frames=frames, decimation_factor=factor,
+                             psf_kernel=SMOOTH_3X3)
+            for dims, frames, factor in (((8, 8), 2, 2), ((16, 16), 2, 2), ((16, 16), 6, 2),
+                                         ((16, 16), 4, 2), ((9, 15), 9, 3))]
+
+
+def test_root_perturbation_has_the_stacked_factors_law():
+    """With at most one alias term a perturbation draws N normals through
+    the square factor, F^t w = Q^(1/2) A w, and keeps the law of the stacked
+    factor's: as dense matrices in HalfSpectrum coordinates, its covariance
+    (F^t)(F^t)^t is E S^t S E^t to 1e-13 of its max, S the dense stack
+    [sqrt(gamma_y) H; sqrt(gamma_x) D] and E the matrix of enter, at every
+    pair of ONE_ALIAS_GAMMAS.  A is an isometry onto real images' half
+    spectra: A^t A = I_N to 1e-15, and enter(leave(A z)) = A z to 1e-14 on
+    every basis vector z."""
+    for model in _root_cases():
+        basis, n = model.half_spectrum, model.pixel_count
+        assert len(basis.aliases) == (0 if model.frames in (4, 9) else 1), model.frames
+        embedding = oracles.dense_matrix_of(basis.embed, n)
+        assert np.max(np.abs(embedding.T @ embedding - np.eye(n))) <= 1e-15, model.hi_res_dims
+        closed = oracles.dense_matrix_of(lambda z: basis.enter(basis.leave(basis.embed(z))), n)
+        assert np.max(np.abs(closed - embedding)) <= 1e-14, model.hi_res_dims
+        # the stack at gammas (1, 1), whose H and D rows each gamma pair scales
+        unit = oracles.dense_matrix_of(basis.enter, n) @ _dense_stack(model, 1.0, 1.0).T
+        for gammas in ONE_ALIAS_GAMMAS:
+            case = (model.hi_res_dims, model.frames, gammas)
+            conditional = sr.SpectralConditional(basis, *gammas)
+            assert conditional.out_dim == n, case
+            transpose = oracles.dense_matrix_of(conditional.apply_transpose, n)
+            stack = unit * np.repeat(np.sqrt(gammas), (model.data_count, n))
+            reference = stack @ stack.T
+            covariance = transpose @ transpose.T
+            assert np.max(np.abs(covariance - reference)) <= 1e-13 * np.max(
+                np.abs(reference)), case
 
 
 def test_q_is_symmetric_positive_definite_off_real_images_at_factor_2():
@@ -1103,9 +1173,28 @@ def test_x_sampler_factory():
         make_kernel("arjpo", alpha_t=1.0)
 
 
+class _CountedNormals:
+    """A kernel's stream that records how many normals each draw takes."""
+
+    def __init__(self, stream, drawn):
+        self.stream, self.drawn = stream, drawn
+
+    def standard_normal_vector(self, n):
+        self.drawn.append(n)
+        return self.stream.standard_normal_vector(n)
+
+    def uniform(self):
+        return self.stream.uniform()
+
+
 def test_gibbs_pairs_the_x_stream_for_every_kernel():
     """run_gibbs routes accept/reject uniforms to a side stream: the x
-    kernel sees the x substream's normals and a spawned child's uniforms."""
+    kernel sees the x substream's normals and a spawned child's uniforms.
+    And every x kernel takes one perturbation per sweep, of N normals
+    through Q^(1/2) on two frames (one alias term) and of M + N through the
+    stacked factor on three (several): same-seed chains of different
+    kernels read the same normals, the common random numbers that
+    superres --reference and checks 10a-10c compare on."""
     seen = []
 
     def recording_kernel(target, previous, stream):
@@ -1120,6 +1209,18 @@ def test_gibbs_pairs_the_x_stream_for_every_kernel():
     for normals, u in seen:
         assert np.array_equal(normals, x_stream.standard_normal_vector(3))
         assert u == side.uniform()
+    for frames in (2, 3):
+        model = small_model(frames=frames)
+        obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(30))
+        expected = model.pixel_count + (model.data_count if frames == 3 else 0)
+        for name in ("epo", "cholesky_epo", "tpo", "rjpo", "arjpo"):
+            sampler, drawn = make_kernel(name, epsilon=1e-2), []
+
+            def kernel(target, previous, stream):
+                return sampler(target, previous, _CountedNormals(stream, drawn))
+
+            sr.run_gibbs(model, obs, 4, 0, kernel, RngStream(31))
+            assert drawn == [expected] * 4, (frames, name, drawn)
 
 
 # -------------------------------------------------------------- Gibbs sweep
@@ -1172,8 +1273,9 @@ def test_gibbs_sweep_matches_the_image_space_sweep():
     """A 16 x 16 exact Gibbs chain in HalfSpectrum coordinates reproduces
     the chain whose state lives on images (same streams, same solver) to
     1e-13 relative in every gamma and in the final image: the coordinates
-    change only the rounding."""
-    model = small_model()
+    change only the rounding.  Three frames have several alias terms, so
+    both chains draw their perturbations through the stacked factor."""
+    model = small_model(frames=3)
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(34))
     states = []
 
@@ -1191,25 +1293,27 @@ def test_gibbs_sweep_matches_the_image_space_sweep():
 
 
 def test_long_chain_stays_on_real_images():
-    """After each of 500 arjpo sweeps at 16 x 16, and of 200 at 64 x 64 with
-    two frames, the state is still a real image's half spectrum,
-    enter(leave(s)) = s to 1e-12 relative: rounding does not drift it off
-    the subspace where the alias Gram is Q."""
+    """After each of 500 arjpo and exact sweeps at 16 x 16, and of 200 at
+    64 x 64 with two frames, the state is still a real image's half
+    spectrum, enter(leave(s)) = s to 1e-12 relative: rounding, in the
+    solves and in the perturbation drawn through Q^(1/2) A, does not drift
+    it off the subspace where the alias Gram is Q."""
     for model, sweeps in ((small_model(), 500), (sr.make_model((64, 64), frames=2), 200)):
         basis = model.half_spectrum
         obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(36))
-        sampler = make_kernel("arjpo", alpha_t=0.9, epsilon0=1e-2)
-        drifts = []
+        for sampler in (make_kernel("arjpo", alpha_t=0.9, epsilon0=1e-2), make_kernel("epo")):
+            drifts = []
 
-        def kernel(target, previous, stream):
-            outcome = sampler(target, previous, stream)
-            state = outcome.next_sample
-            drift = np.linalg.norm(basis.enter(basis.leave(state)) - state)
-            drifts.append(drift / np.linalg.norm(state))
-            return outcome
+            def kernel(target, previous, stream):
+                outcome = sampler(target, previous, stream)
+                state = outcome.next_sample
+                drift = np.linalg.norm(basis.enter(basis.leave(state)) - state)
+                drifts.append(drift / np.linalg.norm(state))
+                return outcome
 
-        sr.run_gibbs(model, obs, sweeps, 0, kernel, RngStream(37))
-        assert len(drifts) == sweeps and max(drifts) <= 1e-12, (model.hi_res_dims, max(drifts))
+            sr.run_gibbs(model, obs, sweeps, 0, kernel, RngStream(37))
+            assert len(drifts) == sweeps and max(drifts) <= 1e-12, (
+                model.hi_res_dims, sampler, max(drifts))
 
 
 def test_gibbs_preconditions():
