@@ -616,8 +616,8 @@ def test_spectral_cg_stops_with_the_spatial_solve():
     agree to 1e-10 relative.  The exact draw is the dense mirror's solve on
     images, mapped in, so the states do not depend on the coordinates'
     solver, and both states are drawn through the stacked factor
-    (oracles.spectral_transpose), as every model's were before the one-alias
-    perturbation drew through Q^(1/2).  The map is an isometry,
+    (oracles.spectral_transpose), so they do not depend on the factor the
+    conditional draws its perturbations through.  The map is an isometry,
     so the two differ by rounding only, which CG amplifies: on other seeds
     the 8 x 8 solve at 1e-12 can stop one iteration earlier in the
     coordinates, and on 9 x 15 at 1e-4 a one-ulp change of eta moves CG on
