@@ -2,10 +2,10 @@
 
 Observed frames are decimated, blurred, noisy copies of one hi-res image:
 y = Hx + n, where H blurs once and stacks each frame's sub-lattice
-(SuperResModel.gather; scatter is its transpose).  Noise and
-smoothness precisions get flat priors on (0, inf), so a three-step Gibbs
-sampler alternates two Gamma conditionals (shapes 1 + M/2 and 1 + (N-1)/2)
-with one large Gaussian conditional
+(SuperResModel.gather; scatter is its transpose).  Noise and smoothness
+precisions get flat priors on (0, inf), so a three-step Gibbs sampler
+alternates two Gamma conditionals (shapes 1 + M/2 and 1 + (N-1)/2) with one
+large Gaussian conditional
 
     x | rest ~ N(mu, Q^-1),  Q = gamma_y H^t H + gamma_x D^t D,
                              Q mu = gamma_y H^t y,
@@ -16,18 +16,15 @@ centred_transfer), and the chain lives in the orthonormal coordinates of the
 real-FFT half spectrum (HalfSpectrum), where Q takes no transform
 (SpectralConditional).  When C has at most one alias term (two frames at
 factor 2, the default, or frames = factor^2), Q^-1 and Q^(1/2) are known
-there in closed form (SpectralConditional.inverse, .root): the
-perturbation draws N normals through Q^(1/2), the exact draw applies Q^-1
-once, with no CG, and a sweep transforms 1 image, inverse, for the data
-residual.  With several, the perturbation draws M + N normals through the
-stacked factor, whose 2 images one call transforms forward, and the exact
-draw runs CG preconditioned by Q's circulant mean P
-(SpectralConditional.precondition); a sweep then transforms 3 images (see
-run_gibbs).  With one alias term, the truncated
-kernels' plain CG runs in Q's eigenbasis, on the distinct values of its
-diagonal Lambda, where a Q-apply is one multiply (PairRotation); Q^-1 and
-the eigenbasis share one cancellation-free block determinant, computed once
-per conditional.
+there in closed form (SpectralConditional.inverse, .root): the perturbation
+draws N normals through Q^(1/2), the exact draw applies Q^-1 once, with no
+CG, and a sweep transforms 1 image, inverse, for the data residual.  With
+several, the perturbation draws M + N normals and back-projects the frames,
+1 image forward, and the exact draw runs CG preconditioned by Q's circulant
+mean P (SpectralConditional.precondition).  With one alias term, the
+truncated kernels' plain CG runs in Q's eigenbasis, on the distinct values
+of its diagonal Lambda, where a Q-apply is one multiply (PairRotation); Q^-1
+and the eigenbasis share one cancellation-free block determinant.
 """
 
 from __future__ import annotations
@@ -103,7 +100,7 @@ def centred_transfer(kernel, image_dims) -> np.ndarray:
     image_dims grid, with the kernel's centre cell ((rows - 1) // 2,
     (cols - 1) // 2) as the convolution origin.  The convolution of an image
     x by the returned t is irfft2(rfft2(x) * t, s=image_dims); its transpose
-    takes conj(t)."""
+    takes conj(t).  t is made exactly a real kernel's (_real_spectrum)."""
     kernel = np.asarray(kernel, dtype=float)
     rows, cols = image_dims
     if kernel.ndim != 2:
@@ -113,7 +110,19 @@ def centred_transfer(kernel, image_dims) -> np.ndarray:
     padded = np.zeros((int(rows), int(cols)))
     padded[: kernel.shape[0], : kernel.shape[1]] = kernel
     origin = ((kernel.shape[0] - 1) // 2, (kernel.shape[1] - 1) // 2)
-    return _rfft2(np.roll(padded, (-origin[0], -origin[1]), axis=(0, 1)))
+    return _real_spectrum(_rfft2(np.roll(padded, (-origin[0], -origin[1]), axis=(0, 1))), cols)
+
+
+def _real_spectrum(spectrum, cols: int) -> np.ndarray:
+    """Make ``spectrum``, the half spectrum of an image ``cols`` = K wide,
+    exactly a real image's, in place: in columns 0 and K/2 (0 alone for odd
+    K) row R - r takes the conjugate of row r, which rfft2 rounds apart, and
+    rows 0 and R/2, self-conjugate there, a zero imaginary part."""
+    rows = spectrum.shape[0]
+    block = spectrum[:, :: cols // 2 if cols % 2 == 0 else cols]
+    block[: rows // 2 : -1] = np.conj(block[1 : (rows + 1) // 2])
+    block[:: rows // 2 if rows % 2 == 0 else rows].imag = 0.0
+    return spectrum
 
 
 def _alias_gather(spectrum, gather) -> np.ndarray:
@@ -154,23 +163,23 @@ class HalfSpectrum:
     for itself and its mirror).  By Parseval, <enter(x), enter(y)> = <x, y>
     for real images, and leave(enter(x)) = x.  The dim = 2 R (K//2 + 1)
     coordinates hold the N real images as a subspace, the image of enter.
-    Columns 0 and K/2 hold each frequency at rows r and R - r: |b|^2 and
-    |d|^2 are made equal there, so Q's eigenbasis solves stay on the subspace.
-    B, D and their circulant means are diagonal here (Chan & Ng, SIAM
-    Review 1996).
+    Columns 0 and K/2 hold each frequency at rows r and R - r: b, d and
+    ``back_project`` make the two exactly conjugate (_real_spectrum), and at
+    factor 2 Q, its inverse, root and preconditioner and CG keep them so,
+    bit for bit.  B, D and their circulant means are diagonal here (Chan &
+    Ng, SIAM Review 1996).
 
     One per model, built on first use: the Gibbs chain's state lives here,
     and it holds every gamma-independent multiplier the chain needs: W
-    conj(b) and W conj(d) for the stacked F^t (``back_project`` and the
-    perturbation with several alias terms), b / W for B x (``blurred``),
-    the ``embedding`` A (``embed``), an isometry from R^N onto the real
-    images' half spectra that the perturbation through Q^(1/2) draws in,
-    and the parts of the conditional's Gram, the diagonals |d|^2 and
-    mean(C) |b|^2 and the ``aliases`` table.  C is
+    conj(b) for ``back_project``, conj(d) for the perturbation with several
+    alias terms, b / W for B x (``blurred``), the ``embedding`` A
+    (``embed``), an isometry from R^N onto the real images' half spectra
+    that the perturbations draw in, and the parts of the conditional's Gram,
+    the diagonals |d|^2 and mean(C) |b|^2 and the ``aliases`` table.  C is
     periodic with the decimation factor f, so its spectrum lives on the f^2
-    bins (p R/f, q K/f) of the R x K grid, with
-    c_pq = fft2(C)[p R/f, q K/f] / N and c_00 = mean(C), and multiplying
-    by C mixes each frequency only with its aliases (Tsai & Huang 1984):
+    bins (p R/f, q K/f) of the R x K grid, with c_pq = fft2(C)[p R/f, q K/f]
+    / N and c_00 = mean(C), and multiplying by C mixes each frequency only
+    with its aliases (Tsai & Huang 1984):
 
         (C u)^[k] = sum_pq c_pq u^[k - (p R/f, q K/f)],  indices mod (R, K).
 
@@ -199,28 +208,22 @@ class HalfSpectrum:
         self.shape = (rows, half)
         self.dim = 2 * rows * half
         weights = np.full(self.shape, 2.0 + 0j)
-        weights[:, 0] = 1.0
-        if cols % 2 == 0:
-            weights[:, -1] = 1.0
+        weights[:, :: cols // 2 if cols % 2 == 0 else cols] = 1.0  # columns 0 and K/2
         self.scale = np.sqrt(weights / model.pixel_count)
         self.unscale = 1.0 / self.scale
         self.model = model
         transfer, counts = model.blur, model.counts
         self.adjoint_blur = np.conj(transfer) * self.scale
-        self.adjoint_smooth = np.conj(model.laplacian) * self.scale
+        self.adjoint_smooth = np.conj(model.laplacian)
         self.blur = transfer * self.unscale
-        # rows r and R - r of columns 0 and K/2 hold one frequency, which rfft2
-        # rounds apart: copy r onto R - r
-        power, smooth = np.abs(transfer) ** 2, np.abs(model.laplacian) ** 2
-        upper, columns = np.arange(1, (rows + 1) // 2), [0, half - 1] if cols % 2 == 0 else [0]
-        for table in (power, smooth):
-            table[np.ix_(rows - upper, columns)] = table[np.ix_(upper, columns)]
-        self.smooth_gram = smooth.astype(complex)
+        power = np.abs(transfer) ** 2
+        self.smooth_gram = (np.abs(model.laplacian) ** 2).astype(complex)
         self.mean_data_gram = (counts.mean() * power).astype(complex)
 
         # A: one normal per real degree of freedom; a frequency held at rows r
         # and R - r of columns 0 and K/2 takes (a + ib, a - ib) / sqrt(2), and a
         # self-conjugate bin (rows 0 and R/2 there) a real part only
+        upper, columns = np.arange(1, (rows + 1) // 2), [0, half - 1] if cols % 2 == 0 else [0]
         lower, mirror = rows - upper, np.zeros(self.shape + (2,), dtype=bool)
         zero_imag = np.ix_([0, rows // 2] if rows % 2 == 0 else [0], columns, [1])
         mirror[np.ix_(lower, columns)] = mirror[zero_imag] = True
@@ -293,9 +296,9 @@ class HalfSpectrum:
 
     def back_project(self, data):
         """enter(H^t data) for stacked frames: W conj(b) rfft2(scatter(data)),
-        one rfft2."""
-        spectrum = self.adjoint_blur * _rfft2(self.model.scatter(data))
-        return spectrum.view(float).ravel()
+        one rfft2, made exactly a real image's (_real_spectrum)."""
+        spectrum = _real_spectrum(_rfft2(self.model.scatter(data)), self.dims[1])
+        return (self.adjoint_blur * spectrum).view(float).ravel()
 
     def blurred(self, s):
         """The blurred image B x of x = leave(s): irfft2((b / W) s), one
@@ -307,14 +310,13 @@ class SpectralConditional:
     """A factor F of the conditional precision Q in HalfSpectrum
     coordinates, F^t F = Q on real images' half spectra: any such factor
     draws a perturbation of the right law (Orieux, Feron & Giovannelli,
-    IEEE SPL 2012).  With several alias terms it is the stack
-    [sqrt(gamma_y) H; sqrt(gamma_x) D] seen from the coordinates, out_dim
-    M + N: F^t w = enter(sqrt(gamma_y) H^t w_y + sqrt(gamma_x) D^t w_x)
-    ends in the spectrum, 2 images forward in one stacked call, no inverse.
-    With at most one it is the square A^t Q^(1/2), out_dim N: F^t w =
-    Q^(1/2) A w (``root``, HalfSpectrum.embed) takes no transform, and
-    F^t F = Q^(1/2) A A^t Q^(1/2) is Q on the real images' half spectra,
-    the range of A, which Q^(1/2) keeps.
+    IEEE SPL 2012).  With at most one alias term it is the square
+    A^t Q^(1/2), out_dim N, A the isometry HalfSpectrum.embed: F^t w =
+    Q^(1/2) A w (``root``) takes no transform, and F^t F = Q^(1/2) A A^t
+    Q^(1/2) is Q on A's range, the real images' half spectra, which Q^(1/2)
+    keeps.  With several it is [sqrt(gamma_y) H; sqrt(gamma_x) A^t D] seen
+    from the coordinates, out_dim M + N: F^t w = sqrt(gamma_y)
+    back_project(w_y) + sqrt(gamma_x) conj(d) A w_x, 1 image forward.
 
     Replacing C by its mean gives the circulant
     P = gamma_y mean(C) |b|^2 + gamma_x |d|^2 (the Strang/Chan
@@ -337,8 +339,8 @@ class SpectralConditional:
     HalfSpectrum.pair_determinant), built once with one alias term.
 
     The alias sum is Q only on real images' half spectra (the image of
-    ``enter``), where it is the spectrum of B^t C B x; every perturbation
-    stays there, and with one alias term so do CG's iterates and the state.
+    ``enter``), where it is the spectrum of B^t C B x; at factor 2 the
+    perturbations, CG's iterates and the state stay there exactly.
     """
 
     def __init__(self, basis: HalfSpectrum, gamma_y: float, gamma_x: float):
@@ -363,16 +365,14 @@ class SpectralConditional:
 
     def apply_transpose(self, w):
         """F^t w: Q^(1/2) A w (``root``, HalfSpectrum.embed) with at most one
-        alias term, no transform; with several, the scattered frames and w_x
-        as one stack of two images, which one call transforms."""
+        alias term, no transform; with several, the frames' back-projection
+        plus conj(d) A w_x, one transform."""
         if self.root is not None:
             return self.root(self.basis.embed(w))
         basis, (root_y, root_x) = self.basis, self._roots
         count = basis.model.data_count
-        stack = np.concatenate([basis.model.scatter(w[:count]).ravel(), w[count:]])
-        data, smooth = _rfft2(stack.reshape((2,) + basis.dims))
-        spectrum = root_y * basis.adjoint_blur * data + root_x * basis.adjoint_smooth * smooth
-        return spectrum.view(float).ravel()
+        smooth = basis.adjoint_smooth * basis.embed(w[count:]).view(complex).reshape(basis.shape)
+        return root_y * basis.back_project(w[:count]) + (root_x * smooth).view(float).ravel()
 
     @cached_property
     def root(self):
@@ -713,8 +713,8 @@ def run_gibbs(model: SuperResModel, observations, iterations: int, burn_in: int,
 
     The chain's state is x in the model's HalfSpectrum coordinates: H^t y is
     mapped in once (1 rfft2), a sweep transforms 1 image, inverse, for the
-    data residual, plus 2 forward in one stacked call for the perturbation
-    when C has several alias terms (SpectralConditional), and the posterior
+    data residual, plus 1 forward for the perturbation when C has several
+    alias terms (SpectralConditional), and the posterior
     mean is mapped out once (1 irfft2).  The chain starts
     from x = H^t y (data-driven and never constant, so the smoothness
     conditional is well defined at the first sweep); the same

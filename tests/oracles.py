@@ -9,9 +9,9 @@ matrix, dense mirrors of a target, the acceptance-vs-threshold curve)
 drive the package itself; no CLI run or benchmark needs them, and
 neither do the image-space maps H, H^t and D of the super-resolution
 model and the conditional's factor built on them (the Gibbs chain runs in
-HalfSpectrum coordinates), or the strided-slice frame maps and the
-two-transform F^t that the package's index tables and stacked transform
-must match bit for bit.
+HalfSpectrum coordinates), or the strided-slice frame maps and
+back-projection that the package's index tables must match bit for bit,
+and the stacked factor's two-transform F^t.
 """
 
 from __future__ import annotations
@@ -344,14 +344,30 @@ def strided_scatter(model, frames) -> np.ndarray:
     return image
 
 
+def strided_back_projection(basis, frames) -> np.ndarray:
+    """enter(H^t frames) in HalfSpectrum coordinates, W conj(b) rfft2 of the
+    strided scatter, with each bin of columns 0 and K/2 past row R/2 set to
+    the conjugate of its mirror by an index table, and the imaginary parts
+    of the self-conjugate bins (rows 0 and R/2 there) set to zero."""
+    (rows, cols), model = basis.dims, basis.model
+    spectrum = np.fft.rfft2(strided_scatter(model, frames))
+    columns = [0, cols // 2] if cols % 2 == 0 else [0]
+    upper = np.arange(1, (rows + 1) // 2)
+    spectrum[np.ix_(rows - upper, columns)] = np.conj(spectrum[np.ix_(upper, columns)])
+    self_conjugate = np.ix_([0, rows // 2] if rows % 2 == 0 else [0], columns)
+    spectrum[self_conjugate] = spectrum[self_conjugate].real
+    return (basis.adjoint_blur * spectrum).view(float).ravel()
+
+
 def spectral_transpose(conditional, w) -> np.ndarray:
-    """F^t w of a SpectralConditional in two rfft2 calls: the strided
-    scatter of the frames, and w_x, each transformed on its own."""
+    """F^t w of the stacked factor [sqrt(gamma_y) H; sqrt(gamma_x) D] in
+    HalfSpectrum coordinates, in two rfft2 calls: the strided scatter of
+    the frames, and w_x, each transformed on its own and scaled by W."""
     basis, (gamma_y, gamma_x) = conditional.basis, conditional.gammas
     data, smooth = np.split(w, [basis.model.data_count])
     spectrum = (math.sqrt(gamma_y) * basis.adjoint_blur
                 * np.fft.rfft2(strided_scatter(basis.model, data))
-                + math.sqrt(gamma_x) * basis.adjoint_smooth
+                + math.sqrt(gamma_x) * (basis.adjoint_smooth * basis.scale)
                 * np.fft.rfft2(smooth.reshape(basis.dims)))
     return spectrum.view(float).ravel()
 

@@ -14,13 +14,15 @@ both controllers (MinCces at its default window and at a set one), the
 PSRF study, a curve whose rjpo chains almost never move, the exact
 super-resolution reference, a 3 x 3 decimation under tpo and under the
 exact solve, an exact chain on three frames, whose several alias terms
-precondition by P^-1, and a fixed-threshold rjpo chain on six frames,
-whose one alias term puts its plain solves in Q's eigenbasis.  The
-two-frame runs (superres64_*, superres16_reference, both of its chains)
-and the six-frame run have at most one alias term and draw their
-perturbations through Q^(1/2) (SpectralConditional.root); the factor-3
-and three-frame runs have several and draw through the stacked factor
-[sqrt(gamma_y) H; sqrt(gamma_x) D].  The toy,
+precondition by P^-1, a fixed-threshold rjpo chain on six frames, whose
+one alias term puts its plain solves in Q's eigenbasis, and an arjpo
+chain on three frames at 64 x 64, whose truncated plain solves apply the
+several-alias Q itself.  The two-frame runs (superres64_arjpo,
+superres64_epo, superres16_reference, both of its chains) and the
+six-frame run have at most one alias term and draw their perturbations
+through Q^(1/2) (SpectralConditional.root); the factor-3 and three-frame
+runs have several and draw M + N normals through the frames'
+back-projection and the isometry HalfSpectrum.embed.  The toy,
 curve and adapt runs' plain solves run in the dense AR(1) factor's
 eigenbasis (DenseOperator.rotation).  Prints one line per run with its
 exit code and wall time; exits 0 when every run exited 0, 1 otherwise, 2
@@ -64,6 +66,9 @@ RUNS = {
     "superres32_six_frames_rjpo": ["superres", "--dims", "32", "--frames", "6", "--factor", "2",
                                    "--fwhm", "1", "--sampler", "rjpo", "--epsilon", "1e-3",
                                    "--iterations", "200", "--burn-in", "20", "--seed", "7"],
+    "superres64_three_frames_arjpo": ["superres", "--dims", "64", "--frames", "3", "--sampler",
+                                      "arjpo", "--iterations", "100", "--burn-in", "10",
+                                      "--seed", "14"],
 }
 
 

@@ -297,11 +297,12 @@ def test_conditional_factor_matches_dense_stack():
     """The image-space factor's apply, transpose and Gram against the dense
     stack F = [sqrt(gamma_y) H; sqrt(gamma_x) D], whose Gram is the weighted
     sum gamma_y H^t H + gamma_x D^t D, to 1e-13 relative.  The factor in
-    HalfSpectrum coordinates, seen from images (leave F^t), is that stack's
-    transpose where C has several alias terms (1, 3 and 5 frames, and 4 at
-    factor 3 on an odd-column grid); with at most one (2 and 4 frames) it is
-    the square factor Q^(1/2) A, with N rows, whose Gram seen from images,
-    (leave F^t)(leave F^t)^t, is the stack's F^t F."""
+    HalfSpectrum coordinates, seen from images (leave F^t), has the stack's
+    Gram, (leave F^t)(leave F^t)^t = F^t F, on real images: where C has
+    several alias terms (1, 3 and 5 frames, and 4 at factor 3 on an
+    odd-column grid) it has the stack's M + N rows, the frames' and
+    A^t D, A the isometry HalfSpectrum.embed; with at most one (2 and 4
+    frames) it is the square factor Q^(1/2) A, with N rows."""
     gy, gx = 3.0, 0.5
     cases = [(dims, frames, 2) for dims in ((8, 8), (16, 16)) for frames in range(1, 6)]
     for dims, frames, factor in cases + [((9, 15), 4, 3)]:  # one odd-column grid
@@ -316,15 +317,13 @@ def test_conditional_factor_matches_dense_stack():
             lambda w: model.half_spectrum.leave(spectral.apply_transpose(w)), spectral.out_dim)
         if len(model.half_spectrum.aliases) <= 1:
             assert frames in (2, 4) and spectral.out_dim == n, (dims, frames)
-            seen = (spectral_transpose @ spectral_transpose.T, stack.T @ stack)
         else:
             assert spectral.out_dim == stack.shape[0], (dims, frames)
-            seen = (spectral_transpose, stack.T)
         for fused, dense in (
             (oracles.dense_matrix_of(factor_op.apply, n), stack),
             (oracles.dense_matrix_of(factor_op.apply_transpose, factor_op.out_dim), stack.T),
             (oracles.dense_matrix_of(factor_op.gram, n), stack.T @ stack),
-            seen,
+            (spectral_transpose @ spectral_transpose.T, stack.T @ stack),
         ):
             assert np.max(np.abs(fused - dense)) <= 1e-13 * np.max(np.abs(dense)), (dims, frames)
 
@@ -375,8 +374,9 @@ def _images_by_direction(calls):
 
 def test_fused_conditional_transform_counts(monkeypatch):
     """A perturbation on 2 frames (one alias term) draws through Q^(1/2) and
-    takes no transform; on 3 frames (several) it transforms 2 images
-    forward in one stacked call and none inverse, with no complex 2-D
+    takes no transform; on 3 frames (several) it transforms 1 image
+    forward, the scattered frames (HalfSpectrum.back_project; w_x enters
+    through the isometry embed), and none inverse, with no complex 2-D
     transform.  In HalfSpectrum coordinates Q and its
     preconditioner take no transform, so neither does a CG solve, whatever
     its iteration count, plain or
@@ -394,8 +394,8 @@ def test_fused_conditional_transform_counts(monkeypatch):
         if frames == 2:
             assert calls == {}
         else:
-            assert calls == {"rfft": 2, "fft": 2}
-            assert _images_by_direction(calls) == {"forward": 2, "inverse": 0, "complex": 0}
+            assert calls == {"rfft": 1, "fft": 1}
+            assert _images_by_direction(calls) == {"forward": 1, "inverse": 0, "complex": 0}
         calls.clear()
         target.precision.factor.gram(eta)
         target.precision.factor.precondition(eta)
@@ -417,7 +417,7 @@ def test_gibbs_sweep_transform_counts(monkeypatch, name):
     """A 64 x 64 two-frame Gibbs sweep transforms 1 image, inverse, for the
     data residual H x: its perturbation draws through Q^(1/2) and takes no
     transform.  On three frames (several alias terms) the perturbation
-    transforms 2 images forward as well.  No sweep takes a complex 2-D
+    transforms 1 image forward as well, the scattered frames.  No sweep takes a complex 2-D
     transform; ||D x|| and every CG solve take none.  Outside the sweeps a
     run maps H^t y in (1 forward) and the posterior mean out (1 inverse).
     The difference of a 10- and a 5-sweep run gives the per-sweep count.
@@ -425,7 +425,7 @@ def test_gibbs_sweep_transform_counts(monkeypatch, name):
     the alias table), before the runs."""
     per_run = {"forward": 1, "inverse": 1, "complex": 0}
     calls = _counted_transforms(monkeypatch)
-    for frames, forward in ((2, 0), (3, 2)):
+    for frames, forward in ((2, 0), (3, 1)):
         per_sweep = {"forward": forward, "inverse": 1, "complex": 0}
         model = sr.make_model((64, 64), frames=frames)
         obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(32))
@@ -464,19 +464,22 @@ def _coordinate_cases():
 
 
 def test_frame_maps_and_stacked_transpose_match_the_strided_references():
-    """gather (np.take), scatter (np.bincount) and the one-call F^t of the
-    stacked images give the bits of the strided-slice maps and of one rfft2
-    per image, on models with several alias terms, the only ones whose
-    perturbation draws through the stacked factor: at 64 x 64 with 3 and 5
-    frames (5 frames sample some pixels twice), 30 x 30 with 5 frames and
-    15 x 21 with 4 at factor 3, and the odd 21 x 35 with 3 frames at factor
-    7.  Either map refuses a vector of the wrong length."""
+    """gather (np.take), scatter (np.bincount), back_project and the F^t
+    of several alias terms give the bits of the strided-slice maps, of the
+    strided back-projection (one rfft2, mirror rows set by an index table)
+    and of sqrt(gamma_y) times it plus sqrt(gamma_x) conj(d) embed(w_x), on
+    models with several alias terms, the only ones whose perturbation
+    draws M + N normals: at 64 x 64 with 3 and 5 frames (5 frames sample
+    some pixels twice), 30 x 30 with 5 frames and 15 x 21 with 4 at factor
+    3, and the odd 21 x 35 with 3 frames at factor 7.  Either map refuses a
+    vector of the wrong length."""
     rng = np.random.default_rng(71)
     for dims, frames, factor in (((64, 64), 3, 2), ((64, 64), 5, 2), ((30, 30), 5, 3),
                                  ((15, 21), 4, 3), ((21, 35), 3, 7)):
         model = sr.SuperResModel(dims, frames, factor, psf_kernel=SMOOTH_3X3)
         assert len(model.half_spectrum.aliases) > 1, dims
-        conditional = sr.SpectralConditional(model.half_spectrum, 3.7, 0.21)
+        basis = model.half_spectrum
+        conditional = sr.SpectralConditional(basis, 3.7, 0.21)
         for _ in range(3):
             image = rng.standard_normal(dims)
             frames_data = rng.standard_normal(model.data_count)
@@ -484,8 +487,14 @@ def test_frame_maps_and_stacked_transpose_match_the_strided_references():
             assert np.array_equal(model.gather(image), oracles.strided_gather(model, image))
             assert np.array_equal(model.scatter(frames_data),
                                   oracles.strided_scatter(model, frames_data))
-            assert np.array_equal(conditional.apply_transpose(w),
-                                  oracles.spectral_transpose(conditional, w)), dims
+            assert np.array_equal(basis.back_project(frames_data),
+                                  oracles.strided_back_projection(basis, frames_data)), dims
+            data, smooth = np.split(w, [model.data_count])
+            smooth = np.conj(model.laplacian) * basis.embed(smooth).view(complex).reshape(
+                basis.shape)
+            expected = (math.sqrt(3.7) * oracles.strided_back_projection(basis, data)
+                        + (math.sqrt(0.21) * smooth).view(float).ravel())
+            assert np.array_equal(conditional.apply_transpose(w), expected), dims
         for frame_map, size in ((model.gather, model.pixel_count),
                                 (model.scatter, model.data_count)):
             with pytest.raises(ValueError):
@@ -1260,8 +1269,10 @@ def _image_space_gibbs(model, observations, sweeps, stream):
         gamma_x = gamma_stream.gamma_draw(1.0 + (model.pixel_count - 1) / 2.0,
                                           2.0 / float(dx @ dx))
         factor = oracles.ConditionalFactor(model, gamma_y, gamma_x)
-        eta = gamma_y * back + factor.apply_transpose(
-            x_stream.standard_normal_vector(factor.out_dim))
+        omega = x_stream.standard_normal_vector(factor.out_dim)
+        # w_x enters through the isometry A, as in SpectralConditional
+        omega[model.data_count:] = basis.leave(basis.embed(omega[model.data_count:]))
+        eta = gamma_y * back + factor.apply_transpose(omega)
         spectral = sr.conditional_target(model, basis.enter(back), gamma_y, gamma_x)
         solution, _, _ = _exact_cg_solve(spectral.precision, basis.enter(eta))
         x = basis.leave(solution)
@@ -1274,7 +1285,9 @@ def test_gibbs_sweep_matches_the_image_space_sweep():
     the chain whose state lives on images (same streams, same solver) to
     1e-13 relative in every gamma and in the final image: the coordinates
     change only the rounding.  Three frames have several alias terms, so
-    both chains draw their perturbations through the stacked factor."""
+    both chains draw their perturbations through the stacked factor, whose
+    w_x the chain on images reads as the image leave(A w_x), A the isometry
+    HalfSpectrum.embed that SpectralConditional draws w_x through."""
     model = small_model(frames=3)
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(34))
     states = []
@@ -1292,28 +1305,61 @@ def test_gibbs_sweep_matches_the_image_space_sweep():
     assert np.max(np.abs(summary.x_mean.ravel() - x)) <= 1e-13 * np.max(np.abs(x))
 
 
+def _is_exactly_real(s, basis):
+    """Whether HalfSpectrum coordinates s are a real image's half spectrum
+    bit for bit where rfft2 holds a frequency twice: in columns 0 and K/2,
+    row R - r is the conjugate of row r, and the self-conjugate bins there
+    (rows 0 and R/2) have a zero imaginary part."""
+    spectrum = s.view(complex).reshape(basis.shape)
+    rows, cols = basis.dims
+    columns = [0, cols // 2] if cols % 2 == 0 else [0]
+    upper = np.arange(1, (rows + 1) // 2)
+    self_conjugate = np.ix_([0, rows // 2] if rows % 2 == 0 else [0], columns)
+    return (np.array_equal(spectrum[np.ix_(rows - upper, columns)],
+                           np.conj(spectrum[np.ix_(upper, columns)]))
+            and not np.any(spectrum[self_conjugate].imag))
+
+
 def test_long_chain_stays_on_real_images():
-    """After each of 500 arjpo and exact sweeps at 16 x 16, and of 200 at
-    64 x 64 with two frames, the state is still a real image's half
-    spectrum, enter(leave(s)) = s to 1e-12 relative: rounding, in the
-    solves and in the perturbation drawn through Q^(1/2) A, does not drift
-    it off the subspace where the alias Gram is Q."""
-    for model, sweeps in ((small_model(), 500), (sr.make_model((64, 64), frames=2), 200)):
+    """After every sweep the state is exactly a real image's half spectrum
+    (_is_exactly_real), and enter(leave(s)) = s to 1e-12 relative: b, d and
+    the back-projection are made exact where they are made, and the
+    perturbation, the solves and the accept/reject keep them so, with one
+    alias term or several.  500 arjpo and exact sweeps at 16 x 16 and 200 at
+    64 x 64 with two frames; 60 arjpo, exact and rjpo (eps 1e-3) sweeps at
+    64 x 64 with 3 and 5 frames, whose long truncated solves used to round
+    off the subspace."""
+    def arjpo():
+        return make_kernel("arjpo", alpha_t=0.9, epsilon0=1e-2)
+
+    def epo():
+        return make_kernel("epo")
+
+    def rjpo():
+        return make_kernel("rjpo", epsilon=1e-3)
+
+    cases = [(small_model(), 500, (arjpo, epo)), (sr.make_model((64, 64)), 200, (arjpo, epo))]
+    cases += [(sr.make_model((64, 64), frames=frames), 60, (arjpo, epo, rjpo))
+              for frames in (3, 5)]
+    for model, sweeps, samplers in cases:
         basis = model.half_spectrum
         obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(36))
-        for sampler in (make_kernel("arjpo", alpha_t=0.9, epsilon0=1e-2), make_kernel("epo")):
-            drifts = []
+        for make_sampler in samplers:
+            sampler, drifts, inexact = make_sampler(), [], []
 
             def kernel(target, previous, stream):
                 outcome = sampler(target, previous, stream)
                 state = outcome.next_sample
                 drift = np.linalg.norm(basis.enter(basis.leave(state)) - state)
                 drifts.append(drift / np.linalg.norm(state))
+                if not _is_exactly_real(state, basis):
+                    inexact.append(len(drifts))
                 return outcome
 
             sr.run_gibbs(model, obs, sweeps, 0, kernel, RngStream(37))
-            assert len(drifts) == sweeps and max(drifts) <= 1e-12, (
-                model.hi_res_dims, sampler, max(drifts))
+            case = (model.hi_res_dims, model.frames, make_sampler.__name__)
+            assert len(drifts) == sweeps and max(drifts) <= 1e-12, (case, max(drifts))
+            assert inexact == [], (case, inexact[:5])
 
 
 def test_gibbs_preconditions():
