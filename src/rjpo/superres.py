@@ -137,9 +137,9 @@ def _alias_gather(spectrum, gather) -> np.ndarray:
 
 class _DiagonalPlusGathers:
     """s -> diagonal s + sum of weight G(s) over the (gather, weight)
-    aliases, G the _alias_gather of ``gather``, for s in HalfSpectrum
-    coordinates, no transform: the form of Q, of its inverse and of the
-    rotation to its eigenbasis in SpectralConditional."""
+    aliases (a conjugate pair stacked), G the _alias_gather of ``gather``,
+    for s in HalfSpectrum coordinates, no transform: the form of Q, of its
+    inverse and of the rotation to its eigenbasis in SpectralConditional."""
 
     def __init__(self, diagonal, aliases):
         self.diagonal, self.aliases = diagonal, aliases
@@ -150,7 +150,8 @@ class _DiagonalPlusGathers:
         for gather, weight in self.aliases:
             # not an in-place product on the gathered array: that changes the
             # last bits of Q s (numpy 2.4.6)
-            out += weight * _alias_gather(spectrum, gather)
+            term = weight * _alias_gather(spectrum, gather)
+            out += term if term.ndim == 2 else term[0] + term[1]
         return out.view(float).ravel()
 
 
@@ -164,10 +165,10 @@ class HalfSpectrum:
     for real images, and leave(enter(x)) = x.  The dim = 2 R (K//2 + 1)
     coordinates hold the N real images as a subspace, the image of enter.
     Columns 0 and K/2 hold each frequency at rows r and R - r: b, d and
-    ``back_project`` make the two exactly conjugate (_real_spectrum), and at
-    factor 2 Q, its inverse, root and preconditioner and CG keep them so,
-    bit for bit.  B, D and their circulant means are diagonal here (Chan &
-    Ng, SIAM Review 1996).
+    ``back_project`` make the two exactly conjugate (_real_spectrum), and Q,
+    its inverse, root and preconditioner and CG keep them so, bit for bit.
+    B, D and their circulant means are diagonal here (Chan & Ng, SIAM Review
+    1996).
 
     One per model, built on first use: the Gibbs chain's state lives here,
     and it holds every gamma-independent multiplier the chain needs: W
@@ -188,10 +189,13 @@ class HalfSpectrum:
     (source, sign) table, the flat bin it reads and -1 on the imaginary part
     where that bin is the mirror of a shifted bin past column K//2, read
     conjugated; A_pq = W conj(b) c_pq G_pq(b / W) holds the blurs and
-    coordinate scales around it.  At most f^2 - 1 terms; 1 for two frames
-    at f = 2, none with every phase sampled once (C = I).  All multipliers
-    are complex, because numpy multiplies two complex arrays about twice as
-    fast as a complex array by a real or broadcast one.
+    coordinate scales around it.  C is real, so c_-p-q = conj(c_pq): the
+    terms of (p, q) and (-p, -q) share an entry, stacked, and are summed
+    first, so a bin and its mirror round alike; a term that is its own mate
+    (all at f = 2) has a real c_pq.  At most f^2 - 1 ``alias_terms``; 1 for
+    two frames at f = 2, none with every phase sampled once (C = I).  All
+    multipliers are complex: numpy multiplies two complex arrays about twice
+    as fast as a complex array by a real or broadcast one.
 
     With one alias term it also holds the gamma-independent ``pair_*``
     tables of the block determinant (SpectralConditional) and of
@@ -238,21 +242,29 @@ class HalfSpectrum:
         f = model.decimation_factor
         coefficients = np.fft.fft2(counts[:f, :f]) / f**2  # c_pq from one period of C
         row, col = np.arange(rows)[:, None], np.arange(half)[None, :]
-        self.aliases, moduli = [], []
+        self.aliases, moduli, self.alias_terms = [], [], 0
         for (p, q), c in np.ndenumerate(coefficients):
             # c_pq sums f^2 integer multiples of f-th roots of unity: below
             # this it is the rounding of an exact zero
-            if (p, q) == (0, 0) or abs(c) <= 1e-12 * coefficients[0, 0].real:
+            mate = (-p % f, -q % f)
+            if (p, q) == (0, 0) or mate < (p, q) or abs(c) <= 1e-12 * coefficients[0, 0].real:
                 continue
-            source_row, source_col = (row - p * rows // f) % rows, (col - q * cols // f) % cols
+            if mate == (p, q):  # its own mate: c_pq is real
+                shift_row, shift_col, c = p, q, c.real
+            else:  # C is real, so c_-p-q = conj(c_pq): the pair is stacked
+                shift_row, shift_col = np.array([(p, q), mate]).T[:, :, None, None]
+                c = np.array([c, np.conj(c)])[:, None, None]
+            source_row = (row - shift_row * rows // f) % rows
+            source_col = (col - shift_col * cols // f) % cols
             # past column K//2, the mirror bin (-row mod R, K - col), conjugated
             mirrored = source_col > cols // 2
             gather = (np.where(mirrored, ((-source_row) % rows) * half + cols - source_col,
                                source_row * half + source_col),
                       np.where(mirrored, -1.0, 1.0))
             self.aliases.append((gather, c * self.adjoint_blur * _alias_gather(self.blur, gather)))
+            self.alias_terms += np.size(c)  # 2 for a stacked pair
             moduli.append(abs(c))
-        if len(self.aliases) != 1:
+        if self.alias_terms != 1:
             return
 
         [((source, _), weight)] = self.aliases
@@ -339,8 +351,8 @@ class SpectralConditional:
     HalfSpectrum.pair_determinant), built once with one alias term.
 
     The alias sum is Q only on real images' half spectra (the image of
-    ``enter``), where it is the spectrum of B^t C B x; at factor 2 the
-    perturbations, CG's iterates and the state stay there exactly.
+    ``enter``), where it is the spectrum of B^t C B x; the perturbations,
+    CG's iterates and the state stay there exactly (HalfSpectrum).
     """
 
     def __init__(self, basis: HalfSpectrum, gamma_y: float, gamma_x: float):
@@ -349,14 +361,14 @@ class SpectralConditional:
         self.basis = basis
         self.in_dim = basis.dim
         self.out_dim = basis.model.pixel_count
-        if len(basis.aliases) > 1:
+        if basis.alias_terms > 1:
             self.out_dim += basis.model.data_count
         self.gammas = gamma_y, gamma_x
         self._roots = math.sqrt(gamma_y), math.sqrt(gamma_x)
         mean = gamma_y * basis.mean_data_gram + gamma_x * basis.smooth_gram
         self.gram = _DiagonalPlusGathers(
             mean, [(gather, gamma_y * weight) for gather, weight in basis.aliases])
-        if len(basis.aliases) == 1:
+        if basis.alias_terms == 1:
             [((source, _), _)] = basis.aliases
             self.paired_mean = np.take(mean, source)
             by_y, by_both, by_x = basis.pair_determinant
@@ -384,7 +396,7 @@ class SpectralConditional:
         no alias term it is sqrt(P).  Every sum is of positive terms, and
         det is the cancellation-free ``determinant``."""
         aliases = self.gram.aliases
-        if len(aliases) > 1:
+        if self.basis.alias_terms > 1:
             return None
         if not aliases:
             return _DiagonalPlusGathers(np.sqrt(self.gram.diagonal), [])
@@ -416,12 +428,10 @@ class SpectralConditional:
 
         with P_j = G(P)_k (``paired_mean``) and the block's ``determinant``:
         Q^-1 is the same diagonal plus one gather, at about the cost of a
-        Q-apply.  Its two tables take one reciprocal of the determinant,
-        held complex, and two complex multiplies, the bits of dividing by
-        the real determinant (numpy divides a complex number by a real one
-        through its reciprocal) at about half the time.
+        Q-apply.  Its two tables multiply by one complex reciprocal of the
+        determinant: numpy's bits for dividing by it, in about half the time.
         """
-        if len(self.gram.aliases) != 1:
+        if self.basis.alias_terms != 1:
             return _DiagonalPlusGathers(1.0 / self.gram.diagonal, [])
         [(gather, weight)] = self.gram.aliases
         reciprocal = (1.0 / self.determinant).astype(complex)
@@ -434,14 +444,14 @@ class SpectralConditional:
         ``precondition``, built by its first use.  None with several, where
         P^-1 only preconditions.  The exact draw applies it in place of a
         solve (rjpo.sampler.epo_step)."""
-        return self.precondition if len(self.gram.aliases) <= 1 else None
+        return self.precondition if self.basis.alias_terms <= 1 else None
 
     @cached_property
     def rotation(self):
         """Q's eigenbasis (PairRotation) when C has exactly one alias term,
         else None; built by the first plain solve against this Q, so the
         preconditioned exact draw never pays for it."""
-        return PairRotation(self) if len(self.gram.aliases) == 1 else None
+        return PairRotation(self) if self.basis.alias_terms == 1 else None
 
 
 class PairRotation(Eigenbasis):

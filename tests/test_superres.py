@@ -315,7 +315,7 @@ def test_conditional_factor_matches_dense_stack():
         assert factor_op.out_dim == stack.shape[0]
         spectral_transpose = oracles.dense_matrix_of(
             lambda w: model.half_spectrum.leave(spectral.apply_transpose(w)), spectral.out_dim)
-        if len(model.half_spectrum.aliases) <= 1:
+        if model.half_spectrum.alias_terms <= 1:
             assert frames in (2, 4) and spectral.out_dim == n, (dims, frames)
         else:
             assert spectral.out_dim == stack.shape[0], (dims, frames)
@@ -477,7 +477,7 @@ def test_frame_maps_and_stacked_transpose_match_the_strided_references():
     for dims, frames, factor in (((64, 64), 3, 2), ((64, 64), 5, 2), ((30, 30), 5, 3),
                                  ((15, 21), 4, 3), ((21, 35), 3, 7)):
         model = sr.SuperResModel(dims, frames, factor, psf_kernel=SMOOTH_3X3)
-        assert len(model.half_spectrum.aliases) > 1, dims
+        assert model.half_spectrum.alias_terms > 1, dims
         basis = model.half_spectrum
         conditional = sr.SpectralConditional(basis, 3.7, 0.21)
         for _ in range(3):
@@ -610,12 +610,23 @@ def test_coordinates_are_built_by_the_first_sweep_not_with_the_model():
 def test_alias_term_counts():
     """Two frames at factor 2 sample every row of the even columns (C = 1
     there), one alias term; with every phase sampled once C = I and Q = P,
-    none."""
-    assert len(sr.make_model((64, 64)).half_spectrum.aliases) == 1
+    none.  Three frames at factor 3 sample every row of every third column:
+    C's only alias terms are the conjugate pair of shifts (0, K/3) and
+    (0, 2K/3), one stacked entry, two terms, so the conditional has no
+    closed-form Q^-1, Q^(1/2) or eigenbasis and draws M + N normals."""
+    assert sr.make_model((64, 64)).half_spectrum.alias_terms == 1
     for dims, factor in (((16, 16), 2), ((9, 15), 3), ((32, 32), 4)):
         model = sr.SuperResModel(hi_res_dims=dims, frames=factor**2,
                                  decimation_factor=factor, psf_kernel=SMOOTH_3X3)
         assert model.half_spectrum.aliases == [], dims
+    model = sr.SuperResModel(hi_res_dims=(9, 15), frames=3, decimation_factor=3,
+                             psf_kernel=SMOOTH_3X3)
+    [((source, sign), weight)] = model.half_spectrum.aliases
+    assert model.half_spectrum.alias_terms == 2
+    assert source.shape == weight.shape == (2, 9, 8) and sign.shape == (2, 1, 8)
+    conditional = sr.SpectralConditional(model.half_spectrum, 3.0, 0.5)
+    assert conditional.inverse is conditional.root is conditional.rotation is None
+    assert conditional.out_dim == model.pixel_count + model.data_count
 
 
 def test_spectral_cg_stops_with_the_spatial_solve():
@@ -754,7 +765,7 @@ def test_preconditioned_exact_solve_matches_mirror_solve():
                  / np.linalg.norm(expected))
         assert error <= 1e-11, (model.hi_res_dims, model.frames, error)
         assert out.relative_residual <= EXACT_EPSILON
-        if len(basis.aliases) == 1:
+        if basis.alias_terms == 1:
             assert out.cg_iterations == 0, model.frames
             continue
         plain = cg_solve(bare.precision, eta, epsilon=EXACT_EPSILON)
@@ -785,12 +796,12 @@ def test_preconditioner_inverts_the_circulant_mean():
     for frames in (1, 3, 5):
         model = sr.SuperResModel(hi_res_dims=(16, 16), frames=frames, decimation_factor=2,
                                  psf_kernel=SMOOTH_3X3)
-        assert len(model.half_spectrum.aliases) > 1, frames
+        assert model.half_spectrum.alias_terms > 1, frames
         p_v = oracles.ConditionalFactor(full_coverage(model), gy * frames / 4, gx).gram(v)
         back = inverse_mean(model, p_v)
         assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v), frames
     for model in _coordinate_cases()[1:]:
-        assert len(model.half_spectrum.aliases) > 1, model.hi_res_dims
+        assert model.half_spectrum.alias_terms > 1, model.hi_res_dims
         n = model.pixel_count
         mean_count = model.frames / model.decimation_factor**2
         p = oracles.dense_matrix_of(
@@ -835,7 +846,7 @@ def test_root_perturbation_has_the_stacked_factors_law():
     every basis vector z."""
     for model in _root_cases():
         basis, n = model.half_spectrum, model.pixel_count
-        assert len(basis.aliases) == (0 if model.frames in (4, 9) else 1), model.frames
+        assert basis.alias_terms == (0 if model.frames in (4, 9) else 1), model.frames
         embedding = oracles.dense_matrix_of(basis.embed, n)
         assert np.max(np.abs(embedding.T @ embedding - np.eye(n))) <= 1e-15, model.hi_res_dims
         closed = oracles.dense_matrix_of(lambda z: basis.enter(basis.leave(basis.embed(z))), n)
@@ -866,7 +877,7 @@ def test_q_is_symmetric_positive_definite_off_real_images_at_factor_2():
             model = sr.SuperResModel(hi_res_dims=dims, frames=frames, decimation_factor=2,
                                      psf_kernel=SMOOTH_3X3)
             basis = model.half_spectrum
-            assert len(basis.aliases) == (3, 1, 3, 0)[frames - 1], (dims, frames)
+            assert basis.alias_terms == (3, 1, 3, 0)[frames - 1], (dims, frames)
             for gammas in ((3.0, 0.5), (1e4, 1.0), (1.0, 1e4), (1e6, 1e-2)):
                 case = (dims, frames, gammas)
                 gram = sr.SpectralConditional(basis, *gammas).gram
@@ -882,7 +893,7 @@ def test_preconditioner_inverts_q_with_one_alias_term():
     rng = np.random.default_rng(63)
     for model in _one_alias_models():
         basis = model.half_spectrum
-        assert len(basis.aliases) == 1, (model.hi_res_dims, model.frames)
+        assert basis.alias_terms == 1, (model.hi_res_dims, model.frames)
         for gammas in ONE_ALIAS_GAMMAS:
             case = (model.hi_res_dims, model.frames, gammas)
             spectral = sr.SpectralConditional(basis, *gammas)
@@ -1000,7 +1011,7 @@ def test_exact_draw_with_several_alias_terms_runs_cg_preconditioned_by_p(monkeyp
     P^-1, the factor's ``precondition``, in several iterations."""
     model = small_model(frames=3)
     basis = model.half_spectrum
-    assert len(basis.aliases) == 3
+    assert basis.alias_terms == 3
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(77))
     target = sr.conditional_target(model, basis.back_project(obs), 323.6, 780.4)
     factor = target.precision.factor
@@ -1119,14 +1130,16 @@ def test_rotated_truncated_solve_reports_its_recomputed_residual(gammas):
 
 def test_no_rotation_without_exactly_one_alias_term():
     """Models with no alias term (every phase sampled once) or several (1, 3
-    or 5 frames at factor 2, factor 3) offer no rotation, so their plain
-    solves apply Q itself."""
+    or 5 frames at factor 2, factor 3, where three frames give one
+    conjugate pair) offer no rotation, so their plain solves apply Q
+    itself."""
     models = [sr.SuperResModel(hi_res_dims=dims, frames=frames, decimation_factor=factor,
                                psf_kernel=SMOOTH_3X3)
               for dims, frames, factor in (((16, 16), 4, 2), ((9, 15), 9, 3), ((16, 16), 1, 2),
-                                           ((16, 16), 3, 2), ((8, 8), 5, 2), ((9, 15), 2, 3))]
+                                           ((16, 16), 3, 2), ((8, 8), 5, 2), ((9, 15), 2, 3),
+                                           ((9, 15), 3, 3))]
     for model in models:
-        assert len(model.half_spectrum.aliases) != 1, model.hi_res_dims
+        assert model.half_spectrum.alias_terms != 1, model.hi_res_dims
         target = sr.conditional_target(model, np.zeros(model.half_spectrum.dim), 3.0, 0.5)
         assert target.precision.rotation is None, (model.hi_res_dims, model.frames)
 
@@ -1328,7 +1341,10 @@ def test_long_chain_stays_on_real_images():
     alias term or several.  500 arjpo and exact sweeps at 16 x 16 and 200 at
     64 x 64 with two frames; 60 arjpo, exact and rjpo (eps 1e-3) sweeps at
     64 x 64 with 3 and 5 frames, whose long truncated solves used to round
-    off the subspace."""
+    off the subspace; 60 exact and rjpo sweeps at 30 x 30 with 2 and 5
+    frames at factor 3 and at 36 x 36 with 5 frames at factor 6, where the
+    terms of each conjugate pair of alias shifts are summed before they are
+    added."""
     def arjpo():
         return make_kernel("arjpo", alpha_t=0.9, epsilon0=1e-2)
 
@@ -1341,6 +1357,8 @@ def test_long_chain_stays_on_real_images():
     cases = [(small_model(), 500, (arjpo, epo)), (sr.make_model((64, 64)), 200, (arjpo, epo))]
     cases += [(sr.make_model((64, 64), frames=frames), 60, (arjpo, epo, rjpo))
               for frames in (3, 5)]
+    cases += [(small_model(dims, frames, factor), 60, (epo, rjpo))
+              for dims, frames, factor in (((30, 30), 2, 3), ((30, 30), 5, 3), ((36, 36), 5, 6))]
     for model, sweeps, samplers in cases:
         basis = model.half_spectrum
         obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(36))
@@ -1360,6 +1378,26 @@ def test_long_chain_stays_on_real_images():
             case = (model.hi_res_dims, model.frames, make_sampler.__name__)
             assert len(drifts) == sweeps and max(drifts) <= 1e-12, (case, max(drifts))
             assert inexact == [], (case, inexact[:5])
+
+
+def test_factor_3_exact_draws_do_not_break_down():
+    """At factor 3 the exact draw's PCG, preconditioned by P^-1, reaches
+    EXACT_EPSILON at extreme precision ratios, (1e6, 1e-2) and (3000, 0.5),
+    on 30 x 30 with 2 and 5 frames, etas from RngStream(0..2), and its
+    draw is exactly a real image's half spectrum.  Iterates that rounded
+    off real images used to meet the alias sum's indefinite part there and
+    raise nonpositive curvature."""
+    for frames in (2, 5):
+        model = small_model((30, 30), frames, 3)
+        basis = model.half_spectrum
+        obs = sr.synthesize(model, sr.phantom((30, 30)), RngStream(5))
+        for gammas in ((1e6, 1e-2), (3000.0, 0.5)):
+            target = sr.conditional_target(model, basis.back_project(obs), *gammas)
+            for seed in range(3):
+                out = epo_step(target, RngStream(seed))
+                case = (frames, gammas, seed)
+                assert out.relative_residual <= EXACT_EPSILON, case
+                assert _is_exactly_real(out.next_sample, basis), case
 
 
 def test_gibbs_preconditions():
