@@ -127,8 +127,8 @@ def _real_spectrum(spectrum, cols: int) -> np.ndarray:
 
 def _alias_gather(spectrum, gather) -> np.ndarray:
     """The half spectrum read at each bin's alias source: ``gather`` is the
-    (source, sign) table of one alias term (see HalfSpectrum), the flat bin
-    each bin reads and -1 where it reads that bin conjugated."""
+    (source, sign) table of one alias term or a stacked pair (HalfSpectrum),
+    the flat bin each bin reads and -1 where it reads that bin conjugated."""
     source, sign = gather
     out = spectrum.take(source)  # np.take's wrapper costs 1.6 us more
     out.imag *= sign

@@ -1213,8 +1213,8 @@ def test_gibbs_pairs_the_x_stream_for_every_kernel():
     """run_gibbs routes accept/reject uniforms to a side stream: the x
     kernel sees the x substream's normals and a spawned child's uniforms.
     And every x kernel takes one perturbation per sweep, of N normals
-    through Q^(1/2) on two frames (one alias term) and of M + N through the
-    stacked factor on three (several): same-seed chains of different
+    through Q^(1/2) on two frames (one alias term) and of M + N, the
+    frames' and w_x's, on three (several): same-seed chains of different
     kernels read the same normals, the common random numbers that
     superres --reference and checks 10a-10c compare on."""
     seen = []
@@ -1298,9 +1298,10 @@ def test_gibbs_sweep_matches_the_image_space_sweep():
     the chain whose state lives on images (same streams, same solver) to
     1e-13 relative in every gamma and in the final image: the coordinates
     change only the rounding.  Three frames have several alias terms, so
-    both chains draw their perturbations through the stacked factor, whose
-    w_x the chain on images reads as the image leave(A w_x), A the isometry
-    HalfSpectrum.embed that SpectralConditional draws w_x through."""
+    both chains draw M + N normals; the chain on images applies the stacked
+    factor [sqrt(gamma_y) H; sqrt(gamma_x) D] to the frames' normals w_y and
+    to the image leave(A w_x), A the isometry HalfSpectrum.embed that
+    SpectralConditional draws w_x through."""
     model = small_model(frames=3)
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(34))
     states = []
