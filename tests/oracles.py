@@ -344,19 +344,25 @@ def strided_scatter(model, frames) -> np.ndarray:
     return image
 
 
-def strided_back_projection(basis, frames) -> np.ndarray:
-    """enter(H^t frames) in HalfSpectrum coordinates, W conj(b) rfft2 of the
-    strided scatter, with each bin of columns 0 and K/2 past row R/2 set to
-    the conjugate of its mirror by an index table, and the imaginary parts
-    of the self-conjugate bins (rows 0 and R/2 there) set to zero."""
-    (rows, cols), model = basis.dims, basis.model
-    spectrum = np.fft.rfft2(strided_scatter(model, frames))
+def exactly_real_spectrum(spectrum, dims) -> np.ndarray:
+    """A copy of the half spectrum of a ``dims`` image with each bin of
+    columns 0 and K/2 past row R/2 set to the conjugate of its mirror by
+    an index table, and the imaginary parts of the self-conjugate bins
+    (rows 0 and R/2 there) set to zero: a real image's half spectrum."""
+    (rows, cols), spectrum = dims, np.array(spectrum)
     columns = [0, cols // 2] if cols % 2 == 0 else [0]
     upper = np.arange(1, (rows + 1) // 2)
     spectrum[np.ix_(rows - upper, columns)] = np.conj(spectrum[np.ix_(upper, columns)])
     self_conjugate = np.ix_([0, rows // 2] if rows % 2 == 0 else [0], columns)
     spectrum[self_conjugate] = spectrum[self_conjugate].real
-    return (basis.adjoint_blur * spectrum).view(float).ravel()
+    return spectrum
+
+
+def strided_back_projection(basis, frames) -> np.ndarray:
+    """enter(H^t frames) in HalfSpectrum coordinates: W conj(b) times the
+    exactly_real_spectrum of the rfft2 of the strided scatter."""
+    spectrum = np.fft.rfft2(strided_scatter(basis.model, frames))
+    return (basis.adjoint_blur * exactly_real_spectrum(spectrum, basis.dims)).view(float).ravel()
 
 
 def spectral_transpose(conditional, w) -> np.ndarray:

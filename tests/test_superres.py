@@ -1325,13 +1325,7 @@ def _is_exactly_real(s, basis):
     row R - r is the conjugate of row r, and the self-conjugate bins there
     (rows 0 and R/2) have a zero imaginary part."""
     spectrum = s.view(complex).reshape(basis.shape)
-    rows, cols = basis.dims
-    columns = [0, cols // 2] if cols % 2 == 0 else [0]
-    upper = np.arange(1, (rows + 1) // 2)
-    self_conjugate = np.ix_([0, rows // 2] if rows % 2 == 0 else [0], columns)
-    return (np.array_equal(spectrum[np.ix_(rows - upper, columns)],
-                           np.conj(spectrum[np.ix_(upper, columns)]))
-            and not np.any(spectrum[self_conjugate].imag))
+    return np.array_equal(oracles.exactly_real_spectrum(spectrum, basis.dims), spectrum)
 
 
 def test_long_chain_stays_on_real_images():
