@@ -40,6 +40,10 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     ||b|| = 0 the relative residual is defined as 0 and x0 is returned.
     A solve of J iterations costs J + 1 Q-applies from the zero start and
     J + 2 from a given x0, whose initial residual b - Q x0 takes one more.
+    Each iteration's Q p goes through q.apply; the loop updates x, r and p
+    in place through one scratch vector per solve, in the floating-point
+    order of the textbook loop, and writes neither b, x0 nor what q.apply
+    returns.
 
     When q also has precondition(r), computing M^-1 r for a symmetric
     positive definite M, the search directions are built from z = M^-1 r
@@ -91,7 +95,7 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     """
     b = np.asarray(b, dtype=float).ravel()
     n = b.size
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float).ravel()
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).ravel()
     if x.size != n:
         raise ConfigurationError(f"x0 length {x.size} != b length {n}")
     if not 0 <= epsilon < math.inf:
@@ -103,10 +107,13 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
 
     rotation = None if hasattr(q, "precondition") else getattr(q, "rotation", None)
     if rotation is not None:
+        # enter returns a new vector, so the in-place updates never reach x0
         q, b = rotation, rotation.enter(b)
         if x0 is not None:
             x = rotation.enter(x)
-    b_norm = float(np.linalg.norm(b))
+    elif x0 is not None:
+        x = x.copy()
+    b_norm = math.sqrt(b @ b)  # np.linalg.norm's formula, without its wrapper
     iterations, converged = 0, True
     if b_norm != 0.0:
         # from a zero start Qx is exactly zero, so r = b without a Q-apply
@@ -125,7 +132,7 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
                               out=np.zeros(weight.size), where=weight > 0)
             x += r * scale[group]
     residual = b - q.apply(x)
-    relative = float(np.linalg.norm(residual)) / b_norm if b_norm else 0.0
+    relative = math.sqrt(residual @ residual) / b_norm if b_norm else 0.0
     if rotation is not None:
         x, residual = rotation.leave(x), rotation.leave(residual)
     return CGOutcome(x, iterations, relative, residual, converged)
@@ -133,42 +140,53 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
 
 def _iterate(q, r, x, b_norm, epsilon, max_iters):
     """The CG loop from residual r, updated in place, as is x unless it is
-    None; returns (iterations, converged)."""
+    None; returns (iterations, converged).
+
+    Every vector update runs in place through one scratch vector s per
+    solve (s = step p, then s = step Qp), with the floating-point operations
+    of x += step p, r -= step Qp and p = (rz_next / rz) p + z in that order,
+    so the iterates are bitwise those of the textbook loop
+    (tests/oracles.py, textbook_cg_iterate).  Q p still goes through
+    q.apply, one Q-apply per iteration, and the loop never writes into what
+    q.apply returns, which may be a view or p itself."""
     rs = float(r @ r)
     iterations, converged = 0, True
     if math.sqrt(rs) / b_norm > epsilon:
+        apply, add, subtract, multiply, sqrt = q.apply, np.add, np.subtract, np.multiply, math.sqrt
         precondition = getattr(q, "precondition", None)
-        z, rz = _preconditioned(precondition, r, rs, 0)
+        z, rz = (r, rs) if precondition is None else _preconditioned(precondition, r, 0)
         p = z.copy()
+        s = np.empty_like(p)
+        # ndarray.dot runs the dot kernel of @ on vectors, at half its call cost
+        p_dot, r_dot = p.dot, r.dot
         for iterations in range(1, max_iters + 1):
-            qp = q.apply(p)
-            curvature = float(p @ qp)
-            if not math.isfinite(curvature) or curvature <= 0.0:
+            qp = apply(p)
+            curvature = float(p_dot(qp))
+            if not 0.0 < curvature < math.inf:
                 raise NumericalBreakdownError(f"nonpositive or non-finite curvature "
                                               f"p^tQp = {curvature} at CG iteration {iterations}")
             step = rz / curvature
             if x is not None:
-                x += step * p
-            r -= step * qp
-            rs_next = float(r @ r)
+                add(x, multiply(p, step, s), x)
+            subtract(r, multiply(qp, step, s), r)
+            rs_next = float(r_dot(r))
             if not math.isfinite(rs_next):
                 raise NumericalBreakdownError(f"non-finite residual at CG iteration {iterations}")
-            if math.sqrt(rs_next) / b_norm <= epsilon:
+            if sqrt(rs_next) / b_norm <= epsilon:
                 break
-            z, rz_next = _preconditioned(precondition, r, rs_next, iterations)
-            p *= rz_next / rz
-            p += z
+            if precondition is None:
+                z, rz_next = r, rs_next
+            else:
+                z, rz_next = _preconditioned(precondition, r, iterations)
+            add(multiply(p, rz_next / rz, p), z, p)
             rz = rz_next
         else:
             converged = False
     return iterations, converged
 
 
-def _preconditioned(precondition, r, rs, iteration):
-    """z = M^-1 r and r^t z; without a preconditioner z = r and r^t z is the
-    already computed rs = r^t r."""
-    if precondition is None:
-        return r, rs
+def _preconditioned(precondition, r, iteration):
+    """z = M^-1 r and r^t z, checked to be positive."""
     z = precondition(r)
     rz = float(r @ z)
     # a non-finite entry of z makes r^t z non-finite, so this covers it too

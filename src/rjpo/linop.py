@@ -115,11 +115,12 @@ class FactoredPrecision:
 class Eigenbasis(FactoredPrecision):
     """An orthogonal U and diagonal Lambda = U Q U^t, the ``rotation`` a
     factor may offer: ``eigenvalues`` (Lambda's diagonal), ``enter``
-    (v -> U v) and ``leave`` (u -> U^t u).  As a precision it is Lambda,
-    whose apply is one multiply, counted and traced as a Q-apply.  It groups
-    Lambda's equal values when it is built: ``distinct`` holds the distinct
-    values, ascending, as a diagonal precision, and ``group`` each
-    coordinate's index among them; cg_solve runs its iterations on these."""
+    (v -> U v, a new vector, which cg_solve updates in place) and ``leave``
+    (u -> U^t u).  As a precision it is Lambda, whose apply is one multiply,
+    counted and traced as a Q-apply.  It groups Lambda's equal values when
+    it is built: ``distinct`` holds the distinct values, ascending, as a
+    diagonal precision, and ``group`` each coordinate's index among them;
+    cg_solve runs its iterations on these."""
 
     def __init__(self, eigenvalues, enter, leave):
         super().__init__(Diagonal(eigenvalues))

@@ -3,8 +3,10 @@ and the verification-only helpers built on the package.
 
 The references are deliberately naive (dense algebra, direct loops) and
 share no algorithm with the package under test: they use numpy, plus the
-package's outcome record and error type so the oracle move can run inside
-run_chain.  The helpers at the end (a target built from a dense precision
+package's outcome record and error types so the oracle move can run inside
+run_chain.  The one exception is the textbook CG loop, with fresh vectors
+for every update, which the package's in-place loop must match bit for
+bit.  The helpers at the end (a target built from a dense precision
 matrix, dense mirrors of a target, the acceptance-vs-threshold curve)
 drive the package itself; no CLI run or benchmark needs them, and
 neither do the image-space maps H, H^t and D of the super-resolution
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rjpo.adapt import make_kernel
-from rjpo.errors import ConfigurationError
+from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import FactoredPrecision, GaussianTarget, target_from_cholesky
 from rjpo.sampler import KernelOutcome, run_chain
 
@@ -58,6 +60,55 @@ def dense_matrix_of(apply_fn, n: int) -> np.ndarray:
 
 def dense_solve_cg_reference(q: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(q, b)
+
+
+def textbook_cg_iterate(q, r, x, b_norm, epsilon, max_iters):
+    """The textbook CG loop that rjpo.cg._iterate must match bit for bit:
+    step p and step Qp are fresh vectors, and r^t r and p^t Qp are
+    matmuls.  It has _iterate's signature and result, so a test can patch
+    it in."""
+    rs = float(r @ r)
+    iterations, converged = 0, True
+    if math.sqrt(rs) / b_norm > epsilon:
+        precondition = getattr(q, "precondition", None)
+        z, rz = _textbook_preconditioned(precondition, r, rs, 0)
+        p = z.copy()
+        for iterations in range(1, max_iters + 1):
+            qp = q.apply(p)
+            curvature = float(p @ qp)
+            if not math.isfinite(curvature) or curvature <= 0.0:
+                raise NumericalBreakdownError(f"nonpositive or non-finite curvature "
+                                              f"p^tQp = {curvature} at CG iteration {iterations}")
+            step = rz / curvature
+            if x is not None:
+                x += step * p
+            r -= step * qp
+            rs_next = float(r @ r)
+            if not math.isfinite(rs_next):
+                raise NumericalBreakdownError(f"non-finite residual at CG iteration {iterations}")
+            if math.sqrt(rs_next) / b_norm <= epsilon:
+                break
+            z, rz_next = _textbook_preconditioned(precondition, r, rs_next, iterations)
+            p *= rz_next / rz
+            p += z
+            rz = rz_next
+        else:
+            converged = False
+    return iterations, converged
+
+
+def _textbook_preconditioned(precondition, r, rs, iteration):
+    """z = M^-1 r and r^t z; without a preconditioner z = r and r^t z is the
+    already computed rs = r^t r."""
+    if precondition is None:
+        return r, rs
+    z = precondition(r)
+    rz = float(r @ z)
+    # a non-finite entry of z makes r^t z non-finite, so this covers it too
+    if not math.isfinite(rz) or rz <= 0.0:
+        raise NumericalBreakdownError(f"preconditioner is not positive definite: "
+                                      f"r^t M^-1 r = {rz} at CG iteration {iteration}")
+    return z, rz
 
 
 def cholesky_gaussian_draws(q: np.ndarray, mu: np.ndarray, count: int,

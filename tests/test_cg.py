@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import rjpo.cg
 import rjpo.superres as sr
 from oracles import dense_solve_cg_reference
 from rjpo.cg import cg_solve
@@ -191,6 +192,51 @@ def test_indefinite_matrix_breaks_down():
         cg_solve(FakePrecision(), b, epsilon=1e-12)
 
 
+@pytest.mark.parametrize("fault, message", [
+    (lambda qv: -qv, r"^nonpositive or non-finite curvature p\^tQp = -\S+ at CG iteration 2$"),
+    (lambda qv: np.full_like(qv, np.nan),
+     r"^nonpositive or non-finite curvature p\^tQp = nan at CG iteration 2$"),
+    (lambda qv: np.where(np.arange(qv.size) == 3, 1e300, qv),
+     r"^non-finite residual at CG iteration 2$"),
+], ids=["nonpositive_curvature", "nan_curvature", "overflowing_residual"])
+def test_breakdown_after_the_first_iteration_reports_it(fault, message):
+    """Q = diag(1, 2, 3, 1) whose second apply is faulty.  b is zero on the
+    last coordinate, so p is too and a huge Qp entry there leaves p^t Qp
+    finite while r^t r overflows."""
+    diagonal = np.array([1.0, 2.0, 3.0, 1.0])
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return fault(diagonal * v) if len(calls) == 2 else diagonal * v
+
+    with np.errstate(over="ignore"), pytest.raises(NumericalBreakdownError, match=message):
+        cg_solve(SimpleNamespace(apply=apply), np.array([1.0, 1.0, 1.0, 0.0]), epsilon=1e-12)
+
+
+def test_operator_that_returns_its_input_solves_in_one_iteration():
+    """Identity Q whose apply returns p itself: one iteration with step 1,
+    from zero to x = b exactly.  With a diagonal Q, no vector that apply
+    returned is written afterwards."""
+    stream = RngStream(29)
+    b, x0 = stream.standard_normal_vector(9), stream.standard_normal_vector(9)
+    for start in (None, x0):
+        out = cg_solve(SimpleNamespace(apply=lambda v: v), b, x0=start, epsilon=1e-12)
+        assert out.iterations == 1 and out.converged
+        assert start is not None or np.array_equal(out.solution, b)
+        assert out.relative_residual <= 1e-15
+    diagonal, returned = np.geomspace(1.0, 50.0, 9), []
+
+    def apply(v):
+        qv = diagonal * v
+        returned.append((qv, qv.copy()))
+        return qv
+
+    out = cg_solve(SimpleNamespace(apply=apply), b, x0=x0, epsilon=1e-10)
+    assert out.converged and out.iterations > 1
+    assert all(np.array_equal(qv, kept) for qv, kept in returned)
+
+
 def test_nonfinite_rhs_breaks_down():
     prec, _ = _spd_precision(13, 4)
     with pytest.raises(NumericalBreakdownError):
@@ -206,7 +252,7 @@ def _grouped_rotation():
     eigenvalues = np.geomspace(1.0, 30.0, 7)[group]
     b = rng.standard_normal(1000)
     b[group == 3] = 0.0
-    rotation = Eigenbasis(eigenvalues, enter=lambda v: v, leave=lambda v: v)
+    rotation = Eigenbasis(eigenvalues, enter=np.copy, leave=lambda v: v)
     return SimpleNamespace(rotation=rotation), eigenvalues, b
 
 
@@ -282,13 +328,15 @@ def test_dense_rotated_solve_matches_plain_cg(eps):
     """Plain solves through a dense factor's eigenbasis match plain CG on
     the same Q with the rotation hidden, from zero and from an x0: equal
     iterations on AR(1), solutions within 1e-10 relative, and the returned
-    residual is b - Q x to 1e-10."""
+    residual is b - Q x to 1e-10.  Neither solve writes b or x0."""
     stream = RngStream(4)
     for name, precision, hidden, q in _dense_cases():
         b = stream.standard_normal_vector(q.shape[0])
         for x0 in (None, stream.standard_normal_vector(q.shape[0])):
+            given = b.copy(), None if x0 is None else x0.copy()
             out = cg_solve(precision, b, x0=x0, epsilon=eps)
             plain = cg_solve(hidden, b, x0=x0, epsilon=eps)
+            assert np.array_equal(b, given[0]) and (x0 is None or np.array_equal(x0, given[1]))
             assert out.converged and out.relative_residual <= 2 * eps, (name, eps)
             assert name != "ar1" or out.iterations == plain.iterations, (name, eps)
             scale = np.linalg.norm(plain.solution)
@@ -348,6 +396,45 @@ def test_q_applies_per_solve(monkeypatch, case):
         assert len(applies) == out.iterations + extra, (x0 is None, out.iterations)
         solutions.append(out.solution)
     assert np.array_equal(solutions[0], solutions[2])
+
+
+@pytest.fixture(scope="module")
+def bitwise_cases():
+    """name -> precision: AR(1) N = 128 through its eigenbasis and through
+    M^t (M v) with no rotation, and the 64 x 64 conditional through its
+    PairRotation and preconditioned."""
+    ar1, _, _ = ar1_target(128, 1.0, 0.8, stream=RngStream(1))
+    conditional = _sr64_conditional().precision
+    return {"ar1_eigenbasis": ar1.precision,
+            "ar1_two_product": oracles.with_two_product_factor(ar1).precision,
+            "sr64_eigenbasis": conditional,
+            "sr64_preconditioned": conditional.preconditioned()}
+
+
+@pytest.mark.parametrize("limits", [{"epsilon": 1e-1}, {"epsilon": 1e-3}, {"epsilon": 1e-8},
+                                    {"epsilon": 0.0, "max_iters": 5}],
+                         ids=["eps1e-1", "eps1e-3", "eps1e-8", "cap"])
+@pytest.mark.parametrize("case", ["ar1_eigenbasis", "ar1_two_product", "sr64_eigenbasis",
+                                  "sr64_preconditioned"])
+def test_loop_is_bitwise_the_textbook_loop(monkeypatch, bitwise_cases, case, limits):
+    """The in-place CG loop returns, bit for bit, what the textbook loop
+    (oracles.textbook_cg_iterate) returns, from zero and from an x0:
+    iterations, the stopping flag, the relative residual, the solution and
+    the residual vector."""
+    precision = bitwise_cases[case]
+    stream = RngStream(5)
+    b = stream.standard_normal_vector(precision.dim)
+    for x0 in (None, stream.standard_normal_vector(precision.dim)):
+        out = cg_solve(precision, b, x0=x0, **limits)
+        with monkeypatch.context() as patched:
+            patched.setattr(rjpo.cg, "_iterate", oracles.textbook_cg_iterate)
+            reference = cg_solve(precision, b, x0=x0, **limits)
+        assert reference.iterations >= 1
+        assert reference.converged == ("max_iters" not in limits)
+        assert (out.iterations, out.converged) == (reference.iterations, reference.converged)
+        assert out.relative_residual == reference.relative_residual
+        assert np.array_equal(out.solution, reference.solution)
+        assert np.array_equal(out.residual_vector, reference.residual_vector)
 
 
 def test_parameter_validation():

@@ -87,17 +87,20 @@ def test_ulp_control_reruns_a_superres_run_with_moved_etas(tmp_path, capsys):
     """The control replays DIR_A's config into DIR_B/up and DIR_B/down with
     every eta one ulp up and one ulp down, then into DIR_B/precision_up and
     DIR_B/precision_down with each conditional's gamma_y and gamma_x, or
-    each nonzero entry of the AR(1) factor, one ulp up and down; it restores
-    what it moved afterwards, and prints all four comparisons: same config
-    and data, moved chain.  Any finished run takes it; a directory without
-    metadata.json does not."""
+    each nonzero entry of the AR(1) factor, one ulp up and down, and for a
+    `superres` run into DIR_B/data_up and DIR_B/data_down with every
+    synthesized observation one ulp up and down; it restores what it moved
+    afterwards, and prints every comparison: same config, moved chain.  Any
+    finished run takes it; a directory without metadata.json does not."""
     model = sr.make_model((16, 16), fwhm=1.0)
     back = model.half_spectrum.back_project(np.ones(model.data_count))
     target = sr.conditional_target(model, back, 2.0, 0.5)
     perturb = rjpo.sampler.perturb
     conditional_target = sr.conditional_target
     target_from_cholesky = rjpo.problems.target_from_cholesky
+    synthesize = sr.synthesize
     low = ar1_target(4, stream=RngStream(2))[0].mirror
+    observations = synthesize(model, sr.phantom((16, 16)), RngStream(4))
     for towards in (np.inf, -np.inf):
         with ulp_control.etas_moved_by_one_ulp(towards):
             moved = rjpo.sampler.perturb(target, RngStream(1))
@@ -110,6 +113,10 @@ def test_ulp_control_reruns_a_superres_run_with_moved_etas(tmp_path, capsys):
         assert rjpo.problems.target_from_cholesky is target_from_cholesky
         assert gammas == (np.nextafter(2.0, towards), np.nextafter(0.5, towards))
         assert np.array_equal(moved_low, np.where(low != 0, np.nextafter(low, towards), 0.0))
+        with ulp_control.observations_moved_by_one_ulp(towards):
+            moved = sr.synthesize(model, sr.phantom((16, 16)), RngStream(4))
+        assert sr.synthesize is synthesize
+        assert np.array_equal(moved, np.nextafter(observations, towards))
 
     a, b = tmp_path / "a", tmp_path / "b"
     assert cli.main(["superres", "--dims", "16", "--fwhm", "1.0", "--iterations", "6",
@@ -118,13 +125,15 @@ def test_ulp_control_reruns_a_superres_run_with_moved_etas(tmp_path, capsys):
     assert ulp_control.main([str(a), str(b)]) == 0
     assert rjpo.sampler.perturb is perturb
     assert sr.conditional_target is conditional_target
+    assert sr.synthesize is synthesize
     report = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in report if line.startswith("==")] == [
         "== eta one ulp up", "== eta one ulp down",
-        "== precision one ulp up", "== precision one ulp down"]
+        "== precision one ulp up", "== precision one ulp down",
+        "== data one ulp up", "== data one ulp down"]
     for name in ("ground_truth.pgm", "metadata.json"):
-        assert report.count(f"identical  {name}") == 4
-    assert report.count("differs    chain.csv") == 4
+        assert report.count(f"identical  {name}") == 6
+    assert report.count("differs    chain.csv") == 6
     assert ulp_control.main([str(a)]) == 2
     assert cli.main(["toy", "--n", "4", "--n-max", "50", "--out", str(tmp_path / "t")]) == 0
     capsys.readouterr()
@@ -155,10 +164,11 @@ def test_ulp_reference_control_moves_only_the_reference_chain(tmp_path, capsys):
     report = capsys.readouterr().out.split("== ")[1:]
     assert [block.split(":")[0] for block in report] == [
         "eta one ulp up", "eta one ulp down", "precision one ulp up",
-        "precision one ulp down", "reference eta one ulp up", "reference eta one ulp down"]
-    for block in report[:4]:
+        "precision one ulp down", "data one ulp up", "data one ulp down",
+        "reference eta one ulp up", "reference eta one ulp down"]
+    for block in report[:6]:
         assert "differs    chain.csv" in block and "differs    reference_chain.csv" in block
-    for block in report[4:]:
+    for block in report[6:]:
         assert "identical  chain.csv" in block and "identical  posterior_mean.pgm" in block
         assert "differs    reference_chain.csv" in block
     assert (b / "reference_down" / "metadata.json").exists()
@@ -168,4 +178,4 @@ def test_ulp_reference_control_moves_only_the_reference_chain(tmp_path, capsys):
                      "--out", str(tmp_path / "e")]) == 0
     assert ulp_control.main([str(tmp_path / "e"), str(tmp_path / "f")]) == 0
     assert sorted(path.name for path in (tmp_path / "f").iterdir()) == [
-        "down", "precision_down", "precision_up", "up"]
+        "data_down", "data_up", "down", "precision_down", "precision_up", "up"]

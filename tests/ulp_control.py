@@ -1,13 +1,14 @@
 """Rerun an `rjpo` output directory with its etas, then its precisions,
-moved by one ulp, both ways; and a `superres --reference` run with only
-its reference chain's etas moved.
+moved by one ulp, both ways; a `superres` run with its observations moved
+too; and a `superres --reference` run with only its reference chain's etas
+moved.
 
     python tests/ulp_control.py DIR_A DIR_B
 
 DIR_A holds a finished `rjpo` run of any subcommand; its metadata.json
 carries the whole resolved config.  The tool reruns that config four times,
-six for a `superres` run with a reference chain, and prints
-compare_outputs' report of DIR_A against each:
+six for a `superres` run and eight for one with a reference chain, and
+prints compare_outputs' report of DIR_A against each:
 
 - the eta control, into DIR_B/up with every perturbation eta replaced by
   np.nextafter(eta, inf), one ulp up in each entry, and into DIR_B/down
@@ -20,6 +21,13 @@ compare_outputs' report of DIR_A against each:
   `curve` and `adapt` every nonzero entry of the AR(1) Cholesky factor L.
   A change that rounds Q or its inverse differently moves the chain in a
   way that moving eta does not bound.
+- the data control, into DIR_B/data_up and DIR_B/data_down, only for a
+  `superres` run: every synthesized observation (the frames y that
+  rjpo.superres.synthesize returns) moved one ulp the same ways.  A change
+  that rounds the observations or b = gamma_y H^t y differently moves every
+  sweep from the first, and a summary field such as the mean acceptance
+  can then move past the eta and precision controls while each chain
+  column stays inside them; this control bounds such a change.
 - the reference control, into DIR_B/reference_up and
   DIR_B/reference_down, only for a `superres` run whose reference chain
   ran (DIR_A holds reference_chain.csv): the eta control on
@@ -97,6 +105,16 @@ def precisions_moved_by_one_ulp(towards):
         yield
 
 
+def observations_moved_by_one_ulp(towards):
+    """Every observation synthesized by rjpo.superres.synthesize, which
+    cli.cmd_superres looks up there, moved one ulp towards ``towards``, for
+    the duration of the block."""
+    def moved(synthesize):
+        return lambda model, truth, stream: np.nextafter(synthesize(model, truth, stream), towards)
+
+    return _replaced(rjpo.superres, "synthesize", moved)
+
+
 def reference_etas_moved_by_one_ulp(towards):
     """The etas of the reference chain of a `superres --reference` run moved
     one ulp towards ``towards``, for the duration of the block: that chain
@@ -129,6 +147,8 @@ def main(argv=None) -> int:
         return 1
     controls = [("eta", "", etas_moved_by_one_ulp),
                 ("precision", "precision_", precisions_moved_by_one_ulp)]
+    if meta["subcommand"] == "superres":
+        controls.append(("data", "data_", observations_moved_by_one_ulp))
     if (Path(dir_a) / "reference_chain.csv").exists():
         controls.append(("reference eta", "reference_", reference_etas_moved_by_one_ulp))
     for control, prefix, moved in controls:
