@@ -51,14 +51,14 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     the stopping test is on ||r|| itself.
 
     When q has no precondition but offers a ``rotation`` that is not None
-    (an Eigenbasis: an orthogonal U with U Q U^t = Lambda diagonal;
-    FactoredPrecision.rotation), plain CG runs in U's coordinates on Lambda's
-    distinct eigenvalues, which the Eigenbasis groups when it is built
-    (``distinct`` and ``group``).  CG's iterates depend only on the spectral
-    measure of (Lambda, r0), r0 = U b - Lambda U x0: the distinct values
-    and r0's mass on each (Hestenes & Stiefel 1952; Golub & Meurant, Matrices,
-    Moments and Quadrature, 2010).  So the loop runs from zero on one
-    coordinate per value, with right-hand side w = sqrt(sum of r0^2 over
+    (an Eigenbasis: an orthogonal U with U Q U^t = Lambda diagonal, which a
+    FactoredPrecision may offer), plain CG runs in U's coordinates on
+    Lambda's distinct eigenvalues, which the Eigenbasis groups when it is
+    built (``distinct`` and ``group``).  CG's iterates depend only on the
+    spectral measure of (Lambda, r0), r0 = U b - Lambda U x0: the distinct
+    values and r0's mass on each (Hestenes & Stiefel 1952; Golub & Meurant,
+    Matrices, Moments and Quadrature, 2010).  So the loop runs from zero on
+    one coordinate per value, with right-hand side w = sqrt(sum of r0^2 over
     the coordinates sharing it), and without an x recurrence; its final
     residual r maps back as U x = U x0 + r0 (w - r) / (w lambda), 0 where
     w = 0.  The stopping test stays ||r|| / ||U b||, and the residual is
@@ -88,10 +88,10 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
       max_iters: iteration cap, defaults to 10 * b.size.
 
     Raises:
-      NumericalBreakdownError: non-finite values, nonpositive curvature
-        p^t Q p, indicating loss of positive definiteness, or a
-        preconditioner that is not positive definite (r^t M^-1 r <= 0), at
-        the CG iteration its message ends in.
+      NumericalBreakdownError: non-finite values (||b|| among them),
+        nonpositive curvature p^t Q p, indicating loss of positive
+        definiteness, or a preconditioner that is not positive definite
+        (r^t M^-1 r <= 0), at the CG iteration its message ends in.
     """
     b = np.asarray(b, dtype=float).ravel()
     n = b.size
@@ -120,6 +120,8 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
         r = b.copy() if x0 is None else b - q.apply(x)
         if not np.all(np.isfinite(r)):
             raise NumericalBreakdownError("non-finite initial residual at CG iteration 0")
+        if not math.isfinite(b_norm):  # a finite b whose b^t b overflows
+            raise NumericalBreakdownError(f"non-finite ||b|| = {b_norm} at CG iteration 0")
         if rotation is None:
             iterations, converged = _iterate(q, r, x, b_norm, epsilon, max_iters)
         else:
@@ -128,7 +130,7 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
             weight = np.sqrt(np.bincount(group, r * r))
             left = weight.copy()
             iterations, converged = _iterate(distinct, left, None, b_norm, epsilon, max_iters)
-            scale = np.divide(weight - left, weight * distinct.factor.values,
+            scale = np.divide(weight - left, weight * distinct.values,
                               out=np.zeros(weight.size), where=weight > 0)
             x += r * scale[group]
     residual = b - q.apply(x)

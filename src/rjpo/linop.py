@@ -1,15 +1,16 @@
 """Factored precision targets and the dense factor.
 
-A target holds its precision Q through a factor F with Q = F^t F: a
-DenseOperator for the small dense problems, the super-resolution
-conditional's SpectralConditional (rjpo.superres) for images.  A dense
-factor's Gram map is one product with M^t M, formed at its first Gram call
-rather than at construction, so building a target stays cheap and a target
-that is never solved against never pays for it.  Its eigenbasis (an
-Eigenbasis, as the super-resolution PairRotation is: Lambda as a precision,
-with its equal values grouped) is likewise built by the first plain CG
-solve, so the exact draw through the dense mirror never pays for it.
-Factors are immutable after construction and safe to share between chains.
+A target holds its precision Q as one object, a factor F with Q = F^t F
+(a FactoredPrecision): a DenseOperator for the small dense problems, the
+super-resolution conditional's SpectralConditional (rjpo.superres) for
+images.  A dense factor's Gram map is one product with M^t M, formed at its
+first Gram call rather than at construction, so building a target stays
+cheap and a target that is never solved against never pays for it.  Its
+eigenbasis (an Eigenbasis, as the super-resolution PairRotation is: Lambda
+as a Diagonal precision, with its equal values grouped) is likewise built
+by the first plain CG solve, so the exact draw through the dense mirror
+never pays for it.  Factors are immutable after construction and safe to
+share between chains.
 """
 
 from __future__ import annotations
@@ -29,7 +30,38 @@ def _vector(x, size: int, name: str) -> np.ndarray:
     return x
 
 
-class DenseOperator:
+class FactoredPrecision:
+    """A precision Q held as its factor F, Q = F^t F (F maps R^N -> R^N').
+
+    A subclass sets ``in_dim`` and ``gram`` (Q), and ``out_dim`` and
+    ``apply_transpose`` (F^t) if perturbations draw through it.  It may
+    offer ``rotation`` (an Eigenbasis, where a plain cg_solve runs),
+    ``inverse`` (a closed-form Q^-1, which the exact draw applies in place
+    of a solve) and ``preconditioner`` (an SPD approximation of Q^-1 for the
+    exact draw's solve), each None where it has none.  Vectors live in the
+    coordinates the factor takes: plain vectors for a DenseOperator,
+    HalfSpectrum coordinates for the super-resolution conditional.
+    Subclasses leave ``apply`` alone, so every Q-apply goes through it.
+    """
+
+    rotation = inverse = preconditioner = None
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The Gram map v -> Qv = F^t F v."""
+        return self.gram(v)
+
+    def preconditioned(self) -> FactoredPrecision:
+        """This Q for a preconditioned cg_solve: itself, solved by plain CG,
+        without a ``preconditioner``; else a view with its ``in_dim`` and
+        ``gram`` whose ``precondition``, the preconditioner, cg_solve reads."""
+        if self.preconditioner is None:
+            return self
+        view = FactoredPrecision()
+        view.in_dim, view.gram, view.precondition = self.in_dim, self.gram, self.preconditioner
+        return view
+
+
+class DenseOperator(FactoredPrecision):
     """A matrix M as a factor: its transpose w -> M^t w and its Gram map
     v -> (M^t M) v, each on a checked-length vector; M^t M is formed by the
     first Gram call."""
@@ -62,9 +94,9 @@ class DenseOperator:
         return Eigenbasis(values, partial(np.matmul, vectors.T), partial(np.matmul, vectors))
 
 
-class Diagonal:
-    """A positive diagonal as a factor that is only solved against, such as
-    a rotation's Lambda: its Gram map is one multiply."""
+class Diagonal(FactoredPrecision):
+    """A positive diagonal as a precision that is only solved against, such
+    as a rotation's Lambda: its Gram map is one multiply."""
 
     def __init__(self, values):
         self.values = values
@@ -72,66 +104,26 @@ class Diagonal:
         self.gram = partial(np.multiply, values)
 
 
-class FactoredPrecision:
-    """Precision held through a factor F with Q = F^t F (F maps R^N -> R^N').
-
-    The factor needs ``in_dim``, ``out_dim``, ``gram`` (Q) and
-    ``apply_transpose`` (F^t, which perturbations draw through), and may
-    offer ``precondition``, ``rotation`` and ``inverse`` (a closed-form
-    Q^-1, which the exact draw applies in place of a solve, or None where
-    it has none); a factor that is only solved against (Diagonal, as in an
-    Eigenbasis) needs only ``in_dim`` and ``gram``.  Vectors live in
-    whatever coordinates the factor takes: plain vectors for a
-    DenseOperator, HalfSpectrum coordinates for the super-resolution
-    conditional.
-    """
-
-    def __init__(self, factor):
-        self.factor = factor
-        self.dim = factor.in_dim
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """The induced Gram map v -> Qv = F^t F v."""
-        return self.factor.gram(v)
-
-    @property
-    def rotation(self):
-        """The factor's ``rotation`` (an Eigenbasis) when it offers one, else
-        None; a plain cg_solve runs in its coordinates.  A DenseOperator
-        offers its eigenbasis, and the super-resolution conditional its
-        PairRotation when it has one alias term."""
-        return getattr(self.factor, "rotation", None)
-
-    def preconditioned(self) -> FactoredPrecision:
-        """This Q as seen by a preconditioned cg_solve: the same apply, plus
-        the factor's ``precondition`` (an SPD approximation of Q^-1) when it
-        has one.  Without one it is solved by plain CG."""
-        view = FactoredPrecision(self.factor)
-        if hasattr(self.factor, "precondition"):
-            view.precondition = self.factor.precondition
-        return view
-
-
-class Eigenbasis(FactoredPrecision):
+class Eigenbasis(Diagonal):
     """An orthogonal U and diagonal Lambda = U Q U^t, the ``rotation`` a
-    factor may offer: ``eigenvalues`` (Lambda's diagonal), ``enter``
-    (v -> U v, a new vector, which cg_solve updates in place) and ``leave``
+    factor may offer: ``values`` (Lambda's diagonal), ``enter`` (v -> U v, a
+    new vector, which cg_solve updates in place) and ``leave``
     (u -> U^t u).  As a precision it is Lambda, whose apply is one multiply,
     counted and traced as a Q-apply.  It groups Lambda's equal values when
     it is built: ``distinct`` holds the distinct values, ascending, as a
-    diagonal precision, and ``group`` each coordinate's index among them;
-    cg_solve runs its iterations on these."""
+    Diagonal, and ``group`` each coordinate's index among them; cg_solve
+    runs its iterations on these."""
 
     def __init__(self, eigenvalues, enter, leave):
-        super().__init__(Diagonal(eigenvalues))
-        self.eigenvalues, self.enter, self.leave = eigenvalues, enter, leave
+        super().__init__(eigenvalues)
+        self.enter, self.leave = enter, leave
         values, self.group = np.unique(eigenvalues, return_inverse=True)
-        self.distinct = FactoredPrecision(Diagonal(values))
+        self.distinct = Diagonal(values)
 
 
 @dataclass
 class GaussianTarget:
-    """A target N(mu, Q^-1) held as (factored Q, potential vector Q mu).
+    """A target N(mu, Q^-1) held as (Q's factor, potential vector Q mu).
 
     ``mirror`` is an optional dense mirror of Q for exact solves on small
     problems, held as its lower Cholesky factor L (Q = L L^t); the sampling
@@ -144,14 +136,14 @@ class GaussianTarget:
 
     def __post_init__(self):
         self.potential = np.asarray(self.potential, dtype=float).ravel()
-        if self.potential.size != self.precision.dim:
+        if self.potential.size != self.precision.in_dim:
             raise ConfigurationError(
-                f"potential length {self.potential.size} != precision dim {self.precision.dim}"
+                f"potential length {self.potential.size} != precision dim {self.precision.in_dim}"
             )
 
     @property
     def dim(self) -> int:
-        return self.precision.dim
+        return self.precision.in_dim
 
     def mirror_cholesky(self) -> np.ndarray:
         """Lower Cholesky factor L of the dense mirror Q."""
@@ -173,4 +165,4 @@ class GaussianTarget:
 def target_from_cholesky(low: np.ndarray, mu: np.ndarray) -> GaussianTarget:
     """N(mu, (L L^t)^-1) for a lower Cholesky factor L: factor F = L^t (a view
     of L), potential L (L^t mu) and mirror L, so no Q is formed or kept."""
-    return GaussianTarget(FactoredPrecision(DenseOperator(low.T)), low @ (low.T @ mu), mirror=low)
+    return GaussianTarget(DenseOperator(low.T), low @ (low.T @ mu), mirror=low)

@@ -46,8 +46,8 @@ class KernelOutcome:
 
 def perturb(target: GaussianTarget, stream: RngStream) -> np.ndarray:
     """Draw eta = Q mu + F^t omega with omega ~ N(0, I_N'), one draw of N(Q mu, Q)."""
-    omega = stream.standard_normal_vector(target.precision.factor.out_dim)
-    return target.potential + target.precision.factor.apply_transpose(omega)
+    omega = stream.standard_normal_vector(target.precision.out_dim)
+    return target.potential + target.precision.apply_transpose(omega)
 
 
 def _acceptance_exponent(residual, previous, proposal) -> float:
@@ -62,7 +62,7 @@ def _acceptance_exponent(residual, previous, proposal) -> float:
 
 def _exact_cg_solve(precision, eta, x0=None):
     """CG to EXACT_EPSILON from x0 (zero when None), preconditioned when the
-    factor offers one.
+    precision offers a ``preconditioner``.
 
     CG stops on its recursive residual, so the recomputed one can still sit
     just above EXACT_EPSILON; one more solve warm-started from that x then
@@ -100,17 +100,19 @@ def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
     most one alias term).  A mirror draw stands as it is; a draw through
     ``inverse`` whose relative residual misses EXACT_EPSILON is the start of
     the CG solve below, which then reports its iterations.  Without a known
-    Q^-1, CG is pushed to machine accuracy (see _exact_cg_solve).
+    Q^-1, CG is pushed to machine accuracy (see _exact_cg_solve).  Either
+    path refuses an eta whose norm overflows (NumericalBreakdownError).
     """
     eta = perturb(target, stream)
     mirrored = target.mirror is not None
-    factor = target.precision.factor
-    inverse = target.mirror_solve if mirrored else getattr(factor, "inverse", None)
+    inverse = target.mirror_solve if mirrored else target.precision.inverse
     x = None
     if inverse is not None:
         x = inverse(eta)
         residual = eta - target.precision.apply(x)
         eta_norm = math.sqrt(eta @ eta)  # np.linalg.norm's formula, without its wrapper
+        if not math.isfinite(eta_norm):
+            raise NumericalBreakdownError(f"non-finite ||eta|| = {eta_norm} in the exact draw")
         rel = math.sqrt(residual @ residual) / eta_norm if eta_norm > 0 else 0.0
         if mirrored or rel <= EXACT_EPSILON:
             return KernelOutcome(x, x, 1.0, True, 0, rel)

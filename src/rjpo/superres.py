@@ -21,7 +21,7 @@ draws N normals through Q^(1/2), the exact draw applies Q^-1 once, with no
 CG, and a sweep transforms 1 image, inverse, for the data residual.  With
 several, the perturbation draws M + N normals and back-projects the frames,
 1 image forward, and the exact draw runs CG preconditioned by Q's circulant
-mean P (SpectralConditional.precondition).  With one alias term, the
+mean P (SpectralConditional.preconditioner).  With one alias term, the
 truncated kernels' plain CG runs in Q's eigenbasis, on the distinct values
 of its diagonal Lambda, where a Q-apply is one multiply (PairRotation); Q^-1
 and the eigenbasis share one cancellation-free block determinant.
@@ -318,9 +318,9 @@ class HalfSpectrum:
         return _irfft2(self.blur * s.view(complex).reshape(self.shape), self.dims[1])
 
 
-class SpectralConditional:
-    """A factor F of the conditional precision Q in HalfSpectrum
-    coordinates, F^t F = Q on real images' half spectra: any such factor
+class SpectralConditional(FactoredPrecision):
+    """The conditional precision Q in HalfSpectrum coordinates, held as a
+    factor F with F^t F = Q on real images' half spectra: any such factor
     draws a perturbation of the right law (Orieux, Feron & Giovannelli,
     IEEE SPL 2012).  With at most one alias term it is the square
     A^t Q^(1/2), out_dim N, A the isometry HalfSpectrum.embed: F^t w =
@@ -342,13 +342,14 @@ class SpectralConditional:
 
     ``inverse`` is Q^-1 when C has at most one alias term (frames =
     factor^2, or two frames at factor 2), and None when it has more;
-    ``precondition`` is that Q^-1, or P^-1 where there is none.  Neither
-    takes a transform.  With exactly one alias term the factor also offers
-    ``rotation``, Q's eigenbasis (PairRotation), where plain CG runs; with
-    none or several, ``rotation`` is None and plain CG applies Q as above.
-    Both read ``paired_mean`` (P_j at bin k of a pair (k, j)) and
-    ``determinant`` (P_k P_j - |w|^2, summed from the non-negative parts of
-    HalfSpectrum.pair_determinant), built once with one alias term.
+    ``preconditioner`` is that Q^-1, or P^-1 where there is none, for the
+    exact draw's solve only (preconditioned()).  Neither takes a transform.
+    With exactly one alias term it also offers ``rotation``, Q's eigenbasis
+    (PairRotation), where plain CG runs; with none or several, ``rotation``
+    is None and plain CG applies Q as above.  Both read ``paired_mean`` (P_j
+    at bin k of a pair (k, j)) and ``determinant`` (P_k P_j - |w|^2, summed
+    from the non-negative parts of HalfSpectrum.pair_determinant), built
+    once with one alias term.
 
     The alias sum is Q only on real images' half spectra (the image of
     ``enter``), where it is the spectrum of B^t C B x; the perturbations,
@@ -390,7 +391,7 @@ class SpectralConditional:
     def root(self):
         """Q^(1/2) as a map, no transform, when C has at most one alias term,
         else None.  Q^(1/2) is a function of Q, so it has Q's blocks
-        (``precondition``): on a pair's Hermitian block Q_2 with determinant
+        (``preconditioner``): on a pair's Hermitian block Q_2 with determinant
         det, Q_2^(1/2) = (Q_2 + sqrt(det) I) / sqrt(P_k + P_j + 2 sqrt(det))
         (Cayley-Hamilton; a lone bin is its own pair, P_j = P_k), and with
         no alias term it is sqrt(P).  Every sum is of positive terms, and
@@ -408,7 +409,7 @@ class SpectralConditional:
                                     [(gather, weight * scale)])
 
     @cached_property
-    def precondition(self):
+    def preconditioner(self):
         """s -> M^-1 s for CG's preconditioner M, no transform; built on
         first use, so only exact draws pay for it.  With no alias term (C =
         I, Q = P) it is Q^-1 = P^-1, s / P, and with two or more (3 or 5
@@ -441,10 +442,10 @@ class SpectralConditional:
     @property
     def inverse(self):
         """Q^-1 as a map, no transform, when C has at most one alias term:
-        ``precondition``, built by its first use.  None with several, where
+        ``preconditioner``, built by its first use.  None with several, where
         P^-1 only preconditions.  The exact draw applies it in place of a
         solve (rjpo.sampler.epo_step)."""
-        return self.precondition if self.basis.alias_terms <= 1 else None
+        return self.preconditioner if self.basis.alias_terms <= 1 else None
 
     @cached_property
     def rotation(self):
@@ -458,7 +459,7 @@ class PairRotation(Eigenbasis):
     """An orthogonal U and positive diagonal Lambda with U Q U^t = Lambda,
     for the conditional Q of one alias term, no transform.
 
-    Q is block diagonal (SpectralConditional.precondition): on the
+    Q is block diagonal (SpectralConditional.preconditioner): on the
     first member k of a pair and its partner j it is the Hermitian block
     [[P_k, w], [conj w, P_j]] on (s_k, ~s_j), w = |w| e^(i phi) = w_k.
     Its eigenvalues are
@@ -482,7 +483,7 @@ class PairRotation(Eigenbasis):
     HalfSpectrum.pair_turns' diagonal turn t (e^(-i phi / 2) at a lone bin, 1
     elsewhere) and signed gather phase g (e^(i phi) at a first member,
     -e^(i phi) at a partner, each bin's own phase).  Lambda is a diagonal on
-    the real view (``eigenvalues``), so Q in the eigenbasis, this rotation as
+    the real view (``values``), so Q in the eigenbasis, this rotation as
     a precision, is one multiply.  A paired bin's real and imaginary parts
     share an eigenvalue, and so do mirror rows: at 64 x 64 the 4224
     coordinates hold 1200-1480 distinct values, and cg_solve runs plain CG
@@ -700,8 +701,8 @@ def conditional_target(model: SuperResModel, back_projection, gamma_y: float,
     coordinates, half_spectrum.back_project(y) (fixed for a run, so callers
     compute it once).
     """
-    precision = FactoredPrecision(SpectralConditional(model.half_spectrum, gamma_y, gamma_x))
-    return GaussianTarget(precision, gamma_y * np.asarray(back_projection, dtype=float))
+    return GaussianTarget(SpectralConditional(model.half_spectrum, gamma_y, gamma_x),
+                          gamma_y * np.asarray(back_projection, dtype=float))
 
 
 # the columns of run_gibbs's per-sweep records, one row per sweep

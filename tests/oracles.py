@@ -294,7 +294,7 @@ def dense_precision(precision: FactoredPrecision) -> np.ndarray:
     """A precision's Q materialized column by column through its apply and
     symmetrized.  Refused beyond N = 4096, where the N x N matrix and its
     solve stop being an oracle's job."""
-    n = precision.dim
+    n = precision.in_dim
     if n > 4096:
         raise ConfigurationError(f"dense mirror refused for N = {n}")
     dense_q = dense_matrix_of(precision.apply, n)
@@ -308,10 +308,10 @@ def with_dense_mirror(target: GaussianTarget) -> GaussianTarget:
     return GaussianTarget(target.precision, target.potential, mirror=mirror)
 
 
-class TwoProductFactor:
+class TwoProductFactor(FactoredPrecision):
     """A dense factor M whose Gram map is the two products M^t (M v), the
     reference for DenseOperator's one product with M^t M; M^t w is the same
-    product as DenseOperator's."""
+    product as DenseOperator's.  It offers no rotation."""
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -327,8 +327,8 @@ class TwoProductFactor:
 def with_two_product_factor(target: GaussianTarget) -> GaussianTarget:
     """A copy of a dense target (target_from_dense) whose factor applies Q
     as M^t (M v); potential and mirror are shared."""
-    return GaussianTarget(FactoredPrecision(TwoProductFactor(target.precision.factor.matrix)),
-                          target.potential, mirror=target.mirror)
+    return GaussianTarget(TwoProductFactor(target.precision.matrix), target.potential,
+                          mirror=target.mirror)
 
 
 def acceptance_curve(target, epsilons, n_max: int, stream) -> np.ndarray:
@@ -429,11 +429,11 @@ def spectral_transpose(conditional, w) -> np.ndarray:
     return spectrum.view(float).ravel()
 
 
-class ConditionalFactor:
+class ConditionalFactor(FactoredPrecision):
     """F = [sqrt(gamma_y) H; sqrt(gamma_x) D] on images, whose Gram
     F^t (F v) is the super-resolution conditional precision
-    Q = gamma_y B^t C B + gamma_x D^t D.  F^t w scatters the frames once and
-    ends both parts in one inverse real transform."""
+    Q = gamma_y B^t C B + gamma_x D^t D.  ``forward`` is F v; F^t w scatters
+    the frames once and ends both parts in one inverse real transform."""
 
     def __init__(self, model, gamma_y: float, gamma_x: float):
         if not (gamma_y > 0 and gamma_x > 0):
@@ -443,7 +443,7 @@ class ConditionalFactor:
         self.in_dim = model.pixel_count
         self.out_dim = model.data_count + model.pixel_count
 
-    def apply(self, v):
+    def forward(self, v):
         return np.concatenate([math.sqrt(self.gamma_y) * forward_apply(self.model, v),
                                math.sqrt(self.gamma_x) * smooth_apply(self.model, v)])
 
@@ -457,13 +457,13 @@ class ConditionalFactor:
         return np.fft.irfft2(spectrum, s=model.hi_res_dims).ravel()
 
     def gram(self, v):
-        return self.apply_transpose(self.apply(v))
+        return self.apply_transpose(self.forward(v))
 
 
 def image_conditional_precision(model, gamma_y: float, gamma_x: float) -> np.ndarray:
     """The dense Q of the super-resolution conditional on images: the
     dense_precision of ConditionalFactor's Gram."""
-    return dense_precision(FactoredPrecision(ConditionalFactor(model, gamma_y, gamma_x)))
+    return dense_precision(ConditionalFactor(model, gamma_y, gamma_x))
 
 
 def image_conditional_target(model, observations, gamma_y: float,
@@ -471,5 +471,5 @@ def image_conditional_target(model, observations, gamma_y: float,
     """The super-resolution conditional of x on images, with its dense
     mirror: Q through ConditionalFactor, potential gamma_y H^t y."""
     return with_dense_mirror(GaussianTarget(
-        FactoredPrecision(ConditionalFactor(model, gamma_y, gamma_x)),
+        ConditionalFactor(model, gamma_y, gamma_x),
         gamma_y * forward_transpose(model, observations)))

@@ -21,13 +21,13 @@ def _spd_precision(seed, n):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     q = a @ a.T + n * np.eye(n)
-    return FactoredPrecision(DenseOperator(np.linalg.cholesky(q).T)), q
+    return DenseOperator(np.linalg.cholesky(q).T), q
 
 
 def test_two_by_two_hand_case():
     # Q = [[2,0],[0,4]], b = (2, 8): solution (1, 2); CG from zero converges
     # in at most 2 steps
-    q = FactoredPrecision(DenseOperator(np.diag([np.sqrt(2.0), 2.0])))
+    q = DenseOperator(np.diag([np.sqrt(2.0), 2.0]))
     out = cg_solve(q, np.array([2.0, 8.0]), epsilon=1e-14)
     assert np.allclose(out.solution, [1.0, 2.0], atol=1e-12)
     assert out.iterations <= 2
@@ -127,7 +127,7 @@ def test_converged_flag_reports_the_stopping_test():
 
 def _with_preconditioner(prec, precondition):
     """prec's preconditioned view, with M^-1 r = precondition(r)."""
-    prec.factor.precondition = precondition
+    prec.preconditioner = precondition
     return prec.preconditioned()
 
 
@@ -243,6 +243,20 @@ def test_nonfinite_rhs_breaks_down():
         cg_solve(prec, np.array([1.0, np.nan, 0.0, 2.0]), epsilon=1e-8)
 
 
+def test_finite_rhs_whose_norm_overflows_breaks_down():
+    """b = 1e160 in each of 6 entries is finite, but b^t b overflows: the
+    solve raises at iteration 0, in the eigenbasis and without it, from
+    zero and from an x0, where ||b|| = inf would make every relative
+    residual NaN or 0 and the solve pass for converged."""
+    prec, _ = _spd_precision(32, 6)
+    b, x0 = np.full(6, 1e160), np.ones(6)
+    message = r"^non-finite \|\|b\|\| = inf at CG iteration 0$"
+    for precision in (prec, oracles.TwoProductFactor(prec.matrix)):
+        for start in (None, x0):
+            with np.errstate(over="ignore"), pytest.raises(NumericalBreakdownError, match=message):
+                cg_solve(precision, b, x0=start, epsilon=1e-8)
+
+
 def _grouped_rotation():
     """An operator whose rotation is the identity and whose Lambda has 1000
     coordinates on 7 distinct eigenvalues, with a right-hand side that is
@@ -302,7 +316,7 @@ def _dense_cases():
     hidden = oracles.with_two_product_factor(ar1).precision
     prec, q = _spd_precision(30, 12)
     return [("ar1", ar1.precision, hidden, oracles.dense_precision(hidden)),
-            ("spd12", prec, FactoredPrecision(oracles.TwoProductFactor(prec.factor.matrix)), q)]
+            ("spd12", prec, oracles.TwoProductFactor(prec.matrix), q)]
 
 
 def test_dense_rotation_diagonalises_q():
@@ -315,7 +329,7 @@ def test_dense_rotation_diagonalises_q():
         u = oracles.dense_matrix_of(rotation.enter, q.shape[0])
         assert np.array_equal(u.T, oracles.dense_matrix_of(rotation.leave, q.shape[0])), name
         assert np.max(np.abs(u @ u.T - np.eye(q.shape[0]))) <= 1e-13, name
-        values = rotation.eigenvalues
+        values = rotation.values
         assert np.all(values > 0) and np.all(np.diff(values) >= 0), name
         assert np.max(np.abs(u @ q @ u.T - np.diag(values))) <= 1e-13 * values[-1], name
     scaled = oracles.target_from_dense(np.eye(3) * 2.0, np.ones(3)).precision
@@ -352,8 +366,7 @@ def test_singular_dense_gram_keeps_its_outcome():
     rng = np.random.default_rng(31)
     m = rng.standard_normal((3, 5))
     in_range, generic = m.T @ rng.standard_normal(3), rng.standard_normal(5)
-    for precision in (FactoredPrecision(DenseOperator(m)),
-                      FactoredPrecision(oracles.TwoProductFactor(m))):
+    for precision in (DenseOperator(m), oracles.TwoProductFactor(m)):
         assert cg_solve(precision, in_range, epsilon=1e-10).iterations == 3
         with pytest.raises(NumericalBreakdownError, match="nonpositive or non-finite curvature"):
             cg_solve(precision, generic, epsilon=1e-10)
@@ -423,8 +436,8 @@ def test_loop_is_bitwise_the_textbook_loop(monkeypatch, bitwise_cases, case, lim
     the residual vector."""
     precision = bitwise_cases[case]
     stream = RngStream(5)
-    b = stream.standard_normal_vector(precision.dim)
-    for x0 in (None, stream.standard_normal_vector(precision.dim)):
+    b = stream.standard_normal_vector(precision.in_dim)
+    for x0 in (None, stream.standard_normal_vector(precision.in_dim)):
         out = cg_solve(precision, b, x0=x0, **limits)
         with monkeypatch.context() as patched:
             patched.setattr(rjpo.cg, "_iterate", oracles.textbook_cg_iterate)

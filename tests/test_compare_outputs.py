@@ -107,7 +107,7 @@ def test_ulp_control_reruns_a_superres_run_with_moved_etas(tmp_path, capsys):
         assert rjpo.sampler.perturb is perturb
         assert np.array_equal(moved, np.nextafter(perturb(target, RngStream(1)), towards))
         with ulp_control.precisions_moved_by_one_ulp(towards):
-            gammas = sr.conditional_target(model, back, 2.0, 0.5).precision.factor.gammas
+            gammas = sr.conditional_target(model, back, 2.0, 0.5).precision.gammas
             moved_low = ar1_target(4, stream=RngStream(2))[0].mirror
         assert sr.conditional_target is conditional_target
         assert rjpo.problems.target_from_cholesky is target_from_cholesky

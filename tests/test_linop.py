@@ -13,11 +13,11 @@ from oracles import (
 )
 from rjpo.cg import cg_solve
 from rjpo.errors import ConfigurationError
-from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget
+from rjpo.linop import DenseOperator, Diagonal, Eigenbasis, FactoredPrecision, GaussianTarget
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
 from rjpo.sampler import epo_step
-from rjpo.superres import SuperResModel, centred_transfer
+from rjpo.superres import PairRotation, SpectralConditional, SuperResModel, centred_transfer
 
 
 class FrameSampling:
@@ -28,7 +28,7 @@ class FrameSampling:
         self.model = model
         self.in_dim, self.out_dim = model.pixel_count, model.data_count
 
-    def apply(self, v):
+    def forward(self, v):
         return self.model.gather(v)
 
     def apply_transpose(self, w):
@@ -42,7 +42,7 @@ class DenseMap(DenseOperator):
     """A dense factor with the forward map v -> Mv that these properties
     compare against; the package's dense factor needs only M^t and M^t M."""
 
-    def apply(self, v):
+    def forward(self, v):
         return self.matrix @ v
 
 
@@ -74,7 +74,7 @@ def test_adjointness(seed):
     for op in _random_ops(seed):
         v = rng.standard_normal(op.in_dim)
         w = rng.standard_normal(op.out_dim)
-        assert op.apply(v) @ w == pytest.approx(v @ op.apply_transpose(w), abs=1e-10)
+        assert op.forward(v) @ w == pytest.approx(v @ op.apply_transpose(w), abs=1e-10)
 
 
 @settings(deadline=None, max_examples=15)
@@ -84,8 +84,8 @@ def test_linearity(seed):
     for op in _random_ops(seed):
         v1, v2 = rng.standard_normal((2, op.in_dim))
         a, b = rng.standard_normal(2)
-        lhs = op.apply(a * v1 + b * v2)
-        rhs = a * op.apply(v1) + b * op.apply(v2)
+        lhs = op.forward(a * v1 + b * v2)
+        rhs = a * op.forward(v1) + b * op.forward(v2)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -96,7 +96,7 @@ def test_gram_is_transpose_of_apply(seed):
     rng = np.random.default_rng(seed + 3)
     for op in _random_ops(seed):
         v = rng.standard_normal(op.in_dim)
-        assert np.allclose(op.gram(v), op.apply_transpose(op.apply(v)), rtol=1e-12, atol=1e-10)
+        assert np.allclose(op.gram(v), op.apply_transpose(op.forward(v)), rtol=1e-12, atol=1e-10)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (5, 3), (3, 5)])
@@ -114,7 +114,7 @@ def test_dense_gram_is_one_product_with_the_gram_matrix(shape):
 def test_dense_target_forms_its_gram_matrix_on_first_use():
     """Building a dense target forms no M^t M; its first Q-apply does."""
     target = target_from_dense(ar1_precision(128, 1.0, 0.8), np.linspace(0.0, 10.0, 128))
-    factor = target.precision.factor
+    factor = target.precision
     assert "_gram_matrix" not in vars(factor)
     target.precision.apply(np.ones(128))
     assert np.array_equal(vars(factor)["_gram_matrix"], factor.matrix.T @ factor.matrix)
@@ -142,13 +142,13 @@ def test_dense_target_builds_its_rotation_on_the_first_plain_solve(monkeypatch):
     copied = target_from_dense(ar1_precision(128, 1.0, 0.8), np.linspace(0.0, 10.0, 128))
     for target in (built, copied):
         epo_step(target, RngStream(2))
-        assert "rotation" not in vars(target.precision.factor)
+        assert "rotation" not in vars(target.precision)
     assert calls == []
     b = np.random.default_rng(3).standard_normal(128)
     for x0 in (None, -b, None):
         cg_solve(built.precision, b, x0=x0, epsilon=1e-6)
     assert calls == [(128, 128), ("unique", 128)]
-    assert "rotation" in vars(built.precision.factor)
+    assert "rotation" in vars(built.precision)
 
 
 def test_circulant_matches_naive_convolution():
@@ -247,7 +247,7 @@ def test_dense_target_factorises_its_precision_once(monkeypatch):
     low = target.mirror_cholesky()
     target.mirror_solve(np.ones(128))
     assert calls == [(128, 128)]
-    assert np.array_equal(low, target.precision.factor.matrix.T)
+    assert np.array_equal(low, target.precision.matrix.T)
     assert np.array_equal(low, cholesky(q))
 
 
@@ -267,11 +267,26 @@ def test_gaussian_target_validation():
     rng = np.random.default_rng(8)
     q = np.eye(3)
     with pytest.raises(ConfigurationError):
-        GaussianTarget(FactoredPrecision(DenseOperator(np.eye(3))), np.ones(4))
-    target = GaussianTarget(FactoredPrecision(DenseOperator(np.eye(3))), np.ones(3))
+        GaussianTarget(DenseOperator(np.eye(3)), np.ones(4))
+    target = GaussianTarget(DenseOperator(np.eye(3)), np.ones(3))
     assert target.mirror is None
     with pytest.raises(ConfigurationError):
         target.mirror_cholesky()
+
+
+def test_no_precision_overrides_apply():
+    """Every precision subclasses FactoredPrecision and inherits its apply,
+    v -> gram(v), so every Q-apply goes through that one method, the one
+    that perfbench's linop.q_apply span and test_q_applies_per_solve patch
+    to count.  With rjpo.superres imported, no subclass at any depth
+    defines apply: one that did would apply Q uncounted."""
+    subclasses, pending = set(), [FactoredPrecision]
+    while pending:
+        found = set(pending.pop().__subclasses__()) - subclasses
+        subclasses |= found
+        pending += found
+    assert {DenseOperator, Diagonal, Eigenbasis, SpectralConditional, PairRotation} <= subclasses
+    assert [cls.__qualname__ for cls in subclasses if "apply" in vars(cls)] == []
 
 
 def test_dense_operator_validation():

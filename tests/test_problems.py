@@ -59,7 +59,7 @@ def test_target_carries_consistent_pieces():
         assert np.array_equal(cov, ar1_covariance(n, sigma2, rho))
         q = ar1_precision(n, sigma2, rho)
         low = target.mirror
-        assert np.array_equal(target.precision.factor.matrix, low.T)
+        assert np.array_equal(target.precision.matrix, low.T)
         assert _relative(low @ low.T, q) <= 4 * np.finfo(float).eps
         assert _relative(low, np.linalg.cholesky(q)) <= 1e-14
         assert _relative(target.potential, q @ mu) <= 1e-14

@@ -143,6 +143,26 @@ def test_epo_refuses_a_residual_still_above_target_after_the_retry(monkeypatch):
     assert len(calls) == 2
 
 
+def test_epo_refuses_a_perturbation_whose_norm_overflows():
+    """eta = 1e160 in each of 6 entries (plus F^t omega) is finite, but
+    ||eta|| overflows, so a relative residual against it would read 0 and
+    the draw pass for exact: the draw through the dense mirror and the draw
+    through a closed-form Q^-1 raise, and without either the CG solve
+    raises at its iteration 0."""
+    target, _, _ = _small_target(6, 6)
+    huge = np.full(6, 1e160)
+    known = DenseOperator(target.precision.matrix)
+    known.inverse = target.mirror_solve
+    message = r"^non-finite \|\|eta\|\| = inf in the exact draw$"
+    for exact in (GaussianTarget(target.precision, huge, mirror=target.mirror),
+                  GaussianTarget(known, huge)):
+        with np.errstate(over="ignore"), pytest.raises(NumericalBreakdownError, match=message):
+            epo_step(exact, RngStream(2))
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalBreakdownError, match=r"^non-finite \|\|b\|\| = inf at CG iteration 0$"):
+        epo_step(GaussianTarget(target.precision, huge), RngStream(2))
+
+
 def test_rjpo_exact_solve_always_accepts():
     """Machine-accuracy truncation leaves no residual: alpha = 1 +- 1e-10."""
     target, _, _ = _small_target(7, 6)
@@ -413,16 +433,18 @@ def test_run_chain_validation():
 
 
 def test_run_chain_breakdown_carries_step():
-    indefinite = np.diag([1.0, -2.0])
+    class Indefinite(FactoredPrecision):
+        """Q = diag(1, -2), with no rotation, drawn through F^t = I."""
 
-    class FakePrecision:
-        dim = 2
-        factor = DenseOperator(np.eye(2))
+        in_dim = out_dim = 2
 
-        def apply(self, v):
-            return indefinite @ v
+        def apply_transpose(self, w):
+            return w
 
-    bad = GaussianTarget(FakePrecision(), np.array([0.3, 1.0]))
+        def gram(self, v):
+            return np.diag([1.0, -2.0]) @ v
+
+    bad = GaussianTarget(Indefinite(), np.array([0.3, 1.0]))
     with pytest.raises(NumericalBreakdownError):
         run_chain(bad, make_kernel("rjpo", epsilon=1e-8), 5, 0, RngStream(10))
 

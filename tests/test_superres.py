@@ -2,6 +2,7 @@
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -320,7 +321,7 @@ def test_conditional_factor_matches_dense_stack():
         else:
             assert spectral.out_dim == stack.shape[0], (dims, frames)
         for fused, dense in (
-            (oracles.dense_matrix_of(factor_op.apply, n), stack),
+            (oracles.dense_matrix_of(factor_op.forward, n), stack),
             (oracles.dense_matrix_of(factor_op.apply_transpose, factor_op.out_dim), stack.T),
             (oracles.dense_matrix_of(factor_op.gram, n), stack.T @ stack),
             (spectral_transpose @ spectral_transpose.T, stack.T @ stack),
@@ -397,8 +398,8 @@ def test_fused_conditional_transform_counts(monkeypatch):
             assert calls == {"rfft": 1, "fft": 1}
             assert _images_by_direction(calls) == {"forward": 1, "inverse": 0, "complex": 0}
         calls.clear()
-        target.precision.factor.gram(eta)
-        target.precision.factor.precondition(eta)
+        target.precision.gram(eta)
+        target.precision.preconditioner(eta)
         assert calls == {}
         problems.append((target.precision, eta))
     (two, eta_two), (three, eta_three) = problems
@@ -441,18 +442,43 @@ def test_gibbs_sweep_transform_counts(monkeypatch, name):
 
 def test_only_the_exact_solve_preconditions():
     """tpo, rjpo and arjpo draws never build the preconditioner, a map
-    cached on the conditional by its first use; the exact draw builds it."""
-    model = small_model()
+    cached on the conditional by its first use; the exact draw builds it.
+    Two frames have one alias term (Q^-1 preconditions), three have several
+    (P^-1 preconditions)."""
+    for frames in (2, 3):
+        model = small_model(frames=frames)
+        obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
+        back = model.half_spectrum.back_project(obs)
+        stream = RngStream(9)
+        paired = PairedStream(stream, stream.spawn(1)[0])
+        for name in ("tpo", "rjpo", "arjpo"):
+            target = sr.conditional_target(model, back, 2.0, 0.8)
+            make_kernel(name, epsilon=1e-6)(target, back, paired)
+            assert "preconditioner" not in vars(target.precision), (frames, name)
+        make_kernel("epo")(target, back, paired)
+        assert "preconditioner" in vars(target.precision), frames
+
+
+def test_truncated_solve_on_several_alias_terms_is_plain_cg():
+    """The three-frame conditional has several alias terms and no rotation,
+    and it carries a preconditioner; a truncated solve handed the
+    conditional itself is, bit for bit, the solve of a bare object that
+    offers only its apply, from zero and from an x0: plain CG on Q."""
+    model = small_model(frames=3)
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
-    back = model.half_spectrum.back_project(obs)
+    target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 2.0, 0.8)
+    assert model.half_spectrum.alias_terms > 1 and target.precision.rotation is None
+    assert target.precision.preconditioner is not None
+    bare = SimpleNamespace(apply=target.precision.apply)
     stream = RngStream(9)
-    paired = PairedStream(stream, stream.spawn(1)[0])
-    for name in ("tpo", "rjpo", "arjpo"):
-        target = sr.conditional_target(model, back, 2.0, 0.8)
-        make_kernel(name, epsilon=1e-6)(target, back, paired)
-        assert "precondition" not in vars(target.precision.factor), name
-    make_kernel("epo")(target, back, paired)
-    assert "precondition" in vars(target.precision.factor)
+    b = perturb(target, stream)
+    for x0 in (None, stream.standard_normal_vector(target.dim)):
+        out = cg_solve(target.precision, b, x0=x0, epsilon=1e-3)
+        plain = cg_solve(bare, b, x0=x0, epsilon=1e-3)
+        assert out.iterations == plain.iterations > 1
+        assert out.relative_residual == plain.relative_residual
+        assert np.array_equal(out.solution, plain.solution)
+        assert np.array_equal(out.residual_vector, plain.residual_vector)
 
 
 def _coordinate_cases():
@@ -643,19 +669,12 @@ def test_spectral_cg_stops_with_the_spatial_solve():
     coordinates, and on 9 x 15 at 1e-4 a one-ulp change of eta moves CG on
     images by 1.5e-10."""
 
-    class OnImages:
-        def __init__(self, factor):
-            self.factor = factor
-
-        def apply(self, v):
-            return self.factor.gram(v)
-
     for model in (tiny_model(), small_model(), _coordinate_cases()[2]):
         enter, leave = model.half_spectrum.enter, model.half_spectrum.leave
         obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(40))
         target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 3.0, 0.5)
         mirrored = oracles.image_conditional_target(model, obs, 3.0, 0.5)
-        conditional, size = target.precision.factor, model.data_count + model.pixel_count
+        conditional, size = target.precision, model.data_count + model.pixel_count
 
         def stacked_perturbation(seed):
             omega = RngStream(seed).standard_normal_vector(size)
@@ -663,7 +682,7 @@ def test_spectral_cg_stops_with_the_spatial_solve():
 
         previous = enter(mirrored.mirror_solve(leave(stacked_perturbation(50))))
         eta = stacked_perturbation(60)
-        on_images = OnImages(oracles.ConditionalFactor(model, 3.0, 0.5))
+        on_images = oracles.ConditionalFactor(model, 3.0, 0.5)
         for eps in (1e-2, 1e-4, 1e-12):
             spatial = cg_solve(on_images, leave(eta), x0=-leave(previous), epsilon=eps)
             spectral = cg_solve(target.precision, eta, x0=-previous, epsilon=eps)
@@ -785,7 +804,7 @@ def test_preconditioner_inverts_the_circulant_mean():
     def inverse_mean(model, v):
         basis = model.half_spectrum
         spectral = sr.SpectralConditional(basis, gy, gx)
-        return basis.leave(spectral.precondition(basis.enter(v)))
+        return basis.leave(spectral.preconditioner(basis.enter(v)))
 
     def full_coverage(model):
         factor = model.decimation_factor
@@ -899,7 +918,7 @@ def test_preconditioner_inverts_q_with_one_alias_term():
             spectral = sr.SpectralConditional(basis, *gammas)
             for _ in range(3):
                 s = basis.enter(rng.standard_normal(model.pixel_count))
-                back = spectral.precondition(spectral.gram(s))
+                back = spectral.preconditioner(spectral.gram(s))
                 assert np.max(np.abs(back - s)) <= 1e-13 * np.max(np.abs(s)), case
 
 
@@ -914,7 +933,7 @@ def test_preconditioner_is_the_dense_inverse_with_one_alias_term():
         dense_q = oracles.image_conditional_precision(model, gy, gx)
         spectral = sr.SpectralConditional(basis, gy, gx)
         q_inv = oracles.dense_matrix_of(
-            lambda e: basis.leave(spectral.precondition(basis.enter(e))), n)
+            lambda e: basis.leave(spectral.preconditioner(basis.enter(e))), n)
         assert np.max(np.abs(q_inv @ dense_q - np.eye(n))) <= 1e-13, frames
         assert np.max(np.abs(dense_q @ q_inv - np.eye(n))) <= 1e-13, frames
 
@@ -968,7 +987,7 @@ def test_closed_form_draw_matches_the_preconditioned_solve(gammas):
         basis = model.half_spectrum
         obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(71))
         target = sr.conditional_target(model, basis.back_project(obs), *gammas)
-        assert target.precision.factor.inverse is not None, case
+        assert target.precision.inverse is not None, case
         for seed in (72, 73, 74):
             out = epo_step(target, RngStream(seed))
             assert out.cg_iterations == 0, case
@@ -994,7 +1013,7 @@ def test_closed_form_draw_that_misses_its_residual_continues_in_cg(monkeypatch):
                         property(lambda self: lambda s: inverse(self)(s) * (1.0 + 1e-9)))
     out = epo_step(target, RngStream(76))
     eta = perturb(target, RngStream(76))
-    start = target.precision.factor.inverse(eta)
+    start = target.precision.inverse(eta)
     eta_norm = np.linalg.norm(eta)
     assert np.linalg.norm(eta - target.precision.apply(start)) > EXACT_EPSILON * eta_norm
     solution, residual, iterations = _exact_cg_solve(target.precision, eta, start)
@@ -1008,13 +1027,13 @@ def test_closed_form_draw_that_misses_its_residual_continues_in_cg(monkeypatch):
 def test_exact_draw_with_several_alias_terms_runs_cg_preconditioned_by_p(monkeypatch):
     """Three frames at factor 2 have three alias terms, so the conditional
     knows no Q^-1 and the exact draw runs CG from zero preconditioned by
-    P^-1, the factor's ``precondition``, in several iterations."""
+    P^-1, the conditional's ``preconditioner``, in several iterations."""
     model = small_model(frames=3)
     basis = model.half_spectrum
     assert basis.alias_terms == 3
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(77))
     target = sr.conditional_target(model, basis.back_project(obs), 323.6, 780.4)
-    factor = target.precision.factor
+    factor = target.precision
     assert factor.inverse is None
     solves = []
 
@@ -1024,9 +1043,9 @@ def test_exact_draw_with_several_alias_terms_runs_cg_preconditioned_by_p(monkeyp
 
     monkeypatch.setattr(rjpo.sampler, "cg_solve", recorded)
     out = epo_step(target, RngStream(78))
-    assert solves[0] == (factor.precondition, None, EXACT_EPSILON)
-    assert np.array_equal(factor.precondition.diagonal, 1.0 / factor.gram.diagonal)
-    assert not factor.precondition.aliases
+    assert solves[0] == (factor.preconditioner, None, EXACT_EPSILON)
+    assert np.array_equal(factor.preconditioner.diagonal, 1.0 / factor.gram.diagonal)
+    assert not factor.preconditioner.aliases
     assert out.cg_iterations > 1 and out.relative_residual <= EXACT_EPSILON
 
 
@@ -1053,10 +1072,10 @@ def test_rotation_diagonalises_q_with_one_alias_term():
             case = (model.hi_res_dims, model.frames, gammas)
             conditional = sr.SpectralConditional(basis, *gammas)
             rotation = conditional.rotation
-            assert np.all(rotation.eigenvalues > 0), case
+            assert np.all(rotation.values > 0), case
             # coordinate 0 of a first member holds lambda+ and coordinate 1 of
             # its partner lambda-, and the reverse; a lone bin is its own partner
-            eigenvalues = rotation.eigenvalues.reshape(basis.shape + (2,))
+            eigenvalues = rotation.values.reshape(basis.shape + (2,))
             product = eigenvalues[..., 0] * np.take(eigenvalues[..., 1], source)
             assert np.max(np.abs(product / conditional.determinant - 1)) <= 1e-13, case
             # rows r and R - r of columns 0 and K/2 hold one frequency twice
@@ -1109,7 +1128,7 @@ def test_rotated_truncated_solve_reports_its_recomputed_residual(gammas):
         obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(68))
         target = sr.conditional_target(model, basis.back_project(obs), *gammas)
         previous = epo_step(target, RngStream(69)).next_sample
-        assert "rotation" not in vars(target.precision.factor), case
+        assert "rotation" not in vars(target.precision), case
         image_gram = oracles.ConditionalFactor(model, *gammas).gram
         eta = perturb(target, RngStream(70))
         eta_norm = np.linalg.norm(eta)
@@ -1118,14 +1137,14 @@ def test_rotated_truncated_solve_reports_its_recomputed_residual(gammas):
                 out = cg_solve(target.precision, eta, x0=x0, epsilon=eps)
                 assert out.converged and out.iterations >= 1, case
                 x = out.solution
-                recomputed = np.linalg.norm(eta - target.precision.factor.gram(x)) / eta_norm
+                recomputed = np.linalg.norm(eta - target.precision.gram(x)) / eta_norm
                 assert abs(out.relative_residual - recomputed) <= 1e-13, (case, eps)
                 on_images = (np.linalg.norm(basis.leave(eta) - image_gram(basis.leave(x)))
                              / np.linalg.norm(basis.leave(eta)))
-                dropped = target.precision.factor.gram(x - basis.enter(basis.leave(x)))
+                dropped = target.precision.gram(x - basis.enter(basis.leave(x)))
                 assert abs(out.relative_residual - on_images) <= (
                     np.linalg.norm(dropped) / eta_norm + 1e-13), (case, eps)
-        assert "rotation" in vars(target.precision.factor), case
+        assert "rotation" in vars(target.precision), case
 
 
 def test_no_rotation_without_exactly_one_alias_term():
