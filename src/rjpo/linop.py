@@ -3,14 +3,13 @@
 A target holds its precision Q as one object, a factor F with Q = F^t F
 (a FactoredPrecision): a DenseOperator for the small dense problems, the
 super-resolution conditional's SpectralConditional (rjpo.superres) for
-images.  A dense factor's Gram map is one product with M^t M, formed at its
-first Gram call rather than at construction, so building a target stays
-cheap and a target that is never solved against never pays for it.  Its
-eigenbasis (an Eigenbasis, as the super-resolution PairRotation is: Lambda
-as a Diagonal precision, with its equal values grouped) is likewise built
-by the first plain CG solve, so the exact draw through the dense mirror
-never pays for it.  Factors are immutable after construction and safe to
-share between chains.
+images.  A dense factor forms what it offers on first use, so building a
+target stays cheap and a target pays only for what it runs: M^t M (its
+Gram map, one product) at its first Gram call, its closed-form Q^-1
+(``inverse``) at its first exact draw, and its eigenbasis (an Eigenbasis,
+as the super-resolution PairRotation is: Lambda as a Diagonal precision,
+with its equal values grouped) at its first plain CG solve.  Factors are
+immutable after construction and safe to share between chains.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalBreakdownError
 
 
 def _vector(x, size: int, name: str) -> np.ndarray:
@@ -36,8 +35,8 @@ class FactoredPrecision:
     A subclass sets ``in_dim`` and ``gram`` (Q), and ``out_dim`` and
     ``apply_transpose`` (F^t) if perturbations draw through it.  It may
     offer ``rotation`` (an Eigenbasis, where a plain cg_solve runs),
-    ``inverse`` (a closed-form Q^-1, which the exact draw applies in place
-    of a solve) and ``preconditioner`` (an SPD approximation of Q^-1 for the
+    ``inverse`` (a closed-form Q^-1, which the exact draw tries before any
+    solve) and ``preconditioner`` (an SPD approximation of Q^-1 for the
     exact draw's solve), each None where it has none.  Vectors live in the
     coordinates the factor takes: plain vectors for a DenseOperator,
     HalfSpectrum coordinates for the super-resolution conditional.
@@ -64,7 +63,7 @@ class FactoredPrecision:
 class DenseOperator(FactoredPrecision):
     """A matrix M as a factor: its transpose w -> M^t w and its Gram map
     v -> (M^t M) v, each on a checked-length vector; M^t M is formed by the
-    first Gram call."""
+    first Gram call.  A square M also offers its closed-form Q^-1."""
 
     def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
@@ -84,6 +83,19 @@ class DenseOperator(FactoredPrecision):
 
     def gram(self, v: np.ndarray) -> np.ndarray:
         return self._gram_matrix @ _vector(v, self.in_dim, "gram")
+
+    @cached_property
+    def inverse(self):
+        """b -> Q^-1 b = W^t (W b), W = inv(M^t) (inv(L) for M = L^t) formed by
+        the first exact draw; None for a non-square M, and a square M that
+        np.linalg.inv finds singular raises NumericalBreakdownError."""
+        if self.in_dim != self.out_dim:
+            return None
+        try:
+            w = np.linalg.inv(self.matrix.T)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalBreakdownError(f"dense factor has no inverse: {exc}") from exc
+        return lambda b: w.T @ (w @ b)
 
     @cached_property
     def rotation(self) -> Eigenbasis:
@@ -123,16 +135,11 @@ class Eigenbasis(Diagonal):
 
 @dataclass
 class GaussianTarget:
-    """A target N(mu, Q^-1) held as (Q's factor, potential vector Q mu).
-
-    ``mirror`` is an optional dense mirror of Q for exact solves on small
-    problems, held as its lower Cholesky factor L (Q = L L^t); the sampling
-    kernels never require it.
-    """
+    """A target N(mu, Q^-1) held as (Q's factor, potential vector Q mu); a
+    factor that knows Q^-1 in closed form offers it as its ``inverse``."""
 
     precision: FactoredPrecision
     potential: np.ndarray
-    mirror: np.ndarray | None = None
 
     def __post_init__(self):
         self.potential = np.asarray(self.potential, dtype=float).ravel()
@@ -145,24 +152,17 @@ class GaussianTarget:
     def dim(self) -> int:
         return self.precision.in_dim
 
+    # for perfbench/run.py and perfbench/spans.py only: nothing here calls these
     def mirror_cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor L of the dense mirror Q."""
-        if self.mirror is None:
-            raise ConfigurationError("target has no dense mirror")
-        return self.mirror
-
-    @cached_property
-    def _mirror_inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.mirror_cholesky())
+        """M^t for a dense factor M: L for target_from_cholesky's F = L^t."""
+        return self.precision.matrix.T
 
     def mirror_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve Q x = b as L^-t (L^-1 b), two matvecs with L^-1, which the
-        first solve builds and caches."""
-        inverse = self._mirror_inverse
-        return inverse.T @ (inverse @ b)
+        """Q^-1 b through the factor's ``inverse``."""
+        return self.precision.inverse(b)
 
 
 def target_from_cholesky(low: np.ndarray, mu: np.ndarray) -> GaussianTarget:
-    """N(mu, (L L^t)^-1) for a lower Cholesky factor L: factor F = L^t (a view
-    of L), potential L (L^t mu) and mirror L, so no Q is formed or kept."""
-    return GaussianTarget(DenseOperator(low.T), low @ (low.T @ mu), mirror=low)
+    """N(mu, (L L^t)^-1) for a lower Cholesky factor L: factor F = L^t, a
+    view of L whose ``inverse`` applies inv(L), and potential L (L^t mu)."""
+    return GaussianTarget(DenseOperator(low.T), low @ (low.T @ mu))

@@ -3,8 +3,9 @@
 perturb draws eta ~ N(Q mu, Q) through the precision factor; the kernels
 turn that perturbation into a sample of N(mu, Q^-1):
 
-  epo_step   exact solve of Q x = eta (Q^-1 applied where it is known, CG to
-             machine accuracy otherwise), always accepted, independent samples
+  epo_step   exact solve of Q x = eta (the factor's closed-form Q^-1 where
+             it has one, CG to machine accuracy otherwise), always
+             accepted, independent samples
   tpo_step   truncated solve from x0 = 0, always accepted (biased kernel)
   rjpo_step  truncated solve from x0 = -previous plus a reversible-jump
              accept/reject that restores exactness at any truncation level
@@ -26,7 +27,7 @@ from .errors import ConfigurationError, NumericalBreakdownError
 from .linop import GaussianTarget
 from .rng import RngStream
 
-# machine-accuracy proxy for an "exact" CG solve when no dense mirror exists
+# the relative residual every exact draw meets, closed form or CG
 EXACT_EPSILON = 1e-12
 # kept samples per second-moment product in ChainState; the folding step pays for it
 COV_BLOCK = 8
@@ -93,19 +94,17 @@ def _exact_cg_solve(precision, eta, x0=None):
 def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
     """Exact perturbation-optimization step; successive samples independent.
 
-    Where Q^-1 is known, the draw applies it once and recomputes its
-    residual with one Q-apply, no CG (0 iterations): through the dense
-    mirror when the target carries one, else through the factor's
-    ``inverse`` when it offers one (the super-resolution conditional with at
-    most one alias term).  A mirror draw stands as it is; a draw through
-    ``inverse`` whose relative residual misses EXACT_EPSILON is the start of
-    the CG solve below, which then reports its iterations.  Without a known
-    Q^-1, CG is pushed to machine accuracy (see _exact_cg_solve).  Either
-    path refuses an eta whose norm overflows (NumericalBreakdownError).
+    Where the factor offers a closed-form Q^-1 (``inverse``: a square
+    DenseOperator, the super-resolution conditional with at most one alias
+    term), the draw applies it once and recomputes its residual with one
+    Q-apply, no CG (0 iterations).  A draw whose relative residual misses
+    EXACT_EPSILON is the start of the CG solve below, which then reports
+    its iterations.  Without a known Q^-1, CG is pushed to machine accuracy
+    (see _exact_cg_solve).  Either path refuses an eta whose norm overflows
+    (NumericalBreakdownError).
     """
     eta = perturb(target, stream)
-    mirrored = target.mirror is not None
-    inverse = target.mirror_solve if mirrored else target.precision.inverse
+    inverse = target.precision.inverse
     x = None
     if inverse is not None:
         x = inverse(eta)
@@ -114,7 +113,7 @@ def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
         if not math.isfinite(eta_norm):
             raise NumericalBreakdownError(f"non-finite ||eta|| = {eta_norm} in the exact draw")
         rel = math.sqrt(residual @ residual) / eta_norm if eta_norm > 0 else 0.0
-        if mirrored or rel <= EXACT_EPSILON:
+        if rel <= EXACT_EPSILON:
             return KernelOutcome(x, x, 1.0, True, 0, rel)
     x, rel, iterations = _exact_cg_solve(target.precision, eta, x)
     return KernelOutcome(x, x, 1.0, True, iterations, rel)

@@ -7,13 +7,13 @@ package's outcome record and error types so the oracle move can run inside
 run_chain.  The one exception is the textbook CG loop, with fresh vectors
 for every update, which the package's in-place loop must match bit for
 bit.  The helpers at the end (a target built from a dense precision
-matrix, dense mirrors of a target, the acceptance-vs-threshold curve)
-drive the package itself; no CLI run or benchmark needs them, and
-neither do the image-space maps H, H^t and D of the super-resolution
-model and the conditional's factor built on them (the Gibbs chain runs in
-HalfSpectrum coordinates), or the strided-slice frame maps and
-back-projection that the package's index tables must match bit for bit,
-and the stacked factor's two-transform F^t.
+matrix, a dense closed-form Q^-1 set as a factor's ``inverse``, the
+acceptance-vs-threshold curve) drive the package itself; no CLI run or
+benchmark needs them, and neither do the image-space maps H, H^t and D of
+the super-resolution model and the conditional's factor built on them
+(the Gibbs chain runs in HalfSpectrum coordinates), or the strided-slice
+frame maps and back-projection that the package's index tables must
+match bit for bit, and the stacked factor's two-transform F^t.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from rjpo.adapt import make_kernel
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
-from rjpo.linop import FactoredPrecision, GaussianTarget, target_from_cholesky
+from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_from_cholesky
 from rjpo.sampler import KernelOutcome, run_chain
 
 
@@ -302,10 +302,12 @@ def dense_precision(precision: FactoredPrecision) -> np.ndarray:
 
 
 def with_dense_mirror(target: GaussianTarget) -> GaussianTarget:
-    """The target with a dense mirror: the Cholesky factor of its
-    dense_precision."""
-    mirror = np.linalg.cholesky(dense_precision(target.precision))
-    return GaussianTarget(target.precision, target.potential, mirror=mirror)
+    """The target, its factor's ``inverse`` set to the dense Q^-1 of its
+    dense_precision through that Q's Cholesky factor L: the ``inverse`` of
+    DenseOperator(L^t), b -> inv(L)^t (inv(L) b)."""
+    low = np.linalg.cholesky(dense_precision(target.precision))
+    target.precision.inverse = DenseOperator(low.T).inverse
+    return target
 
 
 class TwoProductFactor(FactoredPrecision):
@@ -326,9 +328,10 @@ class TwoProductFactor(FactoredPrecision):
 
 def with_two_product_factor(target: GaussianTarget) -> GaussianTarget:
     """A copy of a dense target (target_from_dense) whose factor applies Q
-    as M^t (M v); potential and mirror are shared."""
-    return GaussianTarget(TwoProductFactor(target.precision.matrix), target.potential,
-                          mirror=target.mirror)
+    as M^t (M v); the potential and the factor's ``inverse`` are shared."""
+    factor = TwoProductFactor(target.precision.matrix)
+    factor.inverse = target.precision.inverse
+    return GaussianTarget(factor, target.potential)
 
 
 def acceptance_curve(target, epsilons, n_max: int, stream) -> np.ndarray:
@@ -468,8 +471,9 @@ def image_conditional_precision(model, gamma_y: float, gamma_x: float) -> np.nda
 
 def image_conditional_target(model, observations, gamma_y: float,
                              gamma_x: float) -> GaussianTarget:
-    """The super-resolution conditional of x on images, with its dense
-    mirror: Q through ConditionalFactor, potential gamma_y H^t y."""
+    """The super-resolution conditional of x on images, with its dense Q^-1
+    (with_dense_mirror): Q through ConditionalFactor, potential
+    gamma_y H^t y."""
     return with_dense_mirror(GaussianTarget(
         ConditionalFactor(model, gamma_y, gamma_x),
         gamma_y * forward_transpose(model, observations)))

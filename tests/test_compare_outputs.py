@@ -99,7 +99,7 @@ def test_ulp_control_reruns_a_superres_run_with_moved_etas(tmp_path, capsys):
     conditional_target = sr.conditional_target
     target_from_cholesky = rjpo.problems.target_from_cholesky
     synthesize = sr.synthesize
-    low = ar1_target(4, stream=RngStream(2))[0].mirror
+    low = ar1_target(4, stream=RngStream(2))[0].precision.matrix.T
     observations = synthesize(model, sr.phantom((16, 16)), RngStream(4))
     for towards in (np.inf, -np.inf):
         with ulp_control.etas_moved_by_one_ulp(towards):
@@ -108,7 +108,7 @@ def test_ulp_control_reruns_a_superres_run_with_moved_etas(tmp_path, capsys):
         assert np.array_equal(moved, np.nextafter(perturb(target, RngStream(1)), towards))
         with ulp_control.precisions_moved_by_one_ulp(towards):
             gammas = sr.conditional_target(model, back, 2.0, 0.5).precision.gammas
-            moved_low = ar1_target(4, stream=RngStream(2))[0].mirror
+            moved_low = ar1_target(4, stream=RngStream(2))[0].precision.matrix.T
         assert sr.conditional_target is conditional_target
         assert rjpo.problems.target_from_cholesky is target_from_cholesky
         assert gammas == (np.nextafter(2.0, towards), np.nextafter(0.5, towards))

@@ -122,8 +122,8 @@ def test_dense_target_forms_its_gram_matrix_on_first_use():
 
 def test_dense_target_builds_its_rotation_on_the_first_plain_solve(monkeypatch):
     """Building a dense target (ar1_target, target_from_dense) and an exact
-    draw through its mirror build no rotation; the first plain CG solve
-    does, with one np.linalg.eigh and one grouping of its distinct
+    draw through its closed-form Q^-1 build no rotation; the first plain CG
+    solve does, with one np.linalg.eigh and one grouping of its distinct
     eigenvalues (np.unique) that later solves reuse."""
     calls = []
     eigh, unique = np.linalg.eigh, np.unique
@@ -193,13 +193,12 @@ def test_target_from_dense_mirror_consistency():
     mu = rng.standard_normal(6)
     target = target_from_dense(q, mu)
     assert target.dim == 6
-    assert target.mirror is not None
-    # factored path Q v agrees with the dense mirror
+    # factored path Q v agrees with the dense q
     v = rng.standard_normal(6)
     assert np.allclose(target.precision.apply(v), q @ v, atol=1e-10)
     assert np.allclose(target.potential, q @ mu, atol=1e-12)
-    # mirror solve inverts Q
-    assert np.allclose(target.mirror_solve(q @ v), v, atol=1e-9)
+    # the factor's closed-form Q^-1 inverts q
+    assert np.allclose(target.precision.inverse(q @ v), v, atol=1e-9)
 
 
 @pytest.mark.parametrize("q", [
@@ -217,12 +216,14 @@ def test_target_from_dense_refuses_a_precision_it_cannot_factor(q):
 
 
 def test_mirror_solve_is_accurate_at_benchmark_size():
-    """The cached-inverse solve agrees with a dense LU solve at N = 128."""
+    """The dense factor's closed-form Q^-1 (its ``inverse``, which
+    GaussianTarget.mirror_solve applies) agrees with a dense LU solve at
+    N = 128."""
     q = ar1_precision(128, 1.0, 0.8)
     target = target_from_dense(q, np.linspace(0.0, 10.0, 128))
     b = np.random.default_rng(9).standard_normal(128)
     for _ in range(2):  # first call builds the inverse, second reuses it
-        x = target.mirror_solve(b)
+        x = target.precision.inverse(b)
         residual = np.linalg.norm(b - q @ x) / np.linalg.norm(b)
         assert residual < 1e-13
         reference = np.linalg.solve(q, b)
@@ -230,9 +231,9 @@ def test_mirror_solve_is_accurate_at_benchmark_size():
 
 
 def test_dense_target_factorises_its_precision_once(monkeypatch):
-    """The dense mirror's Cholesky factor is the one target_from_dense
-    took for the factor F = C^t: building a target from the N = 128 AR(1)
-    precision, reading the mirror and one mirror solve call
+    """The dense factor F = C^t holds the Cholesky factor C that
+    target_from_dense took: building a target from the N = 128 AR(1)
+    precision and one solve through its closed-form Q^-1 call
     np.linalg.cholesky once."""
     calls = []
     cholesky = np.linalg.cholesky
@@ -244,34 +245,52 @@ def test_dense_target_factorises_its_precision_once(monkeypatch):
     q = ar1_precision(128, 1.0, 0.8)
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     target = target_from_dense(q, np.linspace(0.0, 10.0, 128))
-    low = target.mirror_cholesky()
-    target.mirror_solve(np.ones(128))
+    low = target.precision.matrix.T
+    target.precision.inverse(np.ones(128))
     assert calls == [(128, 128)]
-    assert np.array_equal(low, target.precision.matrix.T)
     assert np.array_equal(low, cholesky(q))
 
 
-def test_a_target_holds_its_dense_mirror_as_the_cholesky_factor_alone():
-    """A target's settable fields are its factored precision, its potential
-    and the mirror L; the inverse L^-1 is built by the first mirror solve,
-    and no copy of Q is kept."""
-    assert [f.name for f in dataclasses.fields(GaussianTarget)] == [
-        "precision", "potential", "mirror"]
+def test_a_target_holds_its_factor_and_potential_alone(monkeypatch):
+    """A target's settable fields are its factored precision and its
+    potential, and no copy of Q or of its inverse is kept beside them; the
+    dense factor F = L^t forms W = inv(L) at its first exact draw, with one
+    np.linalg.inv of L, and keeps it for the later draws."""
+    assert [f.name for f in dataclasses.fields(GaussianTarget)] == ["precision", "potential"]
     target = target_from_dense(ar1_precision(16, 1.0, 0.8), np.ones(16))
-    assert sorted(vars(target)) == ["mirror", "potential", "precision"]
-    target.mirror_solve(np.ones(16))
-    assert np.array_equal(vars(target)["_mirror_inverse"], np.linalg.inv(target.mirror))
+    assert sorted(vars(target)) == ["potential", "precision"]
+    calls, inv = [], np.linalg.inv
+
+    def counted(a):
+        calls.append(np.array(a))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    factor = target.precision
+    assert "inverse" not in vars(factor) and calls == []
+    epo_step(target, RngStream(1))
+    formed = vars(factor)["inverse"]
+    epo_step(target, RngStream(2))
+    assert vars(factor)["inverse"] is formed
+    assert len(calls) == 1 and np.array_equal(calls[0], factor.matrix.T)
+    assert sorted(vars(target)) == ["potential", "precision"]
+
+
+def test_dense_inverse_applies_the_inverse_cholesky_factor_twice():
+    """On the AR(1) N = 128 factor F = L^t, the closed-form Q^-1 b is
+    inv(L)^t (inv(L) b) bit for bit, the arithmetic of the exact draw."""
+    low = ar1_target(128, stream=RngStream(1))[0].precision.matrix.T
+    w = np.linalg.inv(low)
+    inverse = DenseOperator(low.T).inverse
+    for seed in range(3):
+        b = np.random.default_rng(seed).standard_normal(128)
+        assert np.array_equal(inverse(b), w.T @ (w @ b))
 
 
 def test_gaussian_target_validation():
-    rng = np.random.default_rng(8)
-    q = np.eye(3)
     with pytest.raises(ConfigurationError):
         GaussianTarget(DenseOperator(np.eye(3)), np.ones(4))
-    target = GaussianTarget(DenseOperator(np.eye(3)), np.ones(3))
-    assert target.mirror is None
-    with pytest.raises(ConfigurationError):
-        target.mirror_cholesky()
+    assert GaussianTarget(DenseOperator(np.eye(3)), np.ones(3)).dim == 3
 
 
 def test_no_precision_overrides_apply():

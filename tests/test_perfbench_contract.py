@@ -1,0 +1,83 @@
+"""Every rjpo name and call that perfbench/run.py and perfbench/spans.py use.
+
+The benchmark runs from its own checkout and changes only with a
+benchmark change, so the package must keep what it reaches for:
+
+- the names run.py imports from rjpo;
+- every (owner, attribute) that spans.layer_patches() wraps, and
+  rjpo.sampler.cg_solve, which the tracer wraps with the keywords x0,
+  epsilon and max_iters;
+- the calls run.py makes: ``make_x_sampler(...).draw`` and
+  ``epo_kernel().draw``, ``.epsilon`` and ``.controller.degenerate_windows``
+  on the adaptive kernel, ``mirror_cholesky()`` on the AR(1) target, a
+  six-field positional KernelOutcome, ``run_chain(...).x`` and
+  ``run_gibbs(...).x_mean``.
+
+Some of these are kept for perfbench alone and go once it stops using
+them: the ``.draw`` aliases on epo_kernel and AdaptiveRjpoKernel;
+superres.make_x_sampler; the epo_step re-export in rjpo.superres;
+GaussianTarget.mirror_cholesky and GaussianTarget.mirror_solve; and the
+cholesky_epo sampler name.  This file shrinks with them.
+
+run.py is parsed, not imported: importing it sets the BLAS thread
+variables and exits when rjpo comes from another checkout.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import math
+from pathlib import Path
+
+import numpy as np
+
+import rjpo.sampler
+from rjpo.adapt import AdaptController, AdaptiveRjpoKernel, MinCces
+from rjpo.problems import ar1_target
+from rjpo.rng import RngStream
+from rjpo.sampler import KernelOutcome, epo_kernel, run_chain
+from rjpo.superres import make_model, make_x_sampler, phantom, run_gibbs, synthesize
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_name_run_py_imports_from_rjpo_resolves():
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module.startswith("rjpo")
+                for alias in node.names]
+    assert len(imported) >= 10
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_every_patch_spans_py_installs_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    patches = [(owner, attr) for owner, attr, _ in spans.layer_patches()]
+    patches.append((rjpo.sampler, "cg_solve"))
+    for owner, attr in patches:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+    parameters = inspect.signature(rjpo.sampler.cg_solve).parameters
+    assert {"x0", "epsilon", "max_iters"} <= set(parameters)
+
+
+def test_the_calls_run_py_makes():
+    target, _, _ = ar1_target(16, 1.0, 0.8, stream=RngStream(1))
+    assert np.array_equal(target.mirror_cholesky(), target.precision.matrix.T)
+    adaptive = AdaptiveRjpoKernel(AdaptController(math.log(1e-2), MinCces()))
+    for kernel in (epo_kernel(), adaptive):
+        chain = run_chain(target, kernel.draw, 6, None, RngStream(2), track_covariance=False)
+        assert chain.x.shape == (16,)
+    assert adaptive.epsilon > 0 and adaptive.controller.degenerate_windows >= 0
+    outcome = KernelOutcome(chain.x, chain.x, 0.0, False, 0, math.inf)
+    assert outcome.relative_residual == math.inf
+
+    model = make_model((16, 16), frames=2, decimation_factor=2, fwhm=1.0, snr_db=20.0)
+    observations = synthesize(model, phantom((16, 16)), RngStream(3))
+    for sampler in (make_x_sampler("cholesky_epo"),
+                    make_x_sampler("arjpo", alpha_t=0.99, epsilon0=1e-2)):
+        summary = run_gibbs(model, observations, 4, 0, sampler.draw, RngStream(4))
+        assert summary.x_mean.shape == (16, 16)

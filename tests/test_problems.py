@@ -34,10 +34,10 @@ def test_precision_inverts_covariance():
 
 
 def test_precision_is_tridiagonal():
-    """The target's mirror L is lower bidiagonal with a positive diagonal,
-    so its precision L L^t is tridiagonal."""
+    """The target's factor is L^t for L lower bidiagonal with a positive
+    diagonal, so its precision L L^t is tridiagonal."""
     for n, sigma2, rho in AR1_CASES:
-        low = ar1_target(n, sigma2, rho, stream=RngStream(3))[0].mirror
+        low = ar1_target(n, sigma2, rho, stream=RngStream(3))[0].precision.matrix.T
         assert np.array_equal(low, np.triu(np.tril(low), -1))
         assert np.all(np.diag(low) > 0)
 
@@ -45,7 +45,7 @@ def test_precision_is_tridiagonal():
 def test_rho_zero_gives_scaled_identity():
     assert np.allclose(ar1_covariance(5, 2.0, 0.0), 2.0 * np.eye(5), atol=1e-15)
     target, _, _ = ar1_target(5, 2.0, 0.0, stream=RngStream(3))
-    assert np.allclose(target.mirror, np.eye(5) / math.sqrt(2.0), atol=1e-15)
+    assert np.allclose(target.precision.matrix, np.eye(5) / math.sqrt(2.0), atol=1e-15)
 
 
 def test_target_carries_consistent_pieces():
@@ -58,8 +58,7 @@ def test_target_carries_consistent_pieces():
         assert np.all((0 <= mu) & (mu <= 10))
         assert np.array_equal(cov, ar1_covariance(n, sigma2, rho))
         q = ar1_precision(n, sigma2, rho)
-        low = target.mirror
-        assert np.array_equal(target.precision.matrix, low.T)
+        low = target.precision.matrix.T
         assert _relative(low @ low.T, q) <= 4 * np.finfo(float).eps
         assert _relative(low, np.linalg.cholesky(q)) <= 1e-14
         assert _relative(target.potential, q @ mu) <= 1e-14
@@ -85,15 +84,15 @@ def test_ar1_target_factorises_nothing(monkeypatch):
         tracemalloc.stop()
     assert held - before >= 2 * 128 * 128 * 8  # L and the covariance
     assert peak - held < 128 * 128 * 8
-    assert built[0].mirror.shape == (128, 128)
+    assert built[0].precision.matrix.shape == (128, 128)
 
 
 def test_target_accepts_fixed_mean():
     """target_from_dense on the AR(1) precision takes a fixed mean; its
-    mirror solve of the potential L (L^t mu) gives the mean back."""
+    closed-form Q^-1 of the potential L (L^t mu) gives the mean back."""
     mean = np.linspace(0.0, 1.0, 6)
     target = target_from_dense(ar1_precision(6, 1.0, 0.5), mean)
-    assert np.allclose(target.mirror_solve(target.potential), mean, atol=1e-12)
+    assert np.allclose(target.precision.inverse(target.potential), mean, atol=1e-12)
 
 
 def test_validation():

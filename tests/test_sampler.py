@@ -44,6 +44,14 @@ def _small_target(seed=0, n=6):
     return target_from_dense(q, mu), q, mu
 
 
+def _without_inverse(target):
+    """A copy of a dense target whose factor offers no closed-form Q^-1, so
+    its exact draw runs the CG solve."""
+    factor = DenseOperator(target.precision.matrix)
+    factor.inverse = None
+    return GaussianTarget(factor, target.potential)
+
+
 def test_perturbation_moments():
     """eta ~ N(Q mu, Q): empirical mean and covariance from 20000 draws."""
     target, q, mu = _small_target(1, 4)
@@ -83,9 +91,9 @@ def test_epo_successive_samples_independent():
     assert abs(lag1_autocorrelation(series)) < 3.0 / np.sqrt(series.size)
 
 
-def test_epo_without_mirror_uses_machine_accuracy_cg():
+def test_epo_without_closed_form_inverse_uses_machine_accuracy_cg():
     target, q, mu = _small_target(6, 5)
-    bare = GaussianTarget(target.precision, target.potential)
+    bare = _without_inverse(target)
     out = epo_step(bare, RngStream(2))
     assert out.cg_iterations > 0
     assert out.relative_residual <= EXACT_EPSILON * 10
@@ -95,13 +103,13 @@ def test_epo_without_mirror_uses_machine_accuracy_cg():
 def test_epo_refuses_a_cg_solve_stopped_at_its_cap(monkeypatch):
     """A capped CG solve is not exact: epo_step raises instead of returning it."""
     target, _, _ = _small_target(6, 5)
-    bare = GaussianTarget(target.precision, target.potential)
+    bare = _without_inverse(target)
     assert epo_step(bare, RngStream(2)).cg_iterations > 1  # so a cap of 1 bites
     monkeypatch.setattr(rjpo.sampler, "cg_solve", functools.partial(cg_solve, max_iters=1))
     with pytest.raises(NumericalBreakdownError,
                        match="iteration cap .* at CG iteration 1 of the two solves$"):
         epo_step(bare, RngStream(2))
-    # with a dense mirror no CG runs, so the cap does not apply
+    # through the closed-form Q^-1 no CG runs, so the cap does not apply
     assert epo_step(target, RngStream(2)).accepted
 
 
@@ -123,7 +131,7 @@ def test_epo_retries_a_solve_that_misses_its_residual_target(monkeypatch):
     """A converged solve whose recomputed residual is still above
     EXACT_EPSILON gets one more solve, warm-started from its x."""
     target, _, _ = _small_target(6, 5)
-    bare = GaussianTarget(target.precision, target.potential)
+    bare = _without_inverse(target)
     calls = _residual_reported_as(monkeypatch, [1.002 * EXACT_EPSILON, 0.0])
     outcome = epo_step(bare, RngStream(2))
     assert len(calls) == 2
@@ -136,31 +144,82 @@ def test_epo_retries_a_solve_that_misses_its_residual_target(monkeypatch):
 
 def test_epo_refuses_a_residual_still_above_target_after_the_retry(monkeypatch):
     target, _, _ = _small_target(6, 5)
-    bare = GaussianTarget(target.precision, target.potential)
+    bare = _without_inverse(target)
     calls = _residual_reported_as(monkeypatch, [2 * EXACT_EPSILON] * 3)
     with pytest.raises(NumericalBreakdownError, match="residual target"):
         epo_step(bare, RngStream(2))
     assert len(calls) == 2
 
 
+def test_a_closed_form_draw_that_misses_the_bound_continues_as_cg(monkeypatch):
+    """A dense closed-form draw moved off Q^-1 eta by a relative 1e-9 misses
+    EXACT_EPSILON, so it is the warm start of the exact CG solve, which
+    reports its iterations and meets the bound."""
+    target, _, _ = _small_target(6, 5)
+    exact = target.precision.inverse
+    target.precision.inverse = lambda b: exact(b) * (1.0 + 1e-9)
+    calls = []
+
+    def recorded(q, b, x0=None, epsilon=0.0, max_iters=None):
+        calls.append((x0, cg_solve(q, b, x0=x0, epsilon=epsilon, max_iters=max_iters)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(rjpo.sampler, "cg_solve", recorded)
+    outcome = epo_step(target, RngStream(2))
+    moved = target.precision.inverse(perturb(target, RngStream(2)))
+    assert np.array_equal(calls[0][0], moved)
+    assert outcome.cg_iterations == sum(out.iterations for _, out in calls) > 0
+    assert np.array_equal(outcome.next_sample, calls[-1][1].solution)
+    assert outcome.relative_residual <= EXACT_EPSILON
+
+
+def test_a_non_square_dense_factor_draws_through_cg():
+    """A 9 x 5 factor M offers no closed-form Q^-1: its exact draw runs CG."""
+    rng = np.random.default_rng(15)
+    target = GaussianTarget(DenseOperator(rng.standard_normal((9, 5))), rng.standard_normal(5))
+    assert target.precision.inverse is None
+    out = epo_step(target, RngStream(3))
+    assert out.cg_iterations > 0 and out.relative_residual <= EXACT_EPSILON
+
+
+def test_a_singular_dense_factor_breaks_down_in_the_exact_draw():
+    """np.linalg.inv refuses a singular square M with LinAlgError, a
+    ValueError, which the CLI would report as a configuration error; the
+    exact draw raises NumericalBreakdownError (exit code 2) in its place."""
+    target = GaussianTarget(DenseOperator(np.ones((3, 3))), np.ones(3))
+    with pytest.raises(NumericalBreakdownError,
+                       match="^kernel failed at chain step 1: dense factor has no inverse: "):
+        run_chain(target, epo_kernel(), 5, 0, RngStream(4))
+
+
+def test_ar1_exact_draw_applies_the_inverse_cholesky_factor_twice():
+    """epo_step on the AR(1) N = 128 target draws x = inv(L)^t (inv(L) eta)
+    with 0 CG iterations and reports ||eta - Q x|| / ||eta|| of that x, bit
+    for bit."""
+    target, _, _ = ar1_target(128, 1.0, 0.8, stream=RngStream(1))
+    w = np.linalg.inv(target.precision.matrix.T)
+    for seed in range(5):
+        eta = perturb(target, RngStream(seed))
+        x = w.T @ (w @ eta)
+        residual = eta - target.precision.apply(x)
+        out = epo_step(target, RngStream(seed))
+        assert out.cg_iterations == 0 and np.array_equal(out.next_sample, x)
+        assert out.relative_residual == math.sqrt(residual @ residual) / math.sqrt(eta @ eta)
+
+
 def test_epo_refuses_a_perturbation_whose_norm_overflows():
     """eta = 1e160 in each of 6 entries (plus F^t omega) is finite, but
     ||eta|| overflows, so a relative residual against it would read 0 and
-    the draw pass for exact: the draw through the dense mirror and the draw
-    through a closed-form Q^-1 raise, and without either the CG solve
-    raises at its iteration 0."""
+    the draw pass for exact: the draw through the closed-form Q^-1 raises,
+    and without one the CG solve raises at its iteration 0."""
     target, _, _ = _small_target(6, 6)
     huge = np.full(6, 1e160)
-    known = DenseOperator(target.precision.matrix)
-    known.inverse = target.mirror_solve
-    message = r"^non-finite \|\|eta\|\| = inf in the exact draw$"
-    for exact in (GaussianTarget(target.precision, huge, mirror=target.mirror),
-                  GaussianTarget(known, huge)):
-        with np.errstate(over="ignore"), pytest.raises(NumericalBreakdownError, match=message):
-            epo_step(exact, RngStream(2))
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalBreakdownError, match=r"^non-finite \|\|eta\|\| = inf in the exact draw$"):
+        epo_step(GaussianTarget(target.precision, huge), RngStream(2))
     with np.errstate(over="ignore"), pytest.raises(
             NumericalBreakdownError, match=r"^non-finite \|\|b\|\| = inf at CG iteration 0$"):
-        epo_step(GaussianTarget(target.precision, huge), RngStream(2))
+        epo_step(GaussianTarget(_without_inverse(target).precision, huge), RngStream(2))
 
 
 def test_rjpo_exact_solve_always_accepts():
@@ -281,7 +340,7 @@ def test_tpo_exact_termination_equals_epo_on_same_stream():
     """T-PO and E-PO consume identical draws; at machine-accuracy truncation
     the next samples coincide."""
     target, _, _ = _small_target(10, 6)
-    bare = GaussianTarget(target.precision, target.potential)
+    bare = _without_inverse(target)
     prev = np.full(6, 0.7)
     a = tpo_step(bare, prev, RngStream(77), epsilon=EXACT_EPSILON)
     b = epo_step(bare, RngStream(77))

@@ -659,15 +659,15 @@ def test_spectral_cg_stops_with_the_spatial_solve():
     """On fixed RJPO states (an exact draw as previous, a fresh eta) CG in
     HalfSpectrum coordinates stops at the same iteration as CG on the same
     states mapped to images, with the image-space Gram, and their solutions
-    agree to 1e-10 relative.  The exact draw is the dense mirror's solve on
-    images, mapped in, so the states do not depend on the coordinates'
-    solver, and both states are drawn through the stacked factor
-    (oracles.spectral_transpose), so they do not depend on the factor the
-    conditional draws its perturbations through.  The map is an isometry,
-    so the two differ by rounding only, which CG amplifies: on other seeds
-    the 8 x 8 solve at 1e-12 can stop one iteration earlier in the
-    coordinates, and on 9 x 15 at 1e-4 a one-ulp change of eta moves CG on
-    images by 1.5e-10."""
+    agree to 1e-10 relative.  The exact draw is the dense Q^-1 on images
+    (oracles.with_dense_mirror), mapped in, so the states do not depend on
+    the coordinates' solver, and both states are drawn through the stacked
+    factor (oracles.spectral_transpose), so they do not depend on the
+    factor the conditional draws its perturbations through.  The map is an
+    isometry, so the two differ by rounding only, which CG amplifies: on
+    other seeds the 8 x 8 solve at 1e-12 can stop one iteration earlier in
+    the coordinates, and on 9 x 15 at 1e-4 a one-ulp change of eta moves CG
+    on images by 1.5e-10."""
 
     for model in (tiny_model(), small_model(), _coordinate_cases()[2]):
         enter, leave = model.half_spectrum.enter, model.half_spectrum.leave
@@ -680,7 +680,7 @@ def test_spectral_cg_stops_with_the_spatial_solve():
             omega = RngStream(seed).standard_normal_vector(size)
             return target.potential + oracles.spectral_transpose(conditional, omega)
 
-        previous = enter(mirrored.mirror_solve(leave(stacked_perturbation(50))))
+        previous = enter(mirrored.precision.inverse(leave(stacked_perturbation(50))))
         eta = stacked_perturbation(60)
         on_images = oracles.ConditionalFactor(model, 3.0, 0.5)
         for eps in (1e-2, 1e-4, 1e-12):
@@ -738,8 +738,9 @@ def test_exact_conditional_draws_match_cholesky_oracle(dense_mirror):
     """Exact (cholesky_epo) draws of x | gamma, y are the right Gaussian
     (two-sample energy test against direct Cholesky draws from the dense
     conditional on images), whether they are solved on images through the
-    dense mirror or, in HalfSpectrum coordinates with no mirror, by
-    preconditioned CG and mapped out through leave."""
+    dense Q^-1 (oracles.with_dense_mirror) or in HalfSpectrum coordinates
+    through the conditional's own closed-form Q^-1 (two frames, one alias
+    term) and mapped out through leave."""
     model = tiny_model()
     obs = sr.synthesize(model, sr.phantom((8, 8)), RngStream(9))
     oracle_target = oracles.image_conditional_target(model, obs, 2.0, 0.8)
@@ -762,12 +763,12 @@ def test_exact_conditional_draws_match_cholesky_oracle(dense_mirror):
 
 
 def test_preconditioned_exact_solve_matches_mirror_solve():
-    """An exact draw without a mirror solves Q x = eta as the dense mirror
-    on images does with eta mapped out, to 1e-11 relative once the draw is
-    mapped out too: on two frames (one alias term) by the closed-form
-    Q^-1 with no CG iteration, on five frames and at factor 3 (several
-    alias terms) by CG preconditioned by P^-1 in a fraction of plain CG's
-    iterations."""
+    """An exact draw in HalfSpectrum coordinates solves Q x = eta as the
+    dense Q^-1 on images (oracles.with_dense_mirror) does with eta mapped
+    out, to 1e-11 relative once the draw is mapped out too: on two frames
+    (one alias term) by the closed-form Q^-1 with no CG iteration, on five
+    frames and at factor 3 (several alias terms) by CG preconditioned by
+    P^-1 in a fraction of plain CG's iterations."""
     gy, gx = 323.6, 780.4  # posterior-typical precisions
     models = [small_model(frames=2), small_model(frames=5),
               sr.SuperResModel(hi_res_dims=(9, 15), frames=4, decimation_factor=3,
@@ -779,7 +780,7 @@ def test_preconditioned_exact_solve_matches_mirror_solve():
         bare = sr.conditional_target(model, basis.back_project(obs), gy, gx)
         out = epo_step(bare, RngStream(50 + seed))
         eta = perturb(bare, RngStream(50 + seed))
-        expected = mirrored.mirror_solve(basis.leave(eta))
+        expected = mirrored.precision.inverse(basis.leave(eta))
         error = (np.linalg.norm(basis.leave(out.next_sample) - expected)
                  / np.linalg.norm(expected))
         assert error <= 1e-11, (model.hi_res_dims, model.frames, error)
