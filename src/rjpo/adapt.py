@@ -64,11 +64,12 @@ class SlopeWindow:
 
     def __init__(self, size: int):
         self._rows = np.zeros((3, 2 * size))
+        self._slots = self._rows.T  # one row per column: an entry converts once
         self._size, self._next, self._count = size, 0, 0
 
     def append(self, entry) -> None:
         i = self._next
-        self._rows[:, i] = self._rows[:, i + self._size] = entry
+        self._slots[i::self._size] = entry  # columns i and i + size
         self._next = (i + 1) % self._size
         self._count = min(self._count + 1, self._size)
 
@@ -131,26 +132,30 @@ def update_target_rate(ctrl: AdaptController, alpha_n: float) -> AdaptController
 CORRECTION_CLIP = 2.0
 
 
-def _window_slopes(le, js, alphas) -> tuple[float, float, bool]:
-    """Regress alpha and J on log eps over a window of (log eps, J, alpha).
+def _window_slopes(window) -> tuple[float, float, bool]:
+    """Regress alpha and J on log eps over a (3, n) window whose rows are
+    log eps, J and alpha (SlopeWindow.columns).
 
     Returns (dalpha/dlogeps, dJ/dlogeps, degenerate).  log eps is the
     exactly known controlled variable, so both ordinary-least-squares
     slopes are unbiased however small the window's spread; regressing
     alpha on the noisy J directly would attenuate the slope and drag the
     controller's equilibrium off the fixed point.  Windows with no spread
-    in log eps or in J are degenerate and give zero slopes.  Each centred
-    deviation is formed once, and a variance is the mean of its squares,
-    which is numpy's var() to the bit.  Each mean is sum() / n, which is
-    mean() to the bit without its per-call overhead.
+    in log eps or in J are degenerate and give zero slopes.  The rows are
+    centred in one pass, and one row-wise reduction of the log-eps
+    deviation times all three rows gives the sums of dle^2, dle dJ and dle
+    dalpha.  A row's sum is its own sum() to the bit, a variance the mean
+    of squared deviations (var() to the bit) and a mean sum() / n.
     """
-    n = le.size
-    dle, dj = le - le.sum() / n, js - js.sum() / n
-    var_le = (dle * dle).sum() / n
+    n = window.shape[1]
+    dev = window - (window.sum(axis=1) / n)[:, None]
+    dj = dev[1]
+    sums = (dev[0] * dev).sum(axis=1)
+    var_le = sums[0] / n
     if var_le == 0.0 or (dj * dj).sum() / n == 0.0:
         return 0.0, 0.0, True
-    slope_a = float((dle * (alphas - alphas.sum() / n)).sum() / n / var_le)
-    slope_j = float((dle * dj).sum() / n / var_le)
+    slope_a = float(sums[2] / n / var_le)
+    slope_j = float(sums[1] / n / var_le)
     return slope_a, slope_j, slope_j == 0.0
 
 
@@ -169,7 +174,7 @@ def update_min_cces(ctrl: AdaptController, j_n: int, alpha_n: float) -> AdaptCon
         raise ConfigurationError("controller is not in min-CCES mode")
     alpha = min(1.0, max(ALPHA_CLAMP_LOW, alpha_n))
     ctrl.history.append((ctrl.log_epsilon, float(j_n), alpha))
-    slope_a, slope_j, degenerate = _window_slopes(*ctrl.history.columns())
+    slope_a, slope_j, degenerate = _window_slopes(ctrl.history.columns())
     essr_gap = alpha - 0.5 * alpha * alpha
     if degenerate:
         ctrl.degenerate_windows += 1

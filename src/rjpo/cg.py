@@ -79,6 +79,12 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     coordinates, where Q, its preconditioner and its eigenbasis take no
     transform, so a solve there costs none, plain or preconditioned.
 
+    At entry one dot checks the initial residual r: a finite r^t r means
+    every entry is finite, and only a NaN or overflowing r^t r runs the
+    entrywise test.  So an r holding NaN or inf raises the non-finite
+    initial residual, and a finite r whose r^t r overflows passes on to the
+    ||b|| check, as when every entry was tested.
+
     Args:
       q: object with apply(v) computing Qv for symmetric positive definite Q,
         and optionally precondition(r) or rotation.
@@ -118,7 +124,7 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     if b_norm != 0.0:
         # from a zero start Qx is exactly zero, so r = b without a Q-apply
         r = b.copy() if x0 is None else b - q.apply(x)
-        if not np.all(np.isfinite(r)):
+        if not math.isfinite(r.dot(r)) and not np.all(np.isfinite(r)):
             raise NumericalBreakdownError("non-finite initial residual at CG iteration 0")
         if not math.isfinite(b_norm):  # a finite b whose b^t b overflows
             raise NumericalBreakdownError(f"non-finite ||b|| = {b_norm} at CG iteration 0")

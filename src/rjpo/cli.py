@@ -403,7 +403,7 @@ def cmd_adapt(cfg, outdir) -> None:
         trail = traj[-min(2000, n_max):]
         logeps = np.log(trail[:, 1])
         alpha, jits = trail[:, 2], trail[:, 3]
-        slope_a, slope_j, degenerate = _window_slopes(logeps, jits, alpha)
+        slope_a, slope_j, degenerate = _window_slopes(np.stack((logeps, jits, alpha)))
         mean_alpha, mean_j = float(alpha.mean()), float(jits.mean())
         resid = (mean_j * (slope_a / slope_j) - mean_alpha + mean_alpha**2 / 2
                  if not degenerate else None)

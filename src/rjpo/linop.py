@@ -101,8 +101,16 @@ class DenseOperator(FactoredPrecision):
     def rotation(self) -> Eigenbasis:
         """Q's eigenbasis from np.linalg.eigh of M^t M: U = V^t for its
         eigenvectors V, and Lambda its ascending eigenvalues.  Built by the
-        first plain solve and kept for every later one."""
+        first plain solve and kept for every later one.  A Gram whose
+        smallest eigenvalue is at most in_dim * eps times its largest is
+        singular to working precision (a rank-deficient M, square or not),
+        and CG in its eigenbasis would solve only the part of b in its
+        range: that raises NumericalBreakdownError."""
         values, vectors = np.linalg.eigh(self._gram_matrix)
+        if not values[0] > self.in_dim * np.finfo(float).eps * values[-1]:
+            raise NumericalBreakdownError(
+                f"dense factor's Gram M^t M is singular: smallest eigenvalue "
+                f"{values[0]:.3e} against largest {values[-1]:.3e}")
         return Eigenbasis(values, partial(np.matmul, vectors.T), partial(np.matmul, vectors))
 
 
@@ -124,12 +132,22 @@ class Eigenbasis(Diagonal):
     counted and traced as a Q-apply.  It groups Lambda's equal values when
     it is built: ``distinct`` holds the distinct values, ascending, as a
     Diagonal, and ``group`` each coordinate's index among them; cg_solve
-    runs its iterations on these."""
+    runs its iterations on these.
 
-    def __init__(self, eigenvalues, enter, leave):
+    ``eigenvalues`` is Lambda's diagonal itself when ``owner`` is None.  A
+    basis that knows which coordinates share a value hands each value once
+    and ``owner``, the index of each coordinate's value among them:
+    Lambda's diagonal is eigenvalues[owner], and only the values handed are
+    sorted (np.unique), so ``distinct`` and ``group`` are those of the full
+    diagonal, bit for bit, at the cost of a sort of the shorter vector.
+    """
+
+    def __init__(self, eigenvalues, enter, leave, owner=None):
+        values, group = np.unique(eigenvalues, return_inverse=True)
+        if owner is not None:
+            eigenvalues, group = eigenvalues.take(owner), group.take(owner)
         super().__init__(eigenvalues)
-        self.enter, self.leave = enter, leave
-        values, self.group = np.unique(eigenvalues, return_inverse=True)
+        self.enter, self.leave, self.group = enter, leave, group
         self.distinct = Diagonal(values)
 
 

@@ -199,11 +199,16 @@ class HalfSpectrum:
 
     With one alias term it also holds the gamma-independent ``pair_*``
     tables of the block determinant (SpectralConditional) and of
-    PairRotation's U (``pair_turns``, two tables).  The gather then pairs
-    each bin k with one bin j, both ways: the ``pair_first`` member of each
-    pair has the smaller flat index, its ``pair_partner`` the larger, and a
-    bin that reads itself conjugated is a lone bin ((0, K/4) and (R/2, K/4)
-    when 4 divides K; (0, 16) and (32, 16) at 64 x 64).
+    PairRotation's U (``pair_turns``, two tables) and Lambda.  The gather
+    then pairs each bin k with one bin j, both ways: the ``pair_first``
+    member of each pair has the smaller flat index, its ``pair_partner`` the
+    larger, and a bin that reads itself conjugated is a lone bin
+    (``pair_lone``, their flat indices: (0, K/4) and (R/2, K/4) when 4
+    divides K; (0, 16) and (32, 16) at 64 x 64).  ``pair_owner`` gives each
+    of the dim coordinates its slot among the values PairRotation sorts:
+    both coordinates of a bin read the bin's slot, except a lone bin's
+    imaginary part, which reads a slot past the R (K//2 + 1) bins, one per
+    lone bin in flat order.
     """
 
     def __init__(self, model: SuperResModel):
@@ -289,6 +294,12 @@ class HalfSpectrum:
         phase = np.divide(weight, np.abs(weight), out=np.ones_like(weight), where=weight != 0)
         self.pair_turns = (np.where(lone, np.conj(np.sqrt(phase)), 1.0),
                            np.where(self.pair_first, phase, -phase))
+        # both coordinates of a bin share its eigenvalue (PairRotation), except
+        # a lone bin's imaginary part, which reads a slot past the bins
+        self.pair_lone = np.flatnonzero(lone)
+        owner = np.stack((flat, flat), axis=-1)
+        owner[lone, 1] = flat.size + np.arange(self.pair_lone.size)
+        self.pair_owner = owner.ravel()
 
     def enter(self, x):
         """s = W rfft2(x) for a flattened real image x."""
@@ -487,7 +498,9 @@ class PairRotation(Eigenbasis):
     a precision, is one multiply.  A paired bin's real and imaginary parts
     share an eigenvalue, and so do mirror rows: at 64 x 64 the 4224
     coordinates hold 1200-1480 distinct values, and cg_solve runs plain CG
-    on those.
+    on those.  So the rotation hands Eigenbasis one value per bin and one
+    more per lone bin, 2114 at 64 x 64, with HalfSpectrum.pair_owner, and
+    only those are sorted to group them.
     CG is invariant under an orthogonal change of basis (Hestenes & Stiefel
     1952), so this runs the iterations of plain CG on Q, up to rounding: it
     is not a preconditioner.
@@ -514,14 +527,15 @@ class PairRotation(Eigenbasis):
         # where the first member's eigenvector leans to the partner
         swap = np.where(basis.pair_partner, gap > 0, gap < 0)
         cos, sin = np.where(swap, sin, cos), np.where(swap, cos, sin)
-        eigenvalues = np.empty(basis.shape + (2,))
-        eigenvalues[..., 0] = np.where(basis.pair_partner, low, high)
-        eigenvalues[..., 1] = np.where(basis.pair_first, high, low)
+        # a bin's value (lambda+ at a first member and a lone bin's real part,
+        # lambda- at a partner), then lambda- of each lone bin's imaginary part
+        plane = np.where(basis.pair_partner, low, high)
         turn, phase = basis.pair_turns
         gathered = sin * phase
-        super().__init__(eigenvalues.ravel(),
+        super().__init__(np.concatenate((plane.ravel(), low.take(basis.pair_lone))),
                          _DiagonalPlusGathers(cos * turn, [(gather, gathered)]),
-                         _DiagonalPlusGathers(cos * np.conj(turn), [(gather, -gathered)]))
+                         _DiagonalPlusGathers(cos * np.conj(turn), [(gather, -gathered)]),
+                         basis.pair_owner)
 
 
 @dataclass(eq=False)

@@ -432,6 +432,26 @@ def spectral_transpose(conditional, w) -> np.ndarray:
     return spectrum.view(float).ravel()
 
 
+def pair_rotation_eigenvalues(conditional) -> np.ndarray:
+    """Lambda's diagonal of the one-alias conditional's PairRotation formed
+    coordinate by coordinate, the reference for the rotation's one value per
+    bin: on the (R, K//2 + 1, 2) grid of (real, imaginary) coordinates, the
+    real part takes lambda- at a partner and lambda+ elsewhere, the
+    imaginary part lambda+ at a first member and lambda- elsewhere, from
+    PairRotation's floating-point operations."""
+    basis = conditional.basis
+    mean, paired = conditional.gram.diagonal.real, conditional.paired_mean.real
+    gap = (mean - paired) * 0.5
+    modulus = conditional.gammas[0] * basis.pair_modulus
+    radius = np.sqrt(gap * gap + modulus * modulus)
+    high = (mean + paired) * 0.5 + radius
+    low = conditional.determinant / high
+    eigenvalues = np.empty(basis.shape + (2,))
+    eigenvalues[..., 0] = np.where(basis.pair_partner, low, high)
+    eigenvalues[..., 1] = np.where(basis.pair_first, high, low)
+    return eigenvalues.ravel()
+
+
 class ConditionalFactor(FactoredPrecision):
     """F = [sqrt(gamma_y) H; sqrt(gamma_x) D] on images, whose Gram
     F^t (F v) is the super-resolution conditional precision

@@ -153,7 +153,7 @@ def test_slope_window_matches_the_tuple_window_bitwise(seed, size):
         window.append(entry)
         reference.append(entry)
         assert window.columns().T.tolist() == [list(entry) for entry in reference]
-        assert _window_slopes(*window.columns()) == _tuple_window_slopes(reference)
+        assert _window_slopes(window.columns()) == _tuple_window_slopes(reference)
 
 
 def _var_window_slopes(le, js, alphas):
@@ -169,24 +169,36 @@ def _var_window_slopes(le, js, alphas):
 
 
 def test_window_slopes_match_the_var_formula_bitwise():
-    """Variances taken as means of squared deviations give bitwise the
-    slopes and degeneracy flags of numpy's var(), on 3000 windows of length
-    1-200 drawn as SlopeWindow lays them out; one in four has constant J
-    and one in ten constant log eps."""
+    """The one-pass regression on a (3, n) window gives bitwise the slopes
+    and degeneracy flags of numpy's var() on its three rows: on 3000
+    windows of length 1-200 and 300 of length 201-2000 drawn as
+    SlopeWindow lays them out, one in four with constant J and one in ten
+    with constant log eps; and on trailing windows stacked from strided
+    columns of a trajectory, as cli's min-CCES summary stacks log eps, J
+    (trail[:, 3]) and alpha (trail[:, 2]), against the var() formula on
+    those strided columns themselves."""
     rng = np.random.default_rng(29)
     degenerate = 0
-    for trial in range(3000):
-        size = int(rng.integers(1, 201))
+    for trial in range(3300):
+        size = int(rng.integers(1, 201) if trial < 3000 else rng.integers(201, 2001))
         rows = np.zeros((3, 2 * size))
         rows[0, :size] = -5.0 if trial % 10 == 0 else rng.normal(-5.0, 0.3, size)
         rows[1, :size] = 40.0 if trial % 4 == 0 else rng.integers(5, 80, size)
         rows[2, :size] = rng.uniform(1e-6, 1.0, size)
         start = int(rng.integers(0, size + 1))
         window = np.roll(rows, start, axis=1)[:, start:start + size]
-        slopes = _window_slopes(*window)
+        slopes = _window_slopes(window)
         assert slopes == _var_window_slopes(*window), trial
         degenerate += slopes[2]
-    assert degenerate >= 750
+    assert degenerate >= 825
+    for trial in range(200):
+        steps = int(rng.integers(1, 4001))
+        traj = np.column_stack([np.arange(1, steps + 1), np.exp(rng.normal(-7.0, 0.5, steps)),
+                                rng.uniform(1e-6, 1.0, steps), rng.integers(5, 80, steps)])
+        trail = traj[-min(2000, steps):]
+        logeps, alpha, jits = np.log(trail[:, 1]), trail[:, 2], trail[:, 3]
+        assert (_window_slopes(np.stack((logeps, jits, alpha)))
+                == _var_window_slopes(logeps, jits, alpha)), trial
 
 
 def test_correction_vanishes_on_the_optimality_curve():

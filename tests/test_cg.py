@@ -257,6 +257,35 @@ def test_finite_rhs_whose_norm_overflows_breaks_down():
                 cg_solve(precision, b, x0=start, epsilon=1e-8)
 
 
+def test_initial_residual_checks_keep_their_order():
+    """The entry checks raise in the same order with and without the
+    eigenbasis: an x0 holding NaN or inf, and a b holding inf, whose
+    ||b|| overflows too, give the non-finite initial residual; a finite r
+    whose r^t r overflows passes that check, so b = 1e160 from zero reaches
+    the ||b|| message, and a finite b from x0 = 1e160 reaches the loop,
+    which refuses its curvature at iteration 1."""
+    prec, _ = _spd_precision(33, 6)
+    b = np.random.default_rng(34).standard_normal(6)
+    residual = r"^non-finite initial residual at CG iteration 0$"
+    for precision in (prec, oracles.TwoProductFactor(prec.matrix)):
+        for bad in (np.nan, np.inf, -np.inf):
+            x0 = np.ones(6)
+            x0[2] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(NumericalBreakdownError,
+                                                              match=residual):
+                cg_solve(precision, b, x0=x0, epsilon=1e-8)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalBreakdownError, match=residual):
+            cg_solve(precision, np.array([1.0, np.inf, 0.0, 2.0, 1.0, 1.0]), epsilon=1e-8)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericalBreakdownError, match=r"^non-finite \|\|b\|\| = inf at CG iteration 0$"):
+            cg_solve(precision, np.full(6, 1e160), epsilon=1e-8)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalBreakdownError,
+                match=r"^nonpositive or non-finite curvature p\^tQp = .* at CG iteration 1$"):
+            cg_solve(precision, b, x0=np.full(6, 1e160), epsilon=1e-8)
+
+
 def _grouped_rotation():
     """An operator whose rotation is the identity and whose Lambda has 1000
     coordinates on 7 distinct eigenvalues, with a right-hand side that is
@@ -360,16 +389,21 @@ def test_dense_rotated_solve_matches_plain_cg(eps):
 
 
 def test_singular_dense_gram_keeps_its_outcome():
-    """A wide 3 x 5 factor has a singular Gram: in its eigenbasis, as with
-    the rotation hidden, a right-hand side in its range converges in 3
-    iterations and a generic one breaks down on its curvature."""
+    """A wide 3 x 5 factor has a singular Gram.  With the rotation hidden,
+    a right-hand side in its range converges in 3 iterations and a generic
+    one breaks down on its curvature.  The dense factor refuses to build
+    its eigenbasis, where CG would solve only the part of b in the range,
+    for both."""
     rng = np.random.default_rng(31)
     m = rng.standard_normal((3, 5))
     in_range, generic = m.T @ rng.standard_normal(3), rng.standard_normal(5)
-    for precision in (DenseOperator(m), oracles.TwoProductFactor(m)):
-        assert cg_solve(precision, in_range, epsilon=1e-10).iterations == 3
-        with pytest.raises(NumericalBreakdownError, match="nonpositive or non-finite curvature"):
-            cg_solve(precision, generic, epsilon=1e-10)
+    hidden = oracles.TwoProductFactor(m)
+    assert cg_solve(hidden, in_range, epsilon=1e-10).iterations == 3
+    with pytest.raises(NumericalBreakdownError, match="nonpositive or non-finite curvature"):
+        cg_solve(hidden, generic, epsilon=1e-10)
+    for b in (in_range, generic):
+        with pytest.raises(NumericalBreakdownError, match="^dense factor's Gram M\\^t M is singular"):
+            cg_solve(DenseOperator(m), b, epsilon=1e-10)
 
 
 def _sr64_conditional():

@@ -151,6 +151,28 @@ def test_dense_target_builds_its_rotation_on_the_first_plain_solve(monkeypatch):
     assert "rotation" in vars(built.precision)
 
 
+def test_pair_rotation_sorts_one_value_per_bin(monkeypatch):
+    """Building the 64 x 64 two-frame conditional's PairRotation calls
+    np.unique once, on its 64 x 33 bins' values and the 2 lone bins'
+    second ones, 2114 of the 4224 coordinates; plain solves reuse it."""
+    calls = []
+    unique = np.unique
+
+    def counted_unique(a, **kwargs):
+        calls.append(("unique", a.size))
+        return unique(a, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    model = SuperResModel(hi_res_dims=(64, 64), frames=2, decimation_factor=2,
+                          psf_kernel=np.full((3, 3), 1.0 / 9.0))
+    conditional = SpectralConditional(model.half_spectrum, 11.6, 962.0)
+    b = np.random.default_rng(4).standard_normal(conditional.in_dim)
+    for x0 in (None, -b):
+        cg_solve(conditional, b, x0=x0, epsilon=1e-3)
+    assert calls == [("unique", 2114)]
+    assert conditional.rotation.values.size == 4224
+
+
 def test_circulant_matches_naive_convolution():
     """Filtering by a centred kernel's transfer function is the circular
     convolution with the kernel's centre cell as origin."""

@@ -192,6 +192,20 @@ def test_a_singular_dense_factor_breaks_down_in_the_exact_draw():
         run_chain(target, epo_kernel(), 5, 0, RngStream(4))
 
 
+@pytest.mark.parametrize("name", ["epo", "rjpo"])
+def test_a_rank_deficient_non_square_factor_breaks_down(name):
+    """A 5 x 4 factor of ones has the rank-1 Gram M^t M, whose eigenvalues
+    are 20 and three of rounding size.  It offers no closed-form Q^-1, and
+    CG in its eigenbasis would solve only the part of eta in the Gram's
+    range and report a tiny residual; both the exact draw and rjpo raise
+    NumericalBreakdownError (exit code 2) at the eigenbasis instead."""
+    target = GaussianTarget(DenseOperator(np.ones((5, 4))), np.ones(4))
+    with pytest.raises(NumericalBreakdownError,
+                       match="^kernel failed at chain step 1: dense factor's Gram M\\^t M is "
+                             "singular: smallest eigenvalue .* against largest 2.000e\\+01$"):
+        run_chain(target, make_kernel(name, epsilon=1e-3), 5, 0, RngStream(4))
+
+
 def test_ar1_exact_draw_applies_the_inverse_cholesky_factor_twice():
     """epo_step on the AR(1) N = 128 target draws x = inv(L)^t (inv(L) eta)
     with 0 CG iterations and reports ||eta - Q x|| / ||eta|| of that x, bit

@@ -1148,6 +1148,38 @@ def test_rotated_truncated_solve_reports_its_recomputed_residual(gammas):
         assert "rotation" in vars(target.precision), case
 
 
+def test_pair_rotation_groups_like_unique_of_every_coordinate():
+    """PairRotation sorts one value per bin, plus one per lone bin, and
+    reads each coordinate's value through HalfSpectrum.pair_owner; its
+    ``values``, ``distinct`` and ``group`` are bit for bit the full
+    diagonal built coordinate by coordinate and np.unique over it
+    (oracles.pair_rotation_eigenvalues).  At 64 x 64 with two frames (2
+    lone bins), 64 x 30 (a width not divisible by 4: none), 18 x 26 with
+    six frames (odd half sizes: none) and 30 x 44 with six frames (an odd
+    half height: 2), over 24 gamma pairs each.  No factor-3 model has one
+    alias term (each of its terms is a stacked conjugate pair), so none
+    offers a PairRotation."""
+    rng = np.random.default_rng(91)
+    for dims, frames, lone in (((64, 64), 2, 2), ((64, 30), 2, 0), ((18, 26), 6, 0),
+                               ((30, 44), 6, 2)):
+        model = sr.SuperResModel(hi_res_dims=dims, frames=frames, decimation_factor=2,
+                                 psf_kernel=SMOOTH_3X3)
+        basis = model.half_spectrum
+        assert basis.pair_lone.size == lone, dims
+        assert basis.pair_owner.max() + 1 == basis.dim // 2 + lone, dims
+        gammas = list(ONE_ALIAS_GAMMAS) + [tuple(10.0 ** rng.uniform(-2.0, 4.0, 2))
+                                           for _ in range(20)]
+        for gamma_y, gamma_x in gammas:
+            case = (dims, frames, gamma_y, gamma_x)
+            conditional = sr.SpectralConditional(basis, gamma_y, gamma_x)
+            full = oracles.pair_rotation_eigenvalues(conditional)
+            distinct, group = np.unique(full, return_inverse=True)
+            rotation = conditional.rotation
+            assert np.array_equal(rotation.values, full), case
+            assert np.array_equal(rotation.distinct.values, distinct), case
+            assert np.array_equal(rotation.group, group), case
+
+
 def test_no_rotation_without_exactly_one_alias_term():
     """Models with no alias term (every phase sampled once) or several (1, 3
     or 5 frames at factor 2, factor 3, where three frames give one
