@@ -7,10 +7,16 @@ Two controllers, both acting on log epsilon so the threshold stays positive:
   MinCces     descends the computing cost per effective sample J/ESSR;
               the update direction is K_n (alpha - alpha^2/2 - J dalpha/dJ),
               whose unique zero is the optimality condition
-              J dalpha/dJ = alpha - alpha^2/2.
+              J dalpha/dJ = alpha - alpha^2/2.  The correction is that
+              condition in its own units (an acceptance rate), clipped to
+              +-CORRECTION_CLIP, and step n runs at the tuned level times
+              exp(+-DITHER), the sign alternating, so the window's slopes
+              see a known spread in log eps.
 
 Step sizes K_n = k0 / n^kappa with kappa in (0, 1] vanish while their sum
 diverges, so adaptation dies out and the chain keeps its target law.
+``epsilon`` is the tuned level exp(log eps) in both modes; ``threshold`` is
+what the next step runs with.
 
 make_kernel is the one registry of sampling kernels by name; it lives
 here, the lowest module that sees both the fixed-threshold steps and
@@ -28,6 +34,8 @@ from .errors import ConfigurationError
 from .sampler import KernelOutcome, epo_kernel, rjpo_step, tpo_step
 
 ALPHA_CLAMP_LOW = 1e-6
+CORRECTION_CLIP = 1.0  # bound on a min-CCES correction, in acceptance-rate units
+DITHER = 0.5  # half-spread in log eps of the min-CCES thresholds around their centre
 
 
 @dataclass(frozen=True)
@@ -43,10 +51,12 @@ class TargetRate:
 class MinCces:
     """Chase the cost-of-effective-sample optimum.
 
-    The window must span enough steps that the regression slopes are driven
-    by the controller's own epsilon dithering rather than by the feedback
-    of recent acceptance noise onto epsilon; short windows bias the
-    equilibrium toward loose epsilon.
+    Step n runs at log eps = centre + DITHER for odd n and centre - DITHER
+    for even n; the window records that threshold, and the Robbins-Monro
+    update moves the centre (the controller's ``log_epsilon``).  The window
+    must span enough steps that the regression slopes are driven by this
+    dither rather than by the feedback of recent acceptance noise onto
+    epsilon; short windows bias the equilibrium toward loose epsilon.
     """
 
     window_size: int = 200
@@ -83,9 +93,11 @@ class SlopeWindow:
 class AdaptController:
     """Robbins-Monro state shared by both tuning modes.
 
-    history keeps the last window_size (log eps, J, alpha) triples for the
-    windowed slope dalpha/dJ used in MinCces mode; degenerate windows
-    (all J or all log eps equal) contribute a zero slope and are counted.
+    log_epsilon is the tuned level (the centre of MinCces's dither).
+    history keeps the last window_size (threshold log eps, J, alpha)
+    triples for the windowed slope dalpha/dJ used in MinCces mode;
+    degenerate windows (all J or all log eps equal, or J not falling as
+    eps grows) contribute no slope and are counted.
     """
 
     log_epsilon: float
@@ -108,7 +120,21 @@ class AdaptController:
 
     @property
     def epsilon(self) -> float:
+        """The tuned level exp(log_epsilon)."""
         return math.exp(self.log_epsilon)
+
+    @property
+    def step_log_epsilon(self) -> float:
+        """log of the threshold step step_index runs with: log_epsilon in
+        target-rate mode, log_epsilon +- DITHER in min-CCES mode."""
+        if isinstance(self.mode, MinCces):
+            return self.log_epsilon + (DITHER if self.step_index % 2 else -DITHER)
+        return self.log_epsilon
+
+    @property
+    def threshold(self) -> float:
+        """The threshold step step_index runs with, exp(step_log_epsilon)."""
+        return math.exp(self.step_log_epsilon)
 
     @property
     def step_size(self) -> float:
@@ -127,9 +153,6 @@ def update_target_rate(ctrl: AdaptController, alpha_n: float) -> AdaptController
     ctrl.log_epsilon += ctrl.step_size * (alpha_n - ctrl.mode.alpha_t)
     ctrl.step_index += 1
     return ctrl
-
-
-CORRECTION_CLIP = 2.0
 
 
 def _window_slopes(window) -> tuple[float, float, bool]:
@@ -162,25 +185,28 @@ def _window_slopes(window) -> tuple[float, float, bool]:
 def update_min_cces(ctrl: AdaptController, j_n: int, alpha_n: float) -> AdaptController:
     """One descent step on the cost per effective sample.
 
-    The correction is J d(alpha)/d(log eps) - (alpha - alpha^2/2)
-    d(J)/d(log eps), which vanishes exactly on the optimality curve
-    J dalpha/dJ = alpha - alpha^2/2 (it is that condition rescaled by the
-    positive factor -dJ/dlogeps) and points down the CCES gradient in
+    Records the step's (threshold log eps, J, alpha) in the window, then
+    moves the dither's centre by the gain times the correction
+    (alpha - alpha^2/2) - J dalpha/dJ, with dalpha/dJ the ratio of the
+    window's slopes in log eps.  The correction is the optimality
+    condition in its own units, an acceptance rate, clipped to
+    +-CORRECTION_CLIP; it vanishes exactly on the curve
+    J dalpha/dJ = alpha - alpha^2/2 and points down the CCES gradient in
     log epsilon: over-accurate solves push epsilon up, collapsing
-    acceptance pushes it down.  A degenerate window drops the slope terms,
-    leaving the stall-safe loosening drift alpha - alpha^2/2.
+    acceptance pushes it down.  A degenerate window, or one whose J does
+    not fall as eps grows, drops the slope term, leaving the stall-safe
+    loosening drift alpha - alpha^2/2.
     """
     if not isinstance(ctrl.mode, MinCces):
         raise ConfigurationError("controller is not in min-CCES mode")
     alpha = min(1.0, max(ALPHA_CLAMP_LOW, alpha_n))
-    ctrl.history.append((ctrl.log_epsilon, float(j_n), alpha))
-    slope_a, slope_j, degenerate = _window_slopes(ctrl.history.columns())
-    essr_gap = alpha - 0.5 * alpha * alpha
-    if degenerate:
+    ctrl.history.append((ctrl.step_log_epsilon, float(j_n), alpha))
+    slope_a, slope_j, _ = _window_slopes(ctrl.history.columns())
+    correction = alpha - 0.5 * alpha * alpha
+    if slope_j < 0.0:
+        correction -= j_n * slope_a / slope_j
+    else:  # degenerate windows return slope_j 0.0
         ctrl.degenerate_windows += 1
-        correction = essr_gap
-    else:
-        correction = j_n * slope_a - essr_gap * slope_j
     correction = float(min(max(correction, -CORRECTION_CLIP), CORRECTION_CLIP))
     ctrl.log_epsilon += ctrl.step_size * correction
     ctrl.step_index += 1
@@ -198,9 +224,10 @@ def essr_from_alpha(alpha: float) -> float:
 class AdaptiveRjpoKernel:
     """RJPO kernel with an online-tuned threshold, pluggable into run_chain.
 
-    Records in ``epsilons`` the threshold each step used, i.e. the
-    pre-update controller value; each step's alpha and J are kept by the
-    loop that calls it (run_chain's ChainState, run_gibbs's records).
+    Records in ``epsilons`` the threshold each step used, the controller's
+    pre-update ``threshold`` (in min-CCES mode the dithered one, not the
+    tuned ``epsilon``); each step's alpha and J are kept by the loop that
+    calls it (run_chain's ChainState, run_gibbs's records).
     """
 
     def __init__(self, controller: AdaptController):
@@ -212,7 +239,7 @@ class AdaptiveRjpoKernel:
         return self.controller.epsilon
 
     def __call__(self, target, previous, stream) -> KernelOutcome:
-        eps = self.controller.epsilon
+        eps = self.controller.threshold
         outcome = rjpo_step(target, previous, stream, eps)
         self.epsilons.append(eps)
         if isinstance(self.controller.mode, TargetRate):

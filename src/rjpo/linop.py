@@ -14,6 +14,7 @@ immutable after construction and safe to share between chains.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -140,10 +141,17 @@ class Eigenbasis(Diagonal):
     Lambda's diagonal is eigenvalues[owner], and only the values handed are
     sorted (np.unique), so ``distinct`` and ``group`` are those of the full
     diagonal, bit for bit, at the cost of a sort of the shorter vector.
+    A zero, negative or non-finite value is no precision's eigenvalue:
+    one test on the sorted distinct values (NaN sorts last) raises
+    NumericalBreakdownError.
     """
 
     def __init__(self, eigenvalues, enter, leave, owner=None):
         values, group = np.unique(eigenvalues, return_inverse=True)
+        if not (values[0] > 0.0 and math.isfinite(values[-1])):
+            raise NumericalBreakdownError(
+                f"eigenbasis values must be positive and finite, got {values[0]:.3e} "
+                f"to {values[-1]:.3e}")
         if owner is not None:
             eigenvalues, group = eigenvalues.take(owner), group.take(owner)
         super().__init__(eigenvalues)

@@ -1,6 +1,7 @@
 """Time two checkouts' rjpo against each other in one process, block by block.
 
     python tests/in_process_ab.py PARENT_ROOT CHANGE_ROOT [--control] [--blocks N]
+                                  [--workloads ar1-cces,sr64-arjpo]
 
 Loads ROOT/src/rjpo of each checkout as a package of its own name
 (rjpo_parent, rjpo_change) with importlib: every import inside the package
@@ -10,7 +11,9 @@ equal.  Each block runs the ar1-cces chain (AR(1), N = 128, MinCces(200)
 from eps 1e-2: 1000 untimed steps, then 4000 timed) and the sr64-arjpo
 chain (64 x 64, 2 frames, arjpo at alpha_t 0.99 from eps 1e-2, 100 Gibbs
 sweeps) once on each tree, with the same seeds in every block; the side
-that runs first alternates from block to block.  A block's outputs must be
+that runs first alternates from block to block.  ``--workloads`` names the
+ones to run, comma-separated, so a change that moves one workload's
+outputs by design can still check the others.  A block's outputs must be
 bit-identical between the trees (the chain state, J, alpha and epsilon per
 step; the Gibbs records and posterior mean), or the run stops with exit 1.
 
@@ -142,18 +145,22 @@ def main(argv=None) -> int:
     parser.add_argument("--control", action="store_true",
                         help="load PARENT_ROOT on both sides (an A/A control)")
     parser.add_argument("--blocks", type=int, default=20)
+    parser.add_argument("--workloads", default=",".join(SIZES),
+                        help="comma-separated workloads to run (default: all)")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     if args.control:
         args.change_root = args.parent_root
-    if args.change_root is None or args.blocks < 1:
-        print("usage: in_process_ab.py PARENT_ROOT CHANGE_ROOT [--control] [--blocks N >= 1]",
-              file=sys.stderr)
+    names = args.workloads.split(",")
+    if args.change_root is None or args.blocks < 1 or not set(names) <= set(SIZES):
+        print("usage: in_process_ab.py PARENT_ROOT CHANGE_ROOT [--control] [--blocks N >= 1] "
+              f"[--workloads a subset of {','.join(SIZES)}]", file=sys.stderr)
         return 2
     try:
         times = run_blocks(args.parent_root, args.change_root, args.blocks,
+                           {name: SIZES[name] for name in names},
                            report=lambda line: print(line, flush=True))
     except ValueError as exc:
         print(exc, file=sys.stderr)

@@ -236,23 +236,83 @@ def test_collapsing_acceptance_tightens_epsilon():
     assert ctrl.log_epsilon < before
 
 
+def _raw_correction(ctrl, j_n, alpha):
+    """The unclipped correction of the update that just ran, from its window."""
+    slope_a, slope_j, _ = _window_slopes(ctrl.history.columns())
+    return alpha - 0.5 * alpha * alpha - j_n * slope_a / slope_j
+
+
 def test_correction_is_clipped():
+    """The correction is in acceptance-rate units, and clipped at
+    +-CORRECTION_CLIP: past it from above when alpha rises as J falls,
+    past it from below when acceptance collapses as J falls."""
+    assert CORRECTION_CLIP == 1.0
+    # alpha rising from 0.01 to 1 while J falls by 2: raw correction about +50
     ctrl = make_ctrl(MinCces(window_size=3), log_eps=0.2)
-    ctrl.history.append((0.0, 300.0, 1.0))
-    ctrl.history.append((0.1, 200.0, 1.0))
+    ctrl.history.append((0.0, 102.0, 0.01))
+    ctrl.history.append((0.1, 101.0, 0.5))
     before = ctrl.log_epsilon
     update_min_cces(ctrl, 100, 1.0)
+    assert ctrl.degenerate_windows == 0
+    assert _raw_correction(ctrl, 100, 1.0) > 40 * CORRECTION_CLIP
     assert ctrl.log_epsilon - before == pytest.approx(ctrl.k0 * CORRECTION_CLIP)
-    # acceptance collapsing from 1 to 0.01 over 0.2 in log eps: the raw
-    # correction is about -485, clipped from below
+    # acceptance collapsing from 1 to 0.01 while J falls by 2: raw
+    # correction about -50, clipped from below
     ctrl = make_ctrl(MinCces(window_size=3), log_eps=0.2)
-    ctrl.history.append((0.0, 300.0, 1.0))
-    ctrl.history.append((0.1, 200.0, 0.5))
+    ctrl.history.append((0.0, 102.0, 1.0))
+    ctrl.history.append((0.1, 101.0, 0.5))
     before = ctrl.log_epsilon
     update_min_cces(ctrl, 100, 0.01)
     assert ctrl.degenerate_windows == 0
+    assert _raw_correction(ctrl, 100, 0.01) < -40 * CORRECTION_CLIP
     assert ctrl.log_epsilon - before == pytest.approx(-ctrl.k0 * CORRECTION_CLIP)
     assert isinstance(ctrl.log_epsilon, float)
+
+
+def test_rising_j_slope_is_degenerate():
+    """A window whose J grows with eps has no cost trade-off to balance:
+    it is counted as degenerate and takes the loosening drift."""
+    ctrl = make_ctrl(MinCces(window_size=3), log_eps=0.2)
+    ctrl.history.append((0.0, 100.0, 0.9))
+    ctrl.history.append((0.1, 101.0, 0.8))
+    before = ctrl.log_epsilon
+    update_min_cces(ctrl, 102, 0.7)
+    assert ctrl.degenerate_windows == 1
+    assert ctrl.log_epsilon - before == pytest.approx(ctrl.k0 * (0.7 - 0.5 * 0.7**2))
+
+
+def test_min_cces_thresholds_alternate_around_the_centre():
+    """Step n runs at centre + 0.5 (odd n) or centre - 0.5 (even n) in log
+    eps, and that threshold is what the window records; ``epsilon`` stays
+    the centre.  Target-rate thresholds are exp(log_epsilon), bit for bit."""
+    ctrl = make_ctrl(MinCces(window_size=10), log_eps=math.log(3e-4))
+    rng = np.random.default_rng(7)
+    for n in range(1, 13):
+        centre = ctrl.log_epsilon
+        assert ctrl.step_log_epsilon == centre + (0.5 if n % 2 else -0.5)
+        assert ctrl.threshold == math.exp(ctrl.step_log_epsilon)
+        assert ctrl.epsilon == math.exp(centre)
+        update_min_cces(ctrl, int(rng.integers(20, 40)), float(rng.uniform(0.7, 1.0)))
+        assert ctrl.history.columns()[0][-1] == centre + (0.5 if n % 2 else -0.5)
+    rate = make_ctrl(TargetRate(0.8))
+    for alpha in rng.uniform(0.0, 1.0, 12):
+        assert rate.step_log_epsilon == rate.log_epsilon
+        assert rate.threshold == math.exp(rate.log_epsilon) == rate.epsilon
+        update_target_rate(rate, float(alpha))
+
+
+def test_min_cces_settles_within_its_first_thousand_steps():
+    """On check 09's target and streams from eps 1e-2, the thresholds of
+    steps 1000-5000 keep sd(log eps) < 1 and eps > 1e-5.  The bounds were
+    set from the controller that stepped by the rescaled condition clipped
+    at +-2 with no dither: it read sd 2.18-2.41 and min eps 6e-7-2.5e-6
+    over this window on ten seed pairs, (31, 32) to (931, 932)."""
+    target, _, _ = ar1_target(128, 1.0, 0.8, stream=RngStream(31))
+    kernel = AdaptiveRjpoKernel(make_ctrl(MinCces(), log_eps=math.log(1e-2)))
+    run_chain(target, kernel, 5000, 0, RngStream(32), track_covariance=False)
+    log_eps = np.log(kernel.epsilons[1000:])
+    assert log_eps.std() < 1.0
+    assert math.exp(log_eps.min()) > 1e-5
 
 
 def test_degenerate_windows_counted_and_drift_loose():
@@ -350,7 +410,7 @@ def test_adaptive_kernel_epsilons_are_the_thresholds_its_steps_ran_with(monkeypa
     stream = RngStream(6)
     target, _, _ = ar1_target(16, 1.0, 0.8, stream=stream)
     kernel = AdaptiveRjpoKernel(make_ctrl(mode))
-    before = kernel.controller.epsilon
+    before = kernel.controller.threshold
     chain = run_chain(target, kernel, n_max=40, n_min=4, stream=stream)
     assert kernel.epsilons == used
     assert kernel.epsilons[0] == before

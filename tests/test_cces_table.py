@@ -1,0 +1,38 @@
+"""The check-09 table tool: both rules run a short pair and restore the kernel."""
+
+import math
+
+import numpy as np
+
+import cces_table
+import rjpo.adapt
+from rjpo.problems import ar1_target
+from rjpo.rng import RngStream
+from rjpo.sampler import perturb
+
+
+def test_cces_table_runs_both_rules_and_restores_the_step():
+    """A 400-step pair prints one line and one markdown row per rule with a
+    finite residual, and the z-normalised rule is patched in only inside
+    its block."""
+    original = rjpo.adapt.rjpo_step
+    lines = []
+    for name in ("current", "z-normalised"):
+        (row,) = cces_table.table(name, [(31, 32)], 400, report=lines.append)
+        assert math.isfinite(row["residual"]) and 0.0 < row["alpha"] <= 1.0
+        assert rjpo.adapt.rjpo_step is original
+    assert [line.split(" (")[0].split(" |")[0] for line in lines] == [
+        "current", "| current", "z-normalised", "| z-normalised"]
+    with cces_table.rule("z-normalised"):
+        assert rjpo.adapt.rjpo_step is cces_table.z_normalised_step
+
+
+def test_z_normalised_step_recomputes_its_residual_at_the_proposal():
+    """The rule's residual z - Q f is eta - Q x_hat with x_hat = f - previous,
+    so a tight solve proposes the exact draw and accepts it."""
+    target, _, _ = ar1_target(16, 1.0, 0.8, stream=RngStream(3))
+    previous = np.random.default_rng(5).standard_normal(16)
+    out = cces_table.z_normalised_step(target, previous, RngStream(9), 1e-12)
+    eta = perturb(target, RngStream(9))
+    assert np.allclose(target.precision.apply(out.proposal), eta, rtol=0, atol=1e-9)
+    assert out.accepted and out.acceptance_probability > 0.999

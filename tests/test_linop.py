@@ -12,7 +12,7 @@ from oracles import (
     ConditionalFactor, ar1_precision, naive_circular_convolve, target_from_dense,
 )
 from rjpo.cg import cg_solve
-from rjpo.errors import ConfigurationError
+from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import DenseOperator, Diagonal, Eigenbasis, FactoredPrecision, GaussianTarget
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
@@ -171,6 +171,19 @@ def test_pair_rotation_sorts_one_value_per_bin(monkeypatch):
         cg_solve(conditional, b, x0=x0, epsilon=1e-3)
     assert calls == [("unique", 2114)]
     assert conditional.rotation.values.size == 4224
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-300, -2.0, np.inf, np.nan])
+@pytest.mark.parametrize("owner", [None, np.array([0, 1, 2, 2, 1, 0])])
+def test_eigenbasis_refuses_a_value_that_is_not_positive_and_finite(bad, owner):
+    """Another basis handing a zero, negative, infinite or NaN eigenvalue,
+    with or without ``owner``, is refused; the same basis with that value
+    replaced by a positive one builds."""
+    good = np.array([3.0, 0.5, 7.0])
+    with pytest.raises(NumericalBreakdownError, match="^eigenbasis values must be positive"):
+        Eigenbasis(np.array([3.0, bad, 7.0]), np.copy, np.copy, owner)
+    basis = Eigenbasis(good, np.copy, np.copy, owner)
+    assert basis.distinct.values.tolist() == [0.5, 3.0, 7.0]
 
 
 def test_circulant_matches_naive_convolution():
