@@ -5,11 +5,11 @@ A target holds its precision Q as one object, a factor F with Q = F^t F
 super-resolution conditional's SpectralConditional (rjpo.superres) for
 images.  A dense factor forms what it offers on first use, so building a
 target stays cheap and a target pays only for what it runs: M^t M (its
-Gram map, one product) at its first Gram call, its closed-form Q^-1
-(``inverse``) at its first exact draw, and its eigenbasis (an Eigenbasis,
-as the super-resolution PairRotation is: Lambda as a Diagonal precision,
-with its equal values grouped) at its first plain CG solve.  Factors are
-immutable after construction and safe to share between chains.
+Gram map, one product) at its first Gram call, and its eigenbasis (an
+Eigenbasis, as the super-resolution PairRotation is: Lambda as a Diagonal
+precision, with its equal values grouped), which its closed-form Q^-1
+(``inverse``) reads, at its first exact draw or plain CG solve.  Factors
+are immutable after construction and safe to share between chains.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class FactoredPrecision:
 class DenseOperator(FactoredPrecision):
     """A matrix M as a factor: its transpose w -> M^t w and its Gram map
     v -> (M^t M) v, each on a checked-length vector; M^t M is formed by the
-    first Gram call.  A square M also offers its closed-form Q^-1."""
+    first Gram call.  Any full-rank M offers its closed-form Q^-1."""
 
     def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
@@ -87,26 +87,20 @@ class DenseOperator(FactoredPrecision):
 
     @cached_property
     def inverse(self):
-        """b -> Q^-1 b = W^t (W b), W = inv(M^t) (inv(L) for M = L^t) formed by
-        the first exact draw; None for a non-square M, and a square M that
-        np.linalg.inv finds singular raises NumericalBreakdownError."""
-        if self.in_dim != self.out_dim:
-            return None
-        try:
-            w = np.linalg.inv(self.matrix.T)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdownError(f"dense factor has no inverse: {exc}") from exc
-        return lambda b: w.T @ (w @ b)
+        """b -> Q^-1 b = V (Lambda^-1 (V^t b)) through the ``rotation``, which
+        the first exact draw builds where no plain solve has yet."""
+        rotation = self.rotation
+        return lambda b: rotation.leave(rotation.enter(b) / rotation.values)
 
     @cached_property
     def rotation(self) -> Eigenbasis:
         """Q's eigenbasis from np.linalg.eigh of M^t M: U = V^t for its
         eigenvectors V, and Lambda its ascending eigenvalues.  Built by the
-        first plain solve and kept for every later one.  A Gram whose
-        smallest eigenvalue is at most in_dim * eps times its largest is
-        singular to working precision (a rank-deficient M, square or not),
-        and CG in its eigenbasis would solve only the part of b in its
-        range: that raises NumericalBreakdownError."""
+        first plain solve or exact draw and kept for every later one of
+        either.  A Gram whose smallest eigenvalue is at most in_dim * eps
+        times its largest is singular to working precision (a rank-deficient
+        M, square or not), and CG in its eigenbasis would solve only the part
+        of b in its range: that raises NumericalBreakdownError."""
         values, vectors = np.linalg.eigh(self._gram_matrix)
         if not values[0] > self.in_dim * np.finfo(float).eps * values[-1]:
             raise NumericalBreakdownError(
@@ -190,5 +184,5 @@ class GaussianTarget:
 
 def target_from_cholesky(low: np.ndarray, mu: np.ndarray) -> GaussianTarget:
     """N(mu, (L L^t)^-1) for a lower Cholesky factor L: factor F = L^t, a
-    view of L whose ``inverse`` applies inv(L), and potential L (L^t mu)."""
+    view of L, and potential L (L^t mu)."""
     return GaussianTarget(DenseOperator(low.T), low @ (low.T @ mu))

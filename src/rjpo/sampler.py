@@ -94,7 +94,7 @@ def _exact_cg_solve(precision, eta, x0=None):
 def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
     """Exact perturbation-optimization step; successive samples independent.
 
-    Where the factor offers a closed-form Q^-1 (``inverse``: a square
+    Where the factor offers a closed-form Q^-1 (``inverse``: a full-rank
     DenseOperator, the super-resolution conditional with at most one alias
     term), the draw applies it once and recomputes its residual with one
     Q-apply, no CG (0 iterations).  A draw whose relative residual misses

@@ -24,8 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from rjpo.adapt import make_kernel
+from rjpo.diag import ess
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
-from rjpo.linop import DenseOperator, FactoredPrecision, GaussianTarget, target_from_cholesky
+from rjpo.linop import FactoredPrecision, GaussianTarget, target_from_cholesky
+from rjpo.rng import RngStream
 from rjpo.sampler import KernelOutcome, run_chain
 
 
@@ -303,10 +305,11 @@ def dense_precision(precision: FactoredPrecision) -> np.ndarray:
 
 def with_dense_mirror(target: GaussianTarget) -> GaussianTarget:
     """The target, its factor's ``inverse`` set to the dense Q^-1 of its
-    dense_precision through that Q's Cholesky factor L: the ``inverse`` of
-    DenseOperator(L^t), b -> inv(L)^t (inv(L) b)."""
-    low = np.linalg.cholesky(dense_precision(target.precision))
-    target.precision.inverse = DenseOperator(low.T).inverse
+    dense_precision through that Q's Cholesky factor L: with W = inv(L),
+    formed here, b -> W^t (W b).  It shares no decomposition with the
+    package's closed forms, which it is a reference for."""
+    w = np.linalg.inv(np.linalg.cholesky(dense_precision(target.precision)))
+    target.precision.inverse = lambda b: w.T @ (w @ b)
     return target
 
 
@@ -332,6 +335,42 @@ def with_two_product_factor(target: GaussianTarget) -> GaussianTarget:
     factor = TwoProductFactor(target.precision.matrix)
     factor.inverse = target.precision.inverse
     return GaussianTarget(factor, target.potential)
+
+
+def joint_law_z_scores(kernel, seed: int, chains: int, sweeps: int) -> np.ndarray:
+    """Geweke's successive-conditional simulator (JASA 2004) on the N = 3
+    hierarchy gamma ~ Gamma(3, rate 3), x | gamma ~ N(0, (gamma Q0)^-1),
+    y | x ~ N(x, I), with Q0 the AR(1) rho = 0.8 precision.
+
+    Each chain starts from the prior; each sweep draws gamma | x exactly,
+    then x | gamma, y with the kernel under test (target, previous, stream)
+    on target_from_dense(gamma Q0 + I, mu), then fresh data y | x.  A
+    kernel that keeps x | gamma, y invariant keeps (gamma, x) at its prior,
+    where E[gamma] = 1, E[gamma x^t Q0 x] = 3 and E[x_0^2] = 1.5 (Q0^-1)_00.
+    Returns the z-score of each, in that order: the mean over all chains
+    against its truth, in units of the standard error that diag.ess gives
+    each chain's mean.
+    """
+    shape = rate = 3.0
+    q0 = ar1_precision(3, 1.0, 0.8)
+    low0, eye = np.linalg.cholesky(q0), np.eye(3)
+    truths = np.array([1.0, 3.0, 1.5 * np.linalg.inv(q0)[0, 0]])
+    means, variances = [], []
+    for stream in RngStream(seed).spawn(chains):
+        gamma = stream.gamma_draw(shape, 1.0 / rate)
+        x = np.linalg.solve(low0.T, stream.standard_normal_vector(3)) / math.sqrt(gamma)
+        y = x + stream.standard_normal_vector(3)
+        series = np.empty((sweeps, 3))
+        for row in series:
+            gamma = stream.gamma_draw(shape + 1.5, 1.0 / (rate + 0.5 * float(x @ q0 @ x)))
+            q = gamma * q0 + eye
+            x = kernel(target_from_dense(q, np.linalg.solve(q, y)), x, stream).next_sample
+            y = x + stream.standard_normal_vector(3)
+            row[:] = gamma, gamma * float(x @ q0 @ x), x[0] * x[0]
+        means.append(series.mean(axis=0))
+        variances.append([column.var(ddof=1) / ess(column) for column in series.T])
+    standard_error = np.sqrt(np.sum(variances, axis=0)) / chains
+    return (np.mean(means, axis=0) - truths) / standard_error
 
 
 def acceptance_curve(target, epsilons, n_max: int, stream) -> np.ndarray:

@@ -16,7 +16,7 @@ from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import DenseOperator, Diagonal, Eigenbasis, FactoredPrecision, GaussianTarget
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
-from rjpo.sampler import epo_step
+from rjpo.sampler import epo_step, rjpo_step
 from rjpo.superres import PairRotation, SpectralConditional, SuperResModel, centred_transfer
 
 
@@ -120,13 +120,11 @@ def test_dense_target_forms_its_gram_matrix_on_first_use():
     assert np.array_equal(vars(factor)["_gram_matrix"], factor.matrix.T @ factor.matrix)
 
 
-def test_dense_target_builds_its_rotation_on_the_first_plain_solve(monkeypatch):
-    """Building a dense target (ar1_target, target_from_dense) and an exact
-    draw through its closed-form Q^-1 build no rotation; the first plain CG
-    solve does, with one np.linalg.eigh and one grouping of its distinct
-    eigenvalues (np.unique) that later solves reuse."""
+def _count_decompositions(monkeypatch):
+    """Patch np.linalg.eigh, np.unique and np.linalg.inv to record each
+    call, an eigh or inv by its matrix's shape; return the record."""
     calls = []
-    eigh, unique = np.linalg.eigh, np.unique
+    eigh, unique, inv = np.linalg.eigh, np.unique, np.linalg.inv
 
     def counted(a):
         calls.append(a.shape)
@@ -136,19 +134,55 @@ def test_dense_target_builds_its_rotation_on_the_first_plain_solve(monkeypatch):
         calls.append(("unique", a.size))
         return unique(a, **kwargs)
 
+    def counted_inv(a):
+        calls.append(("inv", a.shape))
+        return inv(a)
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(np, "unique", counted_unique)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    return calls
+
+
+def _builds_one_rotation(monkeypatch, exact_first):
+    """Building a dense target (ar1_target, target_from_dense) builds no
+    rotation, and nothing in it calls np.linalg.eigh, np.unique or
+    np.linalg.inv.  Exact draws (epo) and plain CG solves (a solve from
+    zero, then rjpo draws, warm-started) then alternate, an exact draw
+    first or a plain solve first: the first of either builds the
+    rotation with one np.linalg.eigh and one grouping of its distinct
+    eigenvalues (np.unique), every later one reuses it, and each exact draw
+    runs no CG."""
+    calls = _count_decompositions(monkeypatch)
     built, _, _ = ar1_target(128, stream=RngStream(1))
     copied = target_from_dense(ar1_precision(128, 1.0, 0.8), np.linspace(0.0, 10.0, 128))
-    for target in (built, copied):
-        epo_step(target, RngStream(2))
-        assert "rotation" not in vars(target.precision)
     assert calls == []
     b = np.random.default_rng(3).standard_normal(128)
-    for x0 in (None, -b, None):
-        cg_solve(built.precision, b, x0=x0, epsilon=1e-6)
-    assert calls == [(128, 128), ("unique", 128)]
-    assert "rotation" in vars(built.precision)
+    for target in (built, copied):
+        assert "rotation" not in vars(target.precision)
+        for exact in (exact_first, not exact_first, exact_first):
+            if exact:
+                for seed in (2, 3):
+                    assert epo_step(target, RngStream(seed)).cg_iterations == 0
+            else:
+                cg_solve(target.precision, b, epsilon=1e-6)
+                for seed in (2, 3):
+                    rjpo_step(target, b, RngStream(seed), 1e-3)
+            assert "rotation" in vars(target.precision)
+        assert calls == [(128, 128), ("unique", 128)]
+        calls.clear()
+
+
+def test_dense_target_builds_its_rotation_on_the_first_plain_solve(monkeypatch):
+    """A plain solve first: it builds the one rotation, which the exact
+    draws' closed-form Q^-1 then reads (_builds_one_rotation)."""
+    _builds_one_rotation(monkeypatch, exact_first=False)
+
+
+def test_dense_target_builds_its_rotation_on_the_first_exact_draw(monkeypatch):
+    """An exact draw first: its closed-form Q^-1 builds the one rotation,
+    which the plain solves then reuse (_builds_one_rotation)."""
+    _builds_one_rotation(monkeypatch, exact_first=True)
 
 
 def test_pair_rotation_sorts_one_value_per_bin(monkeypatch):
@@ -289,37 +323,32 @@ def test_dense_target_factorises_its_precision_once(monkeypatch):
 def test_a_target_holds_its_factor_and_potential_alone(monkeypatch):
     """A target's settable fields are its factored precision and its
     potential, and no copy of Q or of its inverse is kept beside them; the
-    dense factor F = L^t forms W = inv(L) at its first exact draw, with one
-    np.linalg.inv of L, and keeps it for the later draws."""
+    dense factor forms its closed-form Q^-1 at its first exact draw from
+    its eigenbasis, with one np.linalg.eigh of M^t M and no np.linalg.inv,
+    and keeps both for the later draws."""
     assert [f.name for f in dataclasses.fields(GaussianTarget)] == ["precision", "potential"]
     target = target_from_dense(ar1_precision(16, 1.0, 0.8), np.ones(16))
     assert sorted(vars(target)) == ["potential", "precision"]
-    calls, inv = [], np.linalg.inv
-
-    def counted(a):
-        calls.append(np.array(a))
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counted)
+    calls = _count_decompositions(monkeypatch)
     factor = target.precision
     assert "inverse" not in vars(factor) and calls == []
     epo_step(target, RngStream(1))
-    formed = vars(factor)["inverse"]
+    formed, rotation = vars(factor)["inverse"], vars(factor)["rotation"]
     epo_step(target, RngStream(2))
-    assert vars(factor)["inverse"] is formed
-    assert len(calls) == 1 and np.array_equal(calls[0], factor.matrix.T)
+    assert vars(factor)["inverse"] is formed and vars(factor)["rotation"] is rotation
+    assert calls == [(16, 16), ("unique", 16)]
     assert sorted(vars(target)) == ["potential", "precision"]
 
 
-def test_dense_inverse_applies_the_inverse_cholesky_factor_twice():
+def test_dense_inverse_reads_the_eigenbasis():
     """On the AR(1) N = 128 factor F = L^t, the closed-form Q^-1 b is
-    inv(L)^t (inv(L) b) bit for bit, the arithmetic of the exact draw."""
-    low = ar1_target(128, stream=RngStream(1))[0].precision.matrix.T
-    w = np.linalg.inv(low)
-    inverse = DenseOperator(low.T).inverse
+    V (Lambda^-1 (V^t b)) through the factor's rotation, bit for bit, the
+    arithmetic of the exact draw."""
+    factor = DenseOperator(ar1_target(128, stream=RngStream(1))[0].precision.matrix)
+    inverse, rotation = factor.inverse, factor.rotation
     for seed in range(3):
         b = np.random.default_rng(seed).standard_normal(128)
-        assert np.array_equal(inverse(b), w.T @ (w @ b))
+        assert np.array_equal(inverse(b), rotation.leave(rotation.enter(b) / rotation.values))
 
 
 def test_gaussian_target_validation():

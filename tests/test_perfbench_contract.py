@@ -6,7 +6,8 @@ benchmark change, so the package must keep what it reaches for:
 - the names run.py imports from rjpo;
 - every (owner, attribute) that spans.layer_patches() wraps, and
   rjpo.sampler.cg_solve, which the tracer wraps with the keywords x0,
-  epsilon and max_iters;
+  epsilon and max_iters; of these, GaussianTarget.mirror_solve must still
+  solve Q x = b;
 - the calls run.py makes: ``make_x_sampler(...).draw`` and
   ``epo_kernel().draw``, ``.epsilon`` and ``.controller.degenerate_windows``
   on the adaptive kernel, ``mirror_cholesky()`` on the AR(1) target, a
@@ -81,3 +82,12 @@ def test_the_calls_run_py_makes():
                     make_x_sampler("arjpo", alpha_t=0.99, epsilon0=1e-2)):
         summary = run_gibbs(model, observations, 4, 0, sampler.draw, RngStream(4))
         assert summary.x_mean.shape == (16, 16)
+
+
+def test_mirror_solve_solves():
+    """The GaussianTarget.mirror_solve shim that spans.py wraps solves
+    Q x = b on the AR(1) N = 16 target, through the factor's ``inverse``."""
+    target, _, _ = ar1_target(16, 1.0, 0.8, stream=RngStream(1))
+    b = np.random.default_rng(5).standard_normal(16)
+    residual = b - target.precision.apply(target.mirror_solve(b))
+    assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(b)
