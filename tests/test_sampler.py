@@ -183,22 +183,31 @@ def test_a_non_square_dense_factor_draws_in_closed_form():
     assert out.cg_iterations == 0 and out.relative_residual <= EXACT_EPSILON
 
 
+def test_a_singular_dense_factor_breaks_down_in_the_exact_draw():
+    """A square 3 x 3 factor of ones has the Gram eigenvalues 9 and two of
+    rounding size; the closed-form Q^-1 would divide by the small ones.  The
+    exact draw and rjpo raise NumericalBreakdownError (exit code 2) at the
+    eigenbasis, with the message a non-square rank-deficient factor gets."""
+    target = GaussianTarget(DenseOperator(np.ones((3, 3))), np.ones(3))
+    for kernel in (epo_kernel(), make_kernel("rjpo", epsilon=1e-3)):
+        with pytest.raises(NumericalBreakdownError,
+                           match="^kernel failed at chain step 1: dense factor's Gram M\\^t M is "
+                                 "singular: smallest eigenvalue .* against largest 9.000e\\+00$"):
+            run_chain(target, kernel, 5, 0, RngStream(4))
+
+
 @pytest.mark.parametrize("name", ["epo", "rjpo"])
 def test_a_rank_deficient_non_square_factor_breaks_down(name):
     """A 5 x 4 factor of ones has the rank-1 Gram M^t M, whose eigenvalues
-    are 20 and three of rounding size, and the square 3 x 3 one the Gram
-    eigenvalues 9 and two of rounding size.  CG in the eigenbasis would
-    solve only the part of eta in the Gram's range and report a tiny
-    residual, and the closed-form Q^-1 would divide by the rounding-size
-    eigenvalues; both the exact draw and rjpo raise NumericalBreakdownError
-    (exit code 2) at the eigenbasis instead, square or not, with one
-    message."""
-    for shape, largest in (((5, 4), "2.000e\\+01"), ((3, 3), "9.000e\\+00")):
-        target = GaussianTarget(DenseOperator(np.ones(shape)), np.ones(shape[1]))
-        with pytest.raises(NumericalBreakdownError,
-                           match="^kernel failed at chain step 1: dense factor's Gram M\\^t M is "
-                                 f"singular: smallest eigenvalue .* against largest {largest}$"):
-            run_chain(target, make_kernel(name, epsilon=1e-3), 5, 0, RngStream(4))
+    are 20 and three of rounding size.  CG in the eigenbasis would solve
+    only the part of eta in the Gram's range and report a tiny residual;
+    both the exact draw and rjpo raise NumericalBreakdownError (exit code 2)
+    at the eigenbasis instead."""
+    target = GaussianTarget(DenseOperator(np.ones((5, 4))), np.ones(4))
+    with pytest.raises(NumericalBreakdownError,
+                       match="^kernel failed at chain step 1: dense factor's Gram M\\^t M is "
+                             "singular: smallest eigenvalue .* against largest 2.000e\\+01$"):
+        run_chain(target, make_kernel(name, epsilon=1e-3), 5, 0, RngStream(4))
 
 
 def test_ar1_exact_draw_reads_the_eigenbasis():
