@@ -5,10 +5,11 @@ A target holds its precision Q as one object, a factor F with Q = F^t F
 super-resolution conditional's SpectralConditional (rjpo.superres) for
 images.  A dense factor forms what it offers on first use, so building a
 target stays cheap and a target pays only for what it runs: M^t M (its
-Gram map, one product) at its first Gram call, and its eigenbasis (an
+Gram map, one product) at its first Gram call, its eigenbasis (an
 Eigenbasis, as the super-resolution PairRotation is: Lambda as a Diagonal
-precision, with its equal values grouped), which its closed-form Q^-1
-(``inverse``) reads, at its first exact draw or plain CG solve.  Factors
+precision, with its equal values grouped) at its first exact draw or plain
+CG solve, and its closed-form Q^-1 (``inverse``), one stored matrix
+V Lambda^-1 V^t read off that eigenbasis, at its first exact draw.  Factors
 are immutable after construction and safe to share between chains.
 """
 
@@ -87,10 +88,14 @@ class DenseOperator(FactoredPrecision):
 
     @cached_property
     def inverse(self):
-        """b -> Q^-1 b = V (Lambda^-1 (V^t b)) through the ``rotation``, which
-        the first exact draw builds where no plain solve has yet."""
+        """b -> Q^-1 b = X b, one product with the stored X = V Lambda^-1 V^t,
+        formed (one N^3 product) at the first exact draw from the eigenvectors
+        V and values Lambda of the ``rotation``, which that draw builds where
+        no plain solve has yet.  X b leaves a residual of about u kappa(Q),
+        which the exact draw refines once with X itself."""
         rotation = self.rotation
-        return lambda b: rotation.leave(rotation.enter(b) / rotation.values)
+        vectors = rotation.leave.args[0]  # V: ``leave`` is partial(np.matmul, V)
+        return ((vectors / rotation.values) @ vectors.T).dot  # X.dot: no ufunc dispatch per apply
 
     @cached_property
     def rotation(self) -> Eigenbasis:

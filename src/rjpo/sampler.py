@@ -98,23 +98,28 @@ def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
     DenseOperator, the super-resolution conditional with at most one alias
     term), the draw applies it once and recomputes its residual with one
     Q-apply, no CG (0 iterations).  A draw whose relative residual misses
-    EXACT_EPSILON is the start of the CG solve below, which then reports
-    its iterations.  Without a known Q^-1, CG is pushed to machine accuracy
-    (see _exact_cg_solve).  Either path refuses an eta whose norm overflows
+    EXACT_EPSILON is refined once with the same Q^-1 (x += Q^-1 r, then
+    one more residual), still with no CG; a refined draw that still misses
+    is the start of the CG solve below, which then reports its iterations.
+    Without a known Q^-1, CG is pushed to machine accuracy (see
+    _exact_cg_solve).  Either path refuses an eta whose norm overflows
     (NumericalBreakdownError).
     """
     eta = perturb(target, stream)
     inverse = target.precision.inverse
     x = None
     if inverse is not None:
-        x = inverse(eta)
-        residual = eta - target.precision.apply(x)
         eta_norm = math.sqrt(eta @ eta)  # np.linalg.norm's formula, without its wrapper
         if not math.isfinite(eta_norm):
             raise NumericalBreakdownError(f"non-finite ||eta|| = {eta_norm} in the exact draw")
-        rel = math.sqrt(residual @ residual) / eta_norm if eta_norm > 0 else 0.0
-        if rel <= EXACT_EPSILON:
-            return KernelOutcome(x, x, 1.0, True, 0, rel)
+        x = inverse(eta)
+        for refined in (False, True):
+            if refined:
+                x = x + inverse(residual)
+            residual = eta - target.precision.apply(x)
+            rel = math.sqrt(residual @ residual) / eta_norm if eta_norm > 0 else 0.0
+            if rel <= EXACT_EPSILON:
+                return KernelOutcome(x, x, 1.0, True, 0, rel)
     x, rel, iterations = _exact_cg_solve(target.precision, eta, x)
     return KernelOutcome(x, x, 1.0, True, iterations, rel)
 

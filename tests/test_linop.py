@@ -2,6 +2,7 @@
 frame gather/scatter of the super-resolution model, and factored targets."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import DenseOperator, Diagonal, Eigenbasis, FactoredPrecision, GaussianTarget
 from rjpo.problems import ar1_target
 from rjpo.rng import RngStream
-from rjpo.sampler import epo_step, rjpo_step
+from rjpo.sampler import EXACT_EPSILON, epo_step, perturb, rjpo_step
 from rjpo.superres import PairRotation, SpectralConditional, SuperResModel, centred_transfer
 
 
@@ -341,14 +342,46 @@ def test_a_target_holds_its_factor_and_potential_alone(monkeypatch):
 
 
 def test_dense_inverse_reads_the_eigenbasis():
-    """On the AR(1) N = 128 factor F = L^t, the closed-form Q^-1 b is
-    V (Lambda^-1 (V^t b)) through the factor's rotation, bit for bit, the
-    arithmetic of the exact draw."""
+    """On the AR(1) N = 128 factor F = L^t, the closed-form Q^-1 b is one
+    product X b with X = (V Lambda^-1) V^t, formed from the factor's
+    rotation: its eigenvectors V (read back as V I) and its values Lambda,
+    bit for bit, the arithmetic of the exact draw."""
     factor = DenseOperator(ar1_target(128, stream=RngStream(1))[0].precision.matrix)
     inverse, rotation = factor.inverse, factor.rotation
+    vectors = rotation.leave(np.eye(128))
+    stored = (vectors / rotation.values) @ vectors.T
     for seed in range(3):
         b = np.random.default_rng(seed).standard_normal(128)
-        assert np.array_equal(inverse(b), rotation.leave(rotation.enter(b) / rotation.values))
+        assert np.array_equal(inverse(b), stored @ b)
+
+
+def test_an_ill_conditioned_dense_draw_is_refined_once(monkeypatch):
+    """On AR(1) N = 128 with rho = 0.999 (kappa(Q) about 2.5e5) the stored
+    X = V Lambda^-1 V^t leaves every exact draw a residual of about
+    u kappa(Q), above EXACT_EPSILON; the draw's one refinement x + X r meets
+    it with 0 CG iterations.  X is formed once, at the first draw, from one
+    np.linalg.eigh and one np.unique, and every later draw applies the same
+    array."""
+    target, _, _ = ar1_target(128, 1.0, 0.999, stream=RngStream(1))
+    factor = target.precision
+    calls = _count_decompositions(monkeypatch)
+    stored = None
+    for seed in range(1, 6):
+        out = epo_step(target, RngStream(seed))
+        if stored is None:
+            inverse = factor.inverse
+            stored = inverse.__self__
+        assert factor.inverse is inverse and factor.inverse.__self__ is stored
+        eta = perturb(target, RngStream(seed))
+        eta_norm = math.sqrt(eta @ eta)
+        x = stored @ eta
+        missed = eta - factor.apply(x)
+        assert math.sqrt(missed @ missed) > EXACT_EPSILON * eta_norm
+        refined = x + stored @ missed
+        residual = eta - factor.apply(refined)
+        assert out.cg_iterations == 0 and np.array_equal(out.next_sample, refined)
+        assert out.relative_residual == math.sqrt(residual @ residual) / eta_norm <= EXACT_EPSILON
+    assert calls == [(128, 128), ("unique", 128)]
 
 
 def test_gaussian_target_validation():

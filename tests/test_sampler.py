@@ -152,13 +152,14 @@ def test_epo_refuses_a_residual_still_above_target_after_the_retry(monkeypatch):
     assert len(calls) == 2
 
 
-def test_a_closed_form_draw_that_misses_the_bound_continues_as_cg(monkeypatch):
-    """A dense closed-form draw moved off Q^-1 eta by a relative 1e-9 misses
-    EXACT_EPSILON, so it is the warm start of the exact CG solve, which
-    reports its iterations and meets the bound."""
+def _closed_form_off_by(monkeypatch, scale):
+    """A 5-dim dense target whose closed-form Q^-1 is scaled by ``scale``,
+    its refined draw (x = Q^-1 eta, then x + Q^-1 (eta - Q x), both through
+    the scaled Q^-1) on RngStream(2), and the record of every cg_solve
+    call as (x0, outcome)."""
     target, _, _ = _small_target(6, 5)
     exact = target.precision.inverse
-    target.precision.inverse = lambda b: exact(b) * (1.0 + 1e-9)
+    target.precision.inverse = lambda b: exact(b) * scale
     calls = []
 
     def recorded(q, b, x0=None, epsilon=0.0, max_iters=None):
@@ -166,12 +167,37 @@ def test_a_closed_form_draw_that_misses_the_bound_continues_as_cg(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(rjpo.sampler, "cg_solve", recorded)
+    eta = perturb(target, RngStream(2))
+    moved = target.precision.inverse(eta)
+    assert np.linalg.norm(eta - target.precision.apply(moved)) > EXACT_EPSILON * np.linalg.norm(eta)
+    refined = moved + target.precision.inverse(eta - target.precision.apply(moved))
+    return target, eta, refined, calls
+
+
+def test_a_closed_form_draw_that_misses_the_bound_continues_as_cg(monkeypatch):
+    """A dense closed-form draw moved off Q^-1 eta by a relative 1e-3 misses
+    EXACT_EPSILON, and so does its one refinement (about 1e-6 off), so the
+    refined draw is the warm start of the exact CG solve, which reports its
+    iterations and meets the bound."""
+    target, eta, refined, calls = _closed_form_off_by(monkeypatch, 1.0 + 1e-3)
+    assert np.linalg.norm(eta - target.precision.apply(refined)) > EXACT_EPSILON * np.linalg.norm(eta)
     outcome = epo_step(target, RngStream(2))
-    moved = target.precision.inverse(perturb(target, RngStream(2)))
-    assert np.array_equal(calls[0][0], moved)
+    assert np.array_equal(calls[0][0], refined)
     assert outcome.cg_iterations == sum(out.iterations for _, out in calls) > 0
     assert np.array_equal(outcome.next_sample, calls[-1][1].solution)
     assert outcome.relative_residual <= EXACT_EPSILON
+
+
+def test_a_closed_form_draw_that_misses_the_bound_is_refined_once(monkeypatch):
+    """A dense closed-form draw moved off Q^-1 eta by a relative 1e-9 misses
+    EXACT_EPSILON; its one refinement x + Q^-1 (eta - Q x) is about 1e-18
+    off, so the draw is the refined x, within the bound, with no CG."""
+    target, eta, refined, calls = _closed_form_off_by(monkeypatch, 1.0 + 1e-9)
+    residual = eta - target.precision.apply(refined)
+    outcome = epo_step(target, RngStream(2))
+    assert calls == [] and outcome.cg_iterations == 0
+    assert np.array_equal(outcome.next_sample, refined)
+    assert outcome.relative_residual == np.linalg.norm(residual) / np.linalg.norm(eta) <= EXACT_EPSILON
 
 
 def test_a_non_square_dense_factor_draws_in_closed_form():
@@ -211,14 +237,17 @@ def test_a_rank_deficient_non_square_factor_breaks_down(name):
 
 
 def test_ar1_exact_draw_reads_the_eigenbasis():
-    """epo_step on the AR(1) N = 128 target draws x = V (Lambda^-1 (V^t eta))
-    through the factor's rotation with 0 CG iterations and reports
-    ||eta - Q x|| / ||eta|| of that x, bit for bit."""
+    """epo_step on the AR(1) N = 128 target draws x = X eta, one product
+    with X = (V Lambda^-1) V^t formed from the factor's rotation (its
+    eigenvectors V, read back as V I, and values Lambda), with 0 CG
+    iterations and reports ||eta - Q x|| / ||eta|| of that x, bit for bit."""
     target, _, _ = ar1_target(128, 1.0, 0.8, stream=RngStream(1))
     rotation = target.precision.rotation
+    vectors = rotation.leave(np.eye(128))
+    stored = (vectors / rotation.values) @ vectors.T
     for seed in range(5):
         eta = perturb(target, RngStream(seed))
-        x = rotation.leave(rotation.enter(eta) / rotation.values)
+        x = stored @ eta
         residual = eta - target.precision.apply(x)
         out = epo_step(target, RngStream(seed))
         assert out.cg_iterations == 0 and np.array_equal(out.next_sample, x)

@@ -999,11 +999,11 @@ def test_closed_form_draw_matches_the_preconditioned_solve(gammas):
             assert error <= 1e-14, (case, error)
 
 
-def test_closed_form_draw_that_misses_its_residual_continues_in_cg(monkeypatch):
-    """A closed-form draw whose recomputed residual misses EXACT_EPSILON
-    (here Q^-1 scaled by 1 + 1e-9) is the start of the preconditioned CG
-    solve, and the draw reports that solve's iterations and residual; it
-    lands on the unscaled draw to 1e-14 relative."""
+def _conditional_off_by(monkeypatch, scale):
+    """The 64 x 64 conditional's exact draw on RngStream(76), then the same
+    conditional with its closed-form Q^-1 scaled by ``scale``, its eta and
+    its refined draw (x = Q^-1 eta, then x + Q^-1 (eta - Q x), both through
+    the scaled Q^-1), whose first x misses EXACT_EPSILON."""
     model = sr.make_model((64, 64))
     basis = model.half_spectrum
     obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(75))
@@ -1011,17 +1011,43 @@ def test_closed_form_draw_that_misses_its_residual_continues_in_cg(monkeypatch):
     exact = epo_step(target, RngStream(76))
     inverse = sr.SpectralConditional.inverse.fget
     monkeypatch.setattr(sr.SpectralConditional, "inverse",
-                        property(lambda self: lambda s: inverse(self)(s) * (1.0 + 1e-9)))
-    out = epo_step(target, RngStream(76))
+                        property(lambda self: lambda s: inverse(self)(s) * scale))
     eta = perturb(target, RngStream(76))
     start = target.precision.inverse(eta)
+    assert np.linalg.norm(eta - target.precision.apply(start)) > EXACT_EPSILON * np.linalg.norm(eta)
+    refined = start + target.precision.inverse(eta - target.precision.apply(start))
+    return target, exact.next_sample, eta, refined
+
+
+def test_closed_form_draw_that_misses_its_residual_continues_in_cg(monkeypatch):
+    """A closed-form draw whose recomputed residual misses EXACT_EPSILON
+    (here Q^-1 scaled by 1 + 1e-3), and still misses it after its one
+    refinement (about 1e-6 off), is refined once and then is the start of
+    the preconditioned CG solve; the draw reports that solve's iterations
+    and residual, and lands on the unscaled draw to 1e-14 relative."""
+    target, exact, eta, refined = _conditional_off_by(monkeypatch, 1.0 + 1e-3)
     eta_norm = np.linalg.norm(eta)
-    assert np.linalg.norm(eta - target.precision.apply(start)) > EXACT_EPSILON * eta_norm
-    solution, residual, iterations = _exact_cg_solve(target.precision, eta, start)
+    assert np.linalg.norm(eta - target.precision.apply(refined)) > EXACT_EPSILON * eta_norm
+    out = epo_step(target, RngStream(76))
+    solution, residual, iterations = _exact_cg_solve(target.precision, eta, refined)
     assert out.cg_iterations == iterations >= 1
     assert out.relative_residual == residual <= EXACT_EPSILON
     assert np.array_equal(out.next_sample, solution)
-    error = np.linalg.norm(out.next_sample - exact.next_sample) / np.linalg.norm(exact.next_sample)
+    error = np.linalg.norm(out.next_sample - exact) / np.linalg.norm(exact)
+    assert error <= 1e-14, error
+
+
+def test_closed_form_draw_that_misses_its_residual_is_refined_once(monkeypatch):
+    """A closed-form draw that misses EXACT_EPSILON by a relative 1e-9
+    (Q^-1 scaled by 1 + 1e-9) is refined once, x + Q^-1 (eta - Q x), which
+    meets the bound with 0 CG iterations and lands on the unscaled draw to
+    1e-14 relative."""
+    target, exact, eta, refined = _conditional_off_by(monkeypatch, 1.0 + 1e-9)
+    residual = eta - target.precision.apply(refined)
+    out = epo_step(target, RngStream(76))
+    assert out.cg_iterations == 0 and np.array_equal(out.next_sample, refined)
+    assert out.relative_residual == np.linalg.norm(residual) / np.linalg.norm(eta) <= EXACT_EPSILON
+    error = np.linalg.norm(out.next_sample - exact) / np.linalg.norm(exact)
     assert error <= 1e-14, error
 
 
