@@ -11,7 +11,8 @@ Two controllers, both acting on log epsilon so the threshold stays positive:
               condition in its own units (an acceptance rate), clipped to
               +-CORRECTION_CLIP, and step n runs at the tuned level times
               exp(+-DITHER), the sign alternating, so the window's slopes
-              see a known spread in log eps.
+              see a known spread in log eps.  The window (SlopeWindow)
+              keeps running sums, so a step costs O(1) in its length.
 
 Step sizes K_n = k0 / n^kappa with kappa in (0, 1] vanish while their sum
 diverges, so adaptation dies out and the chain keeps its target law.
@@ -26,9 +27,8 @@ the adaptive kernel.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ConfigurationError
 from .sampler import KernelOutcome, epo_kernel, rjpo_step, tpo_step
@@ -67,26 +67,96 @@ class MinCces:
 
 
 class SlopeWindow:
-    """The last ``size`` (log eps, J, alpha) triples as columns of a 3 x 2 size
-    array, each written at i and i + size for i cycling through 0 .. size - 1,
-    so ``columns`` is one contiguous slice, oldest first, and no step moves
-    or rebuilds the window."""
+    """The last ``size`` (log eps, J, alpha) triples and the running sums
+    that regress alpha and J on log eps over them in O(1) per step.
+
+    ``entries`` holds the triples as Python floats, oldest first.  Six sums
+    follow them: x, J, alpha, x^2, x J and x alpha, where x is log eps less
+    a reference near the window's mean, so a window near eps 1e-16 keeps
+    its digits.  An append adds the new triple's terms and subtracts the
+    evicted one's.  The same terms are also summed, by additions alone,
+    over the appends since the last restart; every ``size`` appends those
+    sums cover exactly the window, so they replace the running ones, are
+    re-centred about their mean log eps, and a new block starts.  Rounding
+    drift therefore never spans more than one window (Chan, Golub &
+    LeVeque, Am. Stat. 1983), and no step pays an O(size) rebuild.
+    Whether a column is constant is kept exactly, as the length of its
+    trailing run of equal values.
+    """
 
     def __init__(self, size: int):
-        self._rows = np.zeros((3, 2 * size))
-        self._slots = self._rows.T  # one row per column: an entry converts once
-        self._size, self._next, self._count = size, 0, 0
+        self.entries: deque = deque(maxlen=size)
+        self._size, self._fresh = size, 0  # appends since the last restart
+        self._ref = 0.0
+        # sums of x, J, alpha, x^2, x J and x alpha over the window, and over the block
+        self._sums = self._block = (0.0,) * 6
+        self._le_run = self._j_run = 0  # trailing runs of equal log eps, of equal J
 
     def append(self, entry) -> None:
-        i = self._next
-        self._slots[i::self._size] = entry  # columns i and i + size
-        self._next = (i + 1) % self._size
-        self._count = min(self._count + 1, self._size)
+        log_eps, j, alpha = entry
+        ring = self.entries
+        if ring:
+            last_le, last_j, _ = ring[-1]
+            self._le_run = self._le_run + 1 if log_eps == last_le else 1
+            self._j_run = self._j_run + 1 if j == last_j else 1
+        else:
+            self._le_run = self._j_run = 1
+            self._ref = log_eps
+        ref = self._ref
+        sx, sj, sa, sxx, sxj, sxa = self._sums
+        if len(ring) == self._size:
+            old_le, old_j, old_a = ring[0]
+            x = old_le - ref
+            sx -= x
+            sj -= old_j
+            sa -= old_a
+            sxx -= x * x
+            sxj -= x * old_j
+            sxa -= x * old_a
+        ring.append(entry)
+        x = log_eps - ref
+        xx, xj, xa = x * x, x * j, x * alpha
+        self._sums = (sx + x, sj + j, sa + alpha, sxx + xx, sxj + xj, sxa + xa)
+        bx, bj, ba, bxx, bxj, bxa = self._block
+        self._block = (bx + x, bj + j, ba + alpha, bxx + xx, bxj + xj, bxa + xa)
+        self._fresh += 1
+        if self._fresh == self._size:
+            self._restart()
 
-    def columns(self) -> np.ndarray:
-        """Rows log eps, J and alpha of the filled window, oldest first."""
-        start = self._next if self._count == self._size else 0
-        return self._rows[:, start:start + self._count]
+    def _restart(self) -> None:
+        """Take the block's sums, which now cover exactly the window, as the
+        window's, shifted to a reference at their mean log eps (sums of
+        x - shift), and start a new block."""
+        n = self._size
+        bx, bj, ba, bxx, bxj, bxa = self._block
+        ref = self._ref + bx / n
+        shift = ref - self._ref
+        self._sums = (bx - n * shift, bj, ba, bxx - shift * (2.0 * bx - n * shift),
+                      bxj - shift * bj, bxa - shift * ba)
+        self._ref, self._fresh, self._block = ref, 0, (0.0,) * 6
+
+    def slopes(self) -> tuple[float, float, bool]:
+        """(dalpha/dlogeps, dJ/dlogeps, degenerate) over the window.
+
+        log eps is the exactly known controlled variable, so both
+        ordinary-least-squares slopes are unbiased however small the
+        window's spread; regressing alpha on the noisy J directly would
+        attenuate the slope and drag the controller's equilibrium off the
+        fixed point.  A window whose log eps or J is constant (an empty one
+        and every one of size 1 among them), or whose centred log-eps sum
+        of squares rounds to zero or below, is degenerate and gives zero
+        slopes; a zero J slope is degenerate too.
+        """
+        n = len(self.entries)
+        if self._le_run >= n or self._j_run >= n:
+            return 0.0, 0.0, True
+        sx, sj, sa, sxx, sxj, sxa = self._sums
+        sxx -= sx * sx / n
+        if not sxx > 0.0:
+            return 0.0, 0.0, True
+        slope_a = (sxa - sx * sa / n) / sxx
+        slope_j = (sxj - sx * sj / n) / sxx
+        return slope_a, slope_j, slope_j == 0.0
 
 
 @dataclass
@@ -94,10 +164,12 @@ class AdaptController:
     """Robbins-Monro state shared by both tuning modes.
 
     log_epsilon is the tuned level (the centre of MinCces's dither).
-    history keeps the last window_size (threshold log eps, J, alpha)
-    triples for the windowed slope dalpha/dJ used in MinCces mode;
-    degenerate windows (all J or all log eps equal, or J not falling as
-    eps grows) contribute no slope and are counted.
+    history, a SlopeWindow, keeps the last window_size (threshold log eps,
+    J, alpha) triples and their running sums for the windowed slope
+    dalpha/dJ used in MinCces mode (a window of one in target-rate mode,
+    which never reads it); degenerate windows (all J or all log eps
+    equal, or J not falling as eps grows) contribute no slope and are
+    counted.
     """
 
     log_epsilon: float
@@ -155,40 +227,14 @@ def update_target_rate(ctrl: AdaptController, alpha_n: float) -> AdaptController
     return ctrl
 
 
-def _window_slopes(window) -> tuple[float, float, bool]:
-    """Regress alpha and J on log eps over a (3, n) window whose rows are
-    log eps, J and alpha (SlopeWindow.columns).
-
-    Returns (dalpha/dlogeps, dJ/dlogeps, degenerate).  log eps is the
-    exactly known controlled variable, so both ordinary-least-squares
-    slopes are unbiased however small the window's spread; regressing
-    alpha on the noisy J directly would attenuate the slope and drag the
-    controller's equilibrium off the fixed point.  Windows with no spread
-    in log eps or in J are degenerate and give zero slopes.  The rows are
-    centred in one pass, and one row-wise reduction of the log-eps
-    deviation times all three rows gives the sums of dle^2, dle dJ and dle
-    dalpha.  A row's sum is its own sum() to the bit, a variance the mean
-    of squared deviations (var() to the bit) and a mean sum() / n.
-    """
-    n = window.shape[1]
-    dev = window - (window.sum(axis=1) / n)[:, None]
-    dj = dev[1]
-    sums = (dev[0] * dev).sum(axis=1)
-    var_le = sums[0] / n
-    if var_le == 0.0 or (dj * dj).sum() / n == 0.0:
-        return 0.0, 0.0, True
-    slope_a = float(sums[2] / n / var_le)
-    slope_j = float(sums[1] / n / var_le)
-    return slope_a, slope_j, slope_j == 0.0
-
-
 def update_min_cces(ctrl: AdaptController, j_n: int, alpha_n: float) -> AdaptController:
     """One descent step on the cost per effective sample.
 
     Records the step's (threshold log eps, J, alpha) in the window, then
     moves the dither's centre by the gain times the correction
     (alpha - alpha^2/2) - J dalpha/dJ, with dalpha/dJ the ratio of the
-    window's slopes in log eps.  The correction is the optimality
+    window's slopes in log eps, read off its running sums in O(1)
+    (SlopeWindow.slopes).  The correction is the optimality
     condition in its own units, an acceptance rate, clipped to
     +-CORRECTION_CLIP; it vanishes exactly on the curve
     J dalpha/dJ = alpha - alpha^2/2 and points down the CCES gradient in
@@ -201,7 +247,7 @@ def update_min_cces(ctrl: AdaptController, j_n: int, alpha_n: float) -> AdaptCon
         raise ConfigurationError("controller is not in min-CCES mode")
     alpha = min(1.0, max(ALPHA_CLAMP_LOW, alpha_n))
     ctrl.history.append((ctrl.step_log_epsilon, float(j_n), alpha))
-    slope_a, slope_j, _ = _window_slopes(ctrl.history.columns())
+    slope_a, slope_j, _ = ctrl.history.slopes()
     correction = alpha - 0.5 * alpha * alpha
     if slope_j < 0.0:
         correction -= j_n * slope_a / slope_j

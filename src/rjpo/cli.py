@@ -26,8 +26,8 @@ from .adapt import (
     AdaptController,
     AdaptiveRjpoKernel,
     MinCces,
+    SlopeWindow,
     TargetRate,
-    _window_slopes,
     make_kernel,
 )
 from .diag import ess, essr_cces, gelman_rubin, rmse
@@ -403,7 +403,10 @@ def cmd_adapt(cfg, outdir) -> None:
         trail = traj[-min(2000, n_max):]
         logeps = np.log(trail[:, 1])
         alpha, jits = trail[:, 2], trail[:, 3]
-        slope_a, slope_j, degenerate = _window_slopes(np.stack((logeps, jits, alpha)))
+        window = SlopeWindow(len(trail))
+        for entry in zip(logeps.tolist(), jits.tolist(), alpha.tolist()):
+            window.append(entry)
+        slope_a, slope_j, degenerate = window.slopes()
         mean_alpha, mean_j = float(alpha.mean()), float(jits.mean())
         resid = (mean_j * (slope_a / slope_j) - mean_alpha + mean_alpha**2 / 2
                  if not degenerate else None)

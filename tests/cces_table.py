@@ -8,7 +8,11 @@ N = 128, sigma^2 1, rho 0.8 drawn from RngStream(a), and one MinCces chain
 from eps 1e-2 on RngStream(b) for S steps (20 000, as the check).  Over the
 trailing 5000 steps it regresses alpha and J on log eps and prints the
 residual J dalpha/dJ - (alpha - alpha^2/2), the mean alpha, eps* (the
-geometric mean threshold) and the mean J.  The seed pairs are
+geometric mean threshold) and the mean J.  It also prints the dive the
+controller takes while its window first fills: the lowest threshold of
+steps 1-1000 and its step, and the first step from which every later
+threshold stays above 1e-5 (steps + 1 if the last one does not).  The
+seed pairs are
 (31 + 100 k, 32 + 100 k) for k < N: the first is check 09's own; the
 default six are the usual table, and (631, 632) to (931, 932) are held
 out.
@@ -49,6 +53,8 @@ from rjpo.sampler import KernelOutcome, _acceptance_exponent, perturb, run_chain
 
 BOUND = 0.05  # check 09's bound on |residual|
 TRAIL = 5000  # check 09's trailing window
+DIVE_STEPS = 1000  # the early steps searched for the lowest threshold
+RECOVERED = 1e-5  # a threshold above this has recovered from the dive
 
 
 def z_normalised_step(target, previous, stream, epsilon) -> KernelOutcome:
@@ -89,8 +95,13 @@ def run_pair(problem_seed: int, run_seed: int, steps: int = 20_000) -> dict:
     alpha, jits = chain.alphas[-trail:], chain.cg_iterations[-trail:]
     slope_a, slope_j = ols_slope(log_eps, alpha), ols_slope(log_eps, jits)
     mean_alpha, mean_j = float(alpha.mean()), float(jits.mean())
+    eps = np.asarray(kernel.epsilons)
+    dive = int(np.argmin(eps[:DIVE_STEPS]))
+    below = np.flatnonzero(eps <= RECOVERED)
     return {"residual": mean_j * (slope_a / slope_j) - mean_alpha + mean_alpha**2 / 2,
-            "alpha": mean_alpha, "eps_star": float(np.exp(log_eps.mean())), "j": mean_j}
+            "alpha": mean_alpha, "eps_star": float(np.exp(log_eps.mean())), "j": mean_j,
+            "dive_eps": float(eps[dive]), "dive_step": dive + 1,
+            "recovered_step": int(below[-1]) + 2 if below.size else 1}
 
 
 def table(rule_name: str, pairs, steps: int, report=print) -> list[dict]:
@@ -101,7 +112,9 @@ def table(rule_name: str, pairs, steps: int, report=print) -> list[dict]:
             row = run_pair(a, b, steps)
             rows.append(row)
             report(f"{rule_name} ({a}, {b}): residual {row['residual']:+.4f}, "
-                   f"alpha {row['alpha']:.3f}, eps* {row['eps_star']:.1e}, J {row['j']:.1f}")
+                   f"alpha {row['alpha']:.3f}, eps* {row['eps_star']:.1e}, J {row['j']:.1f}; "
+                   f"dive {row['dive_eps']:.1e} at step {row['dive_step']}, "
+                   f"above {RECOVERED:.0e} from step {row['recovered_step']}")
     resid = np.array([row["residual"] for row in rows])
     alphas = [row["alpha"] for row in rows]
     spread = f" +- {resid.std(ddof=1):.3f}" if resid.size > 1 else ""

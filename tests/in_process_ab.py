@@ -15,7 +15,9 @@ that runs first alternates from block to block.  ``--workloads`` names the
 ones to run, comma-separated, so a change that moves one workload's
 outputs by design can still check the others.  A block's outputs must be
 bit-identical between the trees (the chain state, J, alpha and epsilon per
-step; the Gibbs records and posterior mean), or the run stops with exit 1.
+step; each column of the Gibbs records and the posterior mean), or the run
+stops with exit 1 and names each output that differs with its largest
+relative difference.
 
 Prints one line per block with each side's milliseconds per step (per
 sweep), then per workload the median over blocks of each side, the median
@@ -78,8 +80,8 @@ def ar1_cces(tree: dict, warmup: int, steps: int, seed: int = 1):
     chain = run_chain(target, kernel, steps, None, stream, initial=start,
                       track_covariance=False)
     elapsed = time.perf_counter() - t0
-    return elapsed / steps, (chain.x, chain.cg_iterations, chain.alphas,
-                             np.array(kernel.epsilons))
+    return elapsed / steps, {"state": chain.x, "J": chain.cg_iterations,
+                             "alpha": chain.alphas, "epsilon": np.array(kernel.epsilons)}
 
 
 def sr64_arjpo(tree: dict, warmup: int, sweeps: int, seed: int = 1):
@@ -93,10 +95,30 @@ def sr64_arjpo(tree: dict, warmup: int, sweeps: int, seed: int = 1):
     summary = sr.run_gibbs(model, observations, sweeps, sweeps // 10, sampler,
                            rng.RngStream(run_seed))
     elapsed = time.perf_counter() - t0
-    return elapsed / sweeps, (summary.records, summary.x_mean)
+    return elapsed / sweeps, {**dict(zip(sr.RECORD_COLUMNS, summary.records.T)),
+                              "x_mean": summary.x_mean}
 
 
 WORKLOADS = {"ar1-cces": ar1_cces, "sr64-arjpo": sr64_arjpo}
+
+
+def differing_outputs(parent: dict, change: dict) -> list[str]:
+    """One entry per output that is not bit-identical between the two
+    sides: its name and its largest elementwise relative difference
+    |a - b| / max(|a|, |b|), or its two shapes where they differ."""
+    found = []
+    for name, a in parent.items():
+        b = change[name]
+        if np.array_equal(a, b):
+            continue
+        if np.shape(a) != np.shape(b):
+            found.append(f"{name} (shapes {np.shape(a)} and {np.shape(b)})")
+            continue
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        scale = np.maximum(np.abs(a), np.abs(b))
+        rel = np.abs(a - b) / np.where(scale > 0.0, scale, 1.0)
+        found.append(f"{name} (largest relative difference {rel.max():.2e})")
+    return found
 
 
 def run_blocks(parent_root, change_root, blocks: int, sizes=SIZES, report=print) -> dict:
@@ -104,7 +126,8 @@ def run_blocks(parent_root, change_root, blocks: int, sizes=SIZES, report=print)
 
     Returns, per workload, the lists of per-step seconds of each side
     ("parent", "change"), one entry per block.  Raises ValueError at the
-    first block whose outputs differ between the trees."""
+    first block whose outputs differ between the trees, naming each
+    output that differs (differing_outputs)."""
     trees = {"parent": load_tree(parent_root, "rjpo_parent"),
              "change": load_tree(change_root, "rjpo_change")}
     times = {name: {"parent": [], "change": []} for name in sizes}
@@ -116,9 +139,10 @@ def run_blocks(parent_root, change_root, blocks: int, sizes=SIZES, report=print)
             for side in order:
                 seconds, outputs[side] = WORKLOADS[name](trees[side], warmup, steps)
                 times[name][side].append(seconds)
-            if not all(np.array_equal(a, b) for a, b in zip(outputs["parent"],
-                                                            outputs["change"])):
-                raise ValueError(f"block {block + 1}: {name} outputs differ between the trees")
+            differ = differing_outputs(outputs["parent"], outputs["change"])
+            if differ:
+                raise ValueError(f"block {block + 1}: {name} outputs differ between the "
+                                 f"trees: {'; '.join(differ)}")
             cells.append(f"{name} {1e3 * times[name]['parent'][-1]:.4f} / "
                          f"{1e3 * times[name]['change'][-1]:.4f} ms")
         report(f"block {block + 1} ({order[0]} first): " + "; ".join(cells))

@@ -13,7 +13,10 @@ benchmark needs them, and neither do the image-space maps H, H^t and D of
 the super-resolution model and the conditional's factor built on them
 (the Gibbs chain runs in HalfSpectrum coordinates), or the strided-slice
 frame maps and back-projection that the package's index tables must
-match bit for bit, and the stacked factor's two-transform F^t.
+match bit for bit, and the stacked factor's two-transform F^t.  The
+min-CCES window kept as a (3, 2 size) array and regressed by numpy in
+one pass per step is the reference that the running-sum window must
+track (and, driving a chain, reproduce its J and alpha bit for bit).
 """
 
 from __future__ import annotations
@@ -211,6 +214,54 @@ def energy_test_pvalue(xs: np.ndarray, ys: np.ndarray, rng: np.random.Generator,
 def ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     xc = x - x.mean()
     return float(xc @ (y - y.mean()) / (xc @ xc))
+
+
+class ArraySlopeWindow:
+    """The last ``size`` (log eps, J, alpha) triples as columns of a 3 x 2 size
+    array, each written at i and i + size for i cycling through 0 .. size - 1,
+    so ``columns`` is one contiguous slice, oldest first.  ``slopes``
+    regresses it with array_window_slopes, so the window can stand in for
+    rjpo.adapt.SlopeWindow as a controller's ``history``."""
+
+    def __init__(self, size: int):
+        self._rows = np.zeros((3, 2 * size))
+        self._slots = self._rows.T  # one row per column: an entry converts once
+        self._size, self._next, self._count = size, 0, 0
+
+    def append(self, entry) -> None:
+        i = self._next
+        self._slots[i::self._size] = entry  # columns i and i + size
+        self._next = (i + 1) % self._size
+        self._count = min(self._count + 1, self._size)
+
+    def columns(self) -> np.ndarray:
+        """Rows log eps, J and alpha of the filled window, oldest first."""
+        start = self._next if self._count == self._size else 0
+        return self._rows[:, start:start + self._count]
+
+    def slopes(self) -> tuple[float, float, bool]:
+        return array_window_slopes(self.columns())
+
+
+def array_window_slopes(window) -> tuple[float, float, bool]:
+    """Regress alpha and J on log eps over a (3, n) window whose rows are
+    log eps, J and alpha: (dalpha/dlogeps, dJ/dlogeps, degenerate).
+
+    The rows are centred in one pass, and one row-wise reduction of the
+    log-eps deviation times all three rows gives the sums of dle^2, dle dJ
+    and dle dalpha.  Windows with no spread in log eps or in J are
+    degenerate and give zero slopes.
+    """
+    n = window.shape[1]
+    dev = window - (window.sum(axis=1) / n)[:, None]
+    dj = dev[1]
+    sums = (dev[0] * dev).sum(axis=1)
+    var_le = sums[0] / n
+    if var_le == 0.0 or (dj * dj).sum() / n == 0.0:
+        return 0.0, 0.0, True
+    slope_a = float(sums[2] / n / var_le)
+    slope_j = float(sums[1] / n / var_le)
+    return slope_a, slope_j, slope_j == 0.0
 
 
 @dataclass

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import rjpo.adapt
 import rjpo.sampler
+from oracles import ArraySlopeWindow
 from rjpo.adapt import (
     ALPHA_CLAMP_LOW,
     CORRECTION_CLIP,
@@ -19,7 +20,6 @@ from rjpo.adapt import (
     MinCces,
     SlopeWindow,
     TargetRate,
-    _window_slopes,
     essr_from_alpha,
     update_min_cces,
     update_target_rate,
@@ -122,40 +122,6 @@ def test_target_rate_trailing_acceptance_reaches_band():
 
 # ------------------------------------------------------------- min-CCES mode
 
-def _tuple_window_slopes(history):
-    """The window regression on a deque of (log eps, J, alpha) tuples, with
-    the three arrays rebuilt from it: the reference the in-place window
-    must reproduce bit for bit."""
-    le = np.array([t[0] for t in history])
-    js = np.array([t[1] for t in history])
-    alphas = np.array([t[2] for t in history])
-    var_le = le.var()
-    if var_le == 0.0 or js.var() == 0.0:
-        return 0.0, 0.0, True
-    dle = le - le.mean()
-    slope_a = float((dle * (alphas - alphas.mean())).mean() / var_le)
-    slope_j = float((dle * (js - js.mean())).mean() / var_le)
-    return slope_a, slope_j, slope_j == 0.0
-
-
-@settings(deadline=None, max_examples=25)
-@given(seed=st.integers(0, 10_000), size=st.sampled_from([1, 2, 3, 7, 50, 200]))
-def test_slope_window_matches_the_tuple_window_bitwise(seed, size):
-    """After every append, from the first entry through several wraps of
-    the window, the in-place window holds the same triples in the same
-    order as a deque(maxlen=size) and gives bitwise the same slopes; J runs
-    constant for stretches, so degenerate windows occur too."""
-    rng = np.random.default_rng(seed)
-    window, reference = SlopeWindow(size), deque(maxlen=size)
-    for step in range(3 * size + 5):
-        j = 40.0 if step % 23 < 4 else float(rng.integers(5, 80))
-        entry = (float(rng.normal(-5.0, 0.3)), j, float(rng.uniform(1e-6, 1.0)))
-        window.append(entry)
-        reference.append(entry)
-        assert window.columns().T.tolist() == [list(entry) for entry in reference]
-        assert _window_slopes(window.columns()) == _tuple_window_slopes(reference)
-
-
 def _var_window_slopes(le, js, alphas):
     """The window regression with numpy's var() for both variances, each
     mean and deviation recomputed where it is used."""
@@ -168,27 +134,77 @@ def _var_window_slopes(le, js, alphas):
     return slope_a, slope_j, slope_j == 0.0
 
 
-def test_window_slopes_match_the_var_formula_bitwise():
-    """The one-pass regression on a (3, n) window gives bitwise the slopes
-    and degeneracy flags of numpy's var() on its three rows: on 3000
-    windows of length 1-200 and 300 of length 201-2000 drawn as
-    SlopeWindow lays them out, one in four with constant J and one in ten
-    with constant log eps; and on trailing windows stacked from strided
-    columns of a trajectory, as cli's min-CCES summary stacks log eps, J
-    (trail[:, 3]) and alpha (trail[:, 2]), against the var() formula on
-    those strided columns themselves."""
+SLOPE_RTOL = 1e-12  # slope error allowed, in units of sd(y) / sd(log eps)
+
+
+def _assert_tracks_var_formula(slopes, le, js, alphas, where):
+    """slopes (SlopeWindow.slopes of the window le, js, alphas) carry the
+    var() formula's degenerate flag, and each slope lies within
+    SLOPE_RTOL sd(y) / sd(log eps) of its slope (equal where log eps is
+    constant)."""
+    le, js, alphas = (np.asarray(column, dtype=float) for column in (le, js, alphas))
+    reference = _var_window_slopes(le, js, alphas)
+    assert slopes[2] == reference[2], where
+    sd_le = le.std()
+    for got, want, y in ((slopes[0], reference[0], alphas), (slopes[1], reference[1], js)):
+        if sd_le == 0.0:
+            assert got == want, where
+        else:
+            assert abs(got - want) <= SLOPE_RTOL * y.std() / sd_le, where
+
+
+def _filled_window(size, prefix, entries):
+    """A SlopeWindow(size) after ``prefix`` then ``entries``, both lists of
+    (log eps, J, alpha) triples."""
+    window = SlopeWindow(size)
+    for entry in prefix + entries:
+        window.append(entry)
+    return window
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 10_000), size=st.sampled_from([1, 2, 3, 7, 50, 200]))
+def test_slope_window_tracks_the_tuple_window(seed, size):
+    """After every append, from the first entry through several wraps of
+    the window, the window holds the same triples in the same order as a
+    deque(maxlen=size), and its slopes track the var() formula on them:
+    the same degenerate flag, each slope within SLOPE_RTOL sd(y) /
+    sd(log eps).  J runs constant for stretches, so degenerate windows
+    occur too."""
+    rng = np.random.default_rng(seed)
+    window, reference = SlopeWindow(size), deque(maxlen=size)
+    for step in range(3 * size + 5):
+        j = 40.0 if step % 23 < 4 else float(rng.integers(5, 80))
+        entry = (float(rng.normal(-5.0, 0.3)), j, float(rng.uniform(1e-6, 1.0)))
+        window.append(entry)
+        reference.append(entry)
+        assert list(window.entries) == list(reference)
+        _assert_tracks_var_formula(window.slopes(), *zip(*reference), (seed, size, step))
+
+
+def test_slope_window_matches_the_var_formula():
+    """The running-sum window tracks the var() formula on 3000 windows of
+    length 1-200 and 300 of length 201-2000, one in four with constant J
+    and one in ten with constant log eps, each appended after 0 to size
+    entries of other data so the ring has wrapped and its sums carry
+    history; and on trailing windows of a trajectory appended once, as
+    cli's min-CCES summary builds them from log eps, J (trail[:, 3]) and
+    alpha (trail[:, 2])."""
     rng = np.random.default_rng(29)
     degenerate = 0
     for trial in range(3300):
         size = int(rng.integers(1, 201) if trial < 3000 else rng.integers(201, 2001))
-        rows = np.zeros((3, 2 * size))
-        rows[0, :size] = -5.0 if trial % 10 == 0 else rng.normal(-5.0, 0.3, size)
-        rows[1, :size] = 40.0 if trial % 4 == 0 else rng.integers(5, 80, size)
-        rows[2, :size] = rng.uniform(1e-6, 1.0, size)
+        le = np.full(size, -5.0) if trial % 10 == 0 else rng.normal(-5.0, 0.3, size)
+        js = np.full(size, 40.0) if trial % 4 == 0 else rng.integers(5, 80, size).astype(float)
+        alphas = rng.uniform(1e-6, 1.0, size)
         start = int(rng.integers(0, size + 1))
-        window = np.roll(rows, start, axis=1)[:, start:start + size]
-        slopes = _window_slopes(window)
-        assert slopes == _var_window_slopes(*window), trial
+        prefix = list(zip(rng.normal(-5.0, 0.3, start).tolist(),
+                          rng.integers(5, 80, start).astype(float).tolist(),
+                          rng.uniform(1e-6, 1.0, start).tolist()))
+        window = _filled_window(size, prefix, list(zip(le.tolist(), js.tolist(),
+                                                       alphas.tolist())))
+        slopes = window.slopes()
+        _assert_tracks_var_formula(slopes, le, js, alphas, trial)
         degenerate += slopes[2]
     assert degenerate >= 825
     for trial in range(200):
@@ -197,8 +213,66 @@ def test_window_slopes_match_the_var_formula_bitwise():
                                 rng.uniform(1e-6, 1.0, steps), rng.integers(5, 80, steps)])
         trail = traj[-min(2000, steps):]
         logeps, alpha, jits = np.log(trail[:, 1]), trail[:, 2], trail[:, 3]
-        assert (_window_slopes(np.stack((logeps, jits, alpha)))
-                == _var_window_slopes(logeps, jits, alpha)), trial
+        window = _filled_window(len(trail), [], list(zip(logeps.tolist(), jits.tolist(),
+                                                         alpha.tolist())))
+        _assert_tracks_var_formula(window.slopes(), logeps, jits, alpha, trial)
+
+
+def test_slope_window_keeps_its_digits_over_a_long_walk():
+    """300 000 appends to a 200-entry window while log eps walks from
+    log 1e-2 down to log 1e-16 and back (the dither's +-0.5 and noise on
+    top, J rising as eps tightens): every 1000 appends the slopes still
+    track the var() formula within SLOPE_RTOL sd(y) / sd(log eps)."""
+    rng = np.random.default_rng(42)
+    steps, half = 300_000, 150_000
+    top, bottom = math.log(1e-2), math.log(1e-16)
+    walk = np.abs(np.arange(steps) - half) / half  # 1 -> 0 -> 1
+    le = (bottom + (top - bottom) * walk + np.where(np.arange(steps) % 2, 0.5, -0.5)
+          + rng.normal(0.0, 0.3, steps))
+    js = np.floor(10.0 - 2.0 * le + rng.integers(0, 8, steps))
+    alphas = np.clip(0.6 + 0.02 * (le - le.mean()) + rng.normal(0.0, 0.1, steps), 1e-6, 1.0)
+    window = SlopeWindow(200)
+    for n, entry in enumerate(zip(le.tolist(), js.tolist(), alphas.tolist()), 1):
+        window.append(entry)
+        if n % 1000 == 0:
+            _assert_tracks_var_formula(window.slopes(), le[n - 200:n], js[n - 200:n],
+                                       alphas[n - 200:n], n)
+    assert math.exp(le.min()) < 1e-16 * math.exp(1.0)
+
+
+def test_a_one_entry_window_is_always_degenerate():
+    window = SlopeWindow(1)
+    assert window.slopes() == (0.0, 0.0, True)
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        window.append((float(rng.normal()), float(rng.integers(5, 80)), float(rng.uniform())))
+        assert window.slopes() == (0.0, 0.0, True)
+        assert len(window.entries) == 1
+
+
+@pytest.mark.parametrize("seeds", [(31, 32), (131, 132), (231, 232)],
+                         ids=lambda pair: f"{pair[0]}-{pair[1]}")
+def test_min_cces_chain_is_bitwise_the_array_window_chain(seeds):
+    """On check 09's target, 5000 min-CCES steps from eps 1e-2 with the
+    running-sum window give bit for bit the chain state, J and alpha of a
+    controller whose history is the array window regressed by numpy
+    (oracles.ArraySlopeWindow), the same degenerate-window count, and
+    thresholds equal to 1e-10 relative."""
+    runs = []
+    for history in (SlopeWindow, ArraySlopeWindow):
+        target, _, _ = ar1_target(128, 1.0, 0.8, stream=RngStream(seeds[0]))
+        ctrl = make_ctrl(MinCces(), log_eps=math.log(1e-2))
+        ctrl.history = history(ctrl.mode.window_size)
+        kernel = AdaptiveRjpoKernel(ctrl)
+        chain = run_chain(target, kernel, 5000, 0, RngStream(seeds[1]), track_covariance=False)
+        runs.append((chain, kernel))
+    (chain, kernel), (oracle_chain, oracle_kernel) = runs
+    assert np.array_equal(chain.x, oracle_chain.x)
+    assert np.array_equal(chain.cg_iterations, oracle_chain.cg_iterations)
+    assert np.array_equal(chain.alphas, oracle_chain.alphas)
+    assert (kernel.controller.degenerate_windows
+            == oracle_kernel.controller.degenerate_windows)
+    np.testing.assert_allclose(kernel.epsilons, oracle_kernel.epsilons, rtol=1e-10, atol=0)
 
 
 def test_correction_vanishes_on_the_optimality_curve():
@@ -238,7 +312,7 @@ def test_collapsing_acceptance_tightens_epsilon():
 
 def _raw_correction(ctrl, j_n, alpha):
     """The unclipped correction of the update that just ran, from its window."""
-    slope_a, slope_j, _ = _window_slopes(ctrl.history.columns())
+    slope_a, slope_j, _ = ctrl.history.slopes()
     return alpha - 0.5 * alpha * alpha - j_n * slope_a / slope_j
 
 
@@ -293,7 +367,7 @@ def test_min_cces_thresholds_alternate_around_the_centre():
         assert ctrl.threshold == math.exp(ctrl.step_log_epsilon)
         assert ctrl.epsilon == math.exp(centre)
         update_min_cces(ctrl, int(rng.integers(20, 40)), float(rng.uniform(0.7, 1.0)))
-        assert ctrl.history.columns()[0][-1] == centre + (0.5 if n % 2 else -0.5)
+        assert ctrl.history.entries[-1][0] == centre + (0.5 if n % 2 else -0.5)
     rate = make_ctrl(TargetRate(0.8))
     for alpha in rng.uniform(0.0, 1.0, 12):
         assert rate.step_log_epsilon == rate.log_epsilon
@@ -330,7 +404,7 @@ def test_alpha_is_clamped_into_unit_interval():
     ctrl = make_ctrl(MinCces(window_size=4))
     update_min_cces(ctrl, 10, 0.0)
     update_min_cces(ctrl, 11, 1.3)
-    stored = ctrl.history.columns()[2].tolist()
+    stored = [alpha for _, _, alpha in ctrl.history.entries]
     assert stored[0] == ALPHA_CLAMP_LOW
     assert stored[1] == 1.0
 

@@ -1,4 +1,5 @@
-"""The check-09 table tool: both rules run a short pair and restore the kernel."""
+"""The check-09 table tool: both rules run a short pair, report the early dive
+and restore the kernel."""
 
 import math
 
@@ -13,13 +14,18 @@ from rjpo.sampler import perturb
 
 def test_cces_table_runs_both_rules_and_restores_the_step():
     """A 400-step pair prints one line and one markdown row per rule with a
-    finite residual, and the z-normalised rule is patched in only inside
-    its block."""
+    finite residual and the dive's figures (its lowest threshold and step,
+    the step from which eps stays above 1e-5), and the z-normalised rule
+    is patched in only inside its block."""
     original = rjpo.adapt.rjpo_step
     lines = []
     for name in ("current", "z-normalised"):
         (row,) = cces_table.table(name, [(31, 32)], 400, report=lines.append)
         assert math.isfinite(row["residual"]) and 0.0 < row["alpha"] <= 1.0
+        assert 0.0 < row["dive_eps"] < 1e-2 and 1 <= row["dive_step"] <= 400
+        assert row["dive_step"] < row["recovered_step"] <= 401
+        assert (f"dive {row['dive_eps']:.1e} at step {row['dive_step']}, above 1e-05 "
+                f"from step {row['recovered_step']}") in lines[-2]
         assert rjpo.adapt.rjpo_step is original
     assert [line.split(" (")[0].split(" |")[0] for line in lines] == [
         "current", "| current", "z-normalised", "| z-normalised"]

@@ -1,7 +1,10 @@
-"""The in-process A/B tool: one tiny A/A block loads, runs and summarizes."""
+"""The in-process A/B tool: one tiny A/A block loads, runs and summarizes, and a
+block whose outputs differ names them."""
 
 import time
 from pathlib import Path
+
+import numpy as np
 
 import in_process_ab
 
@@ -39,3 +42,31 @@ def test_in_process_ab_runs_only_the_workloads_it_is_given(monkeypatch, capsys):
     assert in_process_ab.main([str(ROOT), "--control", "--workloads", "sr64-arjpo"]) == 0
     assert seen == [{"sr64-arjpo": in_process_ab.SIZES["sr64-arjpo"]}]
     assert capsys.readouterr().out.startswith("sr64-arjpo: parent 1.0000 ms")
+
+
+def test_differing_outputs_names_each_output_and_its_largest_relative_difference():
+    parent = {"state": np.array([1.0, -2.0]), "J": np.array([3, 4]),
+              "epsilon": np.array([1e-3, 2e-3, 0.0]), "alpha": np.zeros(2)}
+    change = {"state": np.array([1.0, -2.0]), "J": np.array([3, 5]),
+              "epsilon": np.array([1e-3 * (1 + 2e-13), 2e-3, 0.0]), "alpha": np.zeros(3)}
+    assert in_process_ab.differing_outputs(parent, change) == [
+        "J (largest relative difference 2.00e-01)",
+        "epsilon (largest relative difference 2.00e-13)",
+        "alpha (shapes (2,) and (3,))"]
+    assert in_process_ab.differing_outputs(parent, parent) == []
+
+
+def test_a_block_whose_outputs_differ_exits_1_naming_them(monkeypatch, capsys):
+    """The run stops at the first block whose outputs differ, exits 1 and
+    names the output that differs; equal outputs are not named."""
+    def workload(tree, warmup, steps):
+        moved = tree["adapt"].__name__.startswith("rjpo_change")
+        return 1e-3, {"state": np.ones(4), "J": np.arange(3),
+                      "epsilon": np.array([1e-4 * (1 + 3e-12 if moved else 1.0)])}
+
+    monkeypatch.setitem(in_process_ab.WORKLOADS, "ar1-cces", workload)
+    assert in_process_ab.main([str(ROOT), str(ROOT), "--workloads", "ar1-cces"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("block 1: ar1-cces outputs differ between the trees: "
+                            "epsilon (largest relative difference 3.00e-12)\n")
