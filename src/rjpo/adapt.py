@@ -36,6 +36,7 @@ from .sampler import KernelOutcome, epo_kernel, rjpo_step, tpo_step
 ALPHA_CLAMP_LOW = 1e-6
 CORRECTION_CLIP = 1.0  # bound on a min-CCES correction, in acceptance-rate units
 DITHER = 0.5  # half-spread in log eps of the min-CCES thresholds around their centre
+SHORT_WINDOW = 8  # a SlopeWindow of at most this size regresses its entries directly
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,10 @@ class SlopeWindow:
     drift therefore never spans more than one window (Chan, Golub &
     LeVeque, Am. Stat. 1983), and no step pays an O(size) rebuild.
     Whether a column is constant is kept exactly, as the length of its
-    trailing run of equal values.
+    trailing run of equal values.  A window of at most SHORT_WINDOW entries
+    turns over within a few appends, so its mean can sit far from the
+    reference against its spread, and a few entries can nearly coincide:
+    its slopes are read off its entries about their own means.
     """
 
     def __init__(self, size: int):
@@ -150,12 +154,21 @@ class SlopeWindow:
         n = len(self.entries)
         if self._le_run >= n or self._j_run >= n:
             return 0.0, 0.0, True
-        sx, sj, sa, sxx, sxj, sxa = self._sums
-        sxx -= sx * sx / n
+        if self._size <= SHORT_WINDOW:
+            les, js, alphas = zip(*self.entries)
+            mx, mj, ma = sum(les) / n, sum(js) / n, sum(alphas) / n
+            dx = [le - mx for le in les]
+            sxx = sum(d * d for d in dx)
+            sxa = sum(d * (a - ma) for d, a in zip(dx, alphas))
+            sxj = sum(d * (j - mj) for d, j in zip(dx, js))
+        else:
+            sx, sj, sa, sxx, sxj, sxa = self._sums
+            sxx -= sx * sx / n
+            sxa -= sx * sa / n
+            sxj -= sx * sj / n
         if not sxx > 0.0:
             return 0.0, 0.0, True
-        slope_a = (sxa - sx * sa / n) / sxx
-        slope_j = (sxj - sx * sj / n) / sxx
+        slope_a, slope_j = sxa / sxx, sxj / sxx
         return slope_a, slope_j, slope_j == 0.0
 
 
@@ -164,11 +177,11 @@ class AdaptController:
     """Robbins-Monro state shared by both tuning modes.
 
     log_epsilon is the tuned level (the centre of MinCces's dither).
-    history, a SlopeWindow, keeps the last window_size (threshold log eps,
-    J, alpha) triples and their running sums for the windowed slope
-    dalpha/dJ used in MinCces mode (a window of one in target-rate mode,
-    which never reads it); degenerate windows (all J or all log eps
-    equal, or J not falling as eps grows) contribute no slope and are
+    history, a SlopeWindow in MinCces mode, keeps the last window_size
+    (threshold log eps, J, alpha) triples and their running sums for the
+    windowed slope dalpha/dJ; target-rate mode reads no slope and keeps
+    no window (history is None).  Degenerate windows (all J or all log
+    eps equal, or J not falling as eps grows) contribute no slope and are
     counted.
     """
 
@@ -178,7 +191,7 @@ class AdaptController:
     kappa: float = 0.5
     step_index: int = field(default=1, init=False)
     degenerate_windows: int = field(default=0, init=False)
-    history: SlopeWindow = field(init=False, repr=False)
+    history: SlopeWindow | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if not math.isfinite(self.log_epsilon):
@@ -187,8 +200,8 @@ class AdaptController:
             raise ConfigurationError(f"k0 must be positive and finite, got {self.k0}")
         if not 0.0 < self.kappa <= 1.0:
             raise ConfigurationError(f"kappa must lie in (0, 1], got {self.kappa}")
-        window = self.mode.window_size if isinstance(self.mode, MinCces) else 1
-        self.history = SlopeWindow(window)
+        mode = self.mode
+        self.history = SlopeWindow(mode.window_size) if isinstance(mode, MinCces) else None
 
     @property
     def epsilon(self) -> float:

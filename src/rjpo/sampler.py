@@ -3,9 +3,9 @@
 perturb draws eta ~ N(Q mu, Q) through the precision factor; the kernels
 turn that perturbation into a sample of N(mu, Q^-1):
 
-  epo_step   exact solve of Q x = eta (the factor's closed-form Q^-1 where
-             it has one, CG to machine accuracy otherwise), always
-             accepted, independent samples
+  epo_step   exact solve of Q x = eta and at most one correction (the
+             factor's closed-form Q^-1 where it has one, CG to machine
+             accuracy otherwise), always accepted, independent samples
   tpo_step   truncated solve from x0 = 0, always accepted (biased kernel)
   rjpo_step  truncated solve from x0 = -previous plus a reversible-jump
              accept/reject that restores exactness at any truncation level
@@ -61,67 +61,51 @@ def _acceptance_exponent(residual, previous, proposal) -> float:
     return exponent
 
 
-def _exact_cg_solve(precision, eta, x0=None):
-    """CG to EXACT_EPSILON from x0 (zero when None), preconditioned when the
-    precision offers a ``preconditioner``.
-
-    CG stops on its recursive residual, so the recomputed one can still sit
-    just above EXACT_EPSILON; one more solve warm-started from that x then
-    takes it below.  A solve that stops at its iteration cap, or a residual
-    still above EXACT_EPSILON after the second solve, is not exact and
-    raises NumericalBreakdownError.  Returns (x, relative residual,
-    iterations).
-    """
-    q = precision.preconditioned()
-    x, iterations = x0, 0
-    for _ in range(2):
-        out = cg_solve(q, eta, x0=x, epsilon=EXACT_EPSILON)
-        iterations += out.iterations
-        if not out.converged:
-            raise NumericalBreakdownError(
-                f"exact solve stopped at its iteration cap with relative residual "
-                f"{out.relative_residual:.3e} at CG iteration {iterations} of the two solves"
-            )
-        if out.relative_residual <= EXACT_EPSILON:
-            return out.solution, out.relative_residual, iterations
-        x = out.solution
-    raise NumericalBreakdownError(
-        f"exact solve misses its residual target {EXACT_EPSILON:.0e} after a warm-started retry: "
-        f"relative residual {out.relative_residual:.3e} at CG iteration {iterations} of the two"
-    )
-
-
 def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
     """Exact perturbation-optimization step; successive samples independent.
 
-    Where the factor offers a closed-form Q^-1 (``inverse``: a full-rank
-    DenseOperator, the super-resolution conditional with at most one alias
-    term), the draw applies it once and recomputes its residual with one
-    Q-apply, no CG (0 iterations).  A draw whose relative residual misses
-    EXACT_EPSILON is refined once with the same Q^-1 (x += Q^-1 r, then
-    one more residual), still with no CG; a refined draw that still misses
-    is the start of the CG solve below, which then reports its iterations.
-    Without a known Q^-1, CG is pushed to machine accuracy (see
-    _exact_cg_solve).  Either path refuses an eta whose norm overflows
-    (NumericalBreakdownError).
+    One solve of Q x = eta and at most one correction by the same solver
+    (iterative refinement; Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002, ch. 12): the first x whose recomputed relative
+    residual meets EXACT_EPSILON is the draw.  Where the factor offers a
+    closed-form Q^-1 (``inverse``: a full-rank DenseOperator, the
+    super-resolution conditional with at most one alias term), x = Q^-1 eta
+    is corrected to x + Q^-1 r, with no CG.  Otherwise CG runs on
+    ``precision.preconditioned()`` to EXACT_EPSILON from zero, then from x,
+    and the draw reports both solves' iterations.  A draw that misses after
+    its correction, a CG solve stopped at its cap, or an eta whose norm
+    overflows raises NumericalBreakdownError (exit code 2).
     """
     eta = perturb(target, stream)
-    inverse = target.precision.inverse
-    x = None
-    if inverse is not None:
+    precision = target.precision
+    inverse = precision.inverse
+    if inverse is None:
+        q = precision.preconditioned()
+    else:
         eta_norm = math.sqrt(eta @ eta)  # np.linalg.norm's formula, without its wrapper
         if not math.isfinite(eta_norm):
             raise NumericalBreakdownError(f"non-finite ||eta|| = {eta_norm} in the exact draw")
-        x = inverse(eta)
-        for refined in (False, True):
-            if refined:
-                x = x + inverse(residual)
-            residual = eta - target.precision.apply(x)
+    x, iterations = None, 0
+    for _ in range(2):
+        if inverse is None:
+            out = cg_solve(q, eta, x0=x, epsilon=EXACT_EPSILON)
+            iterations += out.iterations
+            if not out.converged:
+                raise NumericalBreakdownError(
+                    f"exact solve stopped at its iteration cap with relative residual "
+                    f"{out.relative_residual:.3e} at CG iteration {iterations} of the two solves"
+                )
+            x, rel = out.solution, out.relative_residual
+        else:
+            x = inverse(eta) if x is None else x + inverse(residual)
+            residual = eta - precision.apply(x)
             rel = math.sqrt(residual @ residual) / eta_norm if eta_norm > 0 else 0.0
-            if rel <= EXACT_EPSILON:
-                return KernelOutcome(x, x, 1.0, True, 0, rel)
-    x, rel, iterations = _exact_cg_solve(target.precision, eta, x)
-    return KernelOutcome(x, x, 1.0, True, iterations, rel)
+        if rel <= EXACT_EPSILON:
+            return KernelOutcome(x, x, 1.0, True, iterations, rel)
+    raise NumericalBreakdownError(
+        f"exact draw misses its residual target {EXACT_EPSILON:.0e} after its correction: "
+        f"relative residual {rel:.3e}, {iterations} CG iterations over the two solves"
+    )
 
 
 def tpo_step(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     ConditionalFactor, ar1_precision, naive_circular_convolve, target_from_dense,
 )
+import rjpo.sampler
 from rjpo.cg import cg_solve
 from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.linop import DenseOperator, Diagonal, Eigenbasis, FactoredPrecision, GaussianTarget
@@ -355,16 +356,24 @@ def test_dense_inverse_reads_the_eigenbasis():
         assert np.array_equal(inverse(b), stored @ b)
 
 
-def test_an_ill_conditioned_dense_draw_is_refined_once(monkeypatch):
-    """On AR(1) N = 128 with rho = 0.999 (kappa(Q) about 2.5e5) the stored
-    X = V Lambda^-1 V^t leaves every exact draw a residual of about
-    u kappa(Q), above EXACT_EPSILON; the draw's one refinement x + X r meets
-    it with 0 CG iterations.  X is formed once, at the first draw, from one
+@pytest.mark.parametrize("n, rho", [(128, 0.999), (20, 0.9999), (512, 0.99999), (128, 0.999999)])
+def test_an_ill_conditioned_dense_draw_is_refined_once(monkeypatch, n, rho):
+    """On AR(1) targets with kappa(Q) from about 2.5e5 (N = 128, rho =
+    0.999) to 1e9 (N = 128, rho = 0.999999) the stored X = V Lambda^-1 V^t
+    leaves every exact draw a residual of about u kappa(Q), above
+    EXACT_EPSILON; the draw's one correction x + X r meets it with 0 CG
+    iterations and no cg_solve call, so the exact draw needs no solver
+    beyond its closed form.  X is formed once, at the first draw, from one
     np.linalg.eigh and one np.unique, and every later draw applies the same
     array."""
-    target, _, _ = ar1_target(128, 1.0, 0.999, stream=RngStream(1))
+    target, _, _ = ar1_target(n, 1.0, rho, stream=RngStream(1))
     factor = target.precision
     calls = _count_decompositions(monkeypatch)
+
+    def no_cg(*args, **kwargs):
+        raise AssertionError("a closed-form exact draw called cg_solve")
+
+    monkeypatch.setattr(rjpo.sampler, "cg_solve", no_cg)
     stored = None
     for seed in range(1, 6):
         out = epo_step(target, RngStream(seed))
@@ -381,7 +390,7 @@ def test_an_ill_conditioned_dense_draw_is_refined_once(monkeypatch):
         residual = eta - factor.apply(refined)
         assert out.cg_iterations == 0 and np.array_equal(out.next_sample, refined)
         assert out.relative_residual == math.sqrt(residual @ residual) / eta_norm <= EXACT_EPSILON
-    assert calls == [(128, 128), ("unique", 128)]
+    assert calls == [(n, n), ("unique", n)]
 
 
 def test_gaussian_target_validation():

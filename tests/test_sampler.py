@@ -174,18 +174,16 @@ def _closed_form_off_by(monkeypatch, scale):
     return target, eta, refined, calls
 
 
-def test_a_closed_form_draw_that_misses_the_bound_continues_as_cg(monkeypatch):
+def test_a_closed_form_draw_that_misses_after_its_correction_breaks_down(monkeypatch):
     """A dense closed-form draw moved off Q^-1 eta by a relative 1e-3 misses
-    EXACT_EPSILON, and so does its one refinement (about 1e-6 off), so the
-    refined draw is the warm start of the exact CG solve, which reports its
-    iterations and meets the bound."""
+    EXACT_EPSILON, and so does its one correction (about 1e-6 off).  The
+    exact draw makes no third solve and does not fall back on CG: it raises
+    NumericalBreakdownError (exit code 2) naming its residual target."""
     target, eta, refined, calls = _closed_form_off_by(monkeypatch, 1.0 + 1e-3)
     assert np.linalg.norm(eta - target.precision.apply(refined)) > EXACT_EPSILON * np.linalg.norm(eta)
-    outcome = epo_step(target, RngStream(2))
-    assert np.array_equal(calls[0][0], refined)
-    assert outcome.cg_iterations == sum(out.iterations for _, out in calls) > 0
-    assert np.array_equal(outcome.next_sample, calls[-1][1].solution)
-    assert outcome.relative_residual <= EXACT_EPSILON
+    with pytest.raises(NumericalBreakdownError, match="residual target"):
+        epo_step(target, RngStream(2))
+    assert calls == []
 
 
 def test_a_closed_form_draw_that_misses_the_bound_is_refined_once(monkeypatch):

@@ -13,7 +13,7 @@ from rjpo.errors import ConfigurationError, NumericalBreakdownError
 from rjpo.rng import PairedStream, RngStream
 from rjpo.cg import cg_solve
 from rjpo.sampler import (
-    EXACT_EPSILON, KernelOutcome, _exact_cg_solve, epo_step, perturb, resolve_burn_in,
+    EXACT_EPSILON, KernelOutcome, epo_step, perturb, resolve_burn_in,
 )
 import rjpo.sampler
 from rjpo import superres as sr
@@ -977,12 +977,37 @@ def test_full_phase_coverage_solves_in_one_iteration():
         assert out.relative_residual <= EXACT_EPSILON
 
 
+def _no_cg(*args, **kwargs):
+    raise AssertionError("a closed-form exact draw called cg_solve")
+
+
+def test_closed_form_draw_at_a_precision_ratio_of_1e10_needs_its_correction(monkeypatch):
+    """At gamma = (4e7, 4e-3), a ratio gamma_y / gamma_x of 1e10, the 64 x 64
+    two-frame draw x = Q^-1 eta misses EXACT_EPSILON on every seed (about
+    1e-11 off), and its one correction x + Q^-1 (eta - Q x) meets it, with
+    0 CG iterations and no cg_solve call."""
+    model = sr.make_model((64, 64))
+    obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(64))
+    target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 4e7, 4e-3)
+    factor = target.precision
+    monkeypatch.setattr(rjpo.sampler, "cg_solve", _no_cg)
+    for seed in (65, 66, 67):
+        eta = perturb(target, RngStream(seed))
+        eta_norm = np.linalg.norm(eta)
+        start = factor.inverse(eta)
+        missed = eta - factor.apply(start)
+        assert np.linalg.norm(missed) > EXACT_EPSILON * eta_norm, seed
+        out = epo_step(target, RngStream(seed))
+        assert out.cg_iterations == 0 and out.relative_residual <= EXACT_EPSILON, seed
+        assert np.array_equal(out.next_sample, start + factor.inverse(missed)), seed
+
+
 @pytest.mark.parametrize("gammas", ONE_ALIAS_GAMMAS)
 def test_closed_form_draw_matches_the_preconditioned_solve(gammas):
     """Where Q^-1 is known in closed form (the 64 x 64 two-frame model, and
     full phase coverage at factors 2 and 3), the exact draw that applies it
     is the draw of the CG solve preconditioned by it from the same eta
-    (_exact_cg_solve, one iteration) to 1e-14 relative."""
+    (one iteration to EXACT_EPSILON) to 1e-14 relative."""
     for model in [sr.make_model((64, 64))] + _full_coverage_models():
         case = (model.hi_res_dims, model.frames, gammas)
         basis = model.half_spectrum
@@ -992,9 +1017,10 @@ def test_closed_form_draw_matches_the_preconditioned_solve(gammas):
         for seed in (72, 73, 74):
             out = epo_step(target, RngStream(seed))
             assert out.cg_iterations == 0, case
-            solution, _, iterations = _exact_cg_solve(target.precision,
-                                                      perturb(target, RngStream(seed)))
-            assert iterations == 1, case
+            solve = cg_solve(target.precision.preconditioned(), perturb(target, RngStream(seed)),
+                             epsilon=EXACT_EPSILON)
+            assert solve.iterations == 1, case
+            solution = solve.solution
             error = np.linalg.norm(out.next_sample - solution) / np.linalg.norm(solution)
             assert error <= 1e-14, (case, error)
 
@@ -1019,22 +1045,18 @@ def _conditional_off_by(monkeypatch, scale):
     return target, exact.next_sample, eta, refined
 
 
-def test_closed_form_draw_that_misses_its_residual_continues_in_cg(monkeypatch):
+def test_closed_form_draw_that_misses_after_its_correction_breaks_down(monkeypatch):
     """A closed-form draw whose recomputed residual misses EXACT_EPSILON
     (here Q^-1 scaled by 1 + 1e-3), and still misses it after its one
-    refinement (about 1e-6 off), is refined once and then is the start of
-    the preconditioned CG solve; the draw reports that solve's iterations
-    and residual, and lands on the unscaled draw to 1e-14 relative."""
-    target, exact, eta, refined = _conditional_off_by(monkeypatch, 1.0 + 1e-3)
+    correction (about 1e-6 off), is not handed to CG: the exact draw raises
+    NumericalBreakdownError (exit code 2) naming its residual target, with
+    no cg_solve call."""
+    target, _, eta, refined = _conditional_off_by(monkeypatch, 1.0 + 1e-3)
     eta_norm = np.linalg.norm(eta)
     assert np.linalg.norm(eta - target.precision.apply(refined)) > EXACT_EPSILON * eta_norm
-    out = epo_step(target, RngStream(76))
-    solution, residual, iterations = _exact_cg_solve(target.precision, eta, refined)
-    assert out.cg_iterations == iterations >= 1
-    assert out.relative_residual == residual <= EXACT_EPSILON
-    assert np.array_equal(out.next_sample, solution)
-    error = np.linalg.norm(out.next_sample - exact) / np.linalg.norm(exact)
-    assert error <= 1e-14, error
+    monkeypatch.setattr(rjpo.sampler, "cg_solve", _no_cg)
+    with pytest.raises(NumericalBreakdownError, match="residual target"):
+        epo_step(target, RngStream(76))
 
 
 def test_closed_form_draw_that_misses_its_residual_is_refined_once(monkeypatch):
@@ -1365,8 +1387,9 @@ def _image_space_gibbs(model, observations, sweeps, stream):
         omega[model.data_count:] = basis.leave(basis.embed(omega[model.data_count:]))
         eta = gamma_y * back + factor.apply_transpose(omega)
         spectral = sr.conditional_target(model, basis.enter(back), gamma_y, gamma_x)
-        solution, _, _ = _exact_cg_solve(spectral.precision, basis.enter(eta))
-        x = basis.leave(solution)
+        solve = cg_solve(spectral.precision.preconditioned(), basis.enter(eta),
+                         epsilon=EXACT_EPSILON)
+        x = basis.leave(solve.solution)
         records.append((gamma_y, gamma_x))
     return np.array(records), x
 
