@@ -11,8 +11,9 @@ Two controllers, both acting on log epsilon so the threshold stays positive:
               condition in its own units (an acceptance rate), clipped to
               +-CORRECTION_CLIP, and step n runs at the tuned level times
               exp(+-DITHER), the sign alternating, so the window's slopes
-              see a known spread in log eps.  The window (SlopeWindow)
-              keeps running sums, so a step costs O(1) in its length.
+              see a known spread in log eps.  The slopes come from an
+              exponentially weighted regression (SlopeWindow) updated
+              in O(1) per step.
 
 Step sizes K_n = k0 / n^kappa with kappa in (0, 1] vanish while their sum
 diverges, so adaptation dies out and the chain keeps its target law.
@@ -27,7 +28,6 @@ the adaptive kernel.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -36,7 +36,6 @@ from .sampler import KernelOutcome, epo_kernel, rjpo_step, tpo_step
 ALPHA_CLAMP_LOW = 1e-6
 CORRECTION_CLIP = 1.0  # bound on a min-CCES correction, in acceptance-rate units
 DITHER = 0.5  # half-spread in log eps of the min-CCES thresholds around their centre
-SHORT_WINDOW = 8  # a SlopeWindow of at most this size regresses its entries directly
 
 
 @dataclass(frozen=True)
@@ -55,9 +54,13 @@ class MinCces:
     Step n runs at log eps = centre + DITHER for odd n and centre - DITHER
     for even n; the window records that threshold, and the Robbins-Monro
     update moves the centre (the controller's ``log_epsilon``).  The window
-    must span enough steps that the regression slopes are driven by this
-    dither rather than by the feedback of recent acceptance noise onto
-    epsilon; short windows bias the equilibrium toward loose epsilon.
+    weighs the step k steps back by d^k, d = window_size / (window_size + 4),
+    a mean age of window_size / 4.  It must reach back far enough that the
+    slopes are driven by the dither rather than by the feedback of recent
+    acceptance noise onto epsilon, yet the shorter its memory the sooner
+    the first loose, low-alpha steps stop steering it: on the AR(1)
+    N = 128 chain from eps 1e-2, a mean age of window_size / 2 dove deeper
+    and recovered later, and window_size / 8 settled at the same cost.
     """
 
     window_size: int = 200
@@ -68,105 +71,59 @@ class MinCces:
 
 
 class SlopeWindow:
-    """The last ``size`` (log eps, J, alpha) triples and the running sums
-    that regress alpha and J on log eps over them in O(1) per step.
+    """An exponentially weighted least-squares regression of alpha and J on
+    log eps, updated in O(1) per (log eps, J, alpha) triple appended.
 
-    ``entries`` holds the triples as Python floats, oldest first.  Six sums
-    follow them: x, J, alpha, x^2, x J and x alpha, where x is log eps less
-    a reference near the window's mean, so a window near eps 1e-16 keeps
-    its digits.  An append adds the new triple's terms and subtracts the
-    evicted one's.  The same terms are also summed, by additions alone,
-    over the appends since the last restart; every ``size`` appends those
-    sums cover exactly the window, so they replace the running ones, are
-    re-centred about their mean log eps, and a new block starts.  Rounding
-    drift therefore never spans more than one window (Chan, Golub &
-    LeVeque, Am. Stat. 1983), and no step pays an O(size) rebuild.
-    Whether a column is constant is kept exactly, as the length of its
-    trailing run of equal values.  A window of at most SHORT_WINDOW entries
-    turns over within a few appends, so its mean can sit far from the
-    reference against its spread, and a few entries can nearly coincide:
-    its slopes are read off its entries about their own means.
+    The triple appended k steps ago weighs d^k with d = size / (size + 4),
+    so the weights' mean age is size / 4.  The window keeps the total
+    weight, the weighted means of log eps, J and alpha, and the centred
+    sums S_xx, S_xJ and S_xalpha; an append updates them from the new
+    triple's deviations dx, dy from the previous means,
+    S <- d S + (d w_old / w_new) dx dy (West, Comm. ACM 1979).  Each sum
+    is a sum of centred products, and old rounding decays with its
+    weights, so nothing is rebuilt or re-centred.  Whether J is constant
+    over the last min(appends, size) triples is kept exactly, as the
+    length of its trailing run of equal values.
     """
 
     def __init__(self, size: int):
-        self.entries: deque = deque(maxlen=size)
-        self._size, self._fresh = size, 0  # appends since the last restart
-        self._ref = 0.0
-        # sums of x, J, alpha, x^2, x J and x alpha over the window, and over the block
-        self._sums = self._block = (0.0,) * 6
-        self._le_run = self._j_run = 0  # trailing runs of equal log eps, of equal J
+        self._size, self._decay = size, size / (size + 4.0)
+        self._weight, self._appends = 0.0, 0
+        self._means = self._sums = (0.0,) * 3  # means of x, J, alpha; S_xx, S_xJ, S_xalpha
+        self._last_j, self._j_run = None, 0  # the last J and its trailing run
 
     def append(self, entry) -> None:
         log_eps, j, alpha = entry
-        ring = self.entries
-        if ring:
-            last_le, last_j, _ = ring[-1]
-            self._le_run = self._le_run + 1 if log_eps == last_le else 1
-            self._j_run = self._j_run + 1 if j == last_j else 1
-        else:
-            self._le_run = self._j_run = 1
-            self._ref = log_eps
-        ref = self._ref
-        sx, sj, sa, sxx, sxj, sxa = self._sums
-        if len(ring) == self._size:
-            old_le, old_j, old_a = ring[0]
-            x = old_le - ref
-            sx -= x
-            sj -= old_j
-            sa -= old_a
-            sxx -= x * x
-            sxj -= x * old_j
-            sxa -= x * old_a
-        ring.append(entry)
-        x = log_eps - ref
-        xx, xj, xa = x * x, x * j, x * alpha
-        self._sums = (sx + x, sj + j, sa + alpha, sxx + xx, sxj + xj, sxa + xa)
-        bx, bj, ba, bxx, bxj, bxa = self._block
-        self._block = (bx + x, bj + j, ba + alpha, bxx + xx, bxj + xj, bxa + xa)
-        self._fresh += 1
-        if self._fresh == self._size:
-            self._restart()
-
-    def _restart(self) -> None:
-        """Take the block's sums, which now cover exactly the window, as the
-        window's, shifted to a reference at their mean log eps (sums of
-        x - shift), and start a new block."""
-        n = self._size
-        bx, bj, ba, bxx, bxj, bxa = self._block
-        ref = self._ref + bx / n
-        shift = ref - self._ref
-        self._sums = (bx - n * shift, bj, ba, bxx - shift * (2.0 * bx - n * shift),
-                      bxj - shift * bj, bxa - shift * ba)
-        self._ref, self._fresh, self._block = ref, 0, (0.0,) * 6
+        self._j_run = self._j_run + 1 if j == self._last_j else 1
+        self._last_j = j
+        self._appends += 1
+        decay = self._decay
+        kept = decay * self._weight
+        weight = kept + 1.0
+        share = kept / weight
+        mx, mj, ma = self._means
+        dx, dj, da = log_eps - mx, j - mj, alpha - ma
+        self._means = (mx + dx / weight, mj + dj / weight, ma + da / weight)
+        sxx, sxj, sxa = self._sums
+        dx_share = share * dx
+        self._sums = (decay * sxx + dx_share * dx, decay * sxj + dx_share * dj,
+                      decay * sxa + dx_share * da)
+        self._weight = weight
 
     def slopes(self) -> tuple[float, float, bool]:
         """(dalpha/dlogeps, dJ/dlogeps, degenerate) over the window.
 
         log eps is the exactly known controlled variable, so both
-        ordinary-least-squares slopes are unbiased however small the
-        window's spread; regressing alpha on the noisy J directly would
-        attenuate the slope and drag the controller's equilibrium off the
-        fixed point.  A window whose log eps or J is constant (an empty one
-        and every one of size 1 among them), or whose centred log-eps sum
-        of squares rounds to zero or below, is degenerate and gives zero
-        slopes; a zero J slope is degenerate too.
+        least-squares slopes are unbiased however small the window's
+        spread; regressing alpha on the noisy J directly would attenuate
+        the slope and drag the controller's equilibrium off the fixed
+        point.  A window whose J is unchanged over its last
+        min(appends, size) triples (an empty one and every one of size 1
+        among them), or whose S_xx is not positive (log eps constant), is
+        degenerate and gives zero slopes; a zero J slope is degenerate too.
         """
-        n = len(self.entries)
-        if self._le_run >= n or self._j_run >= n:
-            return 0.0, 0.0, True
-        if self._size <= SHORT_WINDOW:
-            les, js, alphas = zip(*self.entries)
-            mx, mj, ma = sum(les) / n, sum(js) / n, sum(alphas) / n
-            dx = [le - mx for le in les]
-            sxx = sum(d * d for d in dx)
-            sxa = sum(d * (a - ma) for d, a in zip(dx, alphas))
-            sxj = sum(d * (j - mj) for d, j in zip(dx, js))
-        else:
-            sx, sj, sa, sxx, sxj, sxa = self._sums
-            sxx -= sx * sx / n
-            sxa -= sx * sa / n
-            sxj -= sx * sj / n
-        if not sxx > 0.0:
+        sxx, sxj, sxa = self._sums
+        if self._j_run >= min(self._appends, self._size) or not sxx > 0.0:
             return 0.0, 0.0, True
         slope_a, slope_j = sxa / sxx, sxj / sxx
         return slope_a, slope_j, slope_j == 0.0
@@ -177,12 +134,12 @@ class AdaptController:
     """Robbins-Monro state shared by both tuning modes.
 
     log_epsilon is the tuned level (the centre of MinCces's dither).
-    history, a SlopeWindow in MinCces mode, keeps the last window_size
-    (threshold log eps, J, alpha) triples and their running sums for the
-    windowed slope dalpha/dJ; target-rate mode reads no slope and keeps
-    no window (history is None).  Degenerate windows (all J or all log
-    eps equal, or J not falling as eps grows) contribute no slope and are
-    counted.
+    history, a SlopeWindow in MinCces mode, regresses the (threshold log
+    eps, J, alpha) triples with weights decaying over about window_size / 4
+    steps, for the slope dalpha/dJ; target-rate mode reads no slope and
+    keeps no window (history is None).  Degenerate windows (J unchanged
+    over the last window_size steps, log eps constant, or J not falling
+    as eps grows) contribute no slope and are counted.
     """
 
     log_epsilon: float
@@ -246,7 +203,7 @@ def update_min_cces(ctrl: AdaptController, j_n: int, alpha_n: float) -> AdaptCon
     Records the step's (threshold log eps, J, alpha) in the window, then
     moves the dither's centre by the gain times the correction
     (alpha - alpha^2/2) - J dalpha/dJ, with dalpha/dJ the ratio of the
-    window's slopes in log eps, read off its running sums in O(1)
+    window's weighted slopes in log eps, read off its centred sums in O(1)
     (SlopeWindow.slopes).  The correction is the optimality
     condition in its own units, an acceptance rate, clipped to
     +-CORRECTION_CLIP; it vanishes exactly on the curve

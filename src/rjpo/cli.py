@@ -26,7 +26,6 @@ from .adapt import (
     AdaptController,
     AdaptiveRjpoKernel,
     MinCces,
-    SlopeWindow,
     TargetRate,
     make_kernel,
 )
@@ -403,13 +402,16 @@ def cmd_adapt(cfg, outdir) -> None:
         trail = traj[-min(2000, n_max):]
         logeps = np.log(trail[:, 1])
         alpha, jits = trail[:, 2], trail[:, 3]
-        window = SlopeWindow(len(trail))
-        for entry in zip(logeps.tolist(), jits.tolist(), alpha.tolist()):
-            window.append(entry)
-        slope_a, slope_j, degenerate = window.slopes()
         mean_alpha, mean_j = float(alpha.mean()), float(jits.mean())
-        resid = (mean_j * (slope_a / slope_j) - mean_alpha + mean_alpha**2 / 2
-                 if not degenerate else None)
+        # plain OLS of alpha and J on log eps over the trail; the slopes'
+        # common denominator cancels in dalpha/dJ = S_xalpha / S_xJ
+        resid = None
+        if logeps.min() < logeps.max() and jits.min() < jits.max():
+            dx = logeps - logeps.mean()
+            sxj = float(dx @ (jits - mean_j))
+            if sxj != 0.0:
+                sxa = float(dx @ (alpha - mean_alpha))
+                resid = mean_j * (sxa / sxj) - mean_alpha + mean_alpha**2 / 2
         summary = {
             "mode": mode,
             "epsilon_star": float(np.exp(logeps.mean())),

@@ -1,23 +1,25 @@
 """Time two checkouts' rjpo against each other in one process, block by block.
 
     python tests/in_process_ab.py PARENT_ROOT CHANGE_ROOT [--control] [--blocks N]
-                                  [--workloads ar1-cces,sr64-arjpo]
+                                  [--workloads ar1-cces,ar1-epo,sr64-arjpo,sr64-exact]
 
 Loads ROOT/src/rjpo of each checkout as a package of its own name
 (rjpo_parent, rjpo_change) with importlib: every import inside the package
 is relative, so both trees run side by side under one interpreter, one heap
 and one machine load, which a comparison of two processes cannot hold
-equal.  Each block runs the ar1-cces chain (AR(1), N = 128, MinCces(200)
-from eps 1e-2: 1000 untimed steps, then 4000 timed) and the sr64-arjpo
-chain (64 x 64, 2 frames, arjpo at alpha_t 0.99 from eps 1e-2, 100 Gibbs
-sweeps) once on each tree, with the same seeds in every block; the side
-that runs first alternates from block to block.  ``--workloads`` names the
-ones to run, comma-separated, so a change that moves one workload's
-outputs by design can still check the others.  A block's outputs must be
-bit-identical between the trees (the chain state, J, alpha and epsilon per
-step; each column of the Gibbs records and the posterior mean), or the run
-stops with exit 1 and names each output that differs with its largest
-relative difference.
+equal.  Each block runs perfbench's four chains once on each tree, with
+perfbench's seed 1 in every block: ar1-cces (AR(1), N = 128, MinCces(200)
+from eps 1e-2: 1000 untimed steps, then 4000 timed), ar1-epo (the same
+target, 4000 exact draws), sr64-arjpo (64 x 64, 2 frames, arjpo at
+alpha_t 0.99 from eps 1e-2, 100 Gibbs sweeps) and sr64-exact (the same
+data, the exact draw, 40 sweeps).  The side that runs first alternates
+from block to block.  ``--workloads`` names the ones to run,
+comma-separated, so a change that moves one workload's outputs by design
+can still check the others.  A block's outputs must be bit-identical
+between the trees (the chain state, J and alpha per step, and the
+adaptive chain's epsilon; each column of the Gibbs records and the
+posterior mean), or the run stops with exit 1 and names each output that
+differs with its largest relative difference.
 
 Prints one line per block with each side's milliseconds per step (per
 sweep), then per workload the median over blocks of each side, the median
@@ -48,7 +50,8 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 # workload -> (untimed warm-up steps, timed steps or sweeps)
-SIZES = {"ar1-cces": (1000, 4000), "sr64-arjpo": (0, 100)}
+SIZES = {"ar1-cces": (1000, 4000), "ar1-epo": (0, 4000), "sr64-arjpo": (0, 100),
+         "sr64-exact": (0, 40)}
 
 
 def load_tree(root, name: str) -> dict:
@@ -65,13 +68,13 @@ def load_tree(root, name: str) -> dict:
             for sub in ("adapt", "problems", "rng", "sampler", "superres")}
 
 
-def ar1_cces(tree: dict, warmup: int, steps: int, seed: int = 1):
-    """(seconds per timed step, outputs) of one ar1-cces chain."""
-    adapt, rng = tree["adapt"], tree["rng"]
+def ar1_chain(tree: dict, kernel, warmup: int, steps: int, seed: int):
+    """(seconds per timed step, outputs) of one chain of ``kernel`` on the
+    AR(1) target, N = 128."""
+    rng = tree["rng"]
     problem_seed, run_seed = rng.derive_seeds(seed, 2)
     target, _, _ = tree["problems"].ar1_target(128, 1.0, 0.8,
                                                stream=rng.RngStream(problem_seed))
-    kernel = adapt.AdaptiveRjpoKernel(adapt.AdaptController(math.log(1e-2), adapt.MinCces()))
     stream, start = rng.RngStream(run_seed), None
     run_chain = tree["sampler"].run_chain
     if warmup:
@@ -80,17 +83,26 @@ def ar1_cces(tree: dict, warmup: int, steps: int, seed: int = 1):
     chain = run_chain(target, kernel, steps, None, stream, initial=start,
                       track_covariance=False)
     elapsed = time.perf_counter() - t0
-    return elapsed / steps, {"state": chain.x, "J": chain.cg_iterations,
-                             "alpha": chain.alphas, "epsilon": np.array(kernel.epsilons)}
+    return elapsed / steps, {"state": chain.x, "J": chain.cg_iterations, "alpha": chain.alphas}
 
 
-def sr64_arjpo(tree: dict, warmup: int, sweeps: int, seed: int = 1):
-    """(seconds per sweep, outputs) of one sr64-arjpo Gibbs run."""
+def ar1_cces(tree: dict, warmup: int, steps: int, seed: int = 1):
+    adapt = tree["adapt"]
+    kernel = adapt.AdaptiveRjpoKernel(adapt.AdaptController(math.log(1e-2), adapt.MinCces()))
+    seconds, outputs = ar1_chain(tree, kernel, warmup, steps, seed)
+    return seconds, {**outputs, "epsilon": np.array(kernel.epsilons)}
+
+
+def ar1_epo(tree: dict, warmup: int, steps: int, seed: int = 1):
+    return ar1_chain(tree, tree["adapt"].make_kernel("epo"), warmup, steps, seed)
+
+
+def sr64_gibbs(tree: dict, sampler, sweeps: int, seed: int):
+    """(seconds per sweep, outputs) of one 64 x 64 Gibbs run of ``sampler``."""
     sr, rng = tree["superres"], tree["rng"]
     synth_seed, run_seed = rng.derive_seeds(seed, 2)
     model = sr.make_model((64, 64), frames=2, decimation_factor=2, fwhm=4.0, snr_db=20.0)
     observations = sr.synthesize(model, sr.phantom((64, 64)), rng.RngStream(synth_seed))
-    sampler = tree["adapt"].make_kernel("arjpo", alpha_t=0.99, epsilon0=1e-2)
     t0 = time.perf_counter()
     summary = sr.run_gibbs(model, observations, sweeps, sweeps // 10, sampler,
                            rng.RngStream(run_seed))
@@ -99,7 +111,17 @@ def sr64_arjpo(tree: dict, warmup: int, sweeps: int, seed: int = 1):
                               "x_mean": summary.x_mean}
 
 
-WORKLOADS = {"ar1-cces": ar1_cces, "sr64-arjpo": sr64_arjpo}
+def sr64_arjpo(tree: dict, warmup: int, sweeps: int, seed: int = 1):
+    sampler = tree["adapt"].make_kernel("arjpo", alpha_t=0.99, epsilon0=1e-2)
+    return sr64_gibbs(tree, sampler, sweeps, seed)
+
+
+def sr64_exact(tree: dict, warmup: int, sweeps: int, seed: int = 1):
+    return sr64_gibbs(tree, tree["adapt"].make_kernel("epo"), sweeps, seed)
+
+
+WORKLOADS = {"ar1-cces": ar1_cces, "ar1-epo": ar1_epo, "sr64-arjpo": sr64_arjpo,
+             "sr64-exact": sr64_exact}
 
 
 def differing_outputs(parent: dict, change: dict) -> list[str]:

@@ -14,9 +14,10 @@ the super-resolution model and the conditional's factor built on them
 (the Gibbs chain runs in HalfSpectrum coordinates), or the strided-slice
 frame maps and back-projection that the package's index tables must
 match bit for bit, and the stacked factor's two-transform F^t.  The
-min-CCES window kept as a (3, 2 size) array and regressed by numpy in
-one pass per step is the reference that the running-sum window must
-track (and, driving a chain, reproduce its J and alpha bit for bit).
+min-CCES window kept as a growing array of its triples and regressed by
+numpy with explicit weights d^k at every step is the reference that the
+updating window must track (and, driving a chain, reproduce its J and
+alpha bit for bit).
 """
 
 from __future__ import annotations
@@ -216,52 +217,60 @@ def ols_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(xc @ (y - y.mean()) / (xc @ xc))
 
 
-class ArraySlopeWindow:
-    """The last ``size`` (log eps, J, alpha) triples as columns of a 3 x 2 size
-    array, each written at i and i + size for i cycling through 0 .. size - 1,
-    so ``columns`` is one contiguous slice, oldest first.  ``slopes``
-    regresses it with array_window_slopes, so the window can stand in for
+def window_decay(size: int) -> float:
+    """The weight ratio d of consecutive entries of a min-CCES window of
+    ``size``: d = size / (size + 4), a mean age of size / 4."""
+    return size / (size + 4.0)
+
+
+def weighted_window_slopes(window, size: int) -> tuple[float, float, bool]:
+    """Regress alpha and J on log eps over a (3, n) window whose rows are
+    log eps, J and alpha, oldest first, the column appended k steps ago
+    weighing window_decay(size)^k: (dalpha/dlogeps, dJ/dlogeps, degenerate).
+
+    The weighted means are formed first, then the weighted sums of
+    centred products, each from the whole window in one numpy pass.  A
+    window whose J is constant over its last min(n, size) columns, or
+    whose log eps is constant, is degenerate and gives zero slopes; so is
+    a zero J slope.
+    """
+    x, j, a = np.asarray(window, dtype=float)
+    tail = j[-min(x.size, size):]
+    if x.size == 0 or tail.min() == tail.max() or x.min() == x.max():
+        return 0.0, 0.0, True
+    w = window_decay(size) ** np.arange(x.size - 1, -1, -1.0)
+    dx = x - (w @ x) / w.sum()
+    wdx = w * dx
+    sxx = float(wdx @ dx)
+    slope_a = float(wdx @ (a - (w @ a) / w.sum())) / sxx
+    slope_j = float(wdx @ (j - (w @ j) / w.sum())) / sxx
+    return slope_a, slope_j, slope_j == 0.0
+
+
+WEIGHT_FLOOR = 1e-20  # WeightedSlopeWindow reads no column of lower weight
+
+
+class WeightedSlopeWindow:
+    """Every (log eps, J, alpha) triple appended, as the columns of a
+    (3, n) array, of which ``slopes`` regresses the ``kept`` trailing
+    ones, those whose weight is at least WEIGHT_FLOOR, with
+    weighted_window_slopes, so the window can stand in for
     rjpo.adapt.SlopeWindow as a controller's ``history``."""
 
     def __init__(self, size: int):
-        self._rows = np.zeros((3, 2 * size))
-        self._slots = self._rows.T  # one row per column: an entry converts once
-        self._size, self._next, self._count = size, 0, 0
+        self.size = size
+        self.kept = int(math.log(WEIGHT_FLOOR) / math.log(window_decay(size))) + 1
+        self._rows, self._count = np.empty((3, 64)), 0
 
     def append(self, entry) -> None:
-        i = self._next
-        self._slots[i::self._size] = entry  # columns i and i + size
-        self._next = (i + 1) % self._size
-        self._count = min(self._count + 1, self._size)
-
-    def columns(self) -> np.ndarray:
-        """Rows log eps, J and alpha of the filled window, oldest first."""
-        start = self._next if self._count == self._size else 0
-        return self._rows[:, start:start + self._count]
+        if self._count == self._rows.shape[1]:
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)], axis=1)
+        self._rows[:, self._count] = entry
+        self._count += 1
 
     def slopes(self) -> tuple[float, float, bool]:
-        return array_window_slopes(self.columns())
-
-
-def array_window_slopes(window) -> tuple[float, float, bool]:
-    """Regress alpha and J on log eps over a (3, n) window whose rows are
-    log eps, J and alpha: (dalpha/dlogeps, dJ/dlogeps, degenerate).
-
-    The rows are centred in one pass, and one row-wise reduction of the
-    log-eps deviation times all three rows gives the sums of dle^2, dle dJ
-    and dle dalpha.  Windows with no spread in log eps or in J are
-    degenerate and give zero slopes.
-    """
-    n = window.shape[1]
-    dev = window - (window.sum(axis=1) / n)[:, None]
-    dj = dev[1]
-    sums = (dev[0] * dev).sum(axis=1)
-    var_le = sums[0] / n
-    if var_le == 0.0 or (dj * dj).sum() / n == 0.0:
-        return 0.0, 0.0, True
-    slope_a = float(sums[2] / n / var_le)
-    slope_j = float(sums[1] / n / var_le)
-    return slope_a, slope_j, slope_j == 0.0
+        start = max(0, self._count - self.kept)
+        return weighted_window_slopes(self._rows[:, start:self._count], self.size)
 
 
 @dataclass

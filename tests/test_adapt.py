@@ -2,7 +2,6 @@
 
 import functools
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 import rjpo.adapt
 import rjpo.sampler
-from oracles import ArraySlopeWindow
+from oracles import WeightedSlopeWindow, weighted_window_slopes, window_decay
 from rjpo.adapt import (
     ALPHA_CLAMP_LOW,
     CORRECTION_CLIP,
@@ -122,111 +121,108 @@ def test_target_rate_trailing_acceptance_reaches_band():
 
 # ------------------------------------------------------------- min-CCES mode
 
-def _var_window_slopes(le, js, alphas):
-    """The window regression with numpy's var() for both variances, each
-    mean and deviation recomputed where it is used."""
-    var_le = le.var()
-    if var_le == 0.0 or js.var() == 0.0:
-        return 0.0, 0.0, True
-    dle = le - le.mean()
-    slope_a = float((dle * (alphas - alphas.mean())).mean() / var_le)
-    slope_j = float((dle * (js - js.mean())).mean() / var_le)
-    return slope_a, slope_j, slope_j == 0.0
-
-
 SLOPE_RTOL = 1e-12  # slope error allowed, in units of sd(y) / sd(log eps)
 
 
-def _assert_tracks_var_formula(slopes, le, js, alphas, where):
-    """slopes (SlopeWindow.slopes of the window le, js, alphas) carry the
-    var() formula's degenerate flag, and each slope lies within
-    SLOPE_RTOL sd(y) / sd(log eps) of its slope (equal where log eps is
-    constant)."""
-    le, js, alphas = (np.asarray(column, dtype=float) for column in (le, js, alphas))
-    reference = _var_window_slopes(le, js, alphas)
+def _weighted_moments(values, size):
+    """Mean and standard deviation of values under the window's weights."""
+    w = window_decay(size) ** np.arange(values.size - 1, -1, -1.0)
+    mean = float(w @ values / w.sum())
+    return mean, math.sqrt(float(w @ (values - mean) ** 2 / w.sum()))
+
+
+def _assert_tracks_reference(slopes, rows, size, where, conditioned=False):
+    """slopes (SlopeWindow(size).slopes after appending the columns of
+    rows, oldest first) carry weighted_window_slopes's degenerate flag on
+    rows, and each slope lies within SLOPE_RTOL sd(y) / sd(log eps) of its
+    slope, sd being the weighted one (equal where log eps is constant).
+    ``conditioned`` widens the bound by 1 + |mean log eps| / sd(log eps),
+    the conditioning of regressing about running means, which no
+    updating formula avoids (Chan, Golub & LeVeque, Am. Stat. 1983)."""
+    rows = np.asarray(rows, dtype=float)
+    reference = weighted_window_slopes(rows, size)
     assert slopes[2] == reference[2], where
-    sd_le = le.std()
-    for got, want, y in ((slopes[0], reference[0], alphas), (slopes[1], reference[1], js)):
+    mean_le, sd_le = _weighted_moments(rows[0], size)
+    scale = 1.0 + abs(mean_le) / sd_le if conditioned and sd_le > 0.0 else 1.0
+    for got, want, y in ((slopes[0], reference[0], rows[2]), (slopes[1], reference[1], rows[1])):
         if sd_le == 0.0:
             assert got == want, where
         else:
-            assert abs(got - want) <= SLOPE_RTOL * y.std() / sd_le, where
-
-
-def _filled_window(size, prefix, entries):
-    """A SlopeWindow(size) after ``prefix`` then ``entries``, both lists of
-    (log eps, J, alpha) triples."""
-    window = SlopeWindow(size)
-    for entry in prefix + entries:
-        window.append(entry)
-    return window
+            bound = SLOPE_RTOL * scale * _weighted_moments(y, size)[1] / sd_le
+            assert abs(got - want) <= bound, where
 
 
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 10_000), size=st.sampled_from([1, 2, 3, 7, 50, 200]))
 @example(seed=18, size=2)
 @example(seed=8790, size=3)
-def test_slope_window_tracks_the_tuple_window(seed, size):
-    """After every append, from the first entry through several wraps of
-    the window, the window holds the same triples in the same order as a
-    deque(maxlen=size), and its slopes track the var() formula on them:
-    the same degenerate flag, each slope within SLOPE_RTOL sd(y) /
-    sd(log eps).  J runs constant for stretches, so degenerate windows
-    occur too.  The two examples are short windows whose log eps nearly
-    coincide, far from the last restart's mean, which running sums would
-    regress about 1e-10 off."""
+def test_slope_window_tracks_the_weighted_reference(seed, size):
+    """After every append, the window's slopes track the numpy weighted
+    regression of everything appended so far within SLOPE_RTOL sd(y) /
+    sd(log eps), times the conditioning 1 + |mean| / sd of log eps, with
+    the same degenerate flag.  After size + 2 entries near log eps -5,
+    the log eps of the rest nearly coincide (within 1e-7 of a centre drawn
+    near -5), long enough for the older entries' weights to fall below
+    1e-20: the weighted spread shrinks to about 1e-7 while the mean stays
+    near -5.  J runs constant for stretches, so degenerate windows occur
+    too.  The two examples are the short windows that once exposed a
+    running-sum window's loss of digits."""
     rng = np.random.default_rng(seed)
-    window, reference = SlopeWindow(size), deque(maxlen=size)
-    for step in range(3 * size + 5):
-        j = 40.0 if step % 23 < 4 else float(rng.integers(5, 80))
-        entry = (float(rng.normal(-5.0, 0.3)), j, float(rng.uniform(1e-6, 1.0)))
+    steps, older = 13 * size + 50, size + 2
+    le = np.concatenate([rng.normal(-5.0, 0.3, older),
+                         rng.normal(-5.0, 0.3) + 1e-7 * rng.uniform(-1.0, 1.0, steps - older)])
+    js = np.where(np.arange(steps) % 23 < 4, 40.0, rng.integers(5, 80, steps))
+    rows = np.vstack([le, js, rng.uniform(1e-6, 1.0, steps)])
+    window = SlopeWindow(size)
+    for step, entry in enumerate(zip(*rows.tolist())):
         window.append(entry)
-        reference.append(entry)
-        assert list(window.entries) == list(reference)
-        _assert_tracks_var_formula(window.slopes(), *zip(*reference), (seed, size, step))
+        _assert_tracks_reference(window.slopes(), rows[:, :step + 1], size,
+                                 (seed, size, step), conditioned=True)
 
 
-def test_slope_window_matches_the_var_formula():
-    """The running-sum window tracks the var() formula on 3000 windows of
-    length 1-200 and 300 of length 201-2000, one in four with constant J
-    and one in ten with constant log eps, each appended after 0 to size
-    entries of other data so the ring has wrapped and its sums carry
-    history; and on trailing windows of a trajectory appended once, as
-    cli's min-CCES summary builds them from log eps, J (trail[:, 3]) and
-    alpha (trail[:, 2])."""
+def _controller_rows(rng, count, constant_le, constant_j):
+    """count (log eps, J, alpha) rows shaped like a min-CCES window: a
+    centre drifting from near -5 with the dither's +-0.5 around it (or a
+    constant log eps), J rising as eps tightens (or constant), alpha
+    uniform."""
+    if constant_le:
+        le = np.full(count, -5.0)
+    else:
+        centre = rng.normal(-5.0, 1.0) + np.cumsum(rng.normal(0.0, 0.02, count))
+        le = centre + np.where(np.arange(count) % 2, 0.5, -0.5)
+    js = (np.full(count, 40.0) if constant_j
+          else np.floor(10.0 - 2.0 * le + rng.integers(0, 8, count)))
+    return np.vstack([le, js, rng.uniform(1e-6, 1.0, count)])
+
+
+def test_slope_window_matches_the_weighted_reference():
+    """On 800 windows of size 1-200 and 200 of size 201-2000, each after
+    1 to 2 size controller-shaped appends (_controller_rows), the window
+    tracks the weighted regression within SLOPE_RTOL sd(y) / sd(log eps)
+    with the same degenerate flag; one in four has constant J and one in
+    ten constant log eps, so degenerate windows are common."""
     rng = np.random.default_rng(29)
     degenerate = 0
-    for trial in range(3300):
-        size = int(rng.integers(1, 201) if trial < 3000 else rng.integers(201, 2001))
-        le = np.full(size, -5.0) if trial % 10 == 0 else rng.normal(-5.0, 0.3, size)
-        js = np.full(size, 40.0) if trial % 4 == 0 else rng.integers(5, 80, size).astype(float)
-        alphas = rng.uniform(1e-6, 1.0, size)
-        start = int(rng.integers(0, size + 1))
-        prefix = list(zip(rng.normal(-5.0, 0.3, start).tolist(),
-                          rng.integers(5, 80, start).astype(float).tolist(),
-                          rng.uniform(1e-6, 1.0, start).tolist()))
-        window = _filled_window(size, prefix, list(zip(le.tolist(), js.tolist(),
-                                                       alphas.tolist())))
+    for trial in range(1000):
+        size = int(rng.integers(1, 201) if trial < 800 else rng.integers(201, 2001))
+        rows = _controller_rows(rng, int(rng.integers(1, 2 * size + 1)),
+                                trial % 10 == 0, trial % 4 == 0)
+        window = SlopeWindow(size)
+        for entry in zip(*rows.tolist()):
+            window.append(entry)
         slopes = window.slopes()
-        _assert_tracks_var_formula(slopes, le, js, alphas, trial)
+        _assert_tracks_reference(slopes, rows, size, (trial, size))
         degenerate += slopes[2]
-    assert degenerate >= 825
-    for trial in range(200):
-        steps = int(rng.integers(1, 4001))
-        traj = np.column_stack([np.arange(1, steps + 1), np.exp(rng.normal(-7.0, 0.5, steps)),
-                                rng.uniform(1e-6, 1.0, steps), rng.integers(5, 80, steps)])
-        trail = traj[-min(2000, steps):]
-        logeps, alpha, jits = np.log(trail[:, 1]), trail[:, 2], trail[:, 3]
-        window = _filled_window(len(trail), [], list(zip(logeps.tolist(), jits.tolist(),
-                                                         alpha.tolist())))
-        _assert_tracks_var_formula(window.slopes(), logeps, jits, alpha, trial)
+    assert degenerate >= 250
 
 
 def test_slope_window_keeps_its_digits_over_a_long_walk():
-    """300 000 appends to a 200-entry window while log eps walks from
+    """300 000 appends to a window of size 200 while log eps walks from
     log 1e-2 down to log 1e-16 and back (the dither's +-0.5 and noise on
     top, J rising as eps tightens): every 1000 appends the slopes still
-    track the var() formula within SLOPE_RTOL sd(y) / sd(log eps)."""
+    track the weighted regression within SLOPE_RTOL sd(y) / sd(log eps).
+    The reference reads the trailing entries whose weight is at least
+    1e-20, as WeightedSlopeWindow(200) does."""
     rng = np.random.default_rng(42)
     steps, half = 300_000, 150_000
     top, bottom = math.log(1e-2), math.log(1e-16)
@@ -235,35 +231,37 @@ def test_slope_window_keeps_its_digits_over_a_long_walk():
           + rng.normal(0.0, 0.3, steps))
     js = np.floor(10.0 - 2.0 * le + rng.integers(0, 8, steps))
     alphas = np.clip(0.6 + 0.02 * (le - le.mean()) + rng.normal(0.0, 0.1, steps), 1e-6, 1.0)
-    window = SlopeWindow(200)
+    rows = np.vstack([le, js, alphas])
+    window, keep = SlopeWindow(200), WeightedSlopeWindow(200).kept
     for n, entry in enumerate(zip(le.tolist(), js.tolist(), alphas.tolist()), 1):
         window.append(entry)
         if n % 1000 == 0:
-            _assert_tracks_var_formula(window.slopes(), le[n - 200:n], js[n - 200:n],
-                                       alphas[n - 200:n], n)
+            _assert_tracks_reference(window.slopes(), rows[:, max(0, n - keep):n], 200, n)
     assert math.exp(le.min()) < 1e-16 * math.exp(1.0)
 
 
 def test_a_one_entry_window_is_always_degenerate():
+    """A window of size 1 is degenerate however many entries it has seen:
+    J is trivially constant over its last entry."""
     window = SlopeWindow(1)
     assert window.slopes() == (0.0, 0.0, True)
     rng = np.random.default_rng(3)
     for _ in range(50):
         window.append((float(rng.normal()), float(rng.integers(5, 80)), float(rng.uniform())))
         assert window.slopes() == (0.0, 0.0, True)
-        assert len(window.entries) == 1
 
 
 @pytest.mark.parametrize("seeds", [(31, 32), (131, 132), (231, 232)],
                          ids=lambda pair: f"{pair[0]}-{pair[1]}")
-def test_min_cces_chain_is_bitwise_the_array_window_chain(seeds):
+def test_min_cces_chain_is_bitwise_the_weighted_reference_chain(seeds):
     """On check 09's target, 5000 min-CCES steps from eps 1e-2 with the
-    running-sum window give bit for bit the chain state, J and alpha of a
-    controller whose history is the array window regressed by numpy
-    (oracles.ArraySlopeWindow), the same degenerate-window count, and
-    thresholds equal to 1e-10 relative."""
+    updating window give bit for bit the chain state, J and alpha of a
+    controller whose history is the numpy weighted regression
+    (oracles.WeightedSlopeWindow, reading the entries of weight at least
+    1e-20), the same degenerate-window count, and thresholds equal to
+    1e-10 relative."""
     runs = []
-    for history in (SlopeWindow, ArraySlopeWindow):
+    for history in (SlopeWindow, WeightedSlopeWindow):
         target, _, _ = ar1_target(128, 1.0, 0.8, stream=RngStream(seeds[0]))
         ctrl = make_ctrl(MinCces(), log_eps=math.log(1e-2))
         ctrl.history = history(ctrl.mode.window_size)
@@ -359,11 +357,16 @@ def test_rising_j_slope_is_degenerate():
     assert ctrl.log_epsilon - before == pytest.approx(ctrl.k0 * (0.7 - 0.5 * 0.7**2))
 
 
-def test_min_cces_thresholds_alternate_around_the_centre():
+def test_min_cces_thresholds_alternate_around_the_centre(monkeypatch):
     """Step n runs at centre + 0.5 (odd n) or centre - 0.5 (even n) in log
-    eps, and that threshold is what the window records; ``epsilon`` stays
-    the centre.  Target-rate thresholds are exp(log_epsilon), bit for bit."""
+    eps, and that threshold is what the window records and what the
+    adaptive kernel records in ``epsilons``; ``epsilon`` stays the centre.
+    Target-rate thresholds are exp(log_epsilon), bit for bit."""
     ctrl = make_ctrl(MinCces(window_size=10), log_eps=math.log(3e-4))
+    recorded = []
+    window_append = ctrl.history.append
+    monkeypatch.setattr(ctrl.history, "append",
+                        lambda entry: (recorded.append(entry[0]), window_append(entry)))
     rng = np.random.default_rng(7)
     for n in range(1, 13):
         centre = ctrl.log_epsilon
@@ -371,7 +374,18 @@ def test_min_cces_thresholds_alternate_around_the_centre():
         assert ctrl.threshold == math.exp(ctrl.step_log_epsilon)
         assert ctrl.epsilon == math.exp(centre)
         update_min_cces(ctrl, int(rng.integers(20, 40)), float(rng.uniform(0.7, 1.0)))
-        assert ctrl.history.entries[-1][0] == centre + (0.5 if n % 2 else -0.5)
+        assert recorded[-1] == centre + (0.5 if n % 2 else -0.5)
+    centres = []
+    update = rjpo.adapt.update_min_cces
+    monkeypatch.setattr(rjpo.adapt, "update_min_cces",
+                        lambda ctrl, j_n, alpha_n: (centres.append(ctrl.log_epsilon),
+                                                    update(ctrl, j_n, alpha_n))[1])
+    stream = RngStream(6)
+    target, _, _ = ar1_target(16, 1.0, 0.8, stream=stream)
+    kernel = AdaptiveRjpoKernel(make_ctrl(MinCces(window_size=10), log_eps=math.log(3e-4)))
+    run_chain(target, kernel, n_max=12, n_min=0, stream=stream)
+    assert kernel.epsilons == [math.exp(centre + (0.5 if n % 2 else -0.5))
+                               for n, centre in enumerate(centres, 1)]
     rate = make_ctrl(TargetRate(0.8))
     for alpha in rng.uniform(0.0, 1.0, 12):
         assert rate.step_log_epsilon == rate.log_epsilon
@@ -393,6 +407,22 @@ def test_min_cces_settles_within_its_first_thousand_steps():
     assert math.exp(log_eps.min()) > 1e-5
 
 
+def test_min_cces_dive_stays_shallow_and_short():
+    """On check 09's ten seed pairs, (31, 32) to (931, 932), 1000 min-CCES
+    steps from eps 1e-2: no threshold falls to 1e-7 or below, and every
+    threshold after step 500 lies above 1e-5.  The boxcar window this
+    regression replaced dove to 2.7e-8-7.7e-8 on (131, 132), (531, 532)
+    and (931, 932); this one's lowest read 4.2e-7, and every pair
+    recovered above 1e-5 by step 423."""
+    for k in range(10):
+        target, _, _ = ar1_target(128, 1.0, 0.8, stream=RngStream(31 + 100 * k))
+        kernel = AdaptiveRjpoKernel(make_ctrl(MinCces(), log_eps=math.log(1e-2)))
+        run_chain(target, kernel, 1000, 0, RngStream(32 + 100 * k), track_covariance=False)
+        eps = np.asarray(kernel.epsilons)
+        assert eps.min() > 1e-7, (k, eps.min())
+        assert eps[500:].min() > 1e-5, (k, eps[500:].min())
+
+
 def test_degenerate_windows_counted_and_drift_loose():
     ctrl = make_ctrl(MinCces(window_size=4))
     before = ctrl.log_epsilon
@@ -405,12 +435,20 @@ def test_degenerate_windows_counted_and_drift_loose():
 
 
 def test_alpha_is_clamped_into_unit_interval():
+    """alpha 0 counts as ALPHA_CLAMP_LOW and alpha 1.3 as 1.  J is equal on
+    both updates, so both windows are degenerate and each step moves log
+    eps by its gain times the loosening drift alpha - alpha^2/2 of the
+    clamped alpha: k0 (ALPHA_CLAMP_LOW - ALPHA_CLAMP_LOW^2/2), then
+    k0/sqrt(2) times 0.5."""
     ctrl = make_ctrl(MinCces(window_size=4))
+    before = ctrl.log_epsilon
     update_min_cces(ctrl, 10, 0.0)
-    update_min_cces(ctrl, 11, 1.3)
-    stored = [alpha for _, _, alpha in ctrl.history.entries]
-    assert stored[0] == ALPHA_CLAMP_LOW
-    assert stored[1] == 1.0
+    low_drift = ALPHA_CLAMP_LOW - 0.5 * ALPHA_CLAMP_LOW**2
+    assert ctrl.log_epsilon - before == pytest.approx(ctrl.k0 * low_drift, rel=1e-6, abs=0)
+    before = ctrl.log_epsilon
+    update_min_cces(ctrl, 10, 1.3)
+    assert ctrl.log_epsilon - before == pytest.approx(ctrl.k0 / math.sqrt(2) * 0.5)
+    assert ctrl.degenerate_windows == 2
 
 
 @pytest.mark.parametrize("eps0", [3e-2, 1e-3])

@@ -13,16 +13,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_in_process_ab_runs_a_tiny_control_block():
     """This checkout loaded twice under the tool's two package names runs
-    one short block of each workload in under 2 s, with bit-identical
-    outputs on both sides, and the summary counts that block."""
+    one short block of each of perfbench's four workloads in under 2 s,
+    with bit-identical outputs on both sides, and the summary counts that
+    block."""
     lines = []
     start = time.perf_counter()
-    times = in_process_ab.run_blocks(ROOT, ROOT, 1, {"ar1-cces": (20, 50), "sr64-arjpo": (0, 3)},
-                                     report=lines.append)
+    sizes = {"ar1-cces": (20, 50), "ar1-epo": (0, 50), "sr64-arjpo": (0, 3),
+             "sr64-exact": (0, 2)}
+    assert sorted(sizes) == sorted(in_process_ab.SIZES) == sorted(in_process_ab.WORKLOADS)
+    times = in_process_ab.run_blocks(ROOT, ROOT, 1, sizes, report=lines.append)
     assert time.perf_counter() - start < 2.0
     assert lines[0].startswith("block 1 (parent first): ar1-cces ")
+    assert "; ar1-epo " in lines[0] and "; sr64-exact " in lines[0]
     summary = in_process_ab.summarize(times)
-    assert sorted(summary) == ["ar1-cces", "sr64-arjpo"]
+    assert sorted(summary) == sorted(sizes)
     for row in summary.values():
         assert row["blocks"] == 1 and row["parent_ms"] > 0 and row["change_ms"] > 0
     assert in_process_ab.main(["--blocks", "0", str(ROOT), "--control"]) == 2
