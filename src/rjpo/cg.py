@@ -1,6 +1,6 @@
-"""Truncated linear conjugate gradient with a relative-residual stopping rule,
-preconditioned when the operator carries a preconditioner, and run on the
-distinct eigenvalues of Q's eigenbasis when an unpreconditioned operator
+"""Truncated linear conjugate gradient with a relative-residual stopping rule:
+preconditioned when the caller passes a preconditioner, and otherwise plain
+CG, run on the distinct eigenvalues of Q's eigenbasis when the operator
 offers one."""
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ class CGOutcome:
     converged: bool
 
 
-def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) -> CGOutcome:
+def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None,
+             precondition=None) -> CGOutcome:
     """Run CG on Q x = b from x0 until the relative residual drops to epsilon.
 
     The stopping test uses the cheap recursive residual and is evaluated at
@@ -45,12 +46,12 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     order of the textbook loop, and writes neither b, x0 nor what q.apply
     returns.
 
-    When q also has precondition(r), computing M^-1 r for a symmetric
-    positive definite M, the search directions are built from z = M^-1 r
-    (preconditioned CG); otherwise z = r and this is plain CG.  Either way
-    the stopping test is on ||r|| itself.
+    Given precondition(r), computing M^-1 r for a symmetric positive
+    definite M, the search directions are built from z = M^-1 r
+    (preconditioned CG, as scipy.sparse.linalg.cg's M); otherwise z = r and
+    this is plain CG.  Either way the stopping test is on ||r|| itself.
 
-    When q has no precondition but offers a ``rotation`` that is not None
+    Without precondition, when q offers a ``rotation`` that is not None
     (an Eigenbasis: an orthogonal U with U Q U^t = Lambda diagonal, which a
     FactoredPrecision may offer), plain CG runs in U's coordinates on
     Lambda's distinct eigenvalues, which the Eigenbasis groups when it is
@@ -76,8 +77,8 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
 
     b, x0 and the solution are vectors in whatever coordinates q.apply
     takes; the super-resolution Gibbs chain hands over HalfSpectrum
-    coordinates, where Q, its preconditioner and its eigenbasis take no
-    transform, so a solve there costs none, plain or preconditioned.
+    coordinates, where Q, its P^-1 and its eigenbasis take no transform, so
+    a solve there costs none, plain or preconditioned.
 
     At entry one dot checks the initial residual r: a finite r^t r means
     every entry is finite, and only a NaN or overflowing r^t r runs the
@@ -87,11 +88,12 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
 
     Args:
       q: object with apply(v) computing Qv for symmetric positive definite Q,
-        and optionally precondition(r) or rotation.
+        and optionally rotation.
       b: right-hand side.
       x0: starting point (defaults to zero).
       epsilon: relative-residual threshold, finite and >= 0.
       max_iters: iteration cap, defaults to 10 * b.size.
+      precondition: r -> M^-1 r, or None (the default) for plain CG.
 
     Raises:
       NumericalBreakdownError: non-finite values (||b|| among them),
@@ -111,7 +113,7 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     if max_iters < 1:
         raise ConfigurationError(f"max_iters must be >= 1, got {max_iters}")
 
-    rotation = None if hasattr(q, "precondition") else getattr(q, "rotation", None)
+    rotation = None if precondition is not None else getattr(q, "rotation", None)
     if rotation is not None:
         # enter returns a new vector, so the in-place updates never reach x0
         q, b = rotation, rotation.enter(b)
@@ -129,13 +131,14 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
         if not math.isfinite(b_norm):  # a finite b whose b^t b overflows
             raise NumericalBreakdownError(f"non-finite ||b|| = {b_norm} at CG iteration 0")
         if rotation is None:
-            iterations, converged = _iterate(q, r, x, b_norm, epsilon, max_iters)
+            iterations, converged = _iterate(q, r, x, b_norm, epsilon, max_iters, precondition)
         else:
             # one coordinate per distinct eigenvalue, weighted by r's mass on it
             distinct, group = rotation.distinct, rotation.group
             weight = np.sqrt(np.bincount(group, r * r))
             left = weight.copy()
-            iterations, converged = _iterate(distinct, left, None, b_norm, epsilon, max_iters)
+            iterations, converged = _iterate(distinct, left, None, b_norm, epsilon,
+                                             max_iters, None)
             scale = np.divide(weight - left, weight * distinct.values,
                               out=np.zeros(weight.size), where=weight > 0)
             x += r * scale[group]
@@ -146,9 +149,10 @@ def cg_solve(q, b, x0=None, epsilon: float = 0.0, max_iters: int | None = None) 
     return CGOutcome(x, iterations, relative, residual, converged)
 
 
-def _iterate(q, r, x, b_norm, epsilon, max_iters):
+def _iterate(q, r, x, b_norm, epsilon, max_iters, precondition):
     """The CG loop from residual r, updated in place, as is x unless it is
-    None; returns (iterations, converged).
+    None, preconditioned by ``precondition`` unless it is None; returns
+    (iterations, converged).
 
     Every vector update runs in place through one scratch vector s per
     solve (s = step p, then s = step Qp), with the floating-point operations
@@ -161,7 +165,6 @@ def _iterate(q, r, x, b_norm, epsilon, max_iters):
     iterations, converged = 0, True
     if math.sqrt(rs) / b_norm > epsilon:
         apply, add, subtract, multiply, sqrt = q.apply, np.add, np.subtract, np.multiply, math.sqrt
-        precondition = getattr(q, "precondition", None)
         z, rz = (r, rs) if precondition is None else _preconditioned(precondition, r, 0)
         p = z.copy()
         s = np.empty_like(p)

@@ -37,12 +37,13 @@ class FactoredPrecision:
     A subclass sets ``in_dim`` and ``gram`` (Q), and ``out_dim`` and
     ``apply_transpose`` (F^t) if perturbations draw through it.  It may
     offer ``rotation`` (an Eigenbasis, where a plain cg_solve runs),
-    ``inverse`` (a closed-form Q^-1, which the exact draw tries before any
-    solve) and ``preconditioner`` (an SPD approximation of Q^-1 for the
-    exact draw's solve), each None where it has none.  Vectors live in the
-    coordinates the factor takes: plain vectors for a DenseOperator,
-    HalfSpectrum coordinates for the super-resolution conditional.
-    Subclasses leave ``apply`` alone, so every Q-apply goes through it.
+    ``inverse`` (a closed-form Q^-1, which the exact draw applies in place
+    of a solve) and ``preconditioner`` (an SPD approximation of Q^-1, which
+    the exact draw hands its CG solve as ``precondition``), each None where
+    it has none.  Vectors live in the coordinates the factor takes: plain
+    vectors for a DenseOperator, HalfSpectrum coordinates for the
+    super-resolution conditional.  Subclasses leave ``apply`` alone, so
+    every Q-apply goes through it.
     """
 
     rotation = inverse = preconditioner = None
@@ -50,16 +51,6 @@ class FactoredPrecision:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The Gram map v -> Qv = F^t F v."""
         return self.gram(v)
-
-    def preconditioned(self) -> FactoredPrecision:
-        """This Q for a preconditioned cg_solve: itself, solved by plain CG,
-        without a ``preconditioner``; else a view with its ``in_dim`` and
-        ``gram`` whose ``precondition``, the preconditioner, cg_solve reads."""
-        if self.preconditioner is None:
-            return self
-        view = FactoredPrecision()
-        view.in_dim, view.gram, view.precondition = self.in_dim, self.gram, self.preconditioner
-        return view
 
 
 class DenseOperator(FactoredPrecision):

@@ -70,25 +70,26 @@ def epo_step(target: GaussianTarget, stream: RngStream) -> KernelOutcome:
     residual meets EXACT_EPSILON is the draw.  Where the factor offers a
     closed-form Q^-1 (``inverse``: a full-rank DenseOperator, the
     super-resolution conditional with at most one alias term), x = Q^-1 eta
-    is corrected to x + Q^-1 r, with no CG.  Otherwise CG runs on
-    ``precision.preconditioned()`` to EXACT_EPSILON from zero, then from x,
-    and the draw reports both solves' iterations.  A draw that misses after
-    its correction, a CG solve stopped at its cap, or an eta whose norm
-    overflows raises NumericalBreakdownError (exit code 2).
+    is corrected to x + Q^-1 r, with no CG.  Otherwise CG runs to
+    EXACT_EPSILON from zero, then from x, preconditioned by the factor's
+    ``preconditioner`` (P^-1 for the super-resolution conditional with
+    several alias terms) or plain where it offers none, and the draw reports
+    both solves' iterations.  A draw that misses after its correction, a CG
+    solve stopped at its cap, or an eta whose norm overflows raises
+    NumericalBreakdownError (exit code 2).
     """
     eta = perturb(target, stream)
     precision = target.precision
     inverse = precision.inverse
-    if inverse is None:
-        q = precision.preconditioned()
-    else:
+    if inverse is not None:
         eta_norm = math.sqrt(eta @ eta)  # np.linalg.norm's formula, without its wrapper
         if not math.isfinite(eta_norm):
             raise NumericalBreakdownError(f"non-finite ||eta|| = {eta_norm} in the exact draw")
     x, iterations = None, 0
     for _ in range(2):
         if inverse is None:
-            out = cg_solve(q, eta, x0=x, epsilon=EXACT_EPSILON)
+            out = cg_solve(precision, eta, x0=x, epsilon=EXACT_EPSILON,
+                           precondition=precision.preconditioner)
             iterations += out.iterations
             if not out.converged:
                 raise NumericalBreakdownError(

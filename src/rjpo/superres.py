@@ -353,8 +353,8 @@ class SpectralConditional(FactoredPrecision):
 
     ``inverse`` is Q^-1 when C has at most one alias term (frames =
     factor^2, or two frames at factor 2), and None when it has more;
-    ``preconditioner`` is that Q^-1, or P^-1 where there is none, for the
-    exact draw's solve only (preconditioned()).  Neither takes a transform.
+    ``preconditioner`` is P^-1 whatever the alias count: the exact draw's
+    CG solve takes it where there is no ``inverse``.  Neither takes a transform.
     With exactly one alias term it also offers ``rotation``, Q's eigenbasis
     (PairRotation), where plain CG runs; with none or several, ``rotation``
     is None and plain CG applies Q as above.  Both read ``paired_mean`` (P_j
@@ -402,7 +402,7 @@ class SpectralConditional(FactoredPrecision):
     def root(self):
         """Q^(1/2) as a map, no transform, when C has at most one alias term,
         else None.  Q^(1/2) is a function of Q, so it has Q's blocks
-        (``preconditioner``): on a pair's Hermitian block Q_2 with determinant
+        (``inverse``): on a pair's Hermitian block Q_2 with determinant
         det, Q_2^(1/2) = (Q_2 + sqrt(det) I) / sqrt(P_k + P_j + 2 sqrt(det))
         (Cayley-Hamilton; a lone bin is its own pair, P_j = P_k), and with
         no alias term it is sqrt(P).  Every sum is of positive terms, and
@@ -421,15 +421,21 @@ class SpectralConditional(FactoredPrecision):
 
     @cached_property
     def preconditioner(self):
-        """s -> M^-1 s for CG's preconditioner M, no transform; built on
-        first use, so only exact draws pay for it.  With no alias term (C =
-        I, Q = P) it is Q^-1 = P^-1, s / P, and with two or more (3 or 5
-        frames at factor 2, for instance) the Strang/Chan P^-1, also s / P.
+        """s -> P^-1 s = s / P, the Strang/Chan preconditioner, no transform;
+        built on first use, so only exact draws with several alias terms pay
+        for it."""
+        return _DiagonalPlusGathers(1.0 / self.gram.diagonal, [])
 
-        With one alias term (gather, w) it is Q^-1 too.  The term's shift is
-        its own negative (C is real, so c_-pq = conj c_pq is a term too),
-        so the gather G pairs each bin k with one bin j, G(G(s)) = s, and Q
-        is block diagonal in 1 x 1 and 2 x 2 blocks:
+    @cached_property
+    def inverse(self):
+        """Q^-1 as a map, no transform, when C has at most one alias term,
+        else None; built by the exact draw, which applies it in place of a
+        solve (rjpo.sampler.epo_step).  With no alias term Q = P (C = I).
+
+        With one alias term (gather, w), the term's shift is its own
+        negative (C is real, so c_-pq = conj c_pq is a term too), so the
+        gather G pairs each bin k with one bin j, G(G(s)) = s, and Q is
+        block diagonal in 1 x 1 and 2 x 2 blocks:
 
             (Q s)_k = P_k s_k + w_k ~s_j,   (Q s)_j = P_j s_j + w_j ~s_k,
 
@@ -443,26 +449,20 @@ class SpectralConditional(FactoredPrecision):
         Q-apply.  Its two tables multiply by one complex reciprocal of the
         determinant: numpy's bits for dividing by it, in about half the time.
         """
-        if self.basis.alias_terms != 1:
+        if self.basis.alias_terms > 1:
+            return None
+        if not self.gram.aliases:
             return _DiagonalPlusGathers(1.0 / self.gram.diagonal, [])
         [(gather, weight)] = self.gram.aliases
         reciprocal = (1.0 / self.determinant).astype(complex)
         return _DiagonalPlusGathers(self.paired_mean * reciprocal,
                                     [(gather, -weight * reciprocal)])
 
-    @property
-    def inverse(self):
-        """Q^-1 as a map, no transform, when C has at most one alias term:
-        ``preconditioner``, built by its first use.  None with several, where
-        P^-1 only preconditions.  The exact draw applies it in place of a
-        solve (rjpo.sampler.epo_step)."""
-        return self.preconditioner if self.basis.alias_terms <= 1 else None
-
     @cached_property
     def rotation(self):
         """Q's eigenbasis (PairRotation) when C has exactly one alias term,
         else None; built by the first plain solve against this Q, so the
-        preconditioned exact draw never pays for it."""
+        exact draw, which applies ``inverse``, never pays for it."""
         return PairRotation(self) if self.basis.alias_terms == 1 else None
 
 
@@ -470,7 +470,7 @@ class PairRotation(Eigenbasis):
     """An orthogonal U and positive diagonal Lambda with U Q U^t = Lambda,
     for the conditional Q of one alias term, no transform.
 
-    Q is block diagonal (SpectralConditional.preconditioner): on the
+    Q is block diagonal (SpectralConditional.inverse): on the
     first member k of a pair and its partner j it is the Hermitian block
     [[P_k, w], [conj w, P_j]] on (s_k, ~s_j), w = |w| e^(i phi) = w_k.
     Its eigenvalues are

@@ -68,7 +68,7 @@ def dense_solve_cg_reference(q: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(q, b)
 
 
-def textbook_cg_iterate(q, r, x, b_norm, epsilon, max_iters):
+def textbook_cg_iterate(q, r, x, b_norm, epsilon, max_iters, precondition):
     """The textbook CG loop that rjpo.cg._iterate must match bit for bit:
     step p and step Qp are fresh vectors, and r^t r and p^t Qp are
     matmuls.  It has _iterate's signature and result, so a test can patch
@@ -76,7 +76,6 @@ def textbook_cg_iterate(q, r, x, b_norm, epsilon, max_iters):
     rs = float(r @ r)
     iterations, converged = 0, True
     if math.sqrt(rs) / b_norm > epsilon:
-        precondition = getattr(q, "precondition", None)
         z, rz = _textbook_preconditioned(precondition, r, rs, 0)
         p = z.copy()
         for iterations in range(1, max_iters + 1):

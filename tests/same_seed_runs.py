@@ -15,12 +15,16 @@ PSRF study, a curve whose rjpo chains almost never move, the exact
 super-resolution reference, a 3 x 3 decimation under tpo and under the
 exact solve, an exact chain on three frames, whose several alias terms
 precondition by P^-1, a fixed-threshold rjpo chain on six frames, whose
-one alias term puts its plain solves in Q's eigenbasis, and an arjpo
-chain on three frames at 64 x 64, whose truncated plain solves apply the
-several-alias Q itself.  The two-frame runs (superres64_arjpo,
-superres64_epo, superres16_reference, both of its chains) and the
-six-frame run have at most one alias term and draw their perturbations
-through Q^(1/2) (SpectralConditional.root); the factor-3 and three-frame
+one alias term puts its plain solves in Q's eigenbasis, an arjpo chain on
+three frames at 64 x 64, whose truncated plain solves apply the
+several-alias Q itself, and two chains with every phase sampled once
+(four frames at factor 2, C = I, no alias term): an exact one, whose draw
+applies the closed-form Q^-1 = P^-1, and an arjpo one, whose truncated
+plain solves apply the diagonal Q itself.  The two-frame runs
+(superres64_arjpo, superres64_epo, superres16_reference, both of its
+chains), the six-frame run and the full-coverage runs have at most one
+alias term and draw their perturbations through Q^(1/2)
+(SpectralConditional.root); the factor-3 and three-frame
 runs have several and draw M + N normals through the frames'
 back-projection and the isometry HalfSpectrum.embed.  The toy,
 curve and adapt runs' plain solves run in the dense AR(1) factor's
@@ -69,6 +73,12 @@ RUNS = {
     "superres64_three_frames_arjpo": ["superres", "--dims", "64", "--frames", "3", "--sampler",
                                       "arjpo", "--iterations", "100", "--burn-in", "10",
                                       "--seed", "14"],
+    "superres16_full_coverage_epo": ["superres", "--dims", "16", "--frames", "4", "--factor",
+                                     "2", "--fwhm", "1", "--sampler", "epo", "--iterations",
+                                     "200", "--burn-in", "20", "--seed", "8"],
+    "superres16_full_coverage_arjpo": ["superres", "--dims", "16", "--frames", "4", "--factor",
+                                       "2", "--fwhm", "1", "--sampler", "arjpo", "--iterations",
+                                       "200", "--burn-in", "20", "--seed", "8"],
 }
 
 

@@ -125,18 +125,12 @@ def test_converged_flag_reports_the_stopping_test():
     assert not cg_solve(prec, b, epsilon=1e-4, max_iters=needed - 1).converged
 
 
-def _with_preconditioner(prec, precondition):
-    """prec's preconditioned view, with M^-1 r = precondition(r)."""
-    prec.preconditioner = precondition
-    return prec.preconditioned()
-
-
 def test_preconditioned_solve_matches_dense_solve():
     prec, q = _spd_precision(17, 25)
     a = np.random.default_rng(18).standard_normal((25, 25))
     m_inv = a @ a.T + np.eye(25)  # an SPD preconditioner unrelated to Q
     b = np.random.default_rng(19).standard_normal(25)
-    out = cg_solve(_with_preconditioner(prec, lambda r: m_inv @ r), b, epsilon=1e-13)
+    out = cg_solve(prec, b, epsilon=1e-13, precondition=lambda r: m_inv @ r)
     assert out.converged
     assert np.allclose(out.solution, np.linalg.solve(q, b), atol=1e-9)
     assert np.allclose(out.residual_vector, b - q @ out.solution, atol=1e-10)
@@ -147,7 +141,7 @@ def test_exact_inverse_preconditioner_converges_in_one_iteration():
     prec, q = _spd_precision(20, 30)
     b = np.random.default_rng(21).standard_normal(30)
     q_inv = np.linalg.inv(q)
-    out = cg_solve(_with_preconditioner(prec, lambda r: q_inv @ r), b, epsilon=1e-10)
+    out = cg_solve(prec, b, epsilon=1e-10, precondition=lambda r: q_inv @ r)
     assert out.iterations == 1 and out.converged
     assert cg_solve(prec, b, epsilon=1e-10).iterations > 1
 
@@ -162,7 +156,7 @@ def test_preconditioner_that_is_not_positive_breaks_down(bad):
     prec, _ = _spd_precision(22, 6)
     b = np.random.default_rng(23).standard_normal(6)
     with pytest.raises(NumericalBreakdownError, match="preconditioner.* at CG iteration 0$"):
-        cg_solve(_with_preconditioner(prec, bad), b, epsilon=1e-10)
+        cg_solve(prec, b, epsilon=1e-10, precondition=bad)
 
 
 def test_preconditioner_breakdown_reports_its_iteration():
@@ -175,7 +169,7 @@ def test_preconditioner_breakdown_reports_its_iteration():
         return r if len(calls) < 3 else -r
 
     with pytest.raises(NumericalBreakdownError, match="preconditioner.* at CG iteration 2$"):
-        cg_solve(_with_preconditioner(prec, fails_on_third_call), b, epsilon=1e-10)
+        cg_solve(prec, b, epsilon=1e-10, precondition=fails_on_third_call)
 
 
 def test_indefinite_matrix_breaks_down():
@@ -415,8 +409,9 @@ def _sr64_conditional():
 @pytest.mark.parametrize("case", ["dense", "sr64", "sr64_preconditioned"])
 def test_q_applies_per_solve(monkeypatch, case):
     """A solve of J iterations makes J + 1 Q-applies from the zero start
-    (Q 0 is never formed) and J + 2 from a given x0; skipping Q 0 leaves
-    the solve bitwise equal to one started from an explicit zero vector."""
+    (Q 0 is never formed) and J + 2 from a given x0, plain or preconditioned
+    by the conditional's P^-1; skipping Q 0 leaves the solve bitwise equal
+    to one started from an explicit zero vector."""
     if case == "dense":
         target, _, _ = ar1_target(64, 1.0, 0.8, stream=RngStream(1))
     else:
@@ -425,8 +420,7 @@ def test_q_applies_per_solve(monkeypatch, case):
     eta = perturb(target, stream)
     start = stream.standard_normal_vector(target.dim)
     precision = target.precision
-    if case == "sr64_preconditioned":
-        precision = precision.preconditioned()
+    precondition = precision.preconditioner if case == "sr64_preconditioned" else None
     applies = []
     apply = FactoredPrecision.apply
 
@@ -438,7 +432,7 @@ def test_q_applies_per_solve(monkeypatch, case):
     solutions = []
     for x0, extra in ((None, 1), (start, 2), (np.zeros(target.dim), 2)):
         applies.clear()
-        out = cg_solve(precision, eta, x0=x0, epsilon=1e-3)
+        out = cg_solve(precision, eta, x0=x0, epsilon=1e-3, precondition=precondition)
         assert out.iterations >= 1
         assert len(applies) == out.iterations + extra, (x0 is None, out.iterations)
         solutions.append(out.solution)
@@ -447,15 +441,15 @@ def test_q_applies_per_solve(monkeypatch, case):
 
 @pytest.fixture(scope="module")
 def bitwise_cases():
-    """name -> precision: AR(1) N = 128 through its eigenbasis and through
-    M^t (M v) with no rotation, and the 64 x 64 conditional through its
-    PairRotation and preconditioned."""
+    """name -> (precision, precondition): AR(1) N = 128 through its
+    eigenbasis and through M^t (M v) with no rotation, and the 64 x 64
+    conditional through its PairRotation and preconditioned by its P^-1."""
     ar1, _, _ = ar1_target(128, 1.0, 0.8, stream=RngStream(1))
     conditional = _sr64_conditional().precision
-    return {"ar1_eigenbasis": ar1.precision,
-            "ar1_two_product": oracles.with_two_product_factor(ar1).precision,
-            "sr64_eigenbasis": conditional,
-            "sr64_preconditioned": conditional.preconditioned()}
+    return {"ar1_eigenbasis": (ar1.precision, None),
+            "ar1_two_product": (oracles.with_two_product_factor(ar1).precision, None),
+            "sr64_eigenbasis": (conditional, None),
+            "sr64_preconditioned": (conditional, conditional.preconditioner)}
 
 
 @pytest.mark.parametrize("limits", [{"epsilon": 1e-1}, {"epsilon": 1e-3}, {"epsilon": 1e-8},
@@ -468,14 +462,14 @@ def test_loop_is_bitwise_the_textbook_loop(monkeypatch, bitwise_cases, case, lim
     (oracles.textbook_cg_iterate) returns, from zero and from an x0:
     iterations, the stopping flag, the relative residual, the solution and
     the residual vector."""
-    precision = bitwise_cases[case]
+    precision, precondition = bitwise_cases[case]
     stream = RngStream(5)
     b = stream.standard_normal_vector(precision.in_dim)
     for x0 in (None, stream.standard_normal_vector(precision.in_dim)):
-        out = cg_solve(precision, b, x0=x0, **limits)
+        out = cg_solve(precision, b, x0=x0, precondition=precondition, **limits)
         with monkeypatch.context() as patched:
             patched.setattr(rjpo.cg, "_iterate", oracles.textbook_cg_iterate)
-            reference = cg_solve(precision, b, x0=x0, **limits)
+            reference = cg_solve(precision, b, x0=x0, precondition=precondition, **limits)
         assert reference.iterations >= 1
         assert reference.converged == ("max_iters" not in limits)
         assert (out.iterations, out.converged) == (reference.iterations, reference.converged)

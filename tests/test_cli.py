@@ -290,7 +290,7 @@ def test_capped_exact_solve_exits_2(tmp_path, monkeypatch):
     """An exact superres draw whose CG solve stops at its cap is a numerical
     failure (exit 2), never a written "exact" result.  Three frames, where
     the exact solve is preconditioned by the circulant mean and takes
-    several iterations (two frames solve in one)."""
+    several iterations (two frames apply the closed-form Q^-1, with no CG)."""
     cap = 3
     monkeypatch.setattr(rjpo.sampler, "cg_solve",
                         functools.partial(rjpo.sampler.cg_solve, max_iters=cap))

@@ -119,8 +119,9 @@ def _residual_reported_as(monkeypatch, relative_residuals):
     relative_residuals[k] in place of its recomputed residual."""
     calls = []
 
-    def stub(q, b, x0=None, epsilon=0.0, max_iters=None):
-        out = cg_solve(q, b, x0=x0, epsilon=epsilon, max_iters=max_iters)
+    def stub(q, b, x0=None, epsilon=0.0, max_iters=None, precondition=None):
+        out = cg_solve(q, b, x0=x0, epsilon=epsilon, max_iters=max_iters,
+                       precondition=precondition)
         calls.append((x0, out))
         return dataclasses.replace(out, relative_residual=relative_residuals[len(calls) - 1])
 
@@ -162,8 +163,9 @@ def _closed_form_off_by(monkeypatch, scale):
     target.precision.inverse = lambda b: exact(b) * scale
     calls = []
 
-    def recorded(q, b, x0=None, epsilon=0.0, max_iters=None):
-        calls.append((x0, cg_solve(q, b, x0=x0, epsilon=epsilon, max_iters=max_iters)))
+    def recorded(q, b, x0=None, epsilon=0.0, max_iters=None, precondition=None):
+        calls.append((x0, cg_solve(q, b, x0=x0, epsilon=epsilon, max_iters=max_iters,
+                                   precondition=precondition)))
         return calls[-1][1]
 
     monkeypatch.setattr(rjpo.sampler, "cg_solve", recorded)

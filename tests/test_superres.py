@@ -378,12 +378,11 @@ def test_fused_conditional_transform_counts(monkeypatch):
     takes no transform; on 3 frames (several) it transforms 1 image
     forward, the scattered frames (HalfSpectrum.back_project; w_x enters
     through the isometry embed), and none inverse, with no complex 2-D
-    transform.  In HalfSpectrum coordinates Q and its
-    preconditioner take no transform, so neither does a CG solve, whatever
-    its iteration count, plain or
-    preconditioned: plain CG on 2 frames and CG preconditioned by P^-1 on 3
-    frames take several iterations, CG preconditioned by Q^-1 on 2 frames
-    takes one."""
+    transform.  In HalfSpectrum coordinates Q, its P^-1 and, on 2 frames,
+    its closed-form Q^-1 take no transform, so neither does a CG solve,
+    whatever its iteration count, plain or preconditioned: plain CG on 2
+    frames and CG preconditioned by P^-1 on 3 frames take several
+    iterations."""
     calls = _counted_transforms(monkeypatch)
     problems = []
     for frames in (2, 3):
@@ -400,16 +399,17 @@ def test_fused_conditional_transform_counts(monkeypatch):
         calls.clear()
         target.precision.gram(eta)
         target.precision.preconditioner(eta)
+        if frames == 2:
+            target.precision.inverse(eta)
         assert calls == {}
         problems.append((target.precision, eta))
     (two, eta_two), (three, eta_three) = problems
     x0 = np.random.default_rng(10).standard_normal(eta_two.size)
-    for precision, eta, one_iteration in ((two, eta_two, False),
-                                          (three.preconditioned(), eta_three, False),
-                                          (two.preconditioned(), eta_two, True)):
+    for precision, eta, precondition in ((two, eta_two, None),
+                                         (three, eta_three, three.preconditioner)):
         for start in (x0, None):
-            out = cg_solve(precision, eta, x0=start, epsilon=1e-8)
-            assert out.iterations == 1 if one_iteration else out.iterations > 1
+            out = cg_solve(precision, eta, x0=start, epsilon=1e-8, precondition=precondition)
+            assert out.iterations > 1
             assert calls == {}
 
 
@@ -441,10 +441,11 @@ def test_gibbs_sweep_transform_counts(monkeypatch, name):
 
 
 def test_only_the_exact_solve_preconditions():
-    """tpo, rjpo and arjpo draws never build the preconditioner, a map
-    cached on the conditional by its first use; the exact draw builds it.
-    Two frames have one alias term (Q^-1 preconditions), three have several
-    (P^-1 preconditions)."""
+    """tpo, rjpo and arjpo draws build neither the closed-form Q^-1 nor
+    the preconditioner P^-1, maps cached on the conditional by their first
+    use; the exact draw builds the one it applies.  Two frames have one
+    alias term (the exact draw applies Q^-1), three have several (its CG is
+    preconditioned by P^-1)."""
     for frames in (2, 3):
         model = small_model(frames=frames)
         obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(8))
@@ -454,9 +455,11 @@ def test_only_the_exact_solve_preconditions():
         for name in ("tpo", "rjpo", "arjpo"):
             target = sr.conditional_target(model, back, 2.0, 0.8)
             make_kernel(name, epsilon=1e-6)(target, back, paired)
-            assert "preconditioner" not in vars(target.precision), (frames, name)
+            built = {"inverse", "preconditioner"} & set(vars(target.precision))
+            assert not built, (frames, name, built)
         make_kernel("epo")(target, back, paired)
-        assert "preconditioner" in vars(target.precision), frames
+        applied = "inverse" if frames == 2 else "preconditioner"
+        assert applied in vars(target.precision), frames
 
 
 def test_truncated_solve_on_several_alias_terms_is_plain_cg():
@@ -793,13 +796,13 @@ def test_preconditioned_exact_solve_matches_mirror_solve():
 
 
 def test_preconditioner_inverts_the_circulant_mean():
-    """Where C has no or several alias terms, the preconditioner, applied in
+    """Whatever the alias count, the preconditioner, applied in
     HalfSpectrum coordinates, is P^-1: it inverts the Q of the same model
     with C replaced by its mean, which is the Q of full phase coverage with
     gamma_y scaled by mean(C) = frames / factor^2, to 1e-12 on vectors at
-    16 x 16 with 1, 3 and 5 frames, and to 1e-13 as a dense matrix against
-    that Q on the 16 x 16 and 9 x 15 grids.  (Two frames at factor 2 have
-    one alias term, where the preconditioner is Q^-1 itself.)"""
+    16 x 16 with 1, 2, 3 and 5 frames (one alias term at 2, several at the
+    others), and to 1e-13 as a dense matrix against that Q on the 16 x 16
+    and 9 x 15 grids."""
     gy, gx = 323.6, 780.4
 
     def inverse_mean(model, v):
@@ -813,10 +816,10 @@ def test_preconditioner_inverts_the_circulant_mean():
                                 decimation_factor=factor, psf_kernel=SMOOTH_3X3)
 
     v = np.random.default_rng(62).standard_normal(256)
-    for frames in (1, 3, 5):
+    for frames in (1, 2, 3, 5):
         model = sr.SuperResModel(hi_res_dims=(16, 16), frames=frames, decimation_factor=2,
                                  psf_kernel=SMOOTH_3X3)
-        assert model.half_spectrum.alias_terms > 1, frames
+        assert model.half_spectrum.alias_terms == (1 if frames == 2 else 3), frames
         p_v = oracles.ConditionalFactor(full_coverage(model), gy * frames / 4, gx).gram(v)
         back = inverse_mean(model, p_v)
         assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v), frames
@@ -907,9 +910,9 @@ def test_q_is_symmetric_positive_definite_off_real_images_at_factor_2():
 
 
 def test_preconditioner_inverts_q_with_one_alias_term():
-    """With one alias term the preconditioner is Q^-1: applied after Q it
-    returns real images' half spectra to 1e-13, at precision ratios from
-    1e-4 to 1e4."""
+    """With one alias term the conditional's ``inverse`` is Q^-1: applied
+    after Q it returns real images' half spectra to 1e-13, at precision
+    ratios from 1e-4 to 1e4."""
     rng = np.random.default_rng(63)
     for model in _one_alias_models():
         basis = model.half_spectrum
@@ -919,14 +922,14 @@ def test_preconditioner_inverts_q_with_one_alias_term():
             spectral = sr.SpectralConditional(basis, *gammas)
             for _ in range(3):
                 s = basis.enter(rng.standard_normal(model.pixel_count))
-                back = spectral.preconditioner(spectral.gram(s))
+                back = spectral.inverse(spectral.gram(s))
                 assert np.max(np.abs(back - s)) <= 1e-13 * np.max(np.abs(s)), case
 
 
 def test_preconditioner_is_the_dense_inverse_with_one_alias_term():
-    """Seen from images (leave M^-1 enter), the one-alias-term
-    preconditioner is the inverse of the oracle's dense Q at 8 x 8, with 2
-    and 6 frames, to 1e-13."""
+    """Seen from images (leave Q^-1 enter), the one-alias-term ``inverse``
+    is the inverse of the oracle's dense Q at 8 x 8, with 2 and 6 frames,
+    to 1e-13."""
     gy, gx = 323.6, 780.4
     for frames in (2, 6):
         model = tiny_model(frames=frames)
@@ -934,7 +937,7 @@ def test_preconditioner_is_the_dense_inverse_with_one_alias_term():
         dense_q = oracles.image_conditional_precision(model, gy, gx)
         spectral = sr.SpectralConditional(basis, gy, gx)
         q_inv = oracles.dense_matrix_of(
-            lambda e: basis.leave(spectral.preconditioner(basis.enter(e))), n)
+            lambda e: basis.leave(spectral.inverse(basis.enter(e))), n)
         assert np.max(np.abs(q_inv @ dense_q - np.eye(n))) <= 1e-13, frames
         assert np.max(np.abs(dense_q @ q_inv - np.eye(n))) <= 1e-13, frames
 
@@ -946,35 +949,45 @@ def _full_coverage_models():
             for dims, factor in (((16, 16), 2), ((9, 15), 3))]
 
 
+def _assert_draws_q_inverse_of_eta(target, seeds):
+    """Assert that the exact draw from each seed's eta is, bit for bit, the
+    conditional's closed-form Q^-1 eta, with 0 CG iterations and a
+    recomputed residual within EXACT_EPSILON, and builds neither the
+    preconditioner nor the rotation."""
+    for seed in seeds:
+        out = epo_step(target, RngStream(seed))
+        eta = perturb(target, RngStream(seed))
+        assert out.cg_iterations == 0 and out.relative_residual <= EXACT_EPSILON, seed
+        assert np.array_equal(out.next_sample, target.precision.inverse(eta)), seed
+    assert not {"preconditioner", "rotation"} & set(vars(target.precision))
+
+
 @pytest.mark.parametrize("gammas", ONE_ALIAS_GAMMAS)
-def test_exact_solve_with_one_alias_term_takes_one_iteration(gammas):
-    """The 64 x 64 two-frame exact draw applies the closed-form Q^-1 once and
-    runs no CG iteration, with a recomputed residual within EXACT_EPSILON,
-    from posterior-typical precisions to ratios of 1e4 either way.  (The
-    name is that of the one-iteration PCG draw this replaced.)"""
+def test_exact_draw_with_one_alias_term_applies_q_inverse(gammas):
+    """The 64 x 64 two-frame exact draw is Q^-1 eta, the closed-form Q^-1
+    applied once with no CG iteration, from posterior-typical precisions
+    to ratios of 1e4 either way (_assert_draws_q_inverse_of_eta)."""
     model = sr.make_model((64, 64))
     obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(64))
     target = sr.conditional_target(model, model.half_spectrum.back_project(obs), *gammas)
-    for seed in (65, 66):
-        out = epo_step(target, RngStream(seed))
-        assert out.cg_iterations == 0
-        assert out.relative_residual <= EXACT_EPSILON
+    _assert_draws_q_inverse_of_eta(target, (65, 66))
 
 
-def test_full_phase_coverage_solves_in_one_iteration():
+@pytest.mark.parametrize("gammas", ONE_ALIAS_GAMMAS)
+def test_full_phase_coverage_draw_applies_p_inverse(gammas):
     """With frames = factor^2 every pixel is sampled once (C = I), so Q is
-    the circulant P, whose inverse the exact draw applies with no CG
-    iteration: the O(N log N) exact sampler.  (The name is that of the
-    one-iteration PCG draw this replaced.)"""
+    the circulant P, and its closed-form Q^-1 is s / P: the exact draw is
+    P^-1 eta with no CG iteration (_assert_draws_q_inverse_of_eta), the
+    O(N log N) exact sampler, at factors 2 and 3."""
     for model in _full_coverage_models():
         dims = model.hi_res_dims
         assert np.array_equal(model.counts, np.ones(dims))
         obs = sr.synthesize(model, sr.phantom(dims), RngStream(60))
-        target = sr.conditional_target(model, model.half_spectrum.back_project(obs), 323.6,
-                                       780.4)
-        out = epo_step(target, RngStream(61))
-        assert out.cg_iterations == 0
-        assert out.relative_residual <= EXACT_EPSILON
+        target = sr.conditional_target(model, model.half_spectrum.back_project(obs), *gammas)
+        _assert_draws_q_inverse_of_eta(target, (61, 62))
+        inverse = target.precision.inverse
+        assert np.array_equal(inverse.diagonal, 1.0 / target.precision.gram.diagonal), dims
+        assert not inverse.aliases and target.precision.rotation is None, dims
 
 
 def _no_cg(*args, **kwargs):
@@ -1002,42 +1015,19 @@ def test_closed_form_draw_at_a_precision_ratio_of_1e10_needs_its_correction(monk
         assert np.array_equal(out.next_sample, start + factor.inverse(missed)), seed
 
 
-@pytest.mark.parametrize("gammas", ONE_ALIAS_GAMMAS)
-def test_closed_form_draw_matches_the_preconditioned_solve(gammas):
-    """Where Q^-1 is known in closed form (the 64 x 64 two-frame model, and
-    full phase coverage at factors 2 and 3), the exact draw that applies it
-    is the draw of the CG solve preconditioned by it from the same eta
-    (one iteration to EXACT_EPSILON) to 1e-14 relative."""
-    for model in [sr.make_model((64, 64))] + _full_coverage_models():
-        case = (model.hi_res_dims, model.frames, gammas)
-        basis = model.half_spectrum
-        obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(71))
-        target = sr.conditional_target(model, basis.back_project(obs), *gammas)
-        assert target.precision.inverse is not None, case
-        for seed in (72, 73, 74):
-            out = epo_step(target, RngStream(seed))
-            assert out.cg_iterations == 0, case
-            solve = cg_solve(target.precision.preconditioned(), perturb(target, RngStream(seed)),
-                             epsilon=EXACT_EPSILON)
-            assert solve.iterations == 1, case
-            solution = solve.solution
-            error = np.linalg.norm(out.next_sample - solution) / np.linalg.norm(solution)
-            assert error <= 1e-14, (case, error)
-
-
 def _conditional_off_by(monkeypatch, scale):
     """The 64 x 64 conditional's exact draw on RngStream(76), then the same
-    conditional with its closed-form Q^-1 scaled by ``scale``, its eta and
-    its refined draw (x = Q^-1 eta, then x + Q^-1 (eta - Q x), both through
-    the scaled Q^-1), whose first x misses EXACT_EPSILON."""
+    conditional with its closed-form Q^-1, which that draw cached, scaled by
+    ``scale``, its eta and its refined draw (x = Q^-1 eta, then
+    x + Q^-1 (eta - Q x), both through the scaled Q^-1), whose first x
+    misses EXACT_EPSILON."""
     model = sr.make_model((64, 64))
     basis = model.half_spectrum
     obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(75))
     target = sr.conditional_target(model, basis.back_project(obs), 11.6, 962.0)
     exact = epo_step(target, RngStream(76))
-    inverse = sr.SpectralConditional.inverse.fget
-    monkeypatch.setattr(sr.SpectralConditional, "inverse",
-                        property(lambda self: lambda s: inverse(self)(s) * scale))
+    inverse = target.precision.inverse
+    monkeypatch.setattr(target.precision, "inverse", lambda s: inverse(s) * scale)
     eta = perturb(target, RngStream(76))
     start = target.precision.inverse(eta)
     assert np.linalg.norm(eta - target.precision.apply(start)) > EXACT_EPSILON * np.linalg.norm(eta)
@@ -1086,13 +1076,14 @@ def test_exact_draw_with_several_alias_terms_runs_cg_preconditioned_by_p(monkeyp
     assert factor.inverse is None
     solves = []
 
-    def recorded(q, b, x0=None, epsilon=0.0, max_iters=None):
-        solves.append((q.precondition, x0, epsilon))
-        return cg_solve(q, b, x0=x0, epsilon=epsilon, max_iters=max_iters)
+    def recorded(q, b, x0=None, epsilon=0.0, max_iters=None, precondition=None):
+        solves.append((q, precondition, x0, epsilon))
+        return cg_solve(q, b, x0=x0, epsilon=epsilon, max_iters=max_iters,
+                        precondition=precondition)
 
     monkeypatch.setattr(rjpo.sampler, "cg_solve", recorded)
     out = epo_step(target, RngStream(78))
-    assert solves[0] == (factor.preconditioner, None, EXACT_EPSILON)
+    assert solves[0] == (factor, factor.preconditioner, None, EXACT_EPSILON)
     assert np.array_equal(factor.preconditioner.diagonal, 1.0 / factor.gram.diagonal)
     assert not factor.preconditioner.aliases
     assert out.cg_iterations > 1 and out.relative_residual <= EXACT_EPSILON
@@ -1170,7 +1161,7 @@ def test_rotated_truncated_solve_reports_its_recomputed_residual(gammas):
     differs by no more than the share of Q x that leave drops, the part of x
     that rounding moved off real images' half spectra, plus 1e-13: long
     solves at extreme precision ratios drift that way, unrotated as well.
-    The exact draw, preconditioned, never builds the rotation."""
+    The exact draw, which applies Q^-1, never builds the rotation."""
     for model in _one_alias_models():
         case = (model.hi_res_dims, model.frames, gammas)
         basis = model.half_spectrum
@@ -1387,8 +1378,8 @@ def _image_space_gibbs(model, observations, sweeps, stream):
         omega[model.data_count:] = basis.leave(basis.embed(omega[model.data_count:]))
         eta = gamma_y * back + factor.apply_transpose(omega)
         spectral = sr.conditional_target(model, basis.enter(back), gamma_y, gamma_x)
-        solve = cg_solve(spectral.precision.preconditioned(), basis.enter(eta),
-                         epsilon=EXACT_EPSILON)
+        solve = cg_solve(spectral.precision, basis.enter(eta), epsilon=EXACT_EPSILON,
+                         precondition=spectral.precision.preconditioner)
         x = basis.leave(solve.solution)
         records.append((gamma_y, gamma_x))
     return np.array(records), x
@@ -1543,9 +1534,9 @@ def test_gibbs_is_deterministic_given_a_seed():
 def test_same_seed_runs_are_paired_across_samplers():
     """The exact sampler and T-PO pushed to machine accuracy consume the
     same substreams, so their Gibbs records coincide up to the rounding of
-    their solvers: the exact one runs preconditioned CG, T-PO plain CG.  An
-    unpaired x stream would move the gammas by their posterior spread, about
-    10% here."""
+    their solvers: the exact one applies the closed-form Q^-1, T-PO plain
+    CG.  An unpaired x stream would move the gammas by their posterior
+    spread, about 10% here."""
     model = small_model()
     obs = sr.synthesize(model, sr.phantom((16, 16)), RngStream(23))
     ref = sr.run_gibbs(model, obs, 10, 2, make_kernel("cholesky_epo"),
