@@ -963,10 +963,11 @@ def _assert_draws_q_inverse_of_eta(target, seeds):
 
 
 @pytest.mark.parametrize("gammas", ONE_ALIAS_GAMMAS)
-def test_exact_draw_with_one_alias_term_applies_q_inverse(gammas):
+def test_exact_solve_with_one_alias_term_takes_one_iteration(gammas):
     """The 64 x 64 two-frame exact draw is Q^-1 eta, the closed-form Q^-1
     applied once with no CG iteration, from posterior-typical precisions
-    to ratios of 1e4 either way (_assert_draws_q_inverse_of_eta)."""
+    to ratios of 1e4 either way (_assert_draws_q_inverse_of_eta).  (The
+    name is that of the one-iteration PCG draw this replaced.)"""
     model = sr.make_model((64, 64))
     obs = sr.synthesize(model, sr.phantom((64, 64)), RngStream(64))
     target = sr.conditional_target(model, model.half_spectrum.back_project(obs), *gammas)
@@ -1013,6 +1014,32 @@ def test_closed_form_draw_at_a_precision_ratio_of_1e10_needs_its_correction(monk
         out = epo_step(target, RngStream(seed))
         assert out.cg_iterations == 0 and out.relative_residual <= EXACT_EPSILON, seed
         assert np.array_equal(out.next_sample, start + factor.inverse(missed)), seed
+
+
+@pytest.mark.parametrize("gammas", ONE_ALIAS_GAMMAS)
+def test_closed_form_draw_matches_the_preconditioned_solve(gammas):
+    """Where Q^-1 is known in closed form (the 64 x 64 two-frame model, and
+    full phase coverage at factors 2 and 3), the exact draw is, bit for bit,
+    ``inverse(eta)``, and it is the draw of the CG solve preconditioned by
+    that Q^-1 (passed as cg_solve's ``precondition``) from the same eta, one
+    iteration to EXACT_EPSILON, to 1e-14 relative."""
+    for model in [sr.make_model((64, 64))] + _full_coverage_models():
+        case = (model.hi_res_dims, model.frames, gammas)
+        basis = model.half_spectrum
+        obs = sr.synthesize(model, sr.phantom(model.hi_res_dims), RngStream(71))
+        target = sr.conditional_target(model, basis.back_project(obs), *gammas)
+        factor = target.precision
+        assert factor.inverse is not None, case
+        for seed in (72, 73, 74):
+            out = epo_step(target, RngStream(seed))
+            eta = perturb(target, RngStream(seed))
+            assert out.cg_iterations == 0, case
+            assert np.array_equal(out.next_sample, factor.inverse(eta)), case
+            solve = cg_solve(factor, eta, epsilon=EXACT_EPSILON, precondition=factor.inverse)
+            assert solve.iterations == 1, case
+            solution = solve.solution
+            error = np.linalg.norm(out.next_sample - solution) / np.linalg.norm(solution)
+            assert error <= 1e-14, (case, error)
 
 
 def _conditional_off_by(monkeypatch, scale):
